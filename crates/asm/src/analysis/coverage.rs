@@ -10,8 +10,8 @@
 //! byte whose every def-to-use path flows into a protection checker is
 //! guaranteed to be detected.  This module classifies every injectable
 //! site of an [`AsmProgram`] into a [`StaticVerdict`] and rolls the
-//! verdicts up into a [`CoverageMap`] that the campaign engine
-//! (`ferrum_faultsim::run_campaign_pruned`) uses to skip
+//! verdicts up into a [`CoverageMap`] that a campaign plan
+//! (`ferrum_faultsim::Campaign::prune`) uses to skip
 //! statically-decided injections.
 //!
 //! # Site model

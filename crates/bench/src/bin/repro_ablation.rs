@@ -13,8 +13,8 @@
 
 use ferrum::{CostModel, Pipeline, Technique};
 use ferrum_eddi::ferrum::FerrumConfig;
-use ferrum_faultsim::campaign::{run_campaign, CampaignConfig};
 use ferrum_faultsim::stats::{runtime_overhead, sdc_coverage};
+use ferrum_faultsim::{Campaign, CampaignConfig};
 use ferrum_workloads::all_workloads;
 
 struct Variant {
@@ -103,27 +103,23 @@ fn main() {
                 .expect("compiles");
             let raw_cpu = pipeline.load(&raw).expect("loads");
             let raw_profile = raw_cpu.profile();
-            let raw_campaign = run_campaign(
-                &raw_cpu,
-                &raw_profile,
-                CampaignConfig {
-                    samples: cfg.samples,
-                    seed: cfg.seed,
-                },
-            );
+            let raw_campaign = Campaign::sampled(CampaignConfig {
+                samples: cfg.samples,
+                seed: cfg.seed,
+            })
+            .run(&raw_cpu, &raw_profile)
+            .unwrap();
             let prot = pipeline
                 .protect(&module, Technique::Ferrum)
                 .expect("protects");
             let cpu = pipeline.load(&prot).expect("loads");
             let profile = cpu.profile();
-            let campaign = run_campaign(
-                &cpu,
-                &profile,
-                CampaignConfig {
-                    samples: cfg.samples,
-                    seed: cfg.seed + 1,
-                },
-            );
+            let campaign = Campaign::sampled(CampaignConfig {
+                samples: cfg.samples,
+                seed: cfg.seed + 1,
+            })
+            .run(&cpu, &profile)
+            .unwrap();
             overhead_sum += runtime_overhead(raw_profile.result.cycles, profile.result.cycles);
             coverage_sum += sdc_coverage(raw_campaign.sdc_prob(), campaign.sdc_prob());
             n += 1;

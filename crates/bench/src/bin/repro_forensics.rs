@@ -8,7 +8,9 @@
 //! corrupted consistently, the corruption was masked before any check,
 //! a checker ran blind, or no checker executed at all.
 
-use ferrum::{run_campaign_forensic, CampaignConfig, EscapeReason, ForensicConfig, Pipeline, Technique};
+use ferrum::{
+    forensic_report, Campaign, CampaignConfig, EscapeReason, ForensicConfig, Pipeline, Technique,
+};
 use ferrum_workloads::all_workloads;
 
 fn main() {
@@ -37,15 +39,13 @@ fn main() {
             };
             let _ = prog;
             let profile = cpu.profile();
-            let (campaign, report) = run_campaign_forensic(
-                &cpu,
-                &profile,
-                CampaignConfig {
-                    samples: cfg.samples,
-                    seed: cfg.seed,
-                },
-                &fcfg,
-            );
+            let campaign = Campaign::sampled(CampaignConfig {
+                samples: cfg.samples,
+                seed: cfg.seed,
+            })
+            .run(&cpu, &profile)
+            .unwrap();
+            let report = forensic_report(&cpu, &profile, &campaign, &fcfg);
             let count = |r: EscapeReason| {
                 report
                     .reason_histogram

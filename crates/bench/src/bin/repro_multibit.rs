@@ -6,8 +6,8 @@
 //! harness measures by how much.
 
 use ferrum::{Pipeline, Technique};
-use ferrum_faultsim::campaign::{run_campaign, run_double_campaign, CampaignConfig};
 use ferrum_faultsim::stats::sdc_coverage;
+use ferrum_faultsim::{Campaign, CampaignConfig};
 use ferrum_workloads::all_workloads;
 
 fn main() {
@@ -35,15 +35,15 @@ fn main() {
             samples: cfg.samples,
             seed: cfg.seed,
         };
-        let raw2 = run_double_campaign(&raw_cpu, &raw_profile, c);
+        let raw2 = Campaign::double(c).run(&raw_cpu, &raw_profile).unwrap();
         let prog = pipeline
             .protect(&module, Technique::Ferrum)
             .expect("protects");
         let cpu = pipeline.load(&prog).expect("loads");
         let profile = cpu.profile();
-        let prot2 = run_double_campaign(&cpu, &profile, c);
-        let raw1 = run_campaign(&raw_cpu, &raw_profile, c);
-        let prot1 = run_campaign(&cpu, &profile, c);
+        let prot2 = Campaign::double(c).run(&cpu, &profile).unwrap();
+        let raw1 = Campaign::sampled(c).run(&raw_cpu, &raw_profile).unwrap();
+        let prot1 = Campaign::sampled(c).run(&cpu, &profile).unwrap();
         let cov2 = sdc_coverage(raw2.sdc_prob(), prot2.sdc_prob());
         let cov1 = sdc_coverage(raw1.sdc_prob(), prot1.sdc_prob());
         cov2_sum += cov2;

@@ -5,8 +5,8 @@
 
 use ferrum::{Pipeline, Technique};
 use ferrum_eddi::ferrum::FerrumConfig;
-use ferrum_faultsim::campaign::{run_campaign, CampaignConfig};
 use ferrum_faultsim::stats::{runtime_overhead, sdc_coverage};
+use ferrum_faultsim::{Campaign, CampaignConfig};
 use ferrum_workloads::all_workloads;
 
 fn main() {
@@ -33,27 +33,23 @@ fn main() {
                 .expect("compiles");
             let raw_cpu = pipeline.load(&raw).expect("loads");
             let raw_prof = raw_cpu.profile();
-            let raw_res = run_campaign(
-                &raw_cpu,
-                &raw_prof,
-                CampaignConfig {
-                    samples: cfg.samples,
-                    seed: cfg.seed,
-                },
-            );
+            let raw_res = Campaign::sampled(CampaignConfig {
+                samples: cfg.samples,
+                seed: cfg.seed,
+            })
+            .run(&raw_cpu, &raw_prof)
+            .unwrap();
             let prog = pipeline
                 .protect(&module, Technique::Ferrum)
                 .expect("protects");
             let cpu = pipeline.load(&prog).expect("loads");
             let prof = cpu.profile();
-            let res = run_campaign(
-                &cpu,
-                &prof,
-                CampaignConfig {
-                    samples: cfg.samples,
-                    seed: cfg.seed + 1,
-                },
-            );
+            let res = Campaign::sampled(CampaignConfig {
+                samples: cfg.samples,
+                seed: cfg.seed + 1,
+            })
+            .run(&cpu, &prof)
+            .unwrap();
             o_sum += runtime_overhead(raw_prof.result.cycles, prof.result.cycles);
             c_sum += sdc_coverage(raw_res.sdc_prob(), res.sdc_prob());
             n += 1;

@@ -8,8 +8,8 @@
 //! reports the detection-latency distribution (injection→detection
 //! instruction distance), which must be identical across engines.
 //!
-//! A third table runs the coverage-pruned executor
-//! (`run_campaign_pruned`) on the FERRUM build: faults landing on
+//! A third table runs the campaign with a coverage map to prune
+//! (`ferrum::Campaign::prune`) on the FERRUM build: faults landing on
 //! statically-decided sites (`ferrum::CoverageMap`) are booked without
 //! simulation, and the outcome records must still be identical to the
 //! serial engine.
@@ -21,8 +21,9 @@
 //! speedup column is the paper-scale throughput claim for
 //! `ferrum_cpu::decoded` (≥10× single-thread).
 //!
-//! A fifth table measures the incremental campaign mode
-//! (`ferrum::run_campaign_incremental`) after a single-function edit:
+//! A fifth table measures the incremental campaign mode (a stratified
+//! `ferrum::Campaign` reusing a `ferrum::CampaignCache`) after a
+//! single-function edit:
 //! a multi-function FERRUM-protected program is campaigned once to
 //! fill the per-function shard cache, one function is edited (a
 //! synthetic `nop` changes its content hash), and the stale cache
@@ -55,22 +56,18 @@ use std::time::Instant;
 use ferrum::flight::NdjsonSink;
 use ferrum::json::{Json, ToJson};
 use ferrum::{
-    install_flight_recorder, program_signature, run_campaign_incremental, run_campaign_stratified,
-    uninstall_flight_recorder, CampaignConfig, CoverageMap, DecodedCpu, Engine, FlightRecorder,
-    Pipeline, SnapshotPolicy, Technique,
+    install_flight_recorder, program_signature, uninstall_flight_recorder, Campaign, CampaignCache,
+    CampaignConfig, CoverageMap, DecodedCpu, FlightRecorder, Pipeline, Reuse, SnapshotPolicy,
+    Technique,
 };
 use ferrum_asm::inst::Inst;
 use ferrum_asm::program::AsmInst;
 use ferrum_eddi::ferrum::Ferrum;
-use ferrum_faultsim::campaign::{
-    run_campaign, run_campaign_parallel, run_campaign_pruned, run_campaign_snapshot,
-    run_campaign_snapshot_on,
-};
 use ferrum_mir::builder::FunctionBuilder;
 use ferrum_mir::module::{Global, Module};
 use ferrum_mir::types::Ty;
 use ferrum_mir::value::Value;
-use ferrum_workloads::all_workloads;
+use ferrum_workloads::{all_workloads, Workload};
 
 /// A multi-function program for the incremental table: `main` sums
 /// six helpers over a global table.  The catalog workloads compile to
@@ -128,6 +125,17 @@ fn main() {
     let json_out: Option<String> = arg_value(&args, "--json-out");
     let reps: usize = arg_value(&args, "--reps").unwrap_or(5).max(1);
     let pipeline = Pipeline::new();
+    let campaign_cfg = CampaignConfig {
+        samples: cfg.samples,
+        seed: cfg.seed,
+    };
+    // One workload's program for a table: protected, loaded, profiled.
+    let load = |w: &Workload, t: Technique| {
+        let prog = pipeline.protect(&w.build(cfg.scale), t).expect("protects");
+        let cpu = pipeline.load(&prog).expect("loads");
+        let profile = cpu.profile();
+        (prog, cpu, profile)
+    };
     let mut tables: Vec<(&str, Json)> = Vec::new();
 
     eprintln!(
@@ -142,26 +150,18 @@ fn main() {
 
     let mut snapshot_rows = Vec::new();
     for w in all_workloads() {
-        let module = w.build(cfg.scale);
-        let prog = pipeline
-            .protect(&module, Technique::None)
-            .expect("protects");
-        let cpu = pipeline.load(&prog).expect("loads");
-        let profile = cpu.profile();
-        let campaign_cfg = CampaignConfig {
-            samples: cfg.samples,
-            seed: cfg.seed,
-        };
+        let (_, cpu, profile) = load(&w, Technique::None);
 
-        let serial = run_campaign(&cpu, &profile, campaign_cfg);
-        let stealing = run_campaign_parallel(&cpu, &profile, campaign_cfg, threads);
-        let snap = run_campaign_snapshot(
-            &cpu,
-            &profile,
-            campaign_cfg,
-            threads,
-            SnapshotPolicy::default(),
-        );
+        let serial = Campaign::sampled(campaign_cfg).run(&cpu, &profile).unwrap();
+        let stealing = Campaign::sampled(campaign_cfg)
+            .threads(threads)
+            .run(&cpu, &profile)
+            .unwrap();
+        let snap = Campaign::sampled(campaign_cfg)
+            .threads(threads)
+            .snapshots(SnapshotPolicy::default())
+            .run(&cpu, &profile)
+            .unwrap();
 
         // Hard determinism check: all three engines must agree on the
         // outcome of every sampled fault (in sampling order) *and* on
@@ -206,22 +206,12 @@ fn main() {
     );
     let mut latency_rows = Vec::new();
     for w in all_workloads() {
-        let module = w.build(cfg.scale);
-        let prog = pipeline
-            .protect(&module, Technique::Ferrum)
-            .expect("protects");
-        let cpu = pipeline.load(&prog).expect("loads");
-        let profile = cpu.profile();
-        let snap = run_campaign_snapshot(
-            &cpu,
-            &profile,
-            CampaignConfig {
-                samples: cfg.samples,
-                seed: cfg.seed,
-            },
-            threads,
-            SnapshotPolicy::default(),
-        );
+        let (_, cpu, profile) = load(&w, Technique::Ferrum);
+        let snap = Campaign::sampled(campaign_cfg)
+            .threads(threads)
+            .snapshots(SnapshotPolicy::default())
+            .run(&cpu, &profile)
+            .unwrap();
         let lat = &snap.stats.latency;
         println!(
             "{:<14}{:>10}{:>8}{:>8}{:>8}{:>9.2}",
@@ -252,19 +242,13 @@ fn main() {
     );
     let mut pruned_rows = Vec::new();
     for w in all_workloads() {
-        let module = w.build(cfg.scale);
-        let prog = pipeline
-            .protect(&module, Technique::Ferrum)
-            .expect("protects");
+        let (prog, cpu, profile) = load(&w, Technique::Ferrum);
         let map = CoverageMap::analyze(&prog);
-        let cpu = pipeline.load(&prog).expect("loads");
-        let profile = cpu.profile();
-        let campaign_cfg = CampaignConfig {
-            samples: cfg.samples,
-            seed: cfg.seed,
-        };
-        let serial = run_campaign(&cpu, &profile, campaign_cfg);
-        let pruned = run_campaign_pruned(&cpu, &profile, campaign_cfg, &map);
+        let serial = Campaign::sampled(campaign_cfg).run(&cpu, &profile).unwrap();
+        let pruned = Campaign::sampled(campaign_cfg)
+            .prune(&map)
+            .run(&cpu, &profile)
+            .unwrap();
         let identical = serial == pruned;
         let steps_saved = 1.0
             - pruned.stats.steps_executed as f64 / serial.stats.steps_executed.max(1) as f64;
@@ -304,31 +288,11 @@ fn main() {
     let mut n = 0usize;
     let mut decoded_rows = Vec::new();
     for w in all_workloads() {
-        let module = w.build(cfg.scale);
-        let prog = pipeline
-            .protect(&module, Technique::Ferrum)
-            .expect("protects");
-        let cpu = pipeline.load(&prog).expect("loads");
+        let (_, cpu, profile) = load(&w, Technique::Ferrum);
         let decoded = DecodedCpu::new(&cpu);
-        let profile = cpu.profile();
-        let campaign_cfg = CampaignConfig {
-            samples: cfg.samples,
-            seed: cfg.seed,
-        };
-        let interp = run_campaign_snapshot_on(
-            Engine::Interpreter(&cpu),
-            &profile,
-            campaign_cfg,
-            1,
-            SnapshotPolicy::default(),
-        );
-        let fast = run_campaign_snapshot_on(
-            Engine::Decoded(&decoded),
-            &profile,
-            campaign_cfg,
-            1,
-            SnapshotPolicy::default(),
-        );
+        let plan = Campaign::sampled(campaign_cfg).snapshots(SnapshotPolicy::default());
+        let interp = plan.run(&cpu, &profile).unwrap();
+        let fast = plan.run(&decoded, &profile).unwrap();
         let identical = interp == fast && interp.stats.latency == fast.stats.latency;
         let speedup = fast.stats.injections_per_sec / interp.stats.injections_per_sec;
         log_speedup_sum += speedup.ln();
@@ -372,18 +336,9 @@ fn main() {
     let mut n_overhead = 0usize;
     let mut recorder_rows = Vec::new();
     for w in all_workloads() {
-        let module = w.build(cfg.scale);
-        let prog = pipeline
-            .protect(&module, Technique::Ferrum)
-            .expect("protects");
+        let (prog, cpu, profile) = load(&w, Technique::Ferrum);
         let hash = program_signature(&prog);
-        let cpu = pipeline.load(&prog).expect("loads");
         let decoded = DecodedCpu::new(&cpu);
-        let profile = cpu.profile();
-        let campaign_cfg = CampaignConfig {
-            samples: cfg.samples,
-            seed: cfg.seed,
-        };
         let run = |recorded: bool| {
             if recorded {
                 install_flight_recorder(Arc::new(
@@ -392,13 +347,10 @@ fn main() {
                         .with_program_hash(hash),
                 ));
             }
-            let r = run_campaign_snapshot_on(
-                Engine::Decoded(&decoded),
-                &profile,
-                campaign_cfg,
-                1,
-                SnapshotPolicy::default(),
-            );
+            let r = Campaign::sampled(campaign_cfg)
+                .snapshots(SnapshotPolicy::default())
+                .run(&decoded, &profile)
+                .unwrap();
             if recorded {
                 uninstall_flight_recorder();
             }
@@ -458,11 +410,10 @@ fn main() {
     let base = Ferrum::new().protect_module(&module).expect("protects");
     let base_cpu = ferrum_cpu::run::Cpu::load(&base).expect("loads");
     let base_profile = base_cpu.profile();
-    let campaign_cfg = CampaignConfig {
-        samples: cfg.samples,
-        seed: cfg.seed,
-    };
-    let (_, cache) = run_campaign_stratified(&base_cpu, &base_profile, campaign_cfg, &base);
+    let base_result = Campaign::stratified(campaign_cfg, &base)
+        .run(&base_cpu, &base_profile)
+        .unwrap();
+    let cache = CampaignCache::from_result(&base, &base_profile, campaign_cfg, &base_result);
     let names: Vec<String> = base.functions.iter().map(|f| f.name.clone()).collect();
     let mut incremental_rows = Vec::new();
     for name in &names {
@@ -478,10 +429,14 @@ fn main() {
         let cpu = ferrum_cpu::run::Cpu::load(&edited).expect("loads");
         let profile = cpu.profile();
         let t0 = Instant::now();
-        let (full, _) = run_campaign_stratified(&cpu, &profile, campaign_cfg, &edited);
+        let plan = Campaign::stratified(campaign_cfg, &edited);
+        let full = plan.run(&cpu, &profile).unwrap();
         let t_full = t0.elapsed();
         let t1 = Instant::now();
-        let (inc, _) = run_campaign_incremental(&cpu, &profile, campaign_cfg, &edited, &cache);
+        let inc = plan
+            .reuse(Reuse::Cache(&cache))
+            .run(&cpu, &profile)
+            .unwrap();
         let t_inc = t1.elapsed();
         let identical = full == inc;
         println!(

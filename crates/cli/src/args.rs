@@ -188,6 +188,17 @@ impl ParsedArgs {
     }
 }
 
+/// The `--technique` value naming `t` (the inverse of
+/// [`ParsedArgs::technique_core`]), also the label reports carry.
+pub fn technique_label(t: Technique) -> &'static str {
+    match t {
+        Technique::None => "none",
+        Technique::IrEddi => "ir-eddi",
+        Technique::HybridAsmEddi => "hybrid",
+        Technique::Ferrum => "ferrum",
+    }
+}
+
 /// One documented argument in a tool's usage text.
 #[derive(Debug, Clone, Copy)]
 pub struct ArgHelp {
@@ -386,6 +397,20 @@ mod tests {
             Technique::Ferrum
         );
         assert_eq!(p.technique_cli().unwrap(), CliTechnique::Ferrum);
+    }
+
+    #[test]
+    fn technique_labels_round_trip_through_the_flag() {
+        for t in [
+            Technique::None,
+            Technique::IrEddi,
+            Technique::HybridAsmEddi,
+            Technique::Ferrum,
+        ] {
+            let p =
+                parse_args(&v(&["x", "--technique", technique_label(t)]), &SPEC).expect("parses");
+            assert_eq!(p.technique_core(Technique::Ferrum).unwrap(), t);
+        }
     }
 
     #[test]

@@ -20,12 +20,15 @@
 //! ```
 //!
 //! The tool protects and loads the workload, installs a
-//! [`FlightRecorder`](ferrum::FlightRecorder), and runs the chosen
-//! campaign executor with a live progress table on stdout.  `--events`
-//! and `--journal` tee the same event stream into NDJSON files; a
-//! journal cut short by a crash or kill feeds `--resume`, which
-//! replays completed shards and injects only the remainder — the
-//! result is byte-identical to an uninterrupted run of the same seed.
+//! [`FlightRecorder`](ferrum::FlightRecorder), and runs a sampled
+//! [`Campaign`](ferrum::Campaign) with a live progress table on stdout.
+//! `--executor` picks the plan's axes: `serial` is one cold thread,
+//! `parallel` is `--threads` cold workers, `snapshot` is `--threads`
+//! workers replaying from golden-prefix snapshots.  `--events` and
+//! `--journal` tee the same event stream into NDJSON files; a journal
+//! cut short by a crash or kill feeds `--resume`, which replays
+//! completed shards and injects only the remainder — the result is
+//! byte-identical to an uninterrupted run of the same seed.
 //!
 //! `--catalog` runs every workload × all four techniques × both
 //! engines and asserts the recorder's contract: event streams are
@@ -44,14 +47,15 @@ use ferrum::flight::{journal_from_ndjson, parse_events, NdjsonSink, StallTracker
 use ferrum::json::{Json, ToJson};
 use ferrum::report::{render_flight_summary, render_progress_header, render_progress_row_flagged};
 use ferrum::{
-    install_flight_recorder, program_signature, resume_campaign_from_journal,
-    uninstall_flight_recorder, CampaignConfig, CampaignEvent, CampaignFingerprint, CampaignResult,
-    EngineKind, FlightEvent, FlightRecorder, FlightSink, JournalSnapshot, MemorySink, Pipeline,
-    SnapshotPolicy, Technique, TeeSink,
+    install_flight_recorder, program_signature, uninstall_flight_recorder, Campaign,
+    CampaignConfig, CampaignEvent, CampaignFingerprint, CampaignResult, EngineKind, FlightEvent,
+    FlightRecorder, FlightSink, JournalSnapshot, MemorySink, Pipeline, Reuse, SnapshotPolicy,
+    Technique, TeeSink,
 };
-use ferrum_cli::args::{parse_args, usage_exit, ArgError, ArgHelp, ArgSpec, UsageSpec};
+use ferrum_cli::args::{
+    parse_args, technique_label, usage_exit, ArgError, ArgHelp, ArgSpec, UsageSpec,
+};
 use ferrum_cli::catalog::{catalog_exit, catalog_selfcheck, CheckLine};
-use ferrum_faultsim::campaign::{run_campaign_on, run_campaign_parallel_on, run_campaign_snapshot_on};
 use ferrum_workloads::catalog::{workload, Scale, Workload};
 
 const USAGE: UsageSpec = UsageSpec {
@@ -142,24 +146,6 @@ const USAGE: UsageSpec = UsageSpec {
     },
 };
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Executor {
-    Serial,
-    Parallel,
-    Snapshot,
-}
-
-impl Executor {
-    fn parse(s: &str) -> Option<Executor> {
-        match s {
-            "serial" => Some(Executor::Serial),
-            "parallel" => Some(Executor::Parallel),
-            "snapshot" => Some(Executor::Snapshot),
-            _ => None,
-        }
-    }
-}
-
 struct Options {
     technique: Technique,
     samples: usize,
@@ -167,21 +153,13 @@ struct Options {
     scale: Scale,
     opt: Option<ferrum::OptLevel>,
     engine: EngineKind,
-    executor: Executor,
+    /// `--executor` and `--threads` as plan axes.
     threads: usize,
+    snapshots: Option<SnapshotPolicy>,
     events: Option<String>,
     journal: Option<String>,
     resume: bool,
     json: bool,
-}
-
-fn technique_label(t: Technique) -> &'static str {
-    match t {
-        Technique::None => "none",
-        Technique::IrEddi => "ir-eddi",
-        Technique::HybridAsmEddi => "hybrid",
-        Technique::Ferrum => "ferrum",
-    }
 }
 
 /// Live TTY sink: header on campaign start, one row per progress
@@ -256,11 +234,6 @@ fn run_one(name: &str, opts: &Options) -> ExitCode {
         eprintln!("ferrum-campaign: unknown workload `{name}`");
         return ExitCode::FAILURE;
     };
-    let cfg = CampaignConfig {
-        samples: opts.samples,
-        seed: opts.seed,
-    };
-
     // Read the journal *before* sinks truncate it for rewriting.
     let journal: Option<JournalSnapshot> = if opts.resume {
         let Some(path) = &opts.journal else {
@@ -283,6 +256,10 @@ fn run_one(name: &str, opts: &Options) -> ExitCode {
 
     let pipeline = Pipeline::new().with_opt_level(opts.opt.unwrap_or_default());
     let module = w.build(opts.scale);
+    let cfg = CampaignConfig {
+        samples: opts.samples,
+        seed: opts.seed,
+    };
     let run = (|| {
         let prog = pipeline.protect(&module, opts.technique)?;
         let cpu = pipeline.load(&prog)?;
@@ -295,36 +272,20 @@ fn run_one(name: &str, opts: &Options) -> ExitCode {
                     .with_program_hash(program_signature(&prog)),
             ));
         }
-        let result = opts.engine.with_cpu(&cpu, |engine| match &journal {
-            Some(j) => resume_campaign_from_journal(engine, &profile, cfg, j)
-                .map_err(ferrum::Error::msg),
-            None => Ok(match opts.executor {
-                Executor::Serial => run_campaign_on(engine, &profile, cfg),
-                Executor::Parallel => {
-                    run_campaign_parallel_on(engine, &profile, cfg, opts.threads)
-                }
-                Executor::Snapshot => run_campaign_snapshot_on(
-                    engine,
-                    &profile,
-                    cfg,
-                    opts.threads,
-                    SnapshotPolicy::default(),
-                ),
-            }),
-        });
+        let plan = Campaign::sampled(cfg)
+            .threads(opts.threads)
+            .snapshots(opts.snapshots)
+            .reuse(journal.as_ref().map_or(Reuse::None, Reuse::Journal));
+        let result = opts
+            .engine
+            .with_cpu(&cpu, |engine| plan.run(engine, &profile));
         uninstall_flight_recorder();
         let result = result?;
 
         let fp = CampaignFingerprint {
             workload: name.to_owned(),
             technique: technique_label(opts.technique).to_owned(),
-            executor: match (opts.resume, opts.executor) {
-                (true, _) => "resume",
-                (false, Executor::Serial) => "serial",
-                (false, Executor::Parallel) => "parallel",
-                (false, Executor::Snapshot) => "snapshot",
-            }
-            .to_owned(),
+            executor: plan.executor().to_owned(),
             engine: opts.engine,
             samples: cfg.samples,
             seed: cfg.seed,
@@ -475,7 +436,8 @@ fn catalog_check(
         let hash = program_signature(&prog);
         for engine in EngineKind::ALL {
             // Baseline without a recorder: the purity reference.
-            let bare = engine.with_cpu(&cpu, |e| run_campaign_on(e, &profile, cfg));
+            let plan = Campaign::sampled(cfg);
+            let bare = engine.with_cpu(&cpu, |e| plan.run(e, &profile))?;
 
             // Recorded run.
             let sink = Arc::new(MemorySink::new());
@@ -484,8 +446,9 @@ fn catalog_check(
                     .with_labels(w.name, technique_label(technique))
                     .with_program_hash(hash),
             ));
-            let recorded = engine.with_cpu(&cpu, |e| run_campaign_on(e, &profile, cfg));
+            let recorded = engine.with_cpu(&cpu, |e| plan.run(e, &profile));
             uninstall_flight_recorder();
+            let recorded = recorded?;
             let events = sink.events();
 
             let mut a = audit_stream(&events, &recorded);
@@ -517,9 +480,8 @@ fn catalog_check(
             let (resume_ok, reused_ok) = match JournalSnapshot::from_events(truncated) {
                 Some(journal) if !journal.finished => {
                     let completed = journal.completed();
-                    match engine
-                        .with_cpu(&cpu, |e| resume_campaign_from_journal(e, &profile, cfg, &journal))
-                    {
+                    let resume = plan.reuse(Reuse::Journal(&journal));
+                    match engine.with_cpu(&cpu, |e| resume.run(e, &profile)) {
                         Ok(resumed) => (
                             resumed == bare,
                             resumed.stats.reused_sites == completed && completed > 0,
@@ -570,19 +532,21 @@ fn catalog_check(
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (parsed, opts) = match parse_args(&args, &USAGE.spec).and_then(|p| {
-        let executor = match p.value("--executor") {
-            None => Executor::Serial,
-            Some(s) => Executor::parse(s).ok_or_else(|| {
-                ArgError::Message(format!(
-                    "unknown executor `{s}` (serial | parallel | snapshot)"
-                ))
-            })?,
-        };
         let threads = match p.value("--threads") {
             None => 4,
             Some(raw) => raw
                 .parse()
                 .map_err(|_| ArgError::Message(format!("`--threads` cannot parse `{raw}`")))?,
+        };
+        let (threads, snapshots) = match p.value("--executor").unwrap_or("serial") {
+            "serial" => (1, None),
+            "parallel" => (threads, None),
+            "snapshot" => (threads, Some(SnapshotPolicy::default())),
+            s => {
+                return Err(ArgError::Message(format!(
+                    "unknown executor `{s}` (serial | parallel | snapshot)"
+                )))
+            }
         };
         let opts = Options {
             technique: p.technique_core(Technique::Ferrum)?,
@@ -591,8 +555,8 @@ fn main() -> ExitCode {
             scale: p.scale()?,
             opt: p.opt_level()?,
             engine: p.engine()?,
-            executor,
             threads,
+            snapshots,
             events: p.value("--events").map(str::to_owned),
             journal: p.value("--journal").map(str::to_owned),
             resume: p.flag("--resume"),

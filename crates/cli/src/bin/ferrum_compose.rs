@@ -30,14 +30,14 @@ use std::process::ExitCode;
 use ferrum::json::{Json, ToJson};
 use ferrum::report::{composition_to_json, render_composition};
 use ferrum::{
-    compose, CampaignConfig, ComposedMap, CoverageMap, Pipeline, StaticVerdict, SummaryMap,
-    Technique,
+    compose, Campaign, CampaignCache, CampaignConfig, ComposedMap, CoverageMap, Pipeline, Reuse,
+    StaticVerdict, SummaryMap, Technique,
 };
-use ferrum_cli::args::{parse_args, usage_exit, ArgHelp, ArgSpec, UsageSpec};
+use ferrum_asm::AsmProgram;
+use ferrum_cli::args::{parse_args, technique_label, usage_exit, ArgHelp, ArgSpec, UsageSpec};
 use ferrum_cli::catalog::{catalog_exit, catalog_selfcheck, CheckLine};
-use ferrum_cpu::run::Profile;
-use ferrum_faultsim::campaign::{run_campaign, CampaignResult, Outcome};
-use ferrum_faultsim::{run_campaign_incremental, run_campaign_stratified};
+use ferrum_cpu::run::{Cpu, Profile};
+use ferrum_faultsim::campaign::{CampaignResult, Outcome};
 use ferrum_workloads::catalog::{workload, Scale, Workload};
 
 const USAGE: UsageSpec = UsageSpec {
@@ -96,15 +96,6 @@ struct Options {
     json: bool,
 }
 
-fn technique_label(t: Technique) -> &'static str {
-    match t {
-        Technique::None => "none",
-        Technique::IrEddi => "ir-eddi",
-        Technique::HybridAsmEddi => "hybrid",
-        Technique::Ferrum => "ferrum",
-    }
-}
-
 /// Checks every monolithic campaign outcome against the composed map:
 /// a composed `Masked` must be `Benign`, a composed `Detected` must be
 /// `Detected`.  Returns the number of contradicted records.
@@ -127,6 +118,21 @@ fn contradictions(composed: &ComposedMap, profile: &Profile, serial: &CampaignRe
         .count()
 }
 
+/// The stratified campaign, then an incremental re-run that reuses the
+/// cache rebuilt from it.
+fn stratified_then_incremental(
+    cpu: &Cpu,
+    profile: &Profile,
+    cfg: CampaignConfig,
+    prog: &AsmProgram,
+) -> Result<(CampaignResult, CampaignResult), ferrum::Error> {
+    let plan = Campaign::stratified(cfg, prog);
+    let stratified = plan.run(cpu, profile)?;
+    let cache = CampaignCache::from_result(prog, profile, cfg, &stratified);
+    let incremental = plan.reuse(Reuse::Cache(&cache)).run(cpu, profile)?;
+    Ok((stratified, incremental))
+}
+
 fn run_one(name: &str, opts: &Options) -> ExitCode {
     let Some(w) = workload(name) else {
         eprintln!("ferrum-compose: unknown workload `{name}`");
@@ -145,8 +151,7 @@ fn run_one(name: &str, opts: &Options) -> ExitCode {
         let composed = compose(&prog, &coverage, &summary);
         let cpu = pipeline.load(&prog)?;
         let profile = cpu.profile();
-        let (stratified, cache) = run_campaign_stratified(&cpu, &profile, cfg, &prog);
-        let (incremental, _) = run_campaign_incremental(&cpu, &profile, cfg, &prog, &cache);
+        let (stratified, incremental) = stratified_then_incremental(&cpu, &profile, cfg, &prog)?;
         Ok::<_, ferrum::Error>((composed, stratified, incremental))
     })() {
         Ok(r) => r,
@@ -200,7 +205,7 @@ fn run_one(name: &str, opts: &Options) -> ExitCode {
 
 /// Self-check for one workload under FERRUM: the composed verdicts
 /// must never contradict a monolithic campaign outcome, and the
-/// incremental executor must reproduce the stratified campaign exactly
+/// incremental plan must reproduce the stratified campaign exactly
 /// from a fresh cache.
 fn catalog_check(
     pipeline: &Pipeline,
@@ -220,11 +225,10 @@ fn catalog_check(
         seed: opts.seed,
     };
 
-    let serial = run_campaign(&cpu, &profile, cfg);
+    let serial = Campaign::sampled(cfg).run(&cpu, &profile)?;
     let contradicted = contradictions(&composed, &profile, &serial);
 
-    let (stratified, cache) = run_campaign_stratified(&cpu, &profile, cfg, &prog);
-    let (incremental, _) = run_campaign_incremental(&cpu, &profile, cfg, &prog, &cache);
+    let (stratified, incremental) = stratified_then_incremental(&cpu, &profile, cfg, &prog)?;
     let identical = incremental == stratified;
     let full_reuse = incremental.stats.reused_sites == incremental.total();
 

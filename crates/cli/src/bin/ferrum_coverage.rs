@@ -29,10 +29,10 @@ use ferrum::report::{
     coverage_to_json, predicted_vs_measured_to_json, render_predicted_vs_measured,
     render_static_coverage,
 };
-use ferrum::{CampaignConfig, CoverageMap, Pipeline, StaticVerdict, Technique};
-use ferrum_cli::args::{parse_args, usage_exit, ArgHelp, ArgSpec, UsageSpec};
+use ferrum::{Campaign, CampaignConfig, CoverageMap, Pipeline, StaticVerdict, Technique};
+use ferrum_cli::args::{parse_args, technique_label, usage_exit, ArgHelp, ArgSpec, UsageSpec};
 use ferrum_cli::catalog::{catalog_exit, catalog_selfcheck, CheckLine};
-use ferrum_faultsim::campaign::{run_campaign, run_campaign_pruned, Outcome};
+use ferrum_faultsim::campaign::Outcome;
 use ferrum_workloads::catalog::{workload, Scale, Workload};
 
 const USAGE: UsageSpec = UsageSpec {
@@ -97,15 +97,6 @@ struct Options {
     json: bool,
 }
 
-fn technique_label(t: Technique) -> &'static str {
-    match t {
-        Technique::None => "none",
-        Technique::IrEddi => "ir-eddi",
-        Technique::HybridAsmEddi => "hybrid",
-        Technique::Ferrum => "ferrum",
-    }
-}
-
 fn run_one(name: &str, opts: &Options) -> ExitCode {
     let Some(w) = workload(name) else {
         eprintln!("ferrum-coverage: unknown workload `{name}`");
@@ -122,7 +113,7 @@ fn run_one(name: &str, opts: &Options) -> ExitCode {
             samples: opts.samples,
             seed: opts.seed,
         };
-        let campaign = run_campaign_pruned(&cpu, &profile, cfg, &map);
+        let campaign = Campaign::sampled(cfg).prune(&map).run(&cpu, &profile)?;
         Ok::<_, ferrum::Error>((map, campaign))
     })() {
         Ok(r) => r,
@@ -183,8 +174,8 @@ fn catalog_check(
         samples: opts.samples,
         seed: opts.seed,
     };
-    let serial = run_campaign(&cpu, &profile, cfg);
-    let pruned = run_campaign_pruned(&cpu, &profile, cfg, &map);
+    let serial = Campaign::sampled(cfg).run(&cpu, &profile)?;
+    let pruned = Campaign::sampled(cfg).prune(&map).run(&cpu, &profile)?;
 
     let identical = serial == pruned;
     let prune_ok = pruned.stats.prune_rate() >= 0.20;

@@ -15,17 +15,18 @@
 //!   --no-bisect       skip kill-window bisection (faster)
 //!   --json            emit the report as JSON instead of text
 //!   --catalog         self-check across every bundled workload under
-//!                     FERRUM and IR-EDDI: the forensic campaign must be
-//!                     outcome-identical to the serial engine, every
+//!                     FERRUM and IR-EDDI: the replayed records must be
+//!                     the campaign's first matching records with their
+//!                     outcomes, every
 //!                     analyzed record must locate its divergence at the
 //!                     injected site, at least 90% must carry a
 //!                     classified escape reason, and every bisected kill
 //!                     window must contain the injection
 //! ```
 //!
-//! The tool protects the workload, runs a fault campaign with
-//! differential replay attached ([`ferrum::run_campaign_forensic`]),
-//! and explains each selected outcome: first architectural divergence,
+//! The tool protects the workload, runs a fault campaign, replays its
+//! selected records differentially ([`ferrum::forensic_report`]), and
+//! explains each selected outcome: first architectural divergence,
 //! taint fan-out, the checkers that ran afterwards with classified
 //! escape reasons, and the bisected kill window.  SDC records are then
 //! cross-linked to the static coverage map so every statically-`Unknown`
@@ -38,12 +39,13 @@ use ferrum::report::{
     render_forensic_record, render_forensics_report, render_unknown_site_explanations,
 };
 use ferrum::{
-    explain_unknown_sites, run_campaign_forensic, CampaignConfig, CoverageMap, ForensicConfig,
+    explain_unknown_sites, forensic_report, Campaign, CampaignConfig, CoverageMap, ForensicConfig,
     Outcome, Pipeline, Technique,
 };
-use ferrum_cli::args::{parse_args, usage_exit, ArgError, ArgHelp, ArgSpec, ParsedArgs, UsageSpec};
+use ferrum_cli::args::{
+    parse_args, technique_label, usage_exit, ArgError, ArgHelp, ArgSpec, ParsedArgs, UsageSpec,
+};
 use ferrum_cli::catalog::{catalog_exit, catalog_selfcheck, CheckLine};
-use ferrum_faultsim::campaign::run_campaign;
 use ferrum_workloads::catalog::{workload, Scale, Workload};
 
 const USAGE: UsageSpec = UsageSpec {
@@ -103,7 +105,7 @@ const USAGE: UsageSpec = UsageSpec {
         ArgHelp {
             name: "--catalog",
             value: None,
-            help: "self-check across every bundled workload under\nFERRUM and IR-EDDI: the forensic campaign must be\noutcome-identical to the serial engine, every record\nmust locate its divergence at the injected site, and\nevery bisected kill window must contain the injection",
+            help: "self-check across every bundled workload under\nFERRUM and IR-EDDI: the replayed records must be the\ncampaign's first matching records with their outcomes,\nevery record must locate its divergence at the injected\nsite, and every bisected kill window must contain the\ninjection",
         },
     ],
     spec: ArgSpec {
@@ -178,15 +180,6 @@ fn options(p: &ParsedArgs) -> Result<Options, ArgError> {
     })
 }
 
-fn technique_label(t: Technique) -> &'static str {
-    match t {
-        Technique::None => "none",
-        Technique::IrEddi => "ir-eddi",
-        Technique::HybridAsmEddi => "hybrid",
-        Technique::Ferrum => "ferrum",
-    }
-}
-
 fn run_one(name: &str, opts: &Options) -> ExitCode {
     let Some(w) = workload(name) else {
         eprintln!("ferrum-forensics: unknown workload `{name}`");
@@ -203,7 +196,8 @@ fn run_one(name: &str, opts: &Options) -> ExitCode {
         let map = CoverageMap::analyze(&prog);
         let cpu = pipeline.load(&prog)?;
         let profile = cpu.profile();
-        let (campaign, report) = run_campaign_forensic(&cpu, &profile, cfg, &opts.fcfg);
+        let campaign = Campaign::sampled(cfg).run(&cpu, &profile)?;
+        let report = forensic_report(&cpu, &profile, &campaign, &opts.fcfg);
         let explanations = explain_unknown_sites(&profile, &map, &report);
         Ok::<_, ferrum::Error>((campaign, report, explanations))
     })() {
@@ -249,9 +243,10 @@ fn run_one(name: &str, opts: &Options) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Self-check for one workload under one technique: the forensic
-/// campaign must be a transparent wrapper (outcome-identical to the
-/// serial engine for the same seed), every record must locate its first
+/// Self-check for one workload under one technique: the report must
+/// replay exactly the campaign's first matching records, in sampling
+/// order, with the outcomes the campaign booked; every record must
+/// locate its first
 /// divergence exactly at the injected site, at least 90% of the records
 /// must carry a classified escape reason, and every bisected,
 /// non-escaped kill window must contain the injection boundary.
@@ -270,10 +265,21 @@ fn check_one(
         samples: opts.samples,
         seed: opts.seed,
     };
-    let serial = run_campaign(&cpu, &profile, cfg);
-    let (forensic, report) = run_campaign_forensic(&cpu, &profile, cfg, &opts.fcfg);
+    let serial = Campaign::sampled(cfg).run(&cpu, &profile)?;
+    let report = forensic_report(&cpu, &profile, &serial, &opts.fcfg);
 
-    let identical = forensic == serial;
+    // The replayed records are the campaign's first matching records,
+    // in sampling order, with the outcomes the campaign booked.
+    let matching = serial
+        .records
+        .iter()
+        .filter(|(_, o)| opts.fcfg.outcomes.contains(o));
+    let identical = report.matching_total == matching.clone().count()
+        && report
+            .records
+            .iter()
+            .map(|r| (r.fault, r.outcome))
+            .eq(matching.take(opts.fcfg.max_records).copied());
     let located = report.records.iter().all(|r| {
         r.divergence
             .is_some_and(|d| d.dyn_index == r.fault.dyn_index)
@@ -292,7 +298,7 @@ fn check_one(
             ("workload", w.name.to_json()),
             ("technique", label.to_json()),
             ("opt", opt.to_json()),
-            ("sdc", forensic.sdc.to_json()),
+            ("sdc", serial.sdc.to_json()),
             ("analyzed", report.analyzed().to_json()),
             ("outcomes_identical", Json::Bool(identical)),
             ("divergences_located", Json::Bool(located)),
@@ -303,7 +309,7 @@ fn check_one(
             "{}/{label} [{}]: {} SDC, {} analyzed ({} classified); outcomes {}; divergences {}; kill windows {}",
             w.name,
             opt.label(),
-            forensic.sdc,
+            serial.sdc,
             report.analyzed(),
             report.classified(),
             if identical { "identical" } else { "DIVERGED" },

@@ -16,7 +16,7 @@ use std::process::ExitCode;
 
 use ferrum_cli::args::{parse_args, usage_exit, ArgError, ArgHelp, ArgSpec, UsageSpec};
 use ferrum_cli::protect_listing;
-use ferrum_faultsim::campaign::{run_campaign, CampaignConfig};
+use ferrum_faultsim::{Campaign, CampaignConfig};
 
 const USAGE: UsageSpec = UsageSpec {
     tool: "ferrum-protect",
@@ -140,14 +140,17 @@ fn main() -> ExitCode {
         }
         if let Some(n) = campaign {
             let profile = cpu.profile();
-            let res = run_campaign(
-                &cpu,
-                &profile,
-                CampaignConfig {
-                    samples: n,
-                    seed: 7,
-                },
-            );
+            let plan = Campaign::sampled(CampaignConfig {
+                samples: n,
+                seed: 7,
+            });
+            let res = match plan.run(&cpu, &profile) {
+                Ok(r) => r,
+                Err(e) => {
+                    eprintln!("ferrum-protect: {e}");
+                    return ExitCode::FAILURE;
+                }
+            };
             println!(
                 "campaign ({n} faults): SDC {}  detected {}  crash {}  timeout {}  benign {}",
                 res.sdc, res.detected, res.crash, res.timeout, res.benign

@@ -35,7 +35,7 @@ use ferrum::{
 };
 use ferrum_cli::args::{parse_args, usage_exit, ArgError, ArgHelp, ArgSpec, UsageSpec};
 use ferrum_cli::catalog::{catalog_exit, catalog_selfcheck, CheckLine};
-use ferrum_faultsim::campaign::run_campaign_snapshot_on;
+use ferrum_faultsim::Campaign;
 use ferrum_faultsim::EngineKind;
 use ferrum_trace::{EventKind, RingSink};
 use ferrum_workloads::catalog::{workload, Scale, Workload};
@@ -110,18 +110,15 @@ fn ferrum_campaign(
     let prog = pipeline.protect(&module, Technique::Ferrum)?;
     let cpu = pipeline.load(&prog)?;
     let profile = cpu.profile();
-    Ok(opts.engine.with_cpu(&cpu, |engine| {
-        run_campaign_snapshot_on(
-            engine,
-            &profile,
-            CampaignConfig {
-                samples: opts.samples,
-                seed: opts.seed,
-            },
-            threads(),
-            SnapshotPolicy::default(),
-        )
-    }))
+    let plan = Campaign::sampled(CampaignConfig {
+        samples: opts.samples,
+        seed: opts.seed,
+    })
+    .threads(threads())
+    .snapshots(SnapshotPolicy::default());
+    Ok(opts
+        .engine
+        .with_cpu(&cpu, |engine| plan.run(engine, &profile))?)
 }
 
 /// Aggregates ring-buffer events into per-name span nanos and counter

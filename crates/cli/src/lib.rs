@@ -185,7 +185,9 @@ main_entry:
         let prot = protect_listing(LISTING, CliTechnique::Ferrum).expect("protects");
         let cpu = ferrum_cpu::run::Cpu::load(&prot).expect("loads");
         let profile = cpu.profile();
-        let res = ferrum_faultsim::campaign::exhaustive_campaign(&cpu, &profile, 8);
+        let res = ferrum_faultsim::Campaign::exhaustive(8)
+            .run(&cpu, &profile)
+            .unwrap();
         assert_eq!(res.sdc, 0, "{res:?}");
     }
 

@@ -11,6 +11,8 @@ pub enum Error {
     Pass(ferrum_eddi::PassError),
     /// Loading the program into the simulator failed.
     Load(ferrum_cpu::image::LoadError),
+    /// A fault-injection campaign could not run.
+    Campaign(ferrum_faultsim::CampaignError),
     /// A tool-level failure outside the compile/protect/load pipeline:
     /// event-sink IO, a malformed or mismatched resume journal, ...
     Tool(String),
@@ -29,6 +31,7 @@ impl fmt::Display for Error {
             Error::Compile(e) => write!(f, "compile error: {e}"),
             Error::Pass(e) => write!(f, "protection error: {e}"),
             Error::Load(e) => write!(f, "load error: {e}"),
+            Error::Campaign(e) => write!(f, "campaign error: {e}"),
             Error::Tool(m) => write!(f, "{m}"),
         }
     }
@@ -40,6 +43,7 @@ impl std::error::Error for Error {
             Error::Compile(e) => Some(e),
             Error::Pass(e) => Some(e),
             Error::Load(e) => Some(e),
+            Error::Campaign(e) => Some(e),
             Error::Tool(_) => None,
         }
     }
@@ -63,6 +67,12 @@ impl From<ferrum_cpu::image::LoadError> for Error {
     }
 }
 
+impl From<ferrum_faultsim::CampaignError> for Error {
+    fn from(e: ferrum_faultsim::CampaignError) -> Error {
+        Error::Campaign(e)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -75,5 +85,8 @@ mod tests {
         assert!(e.source().is_some());
         let e = Error::Load(ferrum_cpu::image::LoadError::Invalid("y".into()));
         assert!(e.to_string().contains("load error"));
+        let e = Error::from(ferrum_faultsim::CampaignError::NoSites);
+        assert!(e.to_string().contains("no injectable sites"));
+        assert!(e.source().is_some());
     }
 }

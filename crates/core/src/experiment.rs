@@ -3,9 +3,8 @@
 
 use ferrum_backend::{OptLevel, PassStats};
 use ferrum_eddi::Technique;
-use ferrum_faultsim::campaign::{
-    run_campaign_snapshot, CampaignConfig, CampaignResult, SnapshotPolicy,
-};
+use ferrum_faultsim::campaign::{CampaignConfig, CampaignResult, SnapshotPolicy};
+use ferrum_faultsim::plan::Campaign;
 use ferrum_faultsim::rootcause::{attribute_sdcs, RootCauseReport};
 use ferrum_faultsim::stats::{runtime_overhead, sdc_coverage};
 use ferrum_workloads::{Scale, Workload};
@@ -96,7 +95,7 @@ impl WorkloadReport {
 ///
 /// # Errors
 ///
-/// Propagates pipeline failures.
+/// Propagates pipeline and campaign failures.
 pub fn evaluate_workload(
     pipeline: &Pipeline,
     w: &Workload,
@@ -115,18 +114,17 @@ pub fn evaluate_workload(
         w.name
     );
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    // Snapshot-accelerated engine: byte-identical outcomes to the
-    // serial executor, with prefix sharing and work stealing.
-    let raw_campaign = run_campaign_snapshot(
-        &raw_cpu,
-        &raw_profile,
-        CampaignConfig {
+    // Golden-prefix snapshots and work stealing over every core:
+    // byte-identical outcomes to the one-thread cold plan.
+    let plan = |seed| {
+        Campaign::sampled(CampaignConfig {
             samples: cfg.samples,
-            seed: cfg.seed,
-        },
-        threads,
-        SnapshotPolicy::default(),
-    );
+            seed,
+        })
+        .threads(threads)
+        .snapshots(SnapshotPolicy::default())
+    };
+    let raw_campaign = plan(cfg.seed).run(&raw_cpu, &raw_profile)?;
     let raw_sdc_prob = raw_campaign.sdc_prob();
     let raw_cycles = raw_profile.result.cycles;
 
@@ -140,16 +138,7 @@ pub fn evaluate_workload(
             "{}/{t}: protected program diverges from oracle",
             w.name
         );
-        let campaign = run_campaign_snapshot(
-            &cpu,
-            &profile,
-            CampaignConfig {
-                samples: cfg.samples,
-                seed: cfg.seed.wrapping_add(k as u64 + 1),
-            },
-            threads,
-            SnapshotPolicy::default(),
-        );
+        let campaign = plan(cfg.seed.wrapping_add(k as u64 + 1)).run(&cpu, &profile)?;
         let rootcause = attribute_sdcs(&cpu, &profile, &campaign);
         techniques.push(TechniqueReport {
             technique: t,

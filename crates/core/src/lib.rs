@@ -9,6 +9,9 @@
 //! * [`experiment`] — the paper's evaluation loop: fault-injection
 //!   campaigns (SDC coverage, Fig. 10), runtime overhead (Fig. 11), and
 //!   root-cause attribution (§IV-B1) over the benchmark suite;
+//! * [`Campaign`] — the one fault-injection campaign plan, whose axes
+//!   (fault list, threads, snapshots, pruning, reuse, engine) cover
+//!   every campaign the tools run;
 //! * re-exports of the most used types from the underlying crates.
 //!
 //! ## Quickstart
@@ -69,19 +72,18 @@ pub use ferrum_faultsim::campaign::{
     WorkerStats,
 };
 pub use ferrum_faultsim::compose::{
-    compose, run_campaign_incremental, run_campaign_stratified, CampaignCache, ComposedFunction,
-    ComposedMap, ComposedSite, FunctionShard, ShardDraw,
+    compose, CampaignCache, ComposedFunction, ComposedMap, ComposedSite, FunctionShard, ShardDraw,
 };
 pub use ferrum_faultsim::engine::{Engine, EngineKind, EngineMachine};
 pub use ferrum_faultsim::flight::{
-    install as install_flight_recorder, program_signature, resume_campaign_from_journal,
-    uninstall as uninstall_flight_recorder, CampaignEvent, CampaignFingerprint, FlightEvent,
-    FlightPolicy, FlightRecorder, FlightSink, JournalSnapshot, MemorySink, OutcomeTallies,
-    ProgressSnapshot, ShardRecord, Stage, TeeSink,
+    install as install_flight_recorder, program_signature, uninstall as uninstall_flight_recorder,
+    CampaignEvent, CampaignFingerprint, FlightEvent, FlightPolicy, FlightRecorder, FlightSink,
+    JournalSnapshot, MemorySink, OutcomeTallies, ProgressSnapshot, ShardRecord, Stage, TeeSink,
 };
 pub use ferrum_faultsim::forensics::{
-    explain_unknown_sites, forensic_replay, run_campaign_forensic, CheckerEscape, Divergence,
+    explain_unknown_sites, forensic_replay, forensic_report, CheckerEscape, Divergence,
     EscapeReason, ForensicConfig, ForensicRecord, ForensicsReport, KillWindow, TaintTimeline,
     UnknownSiteExplanation,
 };
+pub use ferrum_faultsim::plan::{Campaign, CampaignError, FaultList, Reuse};
 pub use ferrum_workloads::{all_workloads, workload, Scale, Workload};

@@ -1597,7 +1597,8 @@ mod tests {
 
     #[test]
     fn predicted_vs_measured_carries_wilson_intervals() {
-        use ferrum_faultsim::campaign::{run_campaign, CampaignConfig};
+        use ferrum_faultsim::campaign::CampaignConfig;
+        use ferrum_faultsim::Campaign;
         let pipeline = Pipeline::new();
         let module = workload("knn").expect("exists").build(Scale::Test);
         let prog = pipeline.protect(&module, Technique::Ferrum).expect("builds");
@@ -1608,7 +1609,7 @@ mod tests {
             samples: 120,
             seed: 0x51,
         };
-        let campaign = run_campaign(&cpu, &profile, cfg);
+        let campaign = Campaign::sampled(cfg).run(&cpu, &profile).expect("runs");
         let text = render_predicted_vs_measured("knn", &map, &campaign);
         assert!(text.contains("95% CI"), "{text}");
         assert!(text.contains("measured detection rate"), "{text}");
@@ -1631,7 +1632,8 @@ mod tests {
     #[test]
     fn forensics_report_renders_and_round_trips_json() {
         use ferrum_faultsim::campaign::CampaignConfig;
-        use ferrum_faultsim::forensics::{run_campaign_forensic, ForensicConfig};
+        use ferrum_faultsim::forensics::{forensic_report, ForensicConfig};
+        use ferrum_faultsim::Campaign;
         let pipeline = Pipeline::new();
         let module = workload("knn").expect("exists").build(Scale::Test);
         let prog = pipeline.protect(&module, Technique::None).expect("builds");
@@ -1641,8 +1643,8 @@ mod tests {
             samples: 250,
             seed: 0x51,
         };
-        let (campaign, rep) =
-            run_campaign_forensic(&cpu, &profile, cfg, &ForensicConfig::default());
+        let campaign = Campaign::sampled(cfg).run(&cpu, &profile).expect("runs");
+        let rep = forensic_report(&cpu, &profile, &campaign, &ForensicConfig::default());
         assert!(campaign.sdc > 0, "unprotected knn must produce SDCs");
         assert!(rep.analyzed() > 0);
 

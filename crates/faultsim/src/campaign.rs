@@ -1,48 +1,33 @@
-//! Sampled and exhaustive fault-injection campaigns.
+//! Campaign vocabulary: outcomes, configs, results, telemetry, and
+//! the fault samplers.
 //!
-//! Three executors share one sampling scheme and produce identical
-//! outcome counts and records for identical seeds:
+//! Every campaign runs through one plan ([`crate::plan::Campaign`]);
+//! this module defines what it consumes and returns.  The samplers
+//! (`sample_faults` and its double-fault and exhaustive siblings)
+//! are deterministic per seed, which is what makes every plan over the
+//! same fault list record-identical whatever its threads, snapshots,
+//! pruning, reuse, or engine.
 //!
-//! * [`run_campaign`] — the reference serial executor;
-//! * [`run_campaign_parallel`] — fans injections out over worker
-//!   threads that steal faults from a shared atomic counter (no fixed
-//!   chunking, so stragglers cannot idle whole threads);
-//! * [`run_campaign_snapshot`] — the snapshot-accelerated engine: the
-//!   fault list is pre-sampled and sorted by injection index, the
-//!   golden prefix is executed once with periodic
-//!   [`ferrum_cpu::snapshot::Snapshot`]s, and every faulted run starts
-//!   from the nearest snapshot at-or-before its injection point
-//!   instead of from instruction 0;
-//! * [`run_campaign_pruned`] — the serial executor armed with a static
-//!   [`CoverageMap`]: faults whose outcome the coverage analysis
-//!   proved (`Masked` → benign, `Detected` → detected) are booked
-//!   without executing at all.
-//!
-//! Every executor fills [`CampaignResult::stats`] with campaign
-//! telemetry: throughput (wall time, injections/sec), snapshot
-//! hit-rate and steps saved, per-worker load ([`WorkerStats`]), and the
-//! detection-latency distribution ([`DetectionLatency`] — the
-//! dynamic-instruction distance from each injection to the checker
-//! that caught it).  `stats` is deliberately excluded from
-//! `PartialEq`: two campaigns are *equal* when their sampled faults
-//! and classified outcomes agree, however long they took.  When the
-//! `trace` feature is on, executors additionally emit `ferrum-trace`
-//! spans and counters; tracing is observational only and can never
-//! change outcomes.
+//! [`CampaignResult::stats`] carries campaign telemetry: throughput
+//! (wall time, injections/sec), snapshot hit-rate and steps saved,
+//! per-worker load ([`WorkerStats`]), and the detection-latency
+//! distribution ([`DetectionLatency`] — the dynamic-instruction
+//! distance from each injection to the checker that caught it).
+//! `stats` is deliberately excluded from `PartialEq`: two campaigns
+//! are *equal* when their sampled faults and classified outcomes
+//! agree, however long they took.  When the `trace` feature is on,
+//! the plan additionally emits `ferrum-trace` spans and counters;
+//! tracing is observational only and can never change outcomes.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use ferrum_rng::Rng64;
 
-use ferrum_asm::analysis::coverage::{CoverageMap, StaticVerdict};
 use ferrum_cpu::fault::FaultSpec;
 use ferrum_cpu::outcome::StopReason;
-use ferrum_cpu::run::{Cpu, Profile};
-use ferrum_cpu::snapshot::Snapshot;
+use ferrum_cpu::run::Profile;
 
-use crate::engine::{Engine, EngineKind};
-use crate::flight::{self, Booking, Stage, StageClock};
+use crate::engine::EngineKind;
 
 /// Classified result of one injected fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -116,14 +101,14 @@ impl Default for CampaignConfig {
     }
 }
 
-/// Per-worker telemetry for one campaign executor.
+/// Per-worker telemetry for one campaign.
 ///
-/// Entry `i` describes worker thread `i`; the serial executors report a
-/// single entry.  Work stealing makes the split vary run to run, which
-/// is one reason `stats` is excluded from result equality.
+/// Entry `i` describes worker thread `i`; a one-thread campaign reports
+/// a single entry.  Work stealing makes the split vary run to run,
+/// which is one reason `stats` is excluded from result equality.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkerStats {
-    /// Faulted runs this worker executed.
+    /// Faults this worker booked (executed, pruned, or reused).
     pub injections: usize,
     /// Dynamic instructions this worker executed.
     pub steps_executed: u64,
@@ -134,7 +119,7 @@ pub struct WorkerStats {
 /// instruction to the checker that fired.
 ///
 /// Samples are stored sorted, so the distribution compares equal
-/// across executors regardless of worker scheduling.
+/// across plans regardless of worker scheduling.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DetectionLatency {
     samples: Vec<u64>,
@@ -221,7 +206,7 @@ pub struct CampaignStats {
     pub injections: usize,
     /// Injected faults per wall-clock second.
     pub injections_per_sec: f64,
-    /// Worker threads used (1 for the serial executor).
+    /// Worker threads used.
     pub threads: usize,
     /// Snapshots captured along the golden prefix.
     pub snapshots_taken: usize,
@@ -236,11 +221,11 @@ pub struct CampaignStats {
     pub per_worker: Vec<WorkerStats>,
     /// Injection→detection instruction-distance distribution.
     pub latency: DetectionLatency,
-    /// Faults booked from a static [`CoverageMap`] verdict instead of
-    /// being executed (see [`run_campaign_pruned`]).
+    /// Faults booked from a static coverage verdict instead of being
+    /// executed (see [`crate::plan::Campaign::prune`]).
     pub pruned_sites: usize,
-    /// Faults replayed from an incremental-campaign cache instead of
-    /// being executed (see [`crate::compose::run_campaign_incremental`]).
+    /// Faults replayed from a shard cache or a resume journal instead
+    /// of being executed (see [`crate::plan::Reuse`]).
     pub reused_sites: usize,
     /// Execution engine the campaign ran on.  Purely informational —
     /// outcome records are engine-independent per seed; only the
@@ -280,8 +265,8 @@ impl CampaignStats {
         }
     }
 
-    /// Fraction of injections decided statically (skipped) by the
-    /// pruned engine.
+    /// Fraction of injections decided statically (skipped) by a
+    /// coverage map.
     pub fn prune_rate(&self) -> f64 {
         if self.injections == 0 {
             0.0
@@ -290,8 +275,8 @@ impl CampaignStats {
         }
     }
 
-    /// Fraction of injections replayed from an incremental-campaign
-    /// cache instead of executed.
+    /// Fraction of injections replayed from a shard cache or journal
+    /// instead of executed.
     pub fn reuse_rate(&self) -> f64 {
         if self.injections == 0 {
             0.0
@@ -389,9 +374,10 @@ pub(crate) fn detection_latency(dyn_insts: u64, inject: u64) -> u64 {
 
 /// Pre-samples the campaign's fault list: `cfg.samples` single-bit
 /// faults at sites drawn uniformly from `profile.sites`.  Every
-/// executor uses this one function, so the sampled list — and therefore
-/// the record stream — is identical across serial, work-stealing,
-/// snapshot-accelerated, and decoded runs of the same seed.
+/// sampled plan uses this one function, so the sampled list — and
+/// therefore the record stream — is identical across serial,
+/// work-stealing, snapshot-accelerated, pruned, resumed, and decoded
+/// runs of the same seed.
 ///
 /// The bit position is drawn uniformly from the site's own
 /// `eligible_dest_bits` width ([`ferrum_cpu::run::SiteInfo::bits`]),
@@ -410,6 +396,54 @@ pub(crate) fn sample_faults(profile: &Profile, cfg: CampaignConfig) -> Vec<Fault
             FaultSpec::new(site.dyn_index, rng.gen_below(u64::from(site.bits)) as u16)
         })
         .collect()
+}
+
+/// Pre-samples a double-fault campaign: per run, two sites drawn
+/// independently and uniformly, each with a bit drawn below its own
+/// width.  Returns the first and the second fault of each run.
+pub(crate) fn sample_pairs(
+    profile: &Profile,
+    cfg: CampaignConfig,
+) -> (Vec<FaultSpec>, Vec<FaultSpec>) {
+    let sites = &profile.sites;
+    let mut rng = Rng64::seed_from_u64(cfg.seed);
+    (0..cfg.samples)
+        .map(|_| {
+            let a = sites[rng.gen_range(0..sites.len())];
+            let b = sites[rng.gen_range(0..sites.len())];
+            (
+                FaultSpec::new(a.dyn_index, rng.gen_below(u64::from(a.bits)) as u16),
+                FaultSpec::new(b.dyn_index, rng.gen_below(u64::from(b.bits)) as u16),
+            )
+        })
+        .unzip()
+}
+
+/// Multiplier for the exhaustive sweep's bit stride.  Odd, hence
+/// coprime with 256: `k ↦ k·97 mod 256` is a permutation of `0..256`,
+/// and consecutive `k` land ~97 bit positions apart, spreading a small
+/// `bits_per_site` across the whole 256-bit range.  (The previous
+/// multiplier, 257, is ≡ 1 mod 256 — the identity permutation — so
+/// "evenly spread" silently degraded to "the lowest k bits".)
+const BIT_STRIDE: u32 = 97;
+
+/// Every site with `bits_per_site` bit positions, in site order.
+pub(crate) fn exhaustive_faults(profile: &Profile, bits_per_site: u16) -> Vec<FaultSpec> {
+    let mut faults = Vec::with_capacity(profile.sites.len() * usize::from(bits_per_site));
+    for site in &profile.sites {
+        for k in 0..bits_per_site {
+            // Spread raw bits across this site's own destination width.
+            // (Spreading over a fixed 256 and reducing modulo the width
+            // at injection time collapses the stride for narrow
+            // destinations: e.g. `k·97 mod 256` reduced mod 4 for an
+            // RFLAGS site walks residues unevenly.  Every eligible
+            // width is a power of two and 97 is odd, so `k·97 mod w`
+            // still permutes `0..w` per site.)
+            let raw = (u32::from(k) * BIT_STRIDE % site.bits.max(1)) as u16;
+            faults.push(FaultSpec::new(site.dyn_index, raw));
+        }
+    }
+    faults
 }
 
 pub(crate) fn finish_stats(
@@ -431,238 +465,7 @@ pub(crate) fn finish_stats(
     };
 }
 
-/// Runs a sampled campaign serially — the reference executor.
-///
-/// # Panics
-///
-/// Panics if the profile has no injectable sites (with `samples > 0`).
-pub fn run_campaign(cpu: &Cpu, profile: &Profile, cfg: CampaignConfig) -> CampaignResult {
-    run_campaign_on(Engine::Interpreter(cpu), profile, cfg)
-}
-
-/// As [`run_campaign`], on an explicit [`Engine`].  Outcome-identical
-/// across engines per seed; only `stats` throughput differs.
-///
-/// # Panics
-///
-/// Panics if the profile has no injectable sites (with `samples > 0`).
-pub fn run_campaign_on(engine: Engine<'_>, profile: &Profile, cfg: CampaignConfig) -> CampaignResult {
-    let _span = ferrum_trace::span("campaign.serial");
-    let t0 = Instant::now();
-    let mut result = CampaignResult::default();
-    flight::campaign_started("serial", engine.kind(), cfg, profile, cfg.samples);
-    if cfg.samples == 0 {
-        finish_stats(&mut result, t0, 1, engine.kind());
-        flight::campaign_finished(&result);
-        return result;
-    }
-    assert!(!profile.sites.is_empty(), "no injectable sites");
-    let golden = &profile.result.output;
-    let mut latencies = Vec::new();
-    for (i, fault) in sample_faults(profile, cfg).into_iter().enumerate() {
-        let clock = StageClock::start();
-        let run = engine.run(Some(fault));
-        clock.stop(0, Stage::Injection);
-        result.stats.steps_executed += run.dyn_insts;
-        let o = classify(run.stop, &run.output, golden);
-        if o == Outcome::Detected {
-            latencies.push(detection_latency(run.dyn_insts, fault.dyn_index));
-        }
-        flight::injection(0, i, fault, o, run.dyn_insts, Booking::Executed);
-        result.record(fault, o);
-    }
-    result.stats.per_worker = vec![WorkerStats {
-        injections: result.total(),
-        steps_executed: result.stats.steps_executed,
-    }];
-    result.stats.latency = DetectionLatency::from_samples(latencies);
-    finish_stats(&mut result, t0, 1, engine.kind());
-    ferrum_trace::counter("campaign.injections", result.total() as u64);
-    flight::campaign_finished(&result);
-    result
-}
-
-/// As [`run_campaign`], but consults a static [`CoverageMap`] first:
-/// a fault landing on a byte the analysis proved `Masked` or
-/// `Detected` is booked with its known outcome (`Benign` /
-/// `Detected`) without executing the faulted run.  Totals, outcome
-/// tallies, and `sdc_prob` are identical to the serial engine for the
-/// same seed — the map's sound verdicts *are* the outcomes the run
-/// would have produced — while the skipped fraction is reported in
-/// [`CampaignStats::pruned_sites`] / [`CampaignStats::prune_rate`].
-/// Detection-latency samples are only collected for executed faults
-/// (a skipped run has no dynamic trace), so `stats.latency` may hold
-/// fewer samples than the serial engine's; `stats` is excluded from
-/// result equality for exactly this kind of reason.
-///
-/// # Panics
-///
-/// Panics if the profile has no injectable sites (with `samples > 0`).
-pub fn run_campaign_pruned(
-    cpu: &Cpu,
-    profile: &Profile,
-    cfg: CampaignConfig,
-    coverage: &CoverageMap,
-) -> CampaignResult {
-    run_campaign_pruned_on(Engine::Interpreter(cpu), profile, cfg, coverage)
-}
-
-/// As [`run_campaign_pruned`], on an explicit [`Engine`] — the prune
-/// multiplier and the decoded engine's raw throughput stack.
-///
-/// # Panics
-///
-/// Panics if the profile has no injectable sites (with `samples > 0`).
-pub fn run_campaign_pruned_on(
-    engine: Engine<'_>,
-    profile: &Profile,
-    cfg: CampaignConfig,
-    coverage: &CoverageMap,
-) -> CampaignResult {
-    let _span = ferrum_trace::span("campaign.pruned");
-    let t0 = Instant::now();
-    let mut result = CampaignResult::default();
-    flight::campaign_started("pruned", engine.kind(), cfg, profile, cfg.samples);
-    if cfg.samples == 0 {
-        finish_stats(&mut result, t0, 1, engine.kind());
-        flight::campaign_finished(&result);
-        return result;
-    }
-    assert!(!profile.sites.is_empty(), "no injectable sites");
-    let golden = &profile.result.output;
-    let mut latencies = Vec::new();
-    for (i, fault) in sample_faults(profile, cfg).into_iter().enumerate() {
-        // Sites are recorded in dynamic order, so dyn_index is sorted.
-        let verdict = profile
-            .sites
-            .binary_search_by_key(&fault.dyn_index, |s| s.dyn_index)
-            .ok()
-            .and_then(|i| coverage.verdict_at(profile.sites[i].pc, fault.raw_bit));
-        match verdict {
-            Some(StaticVerdict::Masked) => {
-                result.stats.pruned_sites += 1;
-                flight::injection(0, i, fault, Outcome::Benign, 0, Booking::Pruned);
-                result.record(fault, Outcome::Benign);
-            }
-            Some(StaticVerdict::Detected) => {
-                result.stats.pruned_sites += 1;
-                flight::injection(0, i, fault, Outcome::Detected, 0, Booking::Pruned);
-                result.record(fault, Outcome::Detected);
-            }
-            _ => {
-                let clock = StageClock::start();
-                let run = engine.run(Some(fault));
-                clock.stop(0, Stage::Injection);
-                result.stats.steps_executed += run.dyn_insts;
-                let o = classify(run.stop, &run.output, golden);
-                if o == Outcome::Detected {
-                    latencies.push(detection_latency(run.dyn_insts, fault.dyn_index));
-                }
-                flight::injection(0, i, fault, o, run.dyn_insts, Booking::Executed);
-                result.record(fault, o);
-            }
-        }
-    }
-    result.stats.per_worker = vec![WorkerStats {
-        injections: result.total(),
-        steps_executed: result.stats.steps_executed,
-    }];
-    result.stats.latency = DetectionLatency::from_samples(latencies);
-    finish_stats(&mut result, t0, 1, engine.kind());
-    ferrum_trace::counter("campaign.injections", result.total() as u64);
-    ferrum_trace::counter("campaign.pruned", result.stats.pruned_sites as u64);
-    flight::campaign_finished(&result);
-    result
-}
-
-/// As [`run_campaign`], but fans the injections out over `threads`
-/// workers that steal the next fault index from a shared atomic
-/// counter.  Work stealing keeps every thread busy until the list is
-/// drained — a handful of slow faults (e.g. timeout-bound runs) no
-/// longer serialises the tail the way fixed chunking did.  Produces
-/// byte-identical results to the serial version: the fault list is
-/// pre-sampled with the seeded RNG and outcomes are stitched back in
-/// sampling order.
-pub fn run_campaign_parallel(
-    cpu: &Cpu,
-    profile: &Profile,
-    cfg: CampaignConfig,
-    threads: usize,
-) -> CampaignResult {
-    run_campaign_parallel_on(Engine::Interpreter(cpu), profile, cfg, threads)
-}
-
-/// As [`run_campaign_parallel`], on an explicit [`Engine`].
-pub fn run_campaign_parallel_on(
-    engine: Engine<'_>,
-    profile: &Profile,
-    cfg: CampaignConfig,
-    threads: usize,
-) -> CampaignResult {
-    let _span = ferrum_trace::span("campaign.parallel");
-    let t0 = Instant::now();
-    let mut result = CampaignResult::default();
-    flight::campaign_started("parallel", engine.kind(), cfg, profile, cfg.samples);
-    if cfg.samples == 0 {
-        finish_stats(&mut result, t0, threads.max(1), engine.kind());
-        flight::campaign_finished(&result);
-        return result;
-    }
-    assert!(!profile.sites.is_empty(), "no injectable sites");
-    let golden = &profile.result.output;
-    let faults = sample_faults(profile, cfg);
-    let threads = threads.max(1).min(faults.len());
-    let next = AtomicUsize::new(0);
-    let worker = |t: usize| {
-        let mut local: Vec<(usize, Outcome, Option<u64>)> = Vec::new();
-        let mut steps = 0u64;
-        loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            let Some(&fault) = faults.get(i) else {
-                return (local, steps);
-            };
-            let clock = StageClock::start();
-            let run = engine.run(Some(fault));
-            clock.stop(t, Stage::Injection);
-            steps += run.dyn_insts;
-            let o = classify(run.stop, &run.output, golden);
-            let lat = (o == Outcome::Detected)
-                .then(|| detection_latency(run.dyn_insts, fault.dyn_index));
-            flight::injection(t, i, fault, o, run.dyn_insts, Booking::Executed);
-            local.push((i, o, lat));
-        }
-    };
-    let mut outcomes: Vec<Option<(Outcome, Option<u64>)>> = vec![None; faults.len()];
-    let mut per_worker = Vec::with_capacity(threads);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads).map(|t| scope.spawn(move || worker(t))).collect();
-        for h in handles {
-            let (local, steps) = h.join().expect("campaign worker panicked");
-            per_worker.push(WorkerStats {
-                injections: local.len(),
-                steps_executed: steps,
-            });
-            for (i, o, lat) in local {
-                outcomes[i] = Some((o, lat));
-            }
-        }
-    });
-    let mut latencies = Vec::new();
-    for (fault, slot) in faults.into_iter().zip(outcomes) {
-        let (outcome, lat) = slot.expect("every fault processed");
-        latencies.extend(lat);
-        result.record(fault, outcome);
-    }
-    result.stats.steps_executed = per_worker.iter().map(|w| w.steps_executed).sum();
-    result.stats.per_worker = per_worker;
-    result.stats.latency = DetectionLatency::from_samples(latencies);
-    finish_stats(&mut result, t0, threads, engine.kind());
-    ferrum_trace::counter("campaign.injections", result.total() as u64);
-    flight::campaign_finished(&result);
-    result
-}
-
-/// Snapshot-placement policy for [`run_campaign_snapshot`].
+/// Snapshot-placement policy for [`crate::plan::Campaign::snapshots`].
 #[derive(Debug, Clone, Copy)]
 pub struct SnapshotPolicy {
     /// Upper bound on captured snapshots (each clones the full
@@ -681,351 +484,15 @@ impl Default for SnapshotPolicy {
     }
 }
 
-/// The snapshot-accelerated campaign engine.
-///
-/// Executes the golden prefix **once**, capturing periodic snapshots up
-/// to the last injection index, then replays each pre-sampled fault
-/// from the nearest snapshot at-or-before its injection point.  Faults
-/// are processed in injection-index order by work-stealing workers.
-/// Outcome counts and records are byte-identical to [`run_campaign`]
-/// with the same seed; only [`CampaignResult::stats`] differs.
-///
-/// # Panics
-///
-/// Panics if the profile has no injectable sites (with `samples > 0`).
-pub fn run_campaign_snapshot(
-    cpu: &Cpu,
-    profile: &Profile,
-    cfg: CampaignConfig,
-    threads: usize,
-    policy: SnapshotPolicy,
-) -> CampaignResult {
-    run_campaign_snapshot_on(Engine::Interpreter(cpu), profile, cfg, threads, policy)
-}
-
-/// As [`run_campaign_snapshot`], on an explicit [`Engine`] — snapshots
-/// taken by either engine's machine resume on the other, so the
-/// prefix-sharing and decoded speedups compose.
-///
-/// # Panics
-///
-/// Panics if the profile has no injectable sites (with `samples > 0`).
-pub fn run_campaign_snapshot_on(
-    engine: Engine<'_>,
-    profile: &Profile,
-    cfg: CampaignConfig,
-    threads: usize,
-    policy: SnapshotPolicy,
-) -> CampaignResult {
-    let _span = ferrum_trace::span("campaign.snapshot");
-    let t0 = Instant::now();
-    let mut result = CampaignResult::default();
-    flight::campaign_started("snapshot", engine.kind(), cfg, profile, cfg.samples);
-    if cfg.samples == 0 {
-        finish_stats(&mut result, t0, threads.max(1), engine.kind());
-        flight::campaign_finished(&result);
-        return result;
-    }
-    assert!(!profile.sites.is_empty(), "no injectable sites");
-    let golden = &profile.result.output;
-    let faults = sample_faults(profile, cfg);
-
-    // Sort fault indices by injection point: consecutive work items
-    // then share snapshots (and the prefix walk below only runs once,
-    // up to the last injection).
-    let mut order: Vec<usize> = (0..faults.len()).collect();
-    order.sort_by_key(|&i| faults[i].dyn_index);
-    let last_injection = faults[*order.last().expect("samples > 0")].dyn_index;
-
-    // Golden-prefix pass: walk fault-free, snapshotting at the
-    // policy's cadence.  The machine state at boundary k is usable by
-    // any fault with dyn_index >= k.  The interpreter walks only to
-    // the last injection point (snapshots are pure prefix-skips); the
-    // decoded engine walks the whole golden run, because its snapshots
-    // double as the convergence checkpoints `resume_converging`
-    // compares against — a checkpoint after a fault is what lets the
-    // post-fault suffix be stitched instead of re-executed.
-    let horizon = match engine.kind() {
-        EngineKind::Interpreter => last_injection,
-        EngineKind::Decoded => profile.result.dyn_insts,
-    };
-    let interval = policy
-        .min_interval
-        .max(horizon / policy.max_snapshots.max(1) as u64)
-        .max(1);
-    let mut snapshots: Vec<Snapshot> = Vec::new();
-    let mut m = engine.machine();
-    loop {
-        if m.dyn_insts() >= horizon {
-            break;
-        }
-        if m.dyn_insts() > 0
-            && m.dyn_insts().is_multiple_of(interval)
-            && snapshots.len() < policy.max_snapshots
-        {
-            let clock = StageClock::start();
-            snapshots.push(m.snapshot());
-            clock.stop(0, Stage::SnapshotCapture);
-        }
-        // Advance to the next snapshot boundary (or the horizon) in
-        // one call — the decoded engine covers the span in its tight
-        // dispatch loop instead of per-step calls.
-        let next = if snapshots.len() < policy.max_snapshots {
-            (m.dyn_insts() / interval + 1) * interval
-        } else {
-            horizon
-        };
-        let clock = StageClock::start();
-        let stopped = m.advance_to(next.min(horizon)).is_some();
-        clock.stop(0, Stage::GoldenRun);
-        if stopped {
-            // Golden run ended before the last injection index — the
-            // remaining faults land past program end and classify as
-            // whatever the resumed (fault-free) tail produces.
-            break;
-        }
-    }
-
-    let next = AtomicUsize::new(0);
-    let stats_hits = AtomicUsize::new(0);
-    let snapshots = &snapshots;
-    let order = &order;
-    let faults = &faults;
-    let worker = |t: usize| {
-        let mut local: Vec<(usize, Outcome, Option<u64>)> = Vec::new();
-        let (mut steps, mut saved) = (0u64, 0u64);
-        let mut hits = 0usize;
-        // One machine per worker, restored in place per fault — the
-        // decoded engine's restore is bounded by the stack low-water
-        // mark, so reuse turns per-injection state setup from a
-        // 512 KiB clone into a few touched kilobytes.  `entry` is the
-        // program start, for faults before the first snapshot.
-        let mut machine = engine.machine();
-        let entry = machine.snapshot();
-        loop {
-            let k = next.fetch_add(1, Ordering::Relaxed);
-            let Some(&orig) = order.get(k) else {
-                stats_hits.fetch_add(hits, Ordering::Relaxed);
-                return (local, steps, saved);
-            };
-            let fault = faults[orig];
-            // Nearest snapshot at-or-before the injection index:
-            // the last one with dyn_insts <= fault.dyn_index.
-            let pos = match snapshots
-                .binary_search_by_key(&(fault.dyn_index + 1), |s| s.dyn_insts())
-            {
-                Ok(i) | Err(i) => i,
-            };
-            let start = match pos.checked_sub(1).map(|j| &snapshots[j]) {
-                Some(s) => {
-                    hits += 1;
-                    saved += s.dyn_insts();
-                    s
-                }
-                None => &entry,
-            };
-            let clock = StageClock::start();
-            machine.restore(start);
-            clock.stop(t, Stage::SnapshotRestore);
-            let clock = StageClock::start();
-            let run = machine.run_converging(&[fault], snapshots, &profile.result);
-            clock.stop(t, Stage::Replay);
-            steps += run.dyn_insts - start.dyn_insts();
-            let o = classify(run.stop, &run.output, golden);
-            // `Machine::restore` preserves the golden-prefix dynamic
-            // instruction count, so `run.dyn_insts` is the same
-            // whole-run total the serial executor sees and the latency
-            // distribution is engine-independent.
-            let lat = (o == Outcome::Detected)
-                .then(|| detection_latency(run.dyn_insts, fault.dyn_index));
-            flight::injection(t, orig, fault, o, run.dyn_insts, Booking::Executed);
-            local.push((orig, o, lat));
-        }
-    };
-
-    let threads = threads.max(1).min(faults.len());
-    let mut outcomes: Vec<Option<(Outcome, Option<u64>)>> = vec![None; faults.len()];
-    let mut per_worker = Vec::with_capacity(threads);
-    let mut steps_saved = 0u64;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads).map(|t| scope.spawn(move || worker(t))).collect();
-        for h in handles {
-            let (local, steps, saved) = h.join().expect("campaign worker panicked");
-            steps_saved += saved;
-            per_worker.push(WorkerStats {
-                injections: local.len(),
-                steps_executed: steps,
-            });
-            for (i, o, lat) in local {
-                outcomes[i] = Some((o, lat));
-            }
-        }
-    });
-    let mut latencies = Vec::new();
-    for (fault, slot) in faults.iter().zip(outcomes) {
-        let (outcome, lat) = slot.expect("every fault processed");
-        latencies.extend(lat);
-        result.record(*fault, outcome);
-    }
-    result.stats.snapshots_taken = snapshots.len();
-    result.stats.snapshot_hits = stats_hits.load(Ordering::Relaxed);
-    result.stats.steps_executed = per_worker.iter().map(|w| w.steps_executed).sum();
-    result.stats.steps_saved = steps_saved;
-    result.stats.per_worker = per_worker;
-    result.stats.latency = DetectionLatency::from_samples(latencies);
-    finish_stats(&mut result, t0, threads, engine.kind());
-    ferrum_trace::counter("campaign.injections", result.total() as u64);
-    ferrum_trace::counter(
-        "campaign.snapshot.hits",
-        result.stats.snapshot_hits as u64,
-    );
-    ferrum_trace::counter("campaign.snapshot.steps_saved", result.stats.steps_saved);
-    flight::campaign_finished(&result);
-    result
-}
-
-/// Runs a **double-fault** campaign: two independent single-bit faults
-/// per execution, at two distinct sampled sites.  Single-fault coverage
-/// guarantees do not carry over — duplication-based detection can in
-/// principle be defeated when both a value and its shadow are corrupted
-/// consistently — which is exactly why the paper defers multi-bit
-/// faults to future work (§II-A).  `records` stores the first fault of
-/// each pair.
-pub fn run_double_campaign(cpu: &Cpu, profile: &Profile, cfg: CampaignConfig) -> CampaignResult {
-    run_double_campaign_on(Engine::Interpreter(cpu), profile, cfg)
-}
-
-/// As [`run_double_campaign`], on an explicit [`Engine`].
-pub fn run_double_campaign_on(
-    engine: Engine<'_>,
-    profile: &Profile,
-    cfg: CampaignConfig,
-) -> CampaignResult {
-    let _span = ferrum_trace::span("campaign.double");
-    let t0 = Instant::now();
-    let mut result = CampaignResult::default();
-    flight::campaign_started("double", engine.kind(), cfg, profile, cfg.samples);
-    if cfg.samples == 0 {
-        finish_stats(&mut result, t0, 1, engine.kind());
-        flight::campaign_finished(&result);
-        return result;
-    }
-    assert!(!profile.sites.is_empty(), "no injectable sites");
-    let golden = &profile.result.output;
-    let mut rng = Rng64::seed_from_u64(cfg.seed);
-    let mut latencies = Vec::new();
-    for i in 0..cfg.samples {
-        let a = profile.sites[rng.gen_range(0..profile.sites.len())];
-        let b = profile.sites[rng.gen_range(0..profile.sites.len())];
-        let fa = FaultSpec::new(a.dyn_index, rng.gen_below(u64::from(a.bits)) as u16);
-        let fb = FaultSpec::new(b.dyn_index, rng.gen_below(u64::from(b.bits)) as u16);
-        let clock = StageClock::start();
-        let run = engine.run_multi(&[fa, fb]);
-        clock.stop(0, Stage::Injection);
-        result.stats.steps_executed += run.dyn_insts;
-        let o = classify(run.stop, &run.output, golden);
-        if o == Outcome::Detected {
-            // Latency is measured from the *earlier* of the two faults.
-            latencies.push(detection_latency(
-                run.dyn_insts,
-                fa.dyn_index.min(fb.dyn_index),
-            ));
-        }
-        flight::injection(0, i, fa, o, run.dyn_insts, Booking::Executed);
-        result.record(fa, o);
-    }
-    result.stats.per_worker = vec![WorkerStats {
-        injections: result.total(),
-        steps_executed: result.stats.steps_executed,
-    }];
-    result.stats.latency = DetectionLatency::from_samples(latencies);
-    finish_stats(&mut result, t0, 1, engine.kind());
-    ferrum_trace::counter("campaign.injections", result.total() as u64);
-    flight::campaign_finished(&result);
-    result
-}
-
-/// Multiplier for the exhaustive sweep's bit stride.  Odd, hence
-/// coprime with 256: `k ↦ k·97 mod 256` is a permutation of `0..256`,
-/// and consecutive `k` land ~97 bit positions apart, spreading a small
-/// `bits_per_site` across the whole 256-bit range.  (The previous
-/// multiplier, 257, is ≡ 1 mod 256 — the identity permutation — so
-/// "evenly spread" silently degraded to "the lowest k bits".)
-const BIT_STRIDE: u32 = 97;
-
-/// Injects into *every* site with `bits_per_site` evenly spread bit
-/// positions — the exhaustive sweep used to prove coverage claims on
-/// small kernels.
-pub fn exhaustive_campaign(cpu: &Cpu, profile: &Profile, bits_per_site: u16) -> CampaignResult {
-    exhaustive_campaign_on(Engine::Interpreter(cpu), profile, bits_per_site)
-}
-
-/// As [`exhaustive_campaign`], on an explicit [`Engine`].
-pub fn exhaustive_campaign_on(
-    engine: Engine<'_>,
-    profile: &Profile,
-    bits_per_site: u16,
-) -> CampaignResult {
-    let _span = ferrum_trace::span("campaign.exhaustive");
-    let t0 = Instant::now();
-    let golden = &profile.result.output;
-    let mut result = CampaignResult::default();
-    let total = profile.sites.len() * usize::from(bits_per_site);
-    flight::campaign_started(
-        "exhaustive",
-        engine.kind(),
-        CampaignConfig {
-            samples: total,
-            seed: 0,
-        },
-        profile,
-        total,
-    );
-    let mut latencies = Vec::new();
-    let mut index = 0usize;
-    for site in &profile.sites {
-        for k in 0..bits_per_site {
-            // Spread raw bits across this site's own destination width.
-            // (Spreading over a fixed 256 and reducing modulo the width
-            // at injection time collapses the stride for narrow
-            // destinations: e.g. `k·97 mod 256` reduced mod 4 for an
-            // RFLAGS site walks residues unevenly.  Every eligible
-            // width is a power of two and 97 is odd, so `k·97 mod w`
-            // still permutes `0..w` per site.)
-            let raw = (u32::from(k) * BIT_STRIDE % site.bits.max(1)) as u16;
-            let fault = FaultSpec::new(site.dyn_index, raw);
-            let clock = StageClock::start();
-            let run = engine.run(Some(fault));
-            clock.stop(0, Stage::Injection);
-            result.stats.steps_executed += run.dyn_insts;
-            let o = classify(run.stop, &run.output, golden);
-            if o == Outcome::Detected {
-                latencies.push(detection_latency(run.dyn_insts, fault.dyn_index));
-            }
-            flight::injection(0, index, fault, o, run.dyn_insts, Booking::Executed);
-            index += 1;
-            result.record(fault, o);
-        }
-    }
-    result.stats.per_worker = vec![WorkerStats {
-        injections: result.total(),
-        steps_executed: result.stats.steps_executed,
-    }];
-    result.stats.latency = DetectionLatency::from_samples(latencies);
-    finish_stats(&mut result, t0, 1, engine.kind());
-    ferrum_trace::counter("campaign.injections", result.total() as u64);
-    flight::campaign_finished(&result);
-    result
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use ferrum_cpu::run::Cpu;
     use ferrum_mir::builder::FunctionBuilder;
     use ferrum_mir::module::{Global, Module};
     use ferrum_mir::types::Ty;
 
-    fn sum_module() -> Module {
+    pub(crate) fn sum_module() -> Module {
         let mut module = Module::new();
         let g = module.add_global(Global::new("tab", vec![1, 2, 3, 4]));
         let mut b = FunctionBuilder::new("main", &[], None);
@@ -1043,12 +510,12 @@ mod tests {
         module
     }
 
-    fn sum_cpu() -> Cpu {
+    pub(crate) fn sum_cpu() -> Cpu {
         let asm = ferrum_backend::compile(&sum_module()).unwrap();
         Cpu::load(&asm).unwrap()
     }
 
-    fn protected_sum_cpu() -> Cpu {
+    pub(crate) fn protected_sum_cpu() -> Cpu {
         let asm = ferrum_eddi::ferrum::Ferrum::new()
             .protect_module(&sum_module())
             .unwrap();
@@ -1073,120 +540,6 @@ mod tests {
     }
 
     #[test]
-    fn unprotected_program_shows_sdcs() {
-        let cpu = sum_cpu();
-        let profile = cpu.profile();
-        let res = run_campaign(
-            &cpu,
-            &profile,
-            CampaignConfig {
-                samples: 300,
-                seed: 7,
-            },
-        );
-        assert_eq!(res.total(), 300);
-        assert!(
-            res.sdc > 0,
-            "unprotected program must exhibit SDCs: {res:?}"
-        );
-        assert_eq!(
-            res.detected, 0,
-            "nothing can detect in an unprotected program"
-        );
-    }
-
-    #[test]
-    fn campaigns_are_reproducible() {
-        let cpu = sum_cpu();
-        let profile = cpu.profile();
-        let cfg = CampaignConfig {
-            samples: 100,
-            seed: 42,
-        };
-        let a = run_campaign(&cpu, &profile, cfg);
-        let b = run_campaign(&cpu, &profile, cfg);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn different_seeds_differ() {
-        let cpu = sum_cpu();
-        let profile = cpu.profile();
-        let a = run_campaign(
-            &cpu,
-            &profile,
-            CampaignConfig {
-                samples: 100,
-                seed: 1,
-            },
-        );
-        let b = run_campaign(
-            &cpu,
-            &profile,
-            CampaignConfig {
-                samples: 100,
-                seed: 2,
-            },
-        );
-        assert_ne!(a.records, b.records);
-    }
-
-    #[test]
-    fn pruned_campaign_is_outcome_identical_and_prunes() {
-        let asm = ferrum_eddi::ferrum::Ferrum::new()
-            .protect_module(&sum_module())
-            .unwrap();
-        let coverage = CoverageMap::analyze(&asm);
-        let cpu = Cpu::load(&asm).unwrap();
-        let profile = cpu.profile();
-        let cfg = CampaignConfig {
-            samples: 300,
-            seed: 11,
-        };
-        let serial = run_campaign(&cpu, &profile, cfg);
-        let pruned = run_campaign_pruned(&cpu, &profile, cfg, &coverage);
-        assert_eq!(serial, pruned, "pruned engine must be outcome-identical");
-        assert!(
-            pruned.stats.pruned_sites > 0,
-            "a FERRUM-protected program must have statically-decided sites"
-        );
-        assert!(
-            (pruned.stats.prune_rate() - pruned.stats.pruned_sites as f64 / 300.0).abs() < 1e-12
-        );
-        assert!(
-            pruned.stats.steps_executed < serial.stats.steps_executed,
-            "skipped faults must not execute"
-        );
-    }
-
-    #[test]
-    fn pruned_campaign_with_empty_map_matches_serial() {
-        // An empty coverage map decides nothing: the pruned engine
-        // degenerates to the serial one, including its step counts.
-        let cpu = sum_cpu();
-        let profile = cpu.profile();
-        let cfg = CampaignConfig {
-            samples: 120,
-            seed: 5,
-        };
-        let serial = run_campaign(&cpu, &profile, cfg);
-        let pruned = run_campaign_pruned(&cpu, &profile, cfg, &CoverageMap::default());
-        assert_eq!(serial, pruned);
-        assert_eq!(pruned.stats.pruned_sites, 0);
-        assert_eq!(pruned.stats.prune_rate(), 0.0);
-        assert_eq!(pruned.stats.steps_executed, serial.stats.steps_executed);
-        assert_eq!(pruned.stats.latency, serial.stats.latency);
-    }
-
-    #[test]
-    fn exhaustive_covers_every_site() {
-        let cpu = sum_cpu();
-        let profile = cpu.profile();
-        let res = exhaustive_campaign(&cpu, &profile, 3);
-        assert_eq!(res.total(), profile.sites.len() * 3);
-    }
-
-    #[test]
     fn exhaustive_bit_stride_spreads_positions() {
         // The first n raw values must be distinct and genuinely spread
         // over 0..256, not the lowest n bit positions.
@@ -1208,124 +561,6 @@ mod tests {
         all.sort_unstable();
         all.dedup();
         assert_eq!(all.len(), 256);
-    }
-
-    #[test]
-    fn parallel_campaign_matches_serial_exactly() {
-        let cpu = sum_cpu();
-        let profile = cpu.profile();
-        let cfg = CampaignConfig {
-            samples: 240,
-            seed: 77,
-        };
-        let serial = run_campaign(&cpu, &profile, cfg);
-        for threads in [1, 3, 8] {
-            let par = run_campaign_parallel(&cpu, &profile, cfg, threads);
-            assert_eq!(par, serial, "{threads} threads");
-        }
-    }
-
-    #[test]
-    fn snapshot_campaign_matches_serial_exactly() {
-        let cpu = sum_cpu();
-        let profile = cpu.profile();
-        let cfg = CampaignConfig {
-            samples: 240,
-            seed: 77,
-        };
-        let serial = run_campaign(&cpu, &profile, cfg);
-        for threads in [1, 4] {
-            for policy in [
-                SnapshotPolicy::default(),
-                SnapshotPolicy {
-                    max_snapshots: 200,
-                    min_interval: 1,
-                },
-                SnapshotPolicy {
-                    max_snapshots: 0,
-                    min_interval: 1,
-                },
-            ] {
-                let snap = run_campaign_snapshot(&cpu, &profile, cfg, threads, policy);
-                assert_eq!(snap, serial, "{threads} threads, {policy:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn snapshot_campaign_reports_savings() {
-        let cpu = sum_cpu();
-        let profile = cpu.profile();
-        let cfg = CampaignConfig {
-            samples: 200,
-            seed: 9,
-        };
-        let policy = SnapshotPolicy {
-            max_snapshots: 1000,
-            min_interval: 1,
-        };
-        let res = run_campaign_snapshot(&cpu, &profile, cfg, 2, policy);
-        assert!(res.stats.snapshots_taken > 0);
-        assert!(res.stats.snapshot_hits > 0);
-        assert!(res.stats.steps_saved > 0, "{:?}", res.stats);
-        assert!(res.stats.steps_saved_ratio() > 0.0);
-        // The reference executor re-executes everything.
-        let serial = run_campaign(&cpu, &profile, cfg);
-        assert!(serial.stats.steps_executed > res.stats.steps_executed);
-    }
-
-    #[test]
-    fn zero_sample_campaigns_are_empty_not_panicking() {
-        let cpu = sum_cpu();
-        let profile = cpu.profile();
-        let cfg = CampaignConfig {
-            samples: 0,
-            seed: 1,
-        };
-        for res in [
-            run_campaign(&cpu, &profile, cfg),
-            run_campaign_parallel(&cpu, &profile, cfg, 8),
-            run_campaign_snapshot(&cpu, &profile, cfg, 8, SnapshotPolicy::default()),
-            run_double_campaign(&cpu, &profile, cfg),
-        ] {
-            assert_eq!(res.total(), 0);
-            assert!(res.records.is_empty());
-            assert_eq!(res.sdc_prob(), 0.0);
-        }
-    }
-
-    #[test]
-    fn double_fault_campaign_runs_and_counts() {
-        let cpu = sum_cpu();
-        let profile = cpu.profile();
-        let cfg = CampaignConfig {
-            samples: 150,
-            seed: 21,
-        };
-        let res = run_double_campaign(&cpu, &profile, cfg);
-        assert_eq!(res.total(), 150);
-        assert!(res.sdc > 0, "two faults in an unprotected program: {res:?}");
-        let res2 = run_double_campaign(&cpu, &profile, cfg);
-        assert_eq!(res, res2, "reproducible");
-    }
-
-    #[test]
-    fn outcome_counts_sum_to_total() {
-        let cpu = sum_cpu();
-        let profile = cpu.profile();
-        let res = run_campaign(
-            &cpu,
-            &profile,
-            CampaignConfig {
-                samples: 250,
-                seed: 3,
-            },
-        );
-        assert_eq!(
-            res.sdc + res.detected + res.crash + res.timeout + res.benign,
-            res.records.len()
-        );
-        assert!((res.sdc_prob() - res.sdc as f64 / 250.0).abs() < 1e-12);
     }
 
     #[test]
@@ -1401,77 +636,6 @@ mod tests {
     }
 
     #[test]
-    fn detection_latencies_match_across_engines() {
-        let cpu = protected_sum_cpu();
-        let profile = cpu.profile();
-        let cfg = CampaignConfig {
-            samples: 240,
-            seed: 77,
-        };
-        let serial = run_campaign(&cpu, &profile, cfg);
-        assert!(
-            serial.detected > 0,
-            "protected program must detect: {serial:?}"
-        );
-        assert_eq!(serial.stats.latency.count(), serial.detected);
-        let (p50, p95, max) = (
-            serial.stats.latency.p50().unwrap(),
-            serial.stats.latency.p95().unwrap(),
-            serial.stats.latency.max().unwrap(),
-        );
-        assert!(p50 <= p95 && p95 <= max, "p50={p50} p95={p95} max={max}");
-        let total: u64 = serial
-            .stats
-            .latency
-            .histogram_log2()
-            .iter()
-            .map(|&(_, _, c)| c)
-            .sum();
-        assert_eq!(total as usize, serial.detected);
-
-        let par = run_campaign_parallel(&cpu, &profile, cfg, 4);
-        assert_eq!(par.stats.latency, serial.stats.latency);
-        let snap = run_campaign_snapshot(
-            &cpu,
-            &profile,
-            cfg,
-            4,
-            SnapshotPolicy {
-                max_snapshots: 200,
-                min_interval: 1,
-            },
-        );
-        assert_eq!(snap.stats.latency, serial.stats.latency);
-    }
-
-    #[test]
-    fn per_worker_stats_cover_all_work() {
-        let cpu = sum_cpu();
-        let profile = cpu.profile();
-        let cfg = CampaignConfig {
-            samples: 120,
-            seed: 5,
-        };
-        let serial = run_campaign(&cpu, &profile, cfg);
-        assert_eq!(serial.stats.per_worker.len(), 1);
-        assert!((serial.stats.worker_balance() - 1.0).abs() < 1e-12);
-        for res in [
-            run_campaign_parallel(&cpu, &profile, cfg, 4),
-            run_campaign_snapshot(&cpu, &profile, cfg, 4, SnapshotPolicy::default()),
-        ] {
-            assert!(!res.stats.per_worker.is_empty());
-            assert!(res.stats.per_worker.len() <= 4);
-            let inj: usize = res.stats.per_worker.iter().map(|w| w.injections).sum();
-            assert_eq!(inj, res.total());
-            let steps: u64 = res.stats.per_worker.iter().map(|w| w.steps_executed).sum();
-            assert_eq!(steps, res.stats.steps_executed);
-            let bal = res.stats.worker_balance();
-            assert!((0.0..=1.0).contains(&bal), "balance {bal}");
-        }
-        assert_eq!(CampaignStats::default().worker_balance(), 0.0);
-    }
-
-    #[test]
     fn sampled_raw_bits_stay_within_site_width() {
         // Regression (fault-bit uniformity fix): the sampler must draw
         // the bit position from the site's own eligible width, never
@@ -1533,106 +697,5 @@ mod tests {
             })
             .sum();
         assert!(chi2 < 24.32, "non-uniform bit sampling: chi2={chi2} {buckets:?}");
-    }
-
-    #[test]
-    fn timeout_budget_is_engine_independent() {
-        // Step-budget audit (resume accounting): a snapshot carries its
-        // dyn_insts, so a resumed faulted run gets only the *remaining*
-        // budget — the snapshot and decoded engines must classify
-        // exactly the same faults as Timeout as the serial engine,
-        // which never resumes.  A tight limit makes any double-counting
-        // of the prefix allowance visible immediately.
-        let cpu = sum_cpu().with_step_limit(12);
-        let profile = cpu.profile();
-        assert!(
-            !profile.sites.is_empty(),
-            "tight-limit profile still has sites"
-        );
-        let cfg = CampaignConfig {
-            samples: 150,
-            seed: 8,
-        };
-        let serial = run_campaign(&cpu, &profile, cfg);
-        let policy = SnapshotPolicy {
-            max_snapshots: 64,
-            min_interval: 1,
-        };
-        let snap = run_campaign_snapshot(&cpu, &profile, cfg, 2, policy);
-        assert_eq!(snap, serial);
-        let dc = ferrum_cpu::decoded::DecodedCpu::new(&cpu);
-        let dec = run_campaign_snapshot_on(Engine::Decoded(&dc), &profile, cfg, 2, policy);
-        assert_eq!(dec, serial);
-    }
-
-    #[test]
-    fn decoded_engine_matches_interpreter_for_every_executor() {
-        let cpu = protected_sum_cpu();
-        let dc = ferrum_cpu::decoded::DecodedCpu::new(&cpu);
-        let profile = cpu.profile();
-        let dprofile = Engine::Decoded(&dc).profile();
-        assert_eq!(profile.sites, dprofile.sites);
-        assert_eq!(profile.result, dprofile.result);
-        let cfg = CampaignConfig {
-            samples: 200,
-            seed: 77,
-        };
-        let e = Engine::Decoded(&dc);
-        assert_eq!(run_campaign_on(e, &profile, cfg), run_campaign(&cpu, &profile, cfg));
-        assert_eq!(
-            run_campaign_parallel_on(e, &profile, cfg, 3),
-            run_campaign_parallel(&cpu, &profile, cfg, 3)
-        );
-        assert_eq!(
-            run_campaign_snapshot_on(e, &profile, cfg, 3, SnapshotPolicy::default()),
-            run_campaign_snapshot(&cpu, &profile, cfg, 3, SnapshotPolicy::default())
-        );
-        assert_eq!(
-            run_double_campaign_on(e, &profile, cfg),
-            run_double_campaign(&cpu, &profile, cfg)
-        );
-        assert_eq!(
-            exhaustive_campaign_on(e, &profile, 2),
-            exhaustive_campaign(&cpu, &profile, 2)
-        );
-        // Latency distributions (not just outcome counts) agree.
-        assert_eq!(
-            run_campaign_on(e, &profile, cfg).stats.latency,
-            run_campaign(&cpu, &profile, cfg).stats.latency
-        );
-    }
-
-    #[test]
-    fn pruned_campaign_runs_on_decoded_engine() {
-        let asm = ferrum_eddi::ferrum::Ferrum::new()
-            .protect_module(&sum_module())
-            .unwrap();
-        let coverage = CoverageMap::analyze(&asm);
-        let cpu = Cpu::load(&asm).unwrap();
-        let dc = ferrum_cpu::decoded::DecodedCpu::new(&cpu);
-        let profile = cpu.profile();
-        let cfg = CampaignConfig {
-            samples: 200,
-            seed: 11,
-        };
-        let serial = run_campaign(&cpu, &profile, cfg);
-        let pruned = run_campaign_pruned_on(Engine::Decoded(&dc), &profile, cfg, &coverage);
-        assert_eq!(pruned, serial);
-        assert!(pruned.stats.pruned_sites > 0, "prune multiplier stacks");
-    }
-
-    #[test]
-    fn stats_record_throughput() {
-        let cpu = sum_cpu();
-        let profile = cpu.profile();
-        let cfg = CampaignConfig {
-            samples: 50,
-            seed: 4,
-        };
-        let res = run_campaign_parallel(&cpu, &profile, cfg, 4);
-        assert!(res.stats.wall_nanos > 0);
-        assert!(res.stats.injections_per_sec > 0.0);
-        assert!(res.stats.threads >= 1 && res.stats.threads <= 4);
-        assert!(res.stats.steps_executed > 0);
     }
 }

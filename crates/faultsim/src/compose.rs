@@ -20,11 +20,12 @@
 //!    much as the local one and never contradicts a dynamic outcome
 //!    the local map would not have contradicted.
 //!
-//! 2. **Incremental campaigns** ([`run_campaign_incremental`]): the
-//!    stratified executor ([`run_campaign_stratified`]) samples each
-//!    function's sites with a per-function RNG stream keyed by the
-//!    function *name* and caches the draws and outcomes per function
-//!    content hash ([`function_hash`]).  After an edit, only
+//! 2. **Incremental campaigns**: a stratified plan
+//!    ([`crate::plan::FaultList::Stratified`]) samples each function's
+//!    sites with a per-function RNG stream keyed by the function
+//!    *name*; [`CampaignCache::from_result`] keeps its draws and
+//!    outcomes per function content hash ([`function_hash`]).  Fed
+//!    back as [`crate::plan::Reuse::Cache`] after an edit, only
 //!    functions whose hash (or dynamic-site count) changed are
 //!    re-injected; untouched functions replay their cached shard.
 //!    The merged [`CampaignResult`] is **record-identical** to a full
@@ -42,7 +43,6 @@
 //! workload catalog.
 
 use std::collections::BTreeMap;
-use std::time::Instant;
 
 use ferrum_asm::analysis::cfg::Cfg;
 use ferrum_asm::analysis::coverage::{CoverageMap, StaticVerdict, VerdictCounts};
@@ -50,15 +50,10 @@ use ferrum_asm::analysis::liveness::{ByteSet, Liveness};
 use ferrum_asm::analysis::summary::{function_hash, SummaryMap};
 use ferrum_asm::{AsmProgram, Inst, EXIT_FUNCTION, PRINT_I64};
 use ferrum_cpu::fault::FaultSpec;
-use ferrum_cpu::run::{Cpu, Profile};
+use ferrum_cpu::run::Profile;
 use ferrum_rng::Rng64;
 
-use crate::campaign::{
-    classify, detection_latency, finish_stats, CampaignConfig, CampaignResult, DetectionLatency,
-    Outcome, WorkerStats,
-};
-use crate::engine::Engine;
-use crate::flight::{self, Booking};
+use crate::campaign::{CampaignConfig, CampaignResult, Outcome};
 
 /// The program's entry function: its final register state is
 /// architecturally unobservable (the harness compares only the output
@@ -287,7 +282,7 @@ pub struct FunctionShard {
 }
 
 /// Cached per-function campaign shards, the reuse substrate of
-/// [`run_campaign_incremental`].
+/// [`crate::plan::Reuse::Cache`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CampaignCache {
     /// Seed the shards were drawn with.
@@ -311,15 +306,10 @@ fn name_seed(name: &str) -> u64 {
 }
 
 /// The dynamic sites of `profile` partitioned per function of `p`, in
-/// program order, with each function's content hash.  Sites are
-/// attributed through the flat-pc ranges of the loaded image (same
-/// function order as the program).
-struct Partition {
-    /// `(name, hash, indices into profile.sites)` per function.
-    functions: Vec<(String, u64, Vec<usize>)>,
-}
-
-fn partition_sites(p: &AsmProgram, profile: &Profile) -> Partition {
+/// program order: `(name, content hash, indices into profile.sites)`
+/// per function.  Sites are attributed through the flat-pc ranges of
+/// the loaded image (same function order as the program).
+fn partition_sites(p: &AsmProgram, profile: &Profile) -> Vec<(String, u64, Vec<usize>)> {
     // Flat pc ranges, mirroring the image load order.
     let mut ranges = Vec::with_capacity(p.functions.len());
     let mut pc = 0usize;
@@ -338,7 +328,7 @@ fn partition_sites(p: &AsmProgram, profile: &Profile) -> Partition {
         debug_assert!(s.pc < ranges[fi].3);
         functions[fi].2.push(i);
     }
-    Partition { functions }
+    functions
 }
 
 /// Per-function sample quota: proportional to the function's share of
@@ -363,190 +353,127 @@ fn draw_shard(seed: u64, n: usize, site_indices: &[usize], profile: &Profile) ->
         .collect()
 }
 
-/// Runs a stratified campaign: each function's dynamic sites are
-/// sampled by an independent per-function RNG stream (keyed by the
-/// function name), with quotas proportional to site counts.  Returns
-/// the result plus the [`CampaignCache`] that
-/// [`run_campaign_incremental`] reuses.
-///
-/// The stratified result is *not* record-identical to [`run_campaign`]
-/// (the sampling scheme differs) but is drawn from the same per-site
-/// uniform fault model and is itself fully reproducible per seed.
-///
-/// # Panics
-///
-/// Panics if the profile has no injectable sites (with `samples > 0`).
-///
-/// [`run_campaign`]: crate::campaign::run_campaign
-pub fn run_campaign_stratified(
-    cpu: &Cpu,
+/// Draws a stratified campaign's fault list: per function of
+/// `program`, in program order, its quota of faults from its own RNG
+/// stream — or, when `cache` holds a shard for the function with the
+/// same content hash, dynamic-site count, and draw count, that shard's
+/// faults re-addressed to the (possibly shifted) new dynamic indices
+/// together with their cached outcomes.  A cache drawn with a
+/// different seed or sample budget is ignored.  Returns the faults,
+/// the cached outcome of each (if any), and one `(name, hash, sites,
+/// draws, reused)` row per function for the flight recorder.
+#[allow(clippy::type_complexity)]
+pub(crate) fn stratified_faults(
+    program: &AsmProgram,
     profile: &Profile,
     cfg: CampaignConfig,
-    program: &AsmProgram,
-) -> (CampaignResult, CampaignCache) {
-    run_campaign_stratified_on(Engine::Interpreter(cpu), profile, cfg, program)
-}
-
-/// As [`run_campaign_stratified`], on an explicit [`Engine`].
-pub fn run_campaign_stratified_on(
-    engine: Engine<'_>,
-    profile: &Profile,
-    cfg: CampaignConfig,
-    program: &AsmProgram,
-) -> (CampaignResult, CampaignCache) {
-    run_incremental_on(engine, profile, cfg, program, None)
-}
-
-/// Re-runs a stratified campaign after an edit, replaying cached
-/// shards for every function whose content hash and dynamic-site
-/// count are unchanged and re-injecting only the rest.  The merged
-/// result is record-identical to [`run_campaign_stratified`] on the
-/// edited program with the same config; the replayed fraction is
-/// reported in [`CampaignStats::reused_sites`] /
-/// [`CampaignStats::reuse_rate`].
-///
-/// A cache drawn with a different seed or sample budget is ignored
-/// wholesale (everything re-injects).
-///
-/// # Panics
-///
-/// Panics if the profile has no injectable sites (with `samples > 0`).
-///
-/// [`CampaignStats::reused_sites`]: crate::campaign::CampaignStats::reused_sites
-/// [`CampaignStats::reuse_rate`]: crate::campaign::CampaignStats::reuse_rate
-pub fn run_campaign_incremental(
-    cpu: &Cpu,
-    profile: &Profile,
-    cfg: CampaignConfig,
-    program: &AsmProgram,
-    cache: &CampaignCache,
-) -> (CampaignResult, CampaignCache) {
-    run_campaign_incremental_on(Engine::Interpreter(cpu), profile, cfg, program, cache)
-}
-
-/// As [`run_campaign_incremental`], on an explicit [`Engine`].
-pub fn run_campaign_incremental_on(
-    engine: Engine<'_>,
-    profile: &Profile,
-    cfg: CampaignConfig,
-    program: &AsmProgram,
-    cache: &CampaignCache,
-) -> (CampaignResult, CampaignCache) {
-    run_incremental_on(engine, profile, cfg, program, Some(cache))
-}
-
-fn run_incremental_on(
-    engine: Engine<'_>,
-    profile: &Profile,
-    cfg: CampaignConfig,
-    program: &AsmProgram,
     cache: Option<&CampaignCache>,
-) -> (CampaignResult, CampaignCache) {
-    let _span = ferrum_trace::span("campaign.incremental");
-    let t0 = Instant::now();
-    let mut result = CampaignResult::default();
-    let mut new_cache = CampaignCache {
-        seed: cfg.seed,
-        samples: cfg.samples,
-        shards: Vec::new(),
-    };
-    let executor = if cache.is_some() { "incremental" } else { "stratified" };
+) -> (
+    Vec<FaultSpec>,
+    Vec<Option<Outcome>>,
+    Vec<(String, u64, usize, usize, bool)>,
+) {
+    let (mut faults, mut cached_outcomes, mut shards) = (Vec::new(), Vec::new(), Vec::new());
     if cfg.samples == 0 {
-        flight::campaign_started(executor, engine.kind(), cfg, profile, 0);
-        finish_stats(&mut result, t0, 1, engine.kind());
-        flight::campaign_finished(&result);
-        return (result, new_cache);
+        return (faults, cached_outcomes, shards);
     }
-    assert!(!profile.sites.is_empty(), "no injectable sites");
     let cache = cache.filter(|c| c.seed == cfg.seed && c.samples == cfg.samples);
-    let part = partition_sites(program, profile);
     let total_sites = profile.sites.len();
-    // Quotas are proportional-with-floor, so the true total can exceed
-    // cfg.samples; the recorder needs the real figure for shard layout
-    // and progress denominators.
-    let total: usize = part
-        .functions
-        .iter()
-        .map(|(_, _, s)| quota(cfg.samples, s.len(), total_sites))
-        .sum();
-    flight::campaign_started(executor, engine.kind(), cfg, profile, total);
-    let golden = &profile.result.output;
-    let mut latencies = Vec::new();
-    let mut index = 0usize;
-    for (name, hash, site_indices) in &part.functions {
+    for (name, hash, site_indices) in partition_sites(program, profile) {
         let n = quota(cfg.samples, site_indices.len(), total_sites);
         let cached = cache.and_then(|c| {
             c.shards.iter().find(|s| {
-                &s.name == name
-                    && s.hash == *hash
+                s.name == name
+                    && s.hash == hash
                     && s.sites == site_indices.len()
                     && s.draws.len() == n
+                    && s.draws.iter().all(|d| (d.local_site as usize) < s.sites)
             })
         });
-        let draws: Vec<ShardDraw> = match cached {
-            Some(shard) => {
-                // Unchanged function: replay the cached outcomes at
-                // the (possibly shifted) new dynamic indices.
-                result.stats.reused_sites += shard.draws.len();
-                for d in &shard.draws {
-                    let dyn_index = profile.sites[site_indices[d.local_site as usize]].dyn_index;
-                    let fault = FaultSpec::new(dyn_index, d.raw_bit);
-                    flight::injection(0, index, fault, d.outcome, 0, Booking::Reused);
-                    index += 1;
-                    result.record(fault, d.outcome);
-                }
-                shard.draws.clone()
-            }
-            None => draw_shard(cfg.seed ^ name_seed(name), n, site_indices, profile)
+        let draws: Vec<(usize, u16, Option<Outcome>)> = match cached {
+            Some(shard) => shard
+                .draws
+                .iter()
+                .map(|d| (d.local_site as usize, d.raw_bit, Some(d.outcome)))
+                .collect(),
+            None => draw_shard(cfg.seed ^ name_seed(&name), n, &site_indices, profile)
                 .into_iter()
-                .map(|(k, raw_bit)| {
-                    let fault =
-                        FaultSpec::new(profile.sites[site_indices[k]].dyn_index, raw_bit);
-                    let run = engine.run(Some(fault));
-                    result.stats.steps_executed += run.dyn_insts;
-                    let o = classify(run.stop, &run.output, golden);
-                    if o == Outcome::Detected {
-                        latencies.push(detection_latency(run.dyn_insts, fault.dyn_index));
-                    }
-                    flight::injection(0, index, fault, o, run.dyn_insts, Booking::Executed);
-                    index += 1;
-                    result.record(fault, o);
-                    ShardDraw {
-                        local_site: k as u32,
-                        raw_bit,
-                        outcome: o,
-                    }
-                })
+                .map(|(k, raw_bit)| (k, raw_bit, None))
                 .collect(),
         };
-        flight::function_shard(name, *hash, site_indices.len(), draws.len(), cached.is_some());
-        new_cache.shards.push(FunctionShard {
-            name: name.clone(),
-            hash: *hash,
-            sites: site_indices.len(),
-            draws,
-        });
+        for (k, raw_bit, outcome) in draws {
+            faults.push(FaultSpec::new(
+                profile.sites[site_indices[k]].dyn_index,
+                raw_bit,
+            ));
+            cached_outcomes.push(outcome);
+        }
+        shards.push((name, hash, site_indices.len(), n, cached.is_some()));
     }
-    // `injections` counts everything the campaign booked — replayed
-    // shards included — matching every other executor (and the
-    // campaign-schema invariant that per-worker injections sum to
-    // `stats.injections`).  The executed-only figure is recoverable as
-    // `injections - reused_sites`.
-    result.stats.per_worker = vec![WorkerStats {
-        injections: result.total(),
-        steps_executed: result.stats.steps_executed,
-    }];
-    result.stats.latency = DetectionLatency::from_samples(latencies);
-    finish_stats(&mut result, t0, 1, engine.kind());
-    ferrum_trace::counter("campaign.injections", result.total() as u64);
-    ferrum_trace::counter("campaign.reused", result.stats.reused_sites as u64);
-    flight::campaign_finished(&result);
-    (result, new_cache)
+    (faults, cached_outcomes, shards)
+}
+
+impl CampaignCache {
+    /// Rebuilds the shard cache of a finished stratified campaign —
+    /// `result` from [`Campaign::stratified`]`(cfg, program)` over
+    /// `profile` — from its records and the per-function site
+    /// partition: the records come in program order, `quota` per
+    /// function.  A later stratified plan with this cache as
+    /// [`Reuse::Cache`] replays every unchanged function's shard.
+    ///
+    /// [`Campaign::stratified`]: crate::plan::Campaign::stratified
+    /// [`Reuse::Cache`]: crate::plan::Reuse::Cache
+    pub fn from_result(
+        program: &AsmProgram,
+        profile: &Profile,
+        cfg: CampaignConfig,
+        result: &CampaignResult,
+    ) -> CampaignCache {
+        let mut cache = CampaignCache {
+            seed: cfg.seed,
+            samples: cfg.samples,
+            shards: Vec::new(),
+        };
+        if cfg.samples == 0 {
+            return cache;
+        }
+        let total_sites = profile.sites.len();
+        let mut records = result.records.iter();
+        for (name, hash, site_indices) in partition_sites(program, profile) {
+            let n = quota(cfg.samples, site_indices.len(), total_sites);
+            // A record that is not one of this function's sites means
+            // `result` came from another plan; dropping it leaves the
+            // shard short, so it never matches on reuse.
+            let draws = records
+                .by_ref()
+                .take(n)
+                .filter_map(|&(fault, outcome)| {
+                    let local = site_indices
+                        .binary_search_by_key(&fault.dyn_index, |&i| profile.sites[i].dyn_index)
+                        .ok()?;
+                    Some(ShardDraw {
+                        local_site: local as u32,
+                        raw_bit: fault.raw_bit,
+                        outcome,
+                    })
+                })
+                .collect();
+            cache.shards.push(FunctionShard {
+                name,
+                hash,
+                sites: site_indices.len(),
+                draws,
+            });
+        }
+        cache
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::{Campaign, Reuse};
+    use ferrum_cpu::run::Cpu;
     use ferrum_mir::builder::FunctionBuilder;
     use ferrum_mir::module::{Global, Module};
     use ferrum_mir::types::Ty;
@@ -604,6 +531,23 @@ mod tests {
 
     fn cfg(samples: usize, seed: u64) -> CampaignConfig {
         CampaignConfig { samples, seed }
+    }
+
+    /// A stratified plan's result and the cache rebuilt from it,
+    /// reusing `cache` when given.
+    fn stratified(
+        cpu: &Cpu,
+        profile: &Profile,
+        cfg: CampaignConfig,
+        asm: &AsmProgram,
+        cache: Option<&CampaignCache>,
+    ) -> (CampaignResult, CampaignCache) {
+        let result = Campaign::stratified(cfg, asm)
+            .reuse(cache.map_or(Reuse::None, Reuse::Cache))
+            .run(cpu, profile)
+            .unwrap();
+        let rebuilt = CampaignCache::from_result(asm, profile, cfg, &result);
+        (result, rebuilt)
     }
 
     #[test]
@@ -732,8 +676,8 @@ main_end:
     fn stratified_campaign_is_reproducible_and_covers_both_functions() {
         let (asm, cpu) = compiled();
         let profile = cpu.profile();
-        let (a, cache_a) = run_campaign_stratified(&cpu, &profile, cfg(200, 11), &asm);
-        let (b, cache_b) = run_campaign_stratified(&cpu, &profile, cfg(200, 11), &asm);
+        let (a, cache_a) = stratified(&cpu, &profile, cfg(200, 11), &asm, None);
+        let (b, cache_b) = stratified(&cpu, &profile, cfg(200, 11), &asm, None);
         assert_eq!(a, b);
         assert_eq!(cache_a, cache_b);
         // Quota floors undershoot by at most one sample per function.
@@ -749,8 +693,8 @@ main_end:
     fn incremental_with_unchanged_program_reuses_everything() {
         let (asm, cpu) = compiled();
         let profile = cpu.profile();
-        let (full, cache) = run_campaign_stratified(&cpu, &profile, cfg(150, 3), &asm);
-        let (inc, cache2) = run_campaign_incremental(&cpu, &profile, cfg(150, 3), &asm, &cache);
+        let (full, cache) = stratified(&cpu, &profile, cfg(150, 3), &asm, None);
+        let (inc, cache2) = stratified(&cpu, &profile, cfg(150, 3), &asm, Some(&cache));
         assert_eq!(full, inc, "replayed result must be record-identical");
         assert_eq!(cache, cache2);
         assert_eq!(inc.stats.reused_sites, inc.total());
@@ -762,7 +706,7 @@ main_end:
     fn incremental_after_single_function_edit_reinjects_only_that_function() {
         let (asm, cpu) = compiled();
         let profile = cpu.profile();
-        let (_, cache) = run_campaign_stratified(&cpu, &profile, cfg(150, 9), &asm);
+        let (_, cache) = stratified(&cpu, &profile, cfg(150, 9), &asm, None);
 
         // Edit `helper` only: append a no-op-equivalent instruction
         // (a `nop` has no injectable destination and no architectural
@@ -780,9 +724,8 @@ main_end:
         let cpu2 = Cpu::load(&edited).unwrap();
         let profile2 = cpu2.profile();
 
-        let (full, _) = run_campaign_stratified(&cpu2, &profile2, cfg(150, 9), &edited);
-        let (inc, cache2) =
-            run_campaign_incremental(&cpu2, &profile2, cfg(150, 9), &edited, &cache);
+        let (full, _) = stratified(&cpu2, &profile2, cfg(150, 9), &edited, None);
+        let (inc, cache2) = stratified(&cpu2, &profile2, cfg(150, 9), &edited, Some(&cache));
         assert_eq!(full, inc, "incremental ≡ full stratified re-run");
 
         // Only helper re-injected; every other shard replayed.
@@ -806,11 +749,26 @@ main_end:
     fn cache_with_wrong_seed_is_ignored() {
         let (asm, cpu) = compiled();
         let profile = cpu.profile();
-        let (_, cache) = run_campaign_stratified(&cpu, &profile, cfg(100, 1), &asm);
-        let (inc, _) = run_campaign_incremental(&cpu, &profile, cfg(100, 2), &asm, &cache);
+        let (_, cache) = stratified(&cpu, &profile, cfg(100, 1), &asm, None);
+        let (inc, _) = stratified(&cpu, &profile, cfg(100, 2), &asm, Some(&cache));
         assert_eq!(inc.stats.reused_sites, 0, "seed mismatch voids the cache");
-        let (full, _) = run_campaign_stratified(&cpu, &profile, cfg(100, 2), &asm);
+        let (full, _) = stratified(&cpu, &profile, cfg(100, 2), &asm, None);
         assert_eq!(full, inc);
+    }
+
+    #[test]
+    fn a_cache_rebuilt_from_another_plan_is_never_reused() {
+        // Records of a sampled plan are not per-function draws: the
+        // rebuilt shards come out short or mismatched, so a stratified
+        // plan re-injects everything rather than replay wrong outcomes.
+        let (asm, cpu) = compiled();
+        let profile = cpu.profile();
+        let sampled = Campaign::sampled(cfg(150, 3)).run(&cpu, &profile).unwrap();
+        let foreign = CampaignCache::from_result(&asm, &profile, cfg(150, 3), &sampled);
+        let (cold, _) = stratified(&cpu, &profile, cfg(150, 3), &asm, None);
+        let (warm, _) = stratified(&cpu, &profile, cfg(150, 3), &asm, Some(&foreign));
+        assert_eq!(warm, cold);
+        assert!(warm.stats.reused_sites < warm.total());
     }
 
     #[test]
@@ -820,8 +778,12 @@ main_end:
         // verdict (Masked → Benign, Detected → Detected).
         let (asm, cpu) = protected();
         let profile = cpu.profile();
-        let composed = compose(&asm, &CoverageMap::analyze(&asm), &SummaryMap::analyze(&asm));
-        let res = crate::campaign::run_campaign(&cpu, &profile, cfg(400, 77));
+        let composed = compose(
+            &asm,
+            &CoverageMap::analyze(&asm),
+            &SummaryMap::analyze(&asm),
+        );
+        let res = Campaign::sampled(cfg(400, 77)).run(&cpu, &profile).unwrap();
         for &(fault, outcome) in &res.records {
             let i = profile
                 .sites

@@ -3,10 +3,11 @@
 //!
 //! A running fault-injection campaign used to be a black box between
 //! process start and the final [`CampaignResult`].  This module makes
-//! every campaign executor *observable while it runs* and *resumable
-//! after a kill*, in three layers:
+//! every campaign plan *observable while it runs* and *resumable after
+//! a kill*, in three layers:
 //!
-//! 1. **Event stream** — executors emit structured [`CampaignEvent`]s
+//! 1. **Event stream** — the plan's run loop emits structured
+//!    [`CampaignEvent`]s
 //!    through a process-global [`FlightRecorder`] (installed like a
 //!    `ferrum-trace` sink: [`install`] / [`uninstall`], one relaxed
 //!    atomic load when dormant).  The stream carries the campaign's
@@ -22,9 +23,9 @@
 //!    classified, carrying the seed, the site partition, the outcome
 //!    tallies, and the per-fault records.  A journal truncated by a
 //!    mid-campaign kill still ends on a complete shard boundary, which
-//!    is exactly what [`resume_campaign_from_journal`] needs.
-//! 3. **Resume** — [`resume_campaign_from_journal`] re-derives the
-//!    deterministic fault list from the seed, replays the journaled
+//!    is exactly what a resume needs.
+//! 3. **Resume** — a sampled plan with [`Reuse::Journal`] re-derives
+//!    the deterministic fault list from the seed, books the journaled
 //!    shards without executing them (validating that every recorded
 //!    fault matches the re-sampled one), executes only the remainder,
 //!    and reassembles the records in sampling order.  The result is
@@ -33,7 +34,7 @@
 //!    [`CampaignStats::reused_sites`].
 //!
 //! Like tracing, flight recording is **observational by contract**:
-//! the recorder never feeds information back into an executor, never
+//! the recorder never feeds information back into a campaign, never
 //! panics out of a probe, and installing or removing one cannot change
 //! campaign outcomes (`tests/flight_recorder.rs` asserts this).  The
 //! recorder tracks one campaign at a time — a new
@@ -45,6 +46,7 @@
 //! `ferrum::report`; both are fronted by the `ferrum-campaign` CLI.
 //!
 //! [`CampaignStats::reused_sites`]: crate::campaign::CampaignStats::reused_sites
+//! [`Reuse::Journal`]: crate::plan::Reuse::Journal
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -54,11 +56,9 @@ use std::time::Instant;
 use ferrum_cpu::fault::FaultSpec;
 use ferrum_cpu::run::Profile;
 
-use crate::campaign::{
-    classify, detection_latency, finish_stats, sample_faults, CampaignConfig, CampaignResult,
-    DetectionLatency, Outcome, WorkerStats,
-};
-use crate::engine::{Engine, EngineKind};
+use crate::campaign::{CampaignConfig, CampaignResult, Outcome};
+use crate::engine::EngineKind;
+use crate::plan::CampaignError;
 use crate::stats::wilson_interval;
 
 // ---------------------------------------------------------------------------
@@ -73,9 +73,11 @@ pub struct CampaignFingerprint {
     pub workload: String,
     /// Technique label (empty when the caller did not set one).
     pub technique: String,
-    /// Executor that produced the stream: `"serial"`, `"parallel"`,
-    /// `"snapshot"`, `"pruned"`, `"double"`, `"exhaustive"`,
-    /// `"stratified"`, `"incremental"`, `"forensic"`, or `"resume"`.
+    /// The plan that produced the stream, as
+    /// [`Campaign::executor`](crate::plan::Campaign::executor) labels
+    /// it: `"serial"`, `"parallel"`, `"snapshot"`, `"pruned"`,
+    /// `"double"`, `"exhaustive"`, `"stratified"`, `"incremental"`, or
+    /// `"resume"` (older journals may also carry `"forensic"`).
     pub executor: String,
     /// Execution engine.
     pub engine: EngineKind,
@@ -182,8 +184,7 @@ pub struct ProgressSnapshot {
 /// One completed journal shard: a contiguous index range of the
 /// sampled fault list with every outcome classified.  Carries enough
 /// state — seed, site partition (the index range), tallies, records,
-/// and the program content hash — for [`resume_campaign_from_journal`]
-/// to skip it wholesale.
+/// and the program content hash — for a resume to skip it wholesale.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardRecord {
     /// Shard index (ranges are `shard * shard_size ..`).
@@ -202,11 +203,11 @@ pub struct ShardRecord {
     pub records: Vec<(FaultSpec, Outcome)>,
 }
 
-/// One harness execution stage, as timed by the campaign executors.
+/// One harness execution stage, as timed by the campaign run loop.
 ///
 /// Stage probes are gated on an installed recorder: an un-instrumented
 /// campaign never reads the clock for them.  Decode runs during engine
-/// binding — *before* the executor emits its started event — so the
+/// binding — *before* the run loop emits its started event — so the
 /// recorder credits pre-start stage observations to the next campaign.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stage {
@@ -295,7 +296,7 @@ pub enum CampaignEvent {
     },
     /// Periodic per-worker liveness: cumulative work by one worker.
     Heartbeat {
-        /// Worker index (0 for serial executors).
+        /// Worker index (0 for one-thread plans).
         worker: usize,
         /// Faults this worker has classified so far.
         injections: usize,
@@ -327,7 +328,7 @@ pub enum CampaignEvent {
     /// event (decode happens during engine binding) are credited to
     /// worker 0 of the campaign that starts next.
     StageTiming {
-        /// Worker index (0 for serial executors and pre-start stages).
+        /// Worker index (0 for one-thread plans and pre-start stages).
         worker: usize,
         /// The execution stage.
         stage: Stage,
@@ -538,7 +539,7 @@ struct RecState {
     heartbeat_every: usize,
 }
 
-/// The campaign flight recorder: receives executor probes, maintains
+/// The campaign flight recorder: receives run-loop probes, maintains
 /// shard/worker/progress state, and emits [`FlightEvent`]s into its
 /// sink.  Install process-globally with [`install`].
 pub struct FlightRecorder {
@@ -571,7 +572,7 @@ impl FlightRecorder {
     }
 
     /// Sets the workload/technique labels stamped into the
-    /// fingerprint (executors cannot know them).
+    /// fingerprint (campaigns cannot know them).
     #[must_use]
     pub fn with_labels(mut self, workload: &str, technique: &str) -> FlightRecorder {
         self.workload = workload.to_owned();
@@ -994,7 +995,7 @@ fn with_recorder(f: impl FnOnce(&FlightRecorder)) {
     });
 }
 
-/// Probe: a campaign executor is starting.  `total` is the number of
+/// Probe: a campaign is starting.  `total` is the number of
 /// faults it will classify (not always `cfg.samples`: exhaustive
 /// sweeps enumerate sites).
 pub(crate) fn campaign_started(
@@ -1051,7 +1052,7 @@ impl StageClock {
     }
 }
 
-/// Probe: the executor finished; `result` is what it returns.
+/// Probe: the campaign finished; `result` is what it returns.
 pub(crate) fn campaign_finished(result: &CampaignResult) {
     with_recorder(|r| r.on_finished(result));
 }
@@ -1079,8 +1080,8 @@ pub fn program_signature(p: &ferrum_asm::AsmProgram) -> u64 {
 
 /// What survives of a campaign in a (possibly truncated) event
 /// stream: the fingerprint plus every complete shard.  Build one with
-/// [`JournalSnapshot::from_events`] and hand it to
-/// [`resume_campaign_from_journal`].
+/// [`JournalSnapshot::from_events`] and hand it to a sampled plan as
+/// [`Reuse::Journal`](crate::plan::Reuse::Journal).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct JournalSnapshot {
     /// The campaign's fingerprint from its started event.
@@ -1163,130 +1164,101 @@ impl JournalSnapshot {
     }
 }
 
-/// Executors whose journals replay against the shared
-/// [`sample_faults`] list.  Stratified/incremental campaigns resume
-/// through their own [`CampaignCache`]; double/exhaustive sweeps do
-/// not sample.
+/// Executor labels whose journals replay against the shared
+/// [`sample_faults`] list: every label a [`FaultList::Sampled`] plan
+/// can carry, plus `forensic`, which older journals carry.  Stratified
+/// plans resume through their own [`CampaignCache`]; double and
+/// exhaustive sweeps draw differently.
 ///
+/// [`sample_faults`]: crate::campaign::sample_faults
+/// [`FaultList::Sampled`]: crate::plan::FaultList::Sampled
 /// [`CampaignCache`]: crate::compose::CampaignCache
 const RESUMABLE: &[&str] = &["serial", "parallel", "snapshot", "pruned", "forensic", "resume"];
 
-/// Resumes a killed campaign from its write-ahead journal: replays
-/// every completed shard without executing, injects only the
-/// remainder, and returns a [`CampaignResult`] byte-identical (counts
-/// and records) to an uninterrupted run of the same seed.  The
-/// replayed fraction is reported in `stats.reused_sites`; flight
-/// events are emitted under the `"resume"` executor label.
-///
-/// # Errors
-///
-/// Rejects a journal whose fingerprint does not match the given
-/// config and profile (seed, samples, site census, golden run, or —
-/// when both sides carry one — program hash), whose executor does not
-/// sample from the shared fault list, or whose shard records disagree
-/// with the re-sampled faults.
-pub fn resume_campaign_from_journal(
-    engine: Engine<'_>,
-    profile: &Profile,
-    cfg: CampaignConfig,
-    journal: &JournalSnapshot,
-) -> Result<CampaignResult, String> {
-    let _span = ferrum_trace::span("campaign.resume");
-    let fp = &journal.fingerprint;
-    if !RESUMABLE.contains(&fp.executor.as_str()) {
-        return Err(format!(
-            "journal from `{}` executor does not replay against the sampled fault list",
-            fp.executor
-        ));
-    }
-    if fp.seed != cfg.seed || fp.samples != cfg.samples {
-        return Err(format!(
-            "journal fingerprint (seed {:#x}, {} samples) does not match config (seed {:#x}, {} samples)",
-            fp.seed, fp.samples, cfg.seed, cfg.samples
-        ));
-    }
-    if journal.total != cfg.samples {
-        return Err(format!(
-            "journal total {} does not match the {}-sample config",
-            journal.total, cfg.samples
-        ));
-    }
-    if fp.sites != profile.sites.len() || fp.golden_dyn_insts != profile.result.dyn_insts {
-        return Err(format!(
-            "journal profile ({} sites, {} golden instructions) does not match this program ({} sites, {})",
-            fp.sites,
-            fp.golden_dyn_insts,
-            profile.sites.len(),
-            profile.result.dyn_insts
-        ));
-    }
-
-    let t0 = Instant::now();
-    let mut result = CampaignResult::default();
-    campaign_started("resume", engine.kind(), cfg, profile, cfg.samples);
-    if cfg.samples == 0 {
-        finish_stats(&mut result, t0, 1, engine.kind());
-        campaign_finished(&result);
-        return Ok(result);
-    }
-    assert!(!profile.sites.is_empty(), "no injectable sites");
-    let golden = &profile.result.output;
-
-    // Completed-shard lookup: sampling index -> journaled record.
-    let mut journaled: Vec<Option<(FaultSpec, Outcome)>> = vec![None; cfg.samples];
-    for shard in &journal.shards {
-        if shard.seed != cfg.seed {
-            return Err(format!("shard {} carries foreign seed {:#x}", shard.shard, shard.seed));
+impl JournalSnapshot {
+    /// The journaled outcome of each of `faults` — the re-drawn fault
+    /// list of the sampled campaign `cfg` over `profile` — or `None`
+    /// where no completed shard covers it.
+    ///
+    /// # Errors
+    ///
+    /// Rejects a journal whose fingerprint does not match the config
+    /// and profile (seed, samples, site census, golden run, or — when
+    /// both sides carry one — program hash), whose executor does not
+    /// sample from the shared fault list, or whose shard records
+    /// disagree with the re-drawn faults.
+    pub(crate) fn outcomes(
+        &self,
+        cfg: CampaignConfig,
+        profile: &Profile,
+        faults: &[FaultSpec],
+    ) -> Result<Vec<Option<Outcome>>, CampaignError> {
+        let fail = |why: String| Err(CampaignError::Journal(why));
+        let fp = &self.fingerprint;
+        if !RESUMABLE.contains(&fp.executor.as_str()) {
+            return fail(format!(
+                "journal from `{}` executor does not replay against the sampled fault list",
+                fp.executor
+            ));
         }
-        if shard.program_hash != 0 && fp.program_hash != 0 && shard.program_hash != fp.program_hash
-        {
-            return Err(format!("shard {} carries a foreign program hash", shard.shard));
+        if fp.seed != cfg.seed || fp.samples != cfg.samples {
+            return fail(format!(
+                "journal fingerprint (seed {:#x}, {} samples) does not match config (seed {:#x}, {} samples)",
+                fp.seed, fp.samples, cfg.seed, cfg.samples
+            ));
         }
-        if shard.records.len() != shard.len
-            || shard.start.checked_add(shard.len).is_none_or(|end| end > cfg.samples)
-        {
-            return Err(format!("shard {} is malformed", shard.shard));
+        if self.total != cfg.samples {
+            return fail(format!(
+                "journal total {} does not match the {}-sample config",
+                self.total, cfg.samples
+            ));
         }
-        for (k, &(fault, outcome)) in shard.records.iter().enumerate() {
-            journaled[shard.start + k] = Some((fault, outcome));
+        if fp.sites != profile.sites.len() || fp.golden_dyn_insts != profile.result.dyn_insts {
+            return fail(format!(
+                "journal profile ({} sites, {} golden instructions) does not match this program ({} sites, {})",
+                fp.sites,
+                fp.golden_dyn_insts,
+                profile.sites.len(),
+                profile.result.dyn_insts
+            ));
         }
-    }
-
-    let mut latencies = Vec::new();
-    for (i, fault) in sample_faults(profile, cfg).into_iter().enumerate() {
-        match journaled[i] {
-            Some((jf, outcome)) => {
-                if jf != fault {
-                    return Err(format!(
+        let mut journaled = vec![None; faults.len()];
+        for shard in &self.shards {
+            if shard.seed != cfg.seed {
+                return fail(format!(
+                    "shard {} carries foreign seed {:#x}",
+                    shard.shard, shard.seed
+                ));
+            }
+            if shard.program_hash != 0
+                && fp.program_hash != 0
+                && shard.program_hash != fp.program_hash
+            {
+                return fail(format!(
+                    "shard {} carries a foreign program hash",
+                    shard.shard
+                ));
+            }
+            if shard.records.len() != shard.len
+                || shard
+                    .start
+                    .checked_add(shard.len)
+                    .is_none_or(|end| end > faults.len())
+            {
+                return fail(format!("shard {} is malformed", shard.shard));
+            }
+            for (k, &(fault, outcome)) in shard.records.iter().enumerate() {
+                let i = shard.start + k;
+                if fault != faults[i] {
+                    return fail(format!(
                         "journaled fault at index {i} does not match the seed's sample — wrong program or corrupt journal"
                     ));
                 }
-                result.stats.reused_sites += 1;
-                injection(0, i, fault, outcome, 0, Booking::Reused);
-                result.record(fault, outcome);
-            }
-            None => {
-                let run = engine.run(Some(fault));
-                result.stats.steps_executed += run.dyn_insts;
-                let o = classify(run.stop, &run.output, golden);
-                if o == Outcome::Detected {
-                    latencies.push(detection_latency(run.dyn_insts, fault.dyn_index));
-                }
-                injection(0, i, fault, o, run.dyn_insts, Booking::Executed);
-                result.record(fault, o);
+                journaled[i] = Some(outcome);
             }
         }
+        Ok(journaled)
     }
-    result.stats.per_worker = vec![WorkerStats {
-        injections: result.total(),
-        steps_executed: result.stats.steps_executed,
-    }];
-    result.stats.latency = DetectionLatency::from_samples(latencies);
-    finish_stats(&mut result, t0, 1, engine.kind());
-    ferrum_trace::counter("campaign.injections", result.total() as u64);
-    ferrum_trace::counter("campaign.resumed", result.stats.reused_sites as u64);
-    campaign_finished(&result);
-    Ok(result)
 }
 
 #[cfg(test)]
@@ -1536,6 +1508,74 @@ mod tests {
         assert_eq!(j.completed(), 4);
         assert!(!j.finished);
         assert!(JournalSnapshot::from_events(&[wrap(0, shard(0))]).is_none(), "no started event");
+    }
+
+    #[test]
+    fn journal_outcomes_reject_foreign_and_malformed_shards() {
+        let profile = empty_profile();
+        let cfg = CampaignConfig {
+            samples: 2,
+            seed: 5,
+        };
+        let faults = [FaultSpec::new(0, 1), FaultSpec::new(1, 2)];
+        let shard = |seed: u64, fault: FaultSpec| ShardRecord {
+            shard: 0,
+            start: 0,
+            len: 1,
+            seed,
+            program_hash: 0,
+            tallies: OutcomeTallies::default(),
+            records: vec![(fault, Outcome::Benign)],
+        };
+        let journal = |shards| JournalSnapshot {
+            fingerprint: fp(2, 5),
+            total: 2,
+            shard_size: 1,
+            shards,
+            finished: false,
+        };
+        let good = journal(vec![shard(5, faults[0])]);
+        assert_eq!(
+            good.outcomes(cfg, &profile, &faults),
+            Ok(vec![Some(Outcome::Benign), None])
+        );
+        for (bad, why) in [
+            (journal(vec![shard(6, faults[0])]), "foreign seed"),
+            (
+                journal(vec![shard(5, faults[1])]),
+                "does not match the seed's sample",
+            ),
+            (
+                journal(vec![ShardRecord {
+                    len: 2,
+                    ..shard(5, faults[0])
+                }]),
+                "malformed",
+            ),
+        ] {
+            match bad.outcomes(cfg, &profile, &faults) {
+                Err(CampaignError::Journal(m)) => assert!(m.contains(why), "{m}"),
+                other => panic!("{why}: accepted as {other:?}"),
+            }
+        }
+        let other = CampaignConfig {
+            samples: 2,
+            seed: 6,
+        };
+        assert!(
+            good.outcomes(other, &profile, &faults).is_err(),
+            "seed mismatch"
+        );
+        // Journals of plans that do not draw the sampled list.
+        for label in ["exhaustive", "double", "stratified", "incremental"] {
+            let mut foreign = good.clone();
+            foreign.fingerprint.executor = label.to_owned();
+            let err = foreign.outcomes(cfg, &profile, &faults).unwrap_err();
+            assert!(
+                matches!(&err, CampaignError::Journal(m) if m.contains(label)),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -27,18 +27,16 @@
 //!   which repairing the faulty run's registers from the golden run
 //!   still restores the golden output.
 //!
-//! [`run_campaign_forensic`] wraps the reference serial executor: its
-//! [`CampaignResult`] is outcome-identical to [`run_campaign`] for the
-//! same seed (forensic replay is observational only), and the records
-//! aggregate into a [`ForensicsReport`] with escape-reason and
-//! per-mechanism histograms.  [`explain_unknown_sites`] cross-links the
+//! [`forensic_report`] replays the matching records of a finished
+//! campaign (a post-pass, so replay can never change its outcomes),
+//! and the records aggregate into a [`ForensicsReport`] with
+//! escape-reason and per-mechanism histograms.  [`explain_unknown_sites`] cross-links the
 //! records to a static [`CoverageMap`], giving every
 //! statically-`Unknown` site that produced an SDC a measured
 //! explanation.
 
 use std::collections::BTreeSet;
 use std::fmt;
-use std::time::Instant;
 
 use ferrum_asm::analysis::coverage::{CoverageMap, StaticVerdict};
 use ferrum_asm::provenance::{Mechanism, Provenance};
@@ -48,15 +46,11 @@ use ferrum_cpu::differential::{
 use ferrum_cpu::fault::FaultSpec;
 use ferrum_cpu::outcome::StopReason;
 use ferrum_cpu::image::Image;
-use ferrum_cpu::run::{Cpu, Profile};
+use ferrum_cpu::run::Profile;
 use ferrum_cpu::snapshot::Snapshot;
 
-use crate::campaign::{
-    classify, detection_latency, finish_stats, sample_faults, CampaignConfig, CampaignResult,
-    DetectionLatency, Outcome, WorkerStats,
-};
+use crate::campaign::{CampaignResult, Outcome};
 use crate::engine::{Engine, EngineMachine};
-use crate::flight;
 
 /// Why a checker that executed after the injection failed to fire — or,
 /// at record level, why the whole protection scheme let the fault
@@ -629,23 +623,8 @@ fn bisect_kill_window(
     }
 }
 
-/// Differentially replays one fault sample and explains it.
-///
-/// # Panics
-///
-/// Panics if `fault.dyn_index` lies beyond the golden run (faults
-/// drawn from `profile.sites` never do).
-pub fn forensic_replay(
-    cpu: &Cpu,
-    profile: &Profile,
-    fault: FaultSpec,
-    outcome: Outcome,
-    fcfg: &ForensicConfig,
-) -> ForensicRecord {
-    forensic_replay_on(Engine::Interpreter(cpu), profile, fault, outcome, fcfg)
-}
-
-/// As [`forensic_replay`], on an explicit [`Engine`].  The decoded
+/// Differentially replays one fault sample on `engine` (a [`Engine`],
+/// or a `&Cpu` / `&DecodedCpu`) and explains it.  The decoded
 /// machine's `step_faulted` always executes exactly one instruction
 /// (never a fused group), so the lock-step walk observes the same
 /// boundaries on either engine and records are identical.
@@ -654,13 +633,14 @@ pub fn forensic_replay(
 ///
 /// Panics if `fault.dyn_index` lies beyond the golden run (faults
 /// drawn from `profile.sites` never do).
-pub fn forensic_replay_on(
-    engine: Engine<'_>,
+pub fn forensic_replay<'e>(
+    engine: impl Into<Engine<'e>>,
     profile: &Profile,
     fault: FaultSpec,
     outcome: Outcome,
     fcfg: &ForensicConfig,
 ) -> ForensicRecord {
+    let engine = engine.into();
     let _span = ferrum_trace::span("forensics.replay");
     let image = engine.image();
 
@@ -831,118 +811,43 @@ pub fn forensic_replay_on(
     }
 }
 
-/// Runs the reference serial campaign while forensically replaying
-/// every sample whose outcome matches `fcfg.outcomes` (up to
-/// `fcfg.max_records`).
-///
-/// The returned [`CampaignResult`] is outcome-identical to
-/// [`crate::campaign::run_campaign`] for the same seed: replay is
-/// purely observational, driven by the same pre-sampled fault list.
-///
-/// # Panics
-///
-/// Panics if the profile has no injectable sites (with `samples > 0`).
-pub fn run_campaign_forensic(
-    cpu: &Cpu,
+/// Forensically replays a finished campaign: the first
+/// `fcfg.max_records` records of `result`, in sampling order, whose
+/// outcome is in `fcfg.outcomes` — a post-pass, like
+/// [`crate::rootcause::attribute_sdcs`], so the campaign itself is
+/// whatever plan produced `result` and replay can never change it.
+/// Matching records past the cap are counted in
+/// [`ForensicsReport::matching_total`], not dropped silently.
+pub fn forensic_report<'e>(
+    engine: impl Into<Engine<'e>>,
     profile: &Profile,
-    cfg: CampaignConfig,
+    result: &CampaignResult,
     fcfg: &ForensicConfig,
-) -> (CampaignResult, ForensicsReport) {
-    run_campaign_forensic_on(Engine::Interpreter(cpu), profile, cfg, fcfg)
-}
-
-/// As [`run_campaign_forensic`], on an explicit [`Engine`].
-///
-/// # Panics
-///
-/// Panics if the profile has no injectable sites (with `samples > 0`).
-pub fn run_campaign_forensic_on(
-    engine: Engine<'_>,
-    profile: &Profile,
-    cfg: CampaignConfig,
-    fcfg: &ForensicConfig,
-) -> (CampaignResult, ForensicsReport) {
-    let _span = ferrum_trace::span("campaign.forensic");
-    let t0 = Instant::now();
-    let mut result = CampaignResult::default();
+) -> ForensicsReport {
+    let engine = engine.into();
     let mut report = ForensicsReport::default();
-    flight::campaign_started("forensic", engine.kind(), cfg, profile, cfg.samples);
-    if cfg.samples == 0 {
-        finish_stats(&mut result, t0, 1, engine.kind());
-        flight::campaign_finished(&result);
-        return (result, report);
-    }
-    assert!(!profile.sites.is_empty(), "no injectable sites");
-    let golden = &profile.result.output;
-    let mut latencies = Vec::new();
-    for (i, fault) in sample_faults(profile, cfg).into_iter().enumerate() {
-        let run = engine.run(Some(fault));
-        result.stats.steps_executed += run.dyn_insts;
-        let o = classify(run.stop, &run.output, golden);
-        if o == Outcome::Detected {
-            latencies.push(detection_latency(run.dyn_insts, fault.dyn_index));
-        }
-        if fcfg.outcomes.contains(&o) {
+    for &(fault, outcome) in &result.records {
+        if fcfg.outcomes.contains(&outcome) {
             report.matching_total += 1;
             if report.records.len() < fcfg.max_records {
                 report
                     .records
-                    .push(forensic_replay_on(engine, profile, fault, o, fcfg));
+                    .push(forensic_replay(engine, profile, fault, outcome, fcfg));
             }
         }
-        flight::injection(0, i, fault, o, run.dyn_insts, flight::Booking::Executed);
-        result.record(fault, o);
     }
-    result.stats.per_worker = vec![WorkerStats {
-        injections: result.total(),
-        steps_executed: result.stats.steps_executed,
-    }];
-    result.stats.latency = DetectionLatency::from_samples(latencies);
-    finish_stats(&mut result, t0, 1, engine.kind());
-    ferrum_trace::counter("campaign.injections", result.total() as u64);
     ferrum_trace::counter("forensics.replays", report.records.len() as u64);
-    flight::campaign_finished(&result);
     report.finish();
-    (result, report)
+    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::run_campaign;
-    use ferrum_mir::builder::FunctionBuilder;
-    use ferrum_mir::module::{Global, Module};
-    use ferrum_mir::types::Ty;
-
-    fn sum_module() -> Module {
-        let mut module = Module::new();
-        let g = module.add_global(Global::new("tab", vec![1, 2, 3, 4]));
-        let mut b = FunctionBuilder::new("main", &[], None);
-        let base = b.global(g);
-        let mut acc = b.iconst(Ty::I64, 0);
-        for i in 0..4 {
-            let idx = b.iconst(Ty::I64, i);
-            let p = b.gep(base, idx);
-            let v = b.load(Ty::I64, p);
-            acc = b.add(Ty::I64, acc, v);
-        }
-        b.print(acc);
-        b.ret(None);
-        module.functions.push(b.finish());
-        module
-    }
-
-    fn unprotected_cpu() -> Cpu {
-        let asm = ferrum_backend::compile(&sum_module()).unwrap();
-        Cpu::load(&asm).unwrap()
-    }
-
-    fn protected_cpu() -> Cpu {
-        let asm = ferrum_eddi::ferrum::Ferrum::new()
-            .protect_module(&sum_module())
-            .unwrap();
-        Cpu::load(&asm).unwrap()
-    }
+    use crate::campaign::tests::{protected_sum_cpu as protected_cpu, sum_cpu as unprotected_cpu};
+    use crate::campaign::CampaignConfig;
+    use crate::plan::Campaign;
+    use ferrum_cpu::run::Cpu;
 
     fn analyze_all(cpu: &Cpu, samples: usize, seed: u64) -> (CampaignResult, ForensicsReport) {
         let profile = cpu.profile();
@@ -952,26 +857,31 @@ mod tests {
             max_records: usize::MAX,
             ..ForensicConfig::default()
         };
-        run_campaign_forensic(cpu, &profile, cfg, &fcfg)
+        let result = Campaign::sampled(cfg).run(cpu, &profile).unwrap();
+        let report = forensic_report(cpu, &profile, &result, &fcfg);
+        (result, report)
     }
 
     #[test]
-    fn forensic_campaign_is_outcome_identical_to_serial() {
+    fn forensic_report_counts_every_matching_record() {
         for cpu in [unprotected_cpu(), protected_cpu()] {
             let profile = cpu.profile();
             let cfg = CampaignConfig {
                 samples: 160,
                 seed: 41,
             };
-            let serial = run_campaign(&cpu, &profile, cfg);
-            let (forensic, report) = run_campaign_forensic(
-                &cpu,
-                &profile,
-                cfg,
-                &ForensicConfig::default(),
-            );
-            assert_eq!(forensic, serial);
+            let serial = Campaign::sampled(cfg).run(&cpu, &profile).unwrap();
+            let report = forensic_report(&cpu, &profile, &serial, &ForensicConfig::default());
             assert_eq!(report.matching_total, serial.sdc);
+            assert_eq!(
+                report.analyzed(),
+                serial.sdc.min(ForensicConfig::default().max_records)
+            );
+            // The first matching records, in sampling order.
+            let sdcs = serial.records.iter().filter(|r| r.1 == Outcome::Sdc);
+            for (r, &(fault, _)) in report.records.iter().zip(sdcs) {
+                assert_eq!(r.fault, fault);
+            }
         }
     }
 
@@ -1071,9 +981,12 @@ mod tests {
     fn zero_sample_forensics_is_empty() {
         let cpu = unprotected_cpu();
         let profile = cpu.profile();
-        let cfg = CampaignConfig { samples: 0, seed: 1 };
-        let (result, report) =
-            run_campaign_forensic(&cpu, &profile, cfg, &ForensicConfig::default());
+        let cfg = CampaignConfig {
+            samples: 0,
+            seed: 1,
+        };
+        let result = Campaign::sampled(cfg).run(&cpu, &profile).unwrap();
+        let report = forensic_report(&cpu, &profile, &result, &ForensicConfig::default());
         assert_eq!(result.total(), 0);
         assert_eq!(report.analyzed(), 0);
         assert_eq!(report.matching_total, 0);

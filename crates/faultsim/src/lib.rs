@@ -13,9 +13,14 @@
 //!   path,
 //! * **Benign** — the program completed with the correct output.
 //!
-//! [`campaign`] runs sampled campaigns (the paper uses 1000 faults per
-//! benchmark) and exhaustive sweeps (used by the soundness tests that
-//! prove the 100%-coverage claim on small kernels).  [`stats`] computes
+//! [`Campaign`] is the one campaign plan: sampled campaigns (the paper
+//! uses 1000 faults per benchmark), double faults, exhaustive sweeps
+//! (used by the soundness tests that prove the 100%-coverage claim on
+//! small kernels), and stratified per-function campaigns, each run on
+//! any number of threads, cold or from golden-prefix snapshots, with
+//! static pruning and journal or cache reuse, on either engine.
+//! [`campaign`] holds its vocabulary (outcomes, results, telemetry).
+//! [`stats`] computes
 //! SDC probability and the paper's SDC-coverage metric with
 //! binomial confidence intervals, and [`rootcause`] attributes SDCs to
 //! the provenance of the faulted instruction, reproducing the paper's
@@ -27,31 +32,25 @@ pub mod crossval;
 pub mod engine;
 pub mod flight;
 pub mod forensics;
+pub mod plan;
 pub mod rootcause;
 pub mod stats;
 
-pub use campaign::{
-    exhaustive_campaign, exhaustive_campaign_on, run_campaign, run_campaign_on,
-    run_campaign_parallel, run_campaign_parallel_on, run_campaign_pruned, run_campaign_pruned_on,
-    run_campaign_snapshot, run_campaign_snapshot_on, run_double_campaign, run_double_campaign_on,
-    CampaignConfig, CampaignResult, CampaignStats, Outcome, SnapshotPolicy,
-};
+pub use campaign::{CampaignConfig, CampaignResult, CampaignStats, Outcome, SnapshotPolicy};
 pub use compose::{
-    compose, run_campaign_incremental, run_campaign_incremental_on, run_campaign_stratified,
-    run_campaign_stratified_on, CampaignCache, ComposedFunction, ComposedMap, ComposedSite,
-    FunctionShard, ShardDraw,
+    compose, CampaignCache, ComposedFunction, ComposedMap, ComposedSite, FunctionShard, ShardDraw,
 };
 pub use engine::{Engine, EngineKind, EngineMachine};
 pub use flight::{
-    program_signature, resume_campaign_from_journal, CampaignEvent, CampaignFingerprint,
-    FlightEvent, FlightPolicy, FlightRecorder, FlightSink, JournalSnapshot, MemorySink,
-    OutcomeTallies, ProgressSnapshot, ShardRecord, TeeSink,
+    program_signature, CampaignEvent, CampaignFingerprint, FlightEvent, FlightPolicy,
+    FlightRecorder, FlightSink, JournalSnapshot, MemorySink, OutcomeTallies, ProgressSnapshot,
+    ShardRecord, TeeSink,
 };
 pub use forensics::{
-    explain_unknown_sites, forensic_replay, forensic_replay_on, run_campaign_forensic,
-    run_campaign_forensic_on, CheckerEscape, Divergence, EscapeReason, ForensicConfig,
-    ForensicRecord, ForensicsReport, KillWindow, TaintSample, TaintTimeline,
-    UnknownSiteExplanation,
+    explain_unknown_sites, forensic_replay, forensic_report, CheckerEscape, Divergence,
+    EscapeReason, ForensicConfig, ForensicRecord, ForensicsReport, KillWindow, TaintSample,
+    TaintTimeline, UnknownSiteExplanation,
 };
+pub use plan::{Campaign, CampaignError, FaultList, Reuse};
 pub use rootcause::{attribute_sdcs, breakdown_by_kind, KindBreakdown, RootCauseReport};
 pub use stats::{min_median_max, percentile_nearest_rank, sdc_coverage, wilson_interval};

@@ -147,7 +147,8 @@ pub fn render(report: &RootCauseReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::{run_campaign, CampaignConfig};
+    use crate::campaign::CampaignConfig;
+    use crate::plan::Campaign;
     use ferrum_mir::builder::FunctionBuilder;
     use ferrum_mir::module::{Global, Module};
     use ferrum_mir::types::Ty;
@@ -185,14 +186,12 @@ mod tests {
         let asm = ferrum_backend::compile(&prot).unwrap();
         let cpu = Cpu::load(&asm).unwrap();
         let profile = cpu.profile();
-        let res = run_campaign(
-            &cpu,
-            &profile,
-            CampaignConfig {
-                samples: 1500,
-                seed: 11,
-            },
-        );
+        let res = Campaign::sampled(CampaignConfig {
+            samples: 1500,
+            seed: 11,
+        })
+        .run(&cpu, &profile)
+        .unwrap();
         let report = attribute_sdcs(&cpu, &profile, &res);
         assert_eq!(report.total_sdc, res.sdc);
         assert!(report.total_sdc > 0, "IR-EDDI must leak on store staging");
@@ -227,7 +226,7 @@ mod tests {
         let asm = ferrum_backend::compile(&m).unwrap();
         let cpu = Cpu::load(&asm).unwrap();
         let profile = cpu.profile();
-        let res = crate::campaign::exhaustive_campaign(&cpu, &profile, 4);
+        let res = Campaign::exhaustive(4).run(&cpu, &profile).unwrap();
         let kinds = breakdown_by_kind(&profile, &res);
         assert!(kinds.flag_faults > 0, "cmp/test sites must exist");
         assert!(

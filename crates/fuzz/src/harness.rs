@@ -27,7 +27,7 @@ use ferrum::{
 use ferrum_asm::analysis::lint::{lint_program, lint_program_with};
 use ferrum_backend::{compile, compile_opt, OptLevel, ProgramMeta};
 use ferrum_cpu::decoded::DecodedCpu;
-use ferrum_faultsim::campaign::{run_campaign, run_campaign_pruned};
+use ferrum_faultsim::Campaign;
 use ferrum_mir::interp::Interp;
 
 use crate::gen::generate_module;
@@ -284,8 +284,18 @@ pub fn check_program(seed: u64, campaign_samples: usize) -> (u64, u64, Vec<Diver
                     samples: campaign_samples,
                     seed: seed ^ 0xC0FFEE,
                 };
-                let serial = run_campaign(&cpu, &profile, cfg);
-                let pruned = run_campaign_pruned(&cpu, &profile, cfg, &map);
+                let plan = Campaign::sampled(cfg);
+                let runs = plan.run(&cpu, &profile).and_then(|serial| {
+                    let pruned = plan.prune(&map).run(&cpu, &profile)?;
+                    Ok((serial, pruned))
+                });
+                let (serial, pruned) = match runs {
+                    Ok(r) => r,
+                    Err(e) => {
+                        c.check("campaign", false, || e.to_string());
+                        return (stats.mir_insts as u64, c.checks, c.divergences);
+                    }
+                };
                 c.check("pruned-identity", serial == pruned, || {
                     "pruned campaign diverged from serial engine".into()
                 });

@@ -8,8 +8,8 @@
 //! ```
 
 use ferrum::{Pipeline, Technique};
-use ferrum_faultsim::campaign::{run_campaign, CampaignConfig};
 use ferrum_faultsim::rootcause::{attribute_sdcs, render};
+use ferrum_faultsim::{Campaign, CampaignConfig};
 use ferrum_workloads::{workload, Scale};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -34,14 +34,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Dynamic view: inject faults and attribute every silent corruption.
     let cpu = pipeline.load(&prog)?;
     let profile = cpu.profile();
-    let res = run_campaign(
-        &cpu,
-        &profile,
-        CampaignConfig {
-            samples: 2000,
-            seed: 13,
-        },
-    );
+    let res = Campaign::sampled(CampaignConfig {
+        samples: 2000,
+        seed: 13,
+    })
+    .run(&cpu, &profile)?;
     println!(
         "2000 faults into the protected program: {} SDC, {} detected, {} crash, {} benign",
         res.sdc, res.detected, res.crash, res.benign
@@ -56,14 +53,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let ferrum_prog = pipeline.protect(&module, Technique::Ferrum)?;
     let fcpu = pipeline.load(&ferrum_prog)?;
     let fprofile = fcpu.profile();
-    let fres = run_campaign(
-        &fcpu,
-        &fprofile,
-        CampaignConfig {
-            samples: 2000,
-            seed: 13,
-        },
-    );
+    let fres = Campaign::sampled(CampaignConfig {
+        samples: 2000,
+        seed: 13,
+    })
+    .run(&fcpu, &fprofile)?;
     println!();
     println!(
         "FERRUM, same campaign: {} SDC, {} detected, {} crash, {} benign",

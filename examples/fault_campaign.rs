@@ -7,8 +7,8 @@
 //! ```
 
 use ferrum::{Pipeline, Technique};
-use ferrum_faultsim::campaign::{run_campaign, CampaignConfig};
 use ferrum_faultsim::stats::{sdc_coverage, wilson_interval};
+use ferrum_faultsim::{Campaign, CampaignConfig};
 use ferrum_workloads::{workload, Scale};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -28,7 +28,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let raw = pipeline.protect(&module, Technique::None)?;
     let raw_cpu = pipeline.load(&raw)?;
     let raw_profile = raw_cpu.profile();
-    let raw_res = run_campaign(&raw_cpu, &raw_profile, CampaignConfig { samples, seed: 7 });
+    let raw_res =
+        Campaign::sampled(CampaignConfig { samples, seed: 7 }).run(&raw_cpu, &raw_profile)?;
     println!(
         "{:<28}{:>8}{:>10}{:>8}{:>9}{:>8}{:>11}",
         "RAW", raw_res.sdc, raw_res.detected, raw_res.crash, raw_res.timeout, raw_res.benign, "-"
@@ -38,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let prog = pipeline.protect(&module, t)?;
         let cpu = pipeline.load(&prog)?;
         let profile = cpu.profile();
-        let res = run_campaign(&cpu, &profile, CampaignConfig { samples, seed: 8 });
+        let res = Campaign::sampled(CampaignConfig { samples, seed: 8 }).run(&cpu, &profile)?;
         let cov = sdc_coverage(raw_res.sdc_prob(), res.sdc_prob());
         println!(
             "{:<28}{:>8}{:>10}{:>8}{:>9}{:>8}{:>10.1}%",

@@ -53,4 +53,7 @@ cargo run --release --offline -q -p ferrum-cli --bin ferrum-fuzz -- --programs 2
 echo "== tier1: bench_check.sh --quick (bench.json regression gate vs committed baseline)"
 sh scripts/bench_check.sh --quick
 
+echo "== tier1: perfbench tests (the benchmark's own workspace: smoke runs of both workloads)"
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "== tier1: OK"

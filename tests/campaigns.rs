@@ -2,8 +2,8 @@
 //! every benchmark, not just hand-picked kernels.
 
 use ferrum::{Pipeline, Technique};
-use ferrum_faultsim::campaign::{run_campaign, CampaignConfig};
 use ferrum_faultsim::rootcause::attribute_sdcs;
+use ferrum_faultsim::{Campaign, CampaignConfig};
 use ferrum_workloads::{all_workloads, Scale};
 
 const SAMPLES: usize = 220;
@@ -17,14 +17,12 @@ fn raw_programs_are_vulnerable_everywhere() {
             .unwrap();
         let cpu = pipeline.load(&prog).unwrap();
         let profile = cpu.profile();
-        let res = run_campaign(
-            &cpu,
-            &profile,
-            CampaignConfig {
-                samples: SAMPLES,
-                seed: 1,
-            },
-        );
+        let res = Campaign::sampled(CampaignConfig {
+            samples: SAMPLES,
+            seed: 1,
+        })
+        .run(&cpu, &profile)
+        .unwrap();
         assert!(res.sdc > 0, "{}: expected SDCs in the raw program", w.name);
         assert_eq!(
             res.detected, 0,
@@ -43,14 +41,12 @@ fn ferrum_shows_no_sdc_on_any_workload() {
             .unwrap();
         let cpu = pipeline.load(&prog).unwrap();
         let profile = cpu.profile();
-        let res = run_campaign(
-            &cpu,
-            &profile,
-            CampaignConfig {
-                samples: SAMPLES,
-                seed: 2,
-            },
-        );
+        let res = Campaign::sampled(CampaignConfig {
+            samples: SAMPLES,
+            seed: 2,
+        })
+        .run(&cpu, &profile)
+        .unwrap();
         assert_eq!(
             res.sdc, 0,
             "{}: FERRUM must give 100% coverage: {res:?}",
@@ -69,14 +65,12 @@ fn hybrid_shows_no_sdc_on_any_workload() {
             .unwrap();
         let cpu = pipeline.load(&prog).unwrap();
         let profile = cpu.profile();
-        let res = run_campaign(
-            &cpu,
-            &profile,
-            CampaignConfig {
-                samples: SAMPLES,
-                seed: 3,
-            },
-        );
+        let res = Campaign::sampled(CampaignConfig {
+            samples: SAMPLES,
+            seed: 3,
+        })
+        .run(&cpu, &profile)
+        .unwrap();
         assert_eq!(res.sdc, 0, "{}: hybrid must give 100% coverage", w.name);
         assert!(res.detected > 0, "{}", w.name);
     }
@@ -93,14 +87,12 @@ fn ir_eddi_detects_much_but_leaks_in_backend_glue() {
             .unwrap();
         let cpu = pipeline.load(&prog).unwrap();
         let profile = cpu.profile();
-        let res = run_campaign(
-            &cpu,
-            &profile,
-            CampaignConfig {
-                samples: SAMPLES,
-                seed: 4,
-            },
-        );
+        let res = Campaign::sampled(CampaignConfig {
+            samples: SAMPLES,
+            seed: 4,
+        })
+        .run(&cpu, &profile)
+        .unwrap();
         assert!(
             res.detected > 0,
             "{}: IR-EDDI must detect something",
@@ -162,14 +154,12 @@ fn timeouts_and_crashes_are_classified_not_conflated() {
         .unwrap();
     let cpu = pipeline.load(&prog).unwrap();
     let profile = cpu.profile();
-    let res = run_campaign(
-        &cpu,
-        &profile,
-        CampaignConfig {
-            samples: 400,
-            seed: 9,
-        },
-    );
+    let res = Campaign::sampled(CampaignConfig {
+        samples: 400,
+        seed: 9,
+    })
+    .run(&cpu, &profile)
+    .unwrap();
     assert!(
         res.crash > 0,
         "pointer-heavy code should crash sometimes: {res:?}"

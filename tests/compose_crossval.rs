@@ -1,5 +1,5 @@
 //! Cross-validation of compositional fault-propagation verdicts and
-//! the incremental campaign executor against injection ground truth —
+//! incremental campaign plans against injection ground truth —
 //! the soundness contract of `ferrum-compose` (DESIGN.md §5g).
 //!
 //! Three halves, mirroring the acceptance criteria:
@@ -18,7 +18,7 @@
 //!    footprint with no detection path can only ever be `Benign`.
 
 use ferrum::{
-    compose, run_campaign_incremental, run_campaign_stratified, ComposedMap, CoverageMap, Pipeline,
+    compose, Campaign, CampaignCache, CampaignResult, ComposedMap, CoverageMap, Pipeline, Reuse,
     StaticVerdict, SummaryMap, Technique,
 };
 use ferrum_asm::inst::Inst;
@@ -28,14 +28,29 @@ use ferrum_cpu::outcome::StopReason;
 use ferrum_cpu::run::{Cpu, Profile};
 use ferrum_eddi::ferrum::{Ferrum, FerrumConfig};
 use ferrum_eddi::hybrid::HybridAsmEddi;
-use ferrum_faultsim::campaign::{
-    run_campaign_snapshot, CampaignConfig, Outcome, SnapshotPolicy,
-};
+use ferrum_faultsim::campaign::{CampaignConfig, Outcome, SnapshotPolicy};
 use ferrum_mir::builder::FunctionBuilder;
 use ferrum_mir::module::{Global, Module};
 use ferrum_mir::types::Ty;
 use ferrum_mir::value::Value;
 use ferrum_workloads::catalog::{all_workloads, Scale};
+
+/// A stratified campaign, reusing `cache` when given, and the shard
+/// cache rebuilt from it.
+fn stratified(
+    cpu: &Cpu,
+    profile: &Profile,
+    cfg: CampaignConfig,
+    asm: &AsmProgram,
+    cache: Option<&CampaignCache>,
+) -> (CampaignResult, CampaignCache) {
+    let result = Campaign::stratified(cfg, asm)
+        .reuse(cache.map_or(Reuse::None, Reuse::Cache))
+        .run(cpu, profile)
+        .unwrap();
+    let cache = CampaignCache::from_result(asm, profile, cfg, &result);
+    (result, cache)
+}
 
 fn threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
@@ -97,7 +112,11 @@ fn assert_composed_sound(what: &str, asm: &AsmProgram, samples: usize) {
         samples,
         seed: 0xC0DE,
     };
-    let res = run_campaign_snapshot(&cpu, &profile, cfg, threads(), SnapshotPolicy::default());
+    let res = Campaign::sampled(cfg)
+        .threads(threads())
+        .snapshots(SnapshotPolicy::default())
+        .run(&cpu, &profile)
+        .unwrap();
     for &(fault, outcome) in &res.records {
         match verdict_of(&profile, &composed, fault) {
             Some(StaticVerdict::Masked) => assert_eq!(
@@ -193,14 +212,14 @@ fn incremental_after_edit_matches_full_rerun_and_reuses_the_rest() {
             samples: 300,
             seed: 0xBEEF,
         };
-        let (_, cache) = run_campaign_stratified(&cpu, &profile, cfg, &asm);
+        let (_, cache) = stratified(&cpu, &profile, cfg, &asm, None);
 
         let mut edited = asm.clone();
         edit_function(&mut edited, "helper");
         let cpu2 = Cpu::load(&edited).expect("edited program loads");
         let profile2 = cpu2.profile();
-        let (full, _) = run_campaign_stratified(&cpu2, &profile2, cfg, &edited);
-        let (inc, _) = run_campaign_incremental(&cpu2, &profile2, cfg, &edited, &cache);
+        let (full, _) = stratified(&cpu2, &profile2, cfg, &edited, None);
+        let (inc, _) = stratified(&cpu2, &profile2, cfg, &edited, Some(&cache));
 
         assert_eq!(
             full, inc,
@@ -237,14 +256,14 @@ fn incremental_catalog_edit_is_identical_with_zero_reuse()  {
         samples: 300,
         seed: 0xFE44,
     };
-    let (_, cache) = run_campaign_stratified(&cpu, &profile, cfg, &asm);
+    let (_, cache) = stratified(&cpu, &profile, cfg, &asm, None);
 
     let mut edited = asm.clone();
     edit_function(&mut edited, "main");
     let cpu2 = Cpu::load(&edited).expect("edited program loads");
     let profile2 = cpu2.profile();
-    let (full, _) = run_campaign_stratified(&cpu2, &profile2, cfg, &edited);
-    let (inc, _) = run_campaign_incremental(&cpu2, &profile2, cfg, &edited, &cache);
+    let (full, _) = stratified(&cpu2, &profile2, cfg, &edited, None);
+    let (inc, _) = stratified(&cpu2, &profile2, cfg, &edited, Some(&cache));
     assert_eq!(full, inc, "bfs: incremental diverged after editing main");
     assert_eq!(inc.stats.reused_sites, 0, "bfs is single-function: no shard survives");
 }
@@ -260,8 +279,8 @@ fn incremental_with_unchanged_catalog_program_reuses_everything() {
             samples: 200,
             seed: 0xFE44,
         };
-        let (full, cache) = run_campaign_stratified(&cpu, &profile, cfg, &asm);
-        let (inc, _) = run_campaign_incremental(&cpu, &profile, cfg, &asm, &cache);
+        let (full, cache) = stratified(&cpu, &profile, cfg, &asm, None);
+        let (inc, _) = stratified(&cpu, &profile, cfg, &asm, Some(&cache));
         assert_eq!(full, inc, "{}: cached replay diverged", w.name);
         assert_eq!(
             inc.stats.reused_sites,
@@ -302,7 +321,7 @@ mod escape_properties {
                 let cpu = Cpu::load(&asm).expect("loads");
                 let profile = cpu.profile();
                 let cfg = CampaignConfig { samples: 64, seed };
-                let res = ferrum_faultsim::campaign::run_campaign(&cpu, &profile, cfg);
+                let res = Campaign::sampled(cfg).run(&cpu, &profile).unwrap();
                 for &(fault, outcome) in &res.records {
                     let i = profile
                         .sites

@@ -8,7 +8,7 @@
 //!    must agree with every `Masked` (→ `Benign`) and `Detected`
 //!    (→ `Detected`) claim — in particular, no SDC may ever land on a
 //!    statically-decided site.
-//! 2. **Pruning changes nothing**: `run_campaign_pruned` is
+//! 2. **Pruning changes nothing**: a plan pruned by the map is
 //!    outcome-identical to the serial engine per seed, fault for
 //!    fault.
 //! 3. **Pruning is worth it**: on FERRUM-protected catalog binaries
@@ -22,10 +22,8 @@ use ferrum_cpu::run::{Cpu, Profile};
 use ferrum_cpu::fault::FaultSpec;
 use ferrum_eddi::ferrum::{Ferrum, FerrumConfig};
 use ferrum_eddi::hybrid::HybridAsmEddi;
-use ferrum_faultsim::campaign::{
-    run_campaign, run_campaign_pruned, run_campaign_snapshot, CampaignConfig, Outcome,
-    SnapshotPolicy,
-};
+use ferrum_faultsim::campaign::{CampaignConfig, Outcome, SnapshotPolicy};
+use ferrum_faultsim::Campaign;
 use ferrum_mir::module::Module;
 use ferrum_workloads::catalog::{all_workloads, Scale};
 
@@ -91,7 +89,11 @@ fn assert_sound(what: &str, asm: &AsmProgram, samples: usize, expect_decided: bo
         samples,
         seed: 0xC0DE,
     };
-    let res = run_campaign_snapshot(&cpu, &profile, cfg, threads(), SnapshotPolicy::default());
+    let res = Campaign::sampled(cfg)
+        .threads(threads())
+        .snapshots(SnapshotPolicy::default())
+        .run(&cpu, &profile)
+        .unwrap();
     let mut decided = 0usize;
     for &(fault, outcome) in &res.records {
         match verdict_of(&profile, &map, fault) {
@@ -147,8 +149,11 @@ fn pruned_engine_is_outcome_identical_across_configs() {
             samples: 400,
             seed: 0xFE44,
         };
-        let serial = run_campaign(&cpu, &profile, cfg);
-        let pruned = run_campaign_pruned(&cpu, &profile, cfg, &map);
+        let serial = Campaign::sampled(cfg).run(&cpu, &profile).unwrap();
+        let pruned = Campaign::sampled(cfg)
+            .prune(&map)
+            .run(&cpu, &profile)
+            .unwrap();
         assert_eq!(
             serial, pruned,
             "{cfg_name}/pathfinder: pruned engine diverged from serial"
@@ -168,8 +173,11 @@ fn ferrum_prune_rate_clears_twenty_percent_on_all_workloads() {
             samples: 400,
             seed: 0xFE44,
         };
-        let serial = run_campaign(&cpu, &profile, cfg);
-        let pruned = run_campaign_pruned(&cpu, &profile, cfg, &map);
+        let serial = Campaign::sampled(cfg).run(&cpu, &profile).unwrap();
+        let pruned = Campaign::sampled(cfg)
+            .prune(&map)
+            .run(&cpu, &profile)
+            .unwrap();
         assert_eq!(
             serial, pruned,
             "ferrum/{}: pruned engine diverged from serial",
@@ -209,8 +217,11 @@ fn manifest_validated_map_is_sound_and_still_prunes() {
         samples: 400,
         seed: 0xBEEF,
     };
-    let serial = run_campaign(&cpu, &profile, cfg);
-    let pruned = run_campaign_pruned(&cpu, &profile, cfg, &validated);
+    let serial = Campaign::sampled(cfg).run(&cpu, &profile).unwrap();
+    let pruned = Campaign::sampled(cfg)
+        .prune(&validated)
+        .run(&cpu, &profile)
+        .unwrap();
     assert_eq!(serial, pruned);
     assert!(
         pruned.stats.prune_rate() >= 0.20,

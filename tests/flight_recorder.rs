@@ -2,7 +2,7 @@
 //!
 //! 1. **Observational purity**: installing a recorder never changes a
 //!    campaign's outcomes — recorder-on and recorder-off runs of the
-//!    same seed are identical on every executor and engine.
+//!    same seed are identical for every kind of plan on both engines.
 //! 2. **Stream consistency**: sequence numbers are dense and
 //!    monotone, the stream is bracketed by `started`/`finished`,
 //!    shard-completion records reassemble the exact campaign record
@@ -13,6 +13,9 @@
 //!    uninterrupted run, reusing exactly the journaled faults.
 //! 4. **Degenerate telemetry** never panics: zero-sample campaigns,
 //!    single-worker balance, empty rolling-rate windows.
+//! 5. **Stage timing covers every plan**: the `injection` (cold) or
+//!    `replay` (snapshot) stage counts of every recorded plan sum to
+//!    the number of faults it executed.
 //!
 //! The recorder is a process-wide singleton, so every test that
 //! installs one holds `LOCK` for its whole body.
@@ -21,16 +24,13 @@ use std::sync::{Arc, Mutex};
 
 use ferrum::flight::{event_to_ndjson, journal_from_ndjson, parse_events, NdjsonSink};
 use ferrum::{
-    install_flight_recorder, program_signature, resume_campaign_from_journal,
-    uninstall_flight_recorder, CampaignConfig, CampaignEvent, CampaignResult, EngineKind,
-    FlightEvent, FlightPolicy, FlightRecorder, JournalSnapshot, MemorySink, Pipeline,
-    SnapshotPolicy, Technique,
+    install_flight_recorder, program_signature, uninstall_flight_recorder, Campaign, CampaignCache,
+    CampaignConfig, CampaignEvent, CampaignResult, CoverageMap, EngineKind, FlightEvent,
+    FlightPolicy, FlightRecorder, JournalSnapshot, MemorySink, Pipeline, Reuse, SnapshotPolicy,
+    Stage, Technique,
 };
 use ferrum_asm::program::AsmProgram;
 use ferrum_cpu::run::{Cpu, Profile};
-use ferrum_faultsim::campaign::{
-    run_campaign_on, run_campaign_parallel_on, run_campaign_snapshot_on,
-};
 
 static LOCK: Mutex<()> = Mutex::new(());
 
@@ -38,32 +38,83 @@ fn lock() -> std::sync::MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-fn load(name: &str, technique: Technique) -> (AsmProgram, Cpu, Profile) {
+/// A loaded catalog program.
+struct Subject {
+    prog: AsmProgram,
+    cpu: Cpu,
+    profile: Profile,
+}
+
+fn load(name: &str, technique: Technique) -> Subject {
     let w = ferrum_workloads::workload(name).expect("in catalog");
     let module = w.build(ferrum_workloads::Scale::Test);
     let pipeline = Pipeline::new();
     let prog = pipeline.protect(&module, technique).expect("protects");
     let cpu = pipeline.load(&prog).expect("loads");
     let profile = cpu.profile();
-    (prog, cpu, profile)
+    Subject { prog, cpu, profile }
 }
 
+/// [`record_with`] under the default recorder policy.
 fn record(
-    prog: &AsmProgram,
-    cpu: &Cpu,
-    policy: FlightPolicy,
-    run: impl FnOnce() -> CampaignResult,
+    s: &Subject,
+    engine: EngineKind,
+    plan: Campaign<'_>,
 ) -> (CampaignResult, Vec<FlightEvent>) {
-    let _ = (prog, cpu);
+    record_with(s, engine, FlightPolicy::default(), plan)
+}
+
+/// Runs `plan` on `engine` with a recorder installed and returns the
+/// result with the captured stream, after checking that the stream's
+/// stage timings count every executed fault exactly once: under
+/// `injection` when it ran cold, under `replay` after a
+/// `snapshot-restore` when it ran from a snapshot.
+fn record_with(
+    s: &Subject,
+    engine: EngineKind,
+    policy: FlightPolicy,
+    plan: Campaign<'_>,
+) -> (CampaignResult, Vec<FlightEvent>) {
     let sink = Arc::new(MemorySink::new());
     install_flight_recorder(Arc::new(
         FlightRecorder::new(sink.clone())
             .with_policy(policy)
-            .with_program_hash(program_signature(prog)),
+            .with_program_hash(program_signature(&s.prog)),
     ));
-    let result = run();
+    let result = engine.with_cpu(&s.cpu, |e| plan.run(e, &s.profile));
     uninstall_flight_recorder();
-    (result, sink.events())
+    let result = result.unwrap();
+    let events = sink.events();
+
+    let count = |stage: Stage| -> u64 {
+        events
+            .iter()
+            .filter_map(|e| match e.event {
+                CampaignEvent::StageTiming {
+                    stage: t, count, ..
+                } if t == stage => Some(count),
+                _ => None,
+            })
+            .sum()
+    };
+    let executed = (result.total() - result.stats.pruned_sites - result.stats.reused_sites) as u64;
+    let (cold, restored, replayed) = (
+        count(Stage::Injection),
+        count(Stage::SnapshotRestore),
+        count(Stage::Replay),
+    );
+    let what = format!("{}/{}", plan.executor(), engine.label());
+    assert_eq!(
+        cold + replayed,
+        executed,
+        "{what}: injection + replay counts"
+    );
+    assert!(
+        cold == 0 || replayed == 0,
+        "{what}: {cold} cold, {replayed} replayed"
+    );
+    assert_eq!(restored, replayed, "{what}: a restore per replay");
+    (result, events)
 }
 
 const CFG: CampaignConfig = CampaignConfig {
@@ -78,31 +129,50 @@ const CFG: CampaignConfig = CampaignConfig {
 #[test]
 fn recording_never_changes_outcomes() {
     let _g = lock();
-    let (prog, cpu, profile) = load("bfs", Technique::Ferrum);
+    let s = load("bfs", Technique::Ferrum);
+    let map = CoverageMap::analyze(&s.prog);
+    let sampled = Campaign::sampled(CFG);
+    let stratified = Campaign::stratified(CFG, &s.prog);
+    let cold = stratified.run(&s.cpu, &s.profile).unwrap();
+    let cache = CampaignCache::from_result(&s.prog, &s.profile, CFG, &cold);
+    let (_, events) = record(&s, EngineKind::Interpreter, sampled);
+    let journal = JournalSnapshot::from_events(cut_after_shards(&events, 3)).expect("journal");
+    let (journal, cache) = (Reuse::Journal(&journal), Reuse::Cache(&cache));
+    let snapshots = SnapshotPolicy::default();
+    // One plan of every kind the tools run, plus mixed axes.
+    let plans = [
+        sampled,
+        sampled.threads(3),
+        sampled.threads(2).snapshots(snapshots),
+        sampled.prune(&map),
+        sampled.threads(2).snapshots(snapshots).prune(&map),
+        sampled.reuse(journal),
+        sampled.threads(3).snapshots(snapshots).reuse(journal),
+        stratified,
+        stratified.threads(3).snapshots(snapshots),
+        stratified.reuse(cache),
+        Campaign::double(CFG),
+        Campaign::double(CFG).threads(2).snapshots(snapshots),
+    ];
     for engine in EngineKind::ALL {
-        let bare = engine.with_cpu(&cpu, |e| run_campaign_on(e, &profile, CFG));
-        let (recorded, events) = record(&prog, &cpu, FlightPolicy::default(), || {
-            engine.with_cpu(&cpu, |e| run_campaign_on(e, &profile, CFG))
-        });
-        assert_eq!(recorded, bare, "{}: recorder changed outcomes", engine.label());
-        assert!(!events.is_empty(), "{}: no events captured", engine.label());
-
-        let bare_par =
-            engine.with_cpu(&cpu, |e| run_campaign_parallel_on(e, &profile, CFG, 3));
-        let (rec_par, _) = record(&prog, &cpu, FlightPolicy::default(), || {
-            engine.with_cpu(&cpu, |e| run_campaign_parallel_on(e, &profile, CFG, 3))
-        });
-        assert_eq!(rec_par, bare_par, "{}: parallel purity", engine.label());
-
-        let bare_snap = engine.with_cpu(&cpu, |e| {
-            run_campaign_snapshot_on(e, &profile, CFG, 2, SnapshotPolicy::default())
-        });
-        let (rec_snap, _) = record(&prog, &cpu, FlightPolicy::default(), || {
-            engine.with_cpu(&cpu, |e| {
-                run_campaign_snapshot_on(e, &profile, CFG, 2, SnapshotPolicy::default())
-            })
-        });
-        assert_eq!(rec_snap, bare_snap, "{}: snapshot purity", engine.label());
+        for plan in plans {
+            let what = format!("{}/{}", plan.executor(), engine.label());
+            let bare = engine
+                .with_cpu(&s.cpu, |e| plan.run(e, &s.profile))
+                .unwrap();
+            let (recorded, events) = record(&s, engine, plan);
+            assert_eq!(recorded, bare, "{what}: recorder changed outcomes");
+            assert_eq!(
+                recorded.stats.latency, bare.stats.latency,
+                "{what}: latency"
+            );
+            match events.first().map(|e| &e.event) {
+                Some(CampaignEvent::Started { fingerprint, .. }) => {
+                    assert_eq!(fingerprint.executor, plan.executor(), "{what}: label");
+                }
+                other => panic!("{what}: stream starts with {other:?}"),
+            }
+        }
     }
 }
 
@@ -114,10 +184,8 @@ fn recording_never_changes_outcomes() {
 fn event_stream_is_internally_consistent() {
     let _g = lock();
     for (name, technique) in [("pathfinder", Technique::Ferrum), ("knn", Technique::None)] {
-        let (prog, cpu, profile) = load(name, technique);
-        let (result, events) = record(&prog, &cpu, FlightPolicy::default(), || {
-            run_campaign_on(ferrum_faultsim::Engine::Interpreter(&cpu), &profile, CFG)
-        });
+        let s = load(name, technique);
+        let (result, events) = record(&s, EngineKind::Interpreter, Campaign::sampled(CFG));
 
         // Dense, monotone sequence numbers in delivery order.
         for (i, ev) in events.iter().enumerate() {
@@ -179,7 +247,7 @@ fn event_stream_is_internally_consistent() {
 #[test]
 fn ndjson_file_round_trip_preserves_the_stream() {
     let _g = lock();
-    let (prog, cpu, profile) = load("needle", Technique::Ferrum);
+    let s = load("needle", Technique::Ferrum);
     let path = std::env::temp_dir().join("ferrum-flight-roundtrip.ndjson");
     let path_s = path.to_str().expect("utf8 temp path");
 
@@ -187,9 +255,9 @@ fn ndjson_file_round_trip_preserves_the_stream() {
     let file = Arc::new(NdjsonSink::create(path_s).expect("creates"));
     install_flight_recorder(Arc::new(
         FlightRecorder::new(Arc::new(ferrum::TeeSink::new(vec![sink.clone(), file])))
-            .with_program_hash(program_signature(&prog)),
+            .with_program_hash(program_signature(&s.prog)),
     ));
-    let result = run_campaign_on(ferrum_faultsim::Engine::Interpreter(&cpu), &profile, CFG);
+    let result = Campaign::sampled(CFG).run(&s.cpu, &s.profile).unwrap();
     uninstall_flight_recorder();
 
     let text = std::fs::read_to_string(&path).expect("reads back");
@@ -200,13 +268,10 @@ fn ndjson_file_round_trip_preserves_the_stream() {
     // result even though nothing was killed (everything is reused).
     let journal = journal_from_ndjson(&text).expect("journal");
     assert!(journal.finished);
-    let resumed = resume_campaign_from_journal(
-        ferrum_faultsim::Engine::Interpreter(&cpu),
-        &profile,
-        CFG,
-        &journal,
-    )
-    .expect("resumes");
+    let resumed = Campaign::sampled(CFG)
+        .reuse(Reuse::Journal(&journal))
+        .run(&s.cpu, &s.profile)
+        .expect("resumes");
     assert_eq!(resumed, result);
     assert_eq!(resumed.stats.reused_sites, result.total());
     let _ = std::fs::remove_file(&path);
@@ -238,11 +303,9 @@ fn cut_after_shards(events: &[FlightEvent], k: usize) -> &[FlightEvent] {
 #[test]
 fn resume_at_every_shard_boundary_is_byte_identical() {
     let _g = lock();
-    let (prog, cpu, profile) = load("bfs", Technique::Ferrum);
+    let s = load("bfs", Technique::Ferrum);
     for engine in EngineKind::ALL {
-        let (full, events) = record(&prog, &cpu, FlightPolicy::default(), || {
-            engine.with_cpu(&cpu, |e| run_campaign_on(e, &profile, CFG))
-        });
+        let (full, events) = record(&s, engine, Campaign::sampled(CFG));
         let shards = events
             .iter()
             .filter(|e| matches!(e.event, CampaignEvent::ShardCompleted(_)))
@@ -253,8 +316,9 @@ fn resume_at_every_shard_boundary_is_byte_identical() {
             let journal = JournalSnapshot::from_events(cut_after_shards(&events, k))
                 .expect("journal from header");
             assert_eq!(journal.completed(), k * journal.shard_size.min(CFG.samples));
+            let resume = Campaign::sampled(CFG).reuse(Reuse::Journal(&journal));
             let resumed = engine
-                .with_cpu(&cpu, |e| resume_campaign_from_journal(e, &profile, CFG, &journal))
+                .with_cpu(&s.cpu, |e| resume.run(e, &s.profile))
                 .unwrap_or_else(|e| panic!("{}: resume at {k}: {e}", engine.label()));
             assert_eq!(resumed, full, "{}: kill after shard {k}", engine.label());
             assert_eq!(
@@ -270,36 +334,27 @@ fn resume_at_every_shard_boundary_is_byte_identical() {
 #[test]
 fn resume_rejects_a_mismatched_journal() {
     let _g = lock();
-    let (prog, cpu, profile) = load("bfs", Technique::Ferrum);
-    let (_, events) = record(&prog, &cpu, FlightPolicy::default(), || {
-        run_campaign_on(ferrum_faultsim::Engine::Interpreter(&cpu), &profile, CFG)
-    });
+    let s = load("bfs", Technique::Ferrum);
+    let (_, events) = record(&s, EngineKind::Interpreter, Campaign::sampled(CFG));
     let mut journal = JournalSnapshot::from_events(cut_after_shards(&events, 2)).expect("journal");
+    let resume = |cfg: CampaignConfig, journal: &JournalSnapshot| {
+        Campaign::sampled(cfg)
+            .reuse(Reuse::Journal(journal))
+            .run(&s.cpu, &s.profile)
+    };
 
     // Wrong seed: the journaled faults no longer match this campaign.
     let other = CampaignConfig {
         samples: CFG.samples,
         seed: CFG.seed + 1,
     };
-    let err = resume_campaign_from_journal(
-        ferrum_faultsim::Engine::Interpreter(&cpu),
-        &profile,
-        other,
-        &journal,
-    )
-    .expect_err("seed mismatch accepted");
-    assert!(err.contains("seed"), "unhelpful error: {err}");
+    let err = resume(other, &journal).expect_err("seed mismatch accepted");
+    assert!(err.to_string().contains("seed"), "unhelpful error: {err}");
 
     // Tampered program hash: content drift is refused outright.
     journal.fingerprint.program_hash ^= 1;
-    let err = resume_campaign_from_journal(
-        ferrum_faultsim::Engine::Interpreter(&cpu),
-        &profile,
-        CFG,
-        &journal,
-    )
-    .expect_err("hash mismatch accepted");
-    assert!(err.contains("hash"), "unhelpful error: {err}");
+    let err = resume(CFG, &journal).expect_err("hash mismatch accepted");
+    assert!(err.to_string().contains("hash"), "unhelpful error: {err}");
 }
 
 // ---------------------------------------------------------------------
@@ -309,14 +364,12 @@ fn resume_rejects_a_mismatched_journal() {
 #[test]
 fn zero_sample_campaign_emits_a_complete_stream() {
     let _g = lock();
-    let (prog, cpu, profile) = load("bfs", Technique::None);
+    let s = load("bfs", Technique::None);
     let empty = CampaignConfig {
         samples: 0,
         seed: 7,
     };
-    let (result, events) = record(&prog, &cpu, FlightPolicy::default(), || {
-        run_campaign_on(ferrum_faultsim::Engine::Interpreter(&cpu), &profile, empty)
-    });
+    let (result, events) = record(&s, EngineKind::Interpreter, Campaign::sampled(empty));
     assert_eq!(result.total(), 0);
     assert!(matches!(
         events.first().map(|e| &e.event),
@@ -346,7 +399,7 @@ fn zero_sample_campaign_emits_a_complete_stream() {
 #[test]
 fn tiny_policy_windows_do_not_panic() {
     let _g = lock();
-    let (prog, cpu, profile) = load("bfs", Technique::None);
+    let s = load("bfs", Technique::None);
     // Pathological policy: snapshot after every injection with a
     // minimal rolling window — rates must stay finite.
     let policy = FlightPolicy {
@@ -359,9 +412,8 @@ fn tiny_policy_windows_do_not_panic() {
         samples: 5,
         seed: 3,
     };
-    let (result, events) = record(&prog, &cpu, policy, || {
-        run_campaign_on(ferrum_faultsim::Engine::Interpreter(&cpu), &profile, tiny)
-    });
+    let (result, events) =
+        record_with(&s, EngineKind::Interpreter, policy, Campaign::sampled(tiny));
     assert_eq!(result.total(), 5);
     for ev in &events {
         if let CampaignEvent::Progress(p) = &ev.event {
@@ -388,22 +440,17 @@ fn tiny_policy_windows_do_not_panic() {
 #[test]
 fn torn_journal_tail_resumes_from_the_last_complete_record() {
     let _g = lock();
-    let (prog, cpu, profile) = load("bfs", Technique::Ferrum);
-    let (full, events) = record(&prog, &cpu, FlightPolicy::default(), || {
-        run_campaign_on(ferrum_faultsim::Engine::Interpreter(&cpu), &profile, CFG)
-    });
+    let s = load("bfs", Technique::Ferrum);
+    let (full, events) = record(&s, EngineKind::Interpreter, Campaign::sampled(CFG));
     let ndjson: String = events.iter().map(|e| event_to_ndjson(e) + "\n").collect();
     // Kill mid-write: drop the trailing newline and half the last line.
     let torn = &ndjson[..ndjson.len() - ndjson.lines().last().expect("lines").len() / 2 - 1];
     let journal = journal_from_ndjson(torn).expect("torn tail is not fatal");
     assert!(!journal.finished || journal.completed() == full.total());
-    let resumed = resume_campaign_from_journal(
-        ferrum_faultsim::Engine::Interpreter(&cpu),
-        &profile,
-        CFG,
-        &journal,
-    )
-    .expect("resumes");
+    let resumed = Campaign::sampled(CFG)
+        .reuse(Reuse::Journal(&journal))
+        .run(&s.cpu, &s.profile)
+        .expect("resumes");
     assert_eq!(resumed, full);
 }
 
@@ -426,11 +473,9 @@ mod prop {
             kill in 0usize..32,
         ) {
             let _g = lock();
-            let (prog, cpu, profile) = load("bfs", Technique::Ferrum);
+            let s = load("bfs", Technique::Ferrum);
             let cfg = CampaignConfig { samples: 64, seed };
-            let (full, events) = record(&prog, &cpu, FlightPolicy::default(), || {
-                run_campaign_on(ferrum_faultsim::Engine::Interpreter(&cpu), &profile, cfg)
-            });
+            let (full, events) = record(&s, EngineKind::Interpreter, Campaign::sampled(cfg));
             let shards = events
                 .iter()
                 .filter(|e| matches!(e.event, CampaignEvent::ShardCompleted(_)))
@@ -438,12 +483,8 @@ mod prop {
             let k = kill % (shards + 1);
             let journal = JournalSnapshot::from_events(cut_after_shards(&events, k))
                 .expect("journal");
-            let resumed = resume_campaign_from_journal(
-                ferrum_faultsim::Engine::Interpreter(&cpu),
-                &profile,
-                cfg,
-                &journal,
-            )
+            let resumed = Campaign::sampled(cfg).reuse(Reuse::Journal(&journal))
+            .run(&s.cpu, &s.profile)
             .expect("resumes");
             prop_assert_eq!(resumed, full);
         }

@@ -142,7 +142,7 @@ fn asm_level_protection_keeps_full_coverage_on_optimized_programs() {
     // real output after the guarding check already ran.  Both asm-level
     // techniques must stay SDC-free on optimized input.
     use ferrum::{CampaignConfig, Technique};
-    use ferrum_faultsim::campaign::run_campaign;
+    use ferrum_faultsim::Campaign;
     for name in ["needle", "kmeans", "pathfinder"] {
         let w = ferrum_workloads::workload(name).expect("in catalog");
         let module = w.build(Scale::Test);
@@ -155,7 +155,7 @@ fn asm_level_protection_keeps_full_coverage_on_optimized_programs() {
                 samples: 400,
                 seed: 0xFE44,
             };
-            let result = run_campaign(&cpu, &profile, cfg);
+            let result = Campaign::sampled(cfg).run(&cpu, &profile).unwrap();
             assert_eq!(
                 result.sdc, 0,
                 "{name}/{technique}@O1: {} SDCs escaped asm-level protection",

@@ -19,7 +19,8 @@ use ferrum_asm::inst::{AluOp, Inst, ShiftAmount, ShiftOp, UnaryOp};
 use ferrum_asm::operand::{MemRef, Operand, Scale as MScale};
 use ferrum_asm::reg::{Gpr, Reg, Width, Xmm, Ymm, ALL_GPRS};
 use ferrum_cpu::fault::FaultSpec;
-use ferrum_faultsim::campaign::{classify, run_campaign, run_campaign_pruned, Outcome};
+use ferrum_faultsim::campaign::{classify, Outcome};
+use ferrum_faultsim::Campaign;
 use ferrum_mir::builder::FunctionBuilder;
 use ferrum_mir::inst::{BinOp, ICmpPred};
 use ferrum_mir::interp::Interp;
@@ -460,8 +461,8 @@ proptest! {
         let cpu = pipeline.load(&prog).expect("loads");
         let profile = cpu.profile();
         let cfg = CampaignConfig { samples: 64, seed };
-        let serial = run_campaign(&cpu, &profile, cfg);
-        let pruned = run_campaign_pruned(&cpu, &profile, cfg, &map);
+        let serial = Campaign::sampled(cfg).run(&cpu, &profile).unwrap();
+        let pruned = Campaign::sampled(cfg).prune(&map).run(&cpu, &profile).unwrap();
         prop_assert_eq!(serial, pruned);
     }
 

@@ -10,7 +10,7 @@ use ferrum_asm::reg::{Gpr, Reg, Width};
 use ferrum_cpu::outcome::StopReason;
 use ferrum_cpu::run::Cpu;
 use ferrum_eddi::ferrum::Ferrum;
-use ferrum_faultsim::campaign::exhaustive_campaign;
+use ferrum_faultsim::Campaign;
 
 /// Builds a program whose blocks collectively touch every non-frame
 /// register, but where each block leaves a few unused — requisitionable
@@ -111,7 +111,7 @@ fn natural_requisition_keeps_full_coverage_exhaustively() {
     let prot = Ferrum::new().protect(&p).expect("protects");
     let cpu = Cpu::load(&prot).unwrap();
     let profile = cpu.profile();
-    let res = exhaustive_campaign(&cpu, &profile, 6);
+    let res = Campaign::exhaustive(6).run(&cpu, &profile).unwrap();
     assert_eq!(res.sdc, 0, "{res:?}");
     assert!(res.detected > 0);
 }

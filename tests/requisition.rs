@@ -6,7 +6,7 @@
 use ferrum::{Pipeline, StopReason, Technique};
 use ferrum_asm::inst::Inst;
 use ferrum_eddi::ferrum::{Ferrum, FerrumConfig};
-use ferrum_faultsim::campaign::{run_campaign, CampaignConfig};
+use ferrum_faultsim::{Campaign, CampaignConfig};
 use ferrum_workloads::{all_workloads, Scale};
 
 fn requisition_pipeline() -> Pipeline {
@@ -42,14 +42,12 @@ fn forced_requisition_keeps_full_coverage() {
             .expect("protects");
         let cpu = pipeline.load(&prog).expect("loads");
         let profile = cpu.profile();
-        let res = run_campaign(
-            &cpu,
-            &profile,
-            CampaignConfig {
-                samples: 150,
-                seed: 31,
-            },
-        );
+        let res = Campaign::sampled(CampaignConfig {
+            samples: 150,
+            seed: 31,
+        })
+        .run(&cpu, &profile)
+        .unwrap();
         assert_eq!(res.sdc, 0, "{}: requisition mode must stay at 100%", w.name);
     }
 }

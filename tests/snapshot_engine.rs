@@ -1,20 +1,16 @@
-//! Cross-executor and cross-engine determinism: the serial,
-//! work-stealing, snapshot-accelerated, and pruned campaign executors
-//! must produce identical `CampaignResult`s (same aggregate counts AND
-//! same per-fault outcome records, in sampling order) for the same
-//! seed — across workloads, protection profiles, thread counts,
-//! snapshot policies, and **execution engines** (reference interpreter
-//! vs. the decode-once flattened engine).
+//! Cross-engine and cross-schedule determinism beyond the axis matrix
+//! of `tests/campaign_plan.rs`: the whole catalog on the decoded
+//! engine, `-O1` programs, extreme snapshot policies, and seeds.  Every
+//! plan must produce identical `CampaignResult`s (same aggregate
+//! counts AND same per-fault outcome records, in sampling order) to
+//! the one-thread cold interpreter plan for the same seed.
 
 use ferrum::{
-    CampaignConfig, CampaignResult, DecodedCpu, Engine, Pipeline, SnapshotPolicy, Technique,
+    Campaign, CampaignConfig, CampaignResult, DecodedCpu, Engine, Pipeline, SnapshotPolicy,
+    Technique,
 };
 use ferrum_cpu::run::Cpu;
 use ferrum_cpu::Profile;
-use ferrum_faultsim::campaign::{
-    run_campaign, run_campaign_on, run_campaign_parallel_on,
-    run_campaign_snapshot, run_campaign_snapshot_on,
-};
 use ferrum_workloads::{all_workloads, workload, Scale};
 
 fn load(name: &str, t: Technique) -> (Cpu, Profile) {
@@ -41,51 +37,6 @@ fn assert_identical(a: &CampaignResult, b: &CampaignResult, what: &str) {
 }
 
 #[test]
-fn all_engines_agree_across_workloads_and_profiles() {
-    // The full determinism matrix: 2 workloads × 2 protection profiles
-    // × {1, 4} threads × {stealing, snapshot} executors × {interpreter,
-    // decoded} engines, all against the serial interpreter reference.
-    // The engine AND the executor are implementation details.
-    for name in ["knn", "pathfinder"] {
-        for technique in [Technique::None, Technique::Ferrum] {
-            let (cpu, profile) = load(name, technique);
-            let decoded = DecodedCpu::new(&cpu);
-            let cfg = CampaignConfig {
-                samples: 300,
-                seed: 0xDECADE,
-            };
-            let what = format!("{name}/{technique}");
-
-            let serial = run_campaign(&cpu, &profile, cfg);
-            for engine in [Engine::Interpreter(&cpu), Engine::Decoded(&decoded)] {
-                let kind = engine.kind().label();
-                assert_identical(
-                    &run_campaign_on(engine, &profile, cfg),
-                    &serial,
-                    &format!("{what} serial/{kind}"),
-                );
-                for threads in [1, 4] {
-                    let stealing = run_campaign_parallel_on(engine, &profile, cfg, threads);
-                    assert_identical(
-                        &serial,
-                        &stealing,
-                        &format!("{what} steal×{threads}/{kind}"),
-                    );
-                    let snap = run_campaign_snapshot_on(
-                        engine,
-                        &profile,
-                        cfg,
-                        threads,
-                        SnapshotPolicy::default(),
-                    );
-                    assert_identical(&serial, &snap, &format!("{what} snap×{threads}/{kind}"));
-                }
-            }
-        }
-    }
-}
-
-#[test]
 fn decoded_engine_is_byte_identical_across_the_whole_catalog() {
     // Every catalog workload × every technique: campaign outcomes per
     // seed must not depend on the engine.  (Run + profile identity over
@@ -104,8 +55,8 @@ fn decoded_engine_is_byte_identical_across_the_whole_catalog() {
                 seed: 0xFE44_0006,
             };
             assert_identical(
-                &run_campaign_on(Engine::Decoded(&decoded), &profile, cfg),
-                &run_campaign(&cpu, &profile, cfg),
+                &Campaign::sampled(cfg).run(&decoded, &profile).unwrap(),
+                &Campaign::sampled(cfg).run(&cpu, &profile).unwrap(),
                 &format!("{}/{technique}", w.name),
             );
         }
@@ -128,16 +79,20 @@ fn engines_and_executors_agree_on_optimized_programs() {
             };
             let what = format!("{name}/{technique}@O1");
 
-            let serial = run_campaign(&cpu, &profile, cfg);
+            let serial = Campaign::sampled(cfg).run(&cpu, &profile).unwrap();
             assert_identical(
-                &run_campaign_on(Engine::Decoded(&decoded), &profile, cfg),
+                &Campaign::sampled(cfg).run(&decoded, &profile).unwrap(),
                 &serial,
                 &format!("{what} decoded"),
             );
             for engine in [Engine::Interpreter(&cpu), Engine::Decoded(&decoded)] {
                 let kind = engine.kind().label();
                 assert_identical(
-                    &run_campaign_snapshot_on(engine, &profile, cfg, 4, SnapshotPolicy::default()),
+                    &Campaign::sampled(cfg)
+                        .threads(4)
+                        .snapshots(SnapshotPolicy::default())
+                        .run(engine, &profile)
+                        .unwrap(),
                     &serial,
                     &format!("{what} snap×4/{kind}"),
                 );
@@ -153,7 +108,7 @@ fn snapshot_policy_never_changes_outcomes() {
         samples: 200,
         seed: 7,
     };
-    let serial = run_campaign(&cpu, &profile, cfg);
+    let serial = Campaign::sampled(cfg).run(&cpu, &profile).unwrap();
     for policy in [
         SnapshotPolicy::default(),
         SnapshotPolicy {
@@ -170,7 +125,11 @@ fn snapshot_policy_never_changes_outcomes() {
             min_interval: 1,
         },
     ] {
-        let snap = run_campaign_snapshot(&cpu, &profile, cfg, 3, policy);
+        let snap = Campaign::sampled(cfg)
+            .threads(3)
+            .snapshots(policy)
+            .run(&cpu, &profile)
+            .unwrap();
         assert_identical(&serial, &snap, &format!("{policy:?}"));
     }
 }
@@ -178,36 +137,14 @@ fn snapshot_policy_never_changes_outcomes() {
 #[test]
 fn same_seed_same_result_different_seed_different_samples() {
     let (cpu, profile) = load("knn", Technique::None);
-    let a = run_campaign_snapshot(
-        &cpu,
-        &profile,
-        CampaignConfig {
-            samples: 250,
-            seed: 1,
-        },
-        2,
-        SnapshotPolicy::default(),
-    );
-    let b = run_campaign_snapshot(
-        &cpu,
-        &profile,
-        CampaignConfig {
-            samples: 250,
-            seed: 1,
-        },
-        4,
-        SnapshotPolicy::default(),
-    );
-    let c = run_campaign_snapshot(
-        &cpu,
-        &profile,
-        CampaignConfig {
-            samples: 250,
-            seed: 2,
-        },
-        4,
-        SnapshotPolicy::default(),
-    );
+    let run = |seed, threads| {
+        Campaign::sampled(CampaignConfig { samples: 250, seed })
+            .threads(threads)
+            .snapshots(SnapshotPolicy::default())
+            .run(&cpu, &profile)
+            .unwrap()
+    };
+    let (a, b, c) = (run(1, 2), run(1, 4), run(2, 4));
     assert_identical(&a, &b, "same seed, different thread counts");
     assert_ne!(
         a.records, c.records,
@@ -218,16 +155,14 @@ fn same_seed_same_result_different_seed_different_samples() {
 #[test]
 fn throughput_counters_are_populated() {
     let (cpu, profile) = load("pathfinder", Technique::None);
-    let r = run_campaign_snapshot(
-        &cpu,
-        &profile,
-        CampaignConfig {
-            samples: 400,
-            seed: 3,
-        },
-        4,
-        SnapshotPolicy::default(),
-    );
+    let r = Campaign::sampled(CampaignConfig {
+        samples: 400,
+        seed: 3,
+    })
+    .threads(4)
+    .snapshots(SnapshotPolicy::default())
+    .run(&cpu, &profile)
+    .unwrap();
     let s = &r.stats;
     assert_eq!(s.injections, 400);
     assert!(s.injections_per_sec > 0.0);

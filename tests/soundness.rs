@@ -5,7 +5,7 @@
 use ferrum_cpu::run::Cpu;
 use ferrum_eddi::ferrum::{Ferrum, FerrumConfig};
 use ferrum_eddi::hybrid::HybridAsmEddi;
-use ferrum_faultsim::campaign::exhaustive_campaign;
+use ferrum_faultsim::Campaign;
 use ferrum_mir::builder::FunctionBuilder;
 use ferrum_mir::inst::ICmpPred;
 use ferrum_mir::module::{Global, Module};
@@ -70,7 +70,7 @@ fn assert_no_sdc(asm: &ferrum_asm::program::AsmProgram, what: &str) {
         ferrum_cpu::outcome::StopReason::MainReturned,
         "{what}: fault-free run must complete"
     );
-    let res = exhaustive_campaign(&cpu, &profile, 4);
+    let res = Campaign::exhaustive(4).run(&cpu, &profile).unwrap();
     assert_eq!(
         res.sdc,
         0,
@@ -150,6 +150,6 @@ fn unprotected_program_is_vulnerable() {
     let asm = ferrum_backend::compile(&m).unwrap();
     let cpu = Cpu::load(&asm).unwrap();
     let profile = cpu.profile();
-    let res = exhaustive_campaign(&cpu, &profile, 4);
+    let res = Campaign::exhaustive(4).run(&cpu, &profile).unwrap();
     assert!(res.sdc > 0, "raw program should show SDCs");
 }

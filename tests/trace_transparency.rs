@@ -9,8 +9,7 @@ use std::sync::{Arc, Mutex};
 /// Serializes global-sink manipulation across tests in this binary.
 static SINK_LOCK: Mutex<()> = Mutex::new(());
 
-use ferrum::{CampaignConfig, Pipeline, SnapshotPolicy, Technique};
-use ferrum_faultsim::campaign::{run_campaign, run_campaign_snapshot, CampaignResult};
+use ferrum::{Campaign, CampaignConfig, CampaignResult, Pipeline, SnapshotPolicy, Technique};
 use ferrum_trace::{NullSink, RingSink};
 use ferrum_workloads::{workload, Scale};
 
@@ -28,8 +27,12 @@ fn campaigns_are_identical_with_and_without_trace_sinks() {
     };
     let run_both = || -> (CampaignResult, CampaignResult) {
         (
-            run_campaign(&cpu, &profile, cfg),
-            run_campaign_snapshot(&cpu, &profile, cfg, 4, SnapshotPolicy::default()),
+            Campaign::sampled(cfg).run(&cpu, &profile).unwrap(),
+            Campaign::sampled(cfg)
+                .threads(4)
+                .snapshots(SnapshotPolicy::default())
+                .run(&cpu, &profile)
+                .unwrap(),
         )
     };
 
@@ -75,7 +78,8 @@ fn campaigns_are_identical_with_and_without_trace_sinks() {
     // the campaign probes; without it, installing was a no-op.
     if cfg!(feature = "trace") {
         assert!(ring.counter_total("campaign.injections") >= 400);
-        assert!(ring.span_nanos("campaign.serial") > 0);
+        assert_eq!(ring.span_count("campaign.run"), 2);
+        assert!(ring.span_nanos("campaign.run") > 0);
     } else {
         assert!(ring.events().is_empty());
     }

@@ -2,8 +2,9 @@
 //! compiled and executed.
 
 use ferrum::{Pipeline, Technique};
+use ferrum_cpu::decoded::DecodedCpu;
 use ferrum_cpu::fault::FaultSpec;
-use ferrum_faultsim::campaign::{run_campaign, CampaignConfig};
+use ferrum_faultsim::{Campaign, CampaignConfig, SnapshotPolicy};
 use ferrum_mir::builder::FunctionBuilder;
 use ferrum_mir::module::{Global, Module};
 use ferrum_mir::types::Ty;
@@ -59,16 +60,15 @@ fn tutorial_steps_3_to_5_protect_inject_measure() {
     assert_eq!(raw_cpu.run(None).output, cpu.run(None).output);
 
     let profile = cpu.profile();
-    let res = run_campaign(
-        &cpu,
-        &profile,
-        CampaignConfig {
-            samples: 500,
-            seed: 1,
-        },
-    );
+    let plan = Campaign::sampled(CampaignConfig {
+        samples: 500,
+        seed: 1,
+    });
+    let res = plan.run(&cpu, &profile).unwrap();
     assert_eq!(res.sdc, 0);
     assert!(res.detected > 0);
+    let fast = plan.threads(4).snapshots(SnapshotPolicy::default());
+    assert_eq!(fast.run(&DecodedCpu::new(&cpu), &profile).unwrap(), res);
 
     let raw_cycles = raw_cpu.run(None).cycles;
     let prot_cycles = cpu.run(None).cycles;
