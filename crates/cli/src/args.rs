@@ -1,12 +1,12 @@
-//! Shared command-line parsing for the `ferrum-*` binaries.
+//! Shared command-line parsing for the `ferrum` subcommands.
 //!
-//! Every tool in this crate speaks the same dialect: at most one
-//! positional operand (a workload name or an input listing), boolean
-//! flags, and valued options, with `-h`/`--help` anywhere producing the
-//! usage text.  Each binary used to hand-roll the same `while let`
-//! loop; this module is that loop written once, plus typed accessors
-//! for the options the tools share (`--samples`, `--seed`, `--scale`,
-//! `--technique`).
+//! Every subcommand speaks the same dialect: at most one positional
+//! operand (a workload name, an input listing, or a check name),
+//! boolean flags, and valued options, with `-h`/`--help` anywhere
+//! producing the usage text.  This module is that parsing loop written
+//! once, plus typed accessors for the options the subcommands share
+//! (`--samples`, `--seed`, `--scale`, `--opt`, `--technique`,
+//! `--engine`).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::process::ExitCode;
@@ -17,11 +17,11 @@ use ferrum_workloads::Scale;
 
 use crate::CliTechnique;
 
-/// What a binary accepts: its boolean flags, its valued options, and
-/// whether it takes a positional operand.
+/// What a subcommand accepts: its boolean flags, its valued options,
+/// and whether it takes a positional operand.
 #[derive(Debug, Clone, Copy)]
 pub struct ArgSpec {
-    /// Boolean flags (`--json`, `--catalog`, ...).
+    /// Boolean flags (`--json`, `--sites`, ...).
     pub flags: &'static [&'static str],
     /// Options that consume the next argument (`--samples`, `-o`, ...).
     pub values: &'static [&'static str],
@@ -33,8 +33,7 @@ pub struct ArgSpec {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ArgError {
     /// `-h`/`--help` was given (or the command line was empty): print
-    /// the usage text and exit with status 2, matching the historical
-    /// behaviour of every `ferrum-*` tool.
+    /// the usage text and exit with status 2.
     Help,
     /// A real mistake, with a message for stderr.
     Message(String),
@@ -105,7 +104,9 @@ impl ParsedArgs {
         self.values.get(name).map(String::as_str)
     }
 
-    fn parsed<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, ArgError> {
+    /// The value of an option parsed as a `T` (a count, a seed, ...),
+    /// when given.
+    pub fn parsed<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, ArgError> {
         match self.value(name) {
             None => Ok(None),
             Some(raw) => raw
@@ -136,20 +137,18 @@ impl ParsedArgs {
         }
     }
 
-    /// `--opt 0|1`, the backend optimization level.  `None` means the
-    /// flag was absent, which catalog self-checking tools interpret as
-    /// "run every level".
-    pub fn opt_level(&self) -> Result<Option<ferrum_backend::OptLevel>, ArgError> {
+    /// `--opt 0|1`, the backend optimization level, defaulting to
+    /// `-O0`.
+    pub fn opt_level(&self) -> Result<ferrum_backend::OptLevel, ArgError> {
         match self.value("--opt") {
-            None => Ok(None),
+            None => Ok(ferrum_backend::OptLevel::default()),
             Some(s) => ferrum_backend::OptLevel::parse(s)
-                .map(Some)
                 .ok_or_else(|| ArgError::Message(format!("unknown opt level `{s}` (0 | 1)"))),
         }
     }
 
-    /// `--technique` as a pipeline [`Technique`] (the workload-driven
-    /// tools), defaulting to `default`.
+    /// `--technique` as a pipeline [`Technique`] (the workload
+    /// subcommands), defaulting to `default`.
     pub fn technique_core(&self, default: Technique) -> Result<Technique, ArgError> {
         match self.value("--technique") {
             None => Ok(default),
@@ -174,8 +173,8 @@ impl ParsedArgs {
         }
     }
 
-    /// `--technique` as a listing-level [`CliTechnique`] (the tools
-    /// that operate on bare assembly), defaulting to FERRUM.
+    /// `--technique` as a listing-level [`CliTechnique`] (the
+    /// subcommands that operate on bare assembly), defaulting to FERRUM.
     pub fn technique_cli(&self) -> Result<CliTechnique, ArgError> {
         match self.value("--technique") {
             None => Ok(CliTechnique::Ferrum),
@@ -199,7 +198,7 @@ pub fn technique_label(t: Technique) -> &'static str {
     }
 }
 
-/// One documented argument in a tool's usage text.
+/// One documented argument in a subcommand's usage text.
 #[derive(Debug, Clone, Copy)]
 pub struct ArgHelp {
     /// The flag or option name (`--samples`, `-o`).
@@ -210,15 +209,58 @@ pub struct ArgHelp {
     pub help: &'static str,
 }
 
-/// A tool's complete command-line surface: the usage forms, the
+impl ArgHelp {
+    /// A documented boolean flag.
+    pub const fn flag(name: &'static str, help: &'static str) -> ArgHelp {
+        ArgHelp {
+            name,
+            value: None,
+            help,
+        }
+    }
+
+    /// A documented option taking a `value`.
+    pub const fn option(name: &'static str, value: &'static str, help: &'static str) -> ArgHelp {
+        ArgHelp {
+            name,
+            value: Some(value),
+            help,
+        }
+    }
+}
+
+/// Usage of `--technique` as parsed by [`ParsedArgs::technique_core`]
+/// with a FERRUM default.
+pub const TECHNIQUE_ARG: ArgHelp = ArgHelp::option(
+    "--technique",
+    "<t>",
+    "ferrum | hybrid | ir-eddi | none   (default: ferrum)",
+);
+/// Usage of `--scale` ([`ParsedArgs::scale`]).
+pub const SCALE_ARG: ArgHelp = ArgHelp::option("--scale", "<s>", "test | paper   (default: test)");
+/// Usage of `--opt` ([`ParsedArgs::opt_level`]).
+pub const OPT_ARG: ArgHelp = ArgHelp::option(
+    "--opt",
+    "<l>",
+    "backend optimization level 0 | 1   (default: 0)",
+);
+/// Usage of `--engine` ([`ParsedArgs::engine`]).
+pub const ENGINE_ARG: ArgHelp = ArgHelp::option(
+    "--engine",
+    "<e>",
+    "interpreter | decoded   (default: interpreter)",
+);
+
+/// A subcommand's complete command-line surface: the usage forms, the
 /// documented arguments, and the [`ArgSpec`] the parser enforces.
 /// [`render`](UsageSpec::render) derives the `--help` text from this
 /// one table, so the help can never drift from what the parser
 /// actually accepts — [`check`](UsageSpec::check) pins the two
-/// together and every binary asserts it in its tests.
+/// together, and the `ferrum` dispatch table asserts it for every
+/// subcommand.
 #[derive(Debug, Clone, Copy)]
 pub struct UsageSpec {
-    /// The binary name (`ferrum-coverage`).
+    /// The command as typed (`ferrum coverage`).
     pub tool: &'static str,
     /// Usage forms, without the tool name (`"<workload> [options]"`).
     pub forms: &'static [&'static str],
@@ -297,8 +339,8 @@ impl UsageSpec {
     }
 }
 
-/// Test support for the binaries: asserts the usage table matches the
-/// parser spec ([`UsageSpec::check`]), that the rendered text mentions
+/// Test support for the subcommands: asserts the usage table matches
+/// the parser spec ([`UsageSpec::check`]), that the rendered text mentions
 /// the tool and every argument, and that the spec rejects argument
 /// misuse ([`assert_spec_rejects_misuse`]).
 pub fn assert_usage_consistent(u: &UsageSpec) {
@@ -314,12 +356,12 @@ pub fn assert_usage_consistent(u: &UsageSpec) {
     assert_spec_rejects_misuse(&u.spec);
 }
 
-/// Test support for the binaries: asserts that `spec` rejects every
+/// Test support for the subcommands: asserts that `spec` rejects every
 /// repeated flag, every repeated option, and every option that would
-/// otherwise swallow a `--`-prefixed token as its value.  Each
-/// `ferrum-*` binary runs this against its own [`ArgSpec`] so the
-/// duplicate-argument regressions stay pinned per tool, not just on
-/// the shared parser.
+/// otherwise swallow a `--`-prefixed token as its value.  It runs
+/// against every subcommand's own [`ArgSpec`] so the duplicate-argument
+/// regressions stay pinned per subcommand, not just on the shared
+/// parser.
 pub fn assert_spec_rejects_misuse(spec: &ArgSpec) {
     let v = |args: &[&str]| -> Vec<String> { args.iter().map(|s| (*s).to_owned()).collect() };
     for flag in spec.flags {
@@ -362,7 +404,7 @@ mod tests {
     use super::*;
 
     const SPEC: ArgSpec = ArgSpec {
-        flags: &["--json", "--catalog"],
+        flags: &["--json", "--sites"],
         values: &["--samples", "--seed", "--scale", "--technique"],
         positional: true,
     };
@@ -380,7 +422,7 @@ mod tests {
         .expect("parses");
         assert_eq!(p.positional.as_deref(), Some("bfs"));
         assert!(p.flag("--json"));
-        assert!(!p.flag("--catalog"));
+        assert!(!p.flag("--sites"));
         assert_eq!(p.samples(400).unwrap(), 250);
         assert_eq!(p.seed(0xFE44).unwrap(), 9);
         assert_eq!(p.scale().unwrap(), Scale::Test);
@@ -388,7 +430,7 @@ mod tests {
 
     #[test]
     fn defaults_apply_when_options_are_absent() {
-        let p = parse_args(&v(&["--catalog"]), &SPEC).expect("parses");
+        let p = parse_args(&v(&["--sites"]), &SPEC).expect("parses");
         assert_eq!(p.positional, None);
         assert_eq!(p.samples(400).unwrap(), 400);
         assert_eq!(p.seed(0xFE44).unwrap(), 0xFE44);
@@ -495,8 +537,8 @@ mod tests {
     #[test]
     fn usage_spec_renders_aligned_help() {
         const U: UsageSpec = UsageSpec {
-            tool: "ferrum-x",
-            forms: &["<workload> [options]", "--catalog [--json]"],
+            tool: "ferrum x",
+            forms: &["<workload> [options]", "--sites [--json]"],
             args: &[
                 ArgHelp {
                     name: "--json",
@@ -504,9 +546,9 @@ mod tests {
                     help: "emit JSON",
                 },
                 ArgHelp {
-                    name: "--catalog",
+                    name: "--sites",
                     value: None,
-                    help: "self-check across\nevery workload",
+                    help: "list the verdicts of\nevery site",
                 },
                 ArgHelp {
                     name: "--samples",
@@ -515,26 +557,26 @@ mod tests {
                 },
             ],
             spec: ArgSpec {
-                flags: &["--json", "--catalog"],
+                flags: &["--json", "--sites"],
                 values: &["--samples"],
                 positional: true,
             },
         };
         U.check().expect("consistent");
         let text = U.render();
-        assert!(text.starts_with("usage: ferrum-x <workload> [options]\n"));
-        assert!(text.contains("       ferrum-x --catalog [--json]\n"));
+        assert!(text.starts_with("usage: ferrum x <workload> [options]\n"));
+        assert!(text.contains("       ferrum x --sites [--json]\n"));
         assert!(text.contains("--samples <n>  fault budget"));
         // The multi-line help continues at the help column.
         let cont = text
             .lines()
-            .find(|l| l.contains("every workload"))
+            .find(|l| l.contains("every site"))
             .expect("continuation");
         assert_eq!(
-            cont.find("every workload"),
+            cont.find("every site"),
             text.lines()
-                .find(|l| l.contains("self-check across"))
-                .and_then(|l| l.find("self-check across"))
+                .find(|l| l.contains("list the verdicts of"))
+                .and_then(|l| l.find("list the verdicts of"))
         );
         assert_usage_consistent(&U);
     }

@@ -1,19 +1,24 @@
-//! # ferrum-cli — command-line protection of assembly listings
+//! # ferrum-cli — the `ferrum` command
 //!
 //! The paper's §II-D deployment story: "the source of the target program
 //! is compiled down to assembly code, then the EDDI methodology can be
 //! applied on the compiled assembly code before translating to
 //! executable".  [`protect_listing`] is exactly that step for the
-//! `ferrum-asm` dialect, exposed as the `ferrum-protect` binary:
+//! `ferrum-asm` dialect, exposed as `ferrum protect`:
 //!
 //! ```sh
-//! ferrum-protect input.s -o protected.s --technique ferrum
-//! ferrum-protect input.s --run                 # simulate instead of printing
-//! ferrum-protect input.s --campaign 500        # quick fault campaign
+//! ferrum protect input.s -o protected.s --technique ferrum
+//! ferrum protect input.s --run                 # simulate instead of printing
+//! ferrum protect input.s --campaign 500        # quick fault campaign
+//! ferrum lint input.s                          # protect, then lint the result
+//! ferrum selfcheck                             # every catalog self-check
 //! ```
+//!
+//! The binary (`src/bin/ferrum/`) has one module per subcommand; this
+//! library holds what they share: the argument parser ([`args`]) and
+//! the listing-level protection entry points.
 
 pub mod args;
-pub mod catalog;
 
 use std::fmt;
 
@@ -88,7 +93,7 @@ fn parse_listing(text: &str) -> Result<AsmProgram, CliError> {
 }
 
 /// Protects a listing and statically verifies the result with
-/// `ferrum-lint` (exposed as the `ferrum-lint` binary).  Protection
+/// the protection lint (exposed as `ferrum lint`).  Protection
 /// happens in-memory: a printed listing loses the provenance tags the
 /// lint keys on, so lint-after-parse would have nothing to check.
 /// FERRUM techniques use manifest-driven linting — the pass declares
