@@ -1,4 +1,4 @@
-//! `ferrum-lint` — static soundness analysis of *protected* assembly.
+//! `ferrum lint` — static soundness analysis of *protected* assembly.
 //!
 //! The protection passes promise the invariant documented in
 //! `ferrum-eddi`: every single bit flip in the destination of an

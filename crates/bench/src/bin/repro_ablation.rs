@@ -83,7 +83,7 @@ fn variants() -> Vec<Variant> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let cfg = ferrum_bench::parse_eval_config(&args);
+    let cfg = ferrum_bench::eval_config_or_exit(env!("CARGO_BIN_NAME"), &args);
     println!(
         "FERRUM ablations — {} faults/config, {:?} scale",
         cfg.samples, cfg.scale

@@ -8,6 +8,9 @@ use std::process::Command;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    // Every binary below reads these flags: reject a bad one before
+    // running any of them.
+    ferrum_bench::eval_config_or_exit(env!("CARGO_BIN_NAME"), &args);
     std::fs::create_dir_all("results").expect("create results/");
     let bins = [
         ("repro_fig10", "fig10.txt"),

@@ -13,7 +13,7 @@ use ferrum_workloads::all_workloads;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let cfg = ferrum_bench::parse_eval_config(&args);
+    let cfg = ferrum_bench::eval_config_or_exit(env!("CARGO_BIN_NAME"), &args);
     println!(
         "§IV-B3 — FERRUM transformation time ({:?} scale)",
         cfg.scale

@@ -13,7 +13,7 @@ use ferrum_workloads::all_workloads;
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let json = args.iter().any(|a| a == "--json");
-    let cfg = ferrum_bench::parse_eval_config(&args);
+    let cfg = ferrum_bench::eval_config_or_exit(env!("CARGO_BIN_NAME"), &args);
     let pipeline = Pipeline::new();
     eprintln!(
         "# Fig. 10 reproduction — {} faults/config, seed {}, {:?} scale, {}",

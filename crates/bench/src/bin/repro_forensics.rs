@@ -15,7 +15,7 @@ use ferrum_workloads::all_workloads;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let cfg = ferrum_bench::parse_eval_config(&args);
+    let cfg = ferrum_bench::eval_config_or_exit(env!("CARGO_BIN_NAME"), &args);
     let pipeline = Pipeline::new();
     let fcfg = ForensicConfig {
         max_records: usize::MAX,

@@ -52,7 +52,7 @@ fn main() {
         return;
     }
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let cfg = ferrum_bench::parse_eval_config(&args);
+    let cfg = ferrum_bench::eval_config_or_exit(env!("CARGO_BIN_NAME"), &args);
     let dir = std::env::temp_dir().join(format!("ferrum_timing_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("dir");
     let pipeline = Pipeline::new();

@@ -11,7 +11,7 @@ use ferrum_workloads::all_workloads;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let cfg = ferrum_bench::parse_eval_config(&args);
+    let cfg = ferrum_bench::eval_config_or_exit(env!("CARGO_BIN_NAME"), &args);
     let pipeline = Pipeline::new();
     println!(
         "§IV-B1 — provenance of residual SDCs under IR-LEVEL-EDDI ({})",

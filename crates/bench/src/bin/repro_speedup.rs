@@ -119,7 +119,7 @@ fn arg_value<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let cfg = ferrum_bench::parse_eval_config(&args);
+    let cfg = ferrum_bench::eval_config_or_exit(env!("CARGO_BIN_NAME"), &args);
     let threads = arg_value(&args, "--threads")
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
     let json_out: Option<String> = arg_value(&args, "--json-out");

@@ -162,8 +162,8 @@ impl ParsedArgs {
         }
     }
 
-    /// `--engine interpreter|decoded`, defaulting to the reference
-    /// interpreter.
+    /// `--engine interpreter|decoded`, defaulting to the decoded engine
+    /// ([`EngineKind::default`]).
     pub fn engine(&self) -> Result<EngineKind, ArgError> {
         match self.value("--engine") {
             None => Ok(EngineKind::default()),
@@ -248,7 +248,7 @@ pub const OPT_ARG: ArgHelp = ArgHelp::option(
 pub const ENGINE_ARG: ArgHelp = ArgHelp::option(
     "--engine",
     "<e>",
-    "interpreter | decoded   (default: interpreter)",
+    "decoded | interpreter   (default: decoded)",
 );
 
 /// A subcommand's complete command-line surface: the usage forms, the
@@ -525,7 +525,7 @@ mod tests {
             positional: true,
         };
         let p = parse_args(&v(&["bfs"]), &ENGINE_SPEC).expect("parses");
-        assert_eq!(p.engine().unwrap(), EngineKind::Interpreter);
+        assert_eq!(p.engine().unwrap(), EngineKind::Decoded);
         let p = parse_args(&v(&["bfs", "--engine", "decoded"]), &ENGINE_SPEC).expect("parses");
         assert_eq!(p.engine().unwrap(), EngineKind::Decoded);
         let p = parse_args(&v(&["bfs", "--engine", "interpreter"]), &ENGINE_SPEC).expect("parses");

@@ -62,10 +62,8 @@ fn contradictions(composed: &ComposedMap, profile: &Profile, serial: &CampaignRe
         .iter()
         .filter(|&&(fault, outcome)| {
             let verdict = profile
-                .sites
-                .binary_search_by_key(&fault.dyn_index, |s| s.dyn_index)
-                .ok()
-                .and_then(|i| composed.verdict_at(profile.sites[i].pc, fault.raw_bit));
+                .site_at(fault.dyn_index)
+                .and_then(|s| composed.verdict_at(s.pc, fault.raw_bit));
             match verdict {
                 Some(StaticVerdict::Masked) => outcome != Outcome::Benign,
                 Some(StaticVerdict::Detected) => outcome != Outcome::Detected,

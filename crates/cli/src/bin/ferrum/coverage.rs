@@ -132,10 +132,8 @@ pub fn check(s: &Setup) -> Vec<Record> {
         // every decided verdict the map claims for the sampled faults.
         let sound = serial.records.iter().all(|&(fault, outcome)| {
             let verdict = profile
-                .sites
-                .binary_search_by_key(&fault.dyn_index, |s| s.dyn_index)
-                .ok()
-                .and_then(|i| map.verdict_at(profile.sites[i].pc, fault.raw_bit));
+                .site_at(fault.dyn_index)
+                .and_then(|s| map.verdict_at(s.pc, fault.raw_bit));
             match verdict {
                 Some(StaticVerdict::Masked) => outcome == Outcome::Benign,
                 Some(StaticVerdict::Detected) => outcome == Outcome::Detected,

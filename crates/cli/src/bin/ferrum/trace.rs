@@ -37,7 +37,7 @@ pub const USAGE: UsageSpec = UsageSpec {
         ArgHelp::option(
             "--engine",
             "<e>",
-            "interpreter | decoded   (default: interpreter;\noutcomes are byte-identical, only throughput moves)",
+            "decoded | interpreter   (default: decoded;\noutcomes are byte-identical, only throughput moves)",
         ),
         ArgHelp::flag("--json", "emit the report as JSON instead of text"),
     ],

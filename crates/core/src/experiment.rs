@@ -4,6 +4,7 @@
 use ferrum_backend::{OptLevel, PassStats};
 use ferrum_eddi::Technique;
 use ferrum_faultsim::campaign::{CampaignConfig, CampaignResult, SnapshotPolicy};
+use ferrum_faultsim::engine::EngineKind;
 use ferrum_faultsim::plan::Campaign;
 use ferrum_faultsim::rootcause::{attribute_sdcs, RootCauseReport};
 use ferrum_faultsim::stats::{runtime_overhead, sdc_coverage};
@@ -93,9 +94,15 @@ impl WorkloadReport {
 
 /// Runs the full evaluation (all techniques) for one benchmark.
 ///
+/// Each of the four programs (raw plus the three techniques) is bound
+/// once to the default [`EngineKind`], which takes its golden profile
+/// and runs its snapshot campaign; records are byte-identical to the
+/// one-thread cold interpreter plan with the same seed.
+///
 /// # Errors
 ///
-/// Propagates pipeline and campaign failures.
+/// Propagates pipeline and campaign failures, and fails when a
+/// program's fault-free output diverges from the workload's oracle.
 pub fn evaluate_workload(
     pipeline: &Pipeline,
     w: &Workload,
@@ -104,42 +111,40 @@ pub fn evaluate_workload(
     let module = w.build(cfg.scale);
     let golden = w.oracle(cfg.scale);
     let pipeline = &pipeline.clone().with_opt_level(cfg.opt);
-
-    let (raw_prog, raw_pass_stats) = pipeline.protect_with_pass_stats(&module, Technique::None)?;
-    let raw_cpu = pipeline.load(&raw_prog)?;
-    let raw_profile = raw_cpu.profile();
-    assert_eq!(
-        raw_profile.result.output, golden,
-        "{}: simulation diverges from oracle",
-        w.name
-    );
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    // Golden-prefix snapshots and work stealing over every core:
-    // byte-identical outcomes to the one-thread cold plan.
-    let plan = |seed| {
-        Campaign::sampled(CampaignConfig {
-            samples: cfg.samples,
-            seed,
+    // Protects, loads, profiles and injects one program.  The plan runs
+    // golden-prefix snapshots with work stealing over every core.
+    let measure = |t: Technique, seed: u64| {
+        let (prog, pass_stats) = pipeline.protect_with_pass_stats(&module, t)?;
+        let cpu = pipeline.load(&prog)?;
+        EngineKind::default().with_cpu(&cpu, |engine| {
+            let profile = engine.profile();
+            if profile.result.output != golden {
+                return Err(Error::msg(format!(
+                    "{}/{t}: simulated output diverges from the oracle",
+                    w.name
+                )));
+            }
+            let campaign = Campaign::sampled(CampaignConfig {
+                samples: cfg.samples,
+                seed,
+            })
+            .threads(threads)
+            .snapshots(SnapshotPolicy::default())
+            .run(engine, &profile)?;
+            Ok((prog, pass_stats, profile, campaign))
         })
-        .threads(threads)
-        .snapshots(SnapshotPolicy::default())
     };
-    let raw_campaign = plan(cfg.seed).run(&raw_cpu, &raw_profile)?;
+
+    let (raw_prog, raw_pass_stats, raw_profile, raw_campaign) = measure(Technique::None, cfg.seed)?;
     let raw_sdc_prob = raw_campaign.sdc_prob();
     let raw_cycles = raw_profile.result.cycles;
 
     let mut techniques = Vec::new();
     for (k, t) in Technique::PROTECTED.into_iter().enumerate() {
-        let (prog, pass_stats) = pipeline.protect_with_pass_stats(&module, t)?;
-        let cpu = pipeline.load(&prog)?;
-        let profile = cpu.profile();
-        assert_eq!(
-            profile.result.output, golden,
-            "{}/{t}: protected program diverges from oracle",
-            w.name
-        );
-        let campaign = plan(cfg.seed.wrapping_add(k as u64 + 1)).run(&cpu, &profile)?;
-        let rootcause = attribute_sdcs(&cpu, &profile, &campaign);
+        let (prog, pass_stats, profile, campaign) =
+            measure(t, cfg.seed.wrapping_add(k as u64 + 1))?;
+        let rootcause = attribute_sdcs(&profile, &campaign);
         techniques.push(TechniqueReport {
             technique: t,
             cycles: profile.result.cycles,
@@ -168,6 +173,74 @@ pub fn evaluate_workload(
 mod tests {
     use super::*;
     use ferrum_workloads::workload;
+
+    #[test]
+    fn report_matches_the_cold_interpreter_reference() {
+        let w = workload("pathfinder").expect("exists");
+        let cfg = EvalConfig {
+            samples: 150,
+            seed: 5,
+            scale: Scale::Test,
+            ..EvalConfig::default()
+        };
+        let pipeline = Pipeline::new().with_opt_level(cfg.opt);
+        let report = evaluate_workload(&pipeline, &w, cfg).expect("evaluates");
+
+        // Each configuration again, on the interpreter with one thread
+        // and cold starts, with the seeds `evaluate_workload` uses.
+        let module = w.build(cfg.scale);
+        let reference = |t: Technique, seed: u64| {
+            let prog = pipeline.protect(&module, t).expect("protects");
+            let cpu = pipeline.load(&prog).expect("loads");
+            let profile = cpu.profile();
+            let campaign = Campaign::sampled(CampaignConfig {
+                samples: cfg.samples,
+                seed,
+            })
+            .run(&cpu, &profile)
+            .expect("runs");
+            (prog, profile, campaign)
+        };
+        let (raw_prog, raw_profile, raw) = reference(Technique::None, cfg.seed);
+        assert_eq!(report.raw_sdc_prob, raw.sdc_prob());
+        assert_eq!(report.raw_cycles, raw_profile.result.cycles);
+        assert_eq!(report.raw_static_insts, raw_prog.static_inst_count());
+        for (k, t) in Technique::PROTECTED.into_iter().enumerate() {
+            let (prog, profile, campaign) = reference(t, cfg.seed.wrapping_add(k as u64 + 1));
+            let r = report.technique(t).expect("reported");
+            assert_eq!(r.campaign.stats.engine, EngineKind::Decoded, "{t}");
+            assert_eq!(r.campaign.records, campaign.records, "{t}");
+            assert_eq!(r.campaign.stats.latency, campaign.stats.latency, "{t}");
+            assert_eq!(r.sdc_prob, campaign.sdc_prob(), "{t}");
+            assert_eq!(
+                r.coverage,
+                sdc_coverage(raw.sdc_prob(), campaign.sdc_prob()),
+                "{t}"
+            );
+            assert_eq!(r.cycles, profile.result.cycles, "{t}");
+            assert_eq!(r.dyn_insts, profile.result.dyn_insts, "{t}");
+            assert_eq!(r.static_insts, prog.static_inst_count(), "{t}");
+            assert_eq!(r.rootcause, attribute_sdcs(&profile, &campaign), "{t}");
+        }
+    }
+
+    #[test]
+    fn a_golden_run_that_misses_the_oracle_is_an_error() {
+        // A 100-step budget times the golden run out long before the
+        // kernel prints its result.
+        let w = workload("pathfinder").expect("exists");
+        let cfg = EvalConfig {
+            samples: 10,
+            scale: Scale::Test,
+            ..EvalConfig::default()
+        };
+        let pipeline = Pipeline::new().with_step_limit(100);
+        let err = evaluate_workload(&pipeline, &w, cfg).expect_err("oracle mismatch");
+        assert_eq!(
+            err.to_string(),
+            "pathfinder/RAW: simulated output diverges from the oracle"
+        );
+    }
 
     #[test]
     fn evaluation_reproduces_the_papers_shape_on_one_benchmark() {

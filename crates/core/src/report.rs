@@ -244,7 +244,7 @@ pub fn render_telemetry_table(reports: &[WorkloadReport]) -> String {
 }
 
 /// Header for the live campaign progress table streamed by
-/// `ferrum-campaign` (one [`render_progress_row`] per
+/// `ferrum campaign` (one [`render_progress_row`] per
 /// [`ProgressSnapshot`]).
 pub fn render_progress_header() -> String {
     format!(
@@ -297,7 +297,7 @@ pub fn render_progress_row_flagged(p: &ProgressSnapshot, stalled: &[usize]) -> S
 }
 
 /// Renders the end-of-campaign flight summary: fingerprint, shard
-/// layout, and final throughput — the `ferrum-campaign` footer.
+/// layout, and final throughput — the `ferrum campaign` footer.
 pub fn render_flight_summary(fp: &CampaignFingerprint, result: &CampaignResult) -> String {
     let s = &result.stats;
     let mut out = String::new();
@@ -330,7 +330,7 @@ pub fn render_flight_summary(fp: &CampaignFingerprint, result: &CampaignResult) 
     out
 }
 
-/// Renders a `ferrum-lint` report for terminal consumption: one line
+/// Renders a `ferrum lint` report for terminal consumption: one line
 /// per finding (`contract  function/block[index]: explanation`) plus a
 /// summary line, mirroring compiler-diagnostic conventions.
 pub fn render_lint_report(rep: &LintReport) -> String {

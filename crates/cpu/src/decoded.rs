@@ -34,7 +34,7 @@
 //! and no crash-capable constituent before the final instruction, and
 //! the tight loop only dispatches a fused group when the whole group
 //! fits below the next fault/timeout boundary.  `tests/` and the
-//! `ferrum-cpu --selfcheck` catalog sweep pin the contract.
+//! `ferrum selfcheck cpu` catalog sweep pin the contract.
 
 use ferrum_asm::flags::{Cc, FlagBit, Flags};
 use ferrum_asm::inst::{AluOp, DestClass, Inst, RegMasks, ShiftAmount, ShiftOp, UnaryOp};

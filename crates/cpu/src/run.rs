@@ -134,6 +134,19 @@ pub struct Profile {
     pub result: RunResult,
 }
 
+impl Profile {
+    /// The injectable site executed at dynamic index `dyn_index`, or
+    /// `None` when that instruction has no injectable destination or
+    /// lies outside the run.  A binary search: `sites` are recorded in
+    /// execution order, so their `dyn_index`es strictly increase.
+    pub fn site_at(&self, dyn_index: u64) -> Option<&SiteInfo> {
+        self.sites
+            .binary_search_by_key(&dyn_index, |s| s.dyn_index)
+            .ok()
+            .map(|i| &self.sites[i])
+    }
+}
+
 impl Cpu {
     /// Loads `p` with the default cost model and step limit (50 M).
     ///
@@ -404,6 +417,31 @@ mod tests {
         // no branches, so none are flagged... the icmp-free sum has no
         // cmp at all.
         assert!(prof.sites.iter().all(|s| !s.is_flags));
+    }
+
+    #[test]
+    fn site_at_finds_exactly_the_profiled_sites() {
+        let cpu = compile_and_load(&simple_sum_module());
+        let prof = cpu.profile();
+        for s in &prof.sites {
+            assert_eq!(prof.site_at(s.dyn_index), Some(s));
+        }
+        // Every dynamic index that is not a site — before the first,
+        // between two, past the last — finds nothing.
+        let first = prof.sites[0].dyn_index;
+        let last = prof.sites[prof.sites.len() - 1].dyn_index;
+        let gaps: Vec<u64> = (0..=last + 2)
+            .filter(|&i| prof.sites.iter().all(|s| s.dyn_index != i))
+            .collect();
+        assert!(gaps.iter().any(|&i| i > first && i < last), "{gaps:?}");
+        assert!(gaps.contains(&(last + 1)));
+        assert!(
+            first > 0 && gaps.contains(&0),
+            "the prologue push is no site"
+        );
+        for i in gaps.into_iter().chain([u64::MAX]) {
+            assert_eq!(prof.site_at(i), None, "dyn_index {i}");
+        }
     }
 
     #[test]

@@ -216,6 +216,8 @@ pub struct CampaignStats {
     /// (the sum of each chosen snapshot's instruction boundary).
     pub steps_saved: u64,
     /// Dynamic instructions actually executed across all faulted runs.
+    /// A golden suffix the decoded engine stitched in after converging
+    /// is not executed, so it counts in neither this nor `steps_saved`.
     pub steps_executed: u64,
     /// Per-worker injections and steps, indexed by worker thread.
     pub per_worker: Vec<WorkerStats>,
@@ -255,7 +257,9 @@ impl CampaignStats {
         }
     }
 
-    /// Fraction of total work (executed + saved) that snapshots avoided.
+    /// Fraction of `steps_saved + steps_executed` that snapshot
+    /// restores skipped: prefix skipping only (stitched golden suffixes
+    /// are in neither term, see `steps_executed`).
     pub fn steps_saved_ratio(&self) -> f64 {
         let total = self.steps_saved + self.steps_executed;
         if total == 0 {
@@ -648,11 +652,10 @@ pub(crate) mod tests {
             seed: 31,
         };
         for fault in sample_faults(&profile, cfg) {
-            let i = profile
-                .sites
-                .binary_search_by_key(&fault.dyn_index, |s| s.dyn_index)
-                .expect("sampled faults land on profiled sites");
-            let bits = profile.sites[i].bits;
+            let bits = profile
+                .site_at(fault.dyn_index)
+                .expect("sampled faults land on profiled sites")
+                .bits;
             assert!(
                 u32::from(fault.raw_bit) < bits,
                 "raw_bit {} out of range for a {bits}-bit destination",
@@ -678,11 +681,7 @@ pub(crate) mod tests {
         let mut buckets = [0u64; 8];
         let mut n = 0u64;
         for fault in sample_faults(&profile, cfg) {
-            let i = profile
-                .sites
-                .binary_search_by_key(&fault.dyn_index, |s| s.dyn_index)
-                .unwrap();
-            if profile.sites[i].bits == 64 {
+            if profile.site_at(fault.dyn_index).unwrap().bits == 64 {
                 buckets[usize::from(fault.raw_bit) / 8] += 1;
                 n += 1;
             }

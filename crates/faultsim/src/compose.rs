@@ -785,26 +785,21 @@ main_end:
         );
         let res = Campaign::sampled(cfg(400, 77)).run(&cpu, &profile).unwrap();
         for &(fault, outcome) in &res.records {
-            let i = profile
-                .sites
-                .binary_search_by_key(&fault.dyn_index, |s| s.dyn_index)
-                .unwrap();
-            let Some(v) = composed.verdict_at(profile.sites[i].pc, fault.raw_bit) else {
+            let pc = profile.site_at(fault.dyn_index).unwrap().pc;
+            let Some(v) = composed.verdict_at(pc, fault.raw_bit) else {
                 continue;
             };
             match v {
                 StaticVerdict::Masked => assert_eq!(
                     outcome,
                     Outcome::Benign,
-                    "composed Masked contradicted at pc {} bit {}",
-                    profile.sites[i].pc,
+                    "composed Masked contradicted at pc {pc} bit {}",
                     fault.raw_bit
                 ),
                 StaticVerdict::Detected => assert_eq!(
                     outcome,
                     Outcome::Detected,
-                    "composed Detected contradicted at pc {} bit {}",
-                    profile.sites[i].pc,
+                    "composed Detected contradicted at pc {pc} bit {}",
                     fault.raw_bit
                 ),
                 _ => {}

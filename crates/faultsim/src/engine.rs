@@ -20,13 +20,15 @@ use ferrum_cpu::snapshot::{Machine, Snapshot};
 
 use crate::flight;
 
-/// Which execution engine a campaign runs on.
+/// Which execution engine a campaign runs on.  The default is the
+/// decoded engine; the interpreter stays the reference the identity
+/// suites compare it against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineKind {
     /// The reference interpreter (`ferrum_cpu::exec::step`).
-    #[default]
     Interpreter,
     /// The decode-once flattened engine (`ferrum_cpu::decoded`).
+    #[default]
     Decoded,
 }
 
@@ -325,6 +327,6 @@ mod tests {
             assert_eq!(EngineKind::parse(k.label()), Some(k));
         }
         assert_eq!(EngineKind::parse("jit"), None);
-        assert_eq!(EngineKind::default(), EngineKind::Interpreter);
+        assert_eq!(EngineKind::default(), EngineKind::Decoded);
     }
 }

@@ -43,7 +43,7 @@
 //! Serialization of the event stream as NDJSON lives in
 //! `ferrum::flight` (the `ferrum::json` layer, see
 //! docs/events-schema.md); the live TTY table lives in
-//! `ferrum::report`; both are fronted by the `ferrum-campaign` CLI.
+//! `ferrum::report`; both are fronted by `ferrum campaign`.
 //!
 //! [`CampaignStats::reused_sites`]: crate::campaign::CampaignStats::reused_sites
 //! [`Reuse::Journal`]: crate::plan::Reuse::Journal

@@ -412,11 +412,7 @@ pub fn explain_unknown_sites(
         .iter()
         .filter(|r| r.outcome == Outcome::Sdc)
         .filter_map(|r| {
-            let i = profile
-                .sites
-                .binary_search_by_key(&r.fault.dyn_index, |s| s.dyn_index)
-                .ok()?;
-            let site = profile.sites[i];
+            let site = profile.site_at(r.fault.dyn_index)?;
             match map.verdict_at(site.pc, r.fault.raw_bit) {
                 Some(StaticVerdict::Unknown) => Some(UnknownSiteExplanation {
                     pc: site.pc,

@@ -438,7 +438,10 @@ impl<'a> Campaign<'a> {
                         let clock = StageClock::start();
                         let run = m.run_converging(faults, snapshots, &profile.result);
                         clock.stop(t, Stage::Replay);
-                        out.steps += run.dyn_insts - start.dyn_insts();
+                        // The machine's own count, not `run.dyn_insts`:
+                        // a converged run stitches its golden suffix in
+                        // without executing it.
+                        out.steps += m.dyn_insts() - start.dyn_insts();
                         run
                     }
                 };
@@ -506,14 +509,10 @@ impl<'a> Campaign<'a> {
     }
 }
 
-/// The outcome a static verdict proves for `fault`, if any.  Sites are
-/// recorded in dynamic order, so `dyn_index` is sorted.
+/// The outcome a static verdict proves for `fault`, if any.
 fn static_outcome(map: &CoverageMap, profile: &Profile, fault: FaultSpec) -> Option<Outcome> {
-    let i = profile
-        .sites
-        .binary_search_by_key(&fault.dyn_index, |s| s.dyn_index)
-        .ok()?;
-    match map.verdict_at(profile.sites[i].pc, fault.raw_bit)? {
+    let site = profile.site_at(fault.dyn_index)?;
+    match map.verdict_at(site.pc, fault.raw_bit)? {
         StaticVerdict::Masked => Some(Outcome::Benign),
         StaticVerdict::Detected => Some(Outcome::Detected),
         _ => None,

@@ -9,7 +9,7 @@
 use std::collections::BTreeMap;
 
 use ferrum_asm::provenance::{GlueKind, Provenance};
-use ferrum_cpu::run::{Cpu, Profile};
+use ferrum_cpu::run::Profile;
 
 use crate::campaign::{CampaignResult, Outcome};
 
@@ -40,21 +40,17 @@ impl RootCauseReport {
 /// Attributes every SDC in `result` to the provenance of the faulted
 /// dynamic instruction.
 ///
-/// The attribution replays the site lookup from the profile: each
-/// record's `dyn_index` identifies the faulted instruction, whose
-/// provenance was captured during profiling.
-pub fn attribute_sdcs(_cpu: &Cpu, profile: &Profile, result: &CampaignResult) -> RootCauseReport {
-    let mut by_index: BTreeMap<u64, Provenance> = BTreeMap::new();
-    for s in &profile.sites {
-        by_index.insert(s.dyn_index, s.prov);
-    }
+/// Each record's `dyn_index` identifies the faulted instruction, whose
+/// provenance the profile captured; [`Profile::site_at`] finds it.  A
+/// fault that matches no profiled site is booked as synthetic.
+pub fn attribute_sdcs(profile: &Profile, result: &CampaignResult) -> RootCauseReport {
     let mut report = RootCauseReport::default();
     for (fault, outcome) in &result.records {
         if *outcome != Outcome::Sdc {
             continue;
         }
         report.total_sdc += 1;
-        match by_index.get(&fault.dyn_index) {
+        match profile.site_at(fault.dyn_index).map(|s| s.prov) {
             Some(Provenance::FromIr(_)) => report.from_ir += 1,
             Some(Provenance::Glue(k)) => {
                 *report.glue.entry(k.label()).or_insert(0) += 1;
@@ -103,13 +99,9 @@ impl KindBreakdown {
 
 /// Splits campaign outcomes by whether the fault targeted RFLAGS.
 pub fn breakdown_by_kind(profile: &Profile, result: &CampaignResult) -> KindBreakdown {
-    let mut by_index: BTreeMap<u64, bool> = BTreeMap::new();
-    for s in &profile.sites {
-        by_index.insert(s.dyn_index, s.is_flags);
-    }
     let mut out = KindBreakdown::default();
     for (fault, outcome) in &result.records {
-        let is_flags = by_index.get(&fault.dyn_index).copied().unwrap_or(false);
+        let is_flags = profile.site_at(fault.dyn_index).is_some_and(|s| s.is_flags);
         let sdc = *outcome == Outcome::Sdc;
         if is_flags {
             out.flag_faults += 1;
@@ -149,6 +141,8 @@ mod tests {
     use super::*;
     use crate::campaign::CampaignConfig;
     use crate::plan::Campaign;
+    use ferrum_cpu::fault::FaultSpec;
+    use ferrum_cpu::run::Cpu;
     use ferrum_mir::builder::FunctionBuilder;
     use ferrum_mir::module::{Global, Module};
     use ferrum_mir::types::Ty;
@@ -192,7 +186,7 @@ mod tests {
         })
         .run(&cpu, &profile)
         .unwrap();
-        let report = attribute_sdcs(&cpu, &profile, &res);
+        let report = attribute_sdcs(&profile, &res);
         assert_eq!(report.total_sdc, res.sdc);
         assert!(report.total_sdc > 0, "IR-EDDI must leak on store staging");
         assert!(
@@ -200,6 +194,22 @@ mod tests {
             "residual SDCs should concentrate in backend glue: {report:?}"
         );
         assert_eq!(report.protection, 0);
+    }
+
+    #[test]
+    fn sdcs_at_no_profiled_site_are_booked_synthetic() {
+        let asm = ferrum_backend::compile(&store_heavy_module()).unwrap();
+        let profile = Cpu::load(&asm).unwrap().profile();
+        let first = profile.sites[0];
+        let last = profile.sites[profile.sites.len() - 1].dyn_index;
+        let mut res = CampaignResult::default();
+        for i in [first.dyn_index, last + 1, u64::MAX] {
+            res.record(FaultSpec::new(i, 0), Outcome::Sdc);
+        }
+        let report = attribute_sdcs(&profile, &res);
+        assert_eq!(report.total_sdc, 3);
+        assert_ne!(first.prov, Provenance::Synthetic);
+        assert_eq!(report.synthetic, 2, "{report:?}");
     }
 
     #[test]

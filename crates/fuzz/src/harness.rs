@@ -304,10 +304,8 @@ pub fn check_program(seed: u64, campaign_samples: usize) -> (u64, u64, Vec<Diver
                     .iter()
                     .filter(|&&(fault, outcome)| {
                         let verdict = profile
-                            .sites
-                            .binary_search_by_key(&fault.dyn_index, |s| s.dyn_index)
-                            .ok()
-                            .and_then(|i| map.verdict_at(profile.sites[i].pc, fault.raw_bit));
+                            .site_at(fault.dyn_index)
+                            .and_then(|s| map.verdict_at(s.pc, fault.raw_bit));
                         match verdict {
                             Some(StaticVerdict::Masked) => outcome != Outcome::Benign,
                             Some(StaticVerdict::Detected) => outcome != Outcome::Detected,

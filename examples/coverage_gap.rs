@@ -44,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         res.sdc, res.detected, res.crash, res.benign
     );
     println!();
-    let report = attribute_sdcs(&cpu, &profile, &res);
+    let report = attribute_sdcs(&profile, &res);
     println!("{}", render(&report));
     println!("every residual SDC hit backend-generated or sync-point code —");
     println!("exactly the cross-layer gap FERRUM closes (coverage table: Fig. 10).");

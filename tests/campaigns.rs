@@ -98,7 +98,7 @@ fn ir_eddi_detects_much_but_leaks_in_backend_glue() {
             "{}: IR-EDDI must detect something",
             w.name
         );
-        let rc = attribute_sdcs(&cpu, &profile, &res);
+        let rc = attribute_sdcs(&profile, &res);
         assert_eq!(
             rc.protection, 0,
             "{}: protection code must never cause SDC",

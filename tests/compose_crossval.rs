@@ -1,6 +1,6 @@
 //! Cross-validation of compositional fault-propagation verdicts and
 //! incremental campaign plans against injection ground truth —
-//! the soundness contract of `ferrum-compose` (DESIGN.md §5g).
+//! the soundness contract of `ferrum compose` (DESIGN.md §5g).
 //!
 //! Three halves, mirroring the acceptance criteria:
 //!
@@ -88,11 +88,10 @@ fn protect_all(m: &Module) -> Vec<(&'static str, AsmProgram)> {
 /// The composed verdict governing one sampled fault, via the profile's
 /// dyn-index → pc mapping.
 fn verdict_of(profile: &Profile, map: &ComposedMap, fault: FaultSpec) -> Option<StaticVerdict> {
-    let i = profile
-        .sites
-        .binary_search_by_key(&fault.dyn_index, |s| s.dyn_index)
+    let site = profile
+        .site_at(fault.dyn_index)
         .expect("sampled fault must come from a profiled site");
-    map.verdict_at(profile.sites[i].pc, fault.raw_bit)
+    map.verdict_at(site.pc, fault.raw_bit)
 }
 
 /// Injects `samples` faults into `asm` and asserts every record agrees
@@ -323,11 +322,8 @@ mod escape_properties {
                 let cfg = CampaignConfig { samples: 64, seed };
                 let res = Campaign::sampled(cfg).run(&cpu, &profile).unwrap();
                 for &(fault, outcome) in &res.records {
-                    let i = profile
-                        .sites
-                        .binary_search_by_key(&fault.dyn_index, |s| s.dyn_index)
-                        .expect("profiled site");
-                    let Some(unit) = summary.unit_at(profile.sites[i].pc, fault.raw_bit) else {
+                    let pc = profile.site_at(fault.dyn_index).expect("profiled site").pc;
+                    let Some(unit) = summary.unit_at(pc, fault.raw_bit) else {
                         continue;
                     };
                     if unit.escape.is_empty() && !unit.may_detect {

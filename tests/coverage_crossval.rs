@@ -1,5 +1,5 @@
 //! Cross-validation of the static coverage map against injection
-//! ground truth — the soundness contract of `ferrum-coverage`.
+//! ground truth — the soundness contract of `ferrum coverage`.
 //!
 //! Three halves, mirroring the acceptance criteria (DESIGN.md §5d):
 //!
@@ -63,11 +63,10 @@ fn protect_all(m: &Module) -> Vec<(&'static str, AsmProgram)> {
 /// The static verdict governing one sampled fault, via the profile's
 /// dyn-index → pc mapping.
 fn verdict_of(profile: &Profile, map: &CoverageMap, fault: FaultSpec) -> Option<StaticVerdict> {
-    let i = profile
-        .sites
-        .binary_search_by_key(&fault.dyn_index, |s| s.dyn_index)
+    let site = profile
+        .site_at(fault.dyn_index)
         .expect("sampled fault must come from a profiled site");
-    map.verdict_at(profile.sites[i].pc, fault.raw_bit)
+    map.verdict_at(site.pc, fault.raw_bit)
 }
 
 /// Injects `samples` faults into `asm` and asserts every record agrees

@@ -1,5 +1,5 @@
 //! Cross-validation of differential-replay forensics against campaign
-//! ground truth — the acceptance contract of `ferrum-forensics`.
+//! ground truth — the acceptance contract of `ferrum forensics`.
 //!
 //! Four halves, mirroring the acceptance criteria (DESIGN.md §5e):
 //!

@@ -1,4 +1,4 @@
-//! Cross-validation of `ferrum-lint` against injection ground truth.
+//! Cross-validation of `ferrum lint` against injection ground truth.
 //!
 //! Two halves, mirroring the acceptance criteria of the static
 //! soundness layer (DESIGN.md):

@@ -40,7 +40,7 @@ fn assert_identical(a: &CampaignResult, b: &CampaignResult, what: &str) {
 fn decoded_engine_is_byte_identical_across_the_whole_catalog() {
     // Every catalog workload × every technique: campaign outcomes per
     // seed must not depend on the engine.  (Run + profile identity over
-    // the same sweep is `ferrum-cpu --selfcheck` in tier-1.)
+    // the same sweep is `ferrum selfcheck cpu` in tier-1.)
     for w in all_workloads() {
         for technique in [
             Technique::None,
