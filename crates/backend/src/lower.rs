@@ -74,7 +74,6 @@ pub fn compile_opt(m: &Module, opt: OptLevel) -> Result<AsmProgram, CompileError
 ///
 /// Same conditions as [`compile`].
 pub fn compile_with_stats(m: &Module, opt: OptLevel) -> Result<(AsmProgram, PassStats), CompileError> {
-    let _span = ferrum_trace::span("backend.compile");
     if let Err(errs) = ferrum_mir::verify::verify_module(m) {
         return Err(CompileError::InvalidModule(
             errs.first().map(ToString::to_string).unwrap_or_default(),
@@ -101,7 +100,6 @@ pub fn compile_with_stats(m: &Module, opt: OptLevel) -> Result<(AsmProgram, Pass
         let meta = ProgramMeta::from_module(m);
         stats.absorb(&optimize(&mut prog, &meta));
     }
-    ferrum_trace::counter("backend.static_insts", prog.static_inst_count() as u64);
     Ok((prog, stats))
 }
 

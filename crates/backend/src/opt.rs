@@ -218,7 +218,6 @@ impl ProgramMeta {
 /// per-pass counts.  Functions without an entry in `meta` are left
 /// untouched (their aliasing is unknown).
 pub fn optimize(p: &mut AsmProgram, meta: &ProgramMeta) -> PassStats {
-    let _span = ferrum_trace::span("backend.opt");
     let mut stats = PassStats::default();
     for f in &mut p.functions {
         let Some(fm) = meta.funcs.get(&f.name) else {
@@ -248,7 +247,6 @@ pub fn optimize(p: &mut AsmProgram, meta: &ProgramMeta) -> PassStats {
             }
         }
     }
-    ferrum_trace::counter("backend.opt.insts_removed", stats.insts_removed());
     stats
 }
 

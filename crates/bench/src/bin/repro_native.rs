@@ -1,14 +1,17 @@
 //! Fig. 11 on real silicon: assembles each benchmark × technique with
 //! `gcc` via the timing harness (`emit_gnu_timing`), runs the binaries
 //! natively, and reports wall-clock overheads — the empirical check on
-//! the simulator's cost model.  Requires x86-64 Linux with gcc and
-//! AVX2; exits quietly otherwise.
+//! the simulator's cost model.  The closing line gives the simulated
+//! averages of the same programs (`repro_fig11`'s average row at the
+//! same `--scale`).  Requires x86-64 Linux with gcc and AVX2; exits
+//! quietly otherwise.
 
 use std::process::Command;
 use std::time::Instant;
 
 use ferrum::{Pipeline, Technique};
 use ferrum_eddi::ferrum::FerrumConfig;
+use ferrum_faultsim::stats::runtime_overhead;
 use ferrum_workloads::all_workloads;
 
 const ITERS: u32 = 3000;
@@ -65,16 +68,20 @@ fn main() {
         "benchmark", "raw (ms)", "IR-EDDI", "HYBRID-ASM", "FERRUM", "FERRUM-noSIMD"
     );
     let mut sums = [0.0f64; 4];
+    let mut sim_sums = [0.0f64; 3];
     let mut count = 0usize;
+    let sim_cycles = |p: &ferrum_asm::AsmProgram| pipeline.load(p).expect("loads").run(None).cycles;
     for w in all_workloads() {
         let module = w.build(cfg.scale);
         let raw = pipeline.protect(&module, Technique::None).expect("compiles");
+        let raw_cycles = sim_cycles(&raw);
         let raw_bin = dir.join(format!("{}_raw", w.name));
         build(&ferrum_asm::gnu::emit_gnu_timing(&raw, ITERS), &raw_bin);
         let raw_t = time_binary(&raw_bin);
         print!("{:<16}{:>12.2}", w.name, raw_t * 1e3);
         for (i, t) in Technique::PROTECTED.into_iter().enumerate() {
             let prog = pipeline.protect(&module, t).expect("protects");
+            sim_sums[i] += runtime_overhead(raw_cycles, sim_cycles(&prog));
             let bin = dir.join(format!("{}_{i}", w.name));
             build(&ferrum_asm::gnu::emit_gnu_timing(&prog, ITERS), &bin);
             let t_prot = time_binary(&bin);
@@ -104,5 +111,8 @@ fn main() {
     println!();
     let _ = std::fs::remove_dir_all(&dir);
     println!();
-    println!("(simulated averages for comparison: IR 73%, HYBRID 104%, FERRUM 36%)");
+    let [ir, hybrid, ferrum] = sim_sums.map(|s| s / count as f64 * 100.0);
+    println!(
+        "(simulated averages for comparison: IR {ir:.1}%, HYBRID {hybrid:.1}%, FERRUM {ferrum:.1}%)"
+    );
 }

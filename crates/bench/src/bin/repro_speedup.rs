@@ -56,9 +56,8 @@ use std::time::Instant;
 use ferrum::flight::NdjsonSink;
 use ferrum::json::{Json, ToJson};
 use ferrum::{
-    install_flight_recorder, program_signature, uninstall_flight_recorder, Campaign, CampaignCache,
-    CampaignConfig, CoverageMap, DecodedCpu, FlightRecorder, Pipeline, Reuse, SnapshotPolicy,
-    Technique,
+    program_signature, Campaign, CampaignCache, CampaignConfig, CoverageMap, DecodedCpu,
+    FlightRecorder, Pipeline, Reuse, SnapshotPolicy, Technique,
 };
 use ferrum_asm::inst::Inst;
 use ferrum_asm::program::AsmInst;
@@ -337,24 +336,16 @@ fn main() {
     let mut recorder_rows = Vec::new();
     for w in all_workloads() {
         let (prog, cpu, profile) = load(&w, Technique::Ferrum);
-        let hash = program_signature(&prog);
         let decoded = DecodedCpu::new(&cpu);
+        let recorder = FlightRecorder::new(Arc::new(NdjsonSink::new(Box::new(std::io::sink()))))
+            .with_labels(w.name, "ferrum")
+            .with_program_hash(program_signature(&prog));
         let run = |recorded: bool| {
-            if recorded {
-                install_flight_recorder(Arc::new(
-                    FlightRecorder::new(Arc::new(NdjsonSink::new(Box::new(std::io::sink()))))
-                        .with_labels(w.name, "ferrum")
-                        .with_program_hash(hash),
-                ));
-            }
-            let r = Campaign::sampled(campaign_cfg)
+            Campaign::sampled(campaign_cfg)
                 .snapshots(SnapshotPolicy::default())
+                .observe(recorded.then_some(&recorder))
                 .run(&decoded, &profile)
-                .unwrap();
-            if recorded {
-                uninstall_flight_recorder();
-            }
-            r
+                .unwrap()
         };
         // Interleaved best-of-`reps` per configuration: each timed
         // campaign lasts only tens of milliseconds at paper scale, so

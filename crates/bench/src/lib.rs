@@ -15,16 +15,13 @@
 //! | `repro_speedup`   | snapshot campaign engine vs serial executor throughput |
 //!
 //! Each prints an aligned text table; `--samples N`, `--seed S`, and
-//! `--scale test|paper` tune campaign size where applicable.
-//! The benches (`cargo bench`) measure the infrastructure itself —
-//! pass throughput, simulator speed, and checker costs — using the
-//! self-contained [`harness`] module (hermetic-build policy: no
-//! external benchmarking framework).
+//! `--scale test|paper` tune campaign size where applicable.  The
+//! tool's own speed per stage (compile, protect, simulate) is
+//! perfbench's per-layer breakdown (`perfbench/`), not a binary here.
 
 use ferrum::{EvalConfig, OptLevel, Scale};
 
 pub mod benchjson;
-pub mod harness;
 
 /// Parses the common `--samples`, `--seed`, `--scale`, `--opt` flags.
 /// Other arguments pass through untouched: each binary reads its own

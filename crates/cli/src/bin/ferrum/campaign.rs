@@ -1,9 +1,10 @@
 //! `ferrum campaign` — long-running campaigns with live telemetry and
 //! a resume-grade journal.
 //!
-//! The tool protects and loads the workload, installs a
-//! [`FlightRecorder`](ferrum::FlightRecorder), and runs a sampled
-//! [`Campaign`](ferrum::Campaign) with a live progress table on stdout.
+//! The tool protects and loads the workload and runs a sampled
+//! [`Campaign`](ferrum::Campaign) that a
+//! [`FlightRecorder`](ferrum::FlightRecorder) observes, with a live
+//! progress table on stdout.
 //! `--executor` picks the plan's axes: `serial` is one cold thread,
 //! `parallel` is `--threads` cold workers, `snapshot` is `--threads`
 //! workers replaying from golden-prefix snapshots.  `--events` and
@@ -25,13 +26,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use ferrum::flight::{journal_from_ndjson, parse_events, NdjsonSink, StallTracker};
-use ferrum::json::{Json, ToJson};
+use ferrum::json::{id_to_json, Json, ToJson};
 use ferrum::report::{render_flight_summary, render_progress_header, render_progress_row_flagged};
 use ferrum::{
-    install_flight_recorder, program_signature, uninstall_flight_recorder, Campaign,
-    CampaignConfig, CampaignEvent, CampaignFingerprint, CampaignResult, EngineKind, FlightEvent,
-    FlightRecorder, FlightSink, JournalSnapshot, MemorySink, Reuse, SnapshotPolicy, Technique,
-    TeeSink,
+    program_signature, Campaign, CampaignConfig, CampaignEvent, CampaignFingerprint,
+    CampaignResult, EngineKind, FlightEvent, FlightRecorder, FlightSink, JournalSnapshot,
+    MemorySink, Reuse, SnapshotPolicy, Technique, TeeSink,
 };
 use ferrum_cli::args::{
     parse_args, technique_label, ArgError, ArgHelp, ArgSpec, UsageSpec, ENGINE_ARG, OPT_ARG,
@@ -144,7 +144,7 @@ impl FlightSink for LiveProgress {
 }
 
 /// Assembles the tee of enabled sinks; `None` when nothing listens
-/// (no recorder installed — the campaign runs probe-free).
+/// (the campaign runs unobserved).
 fn build_sinks(opts: &Options) -> Result<Option<Arc<dyn FlightSink>>, String> {
     let mut sinks: Vec<Arc<dyn FlightSink>> = Vec::new();
     if !opts.json {
@@ -226,22 +226,19 @@ fn run_one(name: &str, opts: &Options) -> Result<ExitCode, ferrum::Error> {
         samples: opts.samples,
         seed: opts.seed,
     };
-    if let Some(sink) = build_sinks(opts).map_err(ferrum::Error::msg)? {
-        install_flight_recorder(Arc::new(
-            FlightRecorder::new(sink)
-                .with_labels(name, technique_label(opts.technique))
-                .with_program_hash(program_signature(&prot.prog)),
-        ));
-    }
+    let recorder = build_sinks(opts).map_err(ferrum::Error::msg)?.map(|sink| {
+        FlightRecorder::new(sink)
+            .with_labels(name, technique_label(opts.technique))
+            .with_program_hash(program_signature(&prot.prog))
+    });
     let plan = Campaign::sampled(cfg)
         .threads(opts.threads)
         .snapshots(opts.snapshots)
-        .reuse(journal.as_ref().map_or(Reuse::None, Reuse::Journal));
+        .reuse(journal.as_ref().map_or(Reuse::None, Reuse::Journal))
+        .observe(recorder.as_ref());
     let result = opts
         .engine
-        .with_cpu(&prot.cpu, |engine| plan.run(engine, profile));
-    uninstall_flight_recorder();
-    let result = result?;
+        .with_cpu(&prot.cpu, |engine| plan.run(engine, profile))?;
 
     let fp = CampaignFingerprint {
         workload: name.to_owned(),
@@ -259,7 +256,7 @@ fn run_one(name: &str, opts: &Options) -> Result<ExitCode, ferrum::Error> {
             ("workload", name.to_json()),
             ("technique", technique_label(opts.technique).to_json()),
             ("executor", fp.executor.to_json()),
-            ("program_hash", fp.program_hash.to_json()),
+            ("program_hash", id_to_json(fp.program_hash)),
             ("sdc", result.sdc.to_json()),
             ("detected", result.detected.to_json()),
             ("crash", result.crash.to_json()),
@@ -392,14 +389,10 @@ fn check_one(s: &Setup, technique: Technique, engine: EngineKind) -> Result<Reco
 
     // Recorded run.
     let sink = Arc::new(MemorySink::new());
-    install_flight_recorder(Arc::new(
-        FlightRecorder::new(sink.clone())
-            .with_labels(s.case.workload.name, technique_label(technique))
-            .with_program_hash(program_signature(&prot.prog)),
-    ));
-    let recorded = engine.with_cpu(cpu, |e| plan.run(e, profile));
-    uninstall_flight_recorder();
-    let recorded = recorded?;
+    let recorder = FlightRecorder::new(sink.clone())
+        .with_labels(s.case.workload.name, technique_label(technique))
+        .with_program_hash(program_signature(&prot.prog));
+    let recorded = engine.with_cpu(cpu, |e| plan.observe(&recorder).run(e, profile))?;
     let events = sink.events();
 
     let mut problems = Vec::new();

@@ -16,7 +16,7 @@
 
 use std::process::ExitCode;
 
-use ferrum::json::{Json, ToJson};
+use ferrum::json::{id_to_json, Json, ToJson};
 use ferrum_cli::args::{parse_args, ArgError, ArgHelp, ArgSpec, UsageSpec};
 use ferrum_fuzz::{run_fuzz, FuzzConfig, FuzzReport};
 
@@ -50,7 +50,7 @@ pub const USAGE: UsageSpec = UsageSpec {
 fn report_json(cfg: &FuzzConfig, report: &FuzzReport) -> Json {
     Json::obj(vec![
         ("programs", report.programs.to_json()),
-        ("base_seed", cfg.base_seed.to_json()),
+        ("base_seed", id_to_json(cfg.base_seed)),
         ("campaign_samples", cfg.campaign_samples.to_json()),
         ("checks", report.checks.to_json()),
         ("mir_insts", report.mir_insts.to_json()),
@@ -62,7 +62,7 @@ fn report_json(cfg: &FuzzConfig, report: &FuzzReport) -> Json {
                     .iter()
                     .map(|d| {
                         Json::obj(vec![
-                            ("seed", d.seed.to_json()),
+                            ("seed", id_to_json(d.seed)),
                             ("stage", d.stage.to_json()),
                             ("detail", d.detail.as_str().to_json()),
                         ])

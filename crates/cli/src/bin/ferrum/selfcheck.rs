@@ -10,9 +10,9 @@
 //! which `--samples` and `--seed` do not change).  Naming a check
 //! reruns it alone.
 //!
-//! Checks run one at a time on this thread: the campaign check installs
-//! the process-global flight recorder and the trace check the global
-//! trace sink.
+//! Checks run one at a time on this thread.  None of them touches
+//! process-global state: the campaign check hands its flight recorder
+//! to the plan it observes.
 //!
 //! Every item prints one record — under `--json` a compact object
 //! whose first two fields are `check` and `ok`.  An item that cannot

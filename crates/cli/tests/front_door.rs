@@ -1,5 +1,6 @@
 //! The `ferrum` front door: the subcommand table, per-subcommand
-//! usage, rejected options, and the machine-readable selfcheck stream.
+//! usage, rejected options, the machine-readable selfcheck stream, and
+//! the `--json` reports' identity fields.
 
 use std::process::{Command, Output};
 
@@ -144,6 +145,53 @@ fn fuzz_seed_window_wraps_at_the_top_of_the_seed_space() {
     );
     assert!(
         stdout.contains("seeds 18446744073709551615..=18446744073709551615"),
+        "{stdout}"
+    );
+}
+
+#[test]
+fn json_reports_carry_64_bit_identities_as_decimal_strings() {
+    // A JSON integer is an `i64` here, so a `u64` identity printed as
+    // one comes out negative above `i64::MAX`.
+    let events =
+        std::env::temp_dir().join(format!("ferrum-front-door-{}.ndjson", std::process::id()));
+    let events_s = events.to_str().expect("utf8 temp path");
+    let out = ferrum(&[
+        "campaign",
+        "pathfinder",
+        "--samples",
+        "1",
+        "--json",
+        "--events",
+        events_s,
+    ]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    let doc = parse(&stdout).unwrap_or_else(|e| panic!("{e}: {stdout}"));
+    let hash = doc.get("program_hash").and_then(Json::as_str);
+    assert!(hash.is_some_and(|h| h.parse::<u64>().is_ok()), "{stdout}");
+    let stream = std::fs::read_to_string(&events).expect("events written");
+    let _ = std::fs::remove_file(&events);
+    let started = parse(stream.lines().next().expect("started event")).expect("parses");
+    let fingerprint = started.get("fingerprint").expect("fingerprint");
+    assert_eq!(fingerprint.get("program_hash").and_then(Json::as_str), hash);
+
+    let out = ferrum(&[
+        "fuzz",
+        "--json",
+        "--seed",
+        "18446744073709551615",
+        "--programs",
+        "1",
+        "--samples",
+        "0",
+    ]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    let doc = parse(&stdout).unwrap_or_else(|e| panic!("{e}: {stdout}"));
+    assert_eq!(
+        doc.get("base_seed").and_then(Json::as_str),
+        Some("18446744073709551615"),
         "{stdout}"
     );
 }

@@ -99,7 +99,6 @@ pub fn attribute_overhead(
     pipeline: &Pipeline,
     module: &Module,
 ) -> Result<OverheadAttribution, Error> {
-    let _span = ferrum_trace::span("attribution");
     // The baseline must compile at the pipeline's opt level, or the
     // exact-sum reconciliation would attribute optimizer savings to
     // protection mechanisms.

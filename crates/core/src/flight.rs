@@ -26,7 +26,7 @@ use ferrum_faultsim::flight::{
 use ferrum_faultsim::EngineKind;
 use ferrum_cpu::fault::FaultSpec;
 
-use crate::json::{Json, ToJson};
+use crate::json::{id_to_json, Json, ToJson};
 
 fn tallies_to_json(t: &OutcomeTallies) -> Json {
     Json::obj(vec![
@@ -36,13 +36,6 @@ fn tallies_to_json(t: &OutcomeTallies) -> Json {
         ("timeout", t.timeout.to_json()),
         ("benign", t.benign.to_json()),
     ])
-}
-
-/// Seeds and content hashes use the full `u64` range; JSON numbers
-/// cannot carry that exactly (`i64` in our writer, `f64` in most
-/// readers), so identity fields travel as decimal strings.
-fn id_to_json(v: u64) -> Json {
-    Json::Str(v.to_string())
 }
 
 fn get_id(v: &Json, key: &str) -> Option<u64> {

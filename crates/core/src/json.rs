@@ -233,9 +233,17 @@ impl ToJson for bool {
 
 impl ToJson for u64 {
     fn to_json(&self) -> Json {
-        // Campaign counters stay far below 2^63.
+        // Campaign counters stay far below 2^63; identities use
+        // `id_to_json`.
         Json::Int(*self as i64)
     }
+}
+
+/// A 64-bit identity — a seed or a content hash — as a decimal string.
+/// JSON numbers cannot carry the full `u64` range exactly (`i64` in
+/// this writer, `f64` in most readers).
+pub fn id_to_json(v: u64) -> Json {
+    Json::Str(v.to_string())
 }
 
 impl ToJson for usize {

@@ -10,8 +10,8 @@
 //!   campaigns (SDC coverage, Fig. 10), runtime overhead (Fig. 11), and
 //!   root-cause attribution (§IV-B1) over the benchmark suite;
 //! * [`Campaign`] — the one fault-injection campaign plan, whose axes
-//!   (fault list, threads, snapshots, pruning, reuse, engine) cover
-//!   every campaign the tools run;
+//!   (fault list, threads, snapshots, pruning, reuse, observing
+//!   recorder, engine) cover every campaign the tools run;
 //! * re-exports of the most used types from the underlying crates.
 //!
 //! ## Quickstart
@@ -76,9 +76,9 @@ pub use ferrum_faultsim::compose::{
 };
 pub use ferrum_faultsim::engine::{Engine, EngineKind, EngineMachine};
 pub use ferrum_faultsim::flight::{
-    install as install_flight_recorder, program_signature, uninstall as uninstall_flight_recorder,
-    CampaignEvent, CampaignFingerprint, FlightEvent, FlightPolicy, FlightRecorder, FlightSink,
-    JournalSnapshot, MemorySink, OutcomeTallies, ProgressSnapshot, ShardRecord, Stage, TeeSink,
+    program_signature, CampaignEvent, CampaignFingerprint, FlightEvent, FlightPolicy,
+    FlightRecorder, FlightSink, JournalSnapshot, MemorySink, OutcomeTallies, ProgressSnapshot,
+    ShardRecord, Stage, TeeSink,
 };
 pub use ferrum_faultsim::forensics::{
     explain_unknown_sites, forensic_replay, forensic_report, CheckerEscape, Divergence,

@@ -143,7 +143,6 @@ pub fn diff_profile(
     module: &Module,
     technique: Technique,
 ) -> Result<DiffProfile, Error> {
-    let _span = ferrum_trace::span("diff-profile");
     // Same baseline as `attribute_overhead`: the peepholed unprotected
     // compile at the pipeline's opt level, so overhead deltas measure
     // protection and nothing else.

@@ -9,13 +9,13 @@
 //! decode-once shape of DSVita's JIT; see SNIPPETS Snippet 1):
 //!
 //! * operands pre-resolved to width-applied registers, pre-masked
-//!   immediates, and factor-multiplied address expressions ([`DMem`]) —
+//!   immediates, and factor-multiplied address expressions (`DMem`) —
 //!   no per-step `with_width`/`Scale::factor`/symbol plumbing;
 //! * branch/call targets pre-resolved to flat indices (including the
 //!   `exit_function` detection edge) — no [`TargetRef`] re-match;
 //! * the per-instruction cycle cost (provenance discount included)
 //!   baked in at lowering — no per-step [`CostModel`] dispatch;
-//! * the fault-injection destination pre-classified ([`DFault`]) along
+//! * the fault-injection destination pre-classified (`DFault`) along
 //!   with its eligible bit width — no per-step `dest_class` walk;
 //! * the hot protection idioms (dup pairs, `pinsrq` pairs, and the
 //!   `vpxor`+`vptest`+`jcc` checker triple) fused into
@@ -27,7 +27,7 @@
 //! [`DecodedMachine`] with snapshot/restore), and every observable —
 //! [`RunResult`]s, [`Profile`]s, [`Snapshot`] states — is
 //! byte-identical to the interpreter's for the same program and
-//! faults.  The lowering is a bijection on semantics: each [`DOp`]
+//! faults.  The lowering is a bijection on semantics: each `DOp`
 //! mirrors one `exec::step` arm exactly (same read/write order, same
 //! crash precedence, same flag updates), fused groups only ever
 //! replace runs that contain no leader (jump target) in their interior
@@ -334,11 +334,14 @@ pub struct DecodedCpu {
     touched_gpr: u16,
     /// SIMD registers any instruction writes or any fault can corrupt.
     touched_simd: u16,
+    /// Wall-clock nanoseconds [`DecodedCpu::new`] took.
+    decode_nanos: u64,
 }
 
 impl DecodedCpu {
     /// Lowers `cpu`'s loaded image into a flattened program.
     pub fn new(cpu: &Cpu) -> DecodedCpu {
+        let t0 = std::time::Instant::now();
         let (code, fused) = lower(cpu);
         let mut touched_gpr = 0u16;
         let mut touched_simd = 0u16;
@@ -360,7 +363,14 @@ impl DecodedCpu {
             fused,
             touched_gpr,
             touched_simd,
+            decode_nanos: t0.elapsed().as_nanos() as u64,
         }
+    }
+
+    /// Wall-clock nanoseconds the decode took (the flight recorder's
+    /// `decode` stage).
+    pub fn decode_nanos(&self) -> u64 {
+        self.decode_nanos
     }
 
     /// The decoded src/out register masks of the instruction at `pc`.

@@ -204,8 +204,9 @@ impl Cpu {
         crate::snapshot::Machine::new(self).run_to_completion(faults)
     }
 
-    /// Resumes execution from a [`Snapshot`] of this program's state,
-    /// injecting `faults` (only those at-or-after the snapshot's
+    /// Resumes execution from a
+    /// [`Snapshot`](crate::snapshot::Snapshot) of this program's
+    /// state, injecting `faults` (only those at-or-after the snapshot's
     /// instruction boundary can still fire).  Byte-identical to a full
     /// [`Cpu::run_multi`] with the same faults when the snapshot was
     /// taken on the fault-free path before every injection index.

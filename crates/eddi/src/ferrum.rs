@@ -51,37 +51,6 @@ use crate::PassError;
 
 const TAG: TechniqueTag = TechniqueTag::Ferrum;
 
-/// Reports the protected program's static per-mechanism instruction
-/// counts through `ferrum-trace` (inert without a sink installed).
-fn emit_static_mechanism_counters(p: &AsmProgram) {
-    if !ferrum_trace::enabled() {
-        return;
-    }
-    // Counter names are static, so enumerate rather than format.
-    fn name(m: Mechanism) -> &'static str {
-        match m {
-            Mechanism::Dup => "ferrum.static.dup",
-            Mechanism::Check => "ferrum.static.check",
-            Mechanism::BatchCapture => "ferrum.static.batch-capture",
-            Mechanism::BatchFlush => "ferrum.static.batch-flush",
-            Mechanism::FlagDup => "ferrum.static.flag-dup",
-            Mechanism::FlagRecheck => "ferrum.static.flag-recheck",
-            Mechanism::Requisition => "ferrum.static.requisition",
-        }
-    }
-    let mut counts = [0u64; Mechanism::ALL.len()];
-    for f in &p.functions {
-        for a in f.insts() {
-            if let Some(m) = a.prov.mechanism() {
-                counts[m as usize] += 1;
-            }
-        }
-    }
-    for m in Mechanism::ALL {
-        ferrum_trace::counter(name(m), counts[m as usize]);
-    }
-}
-
 /// Configuration knobs (all enabled by default; individual mechanisms
 /// can be switched off for the ablation benchmarks).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -191,7 +160,6 @@ impl Ferrum {
         &self,
         p: &AsmProgram,
     ) -> Result<(AsmProgram, FerrumStats), PassError> {
-        let _span = ferrum_trace::span("eddi.ferrum.protect");
         let mut out = p.clone();
         let mut stats = FerrumStats::default();
         if self.cfg.peephole {
@@ -200,7 +168,6 @@ impl Ferrum {
         for f in &mut out.functions {
             protect_function(f, self.cfg, &mut stats)?;
         }
-        emit_static_mechanism_counters(&out);
         Ok((out, stats))
     }
 

@@ -54,7 +54,6 @@ impl HybridAsmEddi {
         m: &Module,
         opt: ferrum_backend::OptLevel,
     ) -> Result<(AsmProgram, ferrum_backend::PassStats), PassError> {
-        let _span = ferrum_trace::span("eddi.hybrid.protect");
         let (sig, shadows) = SignaturePass::new().protect_tracked(m);
         let (mut asm, stats) = ferrum_backend::compile_with_stats(&sig, opt)
             .map_err(|e| PassError::Invalid(e.to_string()))?;

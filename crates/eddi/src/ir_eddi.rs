@@ -145,7 +145,7 @@ impl Rewriter {
 pub struct ShadowIds {
     /// Every id created by the pass (shadows and checks).
     pub all: HashSet<u32>,
-    /// The subset created by [`Rewriter::split_check`] — lowered
+    /// The subset created by `Rewriter::split_check` — lowered
     /// comparisons guarding the detect branch.
     pub checks: HashSet<u32>,
 }
@@ -176,7 +176,6 @@ impl IrEddi {
     /// Returns a protected copy of `m` plus the shadow-id map used to
     /// retag lowered protection code.
     pub fn protect_tracked(&self, m: &Module) -> (Module, ShadowMap) {
-        let _span = ferrum_trace::span("eddi.ir.protect");
         let mut out = m.clone();
         let mut shadows = ShadowMap::new();
         for f in &mut out.functions {

@@ -15,9 +15,9 @@
 //! distance from each injection to the checker that caught it).
 //! `stats` is deliberately excluded from `PartialEq`: two campaigns
 //! are *equal* when their sampled faults and classified outcomes
-//! agree, however long they took.  When the `trace` feature is on,
-//! the plan additionally emits `ferrum-trace` spans and counters;
-//! tracing is observational only and can never change outcomes.
+//! agree, however long they took.  A plan observed by a flight
+//! recorder ([`crate::flight`]) also streams its events; recording
+//! never feeds back into the campaign and can never change outcomes.
 
 use std::time::Instant;
 

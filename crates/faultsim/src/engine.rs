@@ -18,8 +18,6 @@ use ferrum_cpu::outcome::{RunResult, StopReason};
 use ferrum_cpu::run::{Cpu, Profile};
 use ferrum_cpu::snapshot::{Machine, Snapshot};
 
-use crate::flight;
-
 /// Which execution engine a campaign runs on.  The default is the
 /// decoded engine; the interpreter stays the reference the identity
 /// suites compare it against.
@@ -61,12 +59,7 @@ impl EngineKind {
     pub fn with_cpu<R>(self, cpu: &Cpu, f: impl FnOnce(Engine<'_>) -> R) -> R {
         match self {
             EngineKind::Interpreter => f(Engine::Interpreter(cpu)),
-            EngineKind::Decoded => {
-                let clock = flight::StageClock::start();
-                let decoded = DecodedCpu::new(cpu);
-                clock.stop(0, flight::Stage::Decode);
-                f(Engine::Decoded(&decoded))
-            }
+            EngineKind::Decoded => f(Engine::Decoded(&DecodedCpu::new(cpu))),
         }
     }
 }
@@ -128,13 +121,10 @@ impl<'a> Engine<'a> {
 
     /// Profiles the fault-free run (byte-identical across engines).
     pub fn profile(&self) -> Profile {
-        let clock = flight::StageClock::start();
-        let p = match self {
+        match self {
             Engine::Interpreter(c) => c.profile(),
             Engine::Decoded(d) => d.profile(),
-        };
-        clock.stop(0, flight::Stage::GoldenRun);
-        p
+        }
     }
 
     /// A steppable machine at the program entry point.

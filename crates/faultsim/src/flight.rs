@@ -7,10 +7,9 @@
 //! a kill*, in three layers:
 //!
 //! 1. **Event stream** — the plan's run loop emits structured
-//!    [`CampaignEvent`]s
-//!    through a process-global [`FlightRecorder`] (installed like a
-//!    `ferrum-trace` sink: [`install`] / [`uninstall`], one relaxed
-//!    atomic load when dormant).  The stream carries the campaign's
+//!    [`CampaignEvent`]s through the [`FlightRecorder`] the plan
+//!    observes ([`Campaign::observe`]; an unobserved plan pays one
+//!    `None` check per probe).  The stream carries the campaign's
 //!    full config fingerprint ([`CampaignFingerprint`]), shard
 //!    scheduling and completion, per-worker heartbeats, and periodic
 //!    [`ProgressSnapshot`]s with rolling-window injections/sec,
@@ -33,12 +32,12 @@
 //!    the same seed; the replayed fraction is reported through
 //!    [`CampaignStats::reused_sites`].
 //!
-//! Like tracing, flight recording is **observational by contract**:
-//! the recorder never feeds information back into a campaign, never
-//! panics out of a probe, and installing or removing one cannot change
-//! campaign outcomes (`tests/flight_recorder.rs` asserts this).  The
-//! recorder tracks one campaign at a time — a new
-//! campaign-started probe rebinds it.
+//! Flight recording is **observational by contract**: the recorder
+//! never feeds information back into a campaign, never panics out of a
+//! probe, and observing a plan cannot change its outcomes
+//! (`tests/flight_recorder.rs` asserts this).  A recorder tracks one
+//! campaign at a time — a new campaign-started probe rebinds it — so
+//! campaigns that run at once each take a recorder of their own.
 //!
 //! Serialization of the event stream as NDJSON lives in
 //! `ferrum::flight` (the `ferrum::json` layer, see
@@ -46,11 +45,12 @@
 //! `ferrum::report`; both are fronted by `ferrum campaign`.
 //!
 //! [`CampaignStats::reused_sites`]: crate::campaign::CampaignStats::reused_sites
+//! [`Campaign::observe`]: crate::plan::Campaign::observe
 //! [`Reuse::Journal`]: crate::plan::Reuse::Journal
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::fmt;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use ferrum_cpu::fault::FaultSpec;
@@ -205,10 +205,12 @@ pub struct ShardRecord {
 
 /// One harness execution stage, as timed by the campaign run loop.
 ///
-/// Stage probes are gated on an installed recorder: an un-instrumented
-/// campaign never reads the clock for them.  Decode runs during engine
-/// binding — *before* the run loop emits its started event — so the
-/// recorder credits pre-start stage observations to the next campaign.
+/// Stage probes are gated on an observing recorder: an unobserved
+/// campaign never reads the clock for them.  Decode runs when the
+/// engine is bound, before the campaign starts: the [`DecodedCpu`]
+/// keeps its own decode time, which an observed run on it books.
+///
+/// [`DecodedCpu`]: ferrum_cpu::decoded::DecodedCpu
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stage {
     /// Decoding the loaded image into the flattened engine's arrays
@@ -324,11 +326,10 @@ pub enum CampaignEvent {
     },
     /// Cumulative wall-clock one worker spent in one execution stage,
     /// emitted once per active `(worker, stage)` pair just before the
-    /// finished event.  Stage timings observed before the started
-    /// event (decode happens during engine binding) are credited to
-    /// worker 0 of the campaign that starts next.
+    /// finished event.  A run on the decoded engine books the engine's
+    /// decode time to worker 0 once.
     StageTiming {
-        /// Worker index (0 for one-thread plans and pre-start stages).
+        /// Worker index (0 for one-thread plans and the decode stage).
         worker: usize,
         /// The execution stage.
         stage: Stage,
@@ -522,10 +523,6 @@ struct RecState {
     /// Cumulative `(nanos, count)` per stage, per worker (indexed by
     /// [`Stage::index`]).
     stage_times: Vec<[(u64, u64); Stage::ALL.len()]>,
-    /// Stage observations made while no campaign is active — decode
-    /// runs during engine binding, before the started event — drained
-    /// into the next campaign's worker 0.
-    pending_stages: Vec<(Stage, u64)>,
     global_window: RateWindow,
     since_progress: usize,
     seq: u64,
@@ -541,7 +538,9 @@ struct RecState {
 
 /// The campaign flight recorder: receives run-loop probes, maintains
 /// shard/worker/progress state, and emits [`FlightEvent`]s into its
-/// sink.  Install process-globally with [`install`].
+/// sink.  A plan streams into it through [`Campaign::observe`].
+///
+/// [`Campaign::observe`]: crate::plan::Campaign::observe
 pub struct FlightRecorder {
     sink: Arc<dyn FlightSink>,
     policy: FlightPolicy,
@@ -549,6 +548,17 @@ pub struct FlightRecorder {
     technique: String,
     program_hash: u64,
     state: Mutex<RecState>,
+}
+
+impl fmt::Debug for FlightRecorder {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("FlightRecorder")
+            .field("policy", &self.policy)
+            .field("workload", &self.workload)
+            .field("technique", &self.technique)
+            .field("program_hash", &self.program_hash)
+            .finish_non_exhaustive()
+    }
 }
 
 impl FlightRecorder {
@@ -603,7 +613,10 @@ impl FlightRecorder {
         self.sink.record_event(&ev);
     }
 
-    fn on_started(
+    /// Probe: a campaign is starting.  `total` is the number of faults
+    /// it will classify (not always `cfg.samples`: exhaustive sweeps
+    /// enumerate sites).
+    pub(crate) fn on_started(
         &self,
         executor: &'static str,
         engine: EngineKind,
@@ -659,7 +672,6 @@ impl FlightRecorder {
             program_hash: self.program_hash,
         };
         let n_shards = shards.len();
-        let pending = std::mem::take(&mut st.pending_stages);
         *st = RecState {
             active: true,
             fingerprint: Some(fingerprint.clone()),
@@ -673,11 +685,6 @@ impl FlightRecorder {
             heartbeat_every,
             ..RecState::default()
         };
-        // Pre-start stage observations (decode during engine binding)
-        // belong to this campaign's worker 0.
-        for (stage, nanos) in pending {
-            Self::book_stage(&mut st, 0, stage, nanos);
-        }
         self.emit(
             &mut st,
             0,
@@ -702,8 +709,9 @@ impl FlightRecorder {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn on_injection(
+    /// Probe: fault `index` (sampling order) classified as `outcome`
+    /// by `worker`, having executed `steps` dynamic instructions.
+    pub(crate) fn on_injection(
         &self,
         worker: usize,
         index: usize,
@@ -831,7 +839,14 @@ impl FlightRecorder {
         }
     }
 
-    fn book_stage(st: &mut RecState, worker: usize, stage: Stage, nanos: u64) {
+    /// Probe: `worker` spent `nanos` wall-clock in `stage` once.
+    pub(crate) fn on_stage(&self, worker: usize, stage: Stage, nanos: u64) {
+        let Ok(mut st) = self.state.lock() else {
+            return;
+        };
+        if !st.active {
+            return;
+        }
         if st.stage_times.len() <= worker {
             st.stage_times
                 .resize(worker + 1, [(0, 0); Stage::ALL.len()]);
@@ -841,20 +856,15 @@ impl FlightRecorder {
         slot.1 += 1;
     }
 
-    fn on_stage(&self, worker: usize, stage: Stage, nanos: u64) {
-        let Ok(mut st) = self.state.lock() else {
-            return;
-        };
-        if st.active {
-            Self::book_stage(&mut st, worker, stage, nanos);
-        } else if st.pending_stages.len() < 1024 {
-            // Buffered for the next campaign (bounded so stray probes
-            // with no campaign following cannot grow without limit).
-            st.pending_stages.push((stage, nanos));
-        }
-    }
-
-    fn on_function_shard(&self, name: &str, hash: u64, sites: usize, draws: usize, reused: bool) {
+    /// Probe: a stratified/incremental per-function shard finished.
+    pub(crate) fn on_function_shard(
+        &self,
+        name: &str,
+        hash: u64,
+        sites: usize,
+        draws: usize,
+        reused: bool,
+    ) {
         let Ok(mut st) = self.state.lock() else {
             return;
         };
@@ -875,7 +885,8 @@ impl FlightRecorder {
         );
     }
 
-    fn on_finished(&self, result: &CampaignResult) {
+    /// Probe: the campaign finished; `result` is what it returns.
+    pub(crate) fn on_finished(&self, result: &CampaignResult) {
         let Ok(mut st) = self.state.lock() else {
             return;
         };
@@ -934,127 +945,25 @@ pub(crate) enum Booking {
     Reused,
 }
 
-// ---------------------------------------------------------------------------
-// Process-global install (the ferrum-trace sink pattern)
-// ---------------------------------------------------------------------------
-
-/// Install generation: 0 means no recorder; every [`install`] bumps
-/// it to a fresh nonzero value so per-thread caches know to refresh.
-static INSTALLED: AtomicUsize = AtomicUsize::new(0);
-static NEXT_GEN: AtomicUsize = AtomicUsize::new(1);
-static RECORDER: RwLock<Option<Arc<FlightRecorder>>> = RwLock::new(None);
-
-thread_local! {
-    /// Per-thread recorder cache keyed by install generation: the hot
-    /// probe path costs one atomic load plus a thread-local compare,
-    /// not a process-wide `RwLock` read per injection.
-    static CACHED: std::cell::RefCell<(usize, Option<Arc<FlightRecorder>>)> =
-        const { std::cell::RefCell::new((0, None)) };
-}
-
-/// Installs the process-global recorder.  Executors feed it until
-/// [`uninstall`].
-pub fn install(rec: Arc<FlightRecorder>) {
-    if let Ok(mut slot) = RECORDER.write() {
-        *slot = Some(rec);
-        INSTALLED.store(NEXT_GEN.fetch_add(1, Ordering::Relaxed), Ordering::Release);
-    }
-}
-
-/// Removes the process-global recorder (probes go dormant: one
-/// atomic load each).  Threads that cached the recorder release
-/// their reference the next time a recorder is installed.
-pub fn uninstall() {
-    INSTALLED.store(0, Ordering::Release);
-    if let Ok(mut slot) = RECORDER.write() {
-        *slot = None;
-    }
-}
-
-/// True when a recorder is currently installed.
-#[must_use]
-pub fn enabled() -> bool {
-    INSTALLED.load(Ordering::Acquire) != 0
-}
-
-fn with_recorder(f: impl FnOnce(&FlightRecorder)) {
-    let gen = INSTALLED.load(Ordering::Acquire);
-    if gen == 0 {
-        return;
-    }
-    CACHED.with(|cache| {
-        let mut cache = cache.borrow_mut();
-        if cache.0 != gen {
-            *cache = (gen, RECORDER.read().ok().and_then(|s| s.as_ref().cloned()));
-        }
-        // Probes never re-enter, so holding the borrow across `f` is
-        // safe and avoids a per-injection `Arc` refcount bump.
-        if let Some(rec) = cache.1.as_ref() {
-            f(rec);
-        }
-    });
-}
-
-/// Probe: a campaign is starting.  `total` is the number of
-/// faults it will classify (not always `cfg.samples`: exhaustive
-/// sweeps enumerate sites).
-pub(crate) fn campaign_started(
-    executor: &'static str,
-    engine: EngineKind,
-    cfg: CampaignConfig,
-    profile: &Profile,
-    total: usize,
-) {
-    with_recorder(|r| r.on_started(executor, engine, cfg, profile, total));
-}
-
-/// Probe: fault `index` (sampling order) classified as `outcome` by
-/// `worker`, having executed `steps` dynamic instructions.
-pub(crate) fn injection(
-    worker: usize,
-    index: usize,
-    fault: FaultSpec,
-    outcome: Outcome,
-    steps: u64,
-    booking: Booking,
-) {
-    with_recorder(|r| r.on_injection(worker, index, fault, outcome, steps, booking));
-}
-
-/// Probe: a stratified/incremental per-function shard finished.
-pub(crate) fn function_shard(name: &str, hash: u64, sites: usize, draws: usize, reused: bool) {
-    with_recorder(|r| r.on_function_shard(name, hash, sites, draws, reused));
-}
-
-/// Probe: `worker` spent `nanos` wall-clock in `stage` once.
-pub(crate) fn stage_time(worker: usize, stage: Stage, nanos: u64) {
-    with_recorder(|r| r.on_stage(worker, stage, nanos));
-}
-
 /// Wall-clock guard for stage timing.  Reads the clock only when a
-/// recorder is installed, so campaigns running without one never pay
+/// recorder observes the campaign, so unobserved campaigns never pay
 /// for stage timestamps.
 #[derive(Debug)]
-pub(crate) struct StageClock(Option<Instant>);
+pub(crate) struct StageClock<'r>(Option<(&'r FlightRecorder, Instant)>);
 
-impl StageClock {
-    /// Starts timing (a no-op without an installed recorder).
-    pub(crate) fn start() -> StageClock {
-        StageClock(enabled().then(Instant::now))
+impl<'r> StageClock<'r> {
+    /// Starts timing (a no-op without a recorder).
+    pub(crate) fn start(recorder: Option<&'r FlightRecorder>) -> StageClock<'r> {
+        StageClock(recorder.map(|r| (r, Instant::now())))
     }
 
     /// Stops timing and books the elapsed wall-clock into `stage` for
     /// `worker`.
     pub(crate) fn stop(self, worker: usize, stage: Stage) {
-        if let Some(t) = self.0 {
-            stage_time(worker, stage, t.elapsed().as_nanos() as u64);
+        if let Some((r, t)) = self.0 {
+            r.on_stage(worker, stage, t.elapsed().as_nanos() as u64);
         }
     }
-}
-
-/// Probe: the campaign finished; `result` is what it returns.
-pub(crate) fn campaign_finished(result: &CampaignResult) {
-    with_recorder(|r| r.on_finished(result));
 }
 
 // ---------------------------------------------------------------------------
@@ -1332,7 +1241,7 @@ mod tests {
 
     #[test]
     fn recorder_assembles_shards_and_snapshots() {
-        // Drive the recorder directly (no global install): 10 faults,
+        // Drive the recorder directly (no campaign): 10 faults,
         // shard size 4 -> shards of 4, 4, 2; progress every 5.
         let sink = Arc::new(MemorySink::new());
         let rec = FlightRecorder::new(sink.clone()).with_policy(FlightPolicy {
@@ -1594,11 +1503,11 @@ mod tests {
     fn stage_timings_aggregate_and_drain_before_finished() {
         let sink = Arc::new(MemorySink::new());
         let rec = FlightRecorder::new(sink.clone());
-        // Decode runs during engine binding, before the started event:
-        // it must be credited to the campaign that starts next.
-        rec.on_stage(0, Stage::Decode, 500);
+        // A stage observed while no campaign is active is dropped.
+        rec.on_stage(0, Stage::GoldenRun, 7);
         let cfg = CampaignConfig { samples: 4, seed: 1 };
         rec.on_started("snapshot", EngineKind::Decoded, cfg, &empty_profile(), 4);
+        rec.on_stage(0, Stage::Decode, 500);
         rec.on_stage(0, Stage::GoldenRun, 1000);
         rec.on_stage(1, Stage::Replay, 300);
         rec.on_stage(1, Stage::Replay, 200);
@@ -1663,18 +1572,6 @@ mod tests {
                 .any(|e| matches!(e.event, CampaignEvent::StageTiming { .. })),
             "no stage probes fired in the second campaign"
         );
-    }
-
-    #[test]
-    fn global_install_toggles() {
-        // Keep this test free of campaigns: other tests in this
-        // binary run concurrently and must not observe the recorder.
-        assert!(!enabled());
-        let rec = Arc::new(FlightRecorder::new(Arc::new(MemorySink::new())));
-        install(rec);
-        assert!(enabled());
-        uninstall();
-        assert!(!enabled());
     }
 
     #[test]

@@ -637,7 +637,6 @@ pub fn forensic_replay<'e>(
     fcfg: &ForensicConfig,
 ) -> ForensicRecord {
     let engine = engine.into();
-    let _span = ferrum_trace::span("forensics.replay");
     let image = engine.image();
 
     // Golden prefix up to the injection boundary.
@@ -832,7 +831,6 @@ pub fn forensic_report<'e>(
             }
         }
     }
-    ferrum_trace::counter("forensics.replays", report.records.len() as u64);
     report.finish();
     report
 }

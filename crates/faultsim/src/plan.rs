@@ -6,10 +6,11 @@
 //! independent axes: the [`FaultList`], worker threads, an optional
 //! [`SnapshotPolicy`] (replay from golden-prefix snapshots instead of
 //! cold starts), an optional [`CoverageMap`] to prune with, outcomes to
-//! [`Reuse`], and the [`Engine`] [`Campaign::run`] takes.  For one
-//! fault list every combination of the other axes returns the same
-//! records and detection-latency distribution
-//! (`tests/campaign_plan.rs`); only [`CampaignResult::stats`] differs.
+//! [`Reuse`], an optional [`FlightRecorder`] to stream events into, and
+//! the [`Engine`] [`Campaign::run`] takes.  For one fault list every
+//! combination of the other axes returns the same records and
+//! detection-latency distribution (`tests/campaign_plan.rs`,
+//! `tests/flight_recorder.rs`); only [`CampaignResult::stats`] differs.
 //! Combinations without meaning, and plans that must draw faults from a
 //! program without injectable sites, are a [`CampaignError`].
 //!
@@ -34,7 +35,7 @@ use crate::campaign::{
 };
 use crate::compose::{stratified_faults, CampaignCache};
 use crate::engine::{Engine, EngineKind};
-use crate::flight::{self, Booking, JournalSnapshot, Stage, StageClock};
+use crate::flight::{Booking, FlightRecorder, JournalSnapshot, Stage, StageClock};
 
 /// Which faults a campaign injects, in sampling order.
 #[derive(Debug, Clone, Copy)]
@@ -91,6 +92,7 @@ pub struct Campaign<'a> {
     snapshots: Option<SnapshotPolicy>,
     prune: Option<&'a CoverageMap>,
     reuse: Reuse<'a>,
+    observe: Option<&'a FlightRecorder>,
 }
 
 /// Why a campaign could not run.
@@ -163,6 +165,7 @@ impl<'a> Campaign<'a> {
             snapshots: None,
             prune: None,
             reuse: Reuse::None,
+            observe: None,
         }
     }
 
@@ -221,6 +224,18 @@ impl<'a> Campaign<'a> {
         Campaign { reuse, ..self }
     }
 
+    /// Streams every run's events into `recorder` (`None`, the
+    /// default, runs unobserved and never reads a clock for stage
+    /// timing).  Observing changes no outcome, and campaigns with
+    /// recorders of their own can run at once.
+    #[must_use]
+    pub fn observe(self, recorder: impl Into<Option<&'a FlightRecorder>>) -> Campaign<'a> {
+        Campaign {
+            observe: recorder.into(),
+            ..self
+        }
+    }
+
     /// The flight-recorder fingerprint's `executor` label, derived
     /// from the axes: `resume` (journal reuse), `incremental` (cache
     /// reuse), else the fault list when it is not sampled (`stratified`,
@@ -262,28 +277,29 @@ impl<'a> Campaign<'a> {
         profile: &Profile,
     ) -> Result<CampaignResult, CampaignError> {
         let engine = engine.into();
-        let _span = ferrum_trace::span("campaign.run");
         let t0 = Instant::now();
         let work = self.work(profile)?;
-        flight::campaign_started(
-            self.executor(),
-            engine.kind(),
-            work.cfg,
-            profile,
-            work.faults.len(),
-        );
-        let mut result = self.execute(engine, profile, &work);
-        for (name, hash, sites, draws, reused) in &work.shards {
-            flight::function_shard(name, *hash, *sites, *draws, *reused);
+        if let Some(r) = self.observe {
+            r.on_started(
+                self.executor(),
+                engine.kind(),
+                work.cfg,
+                profile,
+                work.faults.len(),
+            );
+            if let Engine::Decoded(d) = engine {
+                r.on_stage(0, Stage::Decode, d.decode_nanos());
+            }
         }
+        let mut result = self.execute(engine, profile, &work);
         let threads = self.threads.clamp(1, work.faults.len().max(1));
         finish_stats(&mut result, t0, threads, engine.kind());
-        ferrum_trace::counter("campaign.injections", result.total() as u64);
-        ferrum_trace::counter("campaign.pruned", result.stats.pruned_sites as u64);
-        ferrum_trace::counter("campaign.reused", result.stats.reused_sites as u64);
-        ferrum_trace::counter("campaign.snapshot.hits", result.stats.snapshot_hits as u64);
-        ferrum_trace::counter("campaign.snapshot.steps_saved", result.stats.steps_saved);
-        flight::campaign_finished(&result);
+        if let Some(r) = self.observe {
+            for (name, hash, sites, draws, reused) in &work.shards {
+                r.on_function_shard(name, *hash, *sites, *draws, *reused);
+            }
+            r.on_finished(&result);
+        }
         Ok(result)
     }
 
@@ -377,7 +393,8 @@ impl<'a> Campaign<'a> {
             // prefix walk runs once, up to the last executed injection.
             order.sort_by_key(|&i| work.first(i));
             if let Some(&last) = order.iter().rev().find(|&&i| work.decided[i].is_none()) {
-                snapshots = golden_snapshots(engine, profile, work.first(last), policy);
+                snapshots =
+                    golden_snapshots(engine, profile, work.first(last), policy, self.observe);
             }
         }
         let (order, snapshots) = (&order, &snapshots);
@@ -402,7 +419,9 @@ impl<'a> Campaign<'a> {
                 };
                 let fault = work.faults[i];
                 if let Some((o, booking)) = work.decided[i] {
-                    flight::injection(t, i, fault, o, 0, booking);
+                    if let Some(r) = self.observe {
+                        r.on_injection(t, i, fault, o, 0, booking);
+                    }
                     out.outcomes.push((i, o, None));
                     continue;
                 }
@@ -411,7 +430,7 @@ impl<'a> Campaign<'a> {
                 let at = work.first(i);
                 let run = match &mut machine {
                     None => {
-                        let clock = StageClock::start();
+                        let clock = StageClock::start(self.observe);
                         let run = engine.run_multi(faults);
                         clock.stop(t, Stage::Injection);
                         out.steps += run.dyn_insts;
@@ -432,10 +451,10 @@ impl<'a> Campaign<'a> {
                             }
                             None => &*entry,
                         };
-                        let clock = StageClock::start();
+                        let clock = StageClock::start(self.observe);
                         m.restore(start);
                         clock.stop(t, Stage::SnapshotRestore);
-                        let clock = StageClock::start();
+                        let clock = StageClock::start(self.observe);
                         let run = m.run_converging(faults, snapshots, &profile.result);
                         clock.stop(t, Stage::Replay);
                         // The machine's own count, not `run.dyn_insts`:
@@ -451,7 +470,9 @@ impl<'a> Campaign<'a> {
                 // whole-run total on every path and the latency
                 // distribution does not depend on the axes.
                 let lat = (o == Outcome::Detected).then(|| detection_latency(run.dyn_insts, at));
-                flight::injection(t, i, fault, o, run.dyn_insts, Booking::Executed);
+                if let Some(r) = self.observe {
+                    r.on_injection(t, i, fault, o, run.dyn_insts, Booking::Executed);
+                }
                 out.outcomes.push((i, o, lat));
             }
         };
@@ -532,6 +553,7 @@ fn golden_snapshots(
     profile: &Profile,
     last_injection: u64,
     policy: SnapshotPolicy,
+    observe: Option<&FlightRecorder>,
 ) -> Vec<Snapshot> {
     let horizon = match engine.kind() {
         EngineKind::Interpreter => last_injection,
@@ -548,7 +570,7 @@ fn golden_snapshots(
             && m.dyn_insts().is_multiple_of(interval)
             && snapshots.len() < policy.max_snapshots
         {
-            let clock = StageClock::start();
+            let clock = StageClock::start(observe);
             snapshots.push(m.snapshot());
             clock.stop(0, Stage::SnapshotCapture);
         }
@@ -560,7 +582,7 @@ fn golden_snapshots(
         } else {
             horizon
         };
-        let clock = StageClock::start();
+        let clock = StageClock::start(observe);
         let stopped = m.advance_to(next.min(horizon)).is_some();
         clock.stop(0, Stage::GoldenRun);
         if stopped {

@@ -17,11 +17,8 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 echo "== tier1: cargo test -q --offline"
 cargo test -q --offline --workspace
 
-echo "== tier1: cargo build --offline --features trace (probes compiled in)"
-cargo build --offline -p ferrum-cli --features trace
-
-echo "== tier1: cargo test -q --offline --features trace (trace transparency)"
-cargo test -q --offline --features trace --test trace_transparency
+echo "== tier1: cargo doc --offline -D warnings (no broken intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 
 echo "== tier1: ferrum selfcheck (every catalog self-check + the pinned 200-program fuzz window, one process)"
 cargo run --release --offline -q -p ferrum-cli --bin ferrum -- selfcheck

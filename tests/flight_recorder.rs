@@ -1,6 +1,6 @@
 //! The campaign flight recorder's contract (DESIGN.md §5h):
 //!
-//! 1. **Observational purity**: installing a recorder never changes a
+//! 1. **Observational purity**: observing a plan never changes a
 //!    campaign's outcomes — recorder-on and recorder-off runs of the
 //!    same seed are identical for every kind of plan on both engines.
 //! 2. **Stream consistency**: sequence numbers are dense and
@@ -16,27 +16,19 @@
 //! 5. **Stage timing covers every plan**: the `injection` (cold) or
 //!    `replay` (snapshot) stage counts of every recorded plan sum to
 //!    the number of faults it executed.
-//!
-//! The recorder is a process-wide singleton, so every test that
-//! installs one holds `LOCK` for its whole body.
+//! 6. **Isolation**: campaigns running at once, each observed by its
+//!    own recorder, stream exactly their own events.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use ferrum::flight::{event_to_ndjson, journal_from_ndjson, parse_events, NdjsonSink};
 use ferrum::{
-    install_flight_recorder, program_signature, uninstall_flight_recorder, Campaign, CampaignCache,
-    CampaignConfig, CampaignEvent, CampaignResult, CoverageMap, EngineKind, FlightEvent,
-    FlightPolicy, FlightRecorder, JournalSnapshot, MemorySink, Pipeline, Reuse, SnapshotPolicy,
-    Stage, Technique,
+    program_signature, Campaign, CampaignCache, CampaignConfig, CampaignEvent, CampaignResult,
+    CoverageMap, EngineKind, FlightEvent, FlightPolicy, FlightRecorder, JournalSnapshot,
+    MemorySink, Pipeline, Reuse, ShardRecord, SnapshotPolicy, Stage, Technique,
 };
 use ferrum_asm::program::AsmProgram;
 use ferrum_cpu::run::{Cpu, Profile};
-
-static LOCK: Mutex<()> = Mutex::new(());
-
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 /// A loaded catalog program.
 struct Subject {
@@ -64,7 +56,7 @@ fn record(
     record_with(s, engine, FlightPolicy::default(), plan)
 }
 
-/// Runs `plan` on `engine` with a recorder installed and returns the
+/// Runs `plan` on `engine` observed by a recorder and returns the
 /// result with the captured stream, after checking that the stream's
 /// stage timings count every executed fault exactly once: under
 /// `injection` when it ran cold, under `replay` after a
@@ -76,14 +68,12 @@ fn record_with(
     plan: Campaign<'_>,
 ) -> (CampaignResult, Vec<FlightEvent>) {
     let sink = Arc::new(MemorySink::new());
-    install_flight_recorder(Arc::new(
-        FlightRecorder::new(sink.clone())
-            .with_policy(policy)
-            .with_program_hash(program_signature(&s.prog)),
-    ));
-    let result = engine.with_cpu(&s.cpu, |e| plan.run(e, &s.profile));
-    uninstall_flight_recorder();
-    let result = result.unwrap();
+    let recorder = FlightRecorder::new(sink.clone())
+        .with_policy(policy)
+        .with_program_hash(program_signature(&s.prog));
+    let result = engine
+        .with_cpu(&s.cpu, |e| plan.observe(&recorder).run(e, &s.profile))
+        .unwrap();
     let events = sink.events();
 
     let count = |stage: Stage| -> u64 {
@@ -128,7 +118,6 @@ const CFG: CampaignConfig = CampaignConfig {
 
 #[test]
 fn recording_never_changes_outcomes() {
-    let _g = lock();
     let s = load("bfs", Technique::Ferrum);
     let map = CoverageMap::analyze(&s.prog);
     let sampled = Campaign::sampled(CFG);
@@ -182,7 +171,6 @@ fn recording_never_changes_outcomes() {
 
 #[test]
 fn event_stream_is_internally_consistent() {
-    let _g = lock();
     for (name, technique) in [("pathfinder", Technique::Ferrum), ("knn", Technique::None)] {
         let s = load(name, technique);
         let (result, events) = record(&s, EngineKind::Interpreter, Campaign::sampled(CFG));
@@ -246,19 +234,18 @@ fn event_stream_is_internally_consistent() {
 
 #[test]
 fn ndjson_file_round_trip_preserves_the_stream() {
-    let _g = lock();
     let s = load("needle", Technique::Ferrum);
     let path = std::env::temp_dir().join("ferrum-flight-roundtrip.ndjson");
     let path_s = path.to_str().expect("utf8 temp path");
 
     let sink = Arc::new(MemorySink::new());
     let file = Arc::new(NdjsonSink::create(path_s).expect("creates"));
-    install_flight_recorder(Arc::new(
-        FlightRecorder::new(Arc::new(ferrum::TeeSink::new(vec![sink.clone(), file])))
-            .with_program_hash(program_signature(&s.prog)),
-    ));
-    let result = Campaign::sampled(CFG).run(&s.cpu, &s.profile).unwrap();
-    uninstall_flight_recorder();
+    let recorder = FlightRecorder::new(Arc::new(ferrum::TeeSink::new(vec![sink.clone(), file])))
+        .with_program_hash(program_signature(&s.prog));
+    let result = Campaign::sampled(CFG)
+        .observe(&recorder)
+        .run(&s.cpu, &s.profile)
+        .unwrap();
 
     let text = std::fs::read_to_string(&path).expect("reads back");
     let parsed = parse_events(&text).expect("parses");
@@ -302,7 +289,6 @@ fn cut_after_shards(events: &[FlightEvent], k: usize) -> &[FlightEvent] {
 
 #[test]
 fn resume_at_every_shard_boundary_is_byte_identical() {
-    let _g = lock();
     let s = load("bfs", Technique::Ferrum);
     for engine in EngineKind::ALL {
         let (full, events) = record(&s, engine, Campaign::sampled(CFG));
@@ -333,7 +319,6 @@ fn resume_at_every_shard_boundary_is_byte_identical() {
 
 #[test]
 fn resume_rejects_a_mismatched_journal() {
-    let _g = lock();
     let s = load("bfs", Technique::Ferrum);
     let (_, events) = record(&s, EngineKind::Interpreter, Campaign::sampled(CFG));
     let mut journal = JournalSnapshot::from_events(cut_after_shards(&events, 2)).expect("journal");
@@ -363,7 +348,6 @@ fn resume_rejects_a_mismatched_journal() {
 
 #[test]
 fn zero_sample_campaign_emits_a_complete_stream() {
-    let _g = lock();
     let s = load("bfs", Technique::None);
     let empty = CampaignConfig {
         samples: 0,
@@ -398,7 +382,6 @@ fn zero_sample_campaign_emits_a_complete_stream() {
 
 #[test]
 fn tiny_policy_windows_do_not_panic() {
-    let _g = lock();
     let s = load("bfs", Technique::None);
     // Pathological policy: snapshot after every injection with a
     // minimal rolling window — rates must stay finite.
@@ -439,7 +422,6 @@ fn tiny_policy_windows_do_not_panic() {
 
 #[test]
 fn torn_journal_tail_resumes_from_the_last_complete_record() {
-    let _g = lock();
     let s = load("bfs", Technique::Ferrum);
     let (full, events) = record(&s, EngineKind::Interpreter, Campaign::sampled(CFG));
     let ndjson: String = events.iter().map(|e| event_to_ndjson(e) + "\n").collect();
@@ -452,6 +434,74 @@ fn torn_journal_tail_resumes_from_the_last_complete_record() {
         .run(&s.cpu, &s.profile)
         .expect("resumes");
     assert_eq!(resumed, full);
+}
+
+// ---------------------------------------------------------------------
+// 6. Isolation: concurrent campaigns, one recorder each
+// ---------------------------------------------------------------------
+
+#[test]
+fn concurrent_campaigns_stream_into_their_own_recorders() {
+    let subjects = [
+        ("bfs", load("bfs", Technique::Ferrum)),
+        ("knn", load("knn", Technique::None)),
+    ];
+    let start = std::sync::Barrier::new(subjects.len());
+    let runs: Vec<(CampaignResult, Vec<FlightEvent>)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = subjects
+            .iter()
+            .map(|(name, s)| {
+                let start = &start;
+                scope.spawn(move || {
+                    let sink = Arc::new(MemorySink::new());
+                    let recorder = FlightRecorder::new(sink.clone()).with_labels(name, "");
+                    let plan = Campaign::sampled(CFG)
+                        .threads(2)
+                        .snapshots(SnapshotPolicy::default())
+                        .observe(&recorder);
+                    start.wait();
+                    let result = plan.run(&s.cpu, &s.profile).unwrap();
+                    (result, sink.events())
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("campaign thread panicked"))
+            .collect()
+    });
+    assert_ne!(runs[0].0.records, runs[1].0.records, "distinct campaigns");
+    for ((name, s), (result, events)) in subjects.iter().zip(&runs) {
+        let started: Vec<_> = events
+            .iter()
+            .filter_map(|e| match &e.event {
+                CampaignEvent::Started { fingerprint, .. } => Some(fingerprint),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(started.len(), 1, "{name}: one started event");
+        assert_eq!(started[0].workload, *name);
+        assert_eq!(started[0].sites, s.profile.sites.len(), "{name}: sites");
+        let mut shards: Vec<&ShardRecord> = events
+            .iter()
+            .filter_map(|e| match &e.event {
+                CampaignEvent::ShardCompleted(r) => Some(r),
+                _ => None,
+            })
+            .collect();
+        shards.sort_by_key(|r| r.start);
+        let records: Vec<_> = shards
+            .iter()
+            .flat_map(|r| r.records.iter().copied())
+            .collect();
+        assert_eq!(records, result.records, "{name}: shard reassembly");
+        match events.last().map(|e| &e.event) {
+            Some(CampaignEvent::Finished { tallies, .. }) => {
+                assert!(tallies.matches(result), "{name}: finished tallies");
+            }
+            other => panic!("{name}: stream ends with {other:?}"),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -472,7 +522,6 @@ mod prop {
             seed in 0u64..u64::MAX,
             kill in 0usize..32,
         ) {
-            let _g = lock();
             let s = load("bfs", Technique::Ferrum);
             let cfg = CampaignConfig { samples: 64, seed };
             let (full, events) = record(&s, EngineKind::Interpreter, Campaign::sampled(cfg));
