@@ -13,7 +13,7 @@ use ferrum_workloads::{Scale, Workload};
 use crate::{Error, Pipeline};
 
 /// Evaluation parameters.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EvalConfig {
     /// Faults sampled per configuration (the paper uses 1000).
     pub samples: usize,

@@ -85,7 +85,7 @@ pub fn coverage(technique: Technique, class: InstClass) -> Coverage {
     }
 }
 
-/// Renders Table I as aligned text (consumed by `repro_table1`).
+/// Renders Table I as aligned text (printed by `repro table1`).
 pub fn render_table() -> String {
     let mut out = String::new();
     out.push_str(&format!("{:<28}", "technique"));

@@ -72,7 +72,7 @@ pub struct FerrumConfig {
     /// duplication \[19\]): sites are chosen by deterministic striping,
     /// trading coverage for overhead.  Applies to the normal protection
     /// path; the stack-requisition path always protects fully.  The
-    /// `repro_selective` harness sweeps this.
+    /// `repro selective` sweeps this.
     pub selective_percent: u8,
     /// Use AVX-512 ZMM accumulators: batches of **eight** results
     /// checked by one `vpxorq`/`vptestq` (paper §III-B3: "it is also

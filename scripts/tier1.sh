@@ -23,6 +23,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 echo "== tier1: ferrum selfcheck (every catalog self-check + the pinned 200-program fuzz window, one process)"
 cargo run --release --offline -q -p ferrum-cli --bin ferrum -- selfcheck
 
+echo "== tier1: repro check (every deterministic artifact under results/ regenerates from the code)"
+cargo run --release --offline -q -p ferrum-bench --bin repro -- check
+
 echo "== tier1: bench_check.sh --quick (bench.json regression gate vs committed baseline)"
 sh scripts/bench_check.sh --quick
 

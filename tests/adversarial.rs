@@ -5,7 +5,7 @@
 //! corrupted-but-equal copies that every checker happily accepts.
 //!
 //! Random double faults almost never align like this
-//! (`repro_multibit` measures 100% coverage under random pairs); this
+//! (`repro multibit` measures 100% coverage under random pairs); this
 //! test constructs the alignment on purpose to document the boundary of
 //! the guarantee.
 
