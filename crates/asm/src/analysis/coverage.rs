@@ -58,7 +58,7 @@
 //! value) and `Unknown` are advisory only; the injector still runs
 //! those sites.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 use crate::analysis::cfg::Cfg;
 use crate::analysis::lint::ProtectionManifest;
@@ -71,7 +71,7 @@ use crate::operand::Operand;
 use crate::program::{AsmFunction, AsmInst, AsmProgram};
 use crate::provenance::{Mechanism, Provenance};
 use crate::reg::{Gpr, Width};
-use crate::EXIT_FUNCTION;
+use crate::{EXIT_FUNCTION, PRINT_I64};
 
 /// The static outcome class of one fault-site byte.
 ///
@@ -258,8 +258,8 @@ pub struct FunctionCoverage {
 pub struct CoverageMap {
     /// Per-function coverage, in program order.
     pub functions: Vec<FunctionCoverage>,
-    /// Flat pc → (function index, site index).
-    index: BTreeMap<usize, (u32, u32)>,
+    /// Flat pc → (function index, site index), sorted by pc.
+    index: Vec<(usize, (u32, u32))>,
 }
 
 impl CoverageMap {
@@ -285,9 +285,10 @@ impl CoverageMap {
             let manifest = manifests.and_then(|m| m.get(&f.name));
             let fc = analyze_function(f, &mut pc, manifest);
             let fi = map.functions.len() as u32;
-            for (si, s) in fc.sites.iter().enumerate() {
-                map.index.insert(s.pc, (fi, si as u32));
-            }
+            // Sites come in pc order, so the index stays sorted.
+            let sites = fc.sites.iter().enumerate();
+            map.index
+                .extend(sites.map(|(si, s)| (s.pc, (fi, si as u32))));
             map.functions.push(fc);
         }
         map
@@ -295,7 +296,8 @@ impl CoverageMap {
 
     /// The site at flat pc `pc`, if that instruction is injectable.
     pub fn site(&self, pc: usize) -> Option<&SiteCoverage> {
-        let &(fi, si) = self.index.get(&pc)?;
+        let at = self.index.binary_search_by_key(&pc, |&(p, _)| p).ok()?;
+        let (fi, si) = self.index[at].1;
         Some(&self.functions[fi as usize].sites[si as usize])
     }
 
@@ -363,21 +365,49 @@ impl Taint {
     }
 }
 
-/// Byte-exact SIMD reads of `inst` as `(register index, byte mask)`.
-pub(crate) fn simd_reads(inst: &Inst) -> Vec<(u8, u64)> {
+/// The taint a flip in verdict unit `k` of a destination introduces:
+/// byte `k` of the register (for `rdx:rax` pairs the rax bytes come
+/// first), or `None` for an RFLAGS unit — a flipped condition bit can
+/// redirect any dependent branch, and no taint models that.
+pub(crate) fn unit_seed(dest: DestClass, k: usize) -> Option<Taint> {
+    let mut t = Taint::default();
+    match dest {
+        DestClass::Gpr(r) => t.gpr = byte_bit(r.gpr, k as u8),
+        DestClass::RaxRdxPair(w) => {
+            let nb = w.bytes() as usize;
+            t.gpr = if k < nb {
+                byte_bit(Gpr::Rax, k as u8)
+            } else {
+                byte_bit(Gpr::Rdx, (k - nb) as u8)
+            };
+        }
+        DestClass::Xmm(x) => t.simd[x.0 as usize] = 1 << k,
+        DestClass::Ymm(y) => t.simd[y.0 as usize] = 1 << k,
+        DestClass::Zmm(z) => t.simd[z.0 as usize] = 1 << k,
+        DestClass::Rflags | DestClass::None => return None,
+    }
+    Some(t)
+}
+
+/// A byte-exact SIMD access as `(register index, byte mask)`; mask 0
+/// when there is none.
+type SimdAccess = (u8, u64);
+
+/// Byte-exact SIMD reads of `inst`: at most two registers.
+fn simd_reads(inst: &Inst) -> [SimdAccess; 2] {
     const X: u64 = 0xffff; // 16 bytes
     const Y: u64 = 0xffff_ffff; // 32 bytes
     match inst {
-        Inst::MovqFromXmm { src, .. } => vec![(src.0, 0xff)],
-        Inst::Pextrq { lane, src, .. } => vec![(src.0, 0xffu64 << (8 * lane))],
-        Inst::Vinserti128 { src, src2, .. } => vec![(src.0, X), (src2.0, Y)],
-        Inst::Vpxor { a, b, .. } | Inst::Vptest { a, b } => vec![(a.0, Y), (b.0, Y)],
-        Inst::Vpxor128 { a, b, .. } | Inst::Vptest128 { a, b } => vec![(a.0, X), (b.0, X)],
-        Inst::Vinserti64x4 { src, src2, .. } => vec![(src.0, Y), (src2.0, u64::MAX)],
+        Inst::MovqFromXmm { src, .. } => [(src.0, 0xff), (0, 0)],
+        Inst::Pextrq { lane, src, .. } => [(src.0, 0xffu64 << (8 * lane)), (0, 0)],
+        Inst::Vinserti128 { src, src2, .. } => [(src.0, X), (src2.0, Y)],
+        Inst::Vpxor { a, b, .. } | Inst::Vptest { a, b } => [(a.0, Y), (b.0, Y)],
+        Inst::Vpxor128 { a, b, .. } | Inst::Vptest128 { a, b } => [(a.0, X), (b.0, X)],
+        Inst::Vinserti64x4 { src, src2, .. } => [(src.0, Y), (src2.0, u64::MAX)],
         Inst::Vpxor512 { a, b, .. } | Inst::Vptest512 { a, b } => {
-            vec![(a.0, u64::MAX), (b.0, u64::MAX)]
+            [(a.0, u64::MAX), (b.0, u64::MAX)]
         }
-        _ => vec![],
+        _ => [(0, 0); 2],
     }
 }
 
@@ -386,17 +416,160 @@ pub(crate) fn simd_reads(inst: &Inst) -> Vec<(u8, u64)> {
 /// lanes; the VEX 128-bit form zeroes *all* upper bytes; `pinsrq`
 /// writes only its lane).  When the instruction's inputs are
 /// untainted the written bytes become golden, so these masks are also
-/// the taint-kill masks.
-pub(crate) fn simd_writes(inst: &Inst) -> Vec<(u8, u64)> {
+/// the taint-kill masks.  An instruction writes at most one register.
+fn simd_write(inst: &Inst) -> SimdAccess {
     const X: u64 = 0xffff;
     const Y: u64 = 0xffff_ffff;
     match inst {
-        Inst::MovqToXmm { dst, .. } => vec![(dst.0, X)],
-        Inst::Pinsrq { lane, dst, .. } => vec![(dst.0, 0xffu64 << (8 * lane))],
-        Inst::Vinserti128 { dst, .. } | Inst::Vpxor { dst, .. } => vec![(dst.0, Y)],
-        Inst::Vpxor128 { dst, .. } => vec![(dst.0, u64::MAX)],
-        Inst::Vinserti64x4 { dst, .. } | Inst::Vpxor512 { dst, .. } => vec![(dst.0, u64::MAX)],
-        _ => vec![],
+        Inst::MovqToXmm { dst, .. } => (dst.0, X),
+        Inst::Pinsrq { lane, dst, .. } => (dst.0, 0xffu64 << (8 * lane)),
+        Inst::Vinserti128 { dst, .. } | Inst::Vpxor { dst, .. } => (dst.0, Y),
+        Inst::Vpxor128 { dst, .. } => (dst.0, u64::MAX),
+        Inst::Vinserti64x4 { dst, .. } | Inst::Vpxor512 { dst, .. } => (dst.0, u64::MAX),
+        _ => (0, 0),
+    }
+}
+
+/// Where a jump goes, resolved once per function.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Target {
+    /// The detector, `exit_function`.
+    Exit,
+    /// A block of the function, by index.
+    Block(u32),
+    /// A label the function does not define.
+    Unresolved,
+}
+
+/// The function a `call` enters.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Callee {
+    /// The detector, `exit_function`.
+    Exit,
+    /// The output intrinsic, `print_i64`.
+    Print,
+    /// Any other function.
+    Other,
+}
+
+/// How an instruction moves control.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Control {
+    /// Falls through to the next instruction.
+    Plain,
+    /// A protection `jne exit_function`, the second half of every
+    /// FERRUM/EDDI checker idiom.
+    ExitCheck,
+    /// Any other conditional jump.
+    Branch(Target),
+    /// An unconditional jump.
+    Jump(Target),
+    /// `ret`.
+    Ret,
+    /// `call`.
+    Call(Callee),
+}
+
+/// The dataflow facts of one instruction that the taint scans consult
+/// at every step, decoded once per function instead of once per step.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct InstFacts {
+    /// GPR bytes read ([`inst_reads`]).
+    reads: ByteSet,
+    /// GPR bytes overwritten ([`inst_kills`]).
+    kills: ByteSet,
+    /// Byte-exact SIMD reads.
+    simd_reads: [SimdAccess; 2],
+    /// Byte-exact SIMD write.
+    simd_write: SimdAccess,
+    /// Emitted by a protection pass.
+    pub(crate) protection: bool,
+    /// How the instruction moves control.
+    pub(crate) control: Control,
+}
+
+impl InstFacts {
+    fn decode(ai: &AsmInst, target: impl Fn(&str) -> Target) -> InstFacts {
+        let protection = ai.prov.is_protection();
+        let control = match &ai.inst {
+            Inst::Jcc {
+                cc: Cc::Ne,
+                target: t,
+            } if protection && t == EXIT_FUNCTION => Control::ExitCheck,
+            Inst::Jcc { target: t, .. } => Control::Branch(target(t)),
+            Inst::Jmp { target: t } => Control::Jump(target(t)),
+            Inst::Ret => Control::Ret,
+            Inst::Call { target: t } if t == EXIT_FUNCTION => Control::Call(Callee::Exit),
+            Inst::Call { target: t } if t == PRINT_I64 => Control::Call(Callee::Print),
+            Inst::Call { .. } => Control::Call(Callee::Other),
+            _ => Control::Plain,
+        };
+        InstFacts {
+            reads: inst_reads(&ai.inst),
+            kills: inst_kills(&ai.inst),
+            simd_reads: simd_reads(&ai.inst),
+            simd_write: simd_write(&ai.inst),
+            protection,
+            control,
+        }
+    }
+
+    /// True when the instruction reads a tainted GPR or SIMD byte.
+    pub(crate) fn reads_taint(&self, taint: &Taint) -> bool {
+        self.reads & taint.gpr != 0
+            || self
+                .simd_reads
+                .iter()
+                .any(|&(r, m)| taint.simd[r as usize] & m != 0)
+    }
+
+    /// Applies the writes of an instruction whose operands are
+    /// untainted: it computes exactly the golden values, so its writes
+    /// are exact taint kills.
+    pub(crate) fn kill(&self, taint: &mut Taint) {
+        let (r, m) = self.simd_write;
+        taint.gpr &= !self.kills;
+        taint.simd[r as usize] &= !m;
+    }
+}
+
+/// The [`InstFacts`] of every instruction of one function, block after
+/// block, with jump targets resolved to block indices.
+pub(crate) struct FunctionFacts {
+    insts: Vec<InstFacts>,
+    /// Block `b`'s facts are `insts[starts[b]..starts[b + 1]]`.
+    starts: Vec<usize>,
+}
+
+impl FunctionFacts {
+    pub(crate) fn build(f: &AsmFunction) -> FunctionFacts {
+        // A duplicate label resolves to its last block, as in the CFG.
+        let mut labels = HashMap::with_capacity(f.blocks.len());
+        for (bi, b) in f.blocks.iter().enumerate() {
+            labels.insert(b.label.as_str(), bi as u32);
+        }
+        let target = |t: &str| {
+            if t == EXIT_FUNCTION {
+                Target::Exit
+            } else {
+                labels
+                    .get(t)
+                    .map_or(Target::Unresolved, |&bi| Target::Block(bi))
+            }
+        };
+        let mut starts = Vec::with_capacity(f.blocks.len() + 1);
+        let mut insts = Vec::with_capacity(f.blocks.iter().map(|b| b.insts.len()).sum());
+        for b in &f.blocks {
+            starts.push(insts.len());
+            insts.extend(b.insts.iter().map(|ai| InstFacts::decode(ai, target)));
+        }
+        starts.push(insts.len());
+        FunctionFacts { insts, starts }
+    }
+
+    /// The facts of block `bi`, one per instruction.
+    pub(crate) fn block(&self, bi: usize) -> &[InstFacts] {
+        &self.insts[self.starts[bi]..self.starts[bi + 1]]
     }
 }
 
@@ -447,36 +620,45 @@ fn value_taint(op: &Operand, w: Width, taint: &Taint) -> bool {
     }
 }
 
-/// True when `block[i + 1]` is a protection `jne exit_function` — the
-/// second half of every FERRUM/EDDI checker idiom.
-fn next_is_exit_check(block: &[AsmInst], i: usize) -> bool {
-    matches!(
-        block.get(i + 1),
-        Some(AsmInst {
-            inst: Inst::Jcc { cc: Cc::Ne, target },
-            prov,
-        }) if prov.is_protection() && target == EXIT_FUNCTION
-    )
+/// True when the instruction after `facts[i]` is a protection
+/// `jne exit_function`.
+fn next_is_exit_check(facts: &[InstFacts], i: usize) -> bool {
+    facts
+        .get(i + 1)
+        .is_some_and(|f| f.control == Control::ExitCheck)
 }
 
 /// One step of the scan at a protection instruction that reads taint.
 pub(crate) enum Step {
     /// A checker is guaranteed to fire: the site is detected.
     Detected,
-    /// Exact propagation succeeded; continue with the new taint.
-    Keep(Taint),
+    /// Exact propagation succeeded; the taint was updated in place.
+    Keep,
     /// Exactness lost.
     Bail,
 }
 
 /// Handles a protection instruction consuming tainted data: recognise
 /// the checker idioms (→ [`Step::Detected`]), propagate through
-/// exactness-preserving data movement, or bail.
-pub(crate) fn protection_step(block: &[AsmInst], i: usize, taint: &Taint) -> Step {
+/// exactness-preserving data movement, or bail.  `facts` are the
+/// block's, one per instruction of `block`.
+pub(crate) fn protection_step(
+    block: &[AsmInst],
+    facts: &[InstFacts],
+    i: usize,
+    taint: &mut Taint,
+) -> Step {
     let inst = &block[i].inst;
     if mem_address_tainted(inst, taint) {
         return Step::Bail;
     }
+    let checked = |fires: bool| {
+        if fires && next_is_exit_check(facts, i) {
+            Step::Detected
+        } else {
+            Step::Bail
+        }
+    };
     match inst {
         // Scalar checker: `cmp`/`xor` with exactly one tainted operand
         // followed by `jne exit_function`.  Golden operands were equal
@@ -489,40 +671,14 @@ pub(crate) fn protection_step(block: &[AsmInst], i: usize, taint: &Taint) -> Ste
             w,
             src,
             dst,
-        } => {
-            let st = value_taint(src, *w, taint);
-            let dt = value_taint(dst, *w, taint);
-            if st != dt && next_is_exit_check(block, i) {
-                Step::Detected
-            } else {
-                Step::Bail
-            }
-        }
+        } => checked(value_taint(src, *w, taint) != value_taint(dst, *w, taint)),
         // Batch flush test: `vptest r, r` + `jne exit_function`.
         // Golden ZF was always set, so the golden accumulator is zero;
         // the tainted byte makes it non-zero and the branch fires.
         // Distinct operands give no such guarantee.
-        Inst::Vptest { a, b } if a == b => {
-            if next_is_exit_check(block, i) {
-                Step::Detected
-            } else {
-                Step::Bail
-            }
-        }
-        Inst::Vptest128 { a, b } if a == b => {
-            if next_is_exit_check(block, i) {
-                Step::Detected
-            } else {
-                Step::Bail
-            }
-        }
-        Inst::Vptest512 { a, b } if a == b => {
-            if next_is_exit_check(block, i) {
-                Step::Detected
-            } else {
-                Step::Bail
-            }
-        }
+        Inst::Vptest { a, b } if a == b => checked(true),
+        Inst::Vptest128 { a, b } if a == b => checked(true),
+        Inst::Vptest512 { a, b } if a == b => checked(true),
         // Register-to-register move: exact byte-wise taint transfer
         // (W64 replaces, W32 zero-extends — both kill all eight
         // destination bytes; W16/W8 merge into the low bytes).
@@ -538,10 +694,9 @@ pub(crate) fn protection_step(block: &[AsmInst], i: usize, taint: &Taint) -> Ste
                 Width::W64 => 0xff,
             };
             let moved = taint.gpr_view(s.gpr) & low;
-            let mut t = taint.clone();
-            t.gpr &= !crate::analysis::liveness::kill_bytes(d.gpr, *w);
-            t.gpr |= moved << (d.gpr.index() * 8);
-            Step::Keep(t)
+            taint.gpr &= !crate::analysis::liveness::kill_bytes(d.gpr, *w);
+            taint.gpr |= moved << (d.gpr.index() * 8);
+            Step::Keep
         }
         // GPR → XMM lane 0 (`movq`): lane 0 takes the source bytes,
         // lane 1 is zeroed (golden), upper lanes are preserved.
@@ -550,9 +705,9 @@ pub(crate) fn protection_step(block: &[AsmInst], i: usize, taint: &Taint) -> Ste
             dst,
         } => {
             let moved = (taint.gpr_view(s.gpr) & 0xff) as u64;
-            let mut t = taint.clone();
-            t.simd[dst.0 as usize] = (t.simd[dst.0 as usize] & !0xffffu64) | moved;
-            Step::Keep(t)
+            let d = &mut taint.simd[dst.0 as usize];
+            *d = (*d & !0xffffu64) | moved;
+            Step::Keep
         }
         // GPR → XMM lane insert: writes exactly the 8-byte lane.
         Inst::Pinsrq {
@@ -561,23 +716,21 @@ pub(crate) fn protection_step(block: &[AsmInst], i: usize, taint: &Taint) -> Ste
             dst,
         } => {
             let moved = (taint.gpr_view(s.gpr) & 0xff) as u64;
-            let mut t = taint.clone();
             let m = 0xffu64 << (8 * lane);
-            t.simd[dst.0 as usize] = (t.simd[dst.0 as usize] & !m) | (moved << (8 * lane));
-            Step::Keep(t)
+            let d = &mut taint.simd[dst.0 as usize];
+            *d = (*d & !m) | (moved << (8 * lane));
+            Step::Keep
         }
         // XMM lane → GPR (W64 destination kills all eight bytes).
         Inst::MovqFromXmm { src, dst } => {
             let moved = (taint.simd[src.0 as usize] & 0xff) as u128;
-            let mut t = taint.clone();
-            t.set_gpr_view(dst.gpr, moved);
-            Step::Keep(t)
+            taint.set_gpr_view(dst.gpr, moved);
+            Step::Keep
         }
         Inst::Pextrq { lane, src, dst } => {
             let moved = ((taint.simd[src.0 as usize] >> (8 * lane)) & 0xff) as u128;
-            let mut t = taint.clone();
-            t.set_gpr_view(dst.gpr, moved);
-            Step::Keep(t)
+            taint.set_gpr_view(dst.gpr, moved);
+            Step::Keep
         }
         // 128-bit lane merge into a YMM: exact byte shuffle; the top
         // 32 bytes of the destination register are preserved.
@@ -590,9 +743,9 @@ pub(crate) fn protection_step(block: &[AsmInst], i: usize, taint: &Taint) -> Ste
             let xs = taint.simd[src.0 as usize] & 0xffff;
             let ys = taint.simd[src2.0 as usize] & 0xffff_ffff;
             let merged = (ys & !(0xffffu64 << (16 * lane))) | (xs << (16 * lane));
-            let mut t = taint.clone();
-            t.simd[dst.0 as usize] = (t.simd[dst.0 as usize] & !0xffff_ffffu64) | merged;
-            Step::Keep(t)
+            let d = &mut taint.simd[dst.0 as usize];
+            *d = (*d & !0xffff_ffffu64) | merged;
+            Step::Keep
         }
         // 256-bit lane merge into a ZMM: writes all 64 bytes.
         Inst::Vinserti64x4 {
@@ -603,9 +756,9 @@ pub(crate) fn protection_step(block: &[AsmInst], i: usize, taint: &Taint) -> Ste
         } => {
             let ys = taint.simd[src.0 as usize] & 0xffff_ffff;
             let zs = taint.simd[src2.0 as usize];
-            let mut t = taint.clone();
-            t.simd[dst.0 as usize] = (zs & !(0xffff_ffffu64 << (32 * lane))) | (ys << (32 * lane));
-            Step::Keep(t)
+            taint.simd[dst.0 as usize] =
+                (zs & !(0xffff_ffffu64 << (32 * lane))) | (ys << (32 * lane));
+            Step::Keep
         }
         // One-side-per-byte tainted XOR: each tainted result byte
         // differs by exactly the one operand's delta (non-zero).  A
@@ -616,9 +769,9 @@ pub(crate) fn protection_step(block: &[AsmInst], i: usize, taint: &Taint) -> Ste
             if at & bt != 0 {
                 return Step::Bail;
             }
-            let mut t = taint.clone();
-            t.simd[dst.0 as usize] = (t.simd[dst.0 as usize] & !0xffff_ffffu64) | at | bt;
-            Step::Keep(t)
+            let d = &mut taint.simd[dst.0 as usize];
+            *d = (*d & !0xffff_ffffu64) | at | bt;
+            Step::Keep
         }
         Inst::Vpxor128 { a, b, dst } => {
             let at = taint.simd[a.0 as usize] & 0xffff;
@@ -626,10 +779,9 @@ pub(crate) fn protection_step(block: &[AsmInst], i: usize, taint: &Taint) -> Ste
             if at & bt != 0 {
                 return Step::Bail;
             }
-            let mut t = taint.clone();
             // VEX semantics zero every upper byte of the destination.
-            t.simd[dst.0 as usize] = at | bt;
-            Step::Keep(t)
+            taint.simd[dst.0 as usize] = at | bt;
+            Step::Keep
         }
         Inst::Vpxor512 { a, b, dst } => {
             let at = taint.simd[a.0 as usize];
@@ -637,9 +789,8 @@ pub(crate) fn protection_step(block: &[AsmInst], i: usize, taint: &Taint) -> Ste
             if at & bt != 0 {
                 return Step::Bail;
             }
-            let mut t = taint.clone();
-            t.simd[dst.0 as usize] = at | bt;
-            Step::Keep(t)
+            taint.simd[dst.0 as usize] = at | bt;
+            Step::Keep
         }
         _ => Step::Bail,
     }
@@ -659,32 +810,26 @@ fn bail_verdict(taint: &Taint, live_after: ByteSet) -> StaticVerdict {
 
 /// Scans forward from `start` within one block, tracking the exact
 /// tainted-byte set seeded at the fault site.
-fn scan(block: &[AsmInst], after: &[ByteSet], start: usize, mut taint: Taint) -> StaticVerdict {
-    let mut i = start;
-    loop {
+fn scan(
+    block: &[AsmInst],
+    facts: &[InstFacts],
+    after: &[ByteSet],
+    start: usize,
+    mut taint: Taint,
+) -> StaticVerdict {
+    for (i, fact) in facts.iter().enumerate().skip(start) {
         if taint.is_clear() {
             // Every corrupted byte was overwritten with its golden
             // value: the runs have converged.
             return StaticVerdict::Masked;
         }
-        if i >= block.len() {
-            return bail_verdict(&taint, after[block.len() - 1]);
-        }
-        let ai = &block[i];
-        let inst = &ai.inst;
-
-        let reads_taint = inst_reads(inst) & taint.gpr != 0
-            || simd_reads(inst)
-                .iter()
-                .any(|&(r, m)| taint.simd[r as usize] & m != 0);
-
-        if reads_taint {
-            if !ai.prov.is_protection() {
+        if fact.reads_taint(&taint) {
+            if !fact.protection {
                 return StaticVerdict::Vulnerable;
             }
-            match protection_step(block, i, &taint) {
+            match protection_step(block, facts, i, &mut taint) {
                 Step::Detected => return StaticVerdict::Detected,
-                Step::Keep(t) => taint = t,
+                Step::Keep => {}
                 // The instruction consumed tainted data in a way the
                 // propagation rules don't model (a store, arithmetic,
                 // a cancelling combine): the corruption may now live
@@ -693,74 +838,52 @@ fn scan(block: &[AsmInst], after: &[ByteSet], start: usize, mut taint: Taint) ->
                 Step::Bail => return StaticVerdict::Unknown,
             }
         } else {
-            // Untainted operands: the instruction computes exactly the
-            // golden values, so its writes are exact taint kills.
-            match inst {
-                Inst::Jcc { cc: Cc::Ne, target }
-                    if ai.prov.is_protection() && target == EXIT_FUNCTION =>
-                {
-                    // Flags are untainted (any tainted flag-writer
-                    // would have detected or bailed above), so this
-                    // checker branch falls through exactly as in the
-                    // golden run.
-                }
-                Inst::Jcc { .. } | Inst::Jmp { .. } | Inst::Ret => {
-                    // Control leaves the straight-line region on the
-                    // golden path; the liveness bail rule covers every
-                    // successor path.
+            match fact.control {
+                Control::Plain => fact.kill(&mut taint),
+                // Flags are untainted (any tainted flag-writer would
+                // have detected or bailed above), so this checker
+                // branch falls through exactly as in the golden run.
+                Control::ExitCheck => {}
+                // Control leaves the straight-line region on the
+                // golden path; the liveness bail rule covers every
+                // successor path.  A callee may also spill
+                // callee-saved registers or merge SIMD accumulator
+                // lanes we cannot see from here: only a fully-converged
+                // state may cross a call.
+                Control::Branch(_) | Control::Jump(_) | Control::Ret | Control::Call(_) => {
                     return bail_verdict(&taint, after[i]);
-                }
-                Inst::Call { .. } => {
-                    // The callee may spill callee-saved registers or
-                    // merge SIMD accumulator lanes we cannot see from
-                    // here; only a fully-converged state may cross.
-                    return bail_verdict(&taint, after[i]);
-                }
-                _ => {
-                    taint.gpr &= !inst_kills(inst);
-                    for (r, m) in simd_writes(inst) {
-                        taint.simd[r as usize] &= !m;
-                    }
                 }
             }
         }
-        i += 1;
+    }
+    if taint.is_clear() {
+        StaticVerdict::Masked
+    } else {
+        bail_verdict(&taint, after[block.len() - 1])
     }
 }
 
-/// Classifies one destination byte of a GPR-writing site.
-fn classify_gpr_byte(
+/// Classifies verdict unit `k` of the site `block[i]`, whose
+/// destination is `dest`.
+fn classify_unit(
     block: &[AsmInst],
+    facts: &[InstFacts],
     after: &[ByteSet],
     i: usize,
-    g: Gpr,
-    byte: u8,
+    dest: DestClass,
+    k: usize,
 ) -> StaticVerdict {
-    if byte_bit(g, byte) & after[i] == 0 {
+    let Some(seed) = unit_seed(dest, k) else {
+        return StaticVerdict::Unknown;
+    };
+    // SIMD registers have no liveness, so SIMD masking is only
+    // discovered by the scan's exact overwrite tracking.
+    if seed.simd_clear() && seed.gpr & after[i] == 0 {
         // Dead at write-back: the corrupted byte is overwritten on
         // every path before any read.
         return StaticVerdict::Masked;
     }
-    let taint = Taint {
-        gpr: byte_bit(g, byte),
-        ..Taint::default()
-    };
-    scan(block, after, i + 1, taint)
-}
-
-/// Classifies one destination byte of a SIMD-writing site (no SIMD
-/// liveness exists, so masking is only discovered by the scan's exact
-/// overwrite tracking).
-fn classify_simd_byte(
-    block: &[AsmInst],
-    after: &[ByteSet],
-    i: usize,
-    reg: u8,
-    byte: u8,
-) -> StaticVerdict {
-    let mut taint = Taint::default();
-    taint.simd[reg as usize] = 1u64 << byte;
-    scan(block, after, i + 1, taint)
+    scan(block, facts, after, i + 1, seed)
 }
 
 /// True when a `Detected` claim at `block[i]` is consistent with the
@@ -788,32 +911,22 @@ fn detection_matches_manifest(inst: &Inst, m: &ProtectionManifest) -> bool {
     }
 }
 
-/// When a manifest is available, demote `Detected` verdicts whose
-/// deciding checker the manifest does not vouch for.  The deciding
-/// checker is re-discovered by re-running the scan; demotion is rare
-/// (it indicates a disagreement between the pass and the analysis),
-/// so the cost does not matter.
-fn validate_against_manifest(
-    verdict: StaticVerdict,
+/// True when `manifest` vouches for the `Detected` claims of a block:
+/// every checker idiom the scan can credit lives in the block, so a
+/// claim stands iff *some* manifest-consistent checker exists there.
+/// Without a manifest every claim stands.
+fn block_vouched(
     block: &[AsmInst],
+    facts: &[InstFacts],
     manifest: Option<&ProtectionManifest>,
-) -> StaticVerdict {
-    let Some(m) = manifest else { return verdict };
-    if verdict != StaticVerdict::Detected {
-        return verdict;
-    }
-    // Every checker idiom the scan can credit lives in this block;
-    // accept the claim iff *some* manifest-consistent checker exists.
-    let any_consistent = block.iter().enumerate().any(|(i, ai)| {
-        ai.prov.is_protection()
-            && next_is_exit_check(block, i)
-            && detection_matches_manifest(&ai.inst, m)
-    });
-    if any_consistent {
-        verdict
-    } else {
-        StaticVerdict::Unknown
-    }
+) -> bool {
+    manifest.is_none_or(|m| {
+        facts.iter().enumerate().any(|(i, fact)| {
+            fact.protection
+                && next_is_exit_check(facts, i)
+                && detection_matches_manifest(&block[i].inst, m)
+        })
+    })
 }
 
 /// Classifies every injectable site of `f`, advancing the flat `pc`.
@@ -824,48 +937,26 @@ fn analyze_function(
 ) -> FunctionCoverage {
     let cfg = Cfg::build(f);
     let lv = Liveness::compute(f, &cfg);
+    let facts = FunctionFacts::build(f);
     let mut sites = Vec::new();
     let mut rollup = VerdictCounts::default();
     for (bi, b) in f.blocks.iter().enumerate() {
+        let bf = facts.block(bi);
         let after = lv.live_after_each(f, bi);
+        let vouched = block_vouched(&b.insts, bf, manifest);
         for (i, ai) in b.insts.iter().enumerate() {
             let this_pc = *pc;
             *pc += 1;
             let Some(bits) = ai.inst.injectable_bits() else {
                 continue;
             };
-            let verdicts: Vec<StaticVerdict> = match ai.inst.dest_class() {
-                DestClass::Gpr(r) => (0..r.width.bytes() as u8)
-                    .map(|byte| classify_gpr_byte(&b.insts, &after, i, r.gpr, byte))
-                    .collect(),
-                DestClass::RaxRdxPair(w) => {
-                    let nb = w.bytes() as u8;
-                    (0..2 * nb)
-                        .map(|k| {
-                            let (g, byte) = if k < nb {
-                                (Gpr::Rax, k)
-                            } else {
-                                (Gpr::Rdx, k - nb)
-                            };
-                            classify_gpr_byte(&b.insts, &after, i, g, byte)
-                        })
-                        .collect()
-                }
-                DestClass::Rflags => vec![StaticVerdict::Unknown],
-                DestClass::Xmm(x) => (0..16u8)
-                    .map(|byte| classify_simd_byte(&b.insts, &after, i, x.0, byte))
-                    .collect(),
-                DestClass::Ymm(y) => (0..32u8)
-                    .map(|byte| classify_simd_byte(&b.insts, &after, i, y.0, byte))
-                    .collect(),
-                DestClass::Zmm(z) => (0..64u8)
-                    .map(|byte| classify_simd_byte(&b.insts, &after, i, z.0, byte))
-                    .collect(),
-                DestClass::None => continue,
-            };
-            let verdicts: Vec<StaticVerdict> = verdicts
-                .into_iter()
-                .map(|v| validate_against_manifest(v, &b.insts, manifest))
+            let dest = ai.inst.dest_class();
+            // One unit per destination byte; RFLAGS (4 bits) is one.
+            let verdicts: Vec<StaticVerdict> = (0..bits.div_ceil(8) as usize)
+                .map(|k| match classify_unit(&b.insts, bf, &after, i, dest, k) {
+                    StaticVerdict::Detected if !vouched => StaticVerdict::Unknown,
+                    v => v,
+                })
                 .collect();
             for &v in &verdicts {
                 rollup.add(v);

@@ -29,18 +29,17 @@
 //! branches, jump targets, fall-throughs) until every path has
 //! converged, escaped, or widened.
 
-use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 use crate::analysis::coverage::{
-    protection_step, simd_reads, simd_writes, CoverageMap, SiteCoverage, StaticVerdict, Step, Taint,
+    protection_step, unit_seed, Callee, Control, CoverageMap, FunctionFacts, SiteCoverage,
+    StaticVerdict, Step, Taint, Target,
 };
-use crate::analysis::liveness::{byte_bit, inst_kills, inst_reads, reg_bytes, ByteSet};
-use crate::inst::{DestClass, Inst};
-use crate::printer::print_inst;
+use crate::analysis::liveness::{reg_bytes, ByteSet};
+use crate::printer::write_inst;
 use crate::program::{AsmFunction, AsmProgram};
 use crate::provenance::Provenance;
 use crate::reg::Gpr;
-use crate::{EXIT_FUNCTION, PRINT_I64};
 
 /// The architectural state through which a fault can leave a function.
 ///
@@ -196,8 +195,8 @@ impl FunctionSummary {
 pub struct SummaryMap {
     /// Per-function summaries, in program order.
     pub functions: Vec<FunctionSummary>,
-    /// Flat pc → (function index, site index).
-    index: BTreeMap<usize, (u32, u32)>,
+    /// Flat pc → (function index, site index), sorted by pc.
+    index: Vec<(usize, (u32, u32))>,
 }
 
 impl SummaryMap {
@@ -215,9 +214,10 @@ impl SummaryMap {
             debug_assert_eq!(f.name, fc.name);
             let fs = summarize_function(f, &fc.sites, &mut pc);
             let fi = map.functions.len() as u32;
-            for (si, s) in fs.sites.iter().enumerate() {
-                map.index.insert(s.pc, (fi, si as u32));
-            }
+            // Sites come in pc order, so the index stays sorted.
+            let sites = fs.sites.iter().enumerate();
+            map.index
+                .extend(sites.map(|(si, s)| (s.pc, (fi, si as u32))));
             map.functions.push(fs);
         }
         map
@@ -225,15 +225,9 @@ impl SummaryMap {
 
     /// The site summary at flat pc `pc`, if injectable.
     pub fn site(&self, pc: usize) -> Option<&SiteSummary> {
-        let &(fi, si) = self.index.get(&pc)?;
+        let at = self.index.binary_search_by_key(&pc, |&(p, _)| p).ok()?;
+        let (fi, si) = self.index[at].1;
         Some(&self.functions[fi as usize].sites[si as usize])
-    }
-
-    /// The function whose pc range contains `pc`.
-    pub fn function_of_pc(&self, pc: usize) -> Option<&FunctionSummary> {
-        self.functions
-            .iter()
-            .find(|f| f.pc_start <= pc && pc < f.pc_end)
     }
 
     /// The summary for the unit governing a fault at `(pc, raw_bit)`,
@@ -253,48 +247,63 @@ impl SummaryMap {
     }
 }
 
+/// FNV-1a over the bytes written to it.
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(Fnv1a::PRIME);
+        }
+    }
+
+    /// Closes a field with the `0xff` separator.
+    fn end_field(&mut self) {
+        self.0 ^= 0xff;
+        self.0 = self.0.wrapping_mul(Fnv1a::PRIME);
+    }
+}
+
+impl std::fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.bytes(s.as_bytes());
+        Ok(())
+    }
+}
+
 /// Content hash of a function body (FNV-1a over the printed
 /// instructions, block labels and provenance tags).  This is the
 /// incremental-campaign cache key: any textual change to the function
 /// — including a provenance-only change, which can alter analysis
-/// results — produces a different hash.
+/// results — produces a different hash.  The text is streamed into
+/// the hash, never built as a string.
 pub fn function_hash(f: &AsmFunction) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut write = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(PRIME);
-        }
-        h ^= 0xff; // field separator
-        h = h.wrapping_mul(PRIME);
-    };
-    write(f.name.as_bytes());
+    let mut h = Fnv1a(0xcbf2_9ce4_8422_2325);
+    h.bytes(f.name.as_bytes());
+    h.end_field();
     for b in &f.blocks {
-        write(b.label.as_bytes());
+        h.bytes(b.label.as_bytes());
+        h.end_field();
         for ai in &b.insts {
-            write(print_inst(&ai.inst).as_bytes());
-            write(format!("{:?}", ai.prov).as_bytes());
+            // Writing to the hash cannot fail.
+            let _ = write_inst(&mut h, &ai.inst);
+            h.end_field();
+            let _ = write!(h, "{:?}", ai.prov);
+            h.end_field();
         }
     }
-    h
+    h.0
 }
 
 /// Builds the summary for one function, advancing the flat `pc`
 /// exactly like `coverage::analyze_function` does.
 fn summarize_function(f: &AsmFunction, sites: &[SiteCoverage], pc: &mut usize) -> FunctionSummary {
     let pc_start = *pc;
-    // Per-block live-after sets are not needed here: deadness was
-    // already folded into the coverage verdicts, and the escape scan
-    // tracks exact overwrites instead of liveness.
-    let labels: BTreeMap<&str, usize> = f
-        .blocks
-        .iter()
-        .enumerate()
-        .map(|(i, b)| (b.label.as_str(), i))
-        .collect();
-    let budget = 8 * f.blocks.len() + 64;
+    // Built at the function's first unit that needs an escape scan.
+    let mut scan: Option<EscapeScan> = None;
     let mut out_sites = Vec::with_capacity(sites.len());
     let mut next_site = 0usize;
     for (bi, b) in f.blocks.iter().enumerate() {
@@ -307,7 +316,30 @@ fn summarize_function(f: &AsmFunction, sites: &[SiteCoverage], pc: &mut usize) -
             let site = &sites[next_site];
             next_site += 1;
             debug_assert_eq!(site.pc, this_pc);
-            let units = summarize_site(f, &labels, budget, bi, i, &ai.inst, site);
+            let dest = ai.inst.dest_class();
+            let mut units = Vec::with_capacity(site.verdicts.len());
+            for (k, &verdict) in site.verdicts.iter().enumerate() {
+                let (escape, may_detect) = match verdict {
+                    StaticVerdict::Masked => (EscapeFootprint::empty(), false),
+                    StaticVerdict::Detected => (EscapeFootprint::empty(), true),
+                    StaticVerdict::Vulnerable => (EscapeFootprint::full(), false),
+                    // The seed is built only here: decided units need
+                    // none.  An RFLAGS unit has no seed and stays
+                    // fully widened.
+                    StaticVerdict::Unknown => match unit_seed(dest, k) {
+                        None => (EscapeFootprint::full(), false),
+                        Some(seed) => {
+                            scan.get_or_insert_with(|| EscapeScan::new(f))
+                                .run(bi, i + 1, seed)
+                        }
+                    },
+                };
+                units.push(UnitSummary {
+                    verdict,
+                    escape,
+                    may_detect,
+                });
+            }
             out_sites.push(SiteSummary {
                 pc: this_pc,
                 bits: site.bits,
@@ -326,91 +358,6 @@ fn summarize_function(f: &AsmFunction, sites: &[SiteCoverage], pc: &mut usize) -
     }
 }
 
-/// Summaries for every verdict unit of one site, mirroring the unit
-/// order of `coverage::analyze_function`.
-fn summarize_site(
-    f: &AsmFunction,
-    labels: &BTreeMap<&str, usize>,
-    budget: usize,
-    bi: usize,
-    i: usize,
-    inst: &Inst,
-    site: &SiteCoverage,
-) -> Vec<UnitSummary> {
-    let gpr_seed = |g: Gpr, byte: u8| Taint {
-        gpr: byte_bit(g, byte),
-        ..Taint::default()
-    };
-    let seeds: Vec<Option<Taint>> = match inst.dest_class() {
-        DestClass::Gpr(r) => (0..r.width.bytes() as u8)
-            .map(|byte| Some(gpr_seed(r.gpr, byte)))
-            .collect(),
-        DestClass::RaxRdxPair(w) => {
-            let nb = w.bytes() as u8;
-            (0..2 * nb)
-                .map(|k| {
-                    let (g, byte) = if k < nb {
-                        (Gpr::Rax, k)
-                    } else {
-                        (Gpr::Rdx, k - nb)
-                    };
-                    Some(gpr_seed(g, byte))
-                })
-                .collect()
-        }
-        // A flipped condition bit can redirect any dependent branch;
-        // no taint seed models that, so the unit stays fully widened.
-        DestClass::Rflags => vec![None],
-        DestClass::Xmm(x) => (0..16u8).map(|byte| Some(simd_seed(x.0, byte))).collect(),
-        DestClass::Ymm(y) => (0..32u8).map(|byte| Some(simd_seed(y.0, byte))).collect(),
-        DestClass::Zmm(z) => (0..64u8).map(|byte| Some(simd_seed(z.0, byte))).collect(),
-        DestClass::None => vec![],
-    };
-    debug_assert_eq!(seeds.len(), site.verdicts.len());
-    seeds
-        .into_iter()
-        .zip(&site.verdicts)
-        .map(|(seed, &verdict)| match verdict {
-            StaticVerdict::Masked => UnitSummary {
-                verdict,
-                escape: EscapeFootprint::empty(),
-                may_detect: false,
-            },
-            StaticVerdict::Detected => UnitSummary {
-                verdict,
-                escape: EscapeFootprint::empty(),
-                may_detect: true,
-            },
-            StaticVerdict::Vulnerable => UnitSummary {
-                verdict,
-                escape: EscapeFootprint::full(),
-                may_detect: false,
-            },
-            StaticVerdict::Unknown => match seed {
-                None => UnitSummary {
-                    verdict,
-                    escape: EscapeFootprint::full(),
-                    may_detect: false,
-                },
-                Some(taint) => {
-                    let (escape, may_detect) = escape_scan(f, labels, budget, bi, i + 1, taint);
-                    UnitSummary {
-                        verdict,
-                        escape,
-                        may_detect,
-                    }
-                }
-            },
-        })
-        .collect()
-}
-
-fn simd_seed(reg: u8, byte: u8) -> Taint {
-    let mut t = Taint::default();
-    t.simd[reg as usize] = 1u64 << byte;
-    t
-}
-
 /// True when `a` taints every byte `b` taints.  Exploring a subset
 /// taint after its superset adds nothing: escape events are monotone
 /// in the taint set (more tainted bytes → more escape, and a checker
@@ -424,167 +371,200 @@ fn subsumes(a: &Taint, b: &Taint) -> bool {
             .all(|(&am, &bm)| am | bm == am)
 }
 
-/// CFG-following escape scan: explores every golden-consistent path
-/// from the seed, accumulating the union of escape events.  Returns
-/// the footprint and whether any path ends in a firing checker.
-///
-/// Path-end events:
-/// * taint clears → the runs converged, nothing escapes on this path;
-/// * `ret` (or falling off the function) → every tainted register
-///   byte escapes into the caller;
-/// * checker fires / control reaches `exit_function` → detection;
-/// * exactness lost (tainted store/arithmetic, live taint across a
-///   call, unknown branch target, exploration budget exhausted) →
-///   widen to [`EscapeFootprint::full`] and stop.
-fn escape_scan(
-    f: &AsmFunction,
-    labels: &BTreeMap<&str, usize>,
-    mut budget: usize,
-    bi0: usize,
-    i0: usize,
-    seed: Taint,
-) -> (EscapeFootprint, bool) {
-    let mut fp = EscapeFootprint::empty();
-    let mut may_detect = false;
-    let mut visited: Vec<Vec<Taint>> = vec![Vec::new(); f.blocks.len()];
-    let mut work: Vec<(usize, usize, Taint)> = vec![(bi0, i0, seed)];
-    let escape_regs = |fp: &mut EscapeFootprint, taint: &Taint| {
-        fp.gpr |= taint.gpr;
-        for (r, &m) in taint.simd.iter().enumerate() {
-            if m != 0 {
-                fp.simd |= 1 << r;
-            }
+/// Every tainted register escapes into the caller.
+fn escape_regs(fp: &mut EscapeFootprint, taint: &Taint) {
+    fp.gpr |= taint.gpr;
+    for (r, &m) in taint.simd.iter().enumerate() {
+        if m != 0 {
+            fp.simd |= 1 << r;
         }
-    };
-    'work: while let Some((bi, start, mut taint)) = work.pop() {
-        if start == 0 {
-            // Block-entry memoisation with subsumption: only a taint
-            // adding new bytes over everything already explored at
-            // this entry is worth walking again.
-            if visited[bi].iter().any(|v| subsumes(v, &taint)) {
-                continue;
-            }
-            if budget == 0 {
-                return (EscapeFootprint::full(), may_detect);
-            }
-            budget -= 1;
-            visited[bi].push(taint.clone());
+    }
+}
+
+/// The escape scan of one function: its fact table and the work
+/// buffers every scan of the function reuses.  It needs no live-after
+/// sets: deadness is already folded into the coverage verdicts, and
+/// the scan tracks exact overwrites instead.
+struct EscapeScan<'f> {
+    f: &'f AsmFunction,
+    facts: FunctionFacts,
+    /// Taints already explored from each block's entry.
+    visited: Vec<Vec<Taint>>,
+    /// The blocks whose `visited` list is non-empty, so that a reset
+    /// touches only those.
+    touched: Vec<usize>,
+    /// Pending walks: `(block, instruction, taint)`.
+    work: Vec<(usize, usize, Taint)>,
+    /// Block entries one scan may explore before it widens.
+    budget: usize,
+}
+
+impl<'f> EscapeScan<'f> {
+    fn new(f: &'f AsmFunction) -> EscapeScan<'f> {
+        EscapeScan {
+            f,
+            facts: FunctionFacts::build(f),
+            visited: vec![Vec::new(); f.blocks.len()],
+            touched: Vec::new(),
+            work: Vec::new(),
+            budget: 8 * f.blocks.len() + 64,
         }
-        let block = &f.blocks[bi].insts;
-        let mut i = start;
-        loop {
-            if taint.is_clear() {
-                // Converged: bit-identical to golden from here on.
-                continue 'work;
-            }
-            if i >= block.len() {
-                if bi + 1 < f.blocks.len() {
-                    work.push((bi + 1, 0, taint));
-                } else {
-                    escape_regs(&mut fp, &taint);
-                }
-                continue 'work;
-            }
-            let ai = &block[i];
-            match &ai.inst {
-                Inst::Ret => {
-                    escape_regs(&mut fp, &taint);
-                    continue 'work;
-                }
-                Inst::Call { target } if target == EXIT_FUNCTION => {
-                    may_detect = true;
-                    continue 'work;
-                }
-                Inst::Call { target } if target == PRINT_I64 => {
-                    if taint.gpr & reg_bytes(Gpr::Rdi) != 0 {
-                        // The corrupted value reaches the output
-                        // stream: an SDC in the making.
-                        return (EscapeFootprint::full(), may_detect);
-                    }
-                    // The intrinsic reads `%rdi` and appends to the
-                    // output; it writes no register, so taint is
-                    // exactly preserved.
-                    i += 1;
+    }
+
+    /// CFG-following escape scan: explores every golden-consistent
+    /// path from `seed` at instruction `i0` of block `bi0`,
+    /// accumulating the union of escape events.  Returns the footprint
+    /// and whether any path ends in a firing checker.
+    ///
+    /// Path-end events:
+    /// * taint clears → the runs converged, nothing escapes on this
+    ///   path;
+    /// * `ret` (or falling off the function) → every tainted register
+    ///   byte escapes into the caller;
+    /// * checker fires / control reaches `exit_function` → detection;
+    /// * exactness lost (tainted store/arithmetic, live taint across a
+    ///   call, unknown branch target, exploration budget exhausted) →
+    ///   widen to [`EscapeFootprint::full`] and stop.
+    fn run(&mut self, bi0: usize, i0: usize, seed: Taint) -> (EscapeFootprint, bool) {
+        for bi in self.touched.drain(..) {
+            self.visited[bi].clear();
+        }
+        self.work.clear();
+        self.work.push((bi0, i0, seed));
+        let f = self.f;
+        let mut budget = self.budget;
+        let mut fp = EscapeFootprint::empty();
+        let mut may_detect = false;
+        'work: while let Some((bi, start, mut taint)) = self.work.pop() {
+            if start == 0 {
+                // Block-entry memoisation with subsumption: only a
+                // taint adding new bytes over everything already
+                // explored at this entry is worth walking again.
+                let seen = &mut self.visited[bi];
+                if seen.iter().any(|v| subsumes(v, &taint)) {
                     continue;
                 }
-                Inst::Call { .. } => {
-                    // Live taint crossing into a callee: the callee
-                    // may consume it as an argument, spill it, or
-                    // merge it into its accumulators — only a
-                    // fully-converged state may cross (same rule as
-                    // the coverage scan).
-                    let mut full = EscapeFootprint::full();
-                    full.callee = true;
-                    return (full, may_detect);
-                }
-                Inst::Jmp { target } => {
-                    if target == EXIT_FUNCTION {
-                        may_detect = true;
-                    } else if let Some(&t) = labels.get(target.as_str()) {
-                        work.push((t, 0, taint));
-                    } else {
-                        return (EscapeFootprint::full(), may_detect);
-                    }
-                    continue 'work;
-                }
-                Inst::Jcc { target, .. } => {
-                    // Flags are untainted on every surviving path (a
-                    // tainted flag-writer detects or bails), so the
-                    // branch goes exactly where golden went.
-                    if target == EXIT_FUNCTION {
-                        // Golden completed, so golden never exited:
-                        // the branch falls through.
-                    } else if let Some(&t) = labels.get(target.as_str()) {
-                        // Golden's direction is unknown statically:
-                        // explore both arms.
-                        work.push((t, 0, taint.clone()));
-                    } else {
-                        return (EscapeFootprint::full(), may_detect);
-                    }
-                    i += 1;
-                    continue;
-                }
-                _ => {}
-            }
-            let reads_taint = inst_reads(&ai.inst) & taint.gpr != 0
-                || simd_reads(&ai.inst)
-                    .iter()
-                    .any(|&(r, m)| taint.simd[r as usize] & m != 0);
-            if reads_taint {
-                if !ai.prov.is_protection() {
-                    // Application computation consumed the corrupted
-                    // value: from here anything may be corrupted.
+                if budget == 0 {
                     return (EscapeFootprint::full(), may_detect);
                 }
-                match protection_step(block, i, &taint) {
-                    Step::Detected => {
+                budget -= 1;
+                if seen.is_empty() {
+                    self.touched.push(bi);
+                }
+                seen.push(taint.clone());
+            }
+            let block = &f.blocks[bi].insts;
+            let facts = self.facts.block(bi);
+            let mut i = start;
+            loop {
+                if taint.is_clear() {
+                    // Converged: bit-identical to golden from here on.
+                    continue 'work;
+                }
+                let Some(fact) = facts.get(i) else {
+                    if bi + 1 < f.blocks.len() {
+                        self.work.push((bi + 1, 0, taint));
+                    } else {
+                        escape_regs(&mut fp, &taint);
+                    }
+                    continue 'work;
+                };
+                match fact.control {
+                    Control::Plain => {}
+                    Control::Ret => {
+                        escape_regs(&mut fp, &taint);
+                        continue 'work;
+                    }
+                    Control::Call(Callee::Exit) => {
                         may_detect = true;
                         continue 'work;
                     }
-                    Step::Keep(t) => taint = t,
-                    Step::Bail => return (EscapeFootprint::full(), may_detect),
+                    Control::Call(Callee::Print) => {
+                        if taint.gpr & reg_bytes(Gpr::Rdi) != 0 {
+                            // The corrupted value reaches the output
+                            // stream: an SDC in the making.
+                            return (EscapeFootprint::full(), may_detect);
+                        }
+                        // The intrinsic reads `%rdi` and appends to the
+                        // output; it writes no register, so taint is
+                        // exactly preserved.
+                        i += 1;
+                        continue;
+                    }
+                    Control::Call(Callee::Other) => {
+                        // Live taint crossing into a callee: the callee
+                        // may consume it as an argument, spill it, or
+                        // merge it into its accumulators — only a
+                        // fully-converged state may cross (same rule as
+                        // the coverage scan).
+                        let mut full = EscapeFootprint::full();
+                        full.callee = true;
+                        return (full, may_detect);
+                    }
+                    Control::Jump(target) => {
+                        match target {
+                            Target::Exit => may_detect = true,
+                            Target::Block(t) => self.work.push((t as usize, 0, taint)),
+                            Target::Unresolved => return (EscapeFootprint::full(), may_detect),
+                        }
+                        continue 'work;
+                    }
+                    // Flags are untainted on every surviving path (a
+                    // tainted flag-writer detects or bails), so the
+                    // branch goes exactly where golden went.  Golden
+                    // completed, so golden never exited: a branch to
+                    // `exit_function` falls through.
+                    Control::ExitCheck | Control::Branch(Target::Exit) => {
+                        i += 1;
+                        continue;
+                    }
+                    Control::Branch(Target::Block(t)) => {
+                        // Golden's direction is unknown statically:
+                        // explore both arms.
+                        self.work.push((t as usize, 0, taint.clone()));
+                        i += 1;
+                        continue;
+                    }
+                    Control::Branch(Target::Unresolved) => {
+                        return (EscapeFootprint::full(), may_detect);
+                    }
                 }
-            } else {
-                taint.gpr &= !inst_kills(&ai.inst);
-                for (r, m) in simd_writes(&ai.inst) {
-                    taint.simd[r as usize] &= !m;
+                if fact.reads_taint(&taint) {
+                    if !fact.protection {
+                        // Application computation consumed the
+                        // corrupted value: from here anything may be
+                        // corrupted.
+                        return (EscapeFootprint::full(), may_detect);
+                    }
+                    match protection_step(block, facts, i, &mut taint) {
+                        Step::Detected => {
+                            may_detect = true;
+                            continue 'work;
+                        }
+                        Step::Keep => {}
+                        Step::Bail => return (EscapeFootprint::full(), may_detect),
+                    }
+                } else {
+                    fact.kill(&mut taint);
                 }
+                i += 1;
             }
-            i += 1;
         }
+        (fp, may_detect)
     }
-    (fp, may_detect)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::liveness::byte_bit;
     use crate::flags::Cc;
     use crate::inst::{AluOp, Inst};
     use crate::operand::Operand;
     use crate::program::{AsmBlock, AsmInst, AsmProgram};
     use crate::provenance::{Mechanism, TechniqueTag};
     use crate::reg::{Reg, Width};
+    use crate::{EXIT_FUNCTION, PRINT_I64};
 
     fn prot(inst: Inst) -> AsmInst {
         AsmInst::new(
@@ -909,6 +889,72 @@ mod tests {
         let mut g = f.clone();
         g.blocks[0].label = "other".into();
         assert_ne!(h0, function_hash(&g));
+
+        // A fixed value: journal fingerprints and compose cache keys
+        // are built from this hash, so its bytes must never drift.
+        // The function covers every `Provenance` variant and the
+        // register, memory and immediate operand forms.
+        use crate::operand::{MemRef, Scale};
+        use crate::provenance::GlueKind;
+        use crate::reg::{Xmm, Ymm};
+        let mut pinned = AsmFunction::new("pinned");
+        let mut b = AsmBlock::new("pinned_entry");
+        let with = |inst, prov| AsmInst::new(inst, prov);
+        b.insts.push(with(
+            Inst::Mov {
+                w: Width::W64,
+                src: Operand::Imm(-42),
+                dst: Operand::Reg(Reg::q(Gpr::Rax)),
+            },
+            Provenance::FromIr(7),
+        ));
+        b.insts.push(with(
+            Inst::Mov {
+                w: Width::W32,
+                src: Operand::Mem(MemRef::base_disp(Gpr::Rbp, -12)),
+                dst: Operand::Reg(Reg::l(Gpr::Rcx)),
+            },
+            Provenance::Glue(GlueKind::SlotTraffic),
+        ));
+        b.insts.push(with(
+            Inst::Lea {
+                mem: MemRef::indexed(Gpr::Rax, Gpr::Rcx, Scale::S8, 16),
+                dst: Reg::q(Gpr::Rdx),
+            },
+            Provenance::Glue(GlueKind::AddressCalc),
+        ));
+        b.insts.push(prot(Inst::Cmp {
+            w: Width::W64,
+            src: Operand::Reg(Reg::q(Gpr::R10)),
+            dst: Operand::Reg(Reg::q(Gpr::Rax)),
+        }));
+        b.insts.push(with(
+            Inst::Jcc {
+                cc: Cc::Ne,
+                target: EXIT_FUNCTION.into(),
+            },
+            Provenance::Protection(TechniqueTag::HybridAsmEddi, Mechanism::FlagRecheck),
+        ));
+        b.insts.push(with(
+            Inst::Pinsrq {
+                lane: 1,
+                src: Operand::Mem(MemRef::global("arr", 8)),
+                dst: Xmm::new(3),
+            },
+            Provenance::Protection(TechniqueTag::IrEddi, Mechanism::BatchCapture),
+        ));
+        b.insts.push(with(
+            Inst::Vinserti128 {
+                lane: 1,
+                src: Xmm::new(3),
+                src2: Ymm::new(0),
+                dst: Ymm::new(0),
+            },
+            Provenance::Protection(TechniqueTag::Ferrum, Mechanism::BatchFlush),
+        ));
+        b.insts.push(app(Inst::Ret));
+        pinned.blocks.push(b);
+        assert_eq!(function_hash(&pinned), 0x9ff3_1603_ded1_30e5);
     }
 
     #[test]

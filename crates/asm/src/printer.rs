@@ -4,22 +4,39 @@
 //! `movslq %ecx, %r10`, `vinserti128 $1, %xmm2, %ymm0, %ymm0`,
 //! `jne exit_function`.  [`crate::parser`] parses this format back.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 use crate::inst::{Inst, ShiftAmount};
 use crate::program::{AsmProgram, DataObject};
 
 /// Renders one instruction in AT&T syntax (no trailing newline).
 pub fn print_inst(inst: &Inst) -> String {
+    let mut out = String::new();
+    // Writing to a `String` cannot fail.
+    let _ = write_inst(&mut out, inst);
+    out
+}
+
+/// Writes one instruction in AT&T syntax (no trailing newline) to
+/// `out`: the renderer behind [`print_inst`], for callers that stream
+/// the text elsewhere (the function content hash does).
+pub(crate) fn write_inst(out: &mut impl fmt::Write, inst: &Inst) -> fmt::Result {
     match inst {
-        Inst::Mov { w, src, dst } => format!("mov{} {}, {}", w.suffix(), src, dst),
+        Inst::Mov { w, src, dst } => write!(out, "mov{} {}, {}", w.suffix(), src, dst),
         Inst::Movsx {
             src_w,
             dst_w,
             src,
             dst,
         } => {
-            format!("movs{}{} {}, {}", src_w.suffix(), dst_w.suffix(), src, dst)
+            write!(
+                out,
+                "movs{}{} {}, {}",
+                src_w.suffix(),
+                dst_w.suffix(),
+                src,
+                dst
+            )
         }
         Inst::Movzx {
             src_w,
@@ -27,59 +44,66 @@ pub fn print_inst(inst: &Inst) -> String {
             src,
             dst,
         } => {
-            format!("movz{}{} {}, {}", src_w.suffix(), dst_w.suffix(), src, dst)
+            write!(
+                out,
+                "movz{}{} {}, {}",
+                src_w.suffix(),
+                dst_w.suffix(),
+                src,
+                dst
+            )
         }
-        Inst::Lea { mem, dst } => format!("leaq {}, {}", mem, dst),
+        Inst::Lea { mem, dst } => write!(out, "leaq {}, {}", mem, dst),
         Inst::Alu { op, w, src, dst } => {
-            format!("{}{} {}, {}", op.mnemonic(), w.suffix(), src, dst)
+            write!(out, "{}{} {}, {}", op.mnemonic(), w.suffix(), src, dst)
         }
-        Inst::Imul { w, src, dst } => format!("imul{} {}, {}", w.suffix(), src, dst),
-        Inst::Unary { op, w, dst } => format!("{}{} {}", op.mnemonic(), w.suffix(), dst),
+        Inst::Imul { w, src, dst } => write!(out, "imul{} {}, {}", w.suffix(), src, dst),
+        Inst::Unary { op, w, dst } => write!(out, "{}{} {}", op.mnemonic(), w.suffix(), dst),
         Inst::Shift { op, w, amount, dst } => match amount {
-            ShiftAmount::Imm(n) => format!("{}{} ${}, {}", op.mnemonic(), w.suffix(), n, dst),
-            ShiftAmount::Cl => format!("{}{} %cl, {}", op.mnemonic(), w.suffix(), dst),
+            ShiftAmount::Imm(n) => write!(out, "{}{} ${}, {}", op.mnemonic(), w.suffix(), n, dst),
+            ShiftAmount::Cl => write!(out, "{}{} %cl, {}", op.mnemonic(), w.suffix(), dst),
         },
-        Inst::Cqo { w } => match w {
-            crate::reg::Width::W64 => "cqto".to_owned(),
-            _ => "cltd".to_owned(),
-        },
-        Inst::Idiv { w, src } => format!("idiv{} {}", w.suffix(), src),
-        Inst::Cmp { w, src, dst } => format!("cmp{} {}, {}", w.suffix(), src, dst),
-        Inst::Test { w, src, dst } => format!("test{} {}, {}", w.suffix(), src, dst),
-        Inst::Setcc { cc, dst } => format!("set{} {}", cc.mnemonic(), dst),
-        Inst::Jmp { target } => format!("jmp {target}"),
-        Inst::Jcc { cc, target } => format!("j{} {}", cc.mnemonic(), target),
-        Inst::Call { target } => format!("call {target}"),
-        Inst::Ret => "ret".to_owned(),
-        Inst::Push { src } => format!("pushq {src}"),
-        Inst::Pop { dst } => format!("popq {dst}"),
-        Inst::MovqToXmm { src, dst } => format!("movq {}, {}", src, dst),
-        Inst::MovqFromXmm { src, dst } => format!("movq {}, {}", src, dst),
-        Inst::Pinsrq { lane, src, dst } => format!("pinsrq ${}, {}, {}", lane, src, dst),
-        Inst::Pextrq { lane, src, dst } => format!("pextrq ${}, {}, {}", lane, src, dst),
+        Inst::Cqo { w } => out.write_str(match w {
+            crate::reg::Width::W64 => "cqto",
+            _ => "cltd",
+        }),
+        Inst::Idiv { w, src } => write!(out, "idiv{} {}", w.suffix(), src),
+        Inst::Cmp { w, src, dst } => write!(out, "cmp{} {}, {}", w.suffix(), src, dst),
+        Inst::Test { w, src, dst } => write!(out, "test{} {}, {}", w.suffix(), src, dst),
+        Inst::Setcc { cc, dst } => write!(out, "set{} {}", cc.mnemonic(), dst),
+        Inst::Jmp { target } => write!(out, "jmp {target}"),
+        Inst::Jcc { cc, target } => write!(out, "j{} {}", cc.mnemonic(), target),
+        Inst::Call { target } => write!(out, "call {target}"),
+        Inst::Ret => out.write_str("ret"),
+        Inst::Push { src } => write!(out, "pushq {src}"),
+        Inst::Pop { dst } => write!(out, "popq {dst}"),
+        Inst::MovqToXmm { src, dst } => write!(out, "movq {}, {}", src, dst),
+        Inst::MovqFromXmm { src, dst } => write!(out, "movq {}, {}", src, dst),
+        Inst::Pinsrq { lane, src, dst } => write!(out, "pinsrq ${}, {}, {}", lane, src, dst),
+        Inst::Pextrq { lane, src, dst } => write!(out, "pextrq ${}, {}, {}", lane, src, dst),
         Inst::Vinserti128 {
             lane,
             src,
             src2,
             dst,
         } => {
-            format!("vinserti128 ${}, {}, {}, {}", lane, src, src2, dst)
+            write!(out, "vinserti128 ${}, {}, {}, {}", lane, src, src2, dst)
         }
-        Inst::Vpxor { a, b, dst } => format!("vpxor {}, {}, {}", a, b, dst),
-        Inst::Vptest { a, b } => format!("vptest {}, {}", a, b),
-        Inst::Vpxor128 { a, b, dst } => format!("vpxor {}, {}, {}", a, b, dst),
-        Inst::Vptest128 { a, b } => format!("vptest {}, {}", a, b),
+        Inst::Vpxor { a, b, dst } => write!(out, "vpxor {}, {}, {}", a, b, dst),
+        Inst::Vptest { a, b } => write!(out, "vptest {}, {}", a, b),
+        Inst::Vpxor128 { a, b, dst } => write!(out, "vpxor {}, {}, {}", a, b, dst),
+        Inst::Vptest128 { a, b } => write!(out, "vptest {}, {}", a, b),
         Inst::Vinserti64x4 {
             lane,
             src,
             src2,
             dst,
         } => {
-            format!("vinserti64x4 ${}, {}, {}, {}", lane, src, src2, dst)
+            write!(out, "vinserti64x4 ${}, {}, {}, {}", lane, src, src2, dst)
         }
-        Inst::Vpxor512 { a, b, dst } => format!("vpxorq {}, {}, {}", a, b, dst),
-        Inst::Vptest512 { a, b } => format!("vptestq {}, {}", a, b),
-        Inst::Nop => "nop".to_owned(),
+        Inst::Vpxor512 { a, b, dst } => write!(out, "vpxorq {}, {}, {}", a, b, dst),
+        Inst::Vptest512 { a, b } => write!(out, "vptestq {}, {}", a, b),
+        Inst::Nop => out.write_str("nop"),
     }
 }
 
@@ -96,7 +120,9 @@ pub fn print_program(p: &AsmProgram) -> String {
         for b in &f.blocks {
             let _ = writeln!(out, "{}:", b.label);
             for ai in &b.insts {
-                let _ = writeln!(out, "\t{}\t# {}", print_inst(&ai.inst), ai.prov);
+                out.push('\t');
+                let _ = write_inst(&mut out, &ai.inst);
+                let _ = writeln!(out, "\t# {}", ai.prov);
             }
         }
     }

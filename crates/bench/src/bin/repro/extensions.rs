@@ -1,14 +1,14 @@
 //! Experiments beyond the paper's figures: design-choice ablations,
-//! the extensions the paper names as future work, native timing, and
-//! escape forensics.
+//! the extensions the paper names as future work, native timing,
+//! escape forensics, and the static coverage maps.
 
 use std::path::Path;
 use std::process::Command;
 use std::time::Instant;
 
 use ferrum::{
-    all_workloads, forensic_report, Campaign, CampaignConfig, CostModel, Error, EscapeReason,
-    ForensicConfig, Pipeline, Technique,
+    all_workloads, forensic_report, Campaign, CampaignConfig, CostModel, CoverageMap, Error,
+    EscapeReason, EscapeRollup, ForensicConfig, OptLevel, Pipeline, SummaryMap, Technique,
 };
 use ferrum_arm::exec::{profile, run, ArmFault, ArmOutcome};
 use ferrum_arm::kernels::{scale_add, sum_gt};
@@ -359,5 +359,62 @@ pub fn forensics(_: &mut Ctx, o: &Opts) -> Result<String, Error> {
         totals[1..].iter().sum::<usize>(),
         totals[0]
     );
+    Ok(out)
+}
+
+/// Static coverage maps (DESIGN.md §5d, §5g) on the catalog.  First
+/// FERRUM at `-O0`: sites, the share of units the analysis decides,
+/// and the prune and measured detection rates of a pruned sampled
+/// campaign.  Then every protected technique at `-O0` and `-O1`: the
+/// verdict rollup of `CoverageMap::analyze` and the escape classes of
+/// `SummaryMap::build`, so regenerating the file checks that the
+/// analyses change no verdict and no escape footprint.
+pub fn coverage(_: &mut Ctx, o: &Opts) -> Result<String, Error> {
+    let (samples, seed, scale) = (o.cfg.samples, o.cfg.seed, o.cfg.scale);
+    let plan = Campaign::sampled(CampaignConfig { samples, seed });
+    let workloads = all_workloads();
+    let modules: Vec<_> = workloads.iter().map(|w| w.build(scale)).collect();
+    let o0 = Pipeline::new();
+    let cols = Columns(&[16, 8, 10, 10, 10]);
+    let mut out = format!("static coverage maps — {scale:?} scale\n");
+    out += &format!("FERRUM -O0, {samples}-fault pruned campaign per benchmark, seed {seed:#x}\n");
+    out += &cols.line("benchmark", ["sites", "decided", "prune", "detected"]);
+    for (w, module) in workloads.iter().zip(&modules) {
+        let prog = o0.protect(module, Technique::Ferrum)?;
+        let map = CoverageMap::analyze(&prog);
+        let (prune, detected) = campaign(&o0, &prog, plan.prune(&map), |_, _, r| {
+            (r.stats.prune_rate(), r.detected as f64 / r.total().max(1) as f64)
+        })?;
+        let decided = pct(map.rollup().decided_fraction());
+        out += &cols.line(w.name, [map.total_sites().to_string(), decided, pct(prune), pct(detected)]);
+    }
+    let cols = Columns(&[46, 8, 10, 12, 9, 8, 10, 8, 12]);
+    out += "\nverdict units (CoverageMap) and escape classes (SummaryMap)\n";
+    let header = [
+        "masked", "detected", "vulnerable", "unknown", "clean", "register", "wide", "may_detect",
+    ];
+    out += &cols.line("benchmark/technique/opt", header);
+    for opt in [OptLevel::O0, OptLevel::O1] {
+        let pipeline = Pipeline::new().with_opt_level(opt);
+        for (w, module) in workloads.iter().zip(&modules) {
+            for technique in Technique::PROTECTED {
+                let prog = pipeline.protect(module, technique)?;
+                let map = CoverageMap::analyze(&prog);
+                let summary = SummaryMap::build(&prog, &map);
+                let v = map.rollup();
+                let mut e = EscapeRollup::default();
+                for r in summary.functions.iter().map(|f| f.escape_rollup()) {
+                    e.clean += r.clean;
+                    e.register += r.register;
+                    e.wide += r.wide;
+                    e.may_detect += r.may_detect;
+                }
+                let cells = [v.masked, v.detected, v.vulnerable, v.unknown]
+                    .into_iter()
+                    .chain([e.clean, e.register, e.wide, e.may_detect]);
+                out += &cols.line(&format!("{}/{technique}/-{opt}", w.name), cells);
+            }
+        }
+    }
     Ok(out)
 }

@@ -123,6 +123,7 @@ const ARTIFACTS: &[Artifact] = &[
     entry("arm",       "arm.txt",          &[],                 &[],         Timing::None, extensions::arm),
     entry("native",    "native.txt",       &[],                 SCALE,       Timing::All,  extensions::native),
     entry("forensics", "forensics.txt",    &[],                 CAMPAIGN,    Timing::None, extensions::forensics),
+    entry("coverage",  "coverage.txt",     &["--samples", "400", "--scale", "test"], CAMPAIGN, Timing::None, extensions::coverage),
 ];
 
 /// Work the entries of one process share.

@@ -13,9 +13,13 @@
 //!    fault.
 //! 3. **Pruning is worth it**: on FERRUM-protected catalog binaries
 //!    the reported prune rate clears 20%.
+//!
+//! A fourth test pins the analyses themselves: a digest of every
+//! verdict and every escape footprint over a window of fuzz programs.
 
-use ferrum::{Pipeline, Technique};
+use ferrum::{OptLevel, Pipeline, Technique};
 use ferrum_asm::analysis::coverage::{CoverageMap, StaticVerdict};
+use ferrum_asm::analysis::summary::SummaryMap;
 use ferrum_asm::program::AsmProgram;
 use ferrum_cpu::outcome::StopReason;
 use ferrum_cpu::run::{Cpu, Profile};
@@ -226,5 +230,88 @@ fn manifest_validated_map_is_sound_and_still_prunes() {
         pruned.stats.prune_rate() >= 0.20,
         "manifest-validated prune rate {:.1}% below the 20% floor",
         pruned.stats.prune_rate() * 100.0
+    );
+}
+
+/// FNV-1a over 64-bit words.
+struct Digest(u64);
+
+impl Digest {
+    fn new() -> Digest {
+        Digest(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, x: u64) {
+        for b in x.to_le_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// Every site of `map` with its verdicts, and every unit of
+    /// `summary` with each field of its escape footprint.
+    fn units(&mut self, map: &CoverageMap, summary: Option<&SummaryMap>) {
+        for (fi, fc) in map.functions.iter().enumerate() {
+            let fs = summary.map(|s| &s.functions[fi]);
+            for (si, site) in fc.sites.iter().enumerate() {
+                self.word(site.pc as u64);
+                self.word(u64::from(site.bits));
+                for (k, &v) in site.verdicts.iter().enumerate() {
+                    self.word(v as u64);
+                    let Some(fs) = fs else { continue };
+                    let u = &fs.sites[si].units[k];
+                    assert_eq!(u.verdict, v, "{} pc {} unit {k}", fc.name, site.pc);
+                    let e = u.escape;
+                    self.word(e.gpr as u64);
+                    self.word((e.gpr >> 64) as u64);
+                    self.word(u64::from(e.simd));
+                    let bits = [e.flags, e.mem, e.callee, u.may_detect];
+                    self.word(
+                        bits.iter()
+                            .enumerate()
+                            .map(|(i, &b)| u64::from(b) << i)
+                            .sum(),
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// First seed and length of the pinned fuzz window.
+const WINDOW: (u64, u64) = (42, 8);
+
+/// Every verdict and every `UnitSummary` field on a pinned window of
+/// fuzz programs, compiled at `-O0` and `-O1` and protected three ways
+/// (FERRUM also with its manifests), digested and compared with the
+/// values the analyses produced when the pins were taken.  The fuzz
+/// programs vary CFG shape and instruction mix more than the catalog
+/// does, so this pins per-unit escape footprints that no rollup sees;
+/// the second digest pins `function_hash` over the same programs.
+#[test]
+fn per_unit_verdicts_and_footprints_match_the_pinned_digest() {
+    let (mut units, mut hashes) = (Digest::new(), Digest::new());
+    for seed in WINDOW.0..WINDOW.0 + WINDOW.1 {
+        let (module, _) = ferrum_fuzz::generate_module(seed);
+        for opt in [OptLevel::O0, OptLevel::O1] {
+            let pipeline = Pipeline::new().with_opt_level(opt);
+            for technique in Technique::PROTECTED {
+                let prog = pipeline.protect(&module, technique).expect("protects");
+                let map = CoverageMap::analyze(&prog);
+                let summary = SummaryMap::build(&prog, &map);
+                units.units(&map, Some(&summary));
+                for f in &summary.functions {
+                    hashes.word(f.hash);
+                }
+            }
+            let asm = ferrum_backend::compile_opt(&module, opt).expect("compiles");
+            let (prot, manifests) = Ferrum::new().protect_with_manifest(&asm).expect("protects");
+            units.units(&CoverageMap::analyze_with(&prot, Some(&manifests)), None);
+        }
+    }
+    assert_eq!(
+        (units.0, hashes.0),
+        (0xa365_9e28_6d46_cd52, 0x8a06_fe8d_64ae_9c10),
+        "per-unit digest, function-hash digest"
     );
 }
