@@ -7,8 +7,8 @@ use std::process::Command;
 use std::time::Instant;
 
 use ferrum::{
-    all_workloads, forensic_report, Campaign, CampaignConfig, CostModel, CoverageMap, Error,
-    EscapeReason, EscapeRollup, ForensicConfig, OptLevel, Pipeline, SummaryMap, Technique,
+    all_workloads, forensic_report, Campaign, CampaignConfig, CostModel, CoverageMap, EngineKind,
+    Error, EscapeReason, EscapeRollup, ForensicConfig, OptLevel, Pipeline, SummaryMap, Technique,
 };
 use ferrum_arm::exec::{profile, run, ArmFault, ArmOutcome};
 use ferrum_arm::kernels::{scale_add, sum_gt};
@@ -33,10 +33,9 @@ fn raw_baselines(o: &Opts) -> Result<Vec<(Module, u64, f64)>, Error> {
         .iter()
         .map(|w| {
             let module = w.build(o.cfg.scale);
-            let raw = pipeline.protect(&module, Technique::None)?;
-            let (cycles, sdc) =
-                campaign(&pipeline, &raw, plan, |_, p, r| (p.result.cycles, r.sdc_prob()))?;
-            Ok((module, cycles, sdc))
+            let raw = pipeline.build(&module, Technique::None)?;
+            let sdc = campaign(&raw, plan)?.sdc_prob();
+            Ok((module, raw.profile().result.cycles, sdc))
         })
         .collect()
 }
@@ -54,10 +53,9 @@ fn ferrum_averages(
     });
     let (mut overhead, mut coverage) = (0.0, 0.0);
     for (module, raw_cycles, raw_sdc) in raw {
-        let prog = pipeline.protect(module, Technique::Ferrum)?;
-        let (cycles, sdc) =
-            campaign(pipeline, &prog, plan, |_, p, r| (p.result.cycles, r.sdc_prob()))?;
-        overhead += runtime_overhead(*raw_cycles, cycles);
+        let ferrum = pipeline.build(module, Technique::Ferrum)?;
+        let sdc = campaign(&ferrum, plan)?.sdc_prob();
+        overhead += runtime_overhead(*raw_cycles, ferrum.profile().result.cycles);
         coverage += sdc_coverage(*raw_sdc, sdc);
     }
     let n = raw.len() as f64;
@@ -137,13 +135,12 @@ pub fn multibit(_: &mut Ctx, o: &Opts) -> Result<String, Error> {
     let mut cov2_sum = 0.0;
     for w in &workloads {
         let module = w.build(o.cfg.scale);
-        let raw = pipeline.protect(&module, Technique::None)?;
-        let prot = pipeline.protect(&module, Technique::Ferrum)?;
-        let result = |prog, plan| campaign(&pipeline, prog, plan, |_, _, r| r);
-        let raw2 = result(&raw, Campaign::double(c))?;
-        let prot2 = result(&prot, Campaign::double(c))?;
-        let raw1 = result(&raw, Campaign::sampled(c))?;
-        let prot1 = result(&prot, Campaign::sampled(c))?;
+        let raw = pipeline.build(&module, Technique::None)?;
+        let prot = pipeline.build(&module, Technique::Ferrum)?;
+        let raw2 = campaign(&raw, Campaign::double(c))?;
+        let prot2 = campaign(&prot, Campaign::double(c))?;
+        let raw1 = campaign(&raw, Campaign::sampled(c))?;
+        let prot1 = campaign(&prot, Campaign::sampled(c))?;
         let cov2 = sdc_coverage(raw2.sdc_prob(), prot2.sdc_prob());
         let cov1 = sdc_coverage(raw1.sdc_prob(), prot1.sdc_prob());
         cov2_sum += cov2;
@@ -274,17 +271,17 @@ fn native_table(o: &Opts, dir: &Path) -> Result<String, Error> {
     let workloads = all_workloads();
     for w in &workloads {
         let module = w.build(o.cfg.scale);
-        let raw = pipeline.protect(&module, Technique::None)?;
-        let raw_t = native_seconds(&raw, &dir.join(format!("{}_raw", w.name)))?;
-        let mut progs = Vec::new();
+        let raw = pipeline.build(&module, Technique::None)?;
+        let raw_t = native_seconds(raw.program(), &dir.join(format!("{}_raw", w.name)))?;
+        let mut builds = Vec::new();
         for t in Technique::PROTECTED {
-            progs.push(pipeline.protect(&module, t)?);
+            builds.push(pipeline.build(&module, t)?);
         }
-        progs.push(no_simd.protect(&module, Technique::Ferrum)?);
+        builds.push(no_simd.build(&module, Technique::Ferrum)?);
         let mut cells = vec![format!("{:.2}", raw_t * 1e3)];
-        for (i, (sum, prog)) in sums.iter_mut().zip(&progs).enumerate() {
+        for (i, (sum, build)) in sums.iter_mut().zip(&builds).enumerate() {
             let bin = dir.join(format!("{}_{i}", w.name));
-            let overhead = native_seconds(prog, &bin)? / raw_t - 1.0;
+            let overhead = native_seconds(build.program(), &bin)? / raw_t - 1.0;
             *sum += overhead;
             cells.push(pct(overhead));
         }
@@ -330,10 +327,10 @@ pub fn forensics(_: &mut Ctx, o: &Opts) -> Result<String, Error> {
         let module = w.build(o.cfg.scale);
         for technique in Technique::PROTECTED {
             let name = format!("{}/{technique}", w.name);
-            let prog = pipeline.protect(&module, technique)?;
-            let (report, sdc) = campaign(&pipeline, &prog, plan, |engine, profile, r| {
-                (forensic_report(engine, profile, &r, &fcfg), r.sdc)
-            })?;
+            let build = pipeline.build(&module, technique)?;
+            let result = campaign(&build, plan)?;
+            let engine = build.engine(EngineKind::default());
+            let report = forensic_report(engine, build.profile(), &result, &fcfg);
             // Classified records are analysed ones, which are matching ones.
             if report.classified() != report.matching_total {
                 return Err(Error::msg(format!(
@@ -342,7 +339,7 @@ pub fn forensics(_: &mut Ctx, o: &Opts) -> Result<String, Error> {
                     report.matching_total
                 )));
             }
-            let mut row = [sdc; 7];
+            let mut row = [result.sdc; 7];
             for (cell, (_, reasons)) in row[1..].iter_mut().zip(ESCAPES) {
                 let hist = report.reason_histogram.iter();
                 *cell = hist.filter(|(r, _)| reasons.contains(r)).map(|&(_, n)| n).sum();
@@ -380,11 +377,10 @@ pub fn coverage(_: &mut Ctx, o: &Opts) -> Result<String, Error> {
     out += &format!("FERRUM -O0, {samples}-fault pruned campaign per benchmark, seed {seed:#x}\n");
     out += &cols.line("benchmark", ["sites", "decided", "prune", "detected"]);
     for (w, module) in workloads.iter().zip(&modules) {
-        let prog = o0.protect(module, Technique::Ferrum)?;
-        let map = CoverageMap::analyze(&prog);
-        let (prune, detected) = campaign(&o0, &prog, plan.prune(&map), |_, _, r| {
-            (r.stats.prune_rate(), r.detected as f64 / r.total().max(1) as f64)
-        })?;
+        let ferrum = o0.build(module, Technique::Ferrum)?;
+        let map = CoverageMap::analyze(ferrum.program());
+        let r = campaign(&ferrum, plan.prune(&map))?;
+        let (prune, detected) = (r.stats.prune_rate(), r.detected as f64 / r.total().max(1) as f64);
         let decided = pct(map.rollup().decided_fraction());
         out += &cols.line(w.name, [map.total_sites().to_string(), decided, pct(prune), pct(detected)]);
     }

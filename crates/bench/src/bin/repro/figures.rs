@@ -84,9 +84,8 @@ pub fn table2(_: &mut Ctx, o: &Opts) -> Result<String, Error> {
     let mut out = format!("Table II — benchmark details ({:?} scale)\n", o.cfg.scale);
     out += &cols.line(&name("Benchmark", "Suite", "Domain"), ["static insts", "dyn insts"]);
     for w in all_workloads() {
-        let prog = pipeline.protect(&w.build(o.cfg.scale), Technique::None)?;
-        let dyn_insts = pipeline.load(&prog)?.run(None).dyn_insts;
-        let sizes = [prog.static_inst_count() as u64, dyn_insts];
+        let raw = pipeline.build(&w.build(o.cfg.scale), Technique::None)?;
+        let sizes = [raw.program().static_inst_count() as u64, raw.profile().result.dyn_insts];
         out += &cols.line(&name(w.name, w.suite, w.domain), sizes);
     }
     Ok(out)
@@ -198,14 +197,13 @@ pub fn footprint(_: &mut Ctx, o: &Opts) -> Result<String, Error> {
     out += &cols.line("benchmark", header);
     for w in all_workloads() {
         let module = w.build(o.cfg.scale);
-        let load = |t| pipeline.load(&pipeline.protect(&module, t)?);
-        let raw = load(Technique::None)?.profile();
-        let raw_dyn = raw.result.dyn_insts as f64;
-        let glue = pct(raw.prov_counts.glue as f64 / raw_dyn);
+        let raw = pipeline.build(&module, Technique::None)?;
+        let raw_dyn = raw.profile().result.dyn_insts as f64;
+        let glue = pct(raw.profile().prov_counts.glue as f64 / raw_dyn);
         let mut cells = vec![raw_dyn.to_string(), glue];
         for t in Technique::PROTECTED {
-            let expansion = load(t)?.run(None).dyn_insts as f64 / raw_dyn;
-            cells.push(format!("{expansion:.2}x"));
+            let dyn_insts = pipeline.build(&module, t)?.profile().result.dyn_insts;
+            cells.push(format!("{:.2}x", dyn_insts as f64 / raw_dyn));
         }
         out += &cols.line(w.name, cells);
     }

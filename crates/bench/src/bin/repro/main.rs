@@ -31,12 +31,10 @@ use std::rc::Rc;
 use std::time::Instant;
 
 use ferrum::{
-    all_workloads, evaluate_workload, Campaign, CampaignResult, Engine, EngineKind, Error,
+    all_workloads, evaluate_workload, Build, Campaign, CampaignResult, EngineKind, Error,
     EvalConfig, Pipeline, SnapshotPolicy, WorkloadReport,
 };
-use ferrum_asm::AsmProgram;
 use ferrum_bench::{parse_eval_config, EVAL_FLAGS};
-use ferrum_cpu::run::Profile;
 
 /// The directory `all` writes and `check` reads, relative to the
 /// working directory (the repository root).
@@ -171,23 +169,12 @@ fn pct(x: f64) -> String {
     format!("{:.1}%", x * 100.0)
 }
 
-/// Runs `plan` on `prog` the way `evaluate_workload` does: bound once
-/// to the default engine, with golden-prefix snapshots on every core.
-/// `then` sees the engine, the golden profile and the result.
-fn campaign<R>(
-    pipeline: &Pipeline,
-    prog: &AsmProgram,
-    plan: Campaign<'_>,
-    then: impl FnOnce(Engine<'_>, &Profile, CampaignResult) -> R,
-) -> Result<R, Error> {
-    let cpu = pipeline.load(prog)?;
+/// Runs `plan` on `build` the way `evaluate_workload` does: on the
+/// default engine, with golden-prefix snapshots on every core.
+fn campaign(build: &Build, plan: Campaign<'_>) -> Result<CampaignResult, Error> {
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    EngineKind::default().with_cpu(&cpu, |engine| {
-        let profile = engine.profile();
-        let result =
-            plan.threads(threads).snapshots(SnapshotPolicy::default()).run(engine, &profile)?;
-        Ok(then(engine, &profile, result))
-    })
+    let plan = plan.threads(threads).snapshots(SnapshotPolicy::default());
+    Ok(plan.run(build.engine(EngineKind::default()), build.profile())?)
 }
 
 impl Artifact {

@@ -56,12 +56,11 @@ use std::time::Instant;
 use ferrum::flight::NdjsonSink;
 use ferrum::json::{Json, ToJson};
 use ferrum::{
-    program_signature, Campaign, CampaignCache, CampaignConfig, CoverageMap, DecodedCpu,
+    program_signature, Campaign, CampaignCache, CampaignConfig, CoverageMap, Engine, EngineKind,
     FlightRecorder, Pipeline, Reuse, SnapshotPolicy, Technique,
 };
 use ferrum_asm::inst::Inst;
 use ferrum_asm::program::AsmInst;
-use ferrum_eddi::ferrum::Ferrum;
 use ferrum_mir::builder::FunctionBuilder;
 use ferrum_mir::module::{Global, Module};
 use ferrum_mir::types::Ty;
@@ -128,13 +127,9 @@ fn main() {
         samples: cfg.samples,
         seed: cfg.seed,
     };
-    // One workload's program for a table: protected, loaded, profiled.
-    let load = |w: &Workload, t: Technique| {
-        let prog = pipeline.protect(&w.build(cfg.scale), t).expect("protects");
-        let cpu = pipeline.load(&prog).expect("loads");
-        let profile = cpu.profile();
-        (prog, cpu, profile)
-    };
+    // One workload's build for a table.
+    let build =
+        |w: &Workload, t: Technique| pipeline.build(&w.build(cfg.scale), t).expect("builds");
     let mut tables: Vec<(&str, Json)> = Vec::new();
 
     eprintln!(
@@ -149,17 +144,18 @@ fn main() {
 
     let mut snapshot_rows = Vec::new();
     for w in all_workloads() {
-        let (_, cpu, profile) = load(&w, Technique::None);
+        let b = build(&w, Technique::None);
+        let (interp, profile) = (b.engine(EngineKind::Interpreter), b.profile());
 
-        let serial = Campaign::sampled(campaign_cfg).run(&cpu, &profile).unwrap();
+        let serial = Campaign::sampled(campaign_cfg).run(interp, profile).unwrap();
         let stealing = Campaign::sampled(campaign_cfg)
             .threads(threads)
-            .run(&cpu, &profile)
+            .run(interp, profile)
             .unwrap();
         let snap = Campaign::sampled(campaign_cfg)
             .threads(threads)
             .snapshots(SnapshotPolicy::default())
-            .run(&cpu, &profile)
+            .run(interp, profile)
             .unwrap();
 
         // Hard determinism check: all three engines must agree on the
@@ -205,11 +201,11 @@ fn main() {
     );
     let mut latency_rows = Vec::new();
     for w in all_workloads() {
-        let (_, cpu, profile) = load(&w, Technique::Ferrum);
+        let b = build(&w, Technique::Ferrum);
         let snap = Campaign::sampled(campaign_cfg)
             .threads(threads)
             .snapshots(SnapshotPolicy::default())
-            .run(&cpu, &profile)
+            .run(b.engine(EngineKind::Interpreter), b.profile())
             .unwrap();
         let lat = &snap.stats.latency;
         println!(
@@ -241,12 +237,13 @@ fn main() {
     );
     let mut pruned_rows = Vec::new();
     for w in all_workloads() {
-        let (prog, cpu, profile) = load(&w, Technique::Ferrum);
-        let map = CoverageMap::analyze(&prog);
-        let serial = Campaign::sampled(campaign_cfg).run(&cpu, &profile).unwrap();
+        let b = build(&w, Technique::Ferrum);
+        let (interp, profile) = (b.engine(EngineKind::Interpreter), b.profile());
+        let map = CoverageMap::analyze(b.program());
+        let serial = Campaign::sampled(campaign_cfg).run(interp, profile).unwrap();
         let pruned = Campaign::sampled(campaign_cfg)
             .prune(&map)
-            .run(&cpu, &profile)
+            .run(interp, profile)
             .unwrap();
         let identical = serial == pruned;
         let steps_saved = 1.0
@@ -287,11 +284,10 @@ fn main() {
     let mut n = 0usize;
     let mut decoded_rows = Vec::new();
     for w in all_workloads() {
-        let (_, cpu, profile) = load(&w, Technique::Ferrum);
-        let decoded = DecodedCpu::new(&cpu);
+        let b = build(&w, Technique::Ferrum);
         let plan = Campaign::sampled(campaign_cfg).snapshots(SnapshotPolicy::default());
-        let interp = plan.run(&cpu, &profile).unwrap();
-        let fast = plan.run(&decoded, &profile).unwrap();
+        let interp = plan.run(b.engine(EngineKind::Interpreter), b.profile()).unwrap();
+        let fast = plan.run(b.engine(EngineKind::Decoded), b.profile()).unwrap();
         let identical = interp == fast && interp.stats.latency == fast.stats.latency;
         let speedup = fast.stats.injections_per_sec / interp.stats.injections_per_sec;
         log_speedup_sum += speedup.ln();
@@ -302,7 +298,7 @@ fn main() {
             interp.stats.injections_per_sec,
             fast.stats.injections_per_sec,
             speedup,
-            decoded.superinstructions(),
+            b.decoded().superinstructions(),
             if identical { "yes" } else { "NO" }
         );
         assert!(identical, "{}: decoded engine diverges", w.name);
@@ -311,7 +307,7 @@ fn main() {
             ("interp_ips", interp.stats.injections_per_sec.to_json()),
             ("decoded_ips", fast.stats.injections_per_sec.to_json()),
             ("speedup", speedup.to_json()),
-            ("superinstructions", decoded.superinstructions().to_json()),
+            ("superinstructions", b.decoded().superinstructions().to_json()),
             ("identical", Json::Bool(identical)),
         ]));
     }
@@ -335,16 +331,15 @@ fn main() {
     let mut n_overhead = 0usize;
     let mut recorder_rows = Vec::new();
     for w in all_workloads() {
-        let (prog, cpu, profile) = load(&w, Technique::Ferrum);
-        let decoded = DecodedCpu::new(&cpu);
+        let b = build(&w, Technique::Ferrum);
         let recorder = FlightRecorder::new(Arc::new(NdjsonSink::new(Box::new(std::io::sink()))))
             .with_labels(w.name, "ferrum")
-            .with_program_hash(program_signature(&prog));
+            .with_program_hash(program_signature(b.program()));
         let run = |recorded: bool| {
             Campaign::sampled(campaign_cfg)
                 .snapshots(SnapshotPolicy::default())
                 .observe(recorded.then_some(&recorder))
-                .run(&decoded, &profile)
+                .run(b.engine(EngineKind::Decoded), b.profile())
                 .unwrap()
         };
         // Interleaved best-of-`reps` per configuration: each timed
@@ -397,14 +392,14 @@ fn main() {
         "{:<14}{:>12}{:>12}{:>12}{:>12}{:>9}{:>9}",
         "edited fn", "full ms", "incr ms", "reinjected", "reused", "speedup", "match"
     );
-    let module = multi_function_module(6, 24);
-    let base = Ferrum::new().protect_module(&module).expect("protects");
-    let base_cpu = ferrum_cpu::run::Cpu::load(&base).expect("loads");
-    let base_profile = base_cpu.profile();
-    let base_result = Campaign::stratified(campaign_cfg, &base)
-        .run(&base_cpu, &base_profile)
+    let built = pipeline
+        .build(&multi_function_module(6, 24), Technique::Ferrum)
+        .expect("builds");
+    let (base, base_profile) = (built.program(), built.profile());
+    let base_result = Campaign::stratified(campaign_cfg, base)
+        .run(built.engine(EngineKind::Interpreter), base_profile)
         .unwrap();
-    let cache = CampaignCache::from_result(&base, &base_profile, campaign_cfg, &base_result);
+    let cache = CampaignCache::from_result(base, base_profile, campaign_cfg, &base_result);
     let names: Vec<String> = base.functions.iter().map(|f| f.name.clone()).collect();
     let mut incremental_rows = Vec::new();
     for name in &names {
@@ -421,12 +416,12 @@ fn main() {
         let profile = cpu.profile();
         let t0 = Instant::now();
         let plan = Campaign::stratified(campaign_cfg, &edited);
-        let full = plan.run(&cpu, &profile).unwrap();
+        let full = plan.run(Engine::Interpreter(&cpu), &profile).unwrap();
         let t_full = t0.elapsed();
         let t1 = Instant::now();
         let inc = plan
             .reuse(Reuse::Cache(&cache))
-            .run(&cpu, &profile)
+            .run(Engine::Interpreter(&cpu), &profile)
             .unwrap();
         let t_inc = t1.elapsed();
         let identical = full == inc;

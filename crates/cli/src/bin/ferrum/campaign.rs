@@ -220,8 +220,8 @@ fn run_one(name: &str, opts: &Options) -> Result<ExitCode, ferrum::Error> {
     };
 
     let case = Case::open(name, opts.scale, opts.opt)?;
-    let prot = case.protect(opts.technique)?;
-    let profile = prot.profile();
+    let build = case.build(opts.technique)?;
+    let profile = build.profile();
     let cfg = CampaignConfig {
         samples: opts.samples,
         seed: opts.seed,
@@ -229,16 +229,14 @@ fn run_one(name: &str, opts: &Options) -> Result<ExitCode, ferrum::Error> {
     let recorder = build_sinks(opts).map_err(ferrum::Error::msg)?.map(|sink| {
         FlightRecorder::new(sink)
             .with_labels(name, technique_label(opts.technique))
-            .with_program_hash(program_signature(&prot.prog))
+            .with_program_hash(program_signature(build.program()))
     });
     let plan = Campaign::sampled(cfg)
         .threads(opts.threads)
         .snapshots(opts.snapshots)
         .reuse(journal.as_ref().map_or(Reuse::None, Reuse::Journal))
         .observe(recorder.as_ref());
-    let result = opts
-        .engine
-        .with_cpu(&prot.cpu, |engine| plan.run(engine, profile))?;
+    let result = plan.run(build.engine(opts.engine), profile)?;
 
     let fp = CampaignFingerprint {
         workload: name.to_owned(),
@@ -249,7 +247,7 @@ fn run_one(name: &str, opts: &Options) -> Result<ExitCode, ferrum::Error> {
         seed: cfg.seed,
         sites: profile.sites.len(),
         golden_dyn_insts: profile.result.dyn_insts,
-        program_hash: program_signature(&prot.prog),
+        program_hash: program_signature(build.program()),
     };
     if opts.json {
         let doc = Json::obj(vec![
@@ -378,21 +376,21 @@ pub fn check(s: &Setup) -> Vec<Record> {
 }
 
 fn check_one(s: &Setup, technique: Technique, engine: EngineKind) -> Result<Record, ferrum::Error> {
-    let prot = s.protected(technique)?;
-    let (cpu, profile) = (&prot.cpu, prot.profile());
+    let b = s.build(technique)?;
+    let (run_on, profile) = (b.engine(engine), b.profile());
     let plan = Campaign::sampled(s.cfg);
     // Baseline without a recorder: the purity reference.
     let bare = match engine {
         EngineKind::Interpreter => s.serial(technique)?.clone(),
-        EngineKind::Decoded => engine.with_cpu(cpu, |e| plan.run(e, profile))?,
+        EngineKind::Decoded => plan.run(run_on, profile)?,
     };
 
     // Recorded run.
     let sink = Arc::new(MemorySink::new());
     let recorder = FlightRecorder::new(sink.clone())
         .with_labels(s.case.workload.name, technique_label(technique))
-        .with_program_hash(program_signature(&prot.prog));
-    let recorded = engine.with_cpu(cpu, |e| plan.observe(&recorder).run(e, profile))?;
+        .with_program_hash(program_signature(b.program()));
+    let recorded = plan.observe(&recorder).run(run_on, profile)?;
     let events = sink.events();
 
     let mut problems = Vec::new();
@@ -428,7 +426,7 @@ fn check_one(s: &Setup, technique: Technique, engine: EngineKind) -> Result<Reco
         Some(journal) if !journal.finished => {
             let completed = journal.completed();
             let resume = plan.reuse(Reuse::Journal(&journal));
-            match engine.with_cpu(cpu, |e| resume.run(e, profile)) {
+            match resume.run(run_on, profile) {
                 Ok(resumed) => (
                     resumed == bare,
                     resumed.stats.reused_sites == completed && completed > 0,

@@ -18,8 +18,8 @@ use std::process::ExitCode;
 use ferrum::json::{Json, ToJson};
 use ferrum::report::{composition_to_json, render_composition};
 use ferrum::{
-    compose, Campaign, CampaignCache, CampaignConfig, ComposedMap, CoverageMap, Reuse,
-    StaticVerdict, SummaryMap, Technique,
+    compose, Build, Campaign, CampaignCache, CampaignConfig, ComposedMap, CoverageMap, EngineKind,
+    Reuse, StaticVerdict, SummaryMap, Technique,
 };
 use ferrum_cli::args::{
     parse_args, technique_label, ArgError, ArgHelp, ArgSpec, UsageSpec, OPT_ARG, SCALE_ARG,
@@ -29,7 +29,7 @@ use ferrum_cpu::run::Profile;
 use ferrum_faultsim::campaign::{CampaignResult, Outcome};
 
 use crate::selfcheck::{Record, Setup};
-use crate::{Case, Protected};
+use crate::Case;
 
 pub const USAGE: UsageSpec = UsageSpec {
     tool: "ferrum compose",
@@ -75,24 +75,26 @@ fn contradictions(composed: &ComposedMap, profile: &Profile, serial: &CampaignRe
 
 /// The composed verdicts of a protected program, with the coverage map
 /// they refine.
-fn composition(prot: &Protected) -> (CoverageMap, ComposedMap) {
-    let coverage = CoverageMap::analyze(&prot.prog);
-    let summary = SummaryMap::build(&prot.prog, &coverage);
-    let composed = compose(&prot.prog, &coverage, &summary);
+fn composition(build: &Build) -> (CoverageMap, ComposedMap) {
+    let prog = build.program();
+    let coverage = CoverageMap::analyze(prog);
+    let summary = SummaryMap::build(prog, &coverage);
+    let composed = compose(prog, &coverage, &summary);
     (coverage, composed)
 }
 
-/// The stratified campaign, then an incremental re-run that reuses the
-/// cache rebuilt from it.
+/// The stratified campaign on the default engine, then an incremental
+/// re-run that reuses the cache rebuilt from it.
 fn stratified_then_incremental(
-    prot: &Protected,
+    build: &Build,
     cfg: CampaignConfig,
 ) -> Result<(CampaignResult, CampaignResult), ferrum::Error> {
-    let (cpu, profile, prog) = (&prot.cpu, prot.profile(), &prot.prog);
+    let (engine, prog) = (build.engine(EngineKind::default()), build.program());
+    let profile = build.profile();
     let plan = Campaign::stratified(cfg, prog);
-    let stratified = plan.run(cpu, profile)?;
+    let stratified = plan.run(engine, profile)?;
     let cache = CampaignCache::from_result(prog, profile, cfg, &stratified);
-    let incremental = plan.reuse(Reuse::Cache(&cache)).run(cpu, profile)?;
+    let incremental = plan.reuse(Reuse::Cache(&cache)).run(engine, profile)?;
     Ok((stratified, incremental))
 }
 
@@ -110,9 +112,9 @@ pub fn run(args: &[String]) -> Result<ExitCode, ArgError> {
     };
     let context = format!("compose: {name}");
     Ok(crate::exit_on_error::<ferrum::Error>(&context, || {
-        let prot = Case::open(name, scale, opt)?.protect(technique)?;
-        let (_, composed) = composition(&prot);
-        let (stratified, incremental) = stratified_then_incremental(&prot, cfg)?;
+        let build = Case::open(name, scale, opt)?.build(technique)?;
+        let (_, composed) = composition(&build);
+        let (stratified, incremental) = stratified_then_incremental(&build, cfg)?;
 
         if json {
             let doc = Json::obj(vec![
@@ -163,11 +165,11 @@ pub fn run(args: &[String]) -> Result<ExitCode, ArgError> {
 /// cache.
 pub fn check(s: &Setup) -> Vec<Record> {
     vec![s.item(&[], || {
-        let prot = s.protected(Technique::Ferrum)?;
-        let (coverage, composed) = composition(prot);
-        let contradicted = contradictions(&composed, prot.profile(), s.serial(Technique::Ferrum)?);
+        let b = s.build(Technique::Ferrum)?;
+        let (coverage, composed) = composition(b);
+        let contradicted = contradictions(&composed, b.profile(), s.serial(Technique::Ferrum)?);
 
-        let (stratified, incremental) = stratified_then_incremental(prot, s.cfg)?;
+        let (stratified, incremental) = stratified_then_incremental(b, s.cfg)?;
         let identical = incremental == stratified;
         let full_reuse = incremental.stats.reused_sites == incremental.total();
 

@@ -17,7 +17,7 @@ use ferrum::report::{
     coverage_to_json, predicted_vs_measured_to_json, render_predicted_vs_measured,
     render_static_coverage,
 };
-use ferrum::{Campaign, CampaignConfig, CoverageMap, StaticVerdict, Technique};
+use ferrum::{Campaign, CampaignConfig, CoverageMap, EngineKind, StaticVerdict, Technique};
 use ferrum_cli::args::{
     parse_args, technique_label, ArgError, ArgHelp, ArgSpec, UsageSpec, OPT_ARG, SCALE_ARG,
     TECHNIQUE_ARG,
@@ -67,11 +67,11 @@ pub fn run(args: &[String]) -> Result<ExitCode, ArgError> {
     };
     let context = format!("coverage: {name}");
     Ok(crate::exit_on_error::<ferrum::Error>(&context, || {
-        let prot = Case::open(name, scale, opt)?.protect(technique)?;
-        let map = CoverageMap::analyze(&prot.prog);
+        let build = Case::open(name, scale, opt)?.build(technique)?;
+        let map = CoverageMap::analyze(build.program());
         let campaign = Campaign::sampled(cfg)
             .prune(&map)
-            .run(&prot.cpu, prot.profile())?;
+            .run(build.engine(EngineKind::default()), build.profile())?;
 
         if json {
             let doc = Json::obj(vec![
@@ -114,17 +114,18 @@ pub fn run(args: &[String]) -> Result<ExitCode, ArgError> {
 }
 
 /// Self-check for one case under FERRUM: every sound verdict must
-/// agree with injection, the pruned campaign must be outcome-identical
-/// to the serial one, and the prune rate must clear the 20% floor.
+/// agree with injection, the pruned campaign (on the default engine)
+/// must be outcome-identical to the serial one, and the prune rate
+/// must clear the 20% floor.
 pub fn check(s: &Setup) -> Vec<Record> {
     vec![s.item(&[], || {
-        let prot = s.protected(Technique::Ferrum)?;
-        let map = CoverageMap::analyze(&prot.prog);
-        let profile = prot.profile();
+        let b = s.build(Technique::Ferrum)?;
+        let map = CoverageMap::analyze(b.program());
+        let profile = b.profile();
         let serial = s.serial(Technique::Ferrum)?;
         let pruned = Campaign::sampled(s.cfg)
             .prune(&map)
-            .run(&prot.cpu, profile)?;
+            .run(b.engine(EngineKind::default()), profile)?;
 
         let identical = *serial == pruned;
         let prune_ok = pruned.stats.prune_rate() >= 0.20;

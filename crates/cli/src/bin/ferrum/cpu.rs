@@ -11,15 +11,14 @@
 use std::process::ExitCode;
 
 use ferrum::json::{Json, ToJson};
-use ferrum::{DecodedCpu, Technique};
+use ferrum::{EngineKind, Technique};
 use ferrum_cli::args::{
     parse_args, technique_label, ArgError, ArgHelp, ArgSpec, UsageSpec, ENGINE_ARG, OPT_ARG,
     SCALE_ARG, TECHNIQUE_ARG,
 };
-use ferrum_cpu::run::Profile;
 
 use crate::selfcheck::{Record, Setup};
-use crate::{Case, TECHNIQUES};
+use crate::{engines_identical, Case, TECHNIQUES};
 
 pub const USAGE: UsageSpec = UsageSpec {
     tool: "ferrum cpu",
@@ -51,8 +50,7 @@ pub fn run(args: &[String]) -> Result<ExitCode, ArgError> {
     let context = format!("cpu: {name}");
     Ok(crate::exit_on_error::<ferrum::Error>(&context, || {
         let case = Case::open(name, scale, opt)?;
-        let prot = case.protect(technique)?;
-        let r = engine.with_cpu(&prot.cpu, |e| e.run(None));
+        let r = case.build(technique)?.engine(engine).run(None);
         let correct = r.output == case.workload.oracle(scale);
         if json {
             let doc = Json::obj(vec![
@@ -88,13 +86,6 @@ pub fn run(args: &[String]) -> Result<ExitCode, ArgError> {
     }))
 }
 
-fn profiles_match(a: &Profile, b: &Profile) -> bool {
-    a.sites == b.sites
-        && a.prov_counts == b.prov_counts
-        && a.mech_counts == b.mech_counts
-        && a.result == b.result
-}
-
 /// Engine identity for one case: run and profile identity of the
 /// decoded engine against the interpreter, per technique.
 pub fn check(s: &Setup) -> Vec<Record> {
@@ -102,25 +93,27 @@ pub fn check(s: &Setup) -> Vec<Record> {
         .iter()
         .map(|&t| {
             s.item(&[("technique", technique_label(t))], || {
-                let prot = s.protected(t)?;
-                let decoded = DecodedCpu::new(&prot.cpu);
-                let run_ok = decoded.run(None) == prot.cpu.run(None);
-                let (ip, dp) = (prot.profile(), decoded.profile());
-                let profile_ok = profiles_match(ip, &dp);
+                let b = s.build(t)?;
+                let interp = b.engine(EngineKind::Interpreter);
+                let decoded = b.engine(EngineKind::Decoded);
+                let run_ok = decoded.run(None) == interp.run(None);
+                let profile_ok = engines_identical(b);
+                let sites = b.profile().sites.len();
+                let superinstructions = b.decoded().superinstructions();
                 Ok(Record {
                     ok: run_ok && profile_ok,
                     json: Json::obj(vec![
                         ("run_identical", Json::Bool(run_ok)),
                         ("profile_identical", Json::Bool(profile_ok)),
-                        ("sites", ip.sites.len().to_json()),
-                        ("superinstructions", decoded.superinstructions().to_json()),
+                        ("sites", sites.to_json()),
+                        ("superinstructions", superinstructions.to_json()),
                     ]),
                     text: format!(
                         "run {}, profile {} ({} sites, {} superinstructions)",
                         if run_ok { "identical" } else { "DIVERGED" },
                         if profile_ok { "identical" } else { "DIVERGED" },
-                        ip.sites.len(),
-                        decoded.superinstructions(),
+                        sites,
+                        superinstructions,
                     ),
                 })
             })

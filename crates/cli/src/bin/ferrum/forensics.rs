@@ -21,8 +21,8 @@ use ferrum::report::{
     render_forensic_record, render_forensics_report, render_unknown_site_explanations,
 };
 use ferrum::{
-    explain_unknown_sites, forensic_report, Campaign, CampaignConfig, CoverageMap, ForensicConfig,
-    Outcome, Technique,
+    explain_unknown_sites, forensic_report, Campaign, CampaignConfig, CoverageMap, EngineKind,
+    ForensicConfig, Outcome, Technique,
 };
 use ferrum_cli::args::{
     parse_args, technique_label, ArgError, ArgHelp, ArgSpec, ParsedArgs, UsageSpec, OPT_ARG,
@@ -104,11 +104,11 @@ pub fn run(args: &[String]) -> Result<ExitCode, ArgError> {
     };
     let context = format!("forensics: {name}");
     Ok(crate::exit_on_error::<ferrum::Error>(&context, || {
-        let prot = Case::open(name, scale, opt)?.protect(technique)?;
-        let map = CoverageMap::analyze(&prot.prog);
-        let profile = prot.profile();
-        let campaign = Campaign::sampled(cfg).run(&prot.cpu, profile)?;
-        let report = forensic_report(&prot.cpu, profile, &campaign, &fcfg);
+        let build = Case::open(name, scale, opt)?.build(technique)?;
+        let map = CoverageMap::analyze(build.program());
+        let (engine, profile) = (build.engine(EngineKind::default()), build.profile());
+        let campaign = Campaign::sampled(cfg).run(engine, profile)?;
+        let report = forensic_report(engine, profile, &campaign, &fcfg);
         let explanations = explain_unknown_sites(profile, &map, &report);
 
         let label = format!("{name} ({})", technique_label(technique));
@@ -147,9 +147,10 @@ pub fn run(args: &[String]) -> Result<ExitCode, ArgError> {
     }))
 }
 
-/// Self-check for one case under FERRUM and IR-EDDI: the report must
-/// replay exactly the campaign's first SDC records, in sampling order,
-/// with the outcomes the campaign booked; every record must locate its
+/// Self-check for one case under FERRUM and IR-EDDI: the report,
+/// replayed on the default engine, must replay exactly the serial
+/// interpreter campaign's first SDC records, in sampling order, with
+/// the outcomes the campaign booked; every record must locate its
 /// first divergence exactly at the injected site, at least 90% of the
 /// records must carry a classified escape reason, and every bisected,
 /// non-escaped kill window must contain the injection boundary.
@@ -158,10 +159,11 @@ pub fn check(s: &Setup) -> Vec<Record> {
         .into_iter()
         .map(|t| {
             s.item(&[("technique", technique_label(t))], || {
-                let prot = s.protected(t)?;
+                let b = s.build(t)?;
                 let serial = s.serial(t)?;
                 let fcfg = ForensicConfig::default();
-                let report = forensic_report(&prot.cpu, prot.profile(), serial, &fcfg);
+                let engine = b.engine(EngineKind::default());
+                let report = forensic_report(engine, b.profile(), serial, &fcfg);
 
                 let matching = serial
                     .records

@@ -13,10 +13,9 @@ use std::process::ExitCode;
 use ferrum::json::ToJson;
 use ferrum::report::render_lint_report;
 use ferrum::Technique;
-use ferrum_asm::analysis::lint::{lint_program, lint_program_with, LintReport};
-use ferrum_cli::args::{parse_args, ArgError, ArgHelp, ArgSpec, UsageSpec};
+use ferrum_asm::analysis::lint::{lint_program_with, LintReport};
+use ferrum_cli::args::{parse_args, technique_label, ArgError, ArgHelp, ArgSpec, UsageSpec};
 use ferrum_cli::lint_listing;
-use ferrum_eddi::ferrum::Ferrum;
 
 use crate::selfcheck::{Record, Setup};
 
@@ -62,18 +61,18 @@ pub fn run(args: &[String]) -> Result<ExitCode, ArgError> {
 }
 
 /// Self-check for one case: FERRUM (linted against its protection
-/// manifests) and the hybrid baseline must both lint clean.
+/// manifests) and the hybrid baseline (which has none) must both lint
+/// clean.
 pub fn check(s: &Setup) -> Vec<Record> {
-    let ferrum = s.item(&[("technique", "ferrum")], || {
-        let asm = ferrum_backend::compile_opt(&s.case.module, s.case.opt())?;
-        let (prot, manifests) = Ferrum::new().protect_with_manifest(&asm)?;
-        Ok(record(&lint_program_with(&prot, &manifests)))
-    });
-    let hybrid = s.item(&[("technique", "hybrid")], || {
-        let prot = s.protected(Technique::HybridAsmEddi)?;
-        Ok(record(&lint_program(&prot.prog)))
-    });
-    vec![ferrum, hybrid]
+    [Technique::Ferrum, Technique::HybridAsmEddi]
+        .into_iter()
+        .map(|t| {
+            s.item(&[("technique", technique_label(t))], || {
+                let b = s.build(t)?;
+                Ok(record(&lint_program_with(b.program(), b.manifests())))
+            })
+        })
+        .collect()
 }
 
 fn record(rep: &LintReport) -> Record {

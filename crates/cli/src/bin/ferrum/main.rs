@@ -14,8 +14,8 @@
 //! and exits 2.
 //!
 //! The workload subcommands share one front half, [`Case`]: look the
-//! workload up, build it, then protect, load and (on demand) profile
-//! it under a technique.
+//! workload up and build its module, then build it under a technique
+//! ([`ferrum::Build`]).
 
 mod campaign;
 mod compose;
@@ -29,15 +29,12 @@ mod protect;
 mod selfcheck;
 mod trace;
 
-use std::cell::OnceCell;
 use std::fmt::Display;
 use std::io::Read;
 use std::process::ExitCode;
 
-use ferrum::{OptLevel, Pipeline, Technique};
-use ferrum_asm::AsmProgram;
+use ferrum::{Build, OptLevel, Pipeline, Technique};
 use ferrum_cli::args::{usage_exit, ArgError, UsageSpec};
-use ferrum_cpu::run::{Cpu, Profile};
 use ferrum_mir::module::Module;
 use ferrum_workloads::catalog::{workload, Scale, Workload};
 
@@ -202,14 +199,6 @@ struct Case {
     module: Module,
 }
 
-/// A [`Case`] under one technique: protected and loaded, profiled on
-/// first use.
-struct Protected {
-    prog: AsmProgram,
-    cpu: Cpu,
-    profile: OnceCell<Profile>,
-}
-
 impl Case {
     fn new(workload: Workload, scale: Scale, opt: OptLevel) -> Case {
         Case {
@@ -230,23 +219,23 @@ impl Case {
         self.pipeline.opt_level()
     }
 
-    /// Protects the module with `technique` and loads the result.
-    fn protect(&self, technique: Technique) -> Result<Protected, ferrum::Error> {
-        let prog = self.pipeline.protect(&self.module, technique)?;
-        let cpu = self.pipeline.load(&prog)?;
-        Ok(Protected {
-            prog,
-            cpu,
-            profile: OnceCell::new(),
-        })
+    /// The module under `technique`: compiled, protected and loaded.
+    fn build(&self, technique: Technique) -> Result<Build, ferrum::Error> {
+        self.pipeline.build(&self.module, technique)
     }
 }
 
-impl Protected {
-    /// The golden-run profile (sites, mechanism counts, output).
-    fn profile(&self) -> &Profile {
-        self.profile.get_or_init(|| self.cpu.profile())
-    }
+/// The cross-engine oracle: a build's golden profile, which the decoded
+/// engine takes, must equal the interpreter's field for field — sites,
+/// provenance and mechanism counts, per-pc / per-function /
+/// folded-stack counts, and the golden result.
+fn engines_identical(build: &Build) -> bool {
+    let (interp, decoded) = (build.cpu().profile(), build.profile());
+    interp.sites == decoded.sites
+        && interp.prov_counts == decoded.prov_counts
+        && interp.mech_counts == decoded.mech_counts
+        && interp.pcs == decoded.pcs
+        && interp.result == decoded.result
 }
 
 #[cfg(test)]

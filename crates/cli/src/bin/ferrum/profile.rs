@@ -19,14 +19,14 @@ use ferrum::json::{Json, ToJson};
 use ferrum::report::{
     pc_profile_to_json, render_diff_sites, render_function_profile, render_hotspots,
 };
-use ferrum::{diff_profile, DecodedCpu, Technique};
+use ferrum::{diff_profile, Technique};
 use ferrum_cli::args::{
     parse_args, technique_label, ArgError, ArgHelp, ArgSpec, UsageSpec, OPT_ARG, SCALE_ARG,
     TECHNIQUE_ARG,
 };
 
 use crate::selfcheck::{Record, Setup};
-use crate::{Case, Protected, TECHNIQUES};
+use crate::{engines_identical, Case, TECHNIQUES};
 
 pub const USAGE: UsageSpec = UsageSpec {
     tool: "ferrum profile",
@@ -54,17 +54,6 @@ pub const USAGE: UsageSpec = UsageSpec {
     },
 };
 
-/// The cross-engine oracle: the decoded engine's per-pc /
-/// per-function / folded-stack counts, mechanism totals and golden
-/// result must equal the interpreter's byte-for-byte.
-fn engines_identical(prot: &Protected) -> bool {
-    let interp = prot.profile();
-    let decoded = DecodedCpu::new(&prot.cpu).profile();
-    interp.pcs == decoded.pcs
-        && interp.mech_counts == decoded.mech_counts
-        && interp.result == decoded.result
-}
-
 pub fn run(args: &[String]) -> Result<ExitCode, ArgError> {
     let p = parse_args(args, &USAGE.spec)?;
     let top = p.parsed("--top")?.unwrap_or(10);
@@ -77,18 +66,18 @@ pub fn run(args: &[String]) -> Result<ExitCode, ArgError> {
     let context = format!("profile: {name}");
     Ok(crate::exit_on_error::<ferrum::Error>(&context, || {
         let case = Case::open(name, scale, opt)?;
-        let prot = case.protect(technique)?;
-        if !engines_identical(&prot) {
+        let build = case.build(technique)?;
+        if !engines_identical(&build) {
             eprintln!("ferrum profile: {name}: interpreter and decoded profiles DIVERGED");
             return Ok(ExitCode::from(1));
         }
-        let (cpu, profile) = (&prot.cpu, prot.profile());
+        let (image, profile) = (build.cpu().image(), build.profile());
         if folded {
-            print!("{}", profile.pcs.folded(cpu.image()));
+            print!("{}", profile.pcs.folded(image));
             return Ok(ExitCode::SUCCESS);
         }
         if diff {
-            let d = diff_profile(&case.pipeline, &case.module, technique)?;
+            let d = diff_profile(&case.pipeline.baseline(&case.module)?, &build)?;
             if json {
                 let doc = Json::obj(vec![
                     ("workload", name.to_json()),
@@ -111,13 +100,13 @@ pub fn run(args: &[String]) -> Result<ExitCode, ArgError> {
                 ("technique", technique.to_json()),
                 ("opt", opt.to_json()),
                 ("engines_identical", Json::Bool(true)),
-                ("profile", pc_profile_to_json(cpu.image(), &profile.pcs)),
+                ("profile", pc_profile_to_json(image, &profile.pcs)),
             ]);
             println!("{}", doc.to_string_pretty());
         } else {
-            print!("{}", render_hotspots(name, cpu.image(), &profile.pcs, top));
+            print!("{}", render_hotspots(name, image, &profile.pcs, top));
             println!();
-            print!("{}", render_function_profile(cpu.image(), &profile.pcs));
+            print!("{}", render_function_profile(image, &profile.pcs));
         }
         Ok(ExitCode::SUCCESS)
     }))
@@ -131,11 +120,11 @@ pub fn check(s: &Setup) -> Vec<Record> {
         .iter()
         .map(|&t| {
             s.item(&[("technique", technique_label(t))], || {
-                let prot = s.protected(t)?;
-                let identical = engines_identical(prot);
-                let d = diff_profile(&s.case.pipeline, &s.case.module, t)?;
+                let b = s.build(t)?;
+                let identical = engines_identical(b);
+                let d = diff_profile(s.baseline()?, b)?;
                 let reconciles = d.sites_reconcile();
-                let total = prot.profile().pcs.total();
+                let total = b.profile().pcs.total();
                 Ok(Record {
                     ok: identical && reconciles,
                     json: Json::obj(vec![

@@ -4,7 +4,8 @@ use std::process::ExitCode;
 
 use ferrum_cli::args::{parse_args, ArgError, ArgHelp, ArgSpec, UsageSpec};
 use ferrum_cli::protect_listing;
-use ferrum_faultsim::{Campaign, CampaignConfig};
+use ferrum_cpu::decoded::DecodedCpu;
+use ferrum_faultsim::{Campaign, CampaignConfig, Engine};
 
 pub const USAGE: UsageSpec = UsageSpec {
     tool: "ferrum protect",
@@ -67,12 +68,15 @@ pub fn run(args: &[String]) -> Result<ExitCode, ArgError> {
                 );
             }
             if let Some(n) = campaign {
-                let profile = cpu.profile();
+                // On the default engine, the decoded one.
+                let decoded = DecodedCpu::new(&cpu);
                 let plan = Campaign::sampled(CampaignConfig {
                     samples: n,
                     seed: 7,
                 });
-                let res = plan.run(&cpu, &profile).map_err(|e| e.to_string())?;
+                let res = plan
+                    .run(Engine::Decoded(&decoded), &decoded.profile())
+                    .map_err(|e| e.to_string())?;
                 println!(
                     "campaign ({n} faults): SDC {}  detected {}  crash {}  timeout {}  benign {}",
                     res.sdc, res.detected, res.crash, res.timeout, res.benign

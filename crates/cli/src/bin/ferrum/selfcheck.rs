@@ -2,13 +2,14 @@
 //!
 //! The sweep walks every bundled workload at test scale × both opt
 //! levels once.  Each such case is one [`Setup`]: the module is built
-//! once, each technique is protected, loaded and profiled at most
-//! once, and each technique's serial campaign runs at most once, shared
-//! by every check that needs it.  The per-case checks of
-//! [`crate::COMMANDS`] run in table order on each case, then the
-//! once-only checks (the pinned fuzz window, `FuzzConfig::default()`,
-//! which `--samples` and `--seed` do not change).  Naming a check
-//! reruns it alone.
+//! once, each technique's [`Build`] and the attribution baseline are
+//! built at most once (so each decodes and profiles at most once), and
+//! each technique's serial campaign on the reference interpreter runs
+//! at most once, shared by every check that needs it.  The per-case
+//! checks of [`crate::COMMANDS`] run in table order on each case, then
+//! the once-only checks (the pinned fuzz window,
+//! `FuzzConfig::default()`, which `--samples` and `--seed` do not
+//! change).  Naming a check reruns it alone.
 //!
 //! Checks run one at a time on this thread.  None of them touches
 //! process-global state: the campaign check hands its flight recorder
@@ -23,11 +24,11 @@ use std::cell::OnceCell;
 use std::process::ExitCode;
 
 use ferrum::json::{Json, ToJson};
-use ferrum::{Campaign, CampaignConfig, CampaignResult, OptLevel, Technique};
+use ferrum::{Build, Campaign, CampaignConfig, CampaignResult, EngineKind, OptLevel, Technique};
 use ferrum_cli::args::{parse_args, ArgError, ArgHelp, ArgSpec, ParsedArgs, UsageSpec};
 use ferrum_workloads::catalog::{all_workloads, Scale};
 
-use crate::{Case, Protected, COMMANDS, TECHNIQUES};
+use crate::{Case, COMMANDS, TECHNIQUES};
 
 pub const USAGE: UsageSpec = UsageSpec {
     tool: "ferrum selfcheck",
@@ -76,7 +77,8 @@ pub struct Setup {
     pub case: Case,
     /// The campaign size and seed of every check's campaigns.
     pub cfg: CampaignConfig,
-    protected: [OnceCell<Result<Protected, ferrum::Error>>; 4],
+    builds: [OnceCell<Result<Build, ferrum::Error>>; 4],
+    baseline: OnceCell<Result<Build, ferrum::Error>>,
     serial: [OnceCell<Result<CampaignResult, ferrum::Error>>; 4],
 }
 
@@ -92,26 +94,37 @@ impl Setup {
         Setup {
             case,
             cfg,
-            protected: Default::default(),
+            builds: Default::default(),
+            baseline: OnceCell::new(),
             serial: Default::default(),
         }
     }
 
-    /// The case under `t`, protected and loaded on first use.
-    pub fn protected(&self, t: Technique) -> Result<&Protected, ferrum::Error> {
-        self.protected[slot(t)]
-            .get_or_init(|| self.case.protect(t))
+    /// The case under `t`, built on first use.
+    pub fn build(&self, t: Technique) -> Result<&Build, ferrum::Error> {
+        self.builds[slot(t)]
+            .get_or_init(|| self.case.build(t))
             .as_ref()
             .map_err(Clone::clone)
     }
 
-    /// The serial campaign of [`Setup::cfg`] under `t`, run on first
-    /// use.
+    /// The case's attribution baseline, built on first use.
+    pub fn baseline(&self) -> Result<&Build, ferrum::Error> {
+        self.baseline
+            .get_or_init(|| self.case.pipeline.baseline(&self.case.module))
+            .as_ref()
+            .map_err(Clone::clone)
+    }
+
+    /// The serial campaign of [`Setup::cfg`] under `t` on the
+    /// reference interpreter, run on first use: the reference the
+    /// checks compare their plans against.
     pub fn serial(&self, t: Technique) -> Result<&CampaignResult, ferrum::Error> {
         self.serial[slot(t)]
             .get_or_init(|| {
-                let p = self.protected(t)?;
-                Ok(Campaign::sampled(self.cfg).run(&p.cpu, p.profile())?)
+                let b = self.build(t)?;
+                let engine = b.engine(EngineKind::Interpreter);
+                Ok(Campaign::sampled(self.cfg).run(engine, b.profile())?)
             })
             .as_ref()
             .map_err(Clone::clone)

@@ -15,7 +15,7 @@ use std::process::ExitCode;
 
 use ferrum::json::{Json, ToJson};
 use ferrum::report::{render_attribution_table, render_latency_histogram};
-use ferrum::{attribute_overhead, Campaign, CampaignConfig, SnapshotPolicy, Technique};
+use ferrum::{diff_profile, Campaign, CampaignConfig, SnapshotPolicy, Technique};
 use ferrum_cli::args::{parse_args, ArgError, ArgHelp, ArgSpec, UsageSpec, OPT_ARG, SCALE_ARG};
 
 use crate::selfcheck::{Record, Setup};
@@ -57,14 +57,14 @@ pub fn run(args: &[String]) -> Result<ExitCode, ArgError> {
     let context = format!("trace: {name}");
     Ok(crate::exit_on_error::<ferrum::Error>(&context, || {
         let case = Case::open(name, scale, opt)?;
-        let att = attribute_overhead(&case.pipeline, &case.module)?;
+        let ferrum = case.build(Technique::Ferrum)?;
+        let att = diff_profile(&case.pipeline.baseline(&case.module)?, &ferrum)?.attribution;
         // The FERRUM campaign on the snapshot executor, all cores.
-        let prot = case.protect(Technique::Ferrum)?;
         let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
         let plan = Campaign::sampled(cfg)
             .threads(threads)
             .snapshots(SnapshotPolicy::default());
-        let campaign = engine.with_cpu(&prot.cpu, |e| plan.run(e, prot.profile()))?;
+        let campaign = plan.run(ferrum.engine(engine), ferrum.profile())?;
 
         if json {
             let doc = Json::obj(vec![
@@ -101,7 +101,7 @@ pub fn run(args: &[String]) -> Result<ExitCode, ArgError> {
 /// Self-check for one case: exact per-mechanism reconciliation.
 pub fn check(s: &Setup) -> Vec<Record> {
     vec![s.item(&[], || {
-        let att = attribute_overhead(&s.case.pipeline, &s.case.module)?;
+        let att = diff_profile(s.baseline()?, s.build(Technique::Ferrum)?)?.attribution;
         let exact = att.reconciles();
         Ok(Record {
             ok: exact,

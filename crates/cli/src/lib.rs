@@ -20,8 +20,10 @@
 
 pub mod args;
 
+use std::collections::BTreeMap;
 use std::fmt;
 
+use ferrum_asm::analysis::lint::{lint_program_with, LintReport, ProtectionManifest};
 use ferrum_asm::program::AsmProgram;
 use ferrum_eddi::ferrum::{Ferrum, FerrumConfig};
 use ferrum_eddi::hybrid::HybridAsmEddi;
@@ -92,6 +94,28 @@ fn parse_listing(text: &str) -> Result<AsmProgram, CliError> {
     Ok(prog)
 }
 
+/// Parses, validates and protects a listing: the protected program
+/// and FERRUM's per-function manifests (empty under `scalar`).
+fn protect_with_manifests(
+    text: &str,
+    technique: CliTechnique,
+) -> Result<(AsmProgram, BTreeMap<String, ProtectionManifest>), CliError> {
+    let prog = parse_listing(text)?;
+    match technique {
+        CliTechnique::Ferrum | CliTechnique::FerrumZmm => {
+            let cfg = FerrumConfig {
+                zmm: technique == CliTechnique::FerrumZmm,
+                ..FerrumConfig::default()
+            };
+            Ferrum::with_config(cfg).protect_with_manifest(&prog)
+        }
+        CliTechnique::Scalar => HybridAsmEddi::new()
+            .protect_asm(&prog)
+            .map(|prot| (prot, BTreeMap::new())),
+    }
+    .map_err(CliError::Pass)
+}
+
 /// Protects a listing and statically verifies the result with
 /// the protection lint (exposed as `ferrum lint`).  Protection
 /// happens in-memory: a printed listing loses the provenance tags the
@@ -103,30 +127,9 @@ fn parse_listing(text: &str) -> Result<AsmProgram, CliError> {
 /// # Errors
 ///
 /// Parse, validation, and pass failures.
-pub fn lint_listing(
-    text: &str,
-    technique: CliTechnique,
-) -> Result<ferrum_asm::analysis::lint::LintReport, CliError> {
-    use ferrum_asm::analysis::lint::{lint_program, lint_program_with};
-    let prog = parse_listing(text)?;
-    match technique {
-        CliTechnique::Ferrum | CliTechnique::FerrumZmm => {
-            let cfg = FerrumConfig {
-                zmm: technique == CliTechnique::FerrumZmm,
-                ..FerrumConfig::default()
-            };
-            let (prot, manifests) = Ferrum::with_config(cfg)
-                .protect_with_manifest(&prog)
-                .map_err(CliError::Pass)?;
-            Ok(lint_program_with(&prot, &manifests))
-        }
-        CliTechnique::Scalar => {
-            let prot = HybridAsmEddi::new()
-                .protect_asm(&prog)
-                .map_err(CliError::Pass)?;
-            Ok(lint_program(&prot))
-        }
-    }
+pub fn lint_listing(text: &str, technique: CliTechnique) -> Result<LintReport, CliError> {
+    let (prot, manifests) = protect_with_manifests(text, technique)?;
+    Ok(lint_program_with(&prot, &manifests))
 }
 
 /// Parses an assembly listing, protects it, and returns the protected
@@ -136,22 +139,7 @@ pub fn lint_listing(
 ///
 /// Parse, validation, and pass failures.
 pub fn protect_listing(text: &str, technique: CliTechnique) -> Result<AsmProgram, CliError> {
-    let prog = parse_listing(text)?;
-    match technique {
-        CliTechnique::Ferrum => Ferrum::new().protect(&prog).map_err(CliError::Pass),
-        CliTechnique::FerrumZmm => {
-            let cfg = FerrumConfig {
-                zmm: true,
-                ..FerrumConfig::default()
-            };
-            Ferrum::with_config(cfg)
-                .protect(&prog)
-                .map_err(CliError::Pass)
-        }
-        CliTechnique::Scalar => HybridAsmEddi::new()
-            .protect_asm(&prog)
-            .map_err(CliError::Pass),
-    }
+    protect_with_manifests(text, technique).map(|(prot, _)| prot)
 }
 
 #[cfg(test)]
@@ -191,7 +179,7 @@ main_entry:
         let cpu = ferrum_cpu::run::Cpu::load(&prot).expect("loads");
         let profile = cpu.profile();
         let res = ferrum_faultsim::Campaign::exhaustive(8)
-            .run(&cpu, &profile)
+            .run(ferrum_faultsim::Engine::Interpreter(&cpu), &profile)
             .unwrap();
         assert_eq!(res.sdc, 0, "{res:?}");
     }

@@ -6,8 +6,9 @@
 //! requisition.  Every instruction a protection pass inserts carries a
 //! [`Mechanism`] in its provenance, and the simulator's profile
 //! ([`ferrum_cpu::run::Profile::mech_counts`]) accumulates executed
-//! instructions and cycles per mechanism.  This module pairs those
-//! counts with the right baseline so the attribution is *exact*:
+//! instructions and cycles per mechanism.  An [`OverheadAttribution`]
+//! ([`crate::diff_profile`] computes it) pairs those counts with the
+//! right baseline so the attribution is *exact*:
 //!
 //! > baseline dynamic instructions + Σ per-mechanism instructions
 //! > = protected dynamic instructions
@@ -15,20 +16,17 @@
 //! The subtlety is the baseline.  FERRUM runs the backend peephole
 //! pass before protecting (the paper's "other compiler-level
 //! transformations"), so the raw compile is the wrong reference — the
-//! mechanism sum would be off by exactly the peephole savings.
-//! [`attribute_overhead`] therefore compares against the *peepholed*
-//! unprotected program whenever the pipeline's FERRUM configuration
-//! peepholes.  The exact-sum identity holds because protection only
-//! inserts instructions and never changes fault-free control flow:
-//! checker branches fall through on a clean run, and requisition stubs
-//! execute their relocated instructions exactly once.
+//! mechanism sum would be off by exactly the peephole savings.  The
+//! baseline is therefore [`Pipeline::baseline`](crate::Pipeline::baseline):
+//! the *peepholed* unprotected program whenever the pipeline's FERRUM
+//! configuration peepholes.  The exact-sum identity holds because
+//! protection only inserts instructions and never changes fault-free
+//! control flow: checker branches fall through on a clean run, and
+//! requisition stubs execute their relocated instructions exactly
+//! once.
 
 use ferrum_asm::provenance::Mechanism;
 use ferrum_cpu::run::MechCounts;
-use ferrum_eddi::Technique;
-use ferrum_mir::module::Module;
-
-use crate::{Error, Pipeline};
 
 /// Exact per-mechanism breakdown of FERRUM's dynamic overhead on one
 /// workload.
@@ -88,52 +86,23 @@ impl OverheadAttribution {
     }
 }
 
-/// Profiles `module` unprotected (peepholed, matching the pipeline's
-/// FERRUM configuration) and FERRUM-protected, and returns the exact
-/// per-mechanism overhead breakdown.
-///
-/// # Errors
-///
-/// Propagates compilation and protection failures.
-pub fn attribute_overhead(
-    pipeline: &Pipeline,
-    module: &Module,
-) -> Result<OverheadAttribution, Error> {
-    // The baseline must compile at the pipeline's opt level, or the
-    // exact-sum reconciliation would attribute optimizer savings to
-    // protection mechanisms.
-    let mut baseline = ferrum_backend::compile_opt(module, pipeline.opt_level())?;
-    if pipeline.ferrum_config().peephole {
-        ferrum_backend::peephole::run(&mut baseline);
-    }
-    let base_profile = pipeline.load(&baseline)?.profile();
-
-    let protected = pipeline.protect(module, Technique::Ferrum)?;
-    let prot_profile = pipeline.load(&protected)?.profile();
-    debug_assert_eq!(
-        base_profile.result.output, prot_profile.result.output,
-        "protection must be output-transparent"
-    );
-
-    Ok(OverheadAttribution {
-        baseline_dyn_insts: base_profile.result.dyn_insts,
-        baseline_cycles: base_profile.result.cycles,
-        protected_dyn_insts: prot_profile.result.dyn_insts,
-        protected_cycles: prot_profile.result.cycles,
-        mech: prot_profile.mech_counts,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{diff_profile, Pipeline, Technique};
     use ferrum_workloads::{workload, Scale};
+
+    /// FERRUM's attribution on `name` under `pipeline`.
+    fn attribution(pipeline: &Pipeline, name: &str) -> OverheadAttribution {
+        let module = workload(name).expect("exists").build(Scale::Test);
+        let baseline = pipeline.baseline(&module).expect("builds");
+        let ferrum = pipeline.build(&module, Technique::Ferrum).expect("builds");
+        diff_profile(&baseline, &ferrum).expect("attributes").attribution
+    }
 
     #[test]
     fn attribution_reconciles_exactly_on_a_workload() {
-        let pipeline = Pipeline::new();
-        let module = workload("kmeans").expect("exists").build(Scale::Test);
-        let att = attribute_overhead(&pipeline, &module).expect("attributes");
+        let att = attribution(&Pipeline::new(), "kmeans");
         assert!(att.protection_insts() > 0, "{att:?}");
         assert!(
             att.reconciles(),
@@ -161,8 +130,7 @@ mod tests {
             simd: false,
             ..FerrumConfig::default()
         });
-        let module = workload("knn").expect("exists").build(Scale::Test);
-        let att = attribute_overhead(&pipeline, &module).expect("attributes");
+        let att = attribution(&pipeline, "knn");
         assert!(att.reconciles(), "{att:?}");
         assert_eq!(att.mech.get(Mechanism::BatchCapture).insts, 0);
         assert_eq!(att.mech.get(Mechanism::BatchFlush).insts, 0);

@@ -94,10 +94,11 @@ impl WorkloadReport {
 
 /// Runs the full evaluation (all techniques) for one benchmark.
 ///
-/// Each of the four programs (raw plus the three techniques) is bound
-/// once to the default [`EngineKind`], which takes its golden profile
-/// and runs its snapshot campaign; records are byte-identical to the
-/// one-thread cold interpreter plan with the same seed.
+/// Each of the four programs (raw plus the three techniques) is one
+/// [`Build`](crate::Build) whose golden profile and snapshot campaign
+/// run on the default [`EngineKind`]; records are byte-identical to
+/// the one-thread cold interpreter plan with the same seed.  A
+/// protected build is dropped once its report row is taken.
 ///
 /// # Errors
 ///
@@ -112,61 +113,57 @@ pub fn evaluate_workload(
     let golden = w.oracle(cfg.scale);
     let pipeline = &pipeline.clone().with_opt_level(cfg.opt);
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    // Protects, loads, profiles and injects one program.  The plan runs
+    // Builds, profiles and injects one program.  The plan runs
     // golden-prefix snapshots with work stealing over every core.
     let measure = |t: Technique, seed: u64| {
-        let (prog, pass_stats) = pipeline.protect_with_pass_stats(&module, t)?;
-        let cpu = pipeline.load(&prog)?;
-        EngineKind::default().with_cpu(&cpu, |engine| {
-            let profile = engine.profile();
-            if profile.result.output != golden {
-                return Err(Error::msg(format!(
-                    "{}/{t}: simulated output diverges from the oracle",
-                    w.name
-                )));
-            }
-            let campaign = Campaign::sampled(CampaignConfig {
-                samples: cfg.samples,
-                seed,
-            })
-            .threads(threads)
-            .snapshots(SnapshotPolicy::default())
-            .run(engine, &profile)?;
-            Ok((prog, pass_stats, profile, campaign))
+        let build = pipeline.build(&module, t)?;
+        let profile = build.profile();
+        if profile.result.output != golden {
+            return Err(Error::msg(format!(
+                "{}/{t}: simulated output diverges from the oracle",
+                w.name
+            )));
+        }
+        let campaign = Campaign::sampled(CampaignConfig {
+            samples: cfg.samples,
+            seed,
         })
+        .threads(threads)
+        .snapshots(SnapshotPolicy::default())
+        .run(build.engine(EngineKind::default()), profile)?;
+        Ok((build, campaign))
     };
 
-    let (raw_prog, raw_pass_stats, raw_profile, raw_campaign) = measure(Technique::None, cfg.seed)?;
-    let raw_sdc_prob = raw_campaign.sdc_prob();
-    let raw_cycles = raw_profile.result.cycles;
-
-    let mut techniques = Vec::new();
+    // `raw` lives to the end: freeing its profile's large site list
+    // before the protected builds run leaves the process's peak RSS
+    // bimodal under glibc's adaptive mmap threshold.
+    let (raw, raw_campaign) = measure(Technique::None, cfg.seed)?;
+    let mut report = WorkloadReport {
+        name: w.name.to_owned(),
+        raw_cycles: raw.profile().result.cycles,
+        raw_static_insts: raw.program().static_inst_count(),
+        raw_sdc_prob: raw_campaign.sdc_prob(),
+        opt: cfg.opt,
+        raw_pass_stats: raw.pass_stats(),
+        techniques: Vec::new(),
+    };
     for (k, t) in Technique::PROTECTED.into_iter().enumerate() {
-        let (prog, pass_stats, profile, campaign) =
-            measure(t, cfg.seed.wrapping_add(k as u64 + 1))?;
-        let rootcause = attribute_sdcs(&profile, &campaign);
-        techniques.push(TechniqueReport {
+        let (build, campaign) = measure(t, cfg.seed.wrapping_add(k as u64 + 1))?;
+        let profile = build.profile();
+        report.techniques.push(TechniqueReport {
             technique: t,
             cycles: profile.result.cycles,
-            overhead: runtime_overhead(raw_cycles, profile.result.cycles),
+            overhead: runtime_overhead(report.raw_cycles, profile.result.cycles),
             sdc_prob: campaign.sdc_prob(),
-            coverage: sdc_coverage(raw_sdc_prob, campaign.sdc_prob()),
-            static_insts: prog.static_inst_count(),
+            coverage: sdc_coverage(report.raw_sdc_prob, campaign.sdc_prob()),
+            static_insts: build.program().static_inst_count(),
             dyn_insts: profile.result.dyn_insts,
+            rootcause: attribute_sdcs(profile, &campaign),
             campaign,
-            rootcause,
-            pass_stats,
+            pass_stats: build.pass_stats(),
         });
     }
-    Ok(WorkloadReport {
-        name: w.name.to_owned(),
-        raw_cycles,
-        raw_static_insts: raw_prog.static_inst_count(),
-        raw_sdc_prob,
-        opt: cfg.opt,
-        raw_pass_stats,
-        techniques,
-    })
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -190,16 +187,15 @@ mod tests {
         // and cold starts, with the seeds `evaluate_workload` uses.
         let module = w.build(cfg.scale);
         let reference = |t: Technique, seed: u64| {
-            let prog = pipeline.protect(&module, t).expect("protects");
-            let cpu = pipeline.load(&prog).expect("loads");
-            let profile = cpu.profile();
+            let build = pipeline.build(&module, t).expect("builds");
+            let profile = build.cpu().profile();
             let campaign = Campaign::sampled(CampaignConfig {
                 samples: cfg.samples,
                 seed,
             })
-            .run(&cpu, &profile)
+            .run(build.engine(EngineKind::Interpreter), &profile)
             .expect("runs");
-            (prog, profile, campaign)
+            (build.program().clone(), profile, campaign)
         };
         let (raw_prog, raw_profile, raw) = reference(Technique::None, cfg.seed);
         assert_eq!(report.raw_sdc_prob, raw.sdc_prob());

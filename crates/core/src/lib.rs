@@ -3,9 +3,10 @@
 //! One façade over the whole stack built for the DSN 2024 paper *"A Fast
 //! Low-Level Error Detection Technique"*:
 //!
-//! * [`pipeline::Pipeline`] — compile a MIR module and protect it with
-//!   any [`Technique`] (none / IR-level EDDI / hybrid assembly EDDI /
-//!   FERRUM), then load it for simulation;
+//! * [`Pipeline::build`] — compile a MIR module, protect it with any
+//!   [`Technique`] (none / IR-level EDDI / hybrid assembly EDDI /
+//!   FERRUM) and load it: one [`Build`] per configuration, which hands
+//!   out either execution [`Engine`] and the golden profile;
 //! * [`experiment`] — the paper's evaluation loop: fault-injection
 //!   campaigns (SDC coverage, Fig. 10), runtime overhead (Fig. 11), and
 //!   root-cause attribution (§IV-B1) over the benchmark suite;
@@ -17,8 +18,7 @@
 //! ## Quickstart
 //!
 //! ```
-//! use ferrum::pipeline::Pipeline;
-//! use ferrum::Technique;
+//! use ferrum::{EngineKind, Pipeline, Technique};
 //! use ferrum_workloads::{workload, Scale};
 //!
 //! # fn main() -> Result<(), ferrum::Error> {
@@ -26,11 +26,11 @@
 //! let module = bfs.build(Scale::Test);
 //!
 //! let pipeline = Pipeline::new();
-//! let raw = pipeline.protect(&module, Technique::None)?;
-//! let protected = pipeline.protect(&module, Technique::Ferrum)?;
+//! let raw = pipeline.build(&module, Technique::None)?;
+//! let protected = pipeline.build(&module, Technique::Ferrum)?;
 //!
-//! let raw_run = pipeline.load(&raw)?.run(None);
-//! let prot_run = pipeline.load(&protected)?.run(None);
+//! let raw_run = raw.engine(EngineKind::default()).run(None);
+//! let prot_run = protected.engine(EngineKind::default()).run(None);
 //! assert_eq!(raw_run.output, prot_run.output); // protection is transparent
 //! assert_eq!(raw_run.output, bfs.oracle(Scale::Test));
 //! # Ok(())
@@ -46,10 +46,10 @@ pub mod pipeline;
 pub mod profile;
 pub mod report;
 
-pub use attribution::{attribute_overhead, OverheadAttribution};
+pub use attribution::OverheadAttribution;
 pub use error::Error;
 pub use experiment::{evaluate_workload, EvalConfig, TechniqueReport, WorkloadReport};
-pub use pipeline::Pipeline;
+pub use pipeline::{Build, Pipeline};
 pub use profile::{diff_profile, DiffProfile, SiteOverhead};
 
 pub use ferrum_asm::analysis::coverage::{

@@ -1,9 +1,10 @@
 //! Differential per-site overhead profiles.
 //!
-//! PR 3's attribution ([`crate::attribution::attribute_overhead`]) says
-//! *which mechanism* FERRUM's overhead comes from; this module says
-//! *where*.  It profiles the same peepholed-baseline / protected pair,
-//! but uses the engines' exact per-pc profiles
+//! The per-mechanism attribution
+//! ([`crate::attribution::OverheadAttribution`]) says *which
+//! mechanism* FERRUM's overhead comes from; this module says *where*.  It diffs the golden profiles of a
+//! [`Pipeline::baseline`](crate::Pipeline::baseline) and a protected
+//! [`Build`], and uses the engines' exact per-pc profiles
 //! ([`ferrum_cpu::run::Profile::pcs`]) to charge every executed
 //! protection instruction to the **source site** it protects: the
 //! nearest preceding IR-lowered instruction in the same function.
@@ -26,10 +27,9 @@ use ferrum_asm::provenance::{Mechanism, Provenance};
 use ferrum_cpu::run::MechCounts;
 use ferrum_cpu::{PcCount, PcProfile};
 use ferrum_eddi::Technique;
-use ferrum_mir::module::Module;
 
 use crate::attribution::OverheadAttribution;
-use crate::{Error, Pipeline};
+use crate::{Build, Error};
 
 /// Protection overhead charged to one source site.
 ///
@@ -131,35 +131,26 @@ impl DiffProfile {
     }
 }
 
-/// Profiles `module` unprotected (peepholed, matching the pipeline's
-/// FERRUM configuration) and protected with `technique`, and attributes
-/// every executed protection instruction to its source site.
+/// Diffs `protected` against `baseline` (from
+/// [`Pipeline::baseline`](crate::Pipeline::baseline) on the same
+/// module and pipeline) and attributes every executed protection
+/// instruction to its source site.  Both golden profiles are the
+/// builds' own.
 ///
 /// # Errors
 ///
-/// Propagates compilation and protection failures.
-pub fn diff_profile(
-    pipeline: &Pipeline,
-    module: &Module,
-    technique: Technique,
-) -> Result<DiffProfile, Error> {
-    // Same baseline as `attribute_overhead`: the peepholed unprotected
-    // compile at the pipeline's opt level, so overhead deltas measure
-    // protection and nothing else.
-    let mut baseline = ferrum_backend::compile_opt(module, pipeline.opt_level())?;
-    if pipeline.ferrum_config().peephole {
-        ferrum_backend::peephole::run(&mut baseline);
+/// When the two fault-free runs print different output — a protected
+/// run cut short by the step limit, say — since their difference then
+/// measures more than protection.
+pub fn diff_profile(baseline: &Build, protected: &Build) -> Result<DiffProfile, Error> {
+    let technique = protected.technique();
+    let (base_profile, prot_profile) = (baseline.profile(), protected.profile());
+    if base_profile.result.output != prot_profile.result.output {
+        return Err(Error::msg(format!(
+            "{technique}: protected output differs from the baseline's"
+        )));
     }
-    let base_profile = pipeline.load(&baseline)?.profile();
-
-    let protected = pipeline.protect(module, technique)?;
-    let cpu = pipeline.load(&protected)?;
-    let prot_profile = cpu.profile();
-    let image = cpu.image();
-    debug_assert_eq!(
-        base_profile.result.output, prot_profile.result.output,
-        "protection must be output-transparent"
-    );
+    let image = protected.cpu().image();
 
     // Walk each function span in layout order, tracking the last
     // IR-lowered pc seen: that pc anchors every subsequent instruction
@@ -214,10 +205,10 @@ pub fn diff_profile(
             baseline_cycles: base_profile.result.cycles,
             protected_dyn_insts: prot_profile.result.dyn_insts,
             protected_cycles: prot_profile.result.cycles,
-            mech: prot_profile.mech_counts,
+            mech: prot_profile.mech_counts.clone(),
         },
-        baseline_pcs: base_profile.pcs,
-        protected_pcs: prot_profile.pcs,
+        baseline_pcs: base_profile.pcs.clone(),
+        protected_pcs: prot_profile.pcs.clone(),
         sites,
     })
 }
@@ -225,13 +216,22 @@ pub fn diff_profile(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Pipeline;
     use ferrum_workloads::{workload, Scale};
+
+    /// `name` at test scale under `technique`, diffed against its
+    /// baseline.
+    fn diff(pipeline: &Pipeline, name: &str, technique: Technique) -> Result<DiffProfile, Error> {
+        let module = workload(name).expect("exists").build(Scale::Test);
+        diff_profile(
+            &pipeline.baseline(&module)?,
+            &pipeline.build(&module, technique)?,
+        )
+    }
 
     #[test]
     fn per_site_sums_equal_mechanism_totals_exactly() {
-        let pipeline = Pipeline::new();
-        let module = workload("needle").expect("exists").build(Scale::Test);
-        let d = diff_profile(&pipeline, &module, Technique::Ferrum).expect("diffs");
+        let d = diff(&Pipeline::new(), "needle", Technique::Ferrum).expect("diffs");
         assert!(!d.sites.is_empty());
         assert!(d.attribution.reconciles(), "{:?}", d.attribution);
         assert!(
@@ -254,13 +254,16 @@ mod tests {
     fn sites_reconcile_for_every_technique() {
         let pipeline = Pipeline::new();
         let module = workload("pathfinder").expect("exists").build(Scale::Test);
+        let baseline = pipeline.baseline(&module).expect("builds");
         for t in [
             Technique::None,
             Technique::IrEddi,
             Technique::HybridAsmEddi,
             Technique::Ferrum,
         ] {
-            let d = diff_profile(&pipeline, &module, t).expect("diffs");
+            let build = pipeline.build(&module, t).expect("builds");
+            let d = diff_profile(&baseline, &build).expect("diffs");
+            assert_eq!(d.technique, t);
             assert!(d.sites_reconcile(), "{t}");
             if t == Technique::None {
                 assert_eq!(d.attribution.mech.total_insts(), 0, "{t}");
@@ -272,9 +275,7 @@ mod tests {
 
     #[test]
     fn sites_are_sorted_by_overhead_and_labelled() {
-        let pipeline = Pipeline::new();
-        let module = workload("kmeans").expect("exists").build(Scale::Test);
-        let d = diff_profile(&pipeline, &module, Technique::Ferrum).expect("diffs");
+        let d = diff(&Pipeline::new(), "kmeans", Technique::Ferrum).expect("diffs");
         for w in d.sites.windows(2) {
             assert!(w[0].overhead_cycles() >= w[1].overhead_cycles());
         }
@@ -283,5 +284,20 @@ mod tests {
         assert!(top[0].overhead_cycles() > 0);
         assert!(top[0].dominant_mechanism().is_some());
         assert!(top[0].label().contains('@'));
+    }
+
+    #[test]
+    fn a_protected_run_cut_short_by_the_step_limit_is_an_error() {
+        // Enough steps for the raw kernel, too few for any protected
+        // build of it: the protected run times out before it prints.
+        let module = workload("kmeans").expect("exists").build(Scale::Test);
+        let raw = Pipeline::new().build(&module, Technique::None).expect("builds");
+        let raw_dyn = raw.profile().result.dyn_insts;
+        let pipeline = Pipeline::new().with_step_limit(raw_dyn + 10);
+        let err = diff(&pipeline, "kmeans", Technique::Ferrum).expect_err("outputs differ");
+        assert_eq!(
+            err.to_string(),
+            "FERRUM: protected output differs from the baseline's"
+        );
     }
 }

@@ -1352,7 +1352,7 @@ pub fn to_json(reports: &[WorkloadReport]) -> String {
 mod tests {
     use super::*;
     use crate::experiment::{evaluate_workload, EvalConfig};
-    use crate::Pipeline;
+    use crate::{EngineKind, Pipeline};
     use ferrum_workloads::{workload, Scale};
 
     #[test]
@@ -1360,7 +1360,11 @@ mod tests {
         use crate::profile::diff_profile;
         let pipeline = Pipeline::new();
         let module = workload("needle").expect("exists").build(Scale::Test);
-        let d = diff_profile(&pipeline, &module, crate::Technique::Ferrum).expect("diffs");
+        let protected = pipeline
+            .build(&module, crate::Technique::Ferrum)
+            .unwrap();
+        let baseline = pipeline.baseline(&module).unwrap();
+        let d = diff_profile(&baseline, &protected).expect("diffs");
         let table = render_diff_sites("needle", &d, 10);
         assert!(table.contains("per-site overhead"), "{table}");
         assert!(table.contains("reconciles exactly"), "{table}");
@@ -1369,10 +1373,7 @@ mod tests {
         assert_eq!(j.get("sites_reconcile"), Some(&Json::Bool(true)));
         assert!(!j.get("sites").unwrap().as_array().unwrap().is_empty());
         // Hot-spot rendering over the protected profile.
-        let protected = pipeline
-            .protect(&module, crate::Technique::Ferrum)
-            .unwrap();
-        let cpu = pipeline.load(&protected).unwrap();
+        let cpu = protected.cpu();
         let hot = render_hotspots("needle", cpu.image(), &d.protected_pcs, 5);
         assert!(hot.contains("exact profile"), "{hot}");
         assert_eq!(hot.lines().count(), 7, "{hot}");
@@ -1501,7 +1502,12 @@ mod tests {
     fn attribution_table_and_json_reconcile() {
         let pipeline = Pipeline::new();
         let module = workload("pathfinder").expect("exists").build(Scale::Test);
-        let att = crate::attribution::attribute_overhead(&pipeline, &module).expect("attributes");
+        let att = crate::diff_profile(
+            &pipeline.baseline(&module).unwrap(),
+            &pipeline.build(&module, Technique::Ferrum).unwrap(),
+        )
+        .expect("attributes")
+        .attribution;
         let table = render_attribution_table("pathfinder", &att);
         assert!(table.contains("mechanism"), "{table}");
         assert!(table.contains("dup"), "{table}");
@@ -1601,15 +1607,15 @@ mod tests {
         use ferrum_faultsim::Campaign;
         let pipeline = Pipeline::new();
         let module = workload("knn").expect("exists").build(Scale::Test);
-        let prog = pipeline.protect(&module, Technique::Ferrum).expect("builds");
-        let cpu = pipeline.load(&prog).expect("loads");
-        let profile = cpu.profile();
-        let map = CoverageMap::analyze(&prog);
+        let build = pipeline.build(&module, Technique::Ferrum).expect("builds");
+        let map = CoverageMap::analyze(build.program());
         let cfg = CampaignConfig {
             samples: 120,
             seed: 0x51,
         };
-        let campaign = Campaign::sampled(cfg).run(&cpu, &profile).expect("runs");
+        let campaign = Campaign::sampled(cfg)
+            .run(build.engine(EngineKind::default()), build.profile())
+            .expect("runs");
         let text = render_predicted_vs_measured("knn", &map, &campaign);
         assert!(text.contains("95% CI"), "{text}");
         assert!(text.contains("measured detection rate"), "{text}");
@@ -1636,15 +1642,14 @@ mod tests {
         use ferrum_faultsim::Campaign;
         let pipeline = Pipeline::new();
         let module = workload("knn").expect("exists").build(Scale::Test);
-        let prog = pipeline.protect(&module, Technique::None).expect("builds");
-        let cpu = pipeline.load(&prog).expect("loads");
-        let profile = cpu.profile();
+        let build = pipeline.build(&module, Technique::None).expect("builds");
+        let (engine, profile) = (build.engine(EngineKind::default()), build.profile());
         let cfg = CampaignConfig {
             samples: 250,
             seed: 0x51,
         };
-        let campaign = Campaign::sampled(cfg).run(&cpu, &profile).expect("runs");
-        let rep = forensic_report(&cpu, &profile, &campaign, &ForensicConfig::default());
+        let campaign = Campaign::sampled(cfg).run(engine, profile).expect("runs");
+        let rep = forensic_report(engine, profile, &campaign, &ForensicConfig::default());
         assert!(campaign.sdc > 0, "unprotected knn must produce SDCs");
         assert!(rep.analyzed() > 0);
 

@@ -10,7 +10,7 @@
 //! call tracking, which would silently skew every downstream
 //! overhead table.
 
-use ferrum::{DecodedCpu, OptLevel, Pipeline, Technique};
+use ferrum::{OptLevel, Pipeline, Technique};
 use ferrum_workloads::{all_workloads, Scale};
 
 const TECHNIQUES: [Technique; 4] = [
@@ -28,12 +28,12 @@ fn per_pc_profiles_are_byte_identical_across_engines() {
             let module = w.build(Scale::Test);
             for technique in TECHNIQUES {
                 let ctx = format!("{}/{technique}/{}", w.name, opt.label());
-                let prog = pipeline
-                    .protect(&module, technique)
+                let build = pipeline
+                    .build(&module, technique)
                     .unwrap_or_else(|e| panic!("{ctx}: {e}"));
-                let cpu = pipeline.load(&prog).unwrap_or_else(|e| panic!("{ctx}: {e}"));
-                let interp = cpu.profile();
-                let decoded = DecodedCpu::new(&cpu).profile();
+                // A build's golden profile comes from the decoded engine.
+                let interp = build.cpu().profile();
+                let decoded = build.profile();
                 assert_eq!(interp.result, decoded.result, "{ctx}: golden result");
                 assert_eq!(interp.pcs.pcs, decoded.pcs.pcs, "{ctx}: per-pc counts");
                 assert_eq!(interp.pcs.funcs, decoded.pcs.funcs, "{ctx}: per-function counts");
@@ -61,9 +61,12 @@ fn per_site_overhead_reconciles_for_the_full_matrix() {
         let pipeline = Pipeline::new().with_opt_level(opt);
         for w in all_workloads() {
             let module = w.build(Scale::Test);
+            let baseline = pipeline.baseline(&module).expect("builds");
             for technique in TECHNIQUES {
                 let ctx = format!("{}/{technique}/{}", w.name, opt.label());
-                let d = ferrum::diff_profile(&pipeline, &module, technique)
+                let d = pipeline
+                    .build(&module, technique)
+                    .and_then(|build| ferrum::diff_profile(&baseline, &build))
                     .unwrap_or_else(|e| panic!("{ctx}: {e}"));
                 assert!(d.sites_reconcile(), "{ctx}: site sum != mechanism totals");
             }

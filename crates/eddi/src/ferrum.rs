@@ -160,15 +160,7 @@ impl Ferrum {
         &self,
         p: &AsmProgram,
     ) -> Result<(AsmProgram, FerrumStats), PassError> {
-        let mut out = p.clone();
-        let mut stats = FerrumStats::default();
-        if self.cfg.peephole {
-            stats.peephole = peephole::run(&mut out);
-        }
-        for f in &mut out.functions {
-            protect_function(f, self.cfg, &mut stats)?;
-        }
-        Ok((out, stats))
+        self.run(p).map(|(out, stats, _)| (out, stats))
     }
 
     /// Convenience: compile a MIR module and protect it.
@@ -211,6 +203,12 @@ impl Ferrum {
         &self,
         p: &AsmProgram,
     ) -> Result<(AsmProgram, BTreeMap<String, ProtectionManifest>), PassError> {
+        self.run(p).map(|(out, _, manifests)| (out, manifests))
+    }
+
+    /// The pass: the peephole prepass, then each function protected in
+    /// turn, with the statistics and every function's manifest.
+    fn run(&self, p: &AsmProgram) -> Result<PassOutput, PassError> {
         let mut out = p.clone();
         let mut stats = FerrumStats::default();
         if self.cfg.peephole {
@@ -218,21 +216,15 @@ impl Ferrum {
         }
         let mut manifests = BTreeMap::new();
         for f in &mut out.functions {
-            // `pick_regs` is deterministic on the (peepholed) input, so
-            // the manifest records exactly what `protect_function` uses.
-            let (gprs, xmm) = pick_regs(f, self.cfg);
-            manifests.insert(
-                f.name.clone(),
-                ProtectionManifest {
-                    reserved_gprs: gprs.map(|g| g.to_vec()).unwrap_or_default(),
-                    accumulators: xmm.iter().map(|x| x.0).collect(),
-                },
-            );
-            protect_function(f, self.cfg, &mut stats)?;
+            let manifest = protect_function(f, self.cfg, &mut stats)?;
+            manifests.insert(f.name.clone(), manifest);
         }
-        Ok((out, manifests))
+        Ok((out, stats, manifests))
     }
 }
+
+/// The pass output: the program, the statistics, and the manifests.
+type PassOutput = (AsmProgram, FerrumStats, BTreeMap<String, ProtectionManifest>);
 
 /// Spare registers FERRUM reserves in normal (non-requisition) mode:
 /// one scalar scratch plus the two comparison-pair registers (§III-B1;
@@ -546,13 +538,19 @@ fn check_input(f: &AsmFunction) -> Result<(), PassError> {
     Ok(())
 }
 
+/// Protects `f` and returns its manifest: exactly the registers
+/// `pick_regs` reserved for it.
 fn protect_function(
     f: &mut AsmFunction,
     cfg: FerrumConfig,
     stats: &mut FerrumStats,
-) -> Result<(), PassError> {
+) -> Result<ProtectionManifest, PassError> {
     check_input(f)?;
     let (gprs, xmm) = pick_regs(f, cfg);
+    let manifest = ProtectionManifest {
+        reserved_gprs: gprs.map(|g| g.to_vec()).unwrap_or_default(),
+        accumulators: xmm.iter().map(|x| x.0).collect(),
+    };
     match gprs {
         Some([scratch, p0, p1]) => {
             let regs = Regs {
@@ -560,10 +558,11 @@ fn protect_function(
                 pair: (p0, p1),
                 xmm,
             };
-            protect_normal(f, cfg, &regs, stats)
+            protect_normal(f, cfg, &regs, stats)?;
         }
-        None => protect_requisition(f, cfg, xmm, stats),
+        None => protect_requisition(f, cfg, xmm, stats)?,
     }
+    Ok(manifest)
 }
 
 /// Normal mode: dedicated function-wide spare registers.

@@ -472,6 +472,7 @@ impl CampaignCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Engine;
     use crate::plan::{Campaign, Reuse};
     use ferrum_cpu::run::Cpu;
     use ferrum_mir::builder::FunctionBuilder;
@@ -544,7 +545,7 @@ mod tests {
     ) -> (CampaignResult, CampaignCache) {
         let result = Campaign::stratified(cfg, asm)
             .reuse(cache.map_or(Reuse::None, Reuse::Cache))
-            .run(cpu, profile)
+            .run(Engine::Interpreter(cpu), profile)
             .unwrap();
         let rebuilt = CampaignCache::from_result(asm, profile, cfg, &result);
         (result, rebuilt)
@@ -763,7 +764,9 @@ main_end:
         // plan re-injects everything rather than replay wrong outcomes.
         let (asm, cpu) = compiled();
         let profile = cpu.profile();
-        let sampled = Campaign::sampled(cfg(150, 3)).run(&cpu, &profile).unwrap();
+        let sampled = Campaign::sampled(cfg(150, 3))
+            .run(Engine::Interpreter(&cpu), &profile)
+            .unwrap();
         let foreign = CampaignCache::from_result(&asm, &profile, cfg(150, 3), &sampled);
         let (cold, _) = stratified(&cpu, &profile, cfg(150, 3), &asm, None);
         let (warm, _) = stratified(&cpu, &profile, cfg(150, 3), &asm, Some(&foreign));
@@ -783,7 +786,9 @@ main_end:
             &CoverageMap::analyze(&asm),
             &SummaryMap::analyze(&asm),
         );
-        let res = Campaign::sampled(cfg(400, 77)).run(&cpu, &profile).unwrap();
+        let res = Campaign::sampled(cfg(400, 77))
+            .run(Engine::Interpreter(&cpu), &profile)
+            .unwrap();
         for &(fault, outcome) in &res.records {
             let pc = profile.site_at(fault.dyn_index).unwrap().pc;
             let Some(v) = composed.verdict_at(pc, fault.raw_bit) else {

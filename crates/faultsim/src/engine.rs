@@ -50,40 +50,17 @@ impl EngineKind {
             _ => None,
         }
     }
-
-    /// Binds this kind to a loaded `cpu` and runs `f` with the
-    /// resulting [`Engine`].  The scoped shape exists because the
-    /// decoded program borrows from a [`DecodedCpu`] that has to live
-    /// somewhere — here, on this frame — while `Engine` itself stays a
-    /// cheap `Copy` borrow.
-    pub fn with_cpu<R>(self, cpu: &Cpu, f: impl FnOnce(Engine<'_>) -> R) -> R {
-        match self {
-            EngineKind::Interpreter => f(Engine::Interpreter(cpu)),
-            EngineKind::Decoded => f(Engine::Decoded(&DecodedCpu::new(cpu))),
-        }
-    }
 }
 
 /// A borrowed execution engine: the interpreter or the decoded engine
-/// over the same loaded image.
+/// over the same loaded image.  Every campaign names its engine;
+/// `ferrum::Build::engine` hands out either over one build.
 #[derive(Debug, Clone, Copy)]
 pub enum Engine<'a> {
     /// Reference interpreter.
     Interpreter(&'a Cpu),
     /// Decode-once flattened engine.
     Decoded(&'a DecodedCpu),
-}
-
-impl<'a> From<&'a Cpu> for Engine<'a> {
-    fn from(cpu: &'a Cpu) -> Engine<'a> {
-        Engine::Interpreter(cpu)
-    }
-}
-
-impl<'a> From<&'a DecodedCpu> for Engine<'a> {
-    fn from(decoded: &'a DecodedCpu) -> Engine<'a> {
-        Engine::Decoded(decoded)
-    }
 }
 
 impl<'a> Engine<'a> {
@@ -298,17 +275,6 @@ mod tests {
             m.restore(&mi.snapshot());
             m.run_to_completion(&[])
         });
-    }
-
-    #[test]
-    fn with_cpu_binds_the_matching_engine() {
-        let c = cpu();
-        let reference = c.run(None);
-        for kind in EngineKind::ALL {
-            let (bound_kind, result) = kind.with_cpu(&c, |e| (e.kind(), e.run(None)));
-            assert_eq!(bound_kind, kind);
-            assert_eq!(result, reference);
-        }
     }
 
     #[test]

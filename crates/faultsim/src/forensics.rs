@@ -619,24 +619,23 @@ fn bisect_kill_window(
     }
 }
 
-/// Differentially replays one fault sample on `engine` (a [`Engine`],
-/// or a `&Cpu` / `&DecodedCpu`) and explains it.  The decoded
-/// machine's `step_faulted` always executes exactly one instruction
-/// (never a fused group), so the lock-step walk observes the same
-/// boundaries on either engine and records are identical.
+/// Differentially replays one fault sample on `engine` and explains
+/// it.  The decoded machine's `step_faulted` always executes exactly
+/// one instruction (never a fused group), so the lock-step walk
+/// observes the same boundaries on either engine and records are
+/// identical.
 ///
 /// # Panics
 ///
 /// Panics if `fault.dyn_index` lies beyond the golden run (faults
 /// drawn from `profile.sites` never do).
-pub fn forensic_replay<'e>(
-    engine: impl Into<Engine<'e>>,
+pub fn forensic_replay(
+    engine: Engine<'_>,
     profile: &Profile,
     fault: FaultSpec,
     outcome: Outcome,
     fcfg: &ForensicConfig,
 ) -> ForensicRecord {
-    let engine = engine.into();
     let image = engine.image();
 
     // Golden prefix up to the injection boundary.
@@ -813,13 +812,12 @@ pub fn forensic_replay<'e>(
 /// whatever plan produced `result` and replay can never change it.
 /// Matching records past the cap are counted in
 /// [`ForensicsReport::matching_total`], not dropped silently.
-pub fn forensic_report<'e>(
-    engine: impl Into<Engine<'e>>,
+pub fn forensic_report(
+    engine: Engine<'_>,
     profile: &Profile,
     result: &CampaignResult,
     fcfg: &ForensicConfig,
 ) -> ForensicsReport {
-    let engine = engine.into();
     let mut report = ForensicsReport::default();
     for &(fault, outcome) in &result.records {
         if fcfg.outcomes.contains(&outcome) {
@@ -851,8 +849,8 @@ mod tests {
             max_records: usize::MAX,
             ..ForensicConfig::default()
         };
-        let result = Campaign::sampled(cfg).run(cpu, &profile).unwrap();
-        let report = forensic_report(cpu, &profile, &result, &fcfg);
+        let result = Campaign::sampled(cfg).run(Engine::Interpreter(cpu), &profile).unwrap();
+        let report = forensic_report(Engine::Interpreter(cpu), &profile, &result, &fcfg);
         (result, report)
     }
 
@@ -864,8 +862,9 @@ mod tests {
                 samples: 160,
                 seed: 41,
             };
-            let serial = Campaign::sampled(cfg).run(&cpu, &profile).unwrap();
-            let report = forensic_report(&cpu, &profile, &serial, &ForensicConfig::default());
+            let serial = Campaign::sampled(cfg).run(Engine::Interpreter(&cpu), &profile).unwrap();
+            let fcfg = ForensicConfig::default();
+            let report = forensic_report(Engine::Interpreter(&cpu), &profile, &serial, &fcfg);
             assert_eq!(report.matching_total, serial.sdc);
             assert_eq!(
                 report.analyzed(),
@@ -979,8 +978,9 @@ mod tests {
             samples: 0,
             seed: 1,
         };
-        let result = Campaign::sampled(cfg).run(&cpu, &profile).unwrap();
-        let report = forensic_report(&cpu, &profile, &result, &ForensicConfig::default());
+        let result = Campaign::sampled(cfg).run(Engine::Interpreter(&cpu), &profile).unwrap();
+        let fcfg = ForensicConfig::default();
+        let report = forensic_report(Engine::Interpreter(&cpu), &profile, &result, &fcfg);
         assert_eq!(result.total(), 0);
         assert_eq!(report.analyzed(), 0);
         assert_eq!(report.matching_total, 0);

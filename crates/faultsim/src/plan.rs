@@ -257,8 +257,7 @@ impl<'a> Campaign<'a> {
         }
     }
 
-    /// Runs the campaign on `engine` (a [`Engine`], or a `&Cpu` /
-    /// `&DecodedCpu` to bind one) against the golden `profile`.
+    /// Runs the campaign on `engine` against the golden `profile`.
     /// Records come back in sampling order; outcomes and the latency
     /// distribution do not depend on the engine or on any axis but the
     /// fault list.
@@ -271,12 +270,11 @@ impl<'a> Campaign<'a> {
     /// plan; [`CampaignError::NoSites`] when faults must be drawn from
     /// a profile without sites; [`CampaignError::Journal`] when the
     /// journal does not belong to this campaign.
-    pub fn run<'e>(
+    pub fn run(
         &self,
-        engine: impl Into<Engine<'e>>,
+        engine: Engine<'_>,
         profile: &Profile,
     ) -> Result<CampaignResult, CampaignError> {
-        let engine = engine.into();
         let t0 = Instant::now();
         let work = self.work(profile)?;
         if let Some(r) = self.observe {
@@ -613,7 +611,7 @@ mod tests {
     fn unprotected_program_shows_sdcs() {
         let cpu = sum_cpu();
         let res = Campaign::sampled(cfg(300, 7))
-            .run(&cpu, &cpu.profile())
+            .run(Engine::Interpreter(&cpu), &cpu.profile())
             .unwrap();
         assert_eq!(res.total(), 300);
         assert!(
@@ -641,8 +639,8 @@ mod tests {
     fn pruning_skips_statically_decided_faults() {
         let (cpu, profile, coverage) = protected();
         let plan = Campaign::sampled(cfg(300, 11));
-        let serial = plan.run(&cpu, &profile).unwrap();
-        let pruned = plan.prune(&coverage).run(&cpu, &profile).unwrap();
+        let serial = plan.run(Engine::Interpreter(&cpu), &profile).unwrap();
+        let pruned = plan.prune(&coverage).run(Engine::Interpreter(&cpu), &profile).unwrap();
         assert_eq!(serial, pruned, "pruned plan must be outcome-identical");
         let s = &pruned.stats;
         assert!(s.pruned_sites > 0, "FERRUM has decided sites");
@@ -654,10 +652,10 @@ mod tests {
     fn an_empty_coverage_map_prunes_nothing() {
         let (cpu, profile, _) = protected();
         let plan = Campaign::sampled(cfg(300, 11));
-        let serial = plan.run(&cpu, &profile).unwrap();
+        let serial = plan.run(Engine::Interpreter(&cpu), &profile).unwrap();
         let none = plan
             .prune(&CoverageMap::default())
-            .run(&cpu, &profile)
+            .run(Engine::Interpreter(&cpu), &profile)
             .unwrap();
         assert_eq!((none.stats.pruned_sites, none.stats.prune_rate()), (0, 0.0));
         assert_eq!(none.stats.steps_executed, serial.stats.steps_executed);
@@ -668,7 +666,9 @@ mod tests {
     fn snapshot_plans_report_savings_and_worker_load() {
         let cpu = sum_cpu();
         let profile = cpu.profile();
-        let serial = Campaign::sampled(cfg(200, 9)).run(&cpu, &profile).unwrap();
+        let serial = Campaign::sampled(cfg(200, 9))
+            .run(Engine::Interpreter(&cpu), &profile)
+            .unwrap();
         assert_eq!(serial.stats.per_worker.len(), 1);
         assert!((serial.stats.worker_balance() - 1.0).abs() < 1e-12);
         let snap = Campaign::sampled(cfg(200, 9))
@@ -677,7 +677,7 @@ mod tests {
                 max_snapshots: 1000,
                 min_interval: 1,
             })
-            .run(&cpu, &profile)
+            .run(Engine::Interpreter(&cpu), &profile)
             .unwrap();
         let s = &snap.stats;
         assert!(s.snapshots_taken > 0 && s.snapshot_hits > 0, "{s:?}");
@@ -702,15 +702,17 @@ mod tests {
             !profile.sites.is_empty(),
             "tight-limit profile still has sites"
         );
-        let serial = Campaign::sampled(cfg(150, 8)).run(&cpu, &profile).unwrap();
+        let serial = Campaign::sampled(cfg(150, 8))
+            .run(Engine::Interpreter(&cpu), &profile)
+            .unwrap();
         let snap = Campaign::sampled(cfg(150, 8))
             .threads(2)
             .snapshots(SnapshotPolicy {
                 max_snapshots: 64,
                 min_interval: 1,
             });
-        assert_eq!(snap.run(&cpu, &profile).unwrap(), serial);
-        assert_eq!(snap.run(&DecodedCpu::new(&cpu), &profile).unwrap(), serial);
+        assert_eq!(snap.run(Engine::Interpreter(&cpu), &profile).unwrap(), serial);
+        assert_eq!(snap.run(Engine::Decoded(&DecodedCpu::new(&cpu)), &profile).unwrap(), serial);
     }
 
     #[test]
@@ -730,20 +732,20 @@ mod tests {
                 .threads(3)
                 .snapshots(SnapshotPolicy::default()),
         ] {
-            let err = plan.run(&cpu, &profile).expect_err("no sites accepted");
+            let err = plan.run(Engine::Interpreter(&cpu), &profile).expect_err("no sites accepted");
             assert_eq!(err, CampaignError::NoSites, "{}", plan.executor());
             assert!(err.to_string().contains("no injectable sites"), "{err}");
         }
         // Nothing to draw: an empty result, not an error.
         assert_eq!(
             Campaign::sampled(cfg(0, 7))
-                .run(&cpu, &profile)
+                .run(Engine::Interpreter(&cpu), &profile)
                 .unwrap()
                 .total(),
             0
         );
         assert_eq!(
-            Campaign::exhaustive(8).run(&cpu, &profile).unwrap().total(),
+            Campaign::exhaustive(8).run(Engine::Interpreter(&cpu), &profile).unwrap().total(),
             0
         );
     }
@@ -772,7 +774,7 @@ mod tests {
                 journaled,
             ),
         ] {
-            match plan.run(&cpu, &profile) {
+            match plan.run(Engine::Interpreter(&cpu), &profile) {
                 Err(CampaignError::InvalidPlan(msg)) => assert!(msg.contains(why), "{msg}"),
                 other => panic!(
                     "{}: expected an invalid plan, got {other:?}",

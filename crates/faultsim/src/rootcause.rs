@@ -141,6 +141,7 @@ pub fn render(report: &RootCauseReport) -> String {
 mod tests {
     use super::*;
     use crate::campaign::CampaignConfig;
+    use crate::engine::Engine;
     use crate::plan::Campaign;
     use ferrum_cpu::fault::FaultSpec;
     use ferrum_cpu::run::Cpu;
@@ -185,7 +186,7 @@ mod tests {
             samples: 1500,
             seed: 11,
         })
-        .run(&cpu, &profile)
+        .run(Engine::Interpreter(&cpu), &profile)
         .unwrap();
         let report = attribute_sdcs(&profile, &res);
         assert_eq!(report.total_sdc, res.sdc);
@@ -237,7 +238,7 @@ mod tests {
         let asm = ferrum_backend::compile(&m).unwrap();
         let cpu = Cpu::load(&asm).unwrap();
         let profile = cpu.profile();
-        let res = Campaign::exhaustive(4).run(&cpu, &profile).unwrap();
+        let res = Campaign::exhaustive(4).run(Engine::Interpreter(&cpu), &profile).unwrap();
         let kinds = breakdown_by_kind(&profile, &res);
         assert!(kinds.flag_faults > 0, "cmp/test sites must exist");
         assert!(

@@ -22,11 +22,11 @@
 //! others in the same run.
 
 use ferrum::{
-    CampaignConfig, CoverageMap, Outcome, Pipeline, StaticVerdict, StopReason, Technique,
+    Build, CampaignConfig, CoverageMap, EngineKind, Outcome, Pipeline, StaticVerdict, StopReason,
+    Technique,
 };
 use ferrum_asm::analysis::lint::{lint_program, lint_program_with};
-use ferrum_backend::{compile, compile_opt, OptLevel, ProgramMeta};
-use ferrum_cpu::decoded::DecodedCpu;
+use ferrum_backend::{compile, OptLevel, ProgramMeta};
 use ferrum_faultsim::Campaign;
 use ferrum_mir::interp::Interp;
 
@@ -129,27 +129,21 @@ pub fn check_program(seed: u64, campaign_samples: usize) -> (u64, u64, Vec<Diver
     c.check("interp-output", !oracle.is_empty(), || "program printed nothing".into());
 
     // Raw compilation at both levels, on both execution engines.
-    let mut programs = Vec::new();
+    let mut levels = Vec::new();
     for opt in [OptLevel::O0, OptLevel::O1] {
-        let prog = match compile_opt(&module, opt) {
-            Ok(p) => p,
+        let pipeline = Pipeline::new().with_opt_level(opt);
+        let raw = match pipeline.build(&module, Technique::None) {
+            Ok(b) => b,
             Err(e) => {
                 c.check("compile", false, || format!("[{}] {e}", opt.label()));
                 continue;
             }
         };
-        let valid = prog.validate();
+        let valid = raw.program().validate();
         c.check("validate", valid.is_ok(), || {
             format!("[{}] {:?}", opt.label(), valid.unwrap_err())
         });
-        let cpu = match ferrum_cpu::run::Cpu::load(&prog) {
-            Ok(cpu) => cpu,
-            Err(e) => {
-                c.check("load", false, || format!("[{}] {e}", opt.label()));
-                continue;
-            }
-        };
-        let run = cpu.run(None);
+        let run = raw.engine(EngineKind::Interpreter).run(None);
         c.check("semantics", run.stop == StopReason::MainReturned && run.output == oracle, || {
             format!(
                 "[{}] stop {:?}, output {:?} vs oracle {:?}",
@@ -159,15 +153,15 @@ pub fn check_program(seed: u64, campaign_samples: usize) -> (u64, u64, Vec<Diver
                 oracle
             )
         });
-        let decoded = DecodedCpu::new(&cpu).run(None);
+        let decoded = raw.engine(EngineKind::Decoded).run(None);
         c.check("engine-identity", decoded.output == run.output && decoded.stop == run.stop, || {
             format!("[{}] decoded engine disagrees with interpreter engine", opt.label())
         });
         // Exact profiles are a stronger identity oracle than output
         // comparison: both engines must charge every dynamic
-        // instruction to the same pc, function, and call stack.
-        let iprof = cpu.profile();
-        let dprof = DecodedCpu::new(&cpu).profile();
+        // instruction to the same pc, function, and call stack.  The
+        // build's own profile is the decoded engine's.
+        let (iprof, dprof) = (raw.cpu().profile(), raw.profile());
         c.check(
             "profile-identity",
             iprof.pcs == dprof.pcs && iprof.mech_counts == dprof.mech_counts,
@@ -187,12 +181,13 @@ pub fn check_program(seed: u64, campaign_samples: usize) -> (u64, u64, Vec<Diver
                 )
             },
         );
-        programs.push((opt, prog));
+        levels.push((pipeline, raw));
     }
 
     // Pass-bundle algebra on the raw programs.
     let meta = ProgramMeta::from_module(&module);
-    if let Some((_, o1)) = programs.iter().find(|(o, _)| *o == OptLevel::O1) {
+    if let Some((_, o1)) = levels.iter().find(|(p, _)| p.opt_level() == OptLevel::O1) {
+        let o1 = o1.program();
         let mut again = o1.clone();
         let stats2 = ferrum_backend::opt::optimize(&mut again, &meta);
         c.check("idempotence", stats2.bundle_is_noop() && again == *o1, || {
@@ -208,26 +203,20 @@ pub fn check_program(seed: u64, campaign_samples: usize) -> (u64, u64, Vec<Diver
         });
     }
 
-    // Protection transparency and lint cleanliness at both levels.
-    for (opt, raw) in &programs {
-        let pipeline = Pipeline::new().with_opt_level(*opt);
+    // Protection transparency and lint cleanliness at both levels, and
+    // coverage soundness at -O1: one build per technique serves every
+    // check of its configuration.
+    for (pipeline, _) in &levels {
+        let opt = pipeline.opt_level();
         for technique in Technique::PROTECTED {
-            let prog = match pipeline.protect(&module, technique) {
-                Ok(p) => p,
+            let build = match pipeline.build(&module, technique) {
+                Ok(b) => b,
                 Err(e) => {
                     c.check("protect", false, || format!("[{}/{technique}] {e}", opt.label()));
                     continue;
                 }
             };
-            let run = match pipeline.load(&prog) {
-                Ok(cpu) => cpu.run(None),
-                Err(e) => {
-                    c.check("protect-load", false, || {
-                        format!("[{}/{technique}] {e}", opt.label())
-                    });
-                    continue;
-                }
-            };
+            let run = build.engine(EngineKind::Interpreter).run(None);
             c.check(
                 "protect-semantics",
                 run.stop == StopReason::MainReturned && run.output == oracle,
@@ -241,86 +230,78 @@ pub fn check_program(seed: u64, campaign_samples: usize) -> (u64, u64, Vec<Diver
                     )
                 },
             );
-        }
-
-        // FERRUM with manifests: lint under the declared reservations,
-        // and the reservations must be disjoint from the -O1 pool.
-        match ferrum_eddi::Ferrum::new().protect_with_manifest(raw) {
-            Ok((prot, manifests)) => {
-                let rep = lint_program_with(&prot, &manifests);
-                c.check("lint-ferrum", rep.is_clean(), || {
-                    format!("[{}] {} findings", opt.label(), rep.findings.len())
-                });
-                let clash = manifests.values().flat_map(|m| m.reserved_gprs.iter()).find(|g| {
-                    ferrum_backend::regalloc::POOL.contains(g)
-                });
-                c.check("manifest-pool", clash.is_none(), || {
-                    format!("[{}] reserved {} is in the regalloc pool", opt.label(), clash.unwrap())
-                });
-            }
-            Err(e) => c.check("lint-ferrum", false, || format!("[{}] {e}", opt.label())),
-        }
-        match ferrum_eddi::HybridAsmEddi::new().protect_opt(&module, *opt) {
-            Ok((prot, _)) => {
-                let rep = lint_program(&prot);
-                c.check("lint-hybrid", rep.is_clean(), || {
-                    format!("[{}] {} findings", opt.label(), rep.findings.len())
-                });
-            }
-            Err(e) => c.check("lint-hybrid", false, || format!("[{}] {e}", opt.label())),
-        }
-    }
-
-    // Coverage soundness on the optimized FERRUM program: the pruned
-    // campaign must be outcome-identical to the serial engine, and no
-    // decided static verdict may be contradicted by injection.
-    if campaign_samples > 0 {
-        let pipeline = Pipeline::new().with_opt_level(OptLevel::O1);
-        if let Ok(prog) = pipeline.protect(&module, Technique::Ferrum) {
-            if let Ok(cpu) = pipeline.load(&prog) {
-                let map = CoverageMap::analyze(&prog);
-                let profile = cpu.profile();
-                let cfg = CampaignConfig {
-                    samples: campaign_samples,
-                    seed: seed ^ 0xC0FFEE,
-                };
-                let plan = Campaign::sampled(cfg);
-                let runs = plan.run(&cpu, &profile).and_then(|serial| {
-                    let pruned = plan.prune(&map).run(&cpu, &profile)?;
-                    Ok((serial, pruned))
-                });
-                let (serial, pruned) = match runs {
-                    Ok(r) => r,
-                    Err(e) => {
-                        c.check("campaign", false, || e.to_string());
-                        return (stats.mir_insts as u64, c.checks, c.divergences);
+            match technique {
+                Technique::Ferrum => {
+                    // Lint under FERRUM's declared reservations, which
+                    // must be disjoint from the -O1 pool.
+                    let rep = lint_program_with(build.program(), build.manifests());
+                    c.check("lint-ferrum", rep.is_clean(), || {
+                        format!("[{}] {} findings", opt.label(), rep.findings.len())
+                    });
+                    let mut reserved =
+                        build.manifests().values().flat_map(|m| m.reserved_gprs.iter());
+                    let clash = reserved.find(|g| ferrum_backend::regalloc::POOL.contains(g));
+                    c.check("manifest-pool", clash.is_none(), || {
+                        let clash = clash.unwrap();
+                        format!("[{}] reserved {clash} is in the regalloc pool", opt.label())
+                    });
+                    if opt == OptLevel::O1 && campaign_samples > 0 {
+                        coverage_soundness(&mut c, &build, campaign_samples);
                     }
-                };
-                c.check("pruned-identity", serial == pruned, || {
-                    "pruned campaign diverged from serial engine".into()
-                });
-                let contradicted = serial
-                    .records
-                    .iter()
-                    .filter(|&&(fault, outcome)| {
-                        let verdict = profile
-                            .site_at(fault.dyn_index)
-                            .and_then(|s| map.verdict_at(s.pc, fault.raw_bit));
-                        match verdict {
-                            Some(StaticVerdict::Masked) => outcome != Outcome::Benign,
-                            Some(StaticVerdict::Detected) => outcome != Outcome::Detected,
-                            _ => false,
-                        }
-                    })
-                    .count();
-                c.check("verdict-soundness", contradicted == 0, || {
-                    format!("{contradicted} static verdicts contradicted by injection")
-                });
+                }
+                Technique::HybridAsmEddi => {
+                    let rep = lint_program(build.program());
+                    c.check("lint-hybrid", rep.is_clean(), || {
+                        format!("[{}] {} findings", opt.label(), rep.findings.len())
+                    });
+                }
+                Technique::None | Technique::IrEddi => {}
             }
         }
     }
 
     (stats.mir_insts as u64, c.checks, c.divergences)
+}
+
+/// Coverage soundness on an optimized FERRUM build: the pruned
+/// campaign on the default engine must be outcome-identical to the
+/// serial campaign on the reference interpreter, and no decided static
+/// verdict may be contradicted by injection.
+fn coverage_soundness(c: &mut Checker, build: &Build, campaign_samples: usize) {
+    let map = CoverageMap::analyze(build.program());
+    let profile = build.profile();
+    let plan = Campaign::sampled(CampaignConfig {
+        samples: campaign_samples,
+        seed: c.seed ^ 0xC0FFEE,
+    });
+    let runs = plan.run(build.engine(EngineKind::Interpreter), profile).and_then(|serial| {
+        let pruned = plan.prune(&map).run(build.engine(EngineKind::default()), profile)?;
+        Ok((serial, pruned))
+    });
+    let (serial, pruned) = match runs {
+        Ok(r) => r,
+        Err(e) => return c.check("campaign", false, || e.to_string()),
+    };
+    c.check("pruned-identity", serial == pruned, || {
+        "pruned campaign diverged from the serial interpreter campaign".into()
+    });
+    let contradicted = serial
+        .records
+        .iter()
+        .filter(|&&(fault, outcome)| {
+            let verdict = profile
+                .site_at(fault.dyn_index)
+                .and_then(|s| map.verdict_at(s.pc, fault.raw_bit));
+            match verdict {
+                Some(StaticVerdict::Masked) => outcome != Outcome::Benign,
+                Some(StaticVerdict::Detected) => outcome != Outcome::Detected,
+                _ => false,
+            }
+        })
+        .count();
+    c.check("verdict-soundness", contradicted == 0, || {
+        format!("{contradicted} static verdicts contradicted by injection")
+    });
 }
 
 /// Runs the whole campaign.  `progress` is called after every program

@@ -7,7 +7,7 @@
 //! cargo run --release --example coverage_gap
 //! ```
 
-use ferrum::{Pipeline, Technique};
+use ferrum::{EngineKind, Pipeline, Technique};
 use ferrum_faultsim::rootcause::{attribute_sdcs, render};
 use ferrum_faultsim::{Campaign, CampaignConfig};
 use ferrum_workloads::{workload, Scale};
@@ -17,7 +17,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let module = w.build(Scale::Test);
     let pipeline = Pipeline::new();
 
-    let prog = pipeline.protect(&module, Technique::IrEddi)?;
+    let build = pipeline.build(&module, Technique::IrEddi)?;
+    let prog = build.program();
 
     // Static view: how much of the program is glue the IR never saw?
     let total = prog.static_inst_count();
@@ -32,32 +33,29 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!();
 
     // Dynamic view: inject faults and attribute every silent corruption.
-    let cpu = pipeline.load(&prog)?;
-    let profile = cpu.profile();
+    let profile = build.profile();
     let res = Campaign::sampled(CampaignConfig {
         samples: 2000,
         seed: 13,
     })
-    .run(&cpu, &profile)?;
+    .run(build.engine(EngineKind::default()), profile)?;
     println!(
         "2000 faults into the protected program: {} SDC, {} detected, {} crash, {} benign",
         res.sdc, res.detected, res.crash, res.benign
     );
     println!();
-    let report = attribute_sdcs(&profile, &res);
+    let report = attribute_sdcs(profile, &res);
     println!("{}", render(&report));
     println!("every residual SDC hit backend-generated or sync-point code —");
     println!("exactly the cross-layer gap FERRUM closes (coverage table: Fig. 10).");
 
     // Contrast: FERRUM on the same program.
-    let ferrum_prog = pipeline.protect(&module, Technique::Ferrum)?;
-    let fcpu = pipeline.load(&ferrum_prog)?;
-    let fprofile = fcpu.profile();
+    let ferrum = pipeline.build(&module, Technique::Ferrum)?;
     let fres = Campaign::sampled(CampaignConfig {
         samples: 2000,
         seed: 13,
     })
-    .run(&fcpu, &fprofile)?;
+    .run(ferrum.engine(EngineKind::default()), ferrum.profile())?;
     println!();
     println!(
         "FERRUM, same campaign: {} SDC, {} detected, {} crash, {} benign",

@@ -6,7 +6,7 @@
 //! cargo run --release --example fault_campaign [benchmark] [samples]
 //! ```
 
-use ferrum::{Pipeline, Technique};
+use ferrum::{EngineKind, Pipeline, Technique};
 use ferrum_faultsim::stats::{sdc_coverage, wilson_interval};
 use ferrum_faultsim::{Campaign, CampaignConfig};
 use ferrum_workloads::{workload, Scale};
@@ -25,21 +25,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "configuration", "SDC", "detected", "crash", "timeout", "benign", "coverage"
     );
 
-    let raw = pipeline.protect(&module, Technique::None)?;
-    let raw_cpu = pipeline.load(&raw)?;
-    let raw_profile = raw_cpu.profile();
-    let raw_res =
-        Campaign::sampled(CampaignConfig { samples, seed: 7 }).run(&raw_cpu, &raw_profile)?;
+    let raw = pipeline.build(&module, Technique::None)?;
+    let raw_res = Campaign::sampled(CampaignConfig { samples, seed: 7 })
+        .run(raw.engine(EngineKind::default()), raw.profile())?;
     println!(
         "{:<28}{:>8}{:>10}{:>8}{:>9}{:>8}{:>11}",
         "RAW", raw_res.sdc, raw_res.detected, raw_res.crash, raw_res.timeout, raw_res.benign, "-"
     );
 
     for t in Technique::PROTECTED {
-        let prog = pipeline.protect(&module, t)?;
-        let cpu = pipeline.load(&prog)?;
-        let profile = cpu.profile();
-        let res = Campaign::sampled(CampaignConfig { samples, seed: 8 }).run(&cpu, &profile)?;
+        let build = pipeline.build(&module, t)?;
+        let res = Campaign::sampled(CampaignConfig { samples, seed: 8 })
+            .run(build.engine(EngineKind::default()), build.profile())?;
         let cov = sdc_coverage(raw_res.sdc_prob(), res.sdc_prob());
         println!(
             "{:<28}{:>8}{:>10}{:>8}{:>9}{:>8}{:>10.1}%",
@@ -60,7 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         raw_res.sdc_prob() * 100.0,
         lo * 100.0,
         hi * 100.0,
-        raw_profile.sites.len()
+        raw.profile().sites.len()
     );
     Ok(())
 }

@@ -5,7 +5,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use ferrum::{Pipeline, StopReason, Technique};
+use ferrum::{EngineKind, Pipeline, StopReason, Technique};
 use ferrum_cpu::fault::FaultSpec;
 use ferrum_mir::builder::FunctionBuilder;
 use ferrum_mir::module::{Global, Module};
@@ -35,19 +35,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 2. Compile raw and with FERRUM protection.
     let pipeline = Pipeline::new();
-    let raw = pipeline.protect(&module, Technique::None)?;
-    let protected = pipeline.protect(&module, Technique::Ferrum)?;
+    let raw = pipeline.build(&module, Technique::None)?;
+    let protected = pipeline.build(&module, Technique::Ferrum)?;
     println!(
         "raw: {} instructions, FERRUM-protected: {} instructions",
-        raw.static_inst_count(),
-        protected.static_inst_count()
+        raw.program().static_inst_count(),
+        protected.program().static_inst_count()
     );
 
     // 3. Fault-free runs agree.
-    let raw_cpu = pipeline.load(&raw)?;
-    let prot_cpu = pipeline.load(&protected)?;
-    let golden = raw_cpu.run(None);
-    assert_eq!(prot_cpu.run(None).output, golden.output);
+    let raw_engine = raw.engine(EngineKind::default());
+    let prot_engine = protected.engine(EngineKind::default());
+    let golden = raw_engine.run(None);
+    assert_eq!(prot_engine.run(None).output, golden.output);
     println!(
         "fault-free output: {:?} ({} cycles raw)",
         golden.output, golden.cycles
@@ -60,11 +60,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut prot_detected = 0;
     for dyn_index in (0..golden.dyn_insts).step_by(10) {
         let fault = Some(FaultSpec::new(dyn_index, 4));
-        let r = raw_cpu.run(fault);
+        let r = raw_engine.run(fault);
         if r.stop == StopReason::MainReturned && r.output != golden.output {
             raw_sdc += 1;
         }
-        let p = prot_cpu.run(fault);
+        let p = prot_engine.run(fault);
         match p.stop {
             StopReason::Detected => prot_detected += 1,
             StopReason::MainReturned if p.output != golden.output => prot_sdc += 1,

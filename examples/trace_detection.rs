@@ -6,7 +6,7 @@
 //! cargo run --example trace_detection
 //! ```
 
-use ferrum::{Pipeline, StopReason, Technique};
+use ferrum::{EngineKind, Pipeline, StopReason, Technique};
 use ferrum_cpu::fault::FaultSpec;
 use ferrum_cpu::trace::WroteValue;
 use ferrum_mir::builder::FunctionBuilder;
@@ -31,17 +31,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     module.functions.push(b.finish());
 
     let pipeline = Pipeline::new();
-    let prog = pipeline.protect(&module, Technique::Ferrum)?;
-    let cpu = pipeline.load(&prog)?;
+    let build = pipeline.build(&module, Technique::Ferrum)?;
+    let engine = build.engine(EngineKind::default());
 
     // Find a fault that gets detected, then show the trace.
-    let profile = cpu.profile();
-    let fault = profile
+    let fault = build
+        .profile()
         .sites
         .iter()
         .find_map(|site| {
             let f = FaultSpec::new(site.dyn_index, 2);
-            (cpu.run(Some(f)).stop == StopReason::Detected).then_some(f)
+            (engine.run(Some(f)).stop == StopReason::Detected).then_some(f)
         })
         .expect("some fault is detected");
 
@@ -49,7 +49,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "injecting bit 2 at dynamic instruction {}:\n",
         fault.dyn_index
     );
-    let trace = cpu.run_traced(Some(fault), 200);
+    // The instruction trace is the reference interpreter's.
+    let trace = build.cpu().run_traced(Some(fault), 200);
     // Print a window around the injection point.
     let from = fault.dyn_index.saturating_sub(4);
     for e in &trace.entries {

@@ -26,6 +26,11 @@ cargo run --release --offline -q -p ferrum-cli --bin ferrum -- selfcheck
 echo "== tier1: repro check (every deterministic artifact under results/ regenerates from the code)"
 cargo run --release --offline -q -p ferrum-bench --bin repro -- check
 
+echo "== tier1: examples (the public walkthrough runs, and its assertions hold)"
+for example in quickstart fault_campaign coverage_gap protect_binary trace_detection; do
+    cargo run --release --offline -q --example "$example" > /dev/null
+done
+
 echo "== tier1: bench_check.sh --quick (bench.json regression gate vs committed baseline)"
 sh scripts/bench_check.sh --quick
 

@@ -9,7 +9,7 @@
 //! test constructs the alignment on purpose to document the boundary of
 //! the guarantee.
 
-use ferrum::{Pipeline, StopReason, Technique};
+use ferrum::{EngineKind, Pipeline, StopReason, Technique};
 use ferrum_cpu::fault::FaultSpec;
 use ferrum_mir::builder::FunctionBuilder;
 use ferrum_mir::module::{Global, Module};
@@ -33,11 +33,10 @@ fn print_global_module() -> Module {
 fn aligned_double_fault_defeats_duplication() {
     let module = print_global_module();
     let pipeline = Pipeline::new();
-    let prog = pipeline
-        .protect(&module, Technique::Ferrum)
-        .expect("protects");
-    let cpu = pipeline.load(&prog).expect("loads");
-    let profile = cpu.profile();
+    let build = pipeline
+        .build(&module, Technique::Ferrum)
+        .expect("builds");
+    let (engine, profile) = (build.engine(EngineKind::default()), build.profile());
     let golden = &profile.result.output;
 
     // Scan adjacent (duplicate, original) site pairs: a protection-
@@ -53,7 +52,7 @@ fn aligned_double_fault_defeats_duplication() {
             continue;
         }
         for bit in [1u16, 3, 5] {
-            let run = cpu.run_multi(&[
+            let run = engine.run_multi(&[
                 FaultSpec::new(a.dyn_index, bit),
                 FaultSpec::new(b.dyn_index, bit),
             ]);
@@ -76,15 +75,14 @@ fn each_half_of_the_adversarial_pair_alone_is_caught() {
     // escapes.
     let module = print_global_module();
     let pipeline = Pipeline::new();
-    let prog = pipeline
-        .protect(&module, Technique::Ferrum)
-        .expect("protects");
-    let cpu = pipeline.load(&prog).expect("loads");
-    let profile = cpu.profile();
+    let build = pipeline
+        .build(&module, Technique::Ferrum)
+        .expect("builds");
+    let (engine, profile) = (build.engine(EngineKind::default()), build.profile());
     let golden = &profile.result.output;
     for site in &profile.sites {
         for bit in [1u16, 3, 5] {
-            let run = cpu.run(Some(FaultSpec::new(site.dyn_index, bit)));
+            let run = engine.run(Some(FaultSpec::new(site.dyn_index, bit)));
             let silent = run.stop == StopReason::MainReturned && &run.output != golden;
             assert!(
                 !silent,

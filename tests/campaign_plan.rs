@@ -102,7 +102,7 @@ impl Subject {
         let prunes = [None, Some(&self.map)];
         let prunes = &prunes[..1 + usize::from(prunable)];
         let mut plans = 0;
-        for engine in [Engine::from(&self.cpu), Engine::from(&self.decoded)] {
+        for engine in [Engine::Interpreter(&self.cpu), Engine::Decoded(&self.decoded)] {
             for threads in [1, 3] {
                 for snapshots in SNAPSHOTS {
                     for &prune in prunes {
@@ -265,7 +265,7 @@ fn journal_cut_at_midpoint(
 /// Sampled plans: prune and journal reuse on top of every schedule.
 fn sampled_matrix(s: &Subject, cfg: CampaignConfig) {
     let reference = Campaign::sampled(cfg)
-        .run(&s.cpu, &s.profile)
+        .run(Engine::Interpreter(&s.cpu), &s.profile)
         .expect("runs");
     let journal = journal_cut_at_midpoint(&s.profile, cfg, &reference);
     assert!(journal.completed() > 0 && journal.completed() < cfg.samples);
@@ -284,7 +284,7 @@ fn sampled_matrix(s: &Subject, cfg: CampaignConfig) {
         .snapshots(SNAPSHOTS[2])
         .prune(&s.map)
         .reuse(Reuse::Journal(&journal))
-        .run(&s.decoded, &s.profile)
+        .run(Engine::Decoded(&s.decoded), &s.profile)
         .expect("resumes");
     assert_eq!(
         resumed.stats.reused_sites,
@@ -329,7 +329,7 @@ fn stratified_matrix(s: &Subject) {
         seed: 0x5EED,
     };
     let reference = Campaign::stratified(cfg, &s.prog)
-        .run(&s.cpu, &s.profile)
+        .run(Engine::Interpreter(&s.cpu), &s.profile)
         .expect("runs");
     let cache = CampaignCache::from_result(&s.prog, &s.profile, cfg, &reference);
     let faults = FaultList::Stratified(cfg, &s.prog);
@@ -345,7 +345,7 @@ fn stratified_matrix(s: &Subject) {
         .threads(3)
         .snapshots(SNAPSHOTS[1])
         .reuse(Reuse::Cache(&cache))
-        .run(&s.decoded, &s.profile)
+        .run(Engine::Decoded(&s.decoded), &s.profile)
         .expect("runs");
     assert_eq!(warm.stats.reused_sites, warm.total(), "{}", s.label);
     assert_eq!(
@@ -417,7 +417,7 @@ fn sampled_plans_agree_on_a_small_kernel() {
 fn double_fault_plans_agree_on_a_small_kernel() {
     for s in small_kernels() {
         let double = Campaign::double(SMALL)
-            .run(&s.cpu, &s.profile)
+            .run(Engine::Interpreter(&s.cpu), &s.profile)
             .expect("runs");
         assert_eq!(double.total(), SMALL.samples);
         if s.label.ends_with("RAW") {
@@ -432,7 +432,7 @@ fn double_fault_plans_agree_on_a_small_kernel() {
 fn exhaustive_plans_agree_on_a_small_kernel() {
     for s in small_kernels() {
         let exhaustive = Campaign::exhaustive(2)
-            .run(&s.cpu, &s.profile)
+            .run(Engine::Interpreter(&s.cpu), &s.profile)
             .expect("runs");
         assert_eq!(exhaustive.total(), s.profile.sites.len() * 2);
         let plans = s.check_axes(FaultList::Exhaustive(2), true, &[Reuse::None], &exhaustive);
@@ -453,7 +453,7 @@ fn zero_sample_stats_keep_the_schema_without_dividing_by_zero() {
         Campaign::stratified(cfg, &s.prog),
         Campaign::double(cfg),
     ] {
-        let result = plan.run(&s.cpu, &s.profile).expect("runs");
+        let result = plan.run(Engine::Interpreter(&s.cpu), &s.profile).expect("runs");
         assert_eq!(result.total(), 0);
         assert!(result.records.is_empty() && result.sdc_prob() == 0.0);
         assert!(result.stats.injections_per_sec.is_finite());

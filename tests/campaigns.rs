@@ -1,7 +1,7 @@
 //! Whole-suite campaign invariants: the paper's coverage claims hold on
 //! every benchmark, not just hand-picked kernels.
 
-use ferrum::{Pipeline, Technique};
+use ferrum::{EngineKind, Pipeline, Technique};
 use ferrum_faultsim::rootcause::attribute_sdcs;
 use ferrum_faultsim::{Campaign, CampaignConfig};
 use ferrum_workloads::{all_workloads, Scale};
@@ -12,16 +12,15 @@ const SAMPLES: usize = 220;
 fn raw_programs_are_vulnerable_everywhere() {
     let pipeline = Pipeline::new();
     for w in all_workloads() {
-        let prog = pipeline
-            .protect(&w.build(Scale::Test), Technique::None)
+        let build = pipeline
+            .build(&w.build(Scale::Test), Technique::None)
             .unwrap();
-        let cpu = pipeline.load(&prog).unwrap();
-        let profile = cpu.profile();
+        let profile = build.profile();
         let res = Campaign::sampled(CampaignConfig {
             samples: SAMPLES,
             seed: 1,
         })
-        .run(&cpu, &profile)
+        .run(build.engine(EngineKind::default()), profile)
         .unwrap();
         assert!(res.sdc > 0, "{}: expected SDCs in the raw program", w.name);
         assert_eq!(
@@ -36,16 +35,15 @@ fn raw_programs_are_vulnerable_everywhere() {
 fn ferrum_shows_no_sdc_on_any_workload() {
     let pipeline = Pipeline::new();
     for w in all_workloads() {
-        let prog = pipeline
-            .protect(&w.build(Scale::Test), Technique::Ferrum)
+        let build = pipeline
+            .build(&w.build(Scale::Test), Technique::Ferrum)
             .unwrap();
-        let cpu = pipeline.load(&prog).unwrap();
-        let profile = cpu.profile();
+        let profile = build.profile();
         let res = Campaign::sampled(CampaignConfig {
             samples: SAMPLES,
             seed: 2,
         })
-        .run(&cpu, &profile)
+        .run(build.engine(EngineKind::default()), profile)
         .unwrap();
         assert_eq!(
             res.sdc, 0,
@@ -60,16 +58,15 @@ fn ferrum_shows_no_sdc_on_any_workload() {
 fn hybrid_shows_no_sdc_on_any_workload() {
     let pipeline = Pipeline::new();
     for w in all_workloads() {
-        let prog = pipeline
-            .protect(&w.build(Scale::Test), Technique::HybridAsmEddi)
+        let build = pipeline
+            .build(&w.build(Scale::Test), Technique::HybridAsmEddi)
             .unwrap();
-        let cpu = pipeline.load(&prog).unwrap();
-        let profile = cpu.profile();
+        let profile = build.profile();
         let res = Campaign::sampled(CampaignConfig {
             samples: SAMPLES,
             seed: 3,
         })
-        .run(&cpu, &profile)
+        .run(build.engine(EngineKind::default()), profile)
         .unwrap();
         assert_eq!(res.sdc, 0, "{}: hybrid must give 100% coverage", w.name);
         assert!(res.detected > 0, "{}", w.name);
@@ -82,23 +79,22 @@ fn ir_eddi_detects_much_but_leaks_in_backend_glue() {
     let mut leaked_total = 0usize;
     let mut glue_attributed = 0usize;
     for w in all_workloads() {
-        let prog = pipeline
-            .protect(&w.build(Scale::Test), Technique::IrEddi)
+        let build = pipeline
+            .build(&w.build(Scale::Test), Technique::IrEddi)
             .unwrap();
-        let cpu = pipeline.load(&prog).unwrap();
-        let profile = cpu.profile();
+        let profile = build.profile();
         let res = Campaign::sampled(CampaignConfig {
             samples: SAMPLES,
             seed: 4,
         })
-        .run(&cpu, &profile)
+        .run(build.engine(EngineKind::default()), profile)
         .unwrap();
         assert!(
             res.detected > 0,
             "{}: IR-EDDI must detect something",
             w.name
         );
-        let rc = attribute_sdcs(&profile, &res);
+        let rc = attribute_sdcs(profile, &res);
         assert_eq!(
             rc.protection, 0,
             "{}: protection code must never cause SDC",
@@ -124,11 +120,10 @@ fn overhead_ordering_matches_the_paper() {
     let mut sums = [0.0f64; 3];
     for w in all_workloads() {
         let module = w.build(Scale::Test);
-        let raw = pipeline.protect(&module, Technique::None).unwrap();
-        let raw_cycles = pipeline.load(&raw).unwrap().run(None).cycles as f64;
+        let cycles = |t| pipeline.build(&module, t).unwrap().profile().result.cycles as f64;
+        let raw_cycles = cycles(Technique::None);
         for (i, t) in Technique::PROTECTED.into_iter().enumerate() {
-            let p = pipeline.protect(&module, t).unwrap();
-            let c = pipeline.load(&p).unwrap().run(None).cycles as f64;
+            let c = cycles(t);
             sums[i] += (c - raw_cycles) / raw_cycles;
         }
     }
@@ -149,16 +144,15 @@ fn timeouts_and_crashes_are_classified_not_conflated() {
     // them apart from SDCs.
     let pipeline = Pipeline::new();
     let w = ferrum_workloads::workload("bfs").expect("exists");
-    let prog = pipeline
-        .protect(&w.build(Scale::Test), Technique::None)
+    let build = pipeline
+        .build(&w.build(Scale::Test), Technique::None)
         .unwrap();
-    let cpu = pipeline.load(&prog).unwrap();
-    let profile = cpu.profile();
+    let profile = build.profile();
     let res = Campaign::sampled(CampaignConfig {
         samples: 400,
         seed: 9,
     })
-    .run(&cpu, &profile)
+    .run(build.engine(EngineKind::default()), profile)
     .unwrap();
     assert!(
         res.crash > 0,

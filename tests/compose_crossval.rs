@@ -29,6 +29,7 @@ use ferrum_cpu::run::{Cpu, Profile};
 use ferrum_eddi::ferrum::{Ferrum, FerrumConfig};
 use ferrum_eddi::hybrid::HybridAsmEddi;
 use ferrum_faultsim::campaign::{CampaignConfig, Outcome, SnapshotPolicy};
+use ferrum_faultsim::Engine;
 use ferrum_mir::builder::FunctionBuilder;
 use ferrum_mir::module::{Global, Module};
 use ferrum_mir::types::Ty;
@@ -46,7 +47,7 @@ fn stratified(
 ) -> (CampaignResult, CampaignCache) {
     let result = Campaign::stratified(cfg, asm)
         .reuse(cache.map_or(Reuse::None, Reuse::Cache))
-        .run(cpu, profile)
+        .run(Engine::Interpreter(cpu), profile)
         .unwrap();
     let cache = CampaignCache::from_result(asm, profile, cfg, &result);
     (result, cache)
@@ -114,7 +115,7 @@ fn assert_composed_sound(what: &str, asm: &AsmProgram, samples: usize) {
     let res = Campaign::sampled(cfg)
         .threads(threads())
         .snapshots(SnapshotPolicy::default())
-        .run(&cpu, &profile)
+        .run(Engine::Interpreter(&cpu), &profile)
         .unwrap();
     for &(fault, outcome) in &res.records {
         match verdict_of(&profile, &composed, fault) {
@@ -320,7 +321,7 @@ mod escape_properties {
                 let cpu = Cpu::load(&asm).expect("loads");
                 let profile = cpu.profile();
                 let cfg = CampaignConfig { samples: 64, seed };
-                let res = Campaign::sampled(cfg).run(&cpu, &profile).unwrap();
+                let res = Campaign::sampled(cfg).run(Engine::Interpreter(&cpu), &profile).unwrap();
                 for &(fault, outcome) in &res.records {
                     let pc = profile.site_at(fault.dyn_index).expect("profiled site").pc;
                     let Some(unit) = summary.unit_at(pc, fault.raw_bit) else {

@@ -27,7 +27,7 @@ use ferrum_cpu::fault::FaultSpec;
 use ferrum_eddi::ferrum::{Ferrum, FerrumConfig};
 use ferrum_eddi::hybrid::HybridAsmEddi;
 use ferrum_faultsim::campaign::{CampaignConfig, Outcome, SnapshotPolicy};
-use ferrum_faultsim::Campaign;
+use ferrum_faultsim::{Campaign, Engine};
 use ferrum_mir::module::Module;
 use ferrum_workloads::catalog::{all_workloads, Scale};
 
@@ -95,7 +95,7 @@ fn assert_sound(what: &str, asm: &AsmProgram, samples: usize, expect_decided: bo
     let res = Campaign::sampled(cfg)
         .threads(threads())
         .snapshots(SnapshotPolicy::default())
-        .run(&cpu, &profile)
+        .run(Engine::Interpreter(&cpu), &profile)
         .unwrap();
     let mut decided = 0usize;
     for &(fault, outcome) in &res.records {
@@ -152,10 +152,10 @@ fn pruned_engine_is_outcome_identical_across_configs() {
             samples: 400,
             seed: 0xFE44,
         };
-        let serial = Campaign::sampled(cfg).run(&cpu, &profile).unwrap();
+        let serial = Campaign::sampled(cfg).run(Engine::Interpreter(&cpu), &profile).unwrap();
         let pruned = Campaign::sampled(cfg)
             .prune(&map)
-            .run(&cpu, &profile)
+            .run(Engine::Interpreter(&cpu), &profile)
             .unwrap();
         assert_eq!(
             serial, pruned,
@@ -176,10 +176,10 @@ fn ferrum_prune_rate_clears_twenty_percent_on_all_workloads() {
             samples: 400,
             seed: 0xFE44,
         };
-        let serial = Campaign::sampled(cfg).run(&cpu, &profile).unwrap();
+        let serial = Campaign::sampled(cfg).run(Engine::Interpreter(&cpu), &profile).unwrap();
         let pruned = Campaign::sampled(cfg)
             .prune(&map)
-            .run(&cpu, &profile)
+            .run(Engine::Interpreter(&cpu), &profile)
             .unwrap();
         assert_eq!(
             serial, pruned,
@@ -220,10 +220,10 @@ fn manifest_validated_map_is_sound_and_still_prunes() {
         samples: 400,
         seed: 0xBEEF,
     };
-    let serial = Campaign::sampled(cfg).run(&cpu, &profile).unwrap();
+    let serial = Campaign::sampled(cfg).run(Engine::Interpreter(&cpu), &profile).unwrap();
     let pruned = Campaign::sampled(cfg)
         .prune(&validated)
-        .run(&cpu, &profile)
+        .run(Engine::Interpreter(&cpu), &profile)
         .unwrap();
     assert_eq!(serial, pruned);
     assert!(

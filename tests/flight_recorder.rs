@@ -23,33 +23,21 @@ use std::sync::Arc;
 
 use ferrum::flight::{event_to_ndjson, journal_from_ndjson, parse_events, NdjsonSink};
 use ferrum::{
-    program_signature, Campaign, CampaignCache, CampaignConfig, CampaignEvent, CampaignResult,
-    CoverageMap, EngineKind, FlightEvent, FlightPolicy, FlightRecorder, JournalSnapshot,
-    MemorySink, Pipeline, Reuse, ShardRecord, SnapshotPolicy, Stage, Technique,
+    program_signature, Build, Campaign, CampaignCache, CampaignConfig, CampaignEvent,
+    CampaignResult, CoverageMap, EngineKind, FlightEvent, FlightPolicy, FlightRecorder,
+    JournalSnapshot, MemorySink, Pipeline, Reuse, ShardRecord, SnapshotPolicy, Stage, Technique,
 };
-use ferrum_asm::program::AsmProgram;
-use ferrum_cpu::run::{Cpu, Profile};
 
-/// A loaded catalog program.
-struct Subject {
-    prog: AsmProgram,
-    cpu: Cpu,
-    profile: Profile,
-}
-
-fn load(name: &str, technique: Technique) -> Subject {
+/// A catalog program, built.
+fn load(name: &str, technique: Technique) -> Build {
     let w = ferrum_workloads::workload(name).expect("in catalog");
     let module = w.build(ferrum_workloads::Scale::Test);
-    let pipeline = Pipeline::new();
-    let prog = pipeline.protect(&module, technique).expect("protects");
-    let cpu = pipeline.load(&prog).expect("loads");
-    let profile = cpu.profile();
-    Subject { prog, cpu, profile }
+    Pipeline::new().build(&module, technique).expect("builds")
 }
 
 /// [`record_with`] under the default recorder policy.
 fn record(
-    s: &Subject,
+    s: &Build,
     engine: EngineKind,
     plan: Campaign<'_>,
 ) -> (CampaignResult, Vec<FlightEvent>) {
@@ -62,7 +50,7 @@ fn record(
 /// `injection` when it ran cold, under `replay` after a
 /// `snapshot-restore` when it ran from a snapshot.
 fn record_with(
-    s: &Subject,
+    s: &Build,
     engine: EngineKind,
     policy: FlightPolicy,
     plan: Campaign<'_>,
@@ -70,10 +58,8 @@ fn record_with(
     let sink = Arc::new(MemorySink::new());
     let recorder = FlightRecorder::new(sink.clone())
         .with_policy(policy)
-        .with_program_hash(program_signature(&s.prog));
-    let result = engine
-        .with_cpu(&s.cpu, |e| plan.observe(&recorder).run(e, &s.profile))
-        .unwrap();
+        .with_program_hash(program_signature(s.program()));
+    let result = plan.observe(&recorder).run(s.engine(engine), s.profile()).unwrap();
     let events = sink.events();
 
     let count = |stage: Stage| -> u64 {
@@ -119,11 +105,11 @@ const CFG: CampaignConfig = CampaignConfig {
 #[test]
 fn recording_never_changes_outcomes() {
     let s = load("bfs", Technique::Ferrum);
-    let map = CoverageMap::analyze(&s.prog);
+    let map = CoverageMap::analyze(s.program());
     let sampled = Campaign::sampled(CFG);
-    let stratified = Campaign::stratified(CFG, &s.prog);
-    let cold = stratified.run(&s.cpu, &s.profile).unwrap();
-    let cache = CampaignCache::from_result(&s.prog, &s.profile, CFG, &cold);
+    let stratified = Campaign::stratified(CFG, s.program());
+    let cold = stratified.run(s.engine(EngineKind::Interpreter), s.profile()).unwrap();
+    let cache = CampaignCache::from_result(s.program(), s.profile(), CFG, &cold);
     let (_, events) = record(&s, EngineKind::Interpreter, sampled);
     let journal = JournalSnapshot::from_events(cut_after_shards(&events, 3)).expect("journal");
     let (journal, cache) = (Reuse::Journal(&journal), Reuse::Cache(&cache));
@@ -146,9 +132,7 @@ fn recording_never_changes_outcomes() {
     for engine in EngineKind::ALL {
         for plan in plans {
             let what = format!("{}/{}", plan.executor(), engine.label());
-            let bare = engine
-                .with_cpu(&s.cpu, |e| plan.run(e, &s.profile))
-                .unwrap();
+            let bare = plan.run(s.engine(engine), s.profile()).unwrap();
             let (recorded, events) = record(&s, engine, plan);
             assert_eq!(recorded, bare, "{what}: recorder changed outcomes");
             assert_eq!(
@@ -241,10 +225,10 @@ fn ndjson_file_round_trip_preserves_the_stream() {
     let sink = Arc::new(MemorySink::new());
     let file = Arc::new(NdjsonSink::create(path_s).expect("creates"));
     let recorder = FlightRecorder::new(Arc::new(ferrum::TeeSink::new(vec![sink.clone(), file])))
-        .with_program_hash(program_signature(&s.prog));
+        .with_program_hash(program_signature(s.program()));
     let result = Campaign::sampled(CFG)
         .observe(&recorder)
-        .run(&s.cpu, &s.profile)
+        .run(s.engine(EngineKind::Interpreter), s.profile())
         .unwrap();
 
     let text = std::fs::read_to_string(&path).expect("reads back");
@@ -257,7 +241,7 @@ fn ndjson_file_round_trip_preserves_the_stream() {
     assert!(journal.finished);
     let resumed = Campaign::sampled(CFG)
         .reuse(Reuse::Journal(&journal))
-        .run(&s.cpu, &s.profile)
+        .run(s.engine(EngineKind::Interpreter), s.profile())
         .expect("resumes");
     assert_eq!(resumed, result);
     assert_eq!(resumed.stats.reused_sites, result.total());
@@ -303,8 +287,8 @@ fn resume_at_every_shard_boundary_is_byte_identical() {
                 .expect("journal from header");
             assert_eq!(journal.completed(), k * journal.shard_size.min(CFG.samples));
             let resume = Campaign::sampled(CFG).reuse(Reuse::Journal(&journal));
-            let resumed = engine
-                .with_cpu(&s.cpu, |e| resume.run(e, &s.profile))
+            let resumed = resume
+                .run(s.engine(engine), s.profile())
                 .unwrap_or_else(|e| panic!("{}: resume at {k}: {e}", engine.label()));
             assert_eq!(resumed, full, "{}: kill after shard {k}", engine.label());
             assert_eq!(
@@ -325,7 +309,7 @@ fn resume_rejects_a_mismatched_journal() {
     let resume = |cfg: CampaignConfig, journal: &JournalSnapshot| {
         Campaign::sampled(cfg)
             .reuse(Reuse::Journal(journal))
-            .run(&s.cpu, &s.profile)
+            .run(s.engine(EngineKind::Interpreter), s.profile())
     };
 
     // Wrong seed: the journaled faults no longer match this campaign.
@@ -431,7 +415,7 @@ fn torn_journal_tail_resumes_from_the_last_complete_record() {
     assert!(!journal.finished || journal.completed() == full.total());
     let resumed = Campaign::sampled(CFG)
         .reuse(Reuse::Journal(&journal))
-        .run(&s.cpu, &s.profile)
+        .run(s.engine(EngineKind::Interpreter), s.profile())
         .expect("resumes");
     assert_eq!(resumed, full);
 }
@@ -460,7 +444,7 @@ fn concurrent_campaigns_stream_into_their_own_recorders() {
                         .snapshots(SnapshotPolicy::default())
                         .observe(&recorder);
                     start.wait();
-                    let result = plan.run(&s.cpu, &s.profile).unwrap();
+                    let result = plan.run(s.engine(EngineKind::Interpreter), s.profile()).unwrap();
                     (result, sink.events())
                 })
             })
@@ -481,7 +465,7 @@ fn concurrent_campaigns_stream_into_their_own_recorders() {
             .collect();
         assert_eq!(started.len(), 1, "{name}: one started event");
         assert_eq!(started[0].workload, *name);
-        assert_eq!(started[0].sites, s.profile.sites.len(), "{name}: sites");
+        assert_eq!(started[0].sites, s.profile().sites.len(), "{name}: sites");
         let mut shards: Vec<&ShardRecord> = events
             .iter()
             .filter_map(|e| match &e.event {
@@ -533,7 +517,7 @@ mod prop {
             let journal = JournalSnapshot::from_events(cut_after_shards(&events, k))
                 .expect("journal");
             let resumed = Campaign::sampled(cfg).reuse(Reuse::Journal(&journal))
-            .run(&s.cpu, &s.profile)
+            .run(s.engine(EngineKind::Interpreter), s.profile())
             .expect("resumes");
             prop_assert_eq!(resumed, full);
         }

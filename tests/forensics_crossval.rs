@@ -24,8 +24,8 @@
 //! invariants over random seeds.
 
 use ferrum::{
-    explain_unknown_sites, forensic_report, Campaign, CampaignConfig, CoverageMap, ForensicConfig,
-    Outcome, Pipeline, Technique,
+    explain_unknown_sites, forensic_report, Campaign, CampaignConfig, CoverageMap, EngineKind,
+    ForensicConfig, Outcome, Pipeline, Technique,
 };
 use ferrum_faultsim::forensics::{EscapeReason, ForensicRecord, ForensicsReport};
 use ferrum_workloads::catalog::{all_workloads, Scale};
@@ -43,22 +43,21 @@ fn analyze(
     ForensicsReport,
     Vec<ferrum::UnknownSiteExplanation>,
 ) {
-    let prog = pipeline.protect(module, technique).expect("protects");
-    let map = CoverageMap::analyze(&prog);
-    let cpu = pipeline.load(&prog).expect("loads");
-    let profile = cpu.profile();
+    let build = pipeline.build(module, technique).expect("builds");
+    let map = CoverageMap::analyze(build.program());
+    let (engine, profile) = (build.engine(EngineKind::Interpreter), build.profile());
     let cfg = CampaignConfig {
         samples: SAMPLES,
         seed: SEED,
     };
-    let serial = Campaign::sampled(cfg).run(&cpu, &profile).unwrap();
+    let serial = Campaign::sampled(cfg).run(engine, profile).unwrap();
     let fcfg = ForensicConfig {
         outcomes,
         max_records: usize::MAX,
         ..ForensicConfig::default()
     };
-    let report = forensic_report(&cpu, &profile, &serial, &fcfg);
-    let expl = explain_unknown_sites(&profile, &map, &report);
+    let report = forensic_report(engine, profile, &serial, &fcfg);
+    let expl = explain_unknown_sites(profile, &map, &report);
     (serial, report, expl)
 }
 
@@ -268,17 +267,16 @@ mod prop {
         fn records_stay_consistent_over_seeds(seed in 0u64..1_000_000) {
             let pipeline = Pipeline::new();
             let module = ferrum_workloads::workload("bfs").expect("exists").build(Scale::Test);
-            let prog = pipeline.protect(&module, Technique::IrEddi).expect("protects");
-            let cpu = pipeline.load(&prog).expect("loads");
-            let profile = cpu.profile();
+            let build = pipeline.build(&module, Technique::IrEddi).expect("builds");
+            let (engine, profile) = (build.engine(EngineKind::Interpreter), build.profile());
             let cfg = CampaignConfig { samples: 60, seed };
-            let serial = Campaign::sampled(cfg).run(&cpu, &profile).unwrap();
+            let serial = Campaign::sampled(cfg).run(engine, profile).unwrap();
             let fcfg = ForensicConfig {
                 outcomes: vec![Outcome::Sdc],
                 max_records: usize::MAX,
                 ..ForensicConfig::default()
             };
-            let report = forensic_report(&cpu, &profile, &serial, &fcfg);
+            let report = forensic_report(engine, profile, &serial, &fcfg);
             prop_assert_eq!(report.matching_total, serial.sdc);
             for r in &report.records {
                 check_record(&format!("bfs/seed{seed}"), r);

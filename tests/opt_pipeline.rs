@@ -141,21 +141,20 @@ fn asm_level_protection_keeps_full_coverage_on_optimized_programs() {
     // through a lowered signature shadow, so a fault there corrupts
     // real output after the guarding check already ran.  Both asm-level
     // techniques must stay SDC-free on optimized input.
-    use ferrum::{CampaignConfig, Technique};
+    use ferrum::{CampaignConfig, EngineKind, Technique};
     use ferrum_faultsim::Campaign;
     for name in ["needle", "kmeans", "pathfinder"] {
         let w = ferrum_workloads::workload(name).expect("in catalog");
         let module = w.build(Scale::Test);
         let pipeline = Pipeline::new().with_opt_level(OptLevel::O1);
         for technique in [Technique::HybridAsmEddi, Technique::Ferrum] {
-            let prog = pipeline.protect(&module, technique).expect("protects");
-            let cpu = pipeline.load(&prog).expect("loads");
-            let profile = cpu.profile();
+            let build = pipeline.build(&module, technique).expect("builds");
             let cfg = CampaignConfig {
                 samples: 400,
                 seed: 0xFE44,
             };
-            let result = Campaign::sampled(cfg).run(&cpu, &profile).unwrap();
+            let engine = build.engine(EngineKind::default());
+            let result = Campaign::sampled(cfg).run(engine, build.profile()).unwrap();
             assert_eq!(
                 result.sdc, 0,
                 "{name}/{technique}@O1: {} SDCs escaped asm-level protection",

@@ -6,9 +6,17 @@
 //! A failure here means a protection emission site lost its
 //! `Provenance::Protection(_, Mechanism)` tag.
 
-use ferrum::{attribute_overhead, Mechanism, Pipeline};
+use ferrum::{diff_profile, Error, Mechanism, OverheadAttribution, Pipeline, Technique};
 use ferrum_eddi::FerrumConfig;
+use ferrum_mir::module::Module;
 use ferrum_workloads::{all_workloads, Scale};
+
+/// FERRUM on `module` against its baseline, both under `pipeline`.
+fn attribute(pipeline: &Pipeline, module: &Module) -> Result<OverheadAttribution, Error> {
+    let baseline = pipeline.baseline(module)?;
+    let ferrum = pipeline.build(module, Technique::Ferrum)?;
+    Ok(diff_profile(&baseline, &ferrum)?.attribution)
+}
 
 #[test]
 fn mechanism_counts_sum_exactly_on_every_catalog_workload() {
@@ -16,7 +24,7 @@ fn mechanism_counts_sum_exactly_on_every_catalog_workload() {
     let mut seen = [0u64; Mechanism::ALL.len()];
     for w in all_workloads() {
         let module = w.build(Scale::Test);
-        let att = attribute_overhead(&pipeline, &module).expect(w.name);
+        let att = attribute(&pipeline, &module).expect(w.name);
         assert!(att.protection_insts() > 0, "{}: no protection insts", w.name);
         assert!(
             att.reconciles(),
@@ -51,7 +59,7 @@ fn requisition_mechanism_reconciles_when_forced() {
         ..FerrumConfig::default()
     });
     let w = ferrum_workloads::workload("bfs").expect("exists");
-    let att = attribute_overhead(&pipeline, &w.build(Scale::Test)).expect("attributes");
+    let att = attribute(&pipeline, &w.build(Scale::Test)).expect("attributes");
     assert!(
         att.mech.get(Mechanism::Requisition).insts > 0,
         "forced requisition must execute requisition glue: {att:?}"

@@ -20,7 +20,7 @@ use ferrum_asm::operand::{MemRef, Operand, Scale as MScale};
 use ferrum_asm::reg::{Gpr, Reg, Width, Xmm, Ymm, ALL_GPRS};
 use ferrum_cpu::fault::FaultSpec;
 use ferrum_faultsim::campaign::{classify, Outcome};
-use ferrum_faultsim::Campaign;
+use ferrum_faultsim::{Campaign, Engine};
 use ferrum_mir::builder::FunctionBuilder;
 use ferrum_mir::inst::{BinOp, ICmpPred};
 use ferrum_mir::interp::Interp;
@@ -461,8 +461,9 @@ proptest! {
         let cpu = pipeline.load(&prog).expect("loads");
         let profile = cpu.profile();
         let cfg = CampaignConfig { samples: 64, seed };
-        let serial = Campaign::sampled(cfg).run(&cpu, &profile).unwrap();
-        let pruned = Campaign::sampled(cfg).prune(&map).run(&cpu, &profile).unwrap();
+        let engine = Engine::Interpreter(&cpu);
+        let serial = Campaign::sampled(cfg).run(engine, &profile).unwrap();
+        let pruned = Campaign::sampled(cfg).prune(&map).run(engine, &profile).unwrap();
         prop_assert_eq!(serial, pruned);
     }
 

@@ -3,7 +3,7 @@
 //! and fully protective across the entire benchmark suite, and must
 //! actually emit the push/pop idiom.
 
-use ferrum::{Pipeline, StopReason, Technique};
+use ferrum::{EngineKind, Pipeline, StopReason, Technique};
 use ferrum_asm::inst::Inst;
 use ferrum_eddi::ferrum::{Ferrum, FerrumConfig};
 use ferrum_faultsim::{Campaign, CampaignConfig};
@@ -37,16 +37,14 @@ fn forced_requisition_keeps_full_coverage() {
     let pipeline = requisition_pipeline();
     for w in all_workloads() {
         let module = w.build(Scale::Test);
-        let prog = pipeline
-            .protect(&module, Technique::Ferrum)
-            .expect("protects");
-        let cpu = pipeline.load(&prog).expect("loads");
-        let profile = cpu.profile();
+        let build = pipeline
+            .build(&module, Technique::Ferrum)
+            .expect("builds");
         let res = Campaign::sampled(CampaignConfig {
             samples: 150,
             seed: 31,
         })
-        .run(&cpu, &profile)
+        .run(build.engine(EngineKind::default()), build.profile())
         .unwrap();
         assert_eq!(res.sdc, 0, "{}: requisition mode must stay at 100%", w.name);
     }

@@ -55,8 +55,8 @@ fn decoded_engine_is_byte_identical_across_the_whole_catalog() {
                 seed: 0xFE44_0006,
             };
             assert_identical(
-                &Campaign::sampled(cfg).run(&decoded, &profile).unwrap(),
-                &Campaign::sampled(cfg).run(&cpu, &profile).unwrap(),
+                &Campaign::sampled(cfg).run(Engine::Decoded(&decoded), &profile).unwrap(),
+                &Campaign::sampled(cfg).run(Engine::Interpreter(&cpu), &profile).unwrap(),
                 &format!("{}/{technique}", w.name),
             );
         }
@@ -79,9 +79,9 @@ fn engines_and_executors_agree_on_optimized_programs() {
             };
             let what = format!("{name}/{technique}@O1");
 
-            let serial = Campaign::sampled(cfg).run(&cpu, &profile).unwrap();
+            let serial = Campaign::sampled(cfg).run(Engine::Interpreter(&cpu), &profile).unwrap();
             assert_identical(
-                &Campaign::sampled(cfg).run(&decoded, &profile).unwrap(),
+                &Campaign::sampled(cfg).run(Engine::Decoded(&decoded), &profile).unwrap(),
                 &serial,
                 &format!("{what} decoded"),
             );
@@ -108,7 +108,7 @@ fn snapshot_policy_never_changes_outcomes() {
         samples: 200,
         seed: 7,
     };
-    let serial = Campaign::sampled(cfg).run(&cpu, &profile).unwrap();
+    let serial = Campaign::sampled(cfg).run(Engine::Interpreter(&cpu), &profile).unwrap();
     for policy in [
         SnapshotPolicy::default(),
         SnapshotPolicy {
@@ -128,7 +128,7 @@ fn snapshot_policy_never_changes_outcomes() {
         let snap = Campaign::sampled(cfg)
             .threads(3)
             .snapshots(policy)
-            .run(&cpu, &profile)
+            .run(Engine::Interpreter(&cpu), &profile)
             .unwrap();
         assert_identical(&serial, &snap, &format!("{policy:?}"));
     }
@@ -141,7 +141,7 @@ fn same_seed_same_result_different_seed_different_samples() {
         Campaign::sampled(CampaignConfig { samples: 250, seed })
             .threads(threads)
             .snapshots(SnapshotPolicy::default())
-            .run(&cpu, &profile)
+            .run(Engine::Interpreter(&cpu), &profile)
             .unwrap()
     };
     let (a, b, c) = (run(1, 2), run(1, 4), run(2, 4));
@@ -161,7 +161,7 @@ fn throughput_counters_are_populated() {
     })
     .threads(4)
     .snapshots(SnapshotPolicy::default())
-    .run(&cpu, &profile)
+    .run(Engine::Interpreter(&cpu), &profile)
     .unwrap();
     let s = &r.stats;
     assert_eq!(s.injections, 400);

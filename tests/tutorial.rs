@@ -1,8 +1,7 @@
 //! Keeps docs/TUTORIAL.md honest: every code block in the walkthrough,
 //! compiled and executed.
 
-use ferrum::{Pipeline, Technique};
-use ferrum_cpu::decoded::DecodedCpu;
+use ferrum::{EngineKind, Pipeline, Technique};
 use ferrum_cpu::fault::FaultSpec;
 use ferrum_faultsim::{Campaign, CampaignConfig, SnapshotPolicy};
 use ferrum_mir::builder::FunctionBuilder;
@@ -53,28 +52,28 @@ fn tutorial_step_2_listing_has_provenance() {
 fn tutorial_steps_3_to_5_protect_inject_measure() {
     let m = dot_product();
     let pipeline = Pipeline::new();
-    let raw = pipeline.protect(&m, Technique::None).unwrap();
-    let prot = pipeline.protect(&m, Technique::Ferrum).unwrap();
-    let raw_cpu = pipeline.load(&raw).unwrap();
-    let cpu = pipeline.load(&prot).unwrap();
-    assert_eq!(raw_cpu.run(None).output, cpu.run(None).output);
+    let raw = pipeline.build(&m, Technique::None).unwrap();
+    let ferrum_ = pipeline.build(&m, Technique::Ferrum).unwrap();
+    assert!(ferrum_.program().static_inst_count() > raw.program().static_inst_count());
+    assert_eq!(raw.profile().result.output, ferrum_.profile().result.output);
 
-    let profile = cpu.profile();
+    let profile = ferrum_.profile();
     let plan = Campaign::sampled(CampaignConfig {
         samples: 500,
         seed: 1,
     });
-    let res = plan.run(&cpu, &profile).unwrap();
+    let res = plan.run(ferrum_.engine(EngineKind::default()), profile).unwrap();
     assert_eq!(res.sdc, 0);
     assert!(res.detected > 0);
     let fast = plan.threads(4).snapshots(SnapshotPolicy::default());
-    assert_eq!(fast.run(&DecodedCpu::new(&cpu), &profile).unwrap(), res);
+    assert_eq!(fast.run(ferrum_.engine(EngineKind::default()), profile).unwrap(), res);
+    assert_eq!(plan.run(ferrum_.engine(EngineKind::Interpreter), profile).unwrap(), res);
 
-    let raw_cycles = raw_cpu.run(None).cycles;
-    let prot_cycles = cpu.run(None).cycles;
+    let raw_cycles = raw.profile().result.cycles;
+    let prot_cycles = ferrum_.profile().result.cycles;
     assert!(prot_cycles > raw_cycles / 2, "sanity");
 
-    let trace = cpu.run_traced(Some(FaultSpec::new(40, 3)), 200);
+    let trace = ferrum_.cpu().run_traced(Some(FaultSpec::new(40, 3)), 200);
     assert!(!trace.render().is_empty());
 }
 
@@ -88,10 +87,7 @@ fn tutorial_step_3b_config_knobs() {
         ..FerrumConfig::default()
     };
     let pipeline = Pipeline::new().with_ferrum_config(cfg);
-    let prot = pipeline.protect(&m, Technique::Ferrum).unwrap();
-    let golden = pipeline.protect(&m, Technique::None).unwrap();
-    assert_eq!(
-        pipeline.load(&prot).unwrap().run(None).output,
-        pipeline.load(&golden).unwrap().run(None).output
-    );
+    let prot = pipeline.build(&m, Technique::Ferrum).unwrap();
+    let golden = pipeline.build(&m, Technique::None).unwrap();
+    assert_eq!(prot.profile().result.output, golden.profile().result.output);
 }
