@@ -147,6 +147,8 @@ pub enum ValidateError {
     NoMain,
     /// A `pinsrq`/`vinserti128` lane index is out of range.
     BadLane(Label),
+    /// An instruction writes an immediate operand (`movq %rcx, $0`).
+    ImmediateDestination(Label),
 }
 
 impl fmt::Display for ValidateError {
@@ -170,6 +172,12 @@ impl fmt::Display for ValidateError {
             }
             ValidateError::NoMain => write!(f, "program has no `main` function"),
             ValidateError::BadLane(l) => write!(f, "lane index out of range in function `{l}`"),
+            ValidateError::ImmediateDestination(l) => {
+                write!(
+                    f,
+                    "instruction writes an immediate operand in function `{l}`"
+                )
+            }
         }
     }
 }
@@ -218,7 +226,8 @@ impl AsmProgram {
     /// # Errors
     ///
     /// Returns every problem found (duplicate labels, dangling jump
-    /// targets, missing terminators, malformed movs, missing `main`).
+    /// targets, missing terminators, malformed movs, immediate
+    /// destinations, missing `main`).
     pub fn validate(&self) -> Result<(), Vec<ValidateError>> {
         let mut errors = Vec::new();
         let mut seen = HashMap::new();
@@ -267,6 +276,16 @@ impl AsmProgram {
                     }
                     Inst::Vinserti128 { lane, .. } if *lane > 1 => {
                         errors.push(ValidateError::BadLane(f.name.clone()));
+                    }
+                    Inst::Mov { dst, .. }
+                    | Inst::Alu { dst, .. }
+                    | Inst::Unary { dst, .. }
+                    | Inst::Shift { dst, .. }
+                    | Inst::Setcc { dst, .. }
+                    | Inst::Pop { dst }
+                        if matches!(dst, Operand::Imm(_)) =>
+                    {
+                        errors.push(ValidateError::ImmediateDestination(f.name.clone()));
                     }
                     _ => {}
                 }
@@ -400,6 +419,58 @@ mod tests {
         }]);
         let errs = p.validate().unwrap_err();
         assert!(errs.contains(&ValidateError::BadLane("main".into())));
+    }
+
+    #[test]
+    fn immediate_destination_is_rejected() {
+        let rcx = || Operand::Reg(Reg::q(Gpr::Rcx));
+        let imm = || Operand::Imm(0);
+        let writers = [
+            Inst::Mov {
+                w: Width::W64,
+                src: rcx(),
+                dst: imm(),
+            },
+            Inst::Alu {
+                op: crate::inst::AluOp::Add,
+                w: Width::W64,
+                src: rcx(),
+                dst: imm(),
+            },
+            Inst::Unary {
+                op: crate::inst::UnaryOp::Neg,
+                w: Width::W64,
+                dst: imm(),
+            },
+            Inst::Shift {
+                op: crate::inst::ShiftOp::Shl,
+                w: Width::W64,
+                amount: crate::inst::ShiftAmount::Imm(1),
+                dst: imm(),
+            },
+            Inst::Setcc {
+                cc: crate::flags::Cc::E,
+                dst: imm(),
+            },
+            Inst::Pop { dst: imm() },
+        ];
+        for inst in writers {
+            let errs = single_block_main(vec![inst.clone()])
+                .validate()
+                .unwrap_err();
+            assert_eq!(
+                errs,
+                [ValidateError::ImmediateDestination("main".into())],
+                "{inst:?}"
+            );
+        }
+        // Reading an immediate is fine, and so is comparing against one.
+        let cmp = Inst::Cmp {
+            w: Width::W64,
+            src: rcx(),
+            dst: imm(),
+        };
+        assert!(single_block_main(vec![cmp]).validate().is_ok());
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub fn fig10(ctx: &mut Ctx, o: &Opts) -> Result<String, Error> {
     for r in reports.iter() {
         out += &format!("  {:<16}{:>7}\n", r.name, pct(r.raw_sdc_prob));
     }
-    out += "\ncampaign-engine throughput (snapshot engine, see repro_speedup):\n";
+    out += "\ncampaign-engine throughput (snapshot engine, see repro speedup):\n";
     out += &render_throughput_table(&reports);
     Ok(out)
 }

@@ -23,6 +23,7 @@
 
 mod extensions;
 mod figures;
+mod speedup;
 
 use std::fmt::Display;
 use std::path::Path;
@@ -32,9 +33,8 @@ use std::time::Instant;
 
 use ferrum::{
     all_workloads, evaluate_workload, Build, Campaign, CampaignResult, EngineKind, Error,
-    EvalConfig, Pipeline, SnapshotPolicy, WorkloadReport,
+    EvalConfig, OptLevel, Pipeline, Scale, SnapshotPolicy, WorkloadReport,
 };
-use ferrum_bench::{parse_eval_config, EVAL_FLAGS};
 
 /// The directory `all` writes and `check` reads, relative to the
 /// working directory (the repository root).
@@ -122,7 +122,50 @@ const ARTIFACTS: &[Artifact] = &[
     entry("native",    "native.txt",       &[],                 SCALE,       Timing::All,  extensions::native),
     entry("forensics", "forensics.txt",    &[],                 CAMPAIGN,    Timing::None, extensions::forensics),
     entry("coverage",  "coverage.txt",     &["--samples", "400", "--scale", "test"], CAMPAIGN, Timing::None, extensions::coverage),
+    entry("speedup",   "speedup.txt",      &["--samples", "200", "--seed", "65092", "--scale", "test"], CAMPAIGN, Timing::After(speedup::TIMINGS), speedup::speedup),
 ];
+
+/// The campaign flags, each followed by a value.
+const EVAL_FLAGS: [&str; 4] = ["--samples", "--seed", "--scale", "--opt"];
+
+/// Parses the `--samples`, `--seed`, `--scale` and `--opt` flags that
+/// `accepts` names.  Any other name in `accepts` is a switch the caller
+/// reads itself (`--json`).
+///
+/// # Errors
+///
+/// An argument `accepts` does not name, or one of the four flags
+/// without a value or with a value that does not parse: a typo must
+/// not silently run the default configuration.
+fn parse_eval_config(args: &[String], accepts: &[&str]) -> Result<EvalConfig, String> {
+    let mut cfg = EvalConfig::default();
+    let mut it = args.iter();
+    while let Some(flag) = it.next() {
+        if !accepts.contains(&flag.as_str()) {
+            return Err(format!("unknown argument `{flag}`"));
+        }
+        let set: fn(&mut EvalConfig, &str) -> Option<()> = match flag.as_str() {
+            "--samples" => |c, v| v.parse().ok().map(|n| c.samples = n),
+            "--seed" => |c, v| v.parse().ok().map(|s| c.seed = s),
+            "--scale" => |c, v| {
+                c.scale = match v {
+                    "test" => Scale::Test,
+                    "paper" => Scale::Paper,
+                    _ => return None,
+                };
+                Some(())
+            },
+            "--opt" => |c, v| OptLevel::parse(v).map(|o| c.opt = o),
+            _ => continue,
+        };
+        let value = it
+            .next()
+            .filter(|v| !v.starts_with("--"))
+            .ok_or_else(|| format!("`{flag}` needs a value"))?;
+        set(&mut cfg, value).ok_or_else(|| format!("`{flag}` cannot parse `{value}`"))?;
+    }
+    Ok(cfg)
+}
 
 /// Work the entries of one process share.
 #[derive(Default)]
@@ -337,12 +380,80 @@ mod tests {
         let mut files: Vec<String> = std::fs::read_dir(&dir)
             .expect("results/ exists")
             .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
-            .filter(|f| f.ends_with(".txt"))
             .collect();
         files.sort();
         let mut entries: Vec<String> = ARTIFACTS.iter().map(|a| a.file.to_owned()).collect();
         entries.sort();
         assert_eq!(files, entries);
+    }
+
+    fn strings(args: &[&str]) -> Vec<String> {
+        args.iter().map(|s| s.to_string()).collect()
+    }
+
+    fn parse(args: &[&str]) -> Result<EvalConfig, String> {
+        parse_eval_config(&strings(args), &EVAL_FLAGS)
+    }
+
+    #[test]
+    fn flag_parsing() {
+        let cfg = parse(&["--samples", "250", "--seed", "7", "--scale", "test"]).unwrap();
+        assert_eq!(cfg.samples, 250);
+        assert_eq!(cfg.seed, 7);
+        assert_eq!(cfg.scale, Scale::Test);
+        assert_eq!(cfg.opt, OptLevel::O0);
+        let cfg = parse(&[]).unwrap();
+        assert_eq!(cfg.samples, 1000);
+        assert_eq!(cfg.scale, Scale::Paper);
+        assert_eq!(parse(&["--opt", "1"]).unwrap().opt, OptLevel::O1);
+        // A switch the caller reads itself passes where it is accepted.
+        let json =
+            parse_eval_config(&strings(&["--json", "--samples", "9"]), &["--samples", "--json"]);
+        assert_eq!(json.unwrap().samples, 9);
+    }
+
+    #[test]
+    fn unknown_flags_are_an_error() {
+        let campaign = ["--samples", "--seed", "--scale"];
+        assert_eq!(
+            parse_eval_config(&strings(&["--sample", "300"]), &campaign).unwrap_err(),
+            "unknown argument `--sample`"
+        );
+        // A flag of another entry is unknown to one that does not read it.
+        assert_eq!(
+            parse_eval_config(&strings(&["--opt", "1"]), &campaign).unwrap_err(),
+            "unknown argument `--opt`"
+        );
+        assert_eq!(parse(&["--json"]).unwrap_err(), "unknown argument `--json`");
+        assert_eq!(parse(&["300"]).unwrap_err(), "unknown argument `300`");
+        assert!(parse_eval_config(&strings(&["--scale", "test"]), &[]).is_err());
+    }
+
+    #[test]
+    fn bad_samples_are_an_error() {
+        assert_eq!(parse(&["--samples"]).unwrap_err(), "`--samples` needs a value");
+        assert_eq!(parse(&["--samples", "lots"]).unwrap_err(), "`--samples` cannot parse `lots`");
+        assert!(parse(&["--samples", "-3"]).is_err());
+    }
+
+    #[test]
+    fn bad_seed_is_an_error() {
+        assert_eq!(parse(&["--seed", "--scale", "test"]).unwrap_err(), "`--seed` needs a value");
+        assert!(parse(&["--seed", "0xFE44"]).is_err());
+    }
+
+    #[test]
+    fn bad_scale_is_an_error() {
+        assert_eq!(parse(&["--scale", "paper"]).unwrap().scale, Scale::Paper);
+        assert_eq!(parse(&["--scale", "tset"]).unwrap_err(), "`--scale` cannot parse `tset`");
+        assert!(parse(&["--scale"]).is_err());
+    }
+
+    #[test]
+    fn bad_opt_is_an_error() {
+        assert_eq!(parse(&["--opt", "O1"]).unwrap().opt, OptLevel::O1);
+        assert_eq!(parse(&["--opt", "O2"]).unwrap_err(), "`--opt` cannot parse `O2`");
+        assert!(parse(&["--opt"]).is_err());
     }
 
     #[test]
@@ -353,7 +464,7 @@ mod tests {
     }
 
     const COMMITTED: &str = "Fig. 10\nbenchmark  cov\nbfs  93.5%\n\
-                             campaign-engine throughput (see repro_speedup):\n\
+                             campaign-engine throughput (see repro speedup):\n\
                              benchmark  inj/sec\nbfs/FERRUM  3520\n";
 
     #[test]

@@ -1094,8 +1094,10 @@ impl JournalSnapshot {
     /// Rejects a journal whose fingerprint does not match the config
     /// and profile (seed, samples, site census, golden run, or — when
     /// both sides carry one — program hash), whose executor does not
-    /// sample from the shared fault list, or whose shard records
-    /// disagree with the re-drawn faults.
+    /// sample from the shared fault list, whose shard records disagree
+    /// with the re-drawn faults, or whose shard outcomes disagree with
+    /// that shard's own tallies.  An edit to both an outcome and its
+    /// shard's tallies stays undetectable: that needs a checksum.
     pub(crate) fn outcomes(
         &self,
         cfg: CampaignConfig,
@@ -1156,6 +1158,7 @@ impl JournalSnapshot {
             {
                 return fail(format!("shard {} is malformed", shard.shard));
             }
+            let mut tallies = OutcomeTallies::default();
             for (k, &(fault, outcome)) in shard.records.iter().enumerate() {
                 let i = shard.start + k;
                 if fault != faults[i] {
@@ -1163,7 +1166,14 @@ impl JournalSnapshot {
                         "journaled fault at index {i} does not match the seed's sample — wrong program or corrupt journal"
                     ));
                 }
+                tallies.add(outcome);
                 journaled[i] = Some(outcome);
+            }
+            if tallies != shard.tallies {
+                return fail(format!(
+                    "shard {} records disagree with its tallies — corrupt journal",
+                    shard.shard
+                ));
             }
         }
         Ok(journaled)
@@ -1433,7 +1443,10 @@ mod tests {
             len: 1,
             seed,
             program_hash: 0,
-            tallies: OutcomeTallies::default(),
+            tallies: OutcomeTallies {
+                benign: 1,
+                ..OutcomeTallies::default()
+            },
             records: vec![(fault, Outcome::Benign)],
         };
         let journal = |shards| JournalSnapshot {

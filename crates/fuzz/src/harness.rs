@@ -15,6 +15,7 @@
 //!       manifests ∩ regalloc pool = ∅  (reservation discipline)
 //!       lint(ferrum|hybrid) clean      (protection contracts)
 //!       pruned campaign ≡ serial       (coverage soundness)
+//!       campaign(ferrum|hybrid) books no SDC  (the zero-SDC invariant)
 //! ```
 //!
 //! A failed check is a [`Divergence`] naming the seed and the stage;
@@ -22,8 +23,8 @@
 //! others in the same run.
 
 use ferrum::{
-    Build, CampaignConfig, CoverageMap, EngineKind, Outcome, Pipeline, StaticVerdict, StopReason,
-    Technique,
+    Build, CampaignConfig, CampaignResult, CoverageMap, EngineKind, Outcome, Pipeline,
+    StaticVerdict, StopReason, Technique,
 };
 use ferrum_asm::analysis::lint::{lint_program, lint_program_with};
 use ferrum_backend::{compile, OptLevel, ProgramMeta};
@@ -50,8 +51,9 @@ pub struct FuzzConfig {
     pub programs: u64,
     /// Seed of the first program.
     pub base_seed: u64,
-    /// Faults for the coverage cross-check campaign (0 disables the
-    /// campaign stage, which dominates runtime).
+    /// Faults for each campaign stage, the coverage cross-check and
+    /// the no-SDC check (0 skips every campaign; campaigns dominate
+    /// runtime).
     pub campaign_samples: usize,
 }
 
@@ -203,9 +205,14 @@ pub fn check_program(seed: u64, campaign_samples: usize) -> (u64, u64, Vec<Diver
         });
     }
 
-    // Protection transparency and lint cleanliness at both levels, and
-    // coverage soundness at -O1: one build per technique serves every
-    // check of its configuration.
+    // Protection transparency and lint cleanliness at both levels,
+    // coverage soundness at -O1, and no SDC under FERRUM and hybrid at
+    // both: one build per technique serves every check of its
+    // configuration.
+    let plan = Campaign::sampled(CampaignConfig {
+        samples: campaign_samples,
+        seed: seed ^ 0xC0FFEE,
+    });
     for (pipeline, _) in &levels {
         let opt = pipeline.opt_level();
         for technique in Technique::PROTECTED {
@@ -245,9 +252,6 @@ pub fn check_program(seed: u64, campaign_samples: usize) -> (u64, u64, Vec<Diver
                         let clash = clash.unwrap();
                         format!("[{}] reserved {clash} is in the regalloc pool", opt.label())
                     });
-                    if opt == OptLevel::O1 && campaign_samples > 0 {
-                        coverage_soundness(&mut c, &build, campaign_samples);
-                    }
                 }
                 Technique::HybridAsmEddi => {
                     let rep = lint_program(build.program());
@@ -255,7 +259,30 @@ pub fn check_program(seed: u64, campaign_samples: usize) -> (u64, u64, Vec<Diver
                         format!("[{}] {} findings", opt.label(), rep.findings.len())
                     });
                 }
-                Technique::None | Technique::IrEddi => {}
+                Technique::None | Technique::IrEddi => continue,
+            }
+            if campaign_samples == 0 {
+                continue;
+            }
+            // At FERRUM -O1 the serial campaign of the coverage check
+            // is the one that must book no SDC.
+            let campaign = if technique == Technique::Ferrum && opt == OptLevel::O1 {
+                coverage_soundness(&mut c, &build, plan)
+            } else {
+                match plan.run(build.engine(EngineKind::default()), build.profile()) {
+                    Ok(r) => Some(r),
+                    Err(e) => {
+                        c.check("campaign", false, || e.to_string());
+                        None
+                    }
+                }
+            };
+            if let Some(r) = campaign {
+                c.check("no-sdc", r.sdc == 0, || {
+                    let (sdc, total) = (r.sdc, r.total());
+                    let opt = opt.label();
+                    format!("[{opt}/{technique}] {sdc} of {total} sampled faults are SDCs")
+                });
             }
         }
     }
@@ -266,21 +293,25 @@ pub fn check_program(seed: u64, campaign_samples: usize) -> (u64, u64, Vec<Diver
 /// Coverage soundness on an optimized FERRUM build: the pruned
 /// campaign on the default engine must be outcome-identical to the
 /// serial campaign on the reference interpreter, and no decided static
-/// verdict may be contradicted by injection.
-fn coverage_soundness(c: &mut Checker, build: &Build, campaign_samples: usize) {
+/// verdict may be contradicted by injection.  Returns the serial
+/// campaign, or `None` when a campaign could not run.
+fn coverage_soundness(
+    c: &mut Checker,
+    build: &Build,
+    plan: Campaign<'_>,
+) -> Option<CampaignResult> {
     let map = CoverageMap::analyze(build.program());
     let profile = build.profile();
-    let plan = Campaign::sampled(CampaignConfig {
-        samples: campaign_samples,
-        seed: c.seed ^ 0xC0FFEE,
-    });
     let runs = plan.run(build.engine(EngineKind::Interpreter), profile).and_then(|serial| {
         let pruned = plan.prune(&map).run(build.engine(EngineKind::default()), profile)?;
         Ok((serial, pruned))
     });
     let (serial, pruned) = match runs {
         Ok(r) => r,
-        Err(e) => return c.check("campaign", false, || e.to_string()),
+        Err(e) => {
+            c.check("campaign", false, || e.to_string());
+            return None;
+        }
     };
     c.check("pruned-identity", serial == pruned, || {
         "pruned campaign diverged from the serial interpreter campaign".into()
@@ -302,6 +333,7 @@ fn coverage_soundness(c: &mut Checker, build: &Build, campaign_samples: usize) {
     c.check("verdict-soundness", contradicted == 0, || {
         format!("{contradicted} static verdicts contradicted by injection")
     });
+    Some(serial)
 }
 
 /// Runs the whole campaign.  `progress` is called after every program

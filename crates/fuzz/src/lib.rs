@@ -15,7 +15,8 @@
 //!   output on both execution engines, pass-bundle idempotence and
 //!   stat exactness, protection transparency and lint cleanliness for
 //!   every technique at both optimization levels, and (optionally)
-//!   static-coverage soundness against a pruned-vs-serial campaign.
+//!   static-coverage soundness against a pruned-vs-serial campaign and
+//!   no SDC in a sampled FERRUM or hybrid campaign.
 //!
 //! The harness exists because the `-O1` pass bundle rewrites exactly
 //! the code shapes the protection passes key on (frame-slot

@@ -31,9 +31,6 @@ for example in quickstart fault_campaign coverage_gap protect_binary trace_detec
     cargo run --release --offline -q --example "$example" > /dev/null
 done
 
-echo "== tier1: bench_check.sh --quick (bench.json regression gate vs committed baseline)"
-sh scripts/bench_check.sh --quick
-
 echo "== tier1: perfbench tests (the benchmark's own workspace: smoke runs of both workloads)"
 cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 

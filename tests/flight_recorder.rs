@@ -23,9 +23,10 @@ use std::sync::Arc;
 
 use ferrum::flight::{event_to_ndjson, journal_from_ndjson, parse_events, NdjsonSink};
 use ferrum::{
-    program_signature, Build, Campaign, CampaignCache, CampaignConfig, CampaignEvent,
-    CampaignResult, CoverageMap, EngineKind, FlightEvent, FlightPolicy, FlightRecorder,
-    JournalSnapshot, MemorySink, Pipeline, Reuse, ShardRecord, SnapshotPolicy, Stage, Technique,
+    program_signature, Build, Campaign, CampaignCache, CampaignConfig, CampaignError,
+    CampaignEvent, CampaignResult, CoverageMap, EngineKind, FlightEvent, FlightPolicy,
+    FlightRecorder, JournalSnapshot, MemorySink, Outcome, Pipeline, Reuse, ShardRecord,
+    SnapshotPolicy, Stage, Technique,
 };
 
 /// A catalog program, built.
@@ -324,6 +325,25 @@ fn resume_rejects_a_mismatched_journal() {
     journal.fingerprint.program_hash ^= 1;
     let err = resume(CFG, &journal).expect_err("hash mismatch accepted");
     assert!(err.to_string().contains("hash"), "unhelpful error: {err}");
+}
+
+#[test]
+fn resume_rejects_a_shard_whose_records_disagree_with_its_tallies() {
+    let s = load("bfs", Technique::None);
+    let (_, events) = record(&s, EngineKind::Interpreter, Campaign::sampled(CFG));
+    let mut journal = JournalSnapshot::from_events(cut_after_shards(&events, 2)).expect("journal");
+    // Flip one journaled outcome and leave its shard's tallies alone.
+    let record = &mut journal.shards[1].records[0].1;
+    *record = match *record {
+        Outcome::Sdc => Outcome::Benign,
+        _ => Outcome::Sdc,
+    };
+    let err = Campaign::sampled(CFG)
+        .reuse(Reuse::Journal(&journal))
+        .run(s.engine(EngineKind::Interpreter), s.profile())
+        .expect_err("a shard that contradicts its tallies was accepted");
+    assert!(matches!(err, CampaignError::Journal(_)), "{err:?}");
+    assert!(err.to_string().contains("tallies"), "unhelpful error: {err}");
 }
 
 // ---------------------------------------------------------------------
