@@ -33,13 +33,16 @@
 //!    red-zone-verified pops, and the requisitioned registers are never
 //!    touched by non-protection code while on the stack.
 //!
-//! Protection code is identified by [`Provenance::is_protection`], so
-//! the lint must run on in-memory pass output (a parsed listing has lost
-//! provenance).  Functions with no assembly-level protection tags are
-//! skipped: there is no contract to verify.  IR-level signature
-//! protection (`HybridAsmEddi` retags) is trusted for compare coverage —
-//! contract 3's unprotected-compare rule only applies to functions
-//! carrying `Ferrum` tags.
+//! Protection code is identified by [`Provenance::is_protection`].  A
+//! printed listing keeps provenance as `# prot:ferrum:dup`-style
+//! comments, so a parsed listing lints like the pass output it came
+//! from; what printing loses is the pass's [`ProtectionManifest`]s, so
+//! manifest-driven linting needs the in-memory pass output.  Functions
+//! with no assembly-level protection tags are skipped: there is no
+//! contract to verify.  IR-level signature protection (`HybridAsmEddi`
+//! retags) is trusted for compare coverage — contract 3's
+//! unprotected-compare rule only applies to functions carrying
+//! `Ferrum` tags.
 //!
 //! Unreachable blocks are skipped per the [`Cfg::reverse_post_order`]
 //! contract: they never execute, so no fault there is observable.

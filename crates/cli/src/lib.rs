@@ -117,11 +117,11 @@ fn protect_with_manifests(
 }
 
 /// Protects a listing and statically verifies the result with
-/// the protection lint (exposed as `ferrum lint`).  Protection
-/// happens in-memory: a printed listing loses the provenance tags the
-/// lint keys on, so lint-after-parse would have nothing to check.
-/// FERRUM techniques use manifest-driven linting — the pass declares
-/// its reserved registers and accumulators and the lint verifies the
+/// the protection lint (exposed as `ferrum lint`).  The lint runs on
+/// the in-memory pass output: a printed listing keeps its provenance
+/// tags as comments but loses the pass's manifests.  FERRUM
+/// techniques use manifest-driven linting — the pass declares its
+/// reserved registers and accumulators and the lint verifies the
 /// claims on top of its own shape inference.
 ///
 /// # Errors

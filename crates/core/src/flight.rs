@@ -606,7 +606,7 @@ impl FlightSink for NdjsonSink {
 /// Per-worker liveness tracking over a flight-event stream.
 ///
 /// Heartbeats arrive at a roughly fixed per-worker cadence
-/// (`FlightPolicy::heartbeat_every` injections), so a worker whose
+/// (every `total/10` of its own injections), so a worker whose
 /// heartbeats stop is either finished or wedged on a pathological
 /// fault.  The tracker learns each worker's cadence from its observed
 /// inter-heartbeat gaps (the maximum gap, so bursty-but-live workers

@@ -76,9 +76,9 @@ pub use ferrum_faultsim::compose::{
 };
 pub use ferrum_faultsim::engine::{Engine, EngineKind, EngineMachine};
 pub use ferrum_faultsim::flight::{
-    program_signature, CampaignEvent, CampaignFingerprint, FlightEvent, FlightPolicy,
-    FlightRecorder, FlightSink, JournalSnapshot, MemorySink, OutcomeTallies, ProgressSnapshot,
-    ShardRecord, Stage, TeeSink,
+    program_signature, CampaignEvent, CampaignFingerprint, FlightEvent, FlightRecorder,
+    FlightSink, JournalSnapshot, MemorySink, OutcomeTallies, ProgressSnapshot, ShardRecord, Stage,
+    TeeSink,
 };
 pub use ferrum_faultsim::forensics::{
     explain_unknown_sites, forensic_replay, forensic_report, CheckerEscape, Divergence,

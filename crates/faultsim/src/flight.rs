@@ -438,28 +438,16 @@ impl FlightSink for TeeSink {
 // Recorder
 // ---------------------------------------------------------------------------
 
-/// Cadence policy for the recorder.  Zero means "derive from the
-/// campaign's total" (the defaults scale from unit tests to
-/// million-injection campaigns without reconfiguration).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FlightPolicy {
-    /// Faults per journal shard (0 = `total/16`, at least 1).
-    pub shard_size: usize,
-    /// Injections between progress snapshots (0 = `total/10`, at
-    /// least 1).
-    pub progress_every: usize,
-    /// Per-worker injections between heartbeats (0 = follow
-    /// `progress_every`).
-    pub heartbeat_every: usize,
-    /// Rolling-window length in completions for the rate estimate
-    /// (0 = 64).
-    pub window: usize,
-}
+/// The recorder samples the clock into each rolling rate window every
+/// `RATE_STRIDE`-th completion and keeps `RATE_SAMPLES` samples, so a
+/// window spans about 64 completions.
+const RATE_STRIDE: usize = 4;
+const RATE_SAMPLES: usize = 16;
 
 /// Rolling rate estimator over sampled `(completion count, timestamp)`
 /// pairs; rate is completions between the oldest and newest sample
 /// over their time span.  The recorder samples the clock only every
-/// `rate_stride`-th completion, so at paper-scale injection rates the
+/// `RATE_STRIDE`-th completion, so at paper-scale injection rates the
 /// common probe path never reads the clock at all.  Fewer than two
 /// samples, or a zero-width span, reports 0.0 rather than dividing by
 /// zero.
@@ -469,9 +457,9 @@ struct RateWindow {
 }
 
 impl RateWindow {
-    fn push(&mut self, count: u64, now: u64, cap: usize) {
+    fn push(&mut self, count: u64, now: u64) {
         self.samples.push_back((count, now));
-        while self.samples.len() > cap.max(2) {
+        if self.samples.len() > RATE_SAMPLES {
             self.samples.pop_front();
         }
     }
@@ -505,9 +493,10 @@ struct WorkerState {
 }
 
 /// Per-campaign recorder state, rebuilt by each campaign-started
-/// probe.  The effective policy cadences (`progress_every`,
-/// `heartbeat_every`, the rate-sampling stride) are resolved once
-/// here so the per-injection probe does no policy arithmetic.
+/// probe.  That probe derives the cadences (`shard_size`,
+/// `progress_every`) from the campaign's total, so they scale from
+/// unit tests to million-injection campaigns and the per-injection
+/// probe does no cadence arithmetic.
 #[derive(Debug, Default)]
 struct RecState {
     active: bool,
@@ -528,12 +517,9 @@ struct RecState {
     seq: u64,
     /// Campaign epoch; event `nanos` are measured from here.
     t0: Option<Instant>,
-    /// Sample the clock into the rate windows every Nth completion.
-    rate_stride: usize,
-    /// Samples kept per rate window (spans ~`policy.window` completions).
-    window_cap: usize,
+    /// Completions between progress snapshots, and each worker's
+    /// injections between heartbeats.
     progress_every: usize,
-    heartbeat_every: usize,
 }
 
 /// The campaign flight recorder: receives run-loop probes, maintains
@@ -543,7 +529,6 @@ struct RecState {
 /// [`Campaign::observe`]: crate::plan::Campaign::observe
 pub struct FlightRecorder {
     sink: Arc<dyn FlightSink>,
-    policy: FlightPolicy,
     workload: String,
     technique: String,
     program_hash: u64,
@@ -553,7 +538,6 @@ pub struct FlightRecorder {
 impl fmt::Debug for FlightRecorder {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("FlightRecorder")
-            .field("policy", &self.policy)
             .field("workload", &self.workload)
             .field("technique", &self.technique)
             .field("program_hash", &self.program_hash)
@@ -562,23 +546,15 @@ impl fmt::Debug for FlightRecorder {
 }
 
 impl FlightRecorder {
-    /// A recorder delivering events to `sink` with the default policy.
+    /// A recorder delivering events to `sink`.
     pub fn new(sink: Arc<dyn FlightSink>) -> FlightRecorder {
         FlightRecorder {
             sink,
-            policy: FlightPolicy::default(),
             workload: String::new(),
             technique: String::new(),
             program_hash: 0,
             state: Mutex::new(RecState::default()),
         }
-    }
-
-    /// Overrides the cadence policy.
-    #[must_use]
-    pub fn with_policy(mut self, policy: FlightPolicy) -> FlightRecorder {
-        self.policy = policy;
-        self
     }
 
     /// Sets the workload/technique labels stamped into the
@@ -627,27 +603,10 @@ impl FlightRecorder {
         let Ok(mut st) = self.state.lock() else {
             return;
         };
-        let shard_size = match self.policy.shard_size {
-            0 => (total / 16).max(1),
-            s => s,
-        };
-        let window = if self.policy.window == 0 {
-            64
-        } else {
-            self.policy.window
-        };
-        let progress_every = match self.policy.progress_every {
-            0 => (total / 10).max(1),
-            p => p,
-        };
-        let heartbeat_every = match self.policy.heartbeat_every {
-            0 => progress_every,
-            h => h,
-        };
-        // Keeping ~16 samples spanning `window` completions means the
-        // clock is read on at most every `rate_stride`-th injection.
-        let rate_stride = (window / 16).max(1);
-        let window_cap = (window / rate_stride).max(2);
+        // Journal shards of a 16th of the campaign; a progress
+        // snapshot, and a heartbeat per worker, every 10th.
+        let shard_size = (total / 16).max(1);
+        let progress_every = (total / 10).max(1);
         let shards: Vec<ShardState> = (0..total)
             .step_by(shard_size)
             .map(|start| {
@@ -679,10 +638,7 @@ impl FlightRecorder {
             shard_size,
             shards,
             t0: Some(Instant::now()),
-            rate_stride,
-            window_cap,
             progress_every,
-            heartbeat_every,
             ..RecState::default()
         };
         self.emit(
@@ -744,9 +700,9 @@ impl FlightRecorder {
             Booking::Pruned => st.pruned += 1,
             Booking::Reused => st.reused += 1,
         }
-        if st.done % st.rate_stride == 0 {
-            let (count, t, cap) = (st.done as u64, now(), st.window_cap);
-            st.global_window.push(count, t, cap);
+        if st.done % RATE_STRIDE == 0 {
+            let (count, t) = (st.done as u64, now());
+            st.global_window.push(count, t);
         }
         if st.workers.len() <= worker {
             st.workers.resize_with(worker + 1, WorkerState::default);
@@ -757,15 +713,11 @@ impl FlightRecorder {
             w.steps += steps;
             w.since_heartbeat += 1;
         }
-        if st.workers[worker].injections % st.rate_stride == 0 {
-            let (count, t, cap) = (
-                st.workers[worker].injections as u64,
-                now(),
-                st.window_cap,
-            );
-            st.workers[worker].window.push(count, t, cap);
+        if st.workers[worker].injections % RATE_STRIDE == 0 {
+            let (count, t) = (st.workers[worker].injections as u64, now());
+            st.workers[worker].window.push(count, t);
         }
-        if st.workers[worker].since_heartbeat >= st.heartbeat_every {
+        if st.workers[worker].since_heartbeat >= st.progress_every {
             st.workers[worker].since_heartbeat = 0;
             let (injections, wsteps) = (st.workers[worker].injections, st.workers[worker].steps);
             let t = now();
@@ -1216,11 +1168,11 @@ mod tests {
         // report 0.0.
         let mut w = RateWindow::default();
         assert_eq!(w.rate(), 0.0, "empty window");
-        w.push(1, 100, 8);
+        w.push(1, 100);
         assert_eq!(w.rate(), 0.0, "single sample");
-        w.push(2, 100, 8);
+        w.push(2, 100);
         assert_eq!(w.rate(), 0.0, "zero time span");
-        w.push(3, 100 + 1_000_000_000, 8);
+        w.push(3, 100 + 1_000_000_000);
         assert!((w.rate() - 2.0).abs() < 1e-9, "2 completions over 1s");
     }
 
@@ -1228,9 +1180,9 @@ mod tests {
     fn rate_window_is_bounded() {
         let mut w = RateWindow::default();
         for i in 0..100 {
-            w.push(i, i * 1_000, 8);
+            w.push(i, i * 1_000);
         }
-        assert_eq!(w.samples.len(), 8);
+        assert_eq!(w.samples.len(), RATE_SAMPLES);
     }
 
     #[test]
@@ -1251,20 +1203,16 @@ mod tests {
 
     #[test]
     fn recorder_assembles_shards_and_snapshots() {
-        // Drive the recorder directly (no campaign): 10 faults,
-        // shard size 4 -> shards of 4, 4, 2; progress every 5.
+        // Drive the recorder directly (no campaign): 66 faults derive
+        // shards of 66/16 = 4, so 16 full shards and a last one of 2,
+        // and a progress snapshot every 66/10 = 6.
         let sink = Arc::new(MemorySink::new());
-        let rec = FlightRecorder::new(sink.clone()).with_policy(FlightPolicy {
-            shard_size: 4,
-            progress_every: 5,
-            heartbeat_every: 100,
-            window: 8,
-        });
+        let rec = FlightRecorder::new(sink.clone());
         let profile = empty_profile();
-        let cfg = CampaignConfig { samples: 10, seed: 7 };
-        rec.on_started("serial", EngineKind::Interpreter, cfg, &profile, 10);
+        let cfg = CampaignConfig { samples: 66, seed: 7 };
+        rec.on_started("serial", EngineKind::Interpreter, cfg, &profile, 66);
         // Complete out of order, as a work-stealing executor would.
-        for i in [9usize, 3, 1, 0, 2, 8, 4, 5, 6, 7] {
+        for i in (0..66usize).map(|k| k * 7 % 66) {
             rec.on_injection(
                 0,
                 i,
@@ -1275,7 +1223,7 @@ mod tests {
             );
         }
         let mut done = CampaignResult::default();
-        for i in 0..10u64 {
+        for i in 0..66u64 {
             done.record(FaultSpec::new(i, 0), Outcome::Benign);
         }
         rec.on_finished(&done);
@@ -1294,12 +1242,12 @@ mod tests {
                 _ => None,
             })
             .collect();
-        assert_eq!(started, vec![(10, 3, 4)]);
+        assert_eq!(started, vec![(66, 17, 4)]);
         let scheduled = events
             .iter()
             .filter(|e| matches!(e.event, CampaignEvent::ShardScheduled { .. }))
             .count();
-        assert_eq!(scheduled, 3);
+        assert_eq!(scheduled, 17);
         let shards: Vec<&ShardRecord> = events
             .iter()
             .filter_map(|e| match &e.event {
@@ -1307,7 +1255,10 @@ mod tests {
                 _ => None,
             })
             .collect();
-        assert_eq!(shards.len(), 3);
+        assert_eq!(shards.len(), 17);
+        let short: Vec<(usize, usize)> =
+            shards.iter().filter(|s| s.len != 4).map(|s| (s.shard, s.len)).collect();
+        assert_eq!(short, vec![(16, 2)]);
         // Shard records are in sampling order regardless of completion
         // order, and tallies sum to the shard length.
         let mut all: Vec<u64> = Vec::new();
@@ -1318,9 +1269,10 @@ mod tests {
             all.extend(s.records.iter().map(|(f, _)| f.dyn_index));
         }
         all.sort_unstable();
-        assert_eq!(all, (0..10).collect::<Vec<u64>>());
-        // Progress snapshots: done is monotone; the finish snapshot
-        // covers the whole campaign.
+        assert_eq!(all, (0..66).collect::<Vec<u64>>());
+        // Progress snapshots: one per 6 completions plus the finish
+        // snapshot; done is monotone; the finish snapshot covers the
+        // whole campaign.
         let snaps: Vec<&ProgressSnapshot> = events
             .iter()
             .filter_map(|e| match &e.event {
@@ -1328,12 +1280,12 @@ mod tests {
                 _ => None,
             })
             .collect();
-        assert!(!snaps.is_empty());
+        assert_eq!(snaps.len(), 66 / 6 + 1);
         assert!(snaps.windows(2).all(|w| w[0].done <= w[1].done));
         let last = snaps.last().unwrap();
-        assert_eq!((last.done, last.total), (10, 10));
-        assert_eq!(last.tallies.benign, 10);
-        assert_eq!(last.sdc_ci, wilson_interval(0, 10));
+        assert_eq!((last.done, last.total), (66, 66));
+        assert_eq!(last.tallies.benign, 66);
+        assert_eq!(last.sdc_ci, wilson_interval(0, 66));
         assert!(matches!(
             events.last().unwrap().event,
             CampaignEvent::Finished { .. }

@@ -42,9 +42,9 @@ pub use compose::{
 };
 pub use engine::{Engine, EngineKind, EngineMachine};
 pub use flight::{
-    program_signature, CampaignEvent, CampaignFingerprint, FlightEvent, FlightPolicy,
-    FlightRecorder, FlightSink, JournalSnapshot, MemorySink, OutcomeTallies, ProgressSnapshot,
-    ShardRecord, TeeSink,
+    program_signature, CampaignEvent, CampaignFingerprint, FlightEvent, FlightRecorder,
+    FlightSink, JournalSnapshot, MemorySink, OutcomeTallies, ProgressSnapshot, ShardRecord,
+    TeeSink,
 };
 pub use forensics::{
     explain_unknown_sites, forensic_replay, forensic_report, CheckerEscape, Divergence,

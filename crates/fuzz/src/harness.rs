@@ -14,6 +14,7 @@
 //!       Δsize == PassStats claims      (stat exactness)
 //!       manifests ∩ regalloc pool = ∅  (reservation discipline)
 //!       lint(ferrum|hybrid) clean      (protection contracts)
+//!       parse(print(ferrum|hybrid)) == itself  (listing round trip)
 //!       pruned campaign ≡ serial       (coverage soundness)
 //!       campaign(ferrum|hybrid) books no SDC  (the zero-SDC invariant)
 //! ```
@@ -27,6 +28,8 @@ use ferrum::{
     StaticVerdict, StopReason, Technique,
 };
 use ferrum_asm::analysis::lint::{lint_program, lint_program_with};
+use ferrum_asm::parser::parse_program;
+use ferrum_asm::printer::print_program;
 use ferrum_backend::{compile, OptLevel, ProgramMeta};
 use ferrum_faultsim::Campaign;
 use ferrum_mir::interp::Interp;
@@ -205,10 +208,10 @@ pub fn check_program(seed: u64, campaign_samples: usize) -> (u64, u64, Vec<Diver
         });
     }
 
-    // Protection transparency and lint cleanliness at both levels,
-    // coverage soundness at -O1, and no SDC under FERRUM and hybrid at
-    // both: one build per technique serves every check of its
-    // configuration.
+    // At both levels: protection transparency and lint cleanliness,
+    // the listing round trip and no SDC under FERRUM and hybrid, and
+    // coverage soundness under FERRUM.  One build per technique serves
+    // every check of its configuration.
     let plan = Campaign::sampled(CampaignConfig {
         samples: campaign_samples,
         seed: seed ^ 0xC0FFEE,
@@ -261,13 +264,20 @@ pub fn check_program(seed: u64, campaign_samples: usize) -> (u64, u64, Vec<Diver
                 }
                 Technique::None | Technique::IrEddi => continue,
             }
+            // The printed listing keeps every instruction's provenance
+            // as a comment, so it must parse back to the same program.
+            let back = parse_program(&print_program(build.program()));
+            c.check("round-trip", back.as_ref() == Ok(build.program()), || match back {
+                Err(e) => format!("[{}/{technique}] {e}", opt.label()),
+                Ok(_) => format!("[{}/{technique}] listing parses to another program", opt.label()),
+            });
             if campaign_samples == 0 {
                 continue;
             }
-            // At FERRUM -O1 the serial campaign of the coverage check
-            // is the one that must book no SDC.
-            let campaign = if technique == Technique::Ferrum && opt == OptLevel::O1 {
-                coverage_soundness(&mut c, &build, plan)
+            // Under FERRUM the serial campaign of the coverage check is
+            // the one that must book no SDC.
+            let campaign = if technique == Technique::Ferrum {
+                coverage_soundness(&mut c, opt, &build, plan)
             } else {
                 match plan.run(build.engine(EngineKind::default()), build.profile()) {
                     Ok(r) => Some(r),
@@ -290,13 +300,14 @@ pub fn check_program(seed: u64, campaign_samples: usize) -> (u64, u64, Vec<Diver
     (stats.mir_insts as u64, c.checks, c.divergences)
 }
 
-/// Coverage soundness on an optimized FERRUM build: the pruned
-/// campaign on the default engine must be outcome-identical to the
-/// serial campaign on the reference interpreter, and no decided static
-/// verdict may be contradicted by injection.  Returns the serial
-/// campaign, or `None` when a campaign could not run.
+/// Coverage soundness on a FERRUM build: the pruned campaign on the
+/// default engine must be outcome-identical to the serial campaign on
+/// the reference interpreter, and no decided static verdict may be
+/// contradicted by injection.  Returns the serial campaign, or `None`
+/// when a campaign could not run.
 fn coverage_soundness(
     c: &mut Checker,
+    opt: OptLevel,
     build: &Build,
     plan: Campaign<'_>,
 ) -> Option<CampaignResult> {
@@ -309,12 +320,12 @@ fn coverage_soundness(
     let (serial, pruned) = match runs {
         Ok(r) => r,
         Err(e) => {
-            c.check("campaign", false, || e.to_string());
+            c.check("campaign", false, || format!("[{}/ferrum] {e}", opt.label()));
             return None;
         }
     };
     c.check("pruned-identity", serial == pruned, || {
-        "pruned campaign diverged from the serial interpreter campaign".into()
+        format!("[{}] pruned campaign diverged from the serial interpreter campaign", opt.label())
     });
     let contradicted = serial
         .records
@@ -331,7 +342,7 @@ fn coverage_soundness(
         })
         .count();
     c.check("verdict-soundness", contradicted == 0, || {
-        format!("{contradicted} static verdicts contradicted by injection")
+        format!("[{}] {contradicted} static verdicts contradicted by injection", opt.label())
     });
     Some(serial)
 }
@@ -352,8 +363,9 @@ pub fn run_fuzz(cfg: &FuzzConfig, mut progress: impl FnMut(u64, &FuzzReport)) ->
     report
 }
 
-/// Collects the manifest-less lint helper used above; exposed for the
-/// regression tests so a pinned seed can re-run exactly one stage.
+/// Every divergence of one seed under the default 25-fault campaigns,
+/// as `ferrum fuzz` reports it: the in-process reproduction of a
+/// failing seed.
 pub fn divergences_for_seed(seed: u64) -> Vec<Divergence> {
     check_program(seed, 25).2
 }

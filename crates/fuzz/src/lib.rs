@@ -14,9 +14,10 @@
 //!   harness checks the MIR interpreter, the `-O0` and `-O1` backend
 //!   output on both execution engines, pass-bundle idempotence and
 //!   stat exactness, protection transparency and lint cleanliness for
-//!   every technique at both optimization levels, and (optionally)
-//!   static-coverage soundness against a pruned-vs-serial campaign and
-//!   no SDC in a sampled FERRUM or hybrid campaign.
+//!   every technique at both optimization levels, the print/parse
+//!   round trip of FERRUM and hybrid listings, and (optionally)
+//!   static-coverage soundness against a pruned-vs-serial FERRUM
+//!   campaign and no SDC in a sampled FERRUM or hybrid campaign.
 //!
 //! The harness exists because the `-O1` pass bundle rewrites exactly
 //! the code shapes the protection passes key on (frame-slot

@@ -3,7 +3,9 @@
 #
 # The workspace follows a hermetic-build policy: every dependency is an
 # in-tree path crate, so a clean checkout with an empty registry cache
-# must build and test with --offline.  Run from anywhere.
+# must build and test with --offline.  Clippy and the tests run with
+# --all-features, so code behind a cargo feature compiles and runs here
+# or fails the gate.  Run from anywhere.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -11,11 +13,11 @@ cd "$(dirname "$0")/.."
 echo "== tier1: cargo build --release --offline"
 cargo build --release --offline --workspace
 
-echo "== tier1: cargo clippy --offline -- -D warnings"
-cargo clippy --offline --workspace --all-targets -- -D warnings
+echo "== tier1: cargo clippy --offline --all-features -- -D warnings"
+cargo clippy --offline --workspace --all-targets --all-features -- -D warnings
 
-echo "== tier1: cargo test -q --offline"
-cargo test -q --offline --workspace
+echo "== tier1: cargo test -q --offline --all-features"
+cargo test -q --offline --workspace --all-features
 
 echo "== tier1: cargo doc --offline -D warnings (no broken intra-doc links)"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps

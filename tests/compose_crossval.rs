@@ -13,9 +13,10 @@
 //!    incremental campaign seeded from the stale cache is
 //!    record-identical to a full stratified re-run on the edited
 //!    program, and reuses exactly the shards of untouched functions.
-//! 3. **Dynamic escape ⊆ static escape** (proptest-gated, off by
-//!    default): a fault whose unit summary proves an empty escape
-//!    footprint with no detection path can only ever be `Benign`.
+//! 3. **Dynamic escape ⊆ static escape**: over 16 campaign seeds
+//!    drawn from a seeded `ferrum-rng` generator, a fault whose unit
+//!    summary proves an empty escape footprint with no detection path
+//!    can only ever be `Benign`.
 
 use ferrum::{
     compose, Campaign, CampaignCache, CampaignResult, ComposedMap, CoverageMap, Pipeline, Reuse,
@@ -34,6 +35,7 @@ use ferrum_mir::builder::FunctionBuilder;
 use ferrum_mir::module::{Global, Module};
 use ferrum_mir::types::Ty;
 use ferrum_mir::value::Value;
+use ferrum_rng::Rng64;
 use ferrum_workloads::catalog::{all_workloads, Scale};
 
 /// A stratified campaign, reusing `cache` when given, and the shard
@@ -297,47 +299,43 @@ fn incremental_with_unchanged_catalog_program_reuses_everything() {
 }
 
 // ---------------------------------------------------------------------
-// Property: dynamic escape ⊆ static escape.  Compiled only with
-// `--features proptest` after manually restoring the external
-// `proptest` dev-dependency (hermetic-build policy).
+// 3. Dynamic escape ⊆ static escape
 // ---------------------------------------------------------------------
-#[cfg(feature = "proptest")]
-mod escape_properties {
-    use super::*;
-    use proptest::prelude::*;
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
-
-        /// A unit whose summary proves an empty escape footprint and no
-        /// detection path can only ever produce a benign outcome: the
-        /// dynamic escape set of any fault is contained in the static
-        /// footprint, and an empty footprint leaves nothing to escape.
-        #[test]
-        fn empty_static_footprint_implies_benign(seed in 0u64..64) {
-            let module = multi_function_module();
-            for (_, asm) in protect_all(&module) {
-                let summary = SummaryMap::analyze(&asm);
-                let cpu = Cpu::load(&asm).expect("loads");
-                let profile = cpu.profile();
-                let cfg = CampaignConfig { samples: 64, seed };
-                let res = Campaign::sampled(cfg).run(Engine::Interpreter(&cpu), &profile).unwrap();
-                for &(fault, outcome) in &res.records {
-                    let pc = profile.site_at(fault.dyn_index).expect("profiled site").pc;
-                    let Some(unit) = summary.unit_at(pc, fault.raw_bit) else {
-                        continue;
-                    };
-                    if unit.escape.is_empty() && !unit.may_detect {
-                        prop_assert_eq!(
-                            outcome,
-                            Outcome::Benign,
-                            "empty footprint at {:?} produced {:?}",
-                            fault,
-                            outcome
-                        );
-                    }
+/// A unit whose summary proves an empty escape footprint and no
+/// detection path can only ever produce a benign outcome: the dynamic
+/// escape set of any fault is contained in the static footprint, and
+/// an empty footprint leaves nothing to escape.
+#[test]
+fn empty_static_footprint_implies_benign() {
+    let module = multi_function_module();
+    let mut rng = Rng64::seed_from_u64(0xE5CA);
+    let seeds: Vec<u64> = (0..16).map(|_| rng.next_u64()).collect();
+    let mut checked = 0usize;
+    for (name, asm) in protect_all(&module) {
+        let summary = SummaryMap::analyze(&asm);
+        let cpu = Cpu::load(&asm).expect("loads");
+        let profile = cpu.profile();
+        for &seed in &seeds {
+            let cfg = CampaignConfig { samples: 64, seed };
+            let res = Campaign::sampled(cfg).run(Engine::Interpreter(&cpu), &profile).unwrap();
+            for &(fault, outcome) in &res.records {
+                let pc = profile.site_at(fault.dyn_index).expect("profiled site").pc;
+                let Some(unit) = summary.unit_at(pc, fault.raw_bit) else {
+                    continue;
+                };
+                if unit.escape.is_empty() && !unit.may_detect {
+                    checked += 1;
+                    assert_eq!(
+                        outcome,
+                        Outcome::Benign,
+                        "{name}, seed {seed}: empty footprint at {fault:?} produced {outcome:?}"
+                    );
                 }
             }
         }
     }
+    // The assembly-level protections have such units; IR-EDDI's
+    // output, in this module, has none.
+    assert!(checked > 0, "no sampled fault hit an empty-footprint unit");
 }
