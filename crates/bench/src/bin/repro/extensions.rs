@@ -330,7 +330,7 @@ pub fn forensics(_: &mut Ctx, o: &Opts) -> Result<String, Error> {
             let build = pipeline.build(&module, technique)?;
             let result = campaign(&build, plan)?;
             let engine = build.engine(EngineKind::default());
-            let report = forensic_report(engine, build.profile(), &result, &fcfg);
+            let report = forensic_report(engine, build.profile(), &result, &fcfg)?;
             // Classified records are analysed ones, which are matching ones.
             if report.classified() != report.matching_total {
                 return Err(Error::msg(format!(

@@ -33,7 +33,7 @@ use std::time::Instant;
 
 use ferrum::{
     all_workloads, evaluate_workload, Build, Campaign, CampaignResult, EngineKind, Error,
-    EvalConfig, OptLevel, Pipeline, Scale, SnapshotPolicy, WorkloadReport,
+    EvalConfig, OptLevel, Pipeline, Scale, WorkloadReport,
 };
 
 /// The directory `all` writes and `check` reads, relative to the
@@ -213,11 +213,11 @@ fn pct(x: f64) -> String {
 }
 
 /// Runs `plan` on `build` the way `evaluate_workload` does: on the
-/// default engine, with golden-prefix snapshots on every core.
+/// default engine, on every core.
 fn campaign(build: &Build, plan: Campaign<'_>) -> Result<CampaignResult, Error> {
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let plan = plan.threads(threads).snapshots(SnapshotPolicy::default());
-    Ok(plan.run(build.engine(EngineKind::default()), build.profile())?)
+    let engine = build.engine(EngineKind::default());
+    Ok(plan.threads(threads).run(engine, build.profile())?)
 }
 
 impl Artifact {

@@ -1,4 +1,4 @@
-//! The campaign machinery's own speed: golden-prefix snapshots, coverage
+//! The campaign machinery's own speed: worker threads, coverage
 //! pruning, the decoded engine, the flight recorder and incremental
 //! campaigns, each against the plan it accelerates.
 //!
@@ -18,7 +18,7 @@ use ferrum::flight::NdjsonSink;
 use ferrum::{
     all_workloads, program_signature, Build, Campaign, CampaignCache, CampaignConfig,
     CampaignResult, CoverageMap, Engine, EngineKind, Error, FlightRecorder, Pipeline, Reuse,
-    SnapshotPolicy, Technique,
+    Technique,
 };
 use ferrum_asm::inst::Inst;
 use ferrum_asm::program::AsmInst;
@@ -30,11 +30,11 @@ use ferrum_mir::value::Value;
 
 use crate::{Columns, Opts};
 
-/// Worker threads of the snapshot and latency tables' parallel plans.
+/// Worker threads of the workers and latency tables' parallel plans.
 const THREADS: usize = 4;
-/// Runs of each recorder configuration, of which the fastest is
-/// printed: one campaign lasts milliseconds, so a single scheduler
-/// interrupt would otherwise swamp the percent-level cost it prices.
+/// Runs of each pruned and recorder configuration, of which the
+/// fastest is printed: one campaign lasts milliseconds, so a single
+/// scheduler interrupt would otherwise swamp the ratio it prices.
 const REPS: usize = 2;
 /// The line after which every line is a host timing.
 pub const TIMINGS: &str = "host timings";
@@ -84,7 +84,7 @@ pub fn speedup(_: &mut crate::Ctx, o: &Opts) -> Result<String, Error> {
         })
         .collect::<Result<Vec<_>, Error>>()?;
     let mut out = Out::default();
-    snapshot(&mut out, &suite, c)?;
+    workers(&mut out, &suite, c)?;
     latency(&mut out, &suite, c)?;
     pruned(&mut out, &suite, c)?;
     decoded(&mut out, &suite, c)?;
@@ -120,49 +120,75 @@ fn ips(r: &CampaignResult) -> String {
     format!("{:.0}", r.stats.injections_per_sec)
 }
 
+/// A configuration's first campaign result and its best injections/sec.
+type Best = (CampaignResult, f64);
+
+/// Runs `a` and `b` interleaved, so host drift reaches both alike,
+/// [`REPS`] times each, and returns their first results with each
+/// one's best injections/sec.
+fn best_of_reps(
+    a: impl Fn() -> Result<CampaignResult, Error>,
+    b: impl Fn() -> Result<CampaignResult, Error>,
+) -> Result<(Best, Best), Error> {
+    let (ra, rb) = (a()?, b()?);
+    let (mut ia, mut ib) = (ra.stats.injections_per_sec, rb.stats.injections_per_sec);
+    for _ in 1..REPS {
+        ia = ia.max(a()?.stats.injections_per_sec);
+        ib = ib.max(b()?.stats.injections_per_sec);
+    }
+    Ok(((ra, ia), (rb, ib)))
+}
+
 fn times(x: f64) -> String {
     format!("{x:.2}x")
 }
 
-/// The snapshot executor against the serial one and the work-stealing
-/// one, on the raw programs and the interpreter.
-fn snapshot(out: &mut Out, suite: &[Built], c: CampaignConfig) -> Result<(), Error> {
+/// The one plan on one worker and on [`THREADS`] work-stealing ones,
+/// on the raw programs and the interpreter.  Where each fault starts
+/// and what it executes does not depend on the worker, so the counts
+/// agree too.
+fn workers(out: &mut Out, suite: &[Built], c: CampaignConfig) -> Result<(), Error> {
     let checked = Columns(&[16, 11, 12, 14, 16]);
-    let timed = Columns(&[16, 12, 12, 12, 10, 10]);
+    let timed = Columns(&[16, 14, 14, 10, 10]);
     let header = ["snap hits", "injections", "steps saved", "steps executed"];
+    let threads_ips = format!("{THREADS} workers i/s");
     out.table(
-        &format!("snapshot executor vs serial (raw programs, interpreter, {THREADS} threads)"),
+        &format!("1 vs {THREADS} workers (raw programs, interpreter)"),
         Some(checked.line("benchmark", header)),
-        timed.line("benchmark", ["serial i/s", "steal i/s", "snap i/s", "speedup", "balance"]),
+        timed.line(
+            "benchmark",
+            ["1 worker i/s", threads_ips.as_str(), "speedup", "balance"],
+        ),
     );
     for b in suite {
         let (engine, profile) = (b.raw.engine(EngineKind::Interpreter), b.raw.profile());
         let plan = Campaign::sampled(c);
-        let serial = plan.run(engine, profile)?;
-        let stealing = plan.threads(THREADS).run(engine, profile)?;
-        let snap =
-            plan.threads(THREADS).snapshots(SnapshotPolicy::default()).run(engine, profile)?;
-        let latency = &serial.stats.latency;
-        if serial != stealing
-            || serial != snap
-            || *latency != stealing.stats.latency
-            || *latency != snap.stats.latency
+        let one = plan.run(engine, profile)?;
+        let many = plan.threads(THREADS).run(engine, profile)?;
+        let counts = |s: &ferrum::CampaignStats| {
+            [
+                s.snapshot_hits as u64,
+                s.injections as u64,
+                s.steps_saved,
+                s.steps_executed,
+            ]
+        };
+        if one != many
+            || one.stats.latency != many.stats.latency
+            || counts(&one.stats) != counts(&many.stats)
         {
-            let what = "serial, work-stealing and snapshot executors disagree";
-            return Err(diverged("snapshot", b.name, what));
+            let what = format!("1 and {THREADS} workers disagree");
+            return Err(diverged("workers", b.name, &what));
         }
-        let s = &snap.stats;
-        let counts = [s.snapshot_hits as u64, s.injections as u64, s.steps_saved, s.steps_executed];
-        out.checked += &checked.line(b.name, counts);
-        let speedup = s.injections_per_sec / serial.stats.injections_per_sec;
-        let balance = format!("{:.2}", s.worker_balance());
-        out.timings += &timed
-            .line(b.name, [ips(&serial), ips(&stealing), ips(&snap), times(speedup), balance]);
+        out.checked += &checked.line(b.name, counts(&many.stats));
+        let speedup = many.stats.injections_per_sec / one.stats.injections_per_sec;
+        let balance = format!("{:.2}", many.stats.worker_balance());
+        out.timings += &timed.line(b.name, [ips(&one), ips(&many), times(speedup), balance]);
     }
     Ok(())
 }
 
-/// FERRUM's injection-to-detection distance on the snapshot executor.
+/// FERRUM's injection-to-detection distance on [`THREADS`] workers.
 fn latency(out: &mut Out, suite: &[Built], c: CampaignConfig) -> Result<(), Error> {
     let checked = Columns(&[16, 10, 8, 8, 8]);
     let timed = Columns(&[16, 10]);
@@ -171,7 +197,7 @@ fn latency(out: &mut Out, suite: &[Built], c: CampaignConfig) -> Result<(), Erro
         Some(checked.line("benchmark", ["detected", "p50", "p95", "max"])),
         timed.line("benchmark", ["balance"]),
     );
-    let plan = Campaign::sampled(c).threads(THREADS).snapshots(SnapshotPolicy::default());
+    let plan = Campaign::sampled(c).threads(THREADS);
     for b in suite {
         let snap = plan.run(b.ferrum.engine(EngineKind::Interpreter), b.ferrum.profile())?;
         let lat = &snap.stats.latency;
@@ -184,8 +210,8 @@ fn latency(out: &mut Out, suite: &[Built], c: CampaignConfig) -> Result<(), Erro
 }
 
 /// FERRUM's serial campaign with and without a coverage map to prune,
-/// on the interpreter.  Pruning saves `1 - pruned/serial` of the serial
-/// campaign's steps.
+/// on the interpreter, best of [`REPS`].  Pruning saves
+/// `1 - pruned/serial` of the serial campaign's steps.
 fn pruned(out: &mut Out, suite: &[Built], c: CampaignConfig) -> Result<(), Error> {
     let checked = Columns(&[16, 8, 9, 14, 14]);
     let timed = Columns(&[16, 12, 12, 10]);
@@ -197,8 +223,11 @@ fn pruned(out: &mut Out, suite: &[Built], c: CampaignConfig) -> Result<(), Error
     for b in suite {
         let (engine, profile) = (b.ferrum.engine(EngineKind::Interpreter), b.ferrum.profile());
         let map = CoverageMap::analyze(b.ferrum.program());
-        let serial = Campaign::sampled(c).run(engine, profile)?;
-        let pruned = Campaign::sampled(c).prune(&map).run(engine, profile)?;
+        let plan = Campaign::sampled(c);
+        let ((serial, serial_ips), (pruned, pruned_ips)) = best_of_reps(
+            || Ok(plan.run(engine, profile)?),
+            || Ok(plan.prune(&map).run(engine, profile)?),
+        )?;
         if serial != pruned {
             return Err(diverged("pruned", b.name, "pruned and serial executors disagree"));
         }
@@ -206,15 +235,20 @@ fn pruned(out: &mut Out, suite: &[Built], c: CampaignConfig) -> Result<(), Error
         let counts =
             [p.pruned_sites as u64, p.injections as u64, s.steps_executed, p.steps_executed];
         out.checked += &checked.line(b.name, counts);
-        let speedup = p.injections_per_sec / s.injections_per_sec;
-        out.timings += &timed.line(b.name, [ips(&serial), ips(&pruned), times(speedup)]);
+        let speedup = pruned_ips / serial_ips;
+        let cells = [
+            format!("{serial_ips:.0}"),
+            format!("{pruned_ips:.0}"),
+            times(speedup),
+        ];
+        out.timings += &timed.line(b.name, cells);
         in_range("pruned", b.name, speedup, PRUNED)?;
     }
     Ok(())
 }
 
-/// FERRUM's snapshot campaign on the decoded engine against the
-/// interpreter, one thread each.
+/// FERRUM's campaign on the decoded engine against the interpreter,
+/// one thread each.
 fn decoded(out: &mut Out, suite: &[Built], c: CampaignConfig) -> Result<(), Error> {
     let checked = Columns(&[16, 18]);
     let timed = Columns(&[16, 12, 12, 10]);
@@ -223,7 +257,7 @@ fn decoded(out: &mut Out, suite: &[Built], c: CampaignConfig) -> Result<(), Erro
         Some(checked.line("benchmark", ["superinstructions"])),
         timed.line("benchmark", ["interp i/s", "decoded i/s", "speedup"]),
     );
-    let plan = Campaign::sampled(c).snapshots(SnapshotPolicy::default());
+    let plan = Campaign::sampled(c);
     let mut log_sum = 0.0;
     for b in suite {
         let interp = plan.run(b.ferrum.engine(EngineKind::Interpreter), b.ferrum.profile())?;
@@ -242,7 +276,7 @@ fn decoded(out: &mut Out, suite: &[Built], c: CampaignConfig) -> Result<(), Erro
     in_range("decoded", "geomean", geomean, DECODED)
 }
 
-/// FERRUM's snapshot campaign on the decoded engine, bare and observed
+/// FERRUM's campaign on the decoded engine, bare and observed
 /// by a recorder that serializes every event to a null sink, so the
 /// overhead is the probes and the NDJSON writer without disk IO.
 fn recorder(out: &mut Out, suite: &[Built], c: CampaignConfig) -> Result<(), Error> {
@@ -261,20 +295,12 @@ fn recorder(out: &mut Out, suite: &[Built], c: CampaignConfig) -> Result<(), Err
             .with_labels(b.name, "ferrum")
             .with_program_hash(program_signature(b.ferrum.program()));
         let run = |recorded: bool| {
-            Campaign::sampled(c)
-                .snapshots(SnapshotPolicy::default())
-                .observe(recorded.then_some(&recorder))
-                .run(b.ferrum.engine(EngineKind::Decoded), b.ferrum.profile())
+            let plan = Campaign::sampled(c).observe(recorded.then_some(&recorder));
+            Ok(plan.run(b.ferrum.engine(EngineKind::Decoded), b.ferrum.profile())?)
         };
-        // Interleaved, so host drift reaches both configurations alike.
-        let (off, on) = (run(false)?, run(true)?);
+        let ((off, off_ips), (on, on_ips)) = best_of_reps(|| run(false), || run(true))?;
         if off != on {
             return Err(diverged("recorder", b.name, "recording changed the records"));
-        }
-        let (mut off_ips, mut on_ips) = (off.stats.injections_per_sec, on.stats.injections_per_sec);
-        for _ in 1..REPS {
-            off_ips = off_ips.max(run(false)?.stats.injections_per_sec);
-            on_ips = on_ips.max(run(true)?.stats.injections_per_sec);
         }
         let ratio = on_ips / off_ips;
         log_sum += ratio.ln();

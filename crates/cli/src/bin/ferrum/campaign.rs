@@ -5,21 +5,21 @@
 //! [`Campaign`](ferrum::Campaign) that a
 //! [`FlightRecorder`](ferrum::FlightRecorder) observes, with a live
 //! progress table on stdout.
-//! `--executor` picks the plan's axes: `serial` is one cold thread,
-//! `parallel` is `--threads` cold workers, `snapshot` is `--threads`
-//! workers replaying from golden-prefix snapshots.  `--events` and
+//! `--threads` sets its workers (one by default).  `--events` and
 //! `--journal` tee the same event stream into NDJSON files; a journal
 //! cut short by a crash or kill feeds `--resume`, which replays
 //! completed shards and injects only the remainder — the result is
 //! byte-identical to an uninterrupted run of the same seed.
 //!
-//! Self-check, for all four techniques × both engines: event streams
-//! are internally consistent (monotone sequence numbers, shard records
-//! reassemble the exact campaign record stream, snapshot tallies sum to
-//! the final stats), recording is outcome-pure (recorder on/off results
-//! are identical), NDJSON round-trips losslessly, and journal-resume
-//! after a simulated mid-campaign kill is byte-identical with the
-//! journaled fraction reused.
+//! Self-check, for all four techniques: every record of the case's
+//! serial interpreter campaign classifies as the whole run of its fault
+//! does, and on both engines event streams are internally consistent
+//! (monotone sequence numbers, shard records reassemble the exact
+//! campaign record stream, progress tallies sum to the final stats),
+//! recording is outcome-pure (recorder on/off results are identical),
+//! NDJSON round-trips losslessly, and journal-resume after a simulated
+//! mid-campaign kill is byte-identical with the journaled fraction
+//! reused.
 
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -31,12 +31,13 @@ use ferrum::report::{render_flight_summary, render_progress_header, render_progr
 use ferrum::{
     program_signature, Campaign, CampaignConfig, CampaignEvent, CampaignFingerprint,
     CampaignResult, EngineKind, FlightEvent, FlightRecorder, FlightSink, JournalSnapshot,
-    MemorySink, Reuse, SnapshotPolicy, Technique, TeeSink,
+    MemorySink, Reuse, Technique, TeeSink,
 };
 use ferrum_cli::args::{
     parse_args, technique_label, ArgError, ArgHelp, ArgSpec, UsageSpec, ENGINE_ARG, OPT_ARG,
     SCALE_ARG, TECHNIQUE_ARG,
 };
+use ferrum_faultsim::campaign::classify;
 use ferrum_workloads::catalog::Scale;
 
 use crate::selfcheck::{Record, Setup};
@@ -52,8 +53,7 @@ pub const USAGE: UsageSpec = UsageSpec {
         SCALE_ARG,
         OPT_ARG,
         ENGINE_ARG,
-        ArgHelp::option("--executor", "<x>", "serial | parallel | snapshot   (default: serial)"),
-        ArgHelp::option("--threads", "<n>", "worker threads for parallel/snapshot (default 4)"),
+        ArgHelp::option("--threads", "<n>", "worker threads (default 1)"),
         ArgHelp::option(
             "--events",
             "<path>",
@@ -75,7 +75,6 @@ pub const USAGE: UsageSpec = UsageSpec {
             "--scale",
             "--opt",
             "--engine",
-            "--executor",
             "--threads",
             "--events",
             "--journal",
@@ -91,9 +90,7 @@ struct Options {
     scale: Scale,
     opt: ferrum::OptLevel,
     engine: EngineKind,
-    /// `--executor` and `--threads` as plan axes.
     threads: usize,
-    snapshots: Option<SnapshotPolicy>,
     events: Option<String>,
     journal: Option<String>,
     resume: bool,
@@ -172,17 +169,6 @@ fn build_sinks(opts: &Options) -> Result<Option<Arc<dyn FlightSink>>, String> {
 
 pub fn run(args: &[String]) -> Result<ExitCode, ArgError> {
     let p = parse_args(args, &USAGE.spec)?;
-    let threads = p.parsed("--threads")?.unwrap_or(4);
-    let (threads, snapshots) = match p.value("--executor").unwrap_or("serial") {
-        "serial" => (1, None),
-        "parallel" => (threads, None),
-        "snapshot" => (threads, Some(SnapshotPolicy::default())),
-        s => {
-            return Err(ArgError::Message(format!(
-                "unknown executor `{s}` (serial | parallel | snapshot)"
-            )))
-        }
-    };
     let opts = Options {
         technique: p.technique_core(Technique::Ferrum)?,
         samples: p.samples(400)?,
@@ -190,8 +176,7 @@ pub fn run(args: &[String]) -> Result<ExitCode, ArgError> {
         scale: p.scale()?,
         opt: p.opt_level()?,
         engine: p.engine()?,
-        threads,
-        snapshots,
+        threads: p.parsed("--threads")?.unwrap_or(1),
         events: p.value("--events").map(str::to_owned),
         journal: p.value("--journal").map(str::to_owned),
         resume: p.flag("--resume"),
@@ -233,7 +218,6 @@ fn run_one(name: &str, opts: &Options) -> Result<ExitCode, ferrum::Error> {
     });
     let plan = Campaign::sampled(cfg)
         .threads(opts.threads)
-        .snapshots(opts.snapshots)
         .reuse(journal.as_ref().map_or(Reuse::None, Reuse::Journal))
         .observe(recorder.as_ref());
     let result = plan.run(build.engine(opts.engine), profile)?;
@@ -360,19 +344,65 @@ fn audit_stream(
     shard_list.len()
 }
 
-/// Self-check for one case: every technique × both engines.  The
-/// recorder-off reference on the interpreter is the case's shared
-/// serial campaign.
+/// Self-check for one case: every technique against whole runs, then
+/// × both engines.  The recorder-off reference on the interpreter is
+/// the case's shared serial campaign.
 pub fn check(s: &Setup) -> Vec<Record> {
     let mut records = Vec::new();
     for technique in TECHNIQUES {
         let label = technique_label(technique);
+        let labels = [("technique", label), ("reference", "whole runs")];
+        records.push(s.item(&labels, || check_whole_runs(s, technique)));
         for engine in EngineKind::ALL {
             let labels = [("technique", label), ("engine", engine.label())];
             records.push(s.item(&labels, || check_one(s, technique, engine)));
         }
     }
     records
+}
+
+/// The cold anchor: re-runs every record of the serial campaign, which
+/// replays its faults from golden checkpoints, whole from the entry
+/// state on the interpreter, and fails on any outcome that differs.
+fn check_whole_runs(s: &Setup, technique: Technique) -> Result<Record, ferrum::Error> {
+    let b = s.build(technique)?;
+    let (engine, golden) = (
+        b.engine(EngineKind::Interpreter),
+        &b.profile().result.output,
+    );
+    let serial = s.serial(technique)?;
+    let differ: Vec<usize> = serial
+        .records
+        .iter()
+        .enumerate()
+        .filter(|(_, &(fault, outcome))| {
+            let whole = engine.run(Some(fault));
+            classify(whole.stop, &whole.output, golden) != outcome
+        })
+        .map(|(i, _)| i)
+        .collect();
+    let ok = differ.is_empty();
+    Ok(Record {
+        ok,
+        json: Json::obj(vec![
+            ("records", serial.records.len().to_json()),
+            (
+                "differing",
+                Json::Arr(differ.iter().map(|i| i.to_json()).collect()),
+            ),
+        ]),
+        text: if ok {
+            format!(
+                "{} records, every outcome matches its whole run",
+                serial.records.len()
+            )
+        } else {
+            format!(
+                "{} records DIFFER from their whole runs: {differ:?}",
+                differ.len()
+            )
+        },
+    })
 }
 
 fn check_one(s: &Setup, technique: Technique, engine: EngineKind) -> Result<Record, ferrum::Error> {

@@ -108,7 +108,7 @@ pub fn run(args: &[String]) -> Result<ExitCode, ArgError> {
         let map = CoverageMap::analyze(build.program());
         let (engine, profile) = (build.engine(EngineKind::default()), build.profile());
         let campaign = Campaign::sampled(cfg).run(engine, profile)?;
-        let report = forensic_report(engine, profile, &campaign, &fcfg);
+        let report = forensic_report(engine, profile, &campaign, &fcfg)?;
         let explanations = explain_unknown_sites(profile, &map, &report);
 
         let label = format!("{name} ({})", technique_label(technique));
@@ -163,7 +163,7 @@ pub fn check(s: &Setup) -> Vec<Record> {
                 let serial = s.serial(t)?;
                 let fcfg = ForensicConfig::default();
                 let engine = b.engine(EngineKind::default());
-                let report = forensic_report(engine, b.profile(), serial, &fcfg);
+                let report = forensic_report(engine, b.profile(), serial, &fcfg)?;
 
                 let matching = serial
                     .records

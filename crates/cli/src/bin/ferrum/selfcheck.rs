@@ -118,7 +118,8 @@ impl Setup {
 
     /// The serial campaign of [`Setup::cfg`] under `t` on the
     /// reference interpreter, run on first use: the reference the
-    /// checks compare their plans against.
+    /// checks compare their plans against, itself checked against
+    /// whole runs by the campaign check.
     pub fn serial(&self, t: Technique) -> Result<&CampaignResult, ferrum::Error> {
         self.serial[slot(t)]
             .get_or_init(|| {

@@ -15,7 +15,7 @@ use std::process::ExitCode;
 
 use ferrum::json::{Json, ToJson};
 use ferrum::report::{render_attribution_table, render_latency_histogram};
-use ferrum::{diff_profile, Campaign, CampaignConfig, SnapshotPolicy, Technique};
+use ferrum::{diff_profile, Campaign, CampaignConfig, Technique};
 use ferrum_cli::args::{parse_args, ArgError, ArgHelp, ArgSpec, UsageSpec, OPT_ARG, SCALE_ARG};
 
 use crate::selfcheck::{Record, Setup};
@@ -59,11 +59,9 @@ pub fn run(args: &[String]) -> Result<ExitCode, ArgError> {
         let case = Case::open(name, scale, opt)?;
         let ferrum = case.build(Technique::Ferrum)?;
         let att = diff_profile(&case.pipeline.baseline(&case.module)?, &ferrum)?.attribution;
-        // The FERRUM campaign on the snapshot executor, all cores.
+        // The FERRUM campaign on all cores.
         let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let plan = Campaign::sampled(cfg)
-            .threads(threads)
-            .snapshots(SnapshotPolicy::default());
+        let plan = Campaign::sampled(cfg).threads(threads);
         let campaign = plan.run(ferrum.engine(engine), ferrum.profile())?;
 
         if json {

@@ -72,6 +72,38 @@ fn the_catalog_flag_is_an_unknown_option() {
 }
 
 #[test]
+fn campaign_threads_are_its_only_schedule_option() {
+    let out = ferrum(&["campaign", "bfs", "--executor", "snapshot"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("unknown option `--executor`"), "{stderr}");
+    assert!(stderr.contains("usage: ferrum campaign"), "{stderr}");
+
+    let out = ferrum(&[
+        "campaign",
+        "bfs",
+        "--samples",
+        "4",
+        "--threads",
+        "2",
+        "--json",
+    ]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    let doc = parse(&stdout).unwrap_or_else(|e| panic!("{e}: {stdout}"));
+    assert_eq!(
+        doc.get("executor").and_then(Json::as_str),
+        Some("parallel"),
+        "{stdout}"
+    );
+    let threads = doc
+        .get("stats")
+        .and_then(|s| s.get("threads"))
+        .and_then(Json::as_u64);
+    assert_eq!(threads, Some(2), "{stdout}");
+}
+
+#[test]
 fn an_unknown_check_is_a_usage_error() {
     let out = ferrum(&["selfcheck", "protect"]);
     let stderr = String::from_utf8_lossy(&out.stderr);

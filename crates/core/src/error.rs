@@ -13,6 +13,8 @@ pub enum Error {
     Load(ferrum_cpu::image::LoadError),
     /// A fault-injection campaign could not run.
     Campaign(ferrum_faultsim::CampaignError),
+    /// A forensic replay met a fault its golden run never reaches.
+    Forensics(ferrum_faultsim::FaultPastRun),
     /// A tool-level failure outside the compile/protect/load pipeline:
     /// event-sink IO, a malformed or mismatched resume journal, ...
     Tool(String),
@@ -32,6 +34,7 @@ impl fmt::Display for Error {
             Error::Pass(e) => write!(f, "protection error: {e}"),
             Error::Load(e) => write!(f, "load error: {e}"),
             Error::Campaign(e) => write!(f, "campaign error: {e}"),
+            Error::Forensics(e) => write!(f, "forensics error: {e}"),
             Error::Tool(m) => write!(f, "{m}"),
         }
     }
@@ -44,6 +47,7 @@ impl std::error::Error for Error {
             Error::Pass(e) => Some(e),
             Error::Load(e) => Some(e),
             Error::Campaign(e) => Some(e),
+            Error::Forensics(e) => Some(e),
             Error::Tool(_) => None,
         }
     }
@@ -70,6 +74,12 @@ impl From<ferrum_cpu::image::LoadError> for Error {
 impl From<ferrum_faultsim::CampaignError> for Error {
     fn from(e: ferrum_faultsim::CampaignError) -> Error {
         Error::Campaign(e)
+    }
+}
+
+impl From<ferrum_faultsim::FaultPastRun> for Error {
+    fn from(e: ferrum_faultsim::FaultPastRun) -> Error {
+        Error::Forensics(e)
     }
 }
 

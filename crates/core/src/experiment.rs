@@ -3,7 +3,7 @@
 
 use ferrum_backend::{OptLevel, PassStats};
 use ferrum_eddi::Technique;
-use ferrum_faultsim::campaign::{CampaignConfig, CampaignResult, SnapshotPolicy};
+use ferrum_faultsim::campaign::{CampaignConfig, CampaignResult};
 use ferrum_faultsim::engine::EngineKind;
 use ferrum_faultsim::plan::Campaign;
 use ferrum_faultsim::rootcause::{attribute_sdcs, RootCauseReport};
@@ -95,10 +95,10 @@ impl WorkloadReport {
 /// Runs the full evaluation (all techniques) for one benchmark.
 ///
 /// Each of the four programs (raw plus the three techniques) is one
-/// [`Build`](crate::Build) whose golden profile and snapshot campaign
-/// run on the default [`EngineKind`]; records are byte-identical to
-/// the one-thread cold interpreter plan with the same seed.  A
-/// protected build is dropped once its report row is taken.
+/// [`Build`](crate::Build) whose golden profile and campaign run on
+/// the default [`EngineKind`]; records are byte-identical to the
+/// one-thread interpreter plan with the same seed.  A protected build
+/// is dropped once its report row is taken.
 ///
 /// # Errors
 ///
@@ -113,8 +113,8 @@ pub fn evaluate_workload(
     let golden = w.oracle(cfg.scale);
     let pipeline = &pipeline.clone().with_opt_level(cfg.opt);
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    // Builds, profiles and injects one program.  The plan runs
-    // golden-prefix snapshots with work stealing over every core.
+    // Builds, profiles and injects one program, with work stealing
+    // over every core.
     let measure = |t: Technique, seed: u64| {
         let build = pipeline.build(&module, t)?;
         let profile = build.profile();
@@ -129,7 +129,6 @@ pub fn evaluate_workload(
             seed,
         })
         .threads(threads)
-        .snapshots(SnapshotPolicy::default())
         .run(build.engine(EngineKind::default()), profile)?;
         Ok((build, campaign))
     };
@@ -172,7 +171,7 @@ mod tests {
     use ferrum_workloads::workload;
 
     #[test]
-    fn report_matches_the_cold_interpreter_reference() {
+    fn report_matches_the_one_thread_interpreter_reference() {
         let w = workload("pathfinder").expect("exists");
         let cfg = EvalConfig {
             samples: 150,
@@ -183,8 +182,8 @@ mod tests {
         let pipeline = Pipeline::new().with_opt_level(cfg.opt);
         let report = evaluate_workload(&pipeline, &w, cfg).expect("evaluates");
 
-        // Each configuration again, on the interpreter with one thread
-        // and cold starts, with the seeds `evaluate_workload` uses.
+        // Each configuration again, on the interpreter with one thread,
+        // with the seeds `evaluate_workload` uses.
         let module = w.build(cfg.scale);
         let reference = |t: Technique, seed: u64| {
             let build = pipeline.build(&module, t).expect("builds");

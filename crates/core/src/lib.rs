@@ -68,8 +68,7 @@ pub use ferrum_cpu::run::{MechCount, MechCounts};
 pub use ferrum_cpu::{PcCount, PcProfile};
 pub use ferrum_eddi::Technique;
 pub use ferrum_faultsim::campaign::{
-    CampaignConfig, CampaignResult, CampaignStats, DetectionLatency, Outcome, SnapshotPolicy,
-    WorkerStats,
+    CampaignConfig, CampaignResult, CampaignStats, DetectionLatency, Outcome, WorkerStats,
 };
 pub use ferrum_faultsim::compose::{
     compose, CampaignCache, ComposedFunction, ComposedMap, ComposedSite, FunctionShard, ShardDraw,
@@ -82,8 +81,8 @@ pub use ferrum_faultsim::flight::{
 };
 pub use ferrum_faultsim::forensics::{
     explain_unknown_sites, forensic_replay, forensic_report, CheckerEscape, Divergence,
-    EscapeReason, ForensicConfig, ForensicRecord, ForensicsReport, KillWindow, TaintTimeline,
-    UnknownSiteExplanation,
+    EscapeReason, FaultPastRun, ForensicConfig, ForensicRecord, ForensicsReport, KillWindow,
+    TaintTimeline, UnknownSiteExplanation,
 };
 pub use ferrum_faultsim::plan::{Campaign, CampaignError, FaultList, Reuse};
 pub use ferrum_workloads::{all_workloads, workload, Scale, Workload};

@@ -121,8 +121,8 @@ pub fn render_bars(
 }
 
 /// Renders the campaign-engine throughput counters: injections/sec,
-/// snapshot hit-rate, and the share of dynamic instructions the
-/// snapshot engine did not have to re-execute.
+/// checkpoint hit-rate, and the share of dynamic instructions that
+/// replay from golden checkpoints did not re-execute.
 pub fn render_throughput_table(reports: &[WorkloadReport]) -> String {
     let mut out = String::new();
     out.push_str(&format!(
@@ -1649,7 +1649,8 @@ mod tests {
             seed: 0x51,
         };
         let campaign = Campaign::sampled(cfg).run(engine, profile).expect("runs");
-        let rep = forensic_report(engine, profile, &campaign, &ForensicConfig::default());
+        let rep = forensic_report(engine, profile, &campaign, &ForensicConfig::default())
+            .expect("replays");
         assert!(campaign.sdc > 0, "unprotected knn must produce SDCs");
         assert!(rep.analyzed() > 0);
 

@@ -23,8 +23,8 @@
 //!   windows.
 //!
 //! Byte-identity contract: [`DecodedCpu`] exposes the full [`Cpu`]
-//! surface (`run`, `run_multi`, `resume`, `profile`, plus
-//! [`DecodedMachine`] with snapshot/restore), and every observable —
+//! surface (`run`, `run_multi`, `profile`, plus [`DecodedMachine`] with
+//! snapshot/restore), and every observable —
 //! [`RunResult`]s, [`Profile`]s, [`Snapshot`] states — is
 //! byte-identical to the interpreter's for the same program and
 //! faults.  The lowering is a bijection on semantics: each `DOp`
@@ -421,49 +421,6 @@ impl DecodedCpu {
     /// Runs the program injecting every fault in `faults`.
     pub fn run_multi(&self, faults: &[FaultSpec]) -> RunResult {
         DecodedMachine::new(self).run_to_completion(faults)
-    }
-
-    /// Resumes execution from a [`Snapshot`] (interchangeable with the
-    /// interpreter's — both machines execute over the same [`State`]).
-    pub fn resume(&self, snap: &Snapshot, faults: &[FaultSpec]) -> RunResult {
-        let mut m = DecodedMachine::new(self);
-        m.restore(snap);
-        m.run_to_completion(faults)
-    }
-
-    /// [`DecodedCpu::resume`] with the golden-trace convergence
-    /// short-circuit: once every fault has been applied, the run is
-    /// compared against the fault-free run's `checkpoints` (snapshots
-    /// taken along the golden execution, ascending in dynamic index)
-    /// whenever it crosses one's dynamic index, and on an exact
-    /// architectural-state match the remainder of the result is
-    /// stitched from `golden` (the fault-free [`RunResult`]) instead of
-    /// being re-executed.  See [`DecodedMachine::run_converging`] for
-    /// the identity argument.  Campaigns spend most of their samples on
-    /// faults that die quickly — a flipped bit overwritten before it is
-    /// read — so this turns the typical post-fault suffix from a full
-    /// re-execution into a short run plus one state compare.
-    pub fn resume_converging(
-        &self,
-        snap: &Snapshot,
-        faults: &[FaultSpec],
-        checkpoints: &[Snapshot],
-        golden: &RunResult,
-    ) -> RunResult {
-        let mut m = DecodedMachine::new(self);
-        m.restore(snap);
-        m.run_converging(faults, checkpoints, golden)
-    }
-
-    /// [`DecodedCpu::run_multi`] with the golden-trace convergence
-    /// short-circuit of [`DecodedCpu::resume_converging`].
-    pub fn run_converging(
-        &self,
-        faults: &[FaultSpec],
-        checkpoints: &[Snapshot],
-        golden: &RunResult,
-    ) -> RunResult {
-        DecodedMachine::new(self).run_converging(faults, checkpoints, golden)
     }
 
     /// Runs fault-free while recording every injectable dynamic site.
@@ -1348,45 +1305,6 @@ pub struct DecodedMachine<'a> {
     stop: Option<StopReason>,
 }
 
-/// Exact architectural-state equality, cheapest fields first: a
-/// non-converged state almost always differs in a register or the pc,
-/// so the memory walk (watermark-bounded, see
-/// [`Memory::same_contents`](crate::mem::Memory::same_contents)) is the
-/// last resort.
-///
-/// Register files are compared only within the program's touched masks
-/// (`touched_gpr`/`touched_simd`): every state this compare ever sees
-/// descends from the same loaded image's [`State::new`] initial
-/// register file, and only instruction write-backs (⊆ the decoded out
-/// masks) and injected faults (⊆ the decoded fault destinations) can
-/// change a register — so registers outside the masks are equal in
-/// both states by construction, and skipping them (in particular the
-/// untouched bulk of the sixteen 512-bit SIMD registers) keeps the
-/// compare proportional to what the program actually uses.  RFLAGS is
-/// always compared: flag writes are not part of the masks.
-fn states_converged(a: &State, b: &State, touched_gpr: u16, touched_simd: u16) -> bool {
-    if a.pc != b.pc || a.regs.flags != b.regs.flags {
-        return false;
-    }
-    let mut g = touched_gpr;
-    while g != 0 {
-        let r = Gpr::from_index(g.trailing_zeros() as usize);
-        if a.regs.read64(r) != b.regs.read64(r) {
-            return false;
-        }
-        g &= g - 1;
-    }
-    let mut s = touched_simd;
-    while s != 0 {
-        let i = s.trailing_zeros() as u8;
-        if a.regs.read_zmm(Zmm::new(i)) != b.regs.read_zmm(Zmm::new(i)) {
-            return false;
-        }
-        s &= s - 1;
-    }
-    a.call_stack == b.call_stack && a.output == b.output && a.mem.same_contents(&b.mem)
-}
-
 impl<'a> DecodedMachine<'a> {
     /// A machine at the program entry point.
     pub fn new(dc: &'a DecodedCpu) -> DecodedMachine<'a> {
@@ -1427,33 +1345,14 @@ impl<'a> DecodedMachine<'a> {
     /// Captures a [`Snapshot`] interchangeable with the interpreter
     /// machine's.
     pub fn snapshot(&self) -> Snapshot {
-        // `clone_compact` materializes the untouched stack prefix as
-        // fresh zero pages instead of copying it — contents identical
-        // to a plain clone, cost proportional to the stack in use.
-        let st = State {
-            regs: self.st.regs.clone(),
-            mem: self.st.mem.clone_compact(),
-            pc: self.st.pc,
-            call_stack: self.st.call_stack.clone(),
-            output: self.st.output.clone(),
-        };
-        Snapshot::from_parts(st, self.cycles, self.dyn_insts)
+        Snapshot::capture(&self.st, self.cycles, self.dyn_insts)
     }
 
     /// Reinstates a snapshot (from either engine's machine), clearing
-    /// any stop condition.
-    ///
-    /// Restores in place, reusing this machine's buffers: the stack
-    /// copy is bounded by the low-water marks (`Memory::restore_from`),
-    /// so a campaign worker that holds one machine and restores it per
-    /// injection pays kilobytes, not the 512 KiB stack, per fault.
+    /// any stop condition.  Restores in place, so a campaign worker
+    /// that holds one machine pays the stack in use per fault.
     pub fn restore(&mut self, snap: &Snapshot) {
-        let s = snap.state();
-        self.st.regs.clone_from(&s.regs);
-        self.st.mem.restore_from(&s.mem);
-        self.st.pc = s.pc;
-        self.st.call_stack.clone_from(&s.call_stack);
-        self.st.output.clone_from(&s.output);
+        snap.restore_into(&mut self.st);
         self.cycles = snap.cycles();
         self.dyn_insts = snap.dyn_insts();
         self.stop = None;
@@ -1491,6 +1390,17 @@ impl<'a> DecodedMachine<'a> {
     }
 
     /// Runs until the program stops, injecting `faults` along the way.
+    pub fn run_to_completion(&mut self, faults: &[FaultSpec]) -> RunResult {
+        loop {
+            // The step limit (at most `u64::MAX`) stops every run.
+            if let Some(result) = self.run_faulted(faults, u64::MAX) {
+                return result;
+            }
+        }
+    }
+
+    /// The faulted run loop: the run's result once it stops, or `None`
+    /// once `end` dynamic instructions have executed.
     ///
     /// The loop partitions execution into fault-free windows bounded by
     /// the next pending injection index (or the step limit), runs each
@@ -1498,14 +1408,18 @@ impl<'a> DecodedMachine<'a> {
     /// exactly the boundary instruction with the fault hook armed — so
     /// per-step fault scans, budget checks, and latch checks never
     /// touch the hot path.
-    pub fn run_to_completion(&mut self, faults: &[FaultSpec]) -> RunResult {
+    fn run_faulted(&mut self, faults: &[FaultSpec], end: u64) -> Option<RunResult> {
+        let limit = self.dc.cpu.step_limit();
         loop {
             if let Some(stop) = self.stop {
-                return self.result(stop);
+                return Some(self.result(stop));
             }
-            if self.dyn_insts >= self.dc.cpu.step_limit() {
+            if self.dyn_insts >= limit {
                 self.stop = Some(StopReason::Timeout);
-                return self.result(StopReason::Timeout);
+                return Some(self.result(StopReason::Timeout));
+            }
+            if self.dyn_insts >= end {
+                return None;
             }
             let next_fault = faults
                 .iter()
@@ -1516,7 +1430,7 @@ impl<'a> DecodedMachine<'a> {
             if self.dyn_insts == next_fault {
                 self.step_faulted(faults);
             } else {
-                self.run_tight(self.dc.cpu.step_limit().min(next_fault));
+                self.run_tight(limit.min(next_fault));
             }
         }
     }
@@ -1528,7 +1442,8 @@ impl<'a> DecodedMachine<'a> {
     /// architectural state ([`State`]: registers, memory, pc, call
     /// stack, output) and its remaining step budget.  When this machine
     /// reaches a checkpoint's dynamic index with *exactly* the
-    /// checkpoint's state — compared in full, no hashing — both the
+    /// checkpoint's state — compared field by field within the
+    /// program's touched registers, no hashing — both the
     /// state and the remaining budget (`step_limit - dyn_insts`) equal
     /// the golden run's at that point, so every future step, print, and
     /// stop is the golden run's.  The stitched result therefore copies
@@ -1545,32 +1460,15 @@ impl<'a> DecodedMachine<'a> {
     ) -> RunResult {
         let limit = self.dc.cpu.step_limit();
         // Phase 1: ordinary faulted execution until every pending fault
-        // has been applied (same partition as `run_to_completion`).
+        // has been applied.
         let last_fault = faults
             .iter()
             .map(|f| f.dyn_index)
             .filter(|&i| i >= self.dyn_insts)
             .max();
         if let Some(last) = last_fault {
-            while self.dyn_insts <= last {
-                if let Some(stop) = self.stop {
-                    return self.result(stop);
-                }
-                if self.dyn_insts >= limit {
-                    self.stop = Some(StopReason::Timeout);
-                    return self.result(StopReason::Timeout);
-                }
-                let next_fault = faults
-                    .iter()
-                    .map(|f| f.dyn_index)
-                    .filter(|&i| i >= self.dyn_insts)
-                    .min()
-                    .unwrap_or(u64::MAX);
-                if self.dyn_insts == next_fault {
-                    self.step_faulted(faults);
-                } else {
-                    self.run_tight(limit.min(next_fault));
-                }
+            if let Some(result) = self.run_faulted(faults, last.saturating_add(1)) {
+                return result;
             }
         }
         // Phase 2: fault-free execution, comparing against each golden
@@ -1587,12 +1485,7 @@ impl<'a> DecodedMachine<'a> {
                 break;
             }
             if self.dyn_insts == cp.dyn_insts()
-                && states_converged(
-                    &self.st,
-                    cp.state(),
-                    self.dc.touched_gpr,
-                    self.dc.touched_simd,
-                )
+                && cp.same_state(&self.st, self.dc.touched_gpr, self.dc.touched_simd)
             {
                 return RunResult {
                     stop: golden.stop,
@@ -1614,10 +1507,14 @@ impl<'a> DecodedMachine<'a> {
     ///
     /// Equivalent to stepping until `dyn_insts() >= boundary` or a
     /// stop, but without per-step dispatch overhead — campaign golden
-    /// walks use this to place snapshots at interval boundaries.
+    /// walks use this to place checkpoints at interval boundaries.
     pub fn advance_to(&mut self, boundary: u64) -> Option<StopReason> {
+        let limit = self.dc.cpu.step_limit();
         if self.stop.is_none() {
-            self.run_tight(boundary.min(self.dc.cpu.step_limit()));
+            self.run_tight(boundary.min(limit));
+            if self.stop.is_none() && self.dyn_insts < boundary {
+                self.stop = Some(StopReason::Timeout);
+            }
         }
         self.stop
     }
@@ -1758,6 +1655,20 @@ mod tests {
         Cpu::load(&p).unwrap()
     }
 
+    /// Restores `snap` on a fresh interpreter machine and runs it out.
+    fn interp_resume(cpu: &Cpu, snap: &Snapshot, faults: &[FaultSpec]) -> RunResult {
+        let mut m = Machine::new(cpu);
+        m.restore(snap);
+        m.run_to_completion(faults)
+    }
+
+    /// Restores `snap` on a fresh decoded machine and runs it out.
+    fn decoded_resume(dc: &DecodedCpu, snap: &Snapshot, faults: &[FaultSpec]) -> RunResult {
+        let mut m = DecodedMachine::new(dc);
+        m.restore(snap);
+        m.run_to_completion(faults)
+    }
+
     fn assert_profiles_match(a: &Profile, b: &Profile) {
         assert_eq!(a.sites, b.sites);
         assert_eq!(a.prov_counts, b.prov_counts);
@@ -1840,6 +1751,8 @@ mod tests {
         let golden = cpu.run(None);
         // Interpreter snapshot → decoded resume, decoded snapshot →
         // interpreter resume, at several prefix depths.
+        let mut reused = DecodedMachine::new(&dc);
+        reused.run_to_completion(&[]);
         for k in [0u32, 1, 5, 17] {
             let mut im = Machine::new(&cpu);
             let mut dm = DecodedMachine::new(&dc);
@@ -1849,10 +1762,14 @@ mod tests {
             }
             assert_eq!(dm.dyn_insts(), im.dyn_insts());
             assert_eq!(dm.cycles(), im.cycles());
-            assert_eq!(dc.resume(&im.snapshot(), &[]), golden);
-            let mut back = Machine::new(&cpu);
-            back.restore(&dm.snapshot());
-            assert_eq!(back.run_to_completion(&[]), golden);
+            let (isnap, dsnap) = (im.snapshot(), dm.snapshot());
+            assert!(isnap.same_state(dm.state(), u16::MAX, u16::MAX));
+            assert!(dsnap.same_state(im.state(), u16::MAX, u16::MAX));
+            assert_eq!(decoded_resume(&dc, &isnap, &[]), golden);
+            assert_eq!(interp_resume(&cpu, &dsnap, &[]), golden);
+            // A machine that ran deeper restores in place just as well.
+            reused.restore(&isnap);
+            assert_eq!(reused.run_to_completion(&[]), golden);
         }
     }
 
@@ -1868,7 +1785,10 @@ mod tests {
         let snap = m.snapshot();
         for site in prof.sites.iter().filter(|s| s.dyn_index >= 4).take(12) {
             let f = FaultSpec::new(site.dyn_index, 9);
-            assert_eq!(dc.resume(&snap, &[f]), cpu.resume(&snap, &[f]));
+            assert_eq!(
+                decoded_resume(&dc, &snap, &[f]),
+                interp_resume(&cpu, &snap, &[f])
+            );
         }
     }
 
@@ -1895,7 +1815,7 @@ mod tests {
                     for raw in [0u16, 9, 255] {
                         let f = FaultSpec::new(site.dyn_index, raw);
                         assert_eq!(
-                            dc.run_converging(&[f], &checkpoints, &golden),
+                            DecodedMachine::new(&dc).run_converging(&[f], &checkpoints, &golden),
                             cpu.run(Some(f)),
                             "site {} raw {raw} cadence {cadence}",
                             site.dyn_index
@@ -1906,7 +1826,8 @@ mod tests {
             // No checkpoints at all degenerates to a plain run.
             for site in cpu.profile().sites.iter().take(8) {
                 let f = FaultSpec::new(site.dyn_index, 3);
-                assert_eq!(dc.run_converging(&[f], &[], &golden), cpu.run(Some(f)));
+                let plain = DecodedMachine::new(&dc).run_converging(&[f], &[], &golden);
+                assert_eq!(plain, cpu.run(Some(f)));
             }
         }
     }
@@ -1935,9 +1856,11 @@ mod tests {
         let snap = m.snapshot();
         for site in cpu.profile().sites.iter().filter(|s| s.dyn_index >= 4) {
             let f = FaultSpec::new(site.dyn_index, 9);
+            let mut dm = DecodedMachine::new(&dc);
+            dm.restore(&snap);
             assert_eq!(
-                dc.resume_converging(&snap, &[f], &checkpoints, &golden),
-                cpu.resume(&snap, &[f]),
+                dm.run_converging(&[f], &checkpoints, &golden),
+                interp_resume(&cpu, &snap, &[f]),
                 "site {}",
                 site.dyn_index
             );
@@ -1950,7 +1873,7 @@ mod tests {
         for site in tight.profile().sites.iter().filter(|s| s.dyn_index < 12) {
             let f = FaultSpec::new(site.dyn_index, 9);
             assert_eq!(
-                tdc.run_converging(&[f], &checkpoints, &tgolden),
+                DecodedMachine::new(&tdc).run_converging(&[f], &checkpoints, &tgolden),
                 tight.run(Some(f)),
                 "site {}",
                 site.dyn_index
@@ -1969,8 +1892,8 @@ mod tests {
         dm.step();
         dm.step();
         let snap = dm.snapshot();
-        let mine = dc.resume(&snap, &[]);
-        let theirs = cpu.resume(&snap, &[]);
+        let mine = decoded_resume(&dc, &snap, &[]);
+        let theirs = interp_resume(&cpu, &snap, &[]);
         assert_eq!(mine, theirs);
         assert_eq!(mine.stop, StopReason::Timeout);
         assert_eq!(mine.dyn_insts, 10);

@@ -17,8 +17,9 @@
 //!   the campaign sampler draws from,
 //! * snapshot/restore execution ([`snapshot::Machine`]): the complete
 //!   architectural state can be checkpointed at any instruction
-//!   boundary and resumed, which campaign executors use to share the
-//!   golden prefix across faulted runs instead of re-executing it.
+//!   boundary, at the cost of the stack in use, and resumed on either
+//!   engine — every campaign starts each faulted run from the nearest
+//!   golden checkpoint instead of re-executing the prefix.
 //!
 //! A transfer to the `exit_function` label stops the run with
 //! [`outcome::StopReason::Detected`] — the paper's checker-fired event.

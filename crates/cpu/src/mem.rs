@@ -20,10 +20,26 @@ pub struct Memory {
     globals: Vec<u8>,
     stack: Vec<u8>,
     /// Lowest stack offset ever written — everything below is still the
-    /// all-zero initial image, letting content compares walk only the
-    /// touched suffix.  Monotonically decreasing; cloning (snapshot /
-    /// restore) carries it with the bytes it describes.
+    /// all-zero initial image, so checkpoints keep, and compares walk,
+    /// only the touched suffix.  Monotonically decreasing except on
+    /// [`Memory::restore`], which takes the checkpoint's mark.
     stack_low: usize,
+}
+
+/// A [`Memory`]'s contents as a checkpoint holds them: the globals and
+/// the stack bytes from the low-water mark to the stack top.
+#[derive(Debug, Clone)]
+pub(crate) struct MemCheckpoint {
+    globals: Vec<u8>,
+    /// `stack[stack_low..]` of the captured memory.
+    stack: Vec<u8>,
+}
+
+impl MemCheckpoint {
+    /// The captured memory's low-water mark.
+    pub(crate) fn stack_low(&self) -> usize {
+        STACK_SIZE as usize - self.stack.len()
+    }
 }
 
 /// A faulting access.
@@ -43,47 +59,52 @@ impl Memory {
         }
     }
 
-    /// Whether two memories hold identical contents.
-    ///
-    /// Stack bytes below a memory's own low-water mark have never been
-    /// written since construction, so they are the all-zero initial
-    /// image in both operands; the compare walks only the globals and
-    /// the touched stack suffix.
-    pub fn same_contents(&self, other: &Memory) -> bool {
-        let wm = self.stack_low.min(other.stack_low);
-        self.globals == other.globals && self.stack[wm..] == other.stack[wm..]
-    }
-
-    /// A clone that materializes the untouched stack prefix as fresh
-    /// zero pages instead of copying it.
-    ///
-    /// Bytes below `stack_low` are the all-zero initial image (see the
-    /// field invariant), so allocating them zeroed and copying only the
-    /// touched suffix yields contents identical to [`Clone::clone`] —
-    /// the decoded engine's snapshot capture uses this to keep the cost
-    /// proportional to the stack actually in use.
-    pub(crate) fn clone_compact(&self) -> Memory {
-        let mut stack = vec![0u8; STACK_SIZE as usize];
-        stack[self.stack_low..].copy_from_slice(&self.stack[self.stack_low..]);
-        Memory {
+    /// Captures the globals and the stack suffix above the low-water
+    /// mark: everything below it is the all-zero initial image, so a
+    /// checkpoint costs the stack in use, not the 512 KiB stack.
+    pub(crate) fn checkpoint(&self) -> MemCheckpoint {
+        MemCheckpoint {
             globals: self.globals.clone(),
-            stack,
-            stack_low: self.stack_low,
+            stack: self.stack[self.stack_low..].to_vec(),
         }
     }
 
-    /// In-place restore from `other`, reusing this memory's buffers.
-    ///
-    /// Copies the globals and the stack suffix above the lower of the
-    /// two low-water marks; below that both stacks are still the
-    /// all-zero initial image, so the result is byte-identical to
-    /// `*self = other.clone()` without the 512 KiB allocation — the
-    /// decoded engine's snapshot restore runs this once per injection.
-    pub(crate) fn restore_from(&mut self, other: &Memory) {
-        self.globals.clone_from(&other.globals);
-        let wm = self.stack_low.min(other.stack_low);
-        self.stack[wm..].copy_from_slice(&other.stack[wm..]);
-        self.stack_low = other.stack_low;
+    /// Reinstates `cp` in place, reusing this memory's buffers: the
+    /// bytes this memory touched below the checkpoint's low-water mark
+    /// are zeroed, the checkpoint's suffix is copied over the rest.
+    pub(crate) fn restore(&mut self, cp: &MemCheckpoint) {
+        self.globals.clone_from(&cp.globals);
+        let low = cp.stack_low();
+        if self.stack_low < low {
+            self.stack[self.stack_low..low].fill(0);
+        }
+        self.stack[low..].copy_from_slice(&cp.stack);
+        self.stack_low = low;
+    }
+
+    /// Whether this memory holds exactly `cp`'s contents.  Below its own
+    /// low-water mark each side is zero, so between the two marks the
+    /// side that touched more must hold zeros, and above both the
+    /// suffixes must agree.
+    pub(crate) fn matches(&self, cp: &MemCheckpoint) -> bool {
+        if self.globals != cp.globals {
+            return false;
+        }
+        let (ours, low) = (&self.stack[self.stack_low..], cp.stack_low());
+        let (ours, theirs) = if self.stack_low < low {
+            let (extra, ours) = ours.split_at(low - self.stack_low);
+            if extra.iter().any(|&b| b != 0) {
+                return false;
+            }
+            (ours, &cp.stack[..])
+        } else {
+            let (extra, theirs) = cp.stack.split_at(self.stack_low - low);
+            if extra.iter().any(|&b| b != 0) {
+                return false;
+            }
+            (ours, theirs)
+        };
+        ours == theirs
     }
 
     /// Size of the global segment in bytes.
@@ -280,6 +301,60 @@ mod tests {
             b.store(GLOBALS_BASE + 60, Width::W64, 1),
             b.store_w(GLOBALS_BASE + 60, Width::W64, 1)
         );
+    }
+
+    #[test]
+    fn a_checkpoint_holds_only_the_touched_stack_suffix() {
+        let mut m = Memory::new(vec![0; 16]);
+        assert!(m.checkpoint().stack.is_empty());
+        m.store(STACK_TOP - 8, Width::W64, 1).unwrap();
+        m.store(STACK_TOP - 40, Width::W8, 2).unwrap();
+        let cp = m.checkpoint();
+        assert_eq!(cp.stack.len(), STACK_SIZE as usize - m.stack_low);
+        assert_eq!(cp.stack.len(), 40);
+        assert_eq!(cp.stack_low(), m.stack_low);
+        assert!(m.matches(&cp));
+    }
+
+    #[test]
+    fn marks_differ_yet_memories_match_exactly_when_the_extra_bytes_are_zero() {
+        let mut shallow = Memory::new(vec![0; 16]);
+        shallow.store(STACK_TOP - 8, Width::W64, 7).unwrap();
+        // A deeper mark over zeros: same contents.
+        let mut deep = shallow.clone();
+        deep.store(STACK_TOP - 64, Width::W64, 0).unwrap();
+        assert!(deep.stack_low < shallow.stack_low);
+        assert!(deep.matches(&shallow.checkpoint()));
+        assert!(shallow.matches(&deep.checkpoint()));
+        // One nonzero byte between the marks, on either side: different.
+        let mut dirty = deep.clone();
+        dirty.store(STACK_TOP - 60, Width::W8, 1).unwrap();
+        assert!(!dirty.matches(&shallow.checkpoint()));
+        assert!(!shallow.matches(&dirty.checkpoint()));
+        // Above both marks the suffixes are compared byte for byte.
+        let mut other = deep.clone();
+        other.store(STACK_TOP - 8, Width::W64, 8).unwrap();
+        assert!(!other.matches(&deep.checkpoint()));
+        let mut globals = deep.clone();
+        globals.store(GLOBALS_BASE, Width::W8, 1).unwrap();
+        assert!(!globals.matches(&deep.checkpoint()));
+    }
+
+    #[test]
+    fn restore_zeroes_what_was_touched_below_the_checkpoint_mark() {
+        let mut m = Memory::new(vec![0; 16]);
+        m.store(STACK_TOP - 8, Width::W64, 5).unwrap();
+        let cp = m.checkpoint();
+        m.store(STACK_TOP - 512, Width::W64, u64::MAX).unwrap();
+        m.store(STACK_TOP - 8, Width::W64, 6).unwrap();
+        m.store(GLOBALS_BASE, Width::W64, 9).unwrap();
+        m.restore(&cp);
+        assert_eq!(m.stack_low, cp.stack_low());
+        assert_eq!(m.load(STACK_TOP - 512, Width::W64).unwrap(), 0);
+        assert_eq!(m.load(STACK_TOP - 8, Width::W64).unwrap(), 5);
+        assert_eq!(m.load(GLOBALS_BASE, Width::W64).unwrap(), 0);
+        assert!(m.stack.iter().take(m.stack_low).all(|&b| b == 0));
+        assert!(m.matches(&cp));
     }
 
     #[test]

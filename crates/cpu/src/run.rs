@@ -5,11 +5,12 @@ use ferrum_asm::program::AsmProgram;
 use ferrum_asm::provenance::{Mechanism, Provenance};
 
 use crate::cost::CostModel;
-use crate::exec::{eligible_dest_bits, step, State, StepEvent};
+use crate::exec::{eligible_dest_bits, StepEvent};
 use crate::fault::FaultSpec;
 use crate::image::{Image, LoadError, TargetRef};
 use crate::outcome::{RunResult, StopReason};
 use crate::profile::{PcProfile, ProfileBuilder};
+use crate::snapshot::Machine;
 
 /// A loaded program ready for repeated simulation.
 #[derive(Debug, Clone)]
@@ -201,46 +202,24 @@ impl Cpu {
     /// per run (§II-A); multi-fault campaigns are the paper's stated
     /// future work, reproduced by `repro multibit`.
     pub fn run_multi(&self, faults: &[FaultSpec]) -> RunResult {
-        crate::snapshot::Machine::new(self).run_to_completion(faults)
+        Machine::new(self).run_to_completion(faults)
     }
 
-    /// Resumes execution from a
-    /// [`Snapshot`](crate::snapshot::Snapshot) of this program's
-    /// state, injecting `faults` (only those at-or-after the snapshot's
-    /// instruction boundary can still fire).  Byte-identical to a full
-    /// [`Cpu::run_multi`] with the same faults when the snapshot was
-    /// taken on the fault-free path before every injection index.
-    pub fn resume(&self, snap: &crate::snapshot::Snapshot, faults: &[FaultSpec]) -> RunResult {
-        let mut m = crate::snapshot::Machine::new(self);
-        m.restore(snap);
-        m.run_to_completion(faults)
-    }
-
-    /// Runs fault-free while recording every injectable dynamic site.
+    /// Runs fault-free while recording every injectable dynamic site:
+    /// one [`Machine`] step at a time, reading the pc before each step
+    /// and the cycles it cost after it.
     pub fn profile(&self) -> Profile {
-        let mut st = State::new(&self.image);
-        let mut cycles = 0u64;
-        let mut n = 0u64;
+        let mut m = Machine::new(self);
         let mut sites = Vec::new();
         let mut prov_counts = ProvCounts::default();
         let mut mech_counts = MechCounts::default();
         let mut pcs = ProfileBuilder::new(&self.image);
         loop {
-            if n >= self.step_limit {
-                return Profile {
-                    sites,
-                    prov_counts,
-                    mech_counts,
-                    pcs: pcs.finish(),
-                    result: RunResult {
-                        stop: StopReason::Timeout,
-                        output: st.output,
-                        cycles,
-                        dyn_insts: n,
-                    },
-                };
+            let (pc, before) = (m.state().pc, m.cycles());
+            let ev = m.step();
+            if ev == StepEvent::Stop(StopReason::Timeout) {
+                break;
             }
-            let pc = st.pc;
             let li = &self.image.insts[pc];
             match li.prov {
                 Provenance::FromIr(_) => prov_counts.from_ir += 1,
@@ -250,18 +229,16 @@ impl Cpu {
             }
             if let Some(bits) = eligible_dest_bits(&li.inst) {
                 sites.push(SiteInfo {
-                    dyn_index: n,
+                    dyn_index: m.dyn_insts() - 1,
                     pc,
                     prov: li.prov,
                     is_flags: matches!(li.inst.dest_class(), ferrum_asm::inst::DestClass::Rflags),
                     bits,
                 });
             }
-            let ev = step(&self.image, &mut st);
-            let step_cycles = self.cost.cost_tagged(&li.inst, li.prov);
-            cycles += step_cycles;
-            if let Some(m) = li.prov.mechanism() {
-                mech_counts.add(m, step_cycles);
+            let step_cycles = m.cycles() - before;
+            if let Some(mech) = li.prov.mechanism() {
+                mech_counts.add(mech, step_cycles);
             }
             pcs.record(pc, step_cycles);
             match (&li.inst, li.target) {
@@ -269,21 +246,16 @@ impl Cpu {
                 (ferrum_asm::inst::Inst::Ret, _) => pcs.leave(),
                 _ => {}
             }
-            n += 1;
-            if let StepEvent::Stop(stop) = ev {
-                return Profile {
-                    sites,
-                    prov_counts,
-                    mech_counts,
-                    pcs: pcs.finish(),
-                    result: RunResult {
-                        stop,
-                        output: st.output,
-                        cycles,
-                        dyn_insts: n,
-                    },
-                };
+            if let StepEvent::Stop(_) = ev {
+                break;
             }
+        }
+        Profile {
+            sites,
+            prov_counts,
+            mech_counts,
+            pcs: pcs.finish(),
+            result: m.result(),
         }
     }
 }

@@ -1,53 +1,110 @@
-//! Snapshot/restore execution: the mechanism behind prefix-sharing
-//! fault-injection campaigns.
+//! Snapshot/restore execution: the mechanism behind every
+//! fault-injection campaign.
 //!
-//! A plain campaign re-executes the whole program from instruction 0
-//! for every injected fault, even though every run is byte-identical to
-//! the golden run up to the injection point.  [`Machine`] exposes the
-//! simulator as a steppable object whose complete architectural state —
-//! GPRs, SIMD registers, RFLAGS, memory, program counter, output
-//! buffer, call stack, and the cycle/instruction counters — can be
-//! captured with [`Machine::snapshot`] and reinstated with
-//! [`Machine::restore`].  A campaign executor runs the golden prefix
-//! once, snapshots it periodically, and starts each faulted run from
-//! the nearest snapshot at-or-before its injection index (the
-//! incremental-injection idea FastFlip applies to compositional
-//! analysis; see `PAPERS.md`).
+//! A faulted run is byte-identical to the golden run up to its
+//! injection point, so re-executing that prefix for every fault is
+//! waste.  [`Machine`] exposes the simulator as a steppable object
+//! whose complete architectural state — GPRs, SIMD registers, RFLAGS,
+//! memory, program counter, output buffer, call stack, and the
+//! cycle/instruction counters — can be captured with
+//! [`Machine::snapshot`] and reinstated with [`Machine::restore`].  A
+//! campaign walks the golden run once, checkpoints it periodically, and
+//! starts each faulted run from the nearest checkpoint at-or-before its
+//! injection index (the incremental-injection idea FastFlip applies to
+//! compositional analysis; see `PAPERS.md`).
+//!
+//! A [`Snapshot`] keeps only the stack from the low-water mark up:
+//! below it the stack is still the all-zero initial image, so capture,
+//! restore and the convergence compare cost the stack in use.  The
+//! decoded engine's machine captures and restores through the same
+//! functions, so snapshots interchange between the engines.
 //!
 //! Determinism contract: for any snapshot taken at instruction boundary
 //! `k` during a fault-free run, resuming it with faults whose
 //! `dyn_index >= k` produces a [`RunResult`] byte-identical to a full
-//! run with the same faults.  `campaign.rs` in `ferrum-faultsim` pins
-//! this with tests.
+//! run with the same faults.  The tests below and `decoded.rs` pin
+//! this for both engines.
+
+use ferrum_asm::reg::{Gpr, Zmm};
 
 use crate::exec::{apply_fault, step, State, StepEvent};
 use crate::fault::FaultSpec;
+use crate::machine::RegFile;
+use crate::mem::MemCheckpoint;
 use crate::outcome::{RunResult, StopReason};
 use crate::run::Cpu;
 
 /// A complete architectural checkpoint taken at an instruction boundary.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
-    state: State,
+    regs: RegFile,
+    mem: MemCheckpoint,
+    pc: usize,
+    call_stack: Vec<usize>,
+    output: Vec<i64>,
     cycles: u64,
     dyn_insts: u64,
 }
 
 impl Snapshot {
-    /// Assembles a snapshot from raw parts — how the decoded engine's
-    /// machine produces [`Snapshot`]s interchangeable with the
-    /// interpreter's (both execute over the same [`State`] type).
-    pub(crate) fn from_parts(state: State, cycles: u64, dyn_insts: u64) -> Snapshot {
+    /// Captures `st` at an instruction boundary, `cycles` and
+    /// `dyn_insts` into the run — how both engines' machines snapshot.
+    pub(crate) fn capture(st: &State, cycles: u64, dyn_insts: u64) -> Snapshot {
         Snapshot {
-            state,
+            regs: st.regs.clone(),
+            mem: st.mem.checkpoint(),
+            pc: st.pc,
+            call_stack: st.call_stack.clone(),
+            output: st.output.clone(),
             cycles,
             dyn_insts,
         }
     }
 
-    /// The captured architectural state.
-    pub(crate) fn state(&self) -> &State {
-        &self.state
+    /// Reinstates the captured state into `st` in place, reusing its
+    /// buffers (see [`crate::mem::Memory::restore`]).
+    pub(crate) fn restore_into(&self, st: &mut State) {
+        st.regs.clone_from(&self.regs);
+        st.mem.restore(&self.mem);
+        st.pc = self.pc;
+        st.call_stack.clone_from(&self.call_stack);
+        st.output.clone_from(&self.output);
+    }
+
+    /// Exact architectural-state equality with `st`, cheapest fields
+    /// first: a non-converged state almost always differs in a
+    /// register or the pc, so the memory walk is the last resort.
+    ///
+    /// Register files are compared only within `touched_gpr` /
+    /// `touched_simd`: every state this compare ever sees descends from
+    /// the same loaded image's [`State::new`] register file, and only
+    /// instruction write-backs and injected faults can change a
+    /// register — so registers outside the masks of everything the
+    /// program writes are equal by construction, and skipping them (in
+    /// particular the untouched bulk of the sixteen 512-bit SIMD
+    /// registers) keeps the compare proportional to what the program
+    /// uses.  RFLAGS is always compared.
+    pub(crate) fn same_state(&self, st: &State, touched_gpr: u16, touched_simd: u16) -> bool {
+        if st.pc != self.pc || st.regs.flags != self.regs.flags {
+            return false;
+        }
+        let mut g = touched_gpr;
+        while g != 0 {
+            let r = Gpr::from_index(g.trailing_zeros() as usize);
+            if st.regs.read64(r) != self.regs.read64(r) {
+                return false;
+            }
+            g &= g - 1;
+        }
+        let mut s = touched_simd;
+        while s != 0 {
+            let z = Zmm::new(s.trailing_zeros() as u8);
+            if st.regs.read_zmm(z) != self.regs.read_zmm(z) {
+                return false;
+            }
+            s &= s - 1;
+        }
+        st.call_stack == self.call_stack && st.output == self.output && st.mem.matches(&self.mem)
     }
 
     /// Number of dynamic instructions executed before this snapshot —
@@ -67,8 +124,9 @@ impl Snapshot {
 /// Unlike [`Cpu::run`], which drives a run to completion internally,
 /// `Machine` hands control back after every instruction, so callers can
 /// capture snapshots, resume from them, and inject faults at precise
-/// dynamic indices.  `Cpu::run_multi` itself is implemented on top of
-/// this type, so both paths share one set of semantics.
+/// dynamic indices.  `Cpu::run_multi`, `Cpu::profile` and
+/// `Cpu::run_traced` all step this type, so every interpreter path
+/// shares one set of semantics.
 #[derive(Debug, Clone)]
 pub struct Machine<'a> {
     cpu: &'a Cpu,
@@ -120,17 +178,13 @@ impl<'a> Machine<'a> {
     /// Captures the complete architectural state at the current
     /// instruction boundary.
     pub fn snapshot(&self) -> Snapshot {
-        Snapshot {
-            state: self.st.clone(),
-            cycles: self.cycles,
-            dyn_insts: self.dyn_insts,
-        }
+        Snapshot::capture(&self.st, self.cycles, self.dyn_insts)
     }
 
-    /// Reinstates a snapshot (taken from any machine over the same
-    /// [`Cpu`]), clearing any stop condition.
+    /// Reinstates a snapshot (taken from either engine's machine over
+    /// the same program), clearing any stop condition.
     pub fn restore(&mut self, snap: &Snapshot) {
-        self.st = snap.state.clone();
+        snap.restore_into(&mut self.st);
         self.cycles = snap.cycles;
         self.dyn_insts = snap.dyn_insts;
         self.stop = None;
@@ -141,7 +195,8 @@ impl<'a> Machine<'a> {
     ///
     /// Returns `StepEvent::Continue` while the run can proceed; once a
     /// stop condition is reached (including step-limit exhaustion) the
-    /// machine latches it and further calls return it unchanged.
+    /// machine latches it and further calls return it unchanged.  A
+    /// `Timeout` is always the step limit, and no instruction ran.
     pub fn step_faulted(&mut self, faults: &[FaultSpec]) -> StepEvent {
         if let Some(stop) = self.stop {
             return StepEvent::Stop(stop);
@@ -185,7 +240,7 @@ impl<'a> Machine<'a> {
     }
 
     /// The run result so far (meaningful once stopped).
-    fn result(&self) -> RunResult {
+    pub(crate) fn result(&self) -> RunResult {
         RunResult {
             stop: self.stop.expect("machine has stopped"),
             output: self.st.output.clone(),
@@ -198,6 +253,8 @@ impl<'a> Machine<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mem::{STACK_SIZE, STACK_TOP};
+    use ferrum_asm::reg::Width;
     use ferrum_mir::builder::FunctionBuilder;
     use ferrum_mir::module::{Global, Module};
     use ferrum_mir::types::Ty;
@@ -275,6 +332,35 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn restore_over_a_deeper_stack_zeroes_the_gap_and_resumes_exactly() {
+        let cpu = sum_cpu();
+        let golden = Machine::new(&cpu).run_to_completion(&[]);
+        let mut m = Machine::new(&cpu);
+        let mut snaps = vec![m.snapshot()];
+        while m.step() == StepEvent::Continue {
+            snaps.push(m.snapshot());
+        }
+        // Dirty the stack far below anything the program touches, so
+        // the machine's low-water mark lies below every checkpoint's.
+        let deep = STACK_TOP - 4096;
+        for snap in &snaps {
+            m.state_mut().mem.store(deep, Width::W64, u64::MAX).unwrap();
+            m.restore(snap);
+            let mark = STACK_TOP - STACK_SIZE + snap.mem.stack_low() as u64;
+            assert!(deep + 8 <= mark, "the program reached {mark:#x}");
+            for addr in deep..mark {
+                assert_eq!(m.state().mem.load(addr, Width::W8), Ok(0), "{addr:#x}");
+            }
+            assert_eq!(
+                m.run_to_completion(&[]),
+                golden,
+                "from {}",
+                snap.dyn_insts()
+            );
         }
     }
 

@@ -10,11 +10,12 @@ use ferrum_asm::printer::print_inst;
 use ferrum_asm::provenance::Provenance;
 use ferrum_asm::reg::{Gpr, Zmm};
 
-use crate::exec::{step, State, StepEvent};
+use crate::exec::StepEvent;
 use crate::fault::FaultSpec;
 use crate::machine::RegFile;
 use crate::outcome::{RunResult, StopReason};
 use crate::run::Cpu;
+use crate::snapshot::Machine;
 
 /// The architectural value an instruction left in its destination,
 /// captured right after write-back — so an injected fault shows up as
@@ -150,58 +151,35 @@ impl Trace {
 impl Cpu {
     /// Runs like [`Cpu::run`] while recording up to `limit` trace
     /// entries (from the start of execution; later instructions still
-    /// execute, untraced).
+    /// execute, untraced): one [`Machine`] step at a time, reading the
+    /// pc before each step and the destination after it.
     pub fn run_traced(&self, fault: Option<FaultSpec>, limit: usize) -> Trace {
         let image = self.image();
-        let mut st = State::new(image);
+        let mut m = Machine::new(self);
         let mut entries = Vec::with_capacity(limit.min(4096));
-        let mut cycles = 0u64;
-        let mut n = 0u64;
-        let cost = self.cost_model();
-        let step_limit = self.step_limit();
         loop {
-            if n >= step_limit {
-                return Trace {
-                    entries,
-                    result: RunResult {
-                        stop: StopReason::Timeout,
-                        output: st.output,
-                        cycles,
-                        dyn_insts: n,
-                    },
-                };
-            }
-            let pc = st.pc;
-            let li = &image.insts[pc];
-            let ev = step(image, &mut st);
-            cycles += cost.cost_tagged(&li.inst, li.prov);
-            if let Some(f) = fault {
-                if f.dyn_index == n {
-                    crate::exec::apply_fault(&li.inst, f.raw_bit, &mut st);
-                }
+            let pc = m.state().pc;
+            let ev = m.step_faulted(fault.as_slice());
+            if ev == StepEvent::Stop(StopReason::Timeout) {
+                break;
             }
             if entries.len() < limit {
-                let wrote = WroteValue::capture(&li.inst, &st.regs);
+                let li = &image.insts[pc];
                 entries.push(TraceEntry {
-                    dyn_index: n,
+                    dyn_index: m.dyn_insts() - 1,
                     pc,
                     text: print_inst(&li.inst),
                     prov: li.prov,
-                    wrote,
+                    wrote: WroteValue::capture(&li.inst, &m.state().regs),
                 });
             }
-            n += 1;
-            if let StepEvent::Stop(stop) = ev {
-                return Trace {
-                    entries,
-                    result: RunResult {
-                        stop,
-                        output: st.output,
-                        cycles,
-                        dyn_insts: n,
-                    },
-                };
+            if let StepEvent::Stop(_) = ev {
+                break;
             }
+        }
+        Trace {
+            entries,
+            result: m.result(),
         }
     }
 }

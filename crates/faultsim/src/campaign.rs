@@ -5,11 +5,11 @@
 //! this module defines what it consumes and returns.  The samplers
 //! (`sample_faults` and its double-fault and exhaustive siblings)
 //! are deterministic per seed, which is what makes every plan over the
-//! same fault list record-identical whatever its threads, snapshots,
-//! pruning, reuse, or engine.
+//! same fault list record-identical whatever its threads, pruning,
+//! reuse, or engine.
 //!
 //! [`CampaignResult::stats`] carries campaign telemetry: throughput
-//! (wall time, injections/sec), snapshot hit-rate and steps saved,
+//! (wall time, injections/sec), checkpoint hit-rate and steps saved,
 //! per-worker load ([`WorkerStats`]), and the detection-latency
 //! distribution ([`DetectionLatency`] — the dynamic-instruction
 //! distance from each injection to the checker that caught it).
@@ -208,12 +208,12 @@ pub struct CampaignStats {
     pub injections_per_sec: f64,
     /// Worker threads used.
     pub threads: usize,
-    /// Snapshots captured along the golden prefix.
+    /// Checkpoints captured on the golden walk.
     pub snapshots_taken: usize,
-    /// Faulted runs that started from a snapshot past instruction 0.
+    /// Faulted runs that started from a checkpoint past instruction 0.
     pub snapshot_hits: usize,
-    /// Dynamic instructions *not* re-executed thanks to snapshots
-    /// (the sum of each chosen snapshot's instruction boundary).
+    /// Dynamic instructions *not* re-executed thanks to checkpoints
+    /// (the sum of each chosen checkpoint's instruction boundary).
     pub steps_saved: u64,
     /// Dynamic instructions actually executed across all faulted runs.
     /// A golden suffix the decoded engine stitched in after converging
@@ -380,8 +380,7 @@ pub(crate) fn detection_latency(dyn_insts: u64, inject: u64) -> u64 {
 /// faults at sites drawn uniformly from `profile.sites`.  Every
 /// sampled plan uses this one function, so the sampled list — and
 /// therefore the record stream — is identical across serial,
-/// work-stealing, snapshot-accelerated, pruned, resumed, and decoded
-/// runs of the same seed.
+/// work-stealing, pruned, resumed, and decoded runs of the same seed.
 ///
 /// The bit position is drawn uniformly from the site's own
 /// `eligible_dest_bits` width ([`ferrum_cpu::run::SiteInfo::bits`]),
@@ -467,25 +466,6 @@ pub(crate) fn finish_stats(
     } else {
         0.0
     };
-}
-
-/// Snapshot-placement policy for [`crate::plan::Campaign::snapshots`].
-#[derive(Debug, Clone, Copy)]
-pub struct SnapshotPolicy {
-    /// Upper bound on captured snapshots (each clones the full
-    /// architectural state, memory included, so this bounds memory).
-    pub max_snapshots: usize,
-    /// Snapshots are at least this many dynamic instructions apart.
-    pub min_interval: u64,
-}
-
-impl Default for SnapshotPolicy {
-    fn default() -> SnapshotPolicy {
-        SnapshotPolicy {
-            max_snapshots: 64,
-            min_interval: 64,
-        }
-    }
 }
 
 #[cfg(test)]

@@ -113,9 +113,9 @@ impl<'a> Engine<'a> {
     }
 }
 
-/// A steppable machine over either engine — the forensics replay and
-/// snapshot-placement walks run on this so they work identically on
-/// interpreter and decoded state.
+/// A steppable machine over either engine — the campaign replay,
+/// the golden checkpoint walk and the forensics replay run on this so
+/// they work identically on interpreter and decoded state.
 #[derive(Debug, Clone)]
 pub enum EngineMachine<'a> {
     /// Interpreter machine.
@@ -187,7 +187,8 @@ impl EngineMachine<'_> {
     }
 
     /// Advances fault-free until `boundary` dynamic instructions have
-    /// executed, returning the stop reason if the program stops first.
+    /// executed, returning the stop reason once the program (or its
+    /// step budget) has stopped, at or before the boundary.
     /// The decoded engine runs its tight dispatch loop; the
     /// interpreter — the measured baseline — steps one instruction at
     /// a time, exactly as a step loop would.
@@ -199,7 +200,7 @@ impl EngineMachine<'_> {
                         return Some(s);
                     }
                 }
-                None
+                m.stop_reason()
             }
             EngineMachine::Decoded(m) => m.advance_to(boundary),
         }

@@ -75,9 +75,9 @@ pub struct CampaignFingerprint {
     pub technique: String,
     /// The plan that produced the stream, as
     /// [`Campaign::executor`](crate::plan::Campaign::executor) labels
-    /// it: `"serial"`, `"parallel"`, `"snapshot"`, `"pruned"`,
-    /// `"double"`, `"exhaustive"`, `"stratified"`, `"incremental"`, or
-    /// `"resume"` (older journals may also carry `"forensic"`).
+    /// it: `"serial"`, `"parallel"`, `"pruned"`, `"double"`,
+    /// `"exhaustive"`, `"stratified"`, `"incremental"`, or `"resume"`
+    /// (older journals may also carry `"snapshot"` or `"forensic"`).
     pub executor: String,
     /// Execution engine.
     pub engine: EngineKind,
@@ -216,27 +216,24 @@ pub enum Stage {
     /// Decoding the loaded image into the flattened engine's arrays
     /// (engine binding, before the campaign's started event).
     Decode,
-    /// The fault-free golden walk (profile or snapshot-prefix pass).
+    /// The fault-free golden walk that places the checkpoints.
     GoldenRun,
-    /// Capturing architectural snapshots on the golden walk.
+    /// Capturing checkpoints on the golden walk.
     SnapshotCapture,
-    /// Restoring a worker's machine from a snapshot.
+    /// Restoring a worker's machine from a checkpoint.
     SnapshotRestore,
-    /// Faulted executions run whole from the entry state.
-    Injection,
-    /// Faulted replays resumed from a snapshot (including the
+    /// Faulted runs replayed from a checkpoint (including the
     /// convergence stitch where the engine has one).
     Replay,
 }
 
 impl Stage {
     /// All stages, in reporting order.
-    pub const ALL: [Stage; 6] = [
+    pub const ALL: [Stage; 5] = [
         Stage::Decode,
         Stage::GoldenRun,
         Stage::SnapshotCapture,
         Stage::SnapshotRestore,
-        Stage::Injection,
         Stage::Replay,
     ];
 
@@ -247,7 +244,6 @@ impl Stage {
             Stage::GoldenRun => "golden-run",
             Stage::SnapshotCapture => "snapshot-capture",
             Stage::SnapshotRestore => "snapshot-restore",
-            Stage::Injection => "injection",
             Stage::Replay => "replay",
         }
     }
@@ -1027,7 +1023,8 @@ impl JournalSnapshot {
 
 /// Executor labels whose journals replay against the shared
 /// [`sample_faults`] list: every label a [`FaultList::Sampled`] plan
-/// can carry, plus `forensic`, which older journals carry.  Stratified
+/// can carry, plus `snapshot` and `forensic`, which older journals
+/// carry.  Stratified
 /// plans resume through their own [`CampaignCache`]; double and
 /// exhaustive sweeps draw differently.
 ///
@@ -1471,7 +1468,7 @@ mod tests {
         // A stage observed while no campaign is active is dropped.
         rec.on_stage(0, Stage::GoldenRun, 7);
         let cfg = CampaignConfig { samples: 4, seed: 1 };
-        rec.on_started("snapshot", EngineKind::Decoded, cfg, &empty_profile(), 4);
+        rec.on_started("parallel", EngineKind::Decoded, cfg, &empty_profile(), 4);
         rec.on_stage(0, Stage::Decode, 500);
         rec.on_stage(0, Stage::GoldenRun, 1000);
         rec.on_stage(1, Stage::Replay, 300);

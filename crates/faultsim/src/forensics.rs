@@ -10,7 +10,7 @@
 //! golden and the faulted execution in lock-step from the injection
 //! boundary (sharing the golden prefix via
 //! [`ferrum_cpu::snapshot::Machine`] snapshots, the same determinism
-//! contract the snapshot campaign engine relies on) and emits a
+//! contract the campaign run loop relies on) and emits a
 //! [`ForensicRecord`]:
 //!
 //! * the first architectural divergence (register / SIMD lane / flags /
@@ -51,6 +51,28 @@ use ferrum_cpu::snapshot::Snapshot;
 
 use crate::campaign::{CampaignResult, Outcome};
 use crate::engine::{Engine, EngineMachine};
+
+/// A fault a forensic replay cannot reach: the golden run stops before
+/// its injection index, so the faulted instruction never executes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FaultPastRun {
+    /// The unreachable fault.
+    pub fault: FaultSpec,
+    /// Dynamic instructions the golden run executed before it stopped.
+    pub golden_insts: u64,
+}
+
+impl fmt::Display for FaultPastRun {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "fault at dynamic index {} (bit {}) lies past the golden run's {} instructions",
+            self.fault.dyn_index, self.fault.raw_bit, self.golden_insts
+        )
+    }
+}
+
+impl std::error::Error for FaultPastRun {}
 
 /// Why a checker that executed after the injection failed to fire — or,
 /// at record level, why the whole protection scheme let the fault
@@ -625,27 +647,27 @@ fn bisect_kill_window(
 /// observes the same boundaries on either engine and records are
 /// identical.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `fault.dyn_index` lies beyond the golden run (faults
-/// drawn from `profile.sites` never do).
+/// [`FaultPastRun`] when the golden run stops before `fault.dyn_index`
+/// (faults drawn from `profile.sites` never do).
 pub fn forensic_replay(
     engine: Engine<'_>,
     profile: &Profile,
     fault: FaultSpec,
     outcome: Outcome,
     fcfg: &ForensicConfig,
-) -> ForensicRecord {
+) -> Result<ForensicRecord, FaultPastRun> {
     let image = engine.image();
 
     // Golden prefix up to the injection boundary.
     let mut golden = engine.machine();
-    while golden.dyn_insts() < fault.dyn_index {
-        assert!(
-            golden.step() == ferrum_cpu::exec::StepEvent::Continue,
-            "fault index {} beyond golden run",
-            fault.dyn_index
-        );
+    if golden.advance_to(fault.dyn_index).is_some() {
+        let golden_insts = golden.dyn_insts();
+        return Err(FaultPastRun {
+            fault,
+            golden_insts,
+        });
     }
     let inject_snap = golden.snapshot();
     let inject_pc = golden.state().pc;
@@ -787,7 +809,7 @@ pub fn forensic_replay(
     });
     let primary = primary_reason(&checkers, time_to_output);
 
-    ForensicRecord {
+    Ok(ForensicRecord {
         fault,
         outcome,
         site_pc: inject_pc,
@@ -802,7 +824,7 @@ pub fn forensic_replay(
         checkers,
         primary_reason: primary,
         kill_window,
-    }
+    })
 }
 
 /// Forensically replays a finished campaign: the first
@@ -812,25 +834,30 @@ pub fn forensic_replay(
 /// whatever plan produced `result` and replay can never change it.
 /// Matching records past the cap are counted in
 /// [`ForensicsReport::matching_total`], not dropped silently.
+///
+/// # Errors
+///
+/// [`FaultPastRun`] for the first replayed record whose fault the
+/// golden run of `profile` never reaches — a `result` from another
+/// program.
 pub fn forensic_report(
     engine: Engine<'_>,
     profile: &Profile,
     result: &CampaignResult,
     fcfg: &ForensicConfig,
-) -> ForensicsReport {
+) -> Result<ForensicsReport, FaultPastRun> {
     let mut report = ForensicsReport::default();
     for &(fault, outcome) in &result.records {
         if fcfg.outcomes.contains(&outcome) {
             report.matching_total += 1;
             if report.records.len() < fcfg.max_records {
-                report
-                    .records
-                    .push(forensic_replay(engine, profile, fault, outcome, fcfg));
+                let record = forensic_replay(engine, profile, fault, outcome, fcfg)?;
+                report.records.push(record);
             }
         }
     }
     report.finish();
-    report
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -850,7 +877,7 @@ mod tests {
             ..ForensicConfig::default()
         };
         let result = Campaign::sampled(cfg).run(Engine::Interpreter(cpu), &profile).unwrap();
-        let report = forensic_report(Engine::Interpreter(cpu), &profile, &result, &fcfg);
+        let report = forensic_report(Engine::Interpreter(cpu), &profile, &result, &fcfg).unwrap();
         (result, report)
     }
 
@@ -864,7 +891,8 @@ mod tests {
             };
             let serial = Campaign::sampled(cfg).run(Engine::Interpreter(&cpu), &profile).unwrap();
             let fcfg = ForensicConfig::default();
-            let report = forensic_report(Engine::Interpreter(&cpu), &profile, &serial, &fcfg);
+            let report =
+                forensic_report(Engine::Interpreter(&cpu), &profile, &serial, &fcfg).unwrap();
             assert_eq!(report.matching_total, serial.sdc);
             assert_eq!(
                 report.analyzed(),
@@ -980,10 +1008,44 @@ mod tests {
         };
         let result = Campaign::sampled(cfg).run(Engine::Interpreter(&cpu), &profile).unwrap();
         let fcfg = ForensicConfig::default();
-        let report = forensic_report(Engine::Interpreter(&cpu), &profile, &result, &fcfg);
+        let report = forensic_report(Engine::Interpreter(&cpu), &profile, &result, &fcfg).unwrap();
         assert_eq!(result.total(), 0);
         assert_eq!(report.analyzed(), 0);
         assert_eq!(report.matching_total, 0);
+    }
+
+    #[test]
+    fn a_fault_past_the_golden_run_is_an_error_not_a_panic() {
+        let cpu = unprotected_cpu();
+        let decoded = ferrum_cpu::decoded::DecodedCpu::new(&cpu);
+        let profile = cpu.profile();
+        let end = profile.result.dyn_insts;
+        let fcfg = ForensicConfig::default();
+        for engine in [Engine::Interpreter(&cpu), Engine::Decoded(&decoded)] {
+            // The last golden instruction replays; one past it does not.
+            let last = FaultSpec::new(end - 1, 0);
+            assert!(forensic_replay(engine, &profile, last, Outcome::Benign, &fcfg).is_ok());
+            for fault in [FaultSpec::new(end, 3), FaultSpec::new(u64::MAX, 0)] {
+                let err = forensic_replay(engine, &profile, fault, Outcome::Sdc, &fcfg)
+                    .expect_err("unreachable fault");
+                assert_eq!(
+                    err,
+                    FaultPastRun {
+                        fault,
+                        golden_insts: end
+                    }
+                );
+                assert!(
+                    err.to_string()
+                        .contains(&format!("index {}", fault.dyn_index)),
+                    "{err}"
+                );
+                // A campaign result naming it fails the whole report.
+                let mut result = CampaignResult::default();
+                result.record(fault, Outcome::Sdc);
+                assert_eq!(forensic_report(engine, &profile, &result, &fcfg), Err(err));
+            }
+        }
     }
 
     #[test]

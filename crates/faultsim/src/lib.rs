@@ -17,8 +17,9 @@
 //! uses 1000 faults per benchmark), double faults, exhaustive sweeps
 //! (used by the soundness tests that prove the 100%-coverage claim on
 //! small kernels), and stratified per-function campaigns, each run on
-//! any number of threads, cold or from golden-prefix snapshots, with
-//! static pruning and journal or cache reuse, on either engine.
+//! any number of threads, replaying every fault from a golden-run
+//! checkpoint, with static pruning and journal or cache reuse, on
+//! either engine.
 //! [`campaign`] holds its vocabulary (outcomes, results, telemetry).
 //! [`stats`] computes
 //! SDC probability and the paper's SDC-coverage metric with
@@ -36,7 +37,7 @@ pub mod plan;
 pub mod rootcause;
 pub mod stats;
 
-pub use campaign::{CampaignConfig, CampaignResult, CampaignStats, Outcome, SnapshotPolicy};
+pub use campaign::{CampaignConfig, CampaignResult, CampaignStats, Outcome};
 pub use compose::{
     compose, CampaignCache, ComposedFunction, ComposedMap, ComposedSite, FunctionShard, ShardDraw,
 };
@@ -48,8 +49,8 @@ pub use flight::{
 };
 pub use forensics::{
     explain_unknown_sites, forensic_replay, forensic_report, CheckerEscape, Divergence,
-    EscapeReason, ForensicConfig, ForensicRecord, ForensicsReport, KillWindow, TaintSample,
-    TaintTimeline, UnknownSiteExplanation,
+    EscapeReason, FaultPastRun, ForensicConfig, ForensicRecord, ForensicsReport, KillWindow,
+    TaintSample, TaintTimeline, UnknownSiteExplanation,
 };
 pub use plan::{Campaign, CampaignError, FaultList, Reuse};
 pub use rootcause::{attribute_sdcs, breakdown_by_kind, KindBreakdown, RootCauseReport};

@@ -4,13 +4,20 @@
 //! Every campaign draws faults, runs each one, and classifies it
 //! against the golden output, so a [`Campaign`] names the variations as
 //! independent axes: the [`FaultList`], worker threads, an optional
-//! [`SnapshotPolicy`] (replay from golden-prefix snapshots instead of
-//! cold starts), an optional [`CoverageMap`] to prune with, outcomes to
-//! [`Reuse`], an optional [`FlightRecorder`] to stream events into, and
-//! the [`Engine`] [`Campaign::run`] takes.  For one fault list every
-//! combination of the other axes returns the same records and
-//! detection-latency distribution (`tests/campaign_plan.rs`,
-//! `tests/flight_recorder.rs`); only [`CampaignResult::stats`] differs.
+//! [`CoverageMap`] to prune with, outcomes to [`Reuse`], an optional
+//! [`FlightRecorder`] to stream events into, and the [`Engine`]
+//! [`Campaign::run`] takes.  For one fault list every combination of
+//! the other axes returns the same records and detection-latency
+//! distribution (`tests/campaign_plan.rs`, `tests/flight_recorder.rs`);
+//! only [`CampaignResult::stats`] differs.
+//!
+//! Every executed fault runs the same way: the plan walks the golden
+//! run once, keeping at most 64 checkpoints at least 64 instructions
+//! apart, and replays the fault from the nearest checkpoint at or
+//! before its injection index — the reuse of injection work FastFlip
+//! applies (`PAPERS.md`).  On the decoded engine the replay stops
+//! early once the faulted run's state equals a later checkpoint; the
+//! interpreter, the reference, runs it out.
 //! Combinations without meaning, and plans that must draw faults from a
 //! program without injectable sites, are a [`CampaignError`].
 //!
@@ -31,10 +38,10 @@ use ferrum_cpu::snapshot::Snapshot;
 
 use crate::campaign::{
     classify, detection_latency, exhaustive_faults, finish_stats, sample_faults, sample_pairs,
-    CampaignConfig, CampaignResult, DetectionLatency, Outcome, SnapshotPolicy, WorkerStats,
+    CampaignConfig, CampaignResult, DetectionLatency, Outcome, WorkerStats,
 };
 use crate::compose::{stratified_faults, CampaignCache};
-use crate::engine::{Engine, EngineKind};
+use crate::engine::Engine;
 use crate::flight::{Booking, FlightRecorder, JournalSnapshot, Stage, StageClock};
 
 /// Which faults a campaign injects, in sampling order.
@@ -80,16 +87,15 @@ pub enum Reuse<'a> {
 /// siblings) and set the other axes with the chainable setters:
 ///
 /// ```
-/// # use ferrum_faultsim::{Campaign, CampaignConfig, SnapshotPolicy};
+/// # use ferrum_faultsim::{Campaign, CampaignConfig};
 /// let cfg = CampaignConfig { samples: 200, seed: 7 };
-/// let plan = Campaign::sampled(cfg).threads(4).snapshots(SnapshotPolicy::default());
-/// assert_eq!(plan.executor(), "snapshot");
+/// let plan = Campaign::sampled(cfg).threads(4);
+/// assert_eq!(plan.executor(), "parallel");
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct Campaign<'a> {
     faults: FaultList<'a>,
     threads: usize,
-    snapshots: Option<SnapshotPolicy>,
     prune: Option<&'a CoverageMap>,
     reuse: Reuse<'a>,
     observe: Option<&'a FlightRecorder>,
@@ -146,6 +152,12 @@ impl Work {
     }
 }
 
+/// Most golden checkpoints a plan keeps: each holds the registers, the
+/// globals and the stack in use, so this bounds a campaign's memory.
+const MAX_CHECKPOINTS: u64 = 64;
+/// Fewest dynamic instructions between two golden checkpoints.
+const MIN_INTERVAL: u64 = 64;
+
 /// What one worker hands back.
 #[derive(Default)]
 struct WorkerOut {
@@ -157,12 +169,11 @@ struct WorkerOut {
 }
 
 impl<'a> Campaign<'a> {
-    /// One thread, cold starts, nothing pruned or reused, over `faults`.
+    /// One thread, nothing pruned or reused, over `faults`.
     pub fn new(faults: FaultList<'a>) -> Campaign<'a> {
         Campaign {
             faults,
             threads: 1,
-            snapshots: None,
             prune: None,
             reuse: Reuse::None,
             observe: None,
@@ -196,18 +207,6 @@ impl<'a> Campaign<'a> {
         Campaign { threads: n, ..self }
     }
 
-    /// `Some(policy)`: walks the golden prefix once and replays every
-    /// fault from the nearest snapshot the policy placed at or before
-    /// it.  `None` (the default): every fault runs cold from the entry
-    /// state.
-    #[must_use]
-    pub fn snapshots(self, policy: impl Into<Option<SnapshotPolicy>>) -> Campaign<'a> {
-        Campaign {
-            snapshots: policy.into(),
-            ..self
-        }
-    }
-
     /// Books every fault the map's sound verdicts decide without
     /// executing it (`None`, the default, executes them).
     #[must_use]
@@ -239,10 +238,10 @@ impl<'a> Campaign<'a> {
     /// The flight-recorder fingerprint's `executor` label, derived
     /// from the axes: `resume` (journal reuse), `incremental` (cache
     /// reuse), else the fault list when it is not sampled (`stratified`,
-    /// `double`, `exhaustive`), else `pruned`, `snapshot`, `parallel`
-    /// (more than one thread), or `serial`, first match wins.  Only
-    /// sampled plans carry `serial`, `parallel`, `snapshot`, `pruned`,
-    /// or `resume`, the labels whose journals resume.
+    /// `double`, `exhaustive`), else `pruned`, `parallel` (more than one
+    /// thread), or `serial`, first match wins.  Only sampled plans carry
+    /// `serial`, `parallel`, `pruned`, or `resume`, the labels whose
+    /// journals resume.
     pub fn executor(&self) -> &'static str {
         match (self.reuse, self.faults) {
             (Reuse::Journal(_), _) => "resume",
@@ -251,7 +250,6 @@ impl<'a> Campaign<'a> {
             (_, FaultList::Double(_)) => "double",
             (_, FaultList::Exhaustive(_)) => "exhaustive",
             _ if self.prune.is_some() => "pruned",
-            _ if self.snapshots.is_some() => "snapshot",
             _ if self.threads > 1 => "parallel",
             _ => "serial",
         }
@@ -379,37 +377,28 @@ impl<'a> Campaign<'a> {
     }
 
     /// The run loop: workers steal the next fault, book it if its
-    /// outcome is already known, and otherwise execute it cold or from
-    /// the nearest golden-prefix snapshot.
+    /// outcome is already known, and otherwise replay it from the
+    /// nearest golden checkpoint.
     fn execute(&self, engine: Engine<'_>, profile: &Profile, work: &Work) -> CampaignResult {
         let n = work.faults.len();
         let golden = &profile.result.output;
+        // Consecutive work items then start from the same checkpoint.
         let mut order: Vec<usize> = (0..n).collect();
-        let mut snapshots = Vec::new();
-        if let Some(policy) = self.snapshots {
-            // Consecutive work items then share snapshots, and the
-            // prefix walk runs once, up to the last executed injection.
-            order.sort_by_key(|&i| work.first(i));
-            if let Some(&last) = order.iter().rev().find(|&&i| work.decided[i].is_none()) {
-                snapshots =
-                    golden_snapshots(engine, profile, work.first(last), policy, self.observe);
-            }
-        }
-        let (order, snapshots) = (&order, &snapshots);
+        order.sort_by_key(|&i| work.first(i));
+        let checkpoints = if work.decided.iter().any(Option::is_none) {
+            golden_checkpoints(engine, profile, self.observe)
+        } else {
+            Vec::new()
+        };
+        let (order, checkpoints) = (&order, &checkpoints);
         let next = AtomicUsize::new(0);
         let worker = |t: usize| {
             let mut out = WorkerOut::default();
-            // Snapshot plans reuse one machine per worker, restored in
-            // place per fault — the decoded engine's restore is bounded
-            // by the stack low-water mark, so reuse turns per-injection
-            // state setup from a 512 KiB clone into a few touched
-            // kilobytes.  `entry` is the program start, for faults
-            // before the first snapshot.
-            let mut machine = self.snapshots.map(|_| {
-                let m = engine.machine();
-                let entry = m.snapshot();
-                (m, entry)
-            });
+            // One machine per worker, restored in place per fault;
+            // `entry` is the program start, for faults before the first
+            // checkpoint.
+            let mut m = engine.machine();
+            let entry = m.snapshot();
             loop {
                 let k = next.fetch_add(1, Ordering::Relaxed);
                 let Some(&i) = order.get(k) else {
@@ -426,47 +415,29 @@ impl<'a> Campaign<'a> {
                 let pair = [fault, work.partners.get(i).copied().unwrap_or(fault)];
                 let faults = &pair[..1 + usize::from(!work.partners.is_empty())];
                 let at = work.first(i);
-                let run = match &mut machine {
-                    None => {
-                        let clock = StageClock::start(self.observe);
-                        let run = engine.run_multi(faults);
-                        clock.stop(t, Stage::Injection);
-                        out.steps += run.dyn_insts;
-                        run
+                // The last checkpoint with dyn_insts <= at.
+                let pos = checkpoints.partition_point(|c| c.dyn_insts() <= at);
+                let start = match pos.checked_sub(1) {
+                    Some(j) => {
+                        out.hits += 1;
+                        out.saved += checkpoints[j].dyn_insts();
+                        &checkpoints[j]
                     }
-                    Some((m, entry)) => {
-                        // Nearest snapshot at-or-before the injection
-                        // index: the last one with dyn_insts <= at.
-                        let pos = match snapshots.binary_search_by_key(&(at + 1), |s| s.dyn_insts())
-                        {
-                            Ok(j) | Err(j) => j,
-                        };
-                        let start = match pos.checked_sub(1).map(|j| &snapshots[j]) {
-                            Some(s) => {
-                                out.hits += 1;
-                                out.saved += s.dyn_insts();
-                                s
-                            }
-                            None => &*entry,
-                        };
-                        let clock = StageClock::start(self.observe);
-                        m.restore(start);
-                        clock.stop(t, Stage::SnapshotRestore);
-                        let clock = StageClock::start(self.observe);
-                        let run = m.run_converging(faults, snapshots, &profile.result);
-                        clock.stop(t, Stage::Replay);
-                        // The machine's own count, not `run.dyn_insts`:
-                        // a converged run stitches its golden suffix in
-                        // without executing it.
-                        out.steps += m.dyn_insts() - start.dyn_insts();
-                        run
-                    }
+                    None => &entry,
                 };
+                let clock = StageClock::start(self.observe);
+                m.restore(start);
+                clock.stop(t, Stage::SnapshotRestore);
+                let clock = StageClock::start(self.observe);
+                let run = m.run_converging(faults, checkpoints, &profile.result);
+                clock.stop(t, Stage::Replay);
+                // The machine's own count, not `run.dyn_insts`: a
+                // converged run stitches its golden suffix in without
+                // executing it.
+                out.steps += m.dyn_insts() - start.dyn_insts();
                 let o = classify(run.stop, &run.output, golden);
-                // `Machine::restore` preserves the golden-prefix
-                // dynamic instruction count, so `run.dyn_insts` is the
-                // whole-run total on every path and the latency
-                // distribution does not depend on the axes.
+                // `restore` carries the checkpoint's dynamic instruction
+                // count, so `run.dyn_insts` is the whole-run total.
                 let lat = (o == Outcome::Detected).then(|| detection_latency(run.dyn_insts, at));
                 if let Some(r) = self.observe {
                     r.on_injection(t, i, fault, o, run.dyn_insts, Booking::Executed);
@@ -515,7 +486,7 @@ impl<'a> Campaign<'a> {
                 Booking::Executed => {}
             }
         }
-        result.stats.snapshots_taken = snapshots.len();
+        result.stats.snapshots_taken = checkpoints.len();
         result.stats.per_worker = outs
             .iter()
             .map(|w| WorkerStats {
@@ -538,68 +509,44 @@ fn static_outcome(map: &CoverageMap, profile: &Profile, fault: FaultSpec) -> Opt
     }
 }
 
-/// Golden-prefix pass: walks fault-free, snapshotting at the policy's
-/// cadence.  The machine state at boundary k is usable by any fault
-/// with dyn_index >= k.  The interpreter walks only to the last
-/// injection point (snapshots are pure prefix-skips); the decoded
-/// engine walks the whole golden run, because its snapshots double as
-/// the convergence checkpoints `run_converging` compares against — a
-/// checkpoint after a fault is what lets the post-fault suffix be
-/// stitched instead of re-executed.
-fn golden_snapshots(
+/// The golden walk: advances fault-free through the golden run and
+/// checkpoints every `interval` instructions, where `interval` is at
+/// least `MIN_INTERVAL` and spreads at most `MAX_CHECKPOINTS` over the
+/// run.  A checkpoint at boundary k starts any fault with
+/// `dyn_index >= k`, and the decoded engine compares faulted runs
+/// against the checkpoints after their fault to stop them early.
+fn golden_checkpoints(
     engine: Engine<'_>,
     profile: &Profile,
-    last_injection: u64,
-    policy: SnapshotPolicy,
     observe: Option<&FlightRecorder>,
 ) -> Vec<Snapshot> {
-    let horizon = match engine.kind() {
-        EngineKind::Interpreter => last_injection,
-        EngineKind::Decoded => profile.result.dyn_insts,
-    };
-    let interval = policy
-        .min_interval
-        .max(horizon / policy.max_snapshots.max(1) as u64)
-        .max(1);
-    let mut snapshots: Vec<Snapshot> = Vec::new();
+    let horizon = profile.result.dyn_insts;
+    let interval = MIN_INTERVAL.max(horizon / MAX_CHECKPOINTS);
+    let mut checkpoints = Vec::new();
     let mut m = engine.machine();
-    while m.dyn_insts() < horizon {
-        if m.dyn_insts() > 0
-            && m.dyn_insts().is_multiple_of(interval)
-            && snapshots.len() < policy.max_snapshots
-        {
-            let clock = StageClock::start(observe);
-            snapshots.push(m.snapshot());
-            clock.stop(0, Stage::SnapshotCapture);
-        }
-        // Advance to the next snapshot boundary (or the horizon) in one
-        // call — the decoded engine covers the span in its tight
-        // dispatch loop instead of per-step calls.
-        let next = if snapshots.len() < policy.max_snapshots {
-            (m.dyn_insts() / interval + 1) * interval
-        } else {
-            horizon
-        };
+    for k in 1..=MAX_CHECKPOINTS {
         let clock = StageClock::start(observe);
-        let stopped = m.advance_to(next.min(horizon)).is_some();
+        let stopped = m.advance_to(k * interval).is_some();
         clock.stop(0, Stage::GoldenRun);
         if stopped {
-            // Golden run ended before the last injection index — the
-            // remaining faults land past program end and classify as
-            // whatever the resumed (fault-free) tail produces.
             break;
         }
+        let clock = StageClock::start(observe);
+        checkpoints.push(m.snapshot());
+        clock.stop(0, Stage::SnapshotCapture);
     }
-    snapshots
+    checkpoints
 }
 
 #[cfg(test)]
 mod tests {
-    //! Behaviour of single plans.  Identity across the axes — every
-    //! schedule, snapshot policy, prune, reuse, and engine against the
-    //! one-thread cold plan — is the generated `tests/campaign_plan.rs`.
+    //! Behaviour of single plans, with records checked against whole
+    //! runs.  Identity across the axes — every schedule, prune, reuse,
+    //! and engine against the one-thread interpreter plan — is the
+    //! generated `tests/campaign_plan.rs`.
     use super::*;
     use crate::campaign::tests::{sum_cpu, sum_module};
+    use crate::campaign::CampaignStats;
     use ferrum_cpu::decoded::DecodedCpu;
     use ferrum_cpu::run::Cpu;
 
@@ -662,57 +609,195 @@ mod tests {
         assert_eq!(none.stats.latency, serial.stats.latency);
     }
 
+    /// A test-scale catalog kernel, long enough to be checkpointed.
+    fn kernel(name: &str, step_limit: u64) -> Cpu {
+        let module = ferrum_workloads::workload(name)
+            .expect("in catalog")
+            .build(ferrum_workloads::Scale::Test);
+        let asm = ferrum_backend::compile(&module).unwrap();
+        Cpu::load(&asm).unwrap().with_step_limit(step_limit)
+    }
+
+    /// Re-runs every record of `result` whole on the interpreter and
+    /// checks its outcome, and the latency of every detection.
+    fn assert_whole_runs_agree(cpu: &Cpu, profile: &Profile, result: &CampaignResult, what: &str) {
+        let golden = &profile.result.output;
+        let mut latencies = Vec::new();
+        for (k, &(fault, outcome)) in result.records.iter().enumerate() {
+            let whole = cpu.run(Some(fault));
+            assert_eq!(
+                classify(whole.stop, &whole.output, golden),
+                outcome,
+                "{what}: record {k}"
+            );
+            if outcome == Outcome::Detected {
+                latencies.push(detection_latency(whole.dyn_insts, fault.dyn_index));
+            }
+        }
+        assert_eq!(
+            result.stats.latency,
+            DetectionLatency::from_samples(latencies),
+            "{what}"
+        );
+    }
+
     #[test]
-    fn snapshot_plans_report_savings_and_worker_load() {
-        let cpu = sum_cpu();
+    fn golden_checkpoints_are_few_evenly_spaced_and_engine_independent() {
+        let cpu = kernel("pathfinder", 50_000_000);
         let profile = cpu.profile();
-        let serial = Campaign::sampled(cfg(200, 9))
+        let decoded = DecodedCpu::new(&cpu);
+        let golden = profile.result.dyn_insts;
+        let at = |engine| -> Vec<u64> {
+            golden_checkpoints(engine, &profile, None)
+                .iter()
+                .map(Snapshot::dyn_insts)
+                .collect()
+        };
+        let interp = at(Engine::Interpreter(&cpu));
+        assert_eq!(interp, at(Engine::Decoded(&decoded)));
+        let interval = MIN_INTERVAL.max(golden / MAX_CHECKPOINTS);
+        assert!(
+            !interp.is_empty() && interp.len() as u64 <= MAX_CHECKPOINTS,
+            "{interp:?}"
+        );
+        for (k, &d) in interp.iter().enumerate() {
+            assert_eq!(d, (k as u64 + 1) * interval);
+            assert!(d < golden);
+        }
+        // A run shorter than the interval keeps none.
+        let sum = sum_cpu();
+        assert!(sum.profile().result.dyn_insts < MIN_INTERVAL);
+        assert!(golden_checkpoints(Engine::Interpreter(&sum), &sum.profile(), None).is_empty());
+    }
+
+    #[test]
+    fn plans_report_checkpoint_savings_and_worker_load() {
+        let cpu = kernel("knn", 50_000_000);
+        let profile = cpu.profile();
+        let one = Campaign::sampled(cfg(200, 9))
             .run(Engine::Interpreter(&cpu), &profile)
             .unwrap();
-        assert_eq!(serial.stats.per_worker.len(), 1);
-        assert!((serial.stats.worker_balance() - 1.0).abs() < 1e-12);
-        let snap = Campaign::sampled(cfg(200, 9))
+        assert_eq!(one.stats.per_worker.len(), 1);
+        assert!((one.stats.worker_balance() - 1.0).abs() < 1e-12);
+        let four = Campaign::sampled(cfg(200, 9))
             .threads(4)
-            .snapshots(SnapshotPolicy {
-                max_snapshots: 1000,
-                min_interval: 1,
-            })
             .run(Engine::Interpreter(&cpu), &profile)
             .unwrap();
-        let s = &snap.stats;
+        assert_eq!(one, four);
+        let s = &four.stats;
         assert!(s.snapshots_taken > 0 && s.snapshot_hits > 0, "{s:?}");
         assert!(s.steps_saved > 0 && s.steps_saved_ratio() > 0.0, "{s:?}");
-        // The cold plan re-executes everything.
-        assert!(serial.stats.steps_executed > s.steps_executed);
+        // Where each fault starts, and what it executes, does not depend
+        // on the worker that runs it.
+        let counts = |s: &CampaignStats| {
+            (
+                s.snapshots_taken,
+                s.snapshot_hits,
+                s.steps_saved,
+                s.steps_executed,
+            )
+        };
+        assert_eq!(counts(&one.stats), counts(s));
         assert!((1..=4).contains(&s.per_worker.len()) && s.threads <= 4);
         assert!(s.wall_nanos > 0 && s.injections_per_sec > 0.0);
+        assert_whole_runs_agree(&cpu, &profile, &four, "knn");
     }
 
     #[test]
     fn timeout_budget_is_engine_independent() {
-        // Step-budget audit (resume accounting): a snapshot carries its
-        // dyn_insts, so a resumed faulted run gets only the *remaining*
-        // budget — snapshot plans on either engine must classify
-        // exactly the same faults as Timeout as the cold plan, which
-        // never resumes.  A tight limit makes any double-counting of
-        // the prefix allowance visible immediately.
-        let cpu = sum_cpu().with_step_limit(12);
+        // Step-budget audit (resume accounting): a checkpoint carries its
+        // dyn_insts, so a replayed faulted run gets only the *remaining*
+        // budget.  A limit that cuts the golden run itself short makes
+        // any double-counting of the prefix allowance visible: every
+        // record must classify as the whole run does, on both engines.
+        let cpu = kernel("pathfinder", 1_000);
         let profile = cpu.profile();
-        assert!(
-            !profile.sites.is_empty(),
-            "tight-limit profile still has sites"
+        assert_eq!(
+            profile.result.stop,
+            ferrum_cpu::outcome::StopReason::Timeout
         );
-        let serial = Campaign::sampled(cfg(150, 8))
+        let decoded = DecodedCpu::new(&cpu);
+        let plan = Campaign::sampled(cfg(150, 8)).threads(2);
+        let interp = plan.run(Engine::Interpreter(&cpu), &profile).unwrap();
+        assert!(interp.stats.snapshot_hits > 0, "{:?}", interp.stats);
+        assert!(interp.timeout > 0, "{interp:?}");
+        assert_whole_runs_agree(&cpu, &profile, &interp, "interpreter");
+        assert_eq!(
+            plan.run(Engine::Decoded(&decoded), &profile).unwrap(),
+            interp
+        );
+    }
+
+    #[test]
+    fn double_fault_records_match_whole_runs_of_their_pairs() {
+        let cpu = kernel("bfs", 50_000_000);
+        let profile = cpu.profile();
+        let decoded = DecodedCpu::new(&cpu);
+        let c = cfg(120, 21);
+        let (firsts, seconds) = sample_pairs(&profile, c);
+        let golden = &profile.result.output;
+        let mut latencies = Vec::new();
+        let whole: Vec<(FaultSpec, Outcome)> = firsts
+            .iter()
+            .zip(&seconds)
+            .map(|(&a, &b)| {
+                let run = cpu.run_multi(&[a, b]);
+                let o = classify(run.stop, &run.output, golden);
+                if o == Outcome::Detected {
+                    let at = a.dyn_index.min(b.dyn_index);
+                    latencies.push(detection_latency(run.dyn_insts, at));
+                }
+                (a, o)
+            })
+            .collect();
+        let latency = DetectionLatency::from_samples(latencies);
+        for engine in [Engine::Interpreter(&cpu), Engine::Decoded(&decoded)] {
+            for threads in [1, 3] {
+                let r = Campaign::double(c)
+                    .threads(threads)
+                    .run(engine, &profile)
+                    .unwrap();
+                let what = format!("{} ×{threads}", engine.kind().label());
+                assert!(r.stats.snapshot_hits > 0, "{what}");
+                assert_eq!(r.records, whole, "{what}");
+                assert_eq!(r.stats.latency, latency, "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_killed_journal_labelled_snapshot_still_resumes() {
+        use crate::flight::{CampaignEvent, MemorySink};
+        use std::sync::Arc;
+        // A `snapshot` journal label names a sampled plan whose faults
+        // replayed from golden-prefix snapshots: the same fault list.
+        let cpu = kernel("knn", 50_000_000);
+        let profile = cpu.profile();
+        let plan = Campaign::sampled(cfg(64, 5));
+        let sink = Arc::new(MemorySink::new());
+        let recorder = FlightRecorder::new(sink.clone());
+        let full = plan
+            .observe(&recorder)
             .run(Engine::Interpreter(&cpu), &profile)
             .unwrap();
-        let snap = Campaign::sampled(cfg(150, 8))
-            .threads(2)
-            .snapshots(SnapshotPolicy {
-                max_snapshots: 64,
-                min_interval: 1,
-            });
-        assert_eq!(snap.run(Engine::Interpreter(&cpu), &profile).unwrap(), serial);
-        assert_eq!(snap.run(Engine::Decoded(&DecodedCpu::new(&cpu)), &profile).unwrap(), serial);
+        let events = sink.events();
+        let cut = events
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| matches!(e.event, CampaignEvent::ShardCompleted(_)))
+            .nth(1)
+            .map(|(i, _)| i + 1)
+            .expect("two shards");
+        let mut journal = JournalSnapshot::from_events(&events[..cut]).expect("journal");
+        assert!(!journal.finished && journal.completed() > 0);
+        journal.fingerprint.executor = "snapshot".to_owned();
+        let resumed = plan
+            .reuse(Reuse::Journal(&journal))
+            .run(Engine::Interpreter(&cpu), &profile)
+            .unwrap();
+        assert_eq!(resumed, full);
+        assert_eq!(resumed.stats.latency, full.stats.latency);
+        assert_eq!(resumed.stats.reused_sites, journal.completed());
     }
 
     #[test]
@@ -728,9 +813,7 @@ mod tests {
             Campaign::sampled(cfg(10, 7)),
             Campaign::double(cfg(10, 7)),
             Campaign::stratified(cfg(10, 7), &asm),
-            Campaign::sampled(cfg(10, 7))
-                .threads(3)
-                .snapshots(SnapshotPolicy::default()),
+            Campaign::sampled(cfg(10, 7)).threads(3),
         ] {
             let err = plan.run(Engine::Interpreter(&cpu), &profile).expect_err("no sites accepted");
             assert_eq!(err, CampaignError::NoSites, "{}", plan.executor());
@@ -789,15 +872,11 @@ mod tests {
         let asm = ferrum_backend::compile(&sum_module()).unwrap();
         let (map, cache) = (CoverageMap::default(), CampaignCache::default());
         let journal = JournalSnapshot::default();
-        let (sampled, snapshots) = (
-            Campaign::sampled(cfg(1, 1)),
-            Some(SnapshotPolicy::default()),
-        );
+        let sampled = Campaign::sampled(cfg(1, 1));
         for (plan, label) in [
             (sampled, "serial"),
             (sampled.threads(3), "parallel"),
-            (sampled.snapshots(snapshots), "snapshot"),
-            (sampled.snapshots(snapshots).prune(&map), "pruned"),
+            (sampled.threads(3).prune(&map), "pruned"),
             (sampled.reuse(Reuse::Journal(&journal)), "resume"),
             (Campaign::double(cfg(1, 1)), "double"),
             (Campaign::exhaustive(4).threads(2), "exhaustive"),

@@ -1,27 +1,32 @@
 //! One generated identity test over the campaign plan's axes.
 //!
 //! For each fault list, every valid combination of the other axes —
-//! engine × threads {1, 3} × snapshots {off, default, dense} × prune
-//! {off, coverage map} × reuse {none, a journal cut at its midpoint, a
-//! warm shard cache} — must return the records and the
-//! detection-latency distribution of the one-thread cold interpreter
-//! plan over the same fault list, with `stats` in the 18-key schema of
-//! docs/campaign-schema.md.  A fault booked without executing (pruned
-//! or reused) has no dynamic trace and so no latency sample: when a
-//! plan books any, its latency samples must be a sub-multiset of the
-//! reference's.  Sampled plans run on two workloads, each
-//! unprotected and FERRUM-protected; stratified plans compare against
-//! the cold stratified plan; double-fault and exhaustive plans close
-//! the matrix on a small kernel.
+//! engine × threads {1, 3} × prune {off, coverage map} × reuse {none, a
+//! journal cut at its midpoint, a warm shard cache} — must return the
+//! records and the detection-latency distribution of the one-thread
+//! interpreter plan over the same fault list, with `stats` in the
+//! 18-key schema of docs/campaign-schema.md.  Every plan replays its
+//! faults from golden checkpoints, so the reference itself is first
+//! re-run whole: each of its records must classify as the whole run of
+//! its fault does on the interpreter, with the same detection latency.
+//! A fault booked without executing (pruned or reused) has no dynamic
+//! trace and so no latency sample: when a plan books any, its latency
+//! samples must be a sub-multiset of the reference's.  Sampled plans
+//! run on two workloads, each unprotected and FERRUM-protected;
+//! stratified plans compare against the one-thread stratified plan;
+//! double-fault and exhaustive plans close the matrix on a small
+//! kernel (double-fault records keep only the first fault of each
+//! pair, so `plan.rs` re-runs the pairs whole).
 
 use ferrum::json::{Json, ToJson};
 use ferrum::{
     Campaign, CampaignCache, CampaignConfig, CampaignFingerprint, CampaignResult, CoverageMap,
-    DecodedCpu, Engine, EngineKind, FaultList, JournalSnapshot, OutcomeTallies, Pipeline, Reuse,
-    ShardRecord, SnapshotPolicy, Technique,
+    DecodedCpu, DetectionLatency, Engine, EngineKind, FaultList, JournalSnapshot, Outcome,
+    OutcomeTallies, Pipeline, Reuse, ShardRecord, Technique,
 };
 use ferrum_asm::program::AsmProgram;
 use ferrum_cpu::run::{Cpu, Profile};
+use ferrum_faultsim::campaign::classify;
 use ferrum_workloads::{workload, Scale};
 
 /// Key list of the `stats` object, in emission order — update
@@ -35,19 +40,6 @@ const CFG: CampaignConfig = CampaignConfig {
     samples: 48,
     seed: 0xDECADE,
 };
-
-const SNAPSHOTS: [Option<SnapshotPolicy>; 3] = [
-    None,
-    Some(SnapshotPolicy {
-        max_snapshots: 64,
-        min_interval: 64,
-    }),
-    // Dense: a snapshot every few instructions, up to a large cap.
-    Some(SnapshotPolicy {
-        max_snapshots: 512,
-        min_interval: 4,
-    }),
-];
 
 /// A loaded program with everything the axes need.
 struct Subject {
@@ -89,7 +81,38 @@ impl Subject {
         }
     }
 
-    /// Runs every valid combination of threads, snapshots, prune (when
+    /// Re-runs every record of `reference` whole on the interpreter:
+    /// each must classify as its whole run does, and the detections
+    /// must have the whole runs' latencies.
+    fn assert_whole_runs_agree(&self, reference: &CampaignResult) {
+        let (engine, golden) = (Engine::Interpreter(&self.cpu), &self.profile.result.output);
+        let mut latencies = Vec::new();
+        for (k, &(fault, outcome)) in reference.records.iter().enumerate() {
+            let whole = engine.run(Some(fault));
+            let o = classify(whole.stop, &whole.output, golden);
+            assert_eq!(
+                o, outcome,
+                "{}: record {k} ({fault:?}) against its whole run",
+                self.label
+            );
+            if o == Outcome::Detected {
+                latencies.push(
+                    whole
+                        .dyn_insts
+                        .saturating_sub(1)
+                        .saturating_sub(fault.dyn_index),
+                );
+            }
+        }
+        let latency = DetectionLatency::from_samples(latencies);
+        assert_eq!(
+            reference.stats.latency, latency,
+            "{}: whole-run latencies",
+            self.label
+        );
+    }
+
+    /// Runs every valid combination of threads, prune (when
     /// `prunable`), and `reuses` over `faults` on both engines, and
     /// checks each against `reference`.
     fn check_axes(
@@ -104,34 +127,31 @@ impl Subject {
         let mut plans = 0;
         for engine in [Engine::Interpreter(&self.cpu), Engine::Decoded(&self.decoded)] {
             for threads in [1, 3] {
-                for snapshots in SNAPSHOTS {
-                    for &prune in prunes {
-                        for &reuse in reuses {
-                            let plan = Campaign::new(faults)
-                                .threads(threads)
-                                .snapshots(snapshots)
-                                .prune(prune)
-                                .reuse(reuse);
-                            let what = format!(
-                                "{} {} ×{threads} {snapshots:?} prune={} on {}",
-                                self.label,
-                                plan.executor(),
-                                prune.is_some(),
-                                engine.kind().label()
-                            );
-                            let got = plan
-                                .run(engine, &self.profile)
-                                .unwrap_or_else(|e| panic!("{what}: {e}"));
-                            assert_identical(&got, reference, &what);
-                            check_stats(&what, engine.kind(), threads, &got);
-                            if prune.is_none() {
-                                assert_eq!(got.stats.pruned_sites, 0, "{what}: pruned");
-                            }
-                            if matches!(reuse, Reuse::None) {
-                                assert_eq!(got.stats.reused_sites, 0, "{what}: reused");
-                            }
-                            plans += 1;
+                for &prune in prunes {
+                    for &reuse in reuses {
+                        let plan = Campaign::new(faults)
+                            .threads(threads)
+                            .prune(prune)
+                            .reuse(reuse);
+                        let what = format!(
+                            "{} {} ×{threads} prune={} on {}",
+                            self.label,
+                            plan.executor(),
+                            prune.is_some(),
+                            engine.kind().label()
+                        );
+                        let got = plan
+                            .run(engine, &self.profile)
+                            .unwrap_or_else(|e| panic!("{what}: {e}"));
+                        assert_identical(&got, reference, &what);
+                        check_stats(&what, engine.kind(), threads, &got);
+                        if prune.is_none() {
+                            assert_eq!(got.stats.pruned_sites, 0, "{what}: pruned");
                         }
+                        if matches!(reuse, Reuse::None) {
+                            assert_eq!(got.stats.reused_sites, 0, "{what}: reused");
+                        }
+                        plans += 1;
                     }
                 }
             }
@@ -267,6 +287,7 @@ fn sampled_matrix(s: &Subject, cfg: CampaignConfig) {
     let reference = Campaign::sampled(cfg)
         .run(Engine::Interpreter(&s.cpu), &s.profile)
         .expect("runs");
+    s.assert_whole_runs_agree(&reference);
     let journal = journal_cut_at_midpoint(&s.profile, cfg, &reference);
     assert!(journal.completed() > 0 && journal.completed() < cfg.samples);
     let plans = s.check_axes(
@@ -275,13 +296,12 @@ fn sampled_matrix(s: &Subject, cfg: CampaignConfig) {
         &[Reuse::None, Reuse::Journal(&journal)],
         &reference,
     );
-    assert_eq!(plans, 2 * 2 * 3 * 2 * 2);
+    assert_eq!(plans, 2 * 2 * 2 * 2);
 
     // Resumed plans book exactly the journaled faults as reused, and
     // a FERRUM coverage map decides some faults statically.
     let resumed = Campaign::sampled(cfg)
         .threads(3)
-        .snapshots(SNAPSHOTS[2])
         .prune(&s.map)
         .reuse(Reuse::Journal(&journal))
         .run(Engine::Decoded(&s.decoded), &s.profile)
@@ -321,8 +341,8 @@ fn sampled_plans_agree_on_pathfinder_ferrum() {
     sampled_matrix(&Subject::catalog("pathfinder", Technique::Ferrum), CFG);
 }
 
-/// Stratified plans, cold and with a warm shard cache, against the
-/// cold stratified plan.
+/// Stratified plans, with and without a warm shard cache, against the
+/// one-thread stratified plan.
 fn stratified_matrix(s: &Subject) {
     let cfg = CampaignConfig {
         samples: 32,
@@ -331,19 +351,19 @@ fn stratified_matrix(s: &Subject) {
     let reference = Campaign::stratified(cfg, &s.prog)
         .run(Engine::Interpreter(&s.cpu), &s.profile)
         .expect("runs");
+    s.assert_whole_runs_agree(&reference);
     let cache = CampaignCache::from_result(&s.prog, &s.profile, cfg, &reference);
     let faults = FaultList::Stratified(cfg, &s.prog);
     let reuses = [Reuse::None, Reuse::Cache(&cache)];
     assert_eq!(
         s.check_axes(faults, true, &reuses, &reference),
-        2 * 2 * 3 * 2 * 2
+        2 * 2 * 2 * 2
     );
 
     // A warm cache replays everything; the rebuilt cache of any plan
     // over this fault list is the same cache.
     let warm = Campaign::new(faults)
         .threads(3)
-        .snapshots(SNAPSHOTS[1])
         .reuse(Reuse::Cache(&cache))
         .run(Engine::Decoded(&s.decoded), &s.profile)
         .expect("runs");
@@ -424,7 +444,7 @@ fn double_fault_plans_agree_on_a_small_kernel() {
             assert!(double.sdc > 0, "two faults in an unprotected program");
         }
         let plans = s.check_axes(FaultList::Double(SMALL), false, &[Reuse::None], &double);
-        assert_eq!(plans, 2 * 2 * 3);
+        assert_eq!(plans, 2 * 2);
     }
 }
 
@@ -435,8 +455,9 @@ fn exhaustive_plans_agree_on_a_small_kernel() {
             .run(Engine::Interpreter(&s.cpu), &s.profile)
             .expect("runs");
         assert_eq!(exhaustive.total(), s.profile.sites.len() * 2);
+        s.assert_whole_runs_agree(&exhaustive);
         let plans = s.check_axes(FaultList::Exhaustive(2), true, &[Reuse::None], &exhaustive);
-        assert_eq!(plans, 2 * 2 * 3 * 2);
+        assert_eq!(plans, 2 * 2 * 2);
     }
 }
 
@@ -449,7 +470,7 @@ fn zero_sample_stats_keep_the_schema_without_dividing_by_zero() {
     };
     for plan in [
         Campaign::sampled(cfg),
-        Campaign::sampled(cfg).threads(8).snapshots(SNAPSHOTS[1]),
+        Campaign::sampled(cfg).threads(8),
         Campaign::stratified(cfg, &s.prog),
         Campaign::double(cfg),
     ] {

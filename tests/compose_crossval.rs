@@ -29,7 +29,7 @@ use ferrum_cpu::outcome::StopReason;
 use ferrum_cpu::run::{Cpu, Profile};
 use ferrum_eddi::ferrum::{Ferrum, FerrumConfig};
 use ferrum_eddi::hybrid::HybridAsmEddi;
-use ferrum_faultsim::campaign::{CampaignConfig, Outcome, SnapshotPolicy};
+use ferrum_faultsim::campaign::{CampaignConfig, Outcome};
 use ferrum_faultsim::Engine;
 use ferrum_mir::builder::FunctionBuilder;
 use ferrum_mir::module::{Global, Module};
@@ -116,7 +116,6 @@ fn assert_composed_sound(what: &str, asm: &AsmProgram, samples: usize) {
     };
     let res = Campaign::sampled(cfg)
         .threads(threads())
-        .snapshots(SnapshotPolicy::default())
         .run(Engine::Interpreter(&cpu), &profile)
         .unwrap();
     for &(fault, outcome) in &res.records {

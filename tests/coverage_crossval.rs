@@ -26,7 +26,7 @@ use ferrum_cpu::run::{Cpu, Profile};
 use ferrum_cpu::fault::FaultSpec;
 use ferrum_eddi::ferrum::{Ferrum, FerrumConfig};
 use ferrum_eddi::hybrid::HybridAsmEddi;
-use ferrum_faultsim::campaign::{CampaignConfig, Outcome, SnapshotPolicy};
+use ferrum_faultsim::campaign::{CampaignConfig, Outcome};
 use ferrum_faultsim::{Campaign, Engine};
 use ferrum_mir::module::Module;
 use ferrum_workloads::catalog::{all_workloads, Scale};
@@ -94,7 +94,6 @@ fn assert_sound(what: &str, asm: &AsmProgram, samples: usize, expect_decided: bo
     };
     let res = Campaign::sampled(cfg)
         .threads(threads())
-        .snapshots(SnapshotPolicy::default())
         .run(Engine::Interpreter(&cpu), &profile)
         .unwrap();
     let mut decided = 0usize;

@@ -14,9 +14,9 @@
 //!    fixed seed and three drawn from a seeded `ferrum-rng` generator.
 //! 4. **Degenerate telemetry** never panics: zero-sample campaigns,
 //!    single-worker balance, empty rolling-rate windows.
-//! 5. **Stage timing covers every plan**: the `injection` (cold) or
-//!    `replay` (snapshot) stage counts of every recorded plan sum to
-//!    the number of faults it executed.
+//! 5. **Stage timing covers every plan**: the `replay` stage count of
+//!    every recorded plan is the number of faults it executed, each
+//!    after one `snapshot-restore`.
 //! 6. **Isolation**: campaigns running at once, each observed by its
 //!    own recorder, stream exactly their own events.
 
@@ -26,8 +26,7 @@ use ferrum::flight::{event_to_ndjson, journal_from_ndjson, parse_events, NdjsonS
 use ferrum::{
     program_signature, Build, Campaign, CampaignCache, CampaignConfig, CampaignError,
     CampaignEvent, CampaignResult, CoverageMap, EngineKind, FlightEvent, FlightRecorder,
-    JournalSnapshot, MemorySink, Outcome, Pipeline, Reuse, ShardRecord, SnapshotPolicy, Stage,
-    Technique,
+    JournalSnapshot, MemorySink, Outcome, Pipeline, Reuse, ShardRecord, Stage, Technique,
 };
 use ferrum_rng::Rng64;
 
@@ -40,9 +39,8 @@ fn load(name: &str, technique: Technique) -> Build {
 
 /// Runs `plan` on `engine` observed by a recorder and returns the
 /// result with the captured stream, after checking that the stream's
-/// stage timings count every executed fault exactly once: under
-/// `injection` when it ran cold, under `replay` after a
-/// `snapshot-restore` when it ran from a snapshot.
+/// stage timings count every executed fault exactly once, under
+/// `replay` after a `snapshot-restore`.
 fn record(
     s: &Build,
     engine: EngineKind,
@@ -66,21 +64,9 @@ fn record(
             .sum()
     };
     let executed = (result.total() - result.stats.pruned_sites - result.stats.reused_sites) as u64;
-    let (cold, restored, replayed) = (
-        count(Stage::Injection),
-        count(Stage::SnapshotRestore),
-        count(Stage::Replay),
-    );
+    let (restored, replayed) = (count(Stage::SnapshotRestore), count(Stage::Replay));
     let what = format!("{}/{}", plan.executor(), engine.label());
-    assert_eq!(
-        cold + replayed,
-        executed,
-        "{what}: injection + replay counts"
-    );
-    assert!(
-        cold == 0 || replayed == 0,
-        "{what}: {cold} cold, {replayed} replayed"
-    );
+    assert_eq!(replayed, executed, "{what}: replay counts");
     assert_eq!(restored, replayed, "{what}: a restore per replay");
     (result, events)
 }
@@ -105,21 +91,19 @@ fn recording_never_changes_outcomes() {
     let (_, events) = record(&s, EngineKind::Interpreter, sampled);
     let journal = JournalSnapshot::from_events(cut_after_shards(&events, 3)).expect("journal");
     let (journal, cache) = (Reuse::Journal(&journal), Reuse::Cache(&cache));
-    let snapshots = SnapshotPolicy::default();
     // One plan of every kind the tools run, plus mixed axes.
     let plans = [
         sampled,
         sampled.threads(3),
-        sampled.threads(2).snapshots(snapshots),
         sampled.prune(&map),
-        sampled.threads(2).snapshots(snapshots).prune(&map),
+        sampled.threads(2).prune(&map),
         sampled.reuse(journal),
-        sampled.threads(3).snapshots(snapshots).reuse(journal),
+        sampled.threads(3).reuse(journal),
         stratified,
-        stratified.threads(3).snapshots(snapshots),
+        stratified.threads(3),
         stratified.reuse(cache),
         Campaign::double(CFG),
-        Campaign::double(CFG).threads(2).snapshots(snapshots),
+        Campaign::double(CFG).threads(2),
     ];
     for engine in EngineKind::ALL {
         for plan in plans {
@@ -450,10 +434,7 @@ fn concurrent_campaigns_stream_into_their_own_recorders() {
                 scope.spawn(move || {
                     let sink = Arc::new(MemorySink::new());
                     let recorder = FlightRecorder::new(sink.clone()).with_labels(name, "");
-                    let plan = Campaign::sampled(CFG)
-                        .threads(2)
-                        .snapshots(SnapshotPolicy::default())
-                        .observe(&recorder);
+                    let plan = Campaign::sampled(CFG).threads(2).observe(&recorder);
                     start.wait();
                     let result = plan.run(s.engine(EngineKind::Interpreter), s.profile()).unwrap();
                     (result, sink.events())

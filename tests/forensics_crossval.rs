@@ -57,7 +57,7 @@ fn analyze(
         max_records: usize::MAX,
         ..ForensicConfig::default()
     };
-    let report = forensic_report(engine, profile, &serial, &fcfg);
+    let report = forensic_report(engine, profile, &serial, &fcfg).expect("replays");
     let expl = explain_unknown_sites(profile, &map, &report);
     (serial, report, expl)
 }
@@ -270,7 +270,7 @@ fn records_stay_consistent_over_seeds() {
     for seed in (0..8).map(|_| rng.next_u64()) {
         let cfg = CampaignConfig { samples: 60, seed };
         let serial = Campaign::sampled(cfg).run(engine, profile).unwrap();
-        let report = forensic_report(engine, profile, &serial, &fcfg);
+        let report = forensic_report(engine, profile, &serial, &fcfg).expect("replays");
         assert_eq!(report.matching_total, serial.sdc, "bfs/seed {seed}");
         for r in &report.records {
             check_record(&format!("bfs/seed {seed}"), r);

@@ -1,16 +1,15 @@
 //! Cross-engine and cross-schedule determinism beyond the axis matrix
 //! of `tests/campaign_plan.rs`: the whole catalog on the decoded
-//! engine, `-O1` programs, extreme snapshot policies, and seeds.  Every
-//! plan must produce identical `CampaignResult`s (same aggregate
-//! counts AND same per-fault outcome records, in sampling order) to
-//! the one-thread cold interpreter plan for the same seed.
+//! engine, `-O1` programs, worker counts, and seeds.  Every plan must
+//! produce identical `CampaignResult`s (same aggregate counts AND same
+//! per-fault outcome records, in sampling order) to the one-thread
+//! interpreter plan for the same seed, and that plan's records must
+//! classify as whole runs of their faults do.
 
-use ferrum::{
-    Campaign, CampaignConfig, CampaignResult, DecodedCpu, Engine, Pipeline, SnapshotPolicy,
-    Technique,
-};
+use ferrum::{Campaign, CampaignConfig, CampaignResult, DecodedCpu, Engine, Pipeline, Technique};
 use ferrum_cpu::run::Cpu;
 use ferrum_cpu::Profile;
+use ferrum_faultsim::campaign::classify;
 use ferrum_workloads::{all_workloads, workload, Scale};
 
 fn load(name: &str, t: Technique) -> (Cpu, Profile) {
@@ -67,8 +66,8 @@ fn decoded_engine_is_byte_identical_across_the_whole_catalog() {
 fn engines_and_executors_agree_on_optimized_programs() {
     // The -O1 pass bundle rewires register flow and deletes frame
     // round-trips; the decoded engine's superinstruction fusion and
-    // the snapshot executor must stay byte-identical on that output
-    // too, for raw and protected programs alike.
+    // checkpointed replay on four workers must stay byte-identical on
+    // that output too, for raw and protected programs alike.
     for name in ["needle", "kmeans"] {
         for technique in [Technique::None, Technique::IrEddi, Technique::Ferrum] {
             let (cpu, profile) = load_opt(name, technique, ferrum::OptLevel::O1);
@@ -90,11 +89,10 @@ fn engines_and_executors_agree_on_optimized_programs() {
                 assert_identical(
                     &Campaign::sampled(cfg)
                         .threads(4)
-                        .snapshots(SnapshotPolicy::default())
                         .run(engine, &profile)
                         .unwrap(),
                     &serial,
-                    &format!("{what} snap×4/{kind}"),
+                    &format!("{what} ×4/{kind}"),
                 );
             }
         }
@@ -102,35 +100,27 @@ fn engines_and_executors_agree_on_optimized_programs() {
 }
 
 #[test]
-fn snapshot_policy_never_changes_outcomes() {
+fn checkpoint_replay_never_changes_outcomes() {
+    // Every record of a three-worker campaign, replayed from golden
+    // checkpoints on either engine, classifies as the whole run of its
+    // fault from the entry state does.
     let (cpu, profile) = load("bfs", Technique::Ferrum);
+    let decoded = DecodedCpu::new(&cpu);
     let cfg = CampaignConfig {
         samples: 200,
         seed: 7,
     };
     let serial = Campaign::sampled(cfg).run(Engine::Interpreter(&cpu), &profile).unwrap();
-    for policy in [
-        SnapshotPolicy::default(),
-        SnapshotPolicy {
-            max_snapshots: 1,
-            min_interval: 1,
-        },
-        SnapshotPolicy {
-            max_snapshots: 512,
-            min_interval: 8,
-        },
-        // Degenerate: no snapshots at all — pure re-execution.
-        SnapshotPolicy {
-            max_snapshots: 0,
-            min_interval: 1,
-        },
-    ] {
-        let snap = Campaign::sampled(cfg)
-            .threads(3)
-            .snapshots(policy)
-            .run(Engine::Interpreter(&cpu), &profile)
-            .unwrap();
-        assert_identical(&serial, &snap, &format!("{policy:?}"));
+    assert!(serial.stats.snapshot_hits > 0, "{:?}", serial.stats);
+    for (k, &(fault, outcome)) in serial.records.iter().enumerate() {
+        let whole = cpu.run(Some(fault));
+        let o = classify(whole.stop, &whole.output, &profile.result.output);
+        assert_eq!(o, outcome, "record {k}: {fault:?}");
+    }
+    for engine in [Engine::Interpreter(&cpu), Engine::Decoded(&decoded)] {
+        let plan = Campaign::sampled(cfg).threads(3);
+        let what = format!("×3/{}", engine.kind().label());
+        assert_identical(&serial, &plan.run(engine, &profile).unwrap(), &what);
     }
 }
 
@@ -140,7 +130,6 @@ fn same_seed_same_result_different_seed_different_samples() {
     let run = |seed, threads| {
         Campaign::sampled(CampaignConfig { samples: 250, seed })
             .threads(threads)
-            .snapshots(SnapshotPolicy::default())
             .run(Engine::Interpreter(&cpu), &profile)
             .unwrap()
     };
@@ -160,7 +149,6 @@ fn throughput_counters_are_populated() {
         seed: 3,
     })
     .threads(4)
-    .snapshots(SnapshotPolicy::default())
     .run(Engine::Interpreter(&cpu), &profile)
     .unwrap();
     let s = &r.stats;

@@ -3,7 +3,7 @@
 
 use ferrum::{EngineKind, Pipeline, Technique};
 use ferrum_cpu::fault::FaultSpec;
-use ferrum_faultsim::{Campaign, CampaignConfig, SnapshotPolicy};
+use ferrum_faultsim::{Campaign, CampaignConfig};
 use ferrum_mir::builder::FunctionBuilder;
 use ferrum_mir::module::{Global, Module};
 use ferrum_mir::types::Ty;
@@ -65,7 +65,7 @@ fn tutorial_steps_3_to_5_protect_inject_measure() {
     let res = plan.run(ferrum_.engine(EngineKind::default()), profile).unwrap();
     assert_eq!(res.sdc, 0);
     assert!(res.detected > 0);
-    let fast = plan.threads(4).snapshots(SnapshotPolicy::default());
+    let fast = plan.threads(4);
     assert_eq!(fast.run(ferrum_.engine(EngineKind::default()), profile).unwrap(), res);
     assert_eq!(plan.run(ferrum_.engine(EngineKind::Interpreter), profile).unwrap(), res);
 
