@@ -223,6 +223,38 @@ fn parser_never_panics_on_noise() {
 }
 
 #[test]
+fn parser_and_validator_never_panic_on_edited_listings() {
+    // Near-valid input reaches deeper than noise: a printed listing
+    // with one to three bytes replaced, inserted or deleted must parse
+    // to Ok or Err, and a program that parses must validate to Ok or
+    // Err, never a panic.
+    for seed in 0..CASES {
+        let rng = &mut Rng64::seed_from_u64(seed);
+        let mut p = single_block_main(insts(rng, 1, 12));
+        p.data.push(DataObject::new("blob", vec![1, -2, 3]));
+        let mut bytes = print_program(&p).into_bytes();
+        for _ in 0..rng.gen_range(1..4usize) {
+            let at = rng.gen_range(0..bytes.len() + 1);
+            let byte = rng.gen_below(128) as u8;
+            match rng.gen_below(3) {
+                0 if at < bytes.len() => bytes[at] = byte,
+                1 if at < bytes.len() => {
+                    bytes.remove(at);
+                }
+                _ => bytes.insert(at, byte),
+            }
+        }
+        let text = String::from_utf8_lossy(&bytes).into_owned();
+        let checked = std::panic::catch_unwind(|| {
+            if let Ok(p) = parse_program(&text) {
+                let _ = p.validate();
+            }
+        });
+        assert!(checked.is_ok(), "seed {seed}: panicked on the edited listing\n{text}");
+    }
+}
+
+#[test]
 fn function_usage_is_union_of_block_usages() {
     for seed in 0..CASES {
         let rng = &mut Rng64::seed_from_u64(seed);

@@ -33,16 +33,23 @@
 //!   (`ferrum_asm::analysis::liveness` at byte granularity), plus
 //!   fall-through jumps.
 //!
-//! The bundle runs to a fixpoint, so `optimize` is idempotent:
-//! applying it to its own output changes nothing.
+//! The bundle runs in rounds until a round changes nothing, so
+//! `optimize` is idempotent: applying it to its own output changes
+//! nothing.  Each round computes the available-loads facts once and
+//! hands them to both forwarding and value numbering, and every pass
+//! of every round shares one CFG per function: no pass adds, removes
+//! or retargets a branch (fusion rewrites only a `jcc`'s condition,
+//! and the fall-through pass drops only a block-final `jmp` to the
+//! next block, keeping the CFG equal to a rebuild).
 //!
 //! # Soundness preconditions
 //!
 //! Same frame discipline as [`crate::peephole`]: directly addressed
 //! `disp(%rbp)` slots are disjoint from all indirectly addressed
 //! memory except `lea`-materialised alloca words, and `gep` indexing
-//! stays inside its allocation.  The pipeline only runs these passes
-//! on backend output, before any protection pass.
+//! stays inside its allocation.  Block labels are unique.  The
+//! pipeline only runs these passes on backend output, before any
+//! protection pass.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -223,23 +230,29 @@ pub fn optimize(p: &mut AsmProgram, meta: &ProgramMeta) -> PassStats {
         let Some(fm) = meta.funcs.get(&f.name) else {
             continue;
         };
+        let mut cfg = Cfg::build(f);
         // Each pass is monotone (memory traffic and instruction count
         // never increase), so the bundle reaches a fixpoint; 64 rounds
         // is far beyond any real chain of enablements.
         for _ in 0..64 {
             let mut round = PassStats::default();
-            let (fwd, rm) = forward_available_loads(f, fm);
+            // Forwarding's rewrite agrees with its own transfer at the
+            // converged facts, so they stay a fixpoint of the rewritten
+            // function and value numbering seeds from the same facts.
+            let words = FrameWords::of(f, fm);
+            let entry = converged_entry_facts(f, &cfg, &words);
+            let (fwd, rm) = forward_available_loads(f, &words, &entry);
             round.loads_forwarded = fwd;
             round.loads_removed = rm;
-            let (cse_fwd, cse_rm) = cse_local(f, fm);
+            let (cse_fwd, cse_rm) = cse_local(f, fm, &cfg, &words, &entry);
             round.exprs_forwarded = cse_fwd;
             round.exprs_removed = cse_rm;
-            let (fused, fused_rm) = fuse_compare_branches(f);
+            let (fused, fused_rm) = fuse_compare_branches(f, &cfg);
             round.branches_fused = fused;
             round.fused_insts_removed = fused_rm;
-            round.stores_removed = eliminate_dead_stores(f, fm);
-            round.dead_removed = sweep_dead_code(f);
-            round.jumps_removed = crate::peephole::eliminate_fallthrough_jumps(f);
+            round.stores_removed = eliminate_dead_stores(f, fm, &cfg);
+            round.dead_removed = sweep_dead_code(f, &cfg);
+            round.jumps_removed = crate::peephole::eliminate_fallthrough_jumps(f, Some(&mut cfg));
             let done = round.bundle_is_noop();
             stats.absorb(&round);
             if done {
@@ -254,29 +267,190 @@ pub fn optimize(p: &mut AsmProgram, meta: &ProgramMeta) -> PassStats {
 // Available-loads forwarding
 // ---------------------------------------------------------------------
 
-/// What a register provably holds at a program point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum Fact {
-    /// The value of frame word `off(%rbp)`.
-    Val(i64),
-    /// The address `%rbp + off` (a `lea`-materialised alloca base).
-    Addr(i64),
+/// Number of general-purpose registers (every `Gpr::index()` is below
+/// it).
+const GPRS: usize = ALL_GPRS.len();
+
+/// The frame words one round of forwarding can name, in ascending
+/// offset order: every direct `disp(%rbp)` operand of a `mov`/`cmp`,
+/// plus every `lea`'d frame base added to every displacement of a
+/// base-only indirect `mov`/`cmp` operand.  Those are all the offsets
+/// [`resolve_word`] can return, so bit `i` of a register's fact row
+/// names the value of word `offs[i]`, and bit order is offset order.
+struct FrameWords {
+    offs: Vec<i64>,
+    /// `u64`s per register row.
+    stride: usize,
+    /// The bits of alloca words, which an unresolvable store may alias.
+    alloca: Vec<u64>,
 }
 
-/// Register facts, keyed by `Gpr::index()`.
-type Facts = BTreeMap<usize, BTreeSet<Fact>>;
+impl FrameWords {
+    fn of(f: &AsmFunction, fm: &FuncMeta) -> FrameWords {
+        let mut offs = Vec::new();
+        let mut bases = Vec::new();
+        let mut disps = Vec::new();
+        for inst in f.blocks.iter().flat_map(|b| &b.insts).map(|ai| &ai.inst) {
+            match inst {
+                Inst::Mov { src, dst, .. } | Inst::Cmp { src, dst, .. } => {
+                    for m in [src, dst].into_iter().filter_map(Operand::as_mem) {
+                        match (m.base, m.index, &m.symbol) {
+                            (Some(Gpr::Rbp), None, None) => offs.push(m.disp),
+                            (Some(_), None, None) => disps.push(m.disp),
+                            _ => {}
+                        }
+                    }
+                }
+                Inst::Lea { mem, .. } => bases.extend(direct_slot(mem)),
+                _ => {}
+            }
+        }
+        bases.sort_unstable();
+        bases.dedup();
+        disps.sort_unstable();
+        disps.dedup();
+        for &base in &bases {
+            offs.extend(disps.iter().map(|&d| base.wrapping_add(d)));
+        }
+        offs.sort_unstable();
+        offs.dedup();
+        let stride = offs.len().div_ceil(64);
+        let mut alloca = vec![0; stride];
+        for (i, off) in offs.iter().enumerate() {
+            if fm.alloca_words.contains(off) {
+                alloca[i / 64] |= 1 << (i % 64);
+            }
+        }
+        FrameWords {
+            offs,
+            stride,
+            alloca,
+        }
+    }
 
-fn meet(a: &Facts, b: &Facts) -> Facts {
-    let mut out = Facts::new();
-    for (g, fa) in a {
-        if let Some(fb) = b.get(g) {
-            let inter: BTreeSet<Fact> = fa.intersection(fb).copied().collect();
-            if !inter.is_empty() {
-                out.insert(*g, inter);
+    /// The bit of frame word `off`.
+    fn bit(&self, off: i64) -> Option<usize> {
+        self.offs.binary_search(&off).ok()
+    }
+}
+
+/// What each register provably holds at a program point: row `g` of
+/// `vals` is the set of frame words (bits over [`FrameWords`]) whose
+/// value register `g` holds, and `addr[g]` the address `%rbp + off` of
+/// a `lea`-materialised alloca base it holds.  A register holds at
+/// most one address: `lea` sets exactly one and no transfer unions
+/// two.
+#[derive(Clone, PartialEq, Eq)]
+struct Facts {
+    stride: usize,
+    vals: Vec<u64>,
+    addr: [Option<i64>; GPRS],
+}
+
+impl Facts {
+    /// No facts (the function entry).
+    fn empty(words: &FrameWords) -> Facts {
+        Facts {
+            stride: words.stride,
+            vals: vec![0; GPRS * words.stride],
+            addr: [None; GPRS],
+        }
+    }
+
+    fn row(&self, g: usize) -> &[u64] {
+        &self.vals[g * self.stride..(g + 1) * self.stride]
+    }
+
+    fn row_mut(&mut self, g: usize) -> &mut [u64] {
+        &mut self.vals[g * self.stride..(g + 1) * self.stride]
+    }
+
+    /// The frame-word bits register `g` holds, ascending.
+    fn bits(&self, g: usize) -> impl Iterator<Item = usize> + '_ {
+        self.row(g).iter().enumerate().flat_map(|(k, &w)| {
+            (0..64).filter(move |b| w >> b & 1 != 0).map(move |b| k * 64 + b)
+        })
+    }
+
+    fn holds(&self, g: usize, bit: usize) -> bool {
+        bit_is_set(self.row(g), bit)
+    }
+
+    fn add(&mut self, g: usize, bit: usize) {
+        set_bit(self.row_mut(g), bit, true);
+    }
+
+    /// The register holding the value of word `bit`, lowest index first
+    /// for determinism.
+    fn holder(&self, bit: usize) -> Option<Gpr> {
+        (0..GPRS).find(|&g| self.holds(g, bit)).map(|g| ALL_GPRS[g])
+    }
+
+    fn kill_reg(&mut self, g: usize) {
+        self.row_mut(g).fill(0);
+        self.addr[g] = None;
+    }
+
+    /// Register `to` now holds whatever `from` holds.
+    fn copy_reg(&mut self, from: usize, to: usize) {
+        let s = self.stride;
+        self.vals.copy_within(from * s..(from + 1) * s, to * s);
+        self.addr[to] = self.addr[from];
+    }
+
+    /// Word `bit` was overwritten: no register holds its value anymore.
+    fn kill_word(&mut self, bit: usize) {
+        let mask = !(1u64 << (bit % 64));
+        for w in self.vals.iter_mut().skip(bit / 64).step_by(self.stride) {
+            *w &= mask;
+        }
+    }
+
+    /// Drops every value fact in `words` (a bit mask of one row).
+    fn kill_words(&mut self, words: &[u64]) {
+        // A function without frame words has empty rows.
+        for row in self.vals.chunks_exact_mut(self.stride.max(1)) {
+            for (w, &m) in row.iter_mut().zip(words) {
+                *w &= !m;
             }
         }
     }
-    out
+
+    /// Forgets everything (a call may leave anything anywhere).
+    fn clear(&mut self) {
+        self.vals.fill(0);
+        self.addr = [None; GPRS];
+    }
+
+    /// Overwrites `self` with `other` without reallocating.
+    fn assign(&mut self, other: &Facts) {
+        self.vals.copy_from_slice(&other.vals);
+        self.addr = other.addr;
+    }
+
+    /// The control-flow meet: facts that hold on both paths.
+    fn meet(&mut self, other: &Facts) {
+        for (a, &b) in self.vals.iter_mut().zip(&other.vals) {
+            *a &= b;
+        }
+        for (a, b) in self.addr.iter_mut().zip(&other.addr) {
+            if a != b {
+                *a = None;
+            }
+        }
+    }
+}
+
+fn bit_is_set(set: &[u64], bit: usize) -> bool {
+    set[bit / 64] >> (bit % 64) & 1 != 0
+}
+
+fn set_bit(set: &mut [u64], bit: usize, on: bool) {
+    if on {
+        set[bit / 64] |= 1 << (bit % 64);
+    } else {
+        set[bit / 64] &= !(1 << (bit % 64));
+    }
 }
 
 /// A frame word directly addressed as `disp(%rbp)`.
@@ -287,58 +461,16 @@ fn direct_slot(m: &MemRef) -> Option<i64> {
     }
 }
 
-/// Resolves a memory operand to a frame-word offset: either a direct
-/// slot or an indirect access through a register carrying an `Addr`
-/// fact.
-fn resolve_word(m: &MemRef, st: &Facts) -> Option<i64> {
-    if let Some(off) = direct_slot(m) {
-        return Some(off);
-    }
-    match (m.base, m.index, &m.symbol) {
-        (Some(b), None, None) => st.get(&b.index()).and_then(|fs| {
-            fs.iter().find_map(|f| match f {
-                Fact::Addr(off) => Some(off + m.disp),
-                Fact::Val(_) => None,
-            })
-        }),
-        _ => None,
-    }
-}
-
-fn kill_reg(st: &mut Facts, g: Gpr) {
-    st.remove(&g.index());
-}
-
-fn kill_val(st: &mut Facts, off: i64) {
-    st.retain(|_, fs| {
-        fs.remove(&Fact::Val(off));
-        !fs.is_empty()
-    });
-}
-
-fn kill_all_alloca_vals(st: &mut Facts, fm: &FuncMeta) {
-    st.retain(|_, fs| {
-        fs.retain(|f| match f {
-            Fact::Val(off) => !fm.alloca_words.contains(off),
-            Fact::Addr(_) => true,
-        });
-        !fs.is_empty()
-    });
-}
-
-fn kill_all_vals(st: &mut Facts) {
-    st.retain(|_, fs| {
-        fs.retain(|f| matches!(f, Fact::Addr(_)));
-        !fs.is_empty()
-    });
-}
-
-/// The register currently holding `Val(off)`, lowest index first for
-/// determinism.
-fn holder_of(st: &Facts, off: i64) -> Option<Gpr> {
-    st.iter()
-        .find(|(_, fs)| fs.contains(&Fact::Val(off)))
-        .map(|(&gi, _)| ALL_GPRS[gi])
+/// Resolves a memory operand to a frame word's bit: either a direct
+/// slot or an indirect access through a register holding an alloca
+/// address.
+fn resolve_word(m: &MemRef, st: &Facts, words: &FrameWords) -> Option<usize> {
+    let off = match (m.base, m.index, &m.symbol) {
+        (Some(Gpr::Rbp), None, None) => m.disp,
+        (Some(b), None, None) => st.addr[b.index()]?.wrapping_add(m.disp),
+        _ => return None,
+    };
+    words.bit(off)
 }
 
 enum Action {
@@ -351,7 +483,7 @@ enum Action {
 /// forwarding pass would apply.  The transfer models the *rewritten*
 /// instruction, which is also sound for the original (a forwarded copy
 /// and the reload it replaces leave identical register contents).
-fn step(st: &mut Facts, inst: &Inst, fm: &FuncMeta) -> Action {
+fn step(st: &mut Facts, inst: &Inst, words: &FrameWords) -> Action {
     match inst {
         // 64-bit load from a resolvable frame word.
         Inst::Mov {
@@ -359,24 +491,24 @@ fn step(st: &mut Facts, inst: &Inst, fm: &FuncMeta) -> Action {
             src: Operand::Mem(m),
             dst: Operand::Reg(r),
         } if r.width == Width::W64 => {
-            if let Some(off) = resolve_word(m, st) {
-                let rf = st.get(&r.gpr.index());
-                if rf.is_some_and(|fs| fs.contains(&Fact::Val(off))) {
+            let g = r.gpr.index();
+            if let Some(bit) = resolve_word(m, st, words) {
+                if st.holds(g, bit) {
                     return Action::Delete;
                 }
-                if let Some(h) = holder_of(st, off) {
-                    let mut facts = st.get(&h.index()).cloned().unwrap_or_default();
-                    facts.insert(Fact::Val(off));
-                    st.insert(r.gpr.index(), facts);
+                if let Some(h) = st.holder(bit) {
+                    st.copy_reg(h.index(), g);
+                    st.add(g, bit);
                     return Action::Replace(Inst::Mov {
                         w: Width::W64,
                         src: Operand::Reg(Reg::q(h)),
                         dst: Operand::Reg(Reg::q(r.gpr)),
                     });
                 }
-                st.insert(r.gpr.index(), BTreeSet::from([Fact::Val(off)]));
+                st.kill_reg(g);
+                st.add(g, bit);
             } else {
-                kill_reg(st, r.gpr);
+                st.kill_reg(g);
             }
             Action::Keep
         }
@@ -386,10 +518,7 @@ fn step(st: &mut Facts, inst: &Inst, fm: &FuncMeta) -> Action {
             src: Operand::Reg(s),
             dst: Operand::Reg(r),
         } if s.width == Width::W64 && r.width == Width::W64 => {
-            match st.get(&s.gpr.index()).cloned() {
-                Some(fs) => st.insert(r.gpr.index(), fs),
-                None => st.remove(&r.gpr.index()),
-            };
+            st.copy_reg(s.gpr.index(), r.gpr.index());
             Action::Keep
         }
         // Stores.
@@ -398,17 +527,17 @@ fn step(st: &mut Facts, inst: &Inst, fm: &FuncMeta) -> Action {
             src,
             dst: Operand::Mem(m),
         } => {
-            if let Some(off) = resolve_word(m, st) {
-                kill_val(st, off);
+            if let Some(bit) = resolve_word(m, st, words) {
+                st.kill_word(bit);
                 if *w == Width::W64 {
                     if let Operand::Reg(s) = src {
                         if s.width == Width::W64 {
-                            st.entry(s.gpr.index()).or_default().insert(Fact::Val(off));
+                            st.add(s.gpr.index(), bit);
                         }
                     }
                 }
             } else {
-                kill_all_alloca_vals(st, fm);
+                st.kill_words(&words.alloca);
             }
             Action::Keep
         }
@@ -417,15 +546,12 @@ fn step(st: &mut Facts, inst: &Inst, fm: &FuncMeta) -> Action {
             dst: Operand::Reg(r),
             ..
         } => {
-            kill_reg(st, r.gpr);
+            st.kill_reg(r.gpr.index());
             Action::Keep
         }
         Inst::Lea { mem, dst } => {
-            if let Some(off) = direct_slot(mem) {
-                st.insert(dst.gpr.index(), BTreeSet::from([Fact::Addr(off)]));
-            } else {
-                kill_reg(st, dst.gpr);
-            }
+            st.kill_reg(dst.gpr.index());
+            st.addr[dst.gpr.index()] = direct_slot(mem);
             Action::Keep
         }
         // The branch-materialisation re-test of a frame word: compare
@@ -436,14 +562,12 @@ fn step(st: &mut Facts, inst: &Inst, fm: &FuncMeta) -> Action {
             src: Operand::Imm(i),
             dst: Operand::Mem(m),
         } => {
-            if let Some(off) = resolve_word(m, st) {
-                if let Some(h) = holder_of(st, off) {
-                    return Action::Replace(Inst::Cmp {
-                        w: Width::W64,
-                        src: Operand::Imm(*i),
-                        dst: Operand::Reg(Reg::q(h)),
-                    });
-                }
+            if let Some(h) = resolve_word(m, st, words).and_then(|bit| st.holder(bit)) {
+                return Action::Replace(Inst::Cmp {
+                    w: Width::W64,
+                    src: Operand::Imm(*i),
+                    dst: Operand::Reg(Reg::q(h)),
+                });
             }
             Action::Keep
         }
@@ -455,7 +579,7 @@ fn step(st: &mut Facts, inst: &Inst, fm: &FuncMeta) -> Action {
         Inst::Pop {
             dst: Operand::Reg(r),
         } => {
-            kill_reg(st, r.gpr);
+            st.kill_reg(r.gpr.index());
             Action::Keep
         }
         // Reads (cmp/test/idiv sources, jumps, ret) change nothing.
@@ -463,8 +587,9 @@ fn step(st: &mut Facts, inst: &Inst, fm: &FuncMeta) -> Action {
             Action::Keep
         }
         other => {
-            for g in other.gprs_written() {
-                kill_reg(st, g);
+            let kills = inst_kills(other);
+            for g in ALL_GPRS.into_iter().filter(|&g| kills & reg_bytes(g) != 0) {
+                st.kill_reg(g.index());
             }
             // The only remaining memory writers (no SIMD instruction
             // stores to memory in this machine): drop every value fact.
@@ -486,7 +611,7 @@ fn step(st: &mut Facts, inst: &Inst, fm: &FuncMeta) -> Action {
                     dst: Operand::Mem(_)
                 }
             ) {
-                kill_all_vals(st);
+                st.vals.fill(0);
             }
             Action::Keep
         }
@@ -495,40 +620,48 @@ fn step(st: &mut Facts, inst: &Inst, fm: &FuncMeta) -> Action {
 
 /// Runs the forward available-loads dataflow to its fixpoint and
 /// returns the converged entry facts per block (`None` = unreachable).
-fn converged_entry_facts(f: &AsmFunction, fm: &FuncMeta) -> Vec<Option<Facts>> {
-    let cfg = Cfg::build(f);
+/// Sweeps visit blocks in index order, and a block is re-transferred
+/// only when its entry facts changed since its last transfer.
+fn converged_entry_facts(f: &AsmFunction, cfg: &Cfg, words: &FrameWords) -> Vec<Option<Facts>> {
     let n = f.blocks.len();
     let mut ins: Vec<Option<Facts>> = vec![None; n];
     let mut outs: Vec<Option<Facts>> = vec![None; n];
     if n == 0 {
         return ins;
     }
-    ins[0] = Some(Facts::new());
+    ins[0] = Some(Facts::empty(words));
+    let mut stale = vec![true; n];
+    let mut meet = Facts::empty(words);
     loop {
         let mut changed = false;
         for bi in 0..n {
-            let mut inb = if bi == 0 {
-                Some(Facts::new())
-            } else {
-                let mut acc: Option<Facts> = None;
-                for &p in &cfg.preds[bi] {
-                    if let Some(po) = &outs[p] {
-                        acc = Some(match acc {
-                            None => po.clone(),
-                            Some(a) => meet(&a, po),
-                        });
+            if bi != 0 {
+                let mut reached = false;
+                for po in cfg.preds[bi].iter().filter_map(|&p| outs[p].as_ref()) {
+                    if reached {
+                        meet.meet(po);
+                    } else {
+                        meet.assign(po);
+                        reached = true;
                     }
                 }
-                acc
-            };
-            // A block both unreachable and predecessor-less stays ⊤.
-            if inb != ins[bi] {
-                std::mem::swap(&mut ins[bi], &mut inb);
-                changed = true;
+                // A block both unreachable and predecessor-less stays ⊤.
+                let same = match &ins[bi] {
+                    Some(cur) => reached && *cur == meet,
+                    None => !reached,
+                };
+                if !same {
+                    ins[bi] = reached.then(|| meet.clone());
+                    stale[bi] = true;
+                    changed = true;
+                }
+            }
+            if !std::mem::take(&mut stale[bi]) {
+                continue;
             }
             let outb = ins[bi].clone().map(|mut st| {
                 for ai in &f.blocks[bi].insts {
-                    let _ = step(&mut st, &ai.inst, fm);
+                    let _ = step(&mut st, &ai.inst, words);
                 }
                 st
             });
@@ -544,28 +677,30 @@ fn converged_entry_facts(f: &AsmFunction, fm: &FuncMeta) -> Vec<Option<Facts>> {
     ins
 }
 
-fn forward_available_loads(f: &mut AsmFunction, fm: &FuncMeta) -> (usize, usize) {
-    let ins = converged_entry_facts(f, fm);
-    // Rewrite with the converged entry facts.
+/// Rewrites every reload the converged `entry` facts prove redundant.
+fn forward_available_loads(
+    f: &mut AsmFunction,
+    words: &FrameWords,
+    entry: &[Option<Facts>],
+) -> (usize, usize) {
     let mut forwarded = 0;
     let mut removed = 0;
-    for (entry, block) in ins.iter().zip(f.blocks.iter_mut()) {
+    for (entry, block) in entry.iter().zip(f.blocks.iter_mut()) {
         let Some(mut st) = entry.clone() else {
             continue;
         };
-        let mut keep = Vec::with_capacity(block.insts.len());
-        for mut ai in block.insts.drain(..) {
-            match step(&mut st, &ai.inst, fm) {
-                Action::Keep => keep.push(ai),
-                Action::Delete => removed += 1,
-                Action::Replace(inst) => {
-                    ai.inst = inst;
-                    forwarded += 1;
-                    keep.push(ai);
-                }
+        block.insts.retain_mut(|ai| match step(&mut st, &ai.inst, words) {
+            Action::Keep => true,
+            Action::Delete => {
+                removed += 1;
+                false
             }
-        }
-        block.insts = keep;
+            Action::Replace(inst) => {
+                ai.inst = inst;
+                forwarded += 1;
+                true
+            }
+        });
     }
     (forwarded, removed)
 }
@@ -586,15 +721,16 @@ const TAG_UNARY: u8 = 4;
 const TAG_MOVZX8: u8 = 5;
 
 /// Block-local value-numbering state.  Value numbers are immutable
-/// names for runtime values; `reg64`/`reg8` say which number each
-/// register currently holds (full 64-bit content / low byte), and
-/// `table` interns expressions over numbers, so a hit means the
-/// instruction recomputes a value some register may still hold.
+/// names for runtime values, counted from 1; `reg64`/`reg8` say which
+/// number each register (by `Gpr::index()`) currently holds (full
+/// 64-bit content / low byte, 0 when unknown), and `table` interns
+/// expressions over numbers, so a hit means the instruction recomputes
+/// a value some register may still hold.
 #[derive(Clone, Default)]
 struct Lvn {
     next: u64,
-    reg64: BTreeMap<usize, u64>,
-    reg8: BTreeMap<usize, u64>,
+    reg64: [u64; GPRS],
+    reg8: [u64; GPRS],
     imm: BTreeMap<i64, u64>,
     table: BTreeMap<ExprKey, u64>,
     /// Contents of tracked frame slots (see [`FuncMeta::tracked`]:
@@ -614,24 +750,18 @@ impl Lvn {
 
     /// The 64-bit content number of `g`, minting one if unknown.
     fn vn64(&mut self, g: Gpr) -> u64 {
-        if let Some(&v) = self.reg64.get(&g.index()) {
-            v
-        } else {
-            let v = self.fresh();
-            self.reg64.insert(g.index(), v);
-            v
+        if self.reg64[g.index()] == 0 {
+            self.reg64[g.index()] = self.fresh();
         }
+        self.reg64[g.index()]
     }
 
     /// The low-byte content number of `g`, minting one if unknown.
     fn vn8(&mut self, g: Gpr) -> u64 {
-        if let Some(&v) = self.reg8.get(&g.index()) {
-            v
-        } else {
-            let v = self.fresh();
-            self.reg8.insert(g.index(), v);
-            v
+        if self.reg8[g.index()] == 0 {
+            self.reg8[g.index()] = self.fresh();
         }
+        self.reg8[g.index()]
     }
 
     /// Value number of a 64-bit ALU operand (`None` for memory).
@@ -664,10 +794,7 @@ impl Lvn {
 
     /// The lowest-indexed register whose full 64 bits hold `v`.
     fn holder64(&self, v: u64) -> Option<Gpr> {
-        self.reg64
-            .iter()
-            .find(|(_, &x)| x == v)
-            .map(|(&gi, _)| ALL_GPRS[gi])
+        self.reg64.iter().position(|&x| x == v).map(|gi| ALL_GPRS[gi])
     }
 
     /// The lowest-offset tracked slot whose word holds `v`.
@@ -679,8 +806,8 @@ impl Lvn {
     }
 
     fn kill(&mut self, g: Gpr) {
-        self.reg64.remove(&g.index());
-        self.reg8.remove(&g.index());
+        self.reg64[g.index()] = 0;
+        self.reg8[g.index()] = 0;
     }
 
     /// Seeds register numbers from the forwarding pass's converged
@@ -690,10 +817,21 @@ impl Lvn {
     /// master/shadow equality across block boundaries (e.g. a
     /// loop-carried IR-EDDI shadow whose reload was collapsed in the
     /// loop header).
-    fn seed_from_facts(&mut self, facts: &Facts) {
-        let mut fact_vn: BTreeMap<Fact, u64> = BTreeMap::new();
-        for (&gi, fs) in facts {
-            let mut found: Vec<u64> = fs.iter().filter_map(|f| fact_vn.get(f).copied()).collect();
+    fn seed_from_facts(&mut self, facts: &Facts, words: &FrameWords) {
+        // The number each fact was given: frame words by bit, alloca
+        // addresses by offset (0 = none yet).
+        let mut word_vn = vec![0u64; words.offs.len()];
+        let mut addr_vn: Vec<(i64, u64)> = Vec::new();
+        let mut found: Vec<u64> = Vec::new();
+        for (gi, &addr) in facts.addr.iter().enumerate() {
+            if addr.is_none() && facts.bits(gi).next().is_none() {
+                continue;
+            }
+            found.clear();
+            found.extend(facts.bits(gi).map(|bit| word_vn[bit]).filter(|&v| v != 0));
+            if let Some(a) = addr {
+                found.extend(addr_vn.iter().filter(|(o, _)| *o == a).map(|(_, v)| *v));
+            }
             found.sort_unstable();
             found.dedup();
             let v = match found.first() {
@@ -703,38 +841,37 @@ impl Lvn {
             if found.len() > 1 {
                 // Transitive merge: this register proves several
                 // previously separate classes equal.
-                for x in fact_vn.values_mut() {
-                    if found.contains(x) {
-                        *x = v;
-                    }
-                }
-                for x in self.reg64.values_mut() {
-                    if found.contains(x) {
-                        *x = v;
-                    }
-                }
-                for x in self.slot.values_mut() {
+                let known = word_vn
+                    .iter_mut()
+                    .chain(addr_vn.iter_mut().map(|(_, x)| x))
+                    .chain(self.reg64.iter_mut())
+                    .chain(self.slot.values_mut());
+                for x in known {
                     if found.contains(x) {
                         *x = v;
                     }
                 }
             }
-            for f in fs {
-                fact_vn.insert(*f, v);
-                // `Val(off)` means the register equals the slot's
-                // current word, so the slot holds the same value.
-                if let Fact::Val(off) = f {
-                    self.slot.insert(*off, v);
+            for bit in facts.bits(gi) {
+                word_vn[bit] = v;
+                // The register equals the word's current content, so
+                // the slot holds the same value.
+                self.slot.insert(words.offs[bit], v);
+            }
+            if let Some(a) = addr {
+                match addr_vn.iter_mut().find(|(o, _)| *o == a) {
+                    Some((_, x)) => *x = v,
+                    None => addr_vn.push((a, v)),
                 }
             }
-            self.reg64.insert(gi, v);
+            self.reg64[gi] = v;
         }
     }
 
     /// Records a full-width definition of `g` as value `v`.
     fn def64(&mut self, g: Gpr, v: u64) {
-        self.reg64.insert(g.index(), v);
-        self.reg8.remove(&g.index());
+        self.reg64[g.index()] = v;
+        self.reg8[g.index()] = 0;
     }
 }
 
@@ -766,7 +903,7 @@ fn cse_step(s: &mut Lvn, inst: &Inst, fm: &FuncMeta, flags_dead: bool) -> Action
         {
             let off = direct_slot(m).expect("guard");
             if let Some(&v) = s.slot.get(&off) {
-                if s.reg64.get(&r.gpr.index()) == Some(&v) {
+                if s.reg64[r.gpr.index()] == v {
                     return Action::Delete;
                 }
                 let holder = s.holder64(v);
@@ -792,15 +929,8 @@ fn cse_step(s: &mut Lvn, inst: &Inst, fm: &FuncMeta, flags_dead: bool) -> Action
             dst: Operand::Reg(dr),
         } if sr.width == Width::W64 && dr.width == Width::W64 => {
             let v = s.vn64(sr.gpr);
-            s.reg64.insert(dr.gpr.index(), v);
-            match s.reg8.get(&sr.gpr.index()).copied() {
-                Some(b) => {
-                    s.reg8.insert(dr.gpr.index(), b);
-                }
-                None => {
-                    s.reg8.remove(&dr.gpr.index());
-                }
-            }
+            s.reg64[dr.gpr.index()] = v;
+            s.reg8[dr.gpr.index()] = s.reg8[sr.gpr.index()];
             Action::Keep
         }
         // Constant materialisation: equal immediates are equal values.
@@ -820,9 +950,9 @@ fn cse_step(s: &mut Lvn, inst: &Inst, fm: &FuncMeta, flags_dead: bool) -> Action
             src: Operand::Reg(sr),
             dst: Operand::Reg(dr),
         } if sr.width == Width::W8 && dr.width == Width::W8 => {
-            s.reg64.remove(&dr.gpr.index());
+            s.reg64[dr.gpr.index()] = 0;
             let b = s.vn8(sr.gpr);
-            s.reg8.insert(dr.gpr.index(), b);
+            s.reg8[dr.gpr.index()] = b;
             Action::Keep
         }
         // Any other register-writing mov (loads, narrow widths).
@@ -872,9 +1002,9 @@ fn cse_step(s: &mut Lvn, inst: &Inst, fm: &FuncMeta, flags_dead: bool) -> Action
             let b = s.vn8(sr.gpr);
             let (v, known) = s.intern((TAG_MOVZX8, 0, b, 0));
             let holder = s.holder64(v);
-            s.reg64.insert(dst.gpr.index(), v);
+            s.reg64[dst.gpr.index()] = v;
             // Zero-extension preserves the low byte.
-            s.reg8.insert(dst.gpr.index(), b);
+            s.reg8[dst.gpr.index()] = b;
             if known {
                 if let Some(h) = holder {
                     if h == dst.gpr {
@@ -1048,8 +1178,8 @@ fn cse_step(s: &mut Lvn, inst: &Inst, fm: &FuncMeta, flags_dead: bool) -> Action
             Action::Keep
         }
         Inst::Call { .. } => {
-            s.reg64.clear();
-            s.reg8.clear();
+            s.reg64 = [0; GPRS];
+            s.reg8 = [0; GPRS];
             Action::Keep
         }
         Inst::Jmp { .. } | Inst::Jcc { .. } | Inst::Ret | Inst::Push { .. } => Action::Keep,
@@ -1080,7 +1210,8 @@ fn cse_step(s: &mut Lvn, inst: &Inst, fm: &FuncMeta, flags_dead: bool) -> Action
                     s.slot.remove(&off);
                 }
             }
-            for g in other.gprs_written() {
+            let kills = inst_kills(other);
+            for g in ALL_GPRS.into_iter().filter(|&g| kills & reg_bytes(g) != 0) {
                 s.kill(g);
             }
             Action::Keep
@@ -1089,11 +1220,16 @@ fn cse_step(s: &mut Lvn, inst: &Inst, fm: &FuncMeta, flags_dead: bool) -> Action
 }
 
 /// Runs block-local value numbering over every block, rewriting proven
-/// recomputations into register copies.  Returns
-/// `(rewritten, deleted)`.
-fn cse_local(f: &mut AsmFunction, fm: &FuncMeta) -> (usize, usize) {
-    let entry = converged_entry_facts(f, fm);
-    let cfg = Cfg::build(f);
+/// recomputations into register copies; blocks that start a scope are
+/// seeded from the round's converged available-loads `entry` facts.
+/// Returns `(rewritten, deleted)`.
+fn cse_local(
+    f: &mut AsmFunction,
+    fm: &FuncMeta,
+    cfg: &Cfg,
+    words: &FrameWords,
+    entry: &[Option<Facts>],
+) -> (usize, usize) {
     // Whether a block consumes flags before writing them — backend
     // output never does (flags producers and consumers are adjacent),
     // but compute it so end-of-block flags deadness stays sound.
@@ -1120,57 +1256,68 @@ fn cse_local(f: &mut AsmFunction, fm: &FuncMeta) -> (usize, usize) {
     // its shadow routinely land on opposite sides of a check-continuation
     // edge; those continuation blocks have exactly one predecessor and
     // the carried state keeps the master/shadow value chain visible.
+    let inherits = |bi: usize| match cfg.preds[bi].as_slice() {
+        [p] if *p < bi => Some(*p),
+        _ => None,
+    };
+    // How many blocks still inherit each block's exit state: the last
+    // one takes it instead of cloning it.
+    let mut heirs = vec![0usize; f.blocks.len()];
+    for p in (0..f.blocks.len()).filter_map(inherits) {
+        heirs[p] += 1;
+    }
     let mut exit: Vec<Option<Lvn>> = vec![None; f.blocks.len()];
+    let mut flags_dead = Vec::new();
     for bi in 0..f.blocks.len() {
-        let n = f.blocks[bi].insts.len();
         // flags_dead[i]: no instruction after i consumes the flags
         // that are live right after i.
-        let mut flags_dead = vec![false; n];
+        let insts = &f.blocks[bi].insts;
+        flags_dead.clear();
+        flags_dead.resize(insts.len(), false);
         let mut dead = !cfg.succs[bi].iter().any(|&sb| entry_reads_flags[sb]);
-        for i in (0..n).rev() {
+        for (i, ai) in insts.iter().enumerate().rev() {
             flags_dead[i] = dead;
-            let inst = &f.blocks[bi].insts[i].inst;
-            if inst.writes_flags() {
+            if ai.inst.writes_flags() {
                 dead = true;
-            } else if reads_flags(inst) {
+            } else if reads_flags(&ai.inst) {
                 dead = false;
             }
         }
-        let inherited = match cfg.preds[bi].as_slice() {
-            [p] if *p < bi => exit[*p].clone(),
-            _ => None,
-        };
-        let mut lvn = match inherited {
-            Some(state) => state,
-            None => {
-                let mut fresh = Lvn::default();
-                if let Some(facts) = &entry[bi] {
-                    fresh.seed_from_facts(facts);
-                }
-                fresh
+        let inherited = inherits(bi).and_then(|p| {
+            heirs[p] -= 1;
+            if heirs[p] == 0 {
+                exit[p].take()
+            } else {
+                exit[p].clone()
             }
-        };
-        let actions: Vec<Action> = f.blocks[bi]
-            .insts
-            .iter()
-            .enumerate()
-            .map(|(i, ai)| cse_step(&mut lvn, &ai.inst, fm, flags_dead[i]))
-            .collect();
-        exit[bi] = Some(lvn);
-        let block = &mut f.blocks[bi];
-        let mut keep = Vec::with_capacity(n);
-        for (mut ai, action) in block.insts.drain(..).zip(actions) {
+        });
+        let mut lvn = inherited.unwrap_or_else(|| {
+            let mut fresh = Lvn::default();
+            if let Some(facts) = &entry[bi] {
+                fresh.seed_from_facts(facts, words);
+            }
+            fresh
+        });
+        let mut i = 0;
+        f.blocks[bi].insts.retain_mut(|ai| {
+            let action = cse_step(&mut lvn, &ai.inst, fm, flags_dead[i]);
+            i += 1;
             match action {
-                Action::Keep => keep.push(ai),
-                Action::Delete => deleted += 1,
+                Action::Keep => true,
+                Action::Delete => {
+                    deleted += 1;
+                    false
+                }
                 Action::Replace(inst) => {
                     ai.inst = inst;
                     rewritten += 1;
-                    keep.push(ai);
+                    true
                 }
             }
+        });
+        if heirs[bi] > 0 {
+            exit[bi] = Some(lvn);
         }
-        block.insts = keep;
     }
     (rewritten, deleted)
 }
@@ -1188,16 +1335,11 @@ struct FusionPlan {
     delete: Vec<usize>,
 }
 
-fn fuse_compare_branches(f: &mut AsmFunction) -> (usize, usize) {
-    let cfg = Cfg::build(f);
-    let lv = Liveness::compute(f, &cfg);
-    let mut plans = Vec::new();
-    for bi in 0..f.blocks.len() {
-        let after = lv.live_after_each(f, bi);
-        if let Some(plan) = find_fusion(f, bi, &after) {
-            plans.push(plan);
-        }
-    }
+fn fuse_compare_branches(f: &mut AsmFunction, cfg: &Cfg) -> (usize, usize) {
+    let lv = Liveness::compute(f, cfg);
+    let plans: Vec<FusionPlan> = (0..f.blocks.len())
+        .filter_map(|bi| find_fusion(f, bi, &lv))
+        .collect();
     let fused = plans.len();
     let mut deleted = 0;
     for plan in plans {
@@ -1205,14 +1347,11 @@ fn fuse_compare_branches(f: &mut AsmFunction) -> (usize, usize) {
         if let Inst::Jcc { cc, .. } = &mut block.insts[plan.jcc_pos].inst {
             *cc = plan.cc;
         }
-        let del: BTreeSet<usize> = plan.delete.iter().copied().collect();
-        deleted += del.len();
-        let mut i = 0;
-        block.insts.retain(|_| {
-            let keep = !del.contains(&i);
-            i += 1;
-            keep
-        });
+        let mut marked = vec![false; block.insts.len()];
+        for &q in &plan.delete {
+            marked[q] = true;
+        }
+        deleted += retain_unmarked(&mut block.insts, &marked);
     }
     (fused, deleted)
 }
@@ -1230,7 +1369,7 @@ fn fuse_compare_branches(f: &mut AsmFunction) -> (usize, usize) {
 ///   flags, so the fused `jcc` observes exactly the flags the `setcc`
 ///   encoded;
 /// * every chain register is dead after the `jcc` on all paths.
-fn find_fusion(f: &AsmFunction, bi: usize, live_after: &[u128]) -> Option<FusionPlan> {
+fn find_fusion(f: &AsmFunction, bi: usize, lv: &Liveness) -> Option<FusionPlan> {
     let insts = &f.blocks[bi].insts;
     // Locate `test r, r` or `cmp $0, r` immediately before a `jcc ne`.
     let (t, j, tested) = insts.iter().enumerate().find_map(|(j, ai)| {
@@ -1320,10 +1459,9 @@ fn find_fusion(f: &AsmFunction, bi: usize, live_after: &[u128]) -> Option<Fusion
         }
     }
     // Chain registers must be dead after the branch on every path.
-    for &g in &chain_regs {
-        if live_after[j] & reg_bytes(g) != 0 {
-            return None;
-        }
+    let live = lv.live_after_each(f, bi)[j];
+    if chain_regs.iter().any(|&g| live & reg_bytes(g) != 0) {
+        return None;
     }
     Some(FusionPlan {
         block: bi,
@@ -1341,9 +1479,8 @@ fn find_fusion(f: &AsmFunction, bi: usize, live_after: &[u128]) -> Option<Fusion
 enum SlotAccess {
     /// A full-width overwrite of one slot.
     PureWrite(i64),
-    /// Reads (possibly several: both operands can be memory-free; the
-    /// vector is usually empty).
-    Reads(Vec<i64>),
+    /// Reads of up to two slots (one per memory operand; usually none).
+    Reads([Option<i64>; 2]),
 }
 
 fn slot_access(inst: &Inst) -> SlotAccess {
@@ -1366,84 +1503,101 @@ fn slot_access(inst: &Inst) -> SlotAccess {
     }
     // Everything else: any direct-slot memory operand counts as a read
     // (including RMW destinations and `lea`, conservatively).
-    let mut reads = Vec::new();
-    let mut note = |m: &MemRef| {
-        if let Some(off) = direct_slot(m) {
-            reads.push(off);
-        }
-    };
-    match inst {
+    let slot = |op: &Operand| op.as_mem().and_then(direct_slot);
+    let reads = match inst {
         Inst::Mov { src, dst, .. }
         | Inst::Alu { src, dst, .. }
         | Inst::Cmp { src, dst, .. }
-        | Inst::Test { src, dst, .. } => {
-            if let Operand::Mem(m) = src {
-                note(m);
-            }
-            if let Operand::Mem(m) = dst {
-                note(m);
-            }
-        }
-        Inst::Movsx { src, .. } | Inst::Movzx { src, .. } => {
-            if let Operand::Mem(m) = src {
-                note(m);
-            }
-        }
-        Inst::Imul { src, .. } | Inst::Idiv { src, .. } | Inst::Push { src, .. } => {
-            if let Operand::Mem(m) = src {
-                note(m);
-            }
-        }
-        Inst::Lea { mem, .. } => note(mem),
+        | Inst::Test { src, dst, .. } => [slot(src), slot(dst)],
+        Inst::Movsx { src, .. }
+        | Inst::Movzx { src, .. }
+        | Inst::Imul { src, .. }
+        | Inst::Idiv { src, .. }
+        | Inst::Push { src, .. } => [slot(src), None],
+        Inst::Lea { mem, .. } => [direct_slot(mem), None],
         Inst::Shift { dst, .. } | Inst::Unary { dst, .. } | Inst::Setcc { dst, .. } | Inst::Pop { dst } => {
-            if let Operand::Mem(m) = dst {
-                note(m);
-            }
+            [slot(dst), None]
         }
-        _ => {
-            // SIMD loads/stores and control flow: SIMD memory operands
-            // address batch buffers through registers, never direct
-            // slots; if one ever did, the operand patterns above would
-            // need extending. Conservatively scan via reg_masks-free
-            // variants is unnecessary for backend output.
-        }
-    }
+        // SIMD loads/stores and control flow: SIMD memory operands
+        // address batch buffers through registers, never direct slots;
+        // if one ever did, the operand patterns above would need
+        // extending.
+        _ => [None, None],
+    };
     SlotAccess::Reads(reads)
 }
 
-fn eliminate_dead_stores(f: &mut AsmFunction, fm: &FuncMeta) -> usize {
-    let cfg = Cfg::build(f);
+/// Bitsets over a function's tracked slots, one row of `stride` `u64`s
+/// per block.
+struct SlotSets {
+    stride: usize,
+    bits: Vec<u64>,
+}
+
+impl SlotSets {
+    fn new(stride: usize, rows: usize) -> SlotSets {
+        SlotSets {
+            stride,
+            bits: vec![0; stride * rows],
+        }
+    }
+
+    fn row(&self, i: usize) -> &[u64] {
+        &self.bits[i * self.stride..(i + 1) * self.stride]
+    }
+
+    fn row_mut(&mut self, i: usize) -> &mut [u64] {
+        &mut self.bits[i * self.stride..(i + 1) * self.stride]
+    }
+}
+
+fn eliminate_dead_stores(f: &mut AsmFunction, fm: &FuncMeta, cfg: &Cfg) -> usize {
     let n = f.blocks.len();
-    // Backward fixpoint over live tracked slots.
-    let transfer = |bi: usize, out: &BTreeSet<i64>| -> BTreeSet<i64> {
-        let mut live = out.clone();
-        for ai in f.blocks[bi].insts.iter().rev() {
+    // Tracked slots by bit, in ascending offset order.
+    let tracked: Vec<i64> = fm.tracked.iter().copied().collect();
+    let slot_bit = |off: i64| tracked.binary_search(&off).ok();
+    let stride = tracked.len().div_ceil(64);
+    // Per block: tracked slots read before any overwrite (`gen`) and
+    // slots overwritten (`kill`), so live-in = gen ∪ (live-out − kill).
+    let mut gen = SlotSets::new(stride, n);
+    let mut kill = SlotSets::new(stride, n);
+    for (bi, block) in f.blocks.iter().enumerate() {
+        for ai in block.insts.iter().rev() {
             match slot_access(&ai.inst) {
                 SlotAccess::PureWrite(off) => {
-                    live.remove(&off);
+                    if let Some(bit) = slot_bit(off) {
+                        set_bit(gen.row_mut(bi), bit, false);
+                        set_bit(kill.row_mut(bi), bit, true);
+                    }
                 }
                 SlotAccess::Reads(rs) => {
-                    for off in rs {
-                        if fm.tracked.contains(&off) {
-                            live.insert(off);
-                        }
+                    for bit in rs.into_iter().flatten().filter_map(slot_bit) {
+                        set_bit(gen.row_mut(bi), bit, true);
                     }
                 }
             }
         }
-        live
+    }
+    // Backward fixpoint over live tracked slots.
+    let mut live_in = SlotSets::new(stride, n);
+    let mut live = vec![0u64; stride];
+    let live_out = |live: &mut Vec<u64>, live_in: &SlotSets, bi: usize| {
+        live.fill(0);
+        for &s in &cfg.succs[bi] {
+            for (w, &x) in live.iter_mut().zip(live_in.row(s)) {
+                *w |= x;
+            }
+        }
     };
-    let mut live_in: Vec<BTreeSet<i64>> = vec![BTreeSet::new(); n];
     loop {
         let mut changed = false;
         for bi in (0..n).rev() {
-            let mut out = BTreeSet::new();
-            for &s in &cfg.succs[bi] {
-                out.extend(live_in[s].iter().copied());
+            live_out(&mut live, &live_in, bi);
+            for (k, w) in live.iter_mut().enumerate() {
+                *w = gen.row(bi)[k] | (*w & !kill.row(bi)[k]);
             }
-            let inn = transfer(bi, &out);
-            if inn != live_in[bi] {
-                live_in[bi] = inn;
+            if live_in.row(bi) != live.as_slice() {
+                live_in.row_mut(bi).copy_from_slice(&live);
                 changed = true;
             }
         }
@@ -1453,41 +1607,45 @@ fn eliminate_dead_stores(f: &mut AsmFunction, fm: &FuncMeta) -> usize {
     }
     // Delete dead stores with the converged facts.
     let mut removed = 0;
+    let mut dead = Vec::new();
     for bi in 0..n {
-        let mut live = BTreeSet::new();
-        for &s in &cfg.succs[bi] {
-            live.extend(live_in[s].iter().copied());
-        }
+        live_out(&mut live, &live_in, bi);
         let block = &mut f.blocks[bi];
-        let mut dead = Vec::new();
+        dead.clear();
+        dead.resize(block.insts.len(), false);
         for (i, ai) in block.insts.iter().enumerate().rev() {
             match slot_access(&ai.inst) {
                 SlotAccess::PureWrite(off) => {
-                    if fm.tracked.contains(&off) && !live.contains(&off) {
-                        dead.push(i);
-                    } else {
-                        live.remove(&off);
+                    if let Some(bit) = slot_bit(off) {
+                        if bit_is_set(&live, bit) {
+                            set_bit(&mut live, bit, false);
+                        } else {
+                            dead[i] = true;
+                        }
                     }
                 }
                 SlotAccess::Reads(rs) => {
-                    for off in rs {
-                        if fm.tracked.contains(&off) {
-                            live.insert(off);
-                        }
+                    for bit in rs.into_iter().flatten().filter_map(slot_bit) {
+                        set_bit(&mut live, bit, true);
                     }
                 }
             }
         }
-        removed += dead.len();
-        let del: BTreeSet<usize> = dead.into_iter().collect();
-        let mut i = 0;
-        block.insts.retain(|_| {
-            let keep = !del.contains(&i);
-            i += 1;
-            keep
-        });
+        removed += retain_unmarked(&mut block.insts, &dead);
     }
     removed
+}
+
+/// Deletes the elements whose `marked` entry is set and returns how
+/// many went.
+fn retain_unmarked<T>(items: &mut Vec<T>, marked: &[bool]) -> usize {
+    let before = items.len();
+    let mut i = 0;
+    items.retain(|_| {
+        i += 1;
+        !marked[i - 1]
+    });
+    before - items.len()
 }
 
 // ---------------------------------------------------------------------
@@ -1519,38 +1677,221 @@ fn dce_candidate(inst: &Inst) -> Option<u128> {
     }
 }
 
-fn sweep_dead_code(f: &mut AsmFunction) -> usize {
+/// Deletes dead register writes until none is left.  Deleting a dead
+/// write never makes a byte live anywhere (the bytes it kills are dead
+/// after it, and its reads go), so every order of deletion ends in the
+/// same program; each block is therefore swept transitively in one
+/// backward walk, and only deletions that free writes in other blocks
+/// cost another liveness computation.
+fn sweep_dead_code(f: &mut AsmFunction, cfg: &Cfg) -> usize {
     let mut removed = 0;
+    let mut dead = Vec::new();
     loop {
-        let cfg = Cfg::build(f);
-        let lv = Liveness::compute(f, &cfg);
+        let lv = Liveness::compute(f, cfg);
         let mut any = false;
-        for bi in 0..f.blocks.len() {
-            let after = lv.live_after_each(f, bi);
-            let block = &mut f.blocks[bi];
-            let del: BTreeSet<usize> = block
-                .insts
-                .iter()
-                .enumerate()
-                .filter(|(i, ai)| {
-                    dce_candidate(&ai.inst).is_some_and(|kill| after[*i] & kill == 0)
-                })
-                .map(|(i, _)| i)
-                .collect();
-            if del.is_empty() {
-                continue;
+        for (bi, block) in f.blocks.iter_mut().enumerate() {
+            dead.clear();
+            dead.resize(block.insts.len(), false);
+            let mut live = lv.live_out[bi];
+            for (i, ai) in block.insts.iter().enumerate().rev() {
+                dead[i] = dce_candidate(&ai.inst).is_some_and(|kill| live & kill == 0);
+                if !dead[i] {
+                    live = inst_reads(&ai.inst) | (live & !inst_kills(&ai.inst));
+                }
             }
-            any = true;
-            removed += del.len();
-            let mut i = 0;
-            block.insts.retain(|_| {
-                let keep = !del.contains(&i);
-                i += 1;
-                keep
-            });
+            let swept = retain_unmarked(&mut block.insts, &dead);
+            any |= swept > 0;
+            removed += swept;
         }
         if !any {
             return removed;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ferrum_asm::program::{AsmBlock, AsmInst};
+
+    fn slot(off: i64) -> MemRef {
+        MemRef::base_disp(Gpr::Rbp, off)
+    }
+
+    fn load(m: MemRef, r: Gpr) -> Inst {
+        Inst::Mov {
+            w: Width::W64,
+            src: Operand::Mem(m),
+            dst: Operand::Reg(Reg::q(r)),
+        }
+    }
+
+    fn store(r: Gpr, m: MemRef) -> Inst {
+        Inst::Mov {
+            w: Width::W64,
+            src: Operand::Reg(Reg::q(r)),
+            dst: Operand::Mem(m),
+        }
+    }
+
+    fn copy(src: Gpr, dst: Gpr) -> Inst {
+        Inst::Mov {
+            w: Width::W64,
+            src: Operand::Reg(Reg::q(src)),
+            dst: Operand::Reg(Reg::q(dst)),
+        }
+    }
+
+    fn lea(off: i64, dst: Gpr) -> Inst {
+        Inst::Lea {
+            mem: slot(off),
+            dst: Reg::q(dst),
+        }
+    }
+
+    fn func(blocks: Vec<(&str, Vec<Inst>)>) -> AsmFunction {
+        let mut f = AsmFunction::new("main");
+        for (label, insts) in blocks {
+            let mut b = AsmBlock::new(label);
+            b.insts.extend(insts.into_iter().map(AsmInst::synthetic));
+            f.blocks.push(b);
+        }
+        f
+    }
+
+    /// Slot `-8` is a tracked result slot; `-32` and `-24` are the two
+    /// words of an alloca.
+    fn meta() -> FuncMeta {
+        FuncMeta {
+            tracked: BTreeSet::from([-8, -16]),
+            alloca_words: BTreeSet::from([-32, -24]),
+        }
+    }
+
+    /// One forwarding pass over `f`, returning `(forwarded, removed)`.
+    fn forward(f: &mut AsmFunction) -> (usize, usize) {
+        let cfg = Cfg::build(f);
+        let words = FrameWords::of(f, &meta());
+        let entry = converged_entry_facts(f, &cfg, &words);
+        forward_available_loads(f, &words, &entry)
+    }
+
+    fn insts(f: &AsmFunction, block: usize) -> Vec<Inst> {
+        f.blocks[block].insts.iter().map(|ai| ai.inst.clone()).collect()
+    }
+
+    #[test]
+    fn indirect_load_through_a_leaed_alloca_pointer_is_forwarded() {
+        // %rcx = &alloca, so 8(%rcx) is the word at -24.
+        let mut f = func(vec![(
+            "entry",
+            vec![
+                lea(-32, Gpr::Rcx),
+                load(slot(-24), Gpr::Rax),
+                load(MemRef::base_disp(Gpr::Rcx, 8), Gpr::Rdx),
+                Inst::Ret,
+            ],
+        )]);
+        assert_eq!(forward(&mut f), (1, 0));
+        assert_eq!(insts(&f, 0)[2], copy(Gpr::Rax, Gpr::Rdx));
+    }
+
+    #[test]
+    fn unresolvable_store_kills_alloca_words_but_keeps_tracked_slots() {
+        let mut f = func(vec![(
+            "entry",
+            vec![
+                load(slot(-8), Gpr::Rax),
+                load(slot(-32), Gpr::Rbx),
+                // %rsi holds no address: this may write any alloca word.
+                store(Gpr::Rdi, MemRef::base_disp(Gpr::Rsi, 0)),
+                load(slot(-8), Gpr::Rdx),
+                load(slot(-32), Gpr::R8),
+                Inst::Ret,
+            ],
+        )]);
+        assert_eq!(forward(&mut f), (1, 0));
+        let out = insts(&f, 0);
+        assert_eq!(out[3], copy(Gpr::Rax, Gpr::Rdx));
+        assert_eq!(out[4], load(slot(-32), Gpr::R8));
+    }
+
+    #[test]
+    fn call_clears_every_fact() {
+        let body = |call: bool| {
+            let mut insts = vec![lea(-32, Gpr::Rbx), load(slot(-8), Gpr::R12)];
+            if call {
+                insts.push(Inst::Call {
+                    target: "helper".into(),
+                });
+            }
+            insts.extend([
+                load(slot(-8), Gpr::R12),
+                load(MemRef::base_disp(Gpr::Rbx, 0), Gpr::R13),
+                load(slot(-32), Gpr::R14),
+                Inst::Ret,
+            ]);
+            func(vec![("entry", insts)])
+        };
+        // Without the call the reload goes and the alloca word, read
+        // through the `lea`'d pointer, is forwarded.
+        let mut plain = body(false);
+        assert_eq!(forward(&mut plain), (1, 1));
+        // After it, neither the value nor the address survives.
+        let mut called = body(true);
+        assert_eq!(forward(&mut called), (0, 0));
+        assert_eq!(called, body(true));
+    }
+
+    #[test]
+    fn back_edge_that_clobbers_the_holder_drops_the_fact_at_the_header() {
+        let looped = |clobber: bool| {
+            let mut body = vec![load(slot(-8), Gpr::Rcx)];
+            if clobber {
+                body.push(Inst::Mov {
+                    w: Width::W64,
+                    src: Operand::Imm(1),
+                    dst: Operand::Reg(Reg::q(Gpr::Rax)),
+                });
+            }
+            body.extend([
+                Inst::Test {
+                    w: Width::W64,
+                    src: Operand::Reg(Reg::q(Gpr::Rcx)),
+                    dst: Operand::Reg(Reg::q(Gpr::Rcx)),
+                },
+                Inst::Jcc {
+                    cc: Cc::Ne,
+                    target: "loop".into(),
+                },
+            ]);
+            func(vec![
+                ("entry", vec![load(slot(-8), Gpr::Rax)]),
+                ("loop", body),
+                ("exit", vec![Inst::Ret]),
+            ])
+        };
+        let mut kept = looped(false);
+        assert_eq!(forward(&mut kept), (1, 0));
+        assert_eq!(insts(&kept, 1)[0], copy(Gpr::Rax, Gpr::Rcx));
+        let mut clobbered = looped(true);
+        assert_eq!(forward(&mut clobbered), (0, 0));
+        assert_eq!(insts(&clobbered, 1)[0], load(slot(-8), Gpr::Rcx));
+    }
+
+    #[test]
+    fn the_lowest_index_holder_is_chosen() {
+        // %rdi and then %rcx hold slot -8; %rcx has the lower index.
+        let mut f = func(vec![(
+            "entry",
+            vec![
+                load(slot(-8), Gpr::Rdi),
+                copy(Gpr::Rdi, Gpr::Rcx),
+                load(slot(-8), Gpr::Rax),
+                Inst::Ret,
+            ],
+        )]);
+        assert_eq!(forward(&mut f), (1, 0));
+        assert_eq!(insts(&f, 0)[2], copy(Gpr::Rcx, Gpr::Rax));
     }
 }

@@ -19,6 +19,7 @@
 
 use std::collections::HashMap;
 
+use ferrum_asm::analysis::cfg::Cfg;
 use ferrum_asm::inst::Inst;
 use ferrum_asm::operand::{MemRef, Operand};
 use ferrum_asm::program::{AsmFunction, AsmInst, AsmProgram};
@@ -43,7 +44,7 @@ pub fn run(p: &mut AsmProgram) -> PeepholeStats {
         let (removed, forwarded) = eliminate_redundant_reloads(f);
         stats.reloads_removed += removed;
         stats.reloads_forwarded += forwarded;
-        stats.jumps_removed += eliminate_fallthrough_jumps(f);
+        stats.jumps_removed += eliminate_fallthrough_jumps(f, None);
     }
     stats
 }
@@ -131,18 +132,35 @@ fn eliminate_redundant_reloads(f: &mut AsmFunction) -> (usize, usize) {
     (removed, forwarded)
 }
 
-pub(crate) fn eliminate_fallthrough_jumps(f: &mut AsmFunction) -> usize {
+/// Drops every block-final `jmp` to the next block in layout order.
+/// Given the function's `cfg`, keeps it equal to a rebuild: the jump's
+/// edge becomes the fall-through edge, which [`Cfg::build`] records
+/// once, so the only edge that goes is a second copy of it (a `jcc` to
+/// the same next block), and only when the dropped jump was the
+/// block's first unconditional terminator.  Assumes unique labels.
+pub(crate) fn eliminate_fallthrough_jumps(f: &mut AsmFunction, mut cfg: Option<&mut Cfg>) -> usize {
     let mut removed = 0;
-    let next_labels: Vec<Option<String>> = (0..f.blocks.len())
-        .map(|i| f.blocks.get(i + 1).map(|b| b.label.clone()))
-        .collect();
-    for (bi, b) in f.blocks.iter_mut().enumerate() {
-        if let Some(last) = b.insts.last() {
-            if let Inst::Jmp { target } = &last.inst {
-                if next_labels[bi].as_deref() == Some(target.as_str()) {
-                    b.insts.pop();
-                    removed += 1;
-                }
+    for (from, to) in (1..f.blocks.len()).map(|to| (to - 1, to)) {
+        let next = &f.blocks[to].label;
+        if !matches!(f.blocks[from].insts.last(), Some(ai) if matches!(&ai.inst, Inst::Jmp { target } if target == next))
+        {
+            continue;
+        }
+        let b = &mut f.blocks[from];
+        b.insts.pop();
+        removed += 1;
+        let Some(cfg) = cfg.as_deref_mut() else {
+            continue;
+        };
+        let terminated = b
+            .insts
+            .iter()
+            .any(|ai| matches!(ai.inst, Inst::Jmp { .. } | Inst::Ret));
+        if !terminated && cfg.succs[from].iter().filter(|&&s| s == to).count() > 1 {
+            // The jump's edge was pushed last; its twin stays.
+            cfg.succs[from].pop();
+            if let Some(k) = cfg.preds[to].iter().position(|&p| p == from) {
+                cfg.preds[to].remove(k);
             }
         }
     }
@@ -321,9 +339,39 @@ mod tests {
         }));
         f.blocks.push(b0);
         f.blocks.push(b1);
-        assert_eq!(eliminate_fallthrough_jumps(&mut f), 1);
+        assert_eq!(eliminate_fallthrough_jumps(&mut f, None), 1);
         assert!(f.blocks[0].insts.is_empty());
         assert_eq!(f.blocks[1].insts.len(), 1);
+    }
+
+    #[test]
+    fn dropping_fallthrough_jumps_keeps_the_cfg_equal_to_a_rebuild() {
+        let jcc = |target: &str| Inst::Jcc {
+            cc: ferrum_asm::flags::Cc::Ne,
+            target: target.into(),
+        };
+        let jmp = |target: &str| Inst::Jmp {
+            target: target.into(),
+        };
+        let mut f = AsmFunction::new("main");
+        for (label, insts) in [
+            // The jump duplicates the `jcc`'s edge: one copy goes.
+            ("b0", vec![jcc("b1"), jmp("b1")]),
+            // An earlier jump still terminates the block: no edge goes.
+            ("b1", vec![jcc("b2"), jmp("b2"), Inst::Nop, jmp("b2")]),
+            ("b2", vec![jmp("b3")]),
+            ("b3", vec![Inst::Ret]),
+        ] {
+            let mut b = AsmBlock::new(label);
+            b.insts.extend(insts.into_iter().map(AsmInst::synthetic));
+            f.blocks.push(b);
+        }
+        let mut cfg = Cfg::build(&f);
+        assert_eq!(eliminate_fallthrough_jumps(&mut f, Some(&mut cfg)), 3);
+        let rebuilt = Cfg::build(&f);
+        assert_eq!(cfg.succs, rebuilt.succs);
+        assert_eq!(cfg.preds, rebuilt.preds);
+        assert_eq!(cfg.succs, vec![vec![1], vec![2, 2], vec![3], vec![]]);
     }
 
     #[test]

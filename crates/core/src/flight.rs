@@ -530,9 +530,23 @@ pub fn event_to_ndjson(ev: &FlightEvent) -> String {
     out
 }
 
-/// Parses an NDJSON event stream.  Blank lines are skipped; a final
-/// line torn by a mid-write kill is dropped (everything before it is
-/// kept); any other unparseable line is an error.
+/// Stage labels that journals written before a stage was retired
+/// still carry (`injection`: faults run cold from the entry state).
+/// Stage records hold no resume state, so [`parse_events`] drops them.
+const RETIRED_STAGES: &[&str] = &["injection"];
+
+/// True for a `stage_timing` record of a [`RETIRED_STAGES`] stage.
+fn is_retired_stage_record(v: &Json) -> bool {
+    v.get("type").and_then(Json::as_str) == Some("stage_timing")
+        && v.get("stage")
+            .and_then(Json::as_str)
+            .is_some_and(|stage| RETIRED_STAGES.contains(&stage))
+}
+
+/// Parses an NDJSON event stream.  Blank lines and the stage records
+/// of retired stages are skipped; a final line torn by a mid-write
+/// kill is dropped (everything before it is kept); any other
+/// unparseable line is an error.
 ///
 /// # Errors
 ///
@@ -545,7 +559,11 @@ pub fn parse_events(text: &str) -> Result<Vec<FlightEvent>, String> {
         if line.trim().is_empty() {
             continue;
         }
-        match crate::json::parse(line).ok().as_ref().and_then(event_from_json) {
+        let json = crate::json::parse(line).ok();
+        if json.as_ref().is_some_and(is_retired_stage_record) {
+            continue;
+        }
+        match json.as_ref().and_then(event_from_json) {
             Some(ev) => events.push(ev),
             None if i + 1 == lines.len() => break,
             None => return Err(format!("malformed event at line {}", i + 1)),

@@ -224,6 +224,39 @@ fn ndjson_file_round_trip_preserves_the_stream() {
     let _ = std::fs::remove_file(&path);
 }
 
+#[test]
+fn a_journal_with_a_retired_injection_stage_still_resumes() {
+    let s = load("bfs", Technique::Ferrum);
+    let (full, events) = record(&s, EngineKind::Interpreter, Campaign::sampled(CFG));
+    // The complete journal an older build wrote: its faults ran whole,
+    // so their stage record said `injection` where this one says
+    // `replay`.
+    let journal_with = |stage: &str| -> String {
+        events
+            .iter()
+            .map(|e| {
+                event_to_ndjson(e).replace("\"stage\":\"replay\"", &format!("\"stage\":\"{stage}\""))
+                    + "\n"
+            })
+            .collect()
+    };
+    let old = journal_with("injection");
+    assert!(old.contains("\"stage\":\"injection\""), "no stage record relabelled");
+    let journal = journal_from_ndjson(&old).expect("a retired stage label parses");
+    assert!(journal.finished);
+    let resumed = Campaign::sampled(CFG)
+        .reuse(Reuse::Journal(&journal))
+        .run(s.engine(EngineKind::Interpreter), s.profile())
+        .expect("resumes");
+    assert_eq!(resumed, full);
+    assert_eq!(resumed.stats.reused_sites, full.total());
+
+    // Only the retired label is forgiven: any other unknown stage is a
+    // malformed line.
+    let err = journal_from_ndjson(&journal_with("teleport")).expect_err("unknown stage accepted");
+    assert!(err.starts_with("malformed event at line"), "{err}");
+}
+
 // ---------------------------------------------------------------------
 // 3. Resume determinism: every shard boundary
 // ---------------------------------------------------------------------

@@ -163,3 +163,62 @@ fn asm_level_protection_keeps_full_coverage_on_optimized_programs() {
         }
     }
 }
+
+/// FNV-1a over bytes.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Fnv {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+/// First seed and length of the fuzz window the `-O1` digest covers.
+const O1_WINDOW: (u64, u64) = (1, 24);
+
+/// FNV-1a of every listing and `PassStats` below, taken when the pin
+/// was set.
+const O1_DIGEST: u64 = 0x5180_5cf5_1bc1_f8a5;
+
+/// The `-O1` bundle's output is pinned byte for byte: the printed
+/// listing and the pass statistics of a fuzz window and the catalog
+/// kernels, each compiled raw, IR-EDDI-shadowed and signature-protected
+/// (the three modules `protect-stream` compiles per program).  A
+/// rewrite of the passes that changes any decision, even one that keeps
+/// the program correct, moves the digest.
+#[test]
+fn o1_listings_and_pass_stats_match_the_pinned_digest() {
+    use ferrum_eddi::signature::SignaturePass;
+    use ferrum_eddi::IrEddi;
+    let mut modules: Vec<(String, ferrum_mir::module::Module)> = (O1_WINDOW.0
+        ..O1_WINDOW.0 + O1_WINDOW.1)
+        .map(|seed| (format!("fuzz seed {seed}"), ferrum_fuzz::generate_module(seed).0))
+        .collect();
+    modules.extend(all_workloads().into_iter().map(|w| (w.name.to_string(), w.build(Scale::Test))));
+    let mut digest = Fnv::new();
+    for (name, module) in &modules {
+        let variants = [
+            module.clone(),
+            IrEddi::new().protect_tracked(module).0,
+            SignaturePass::new().protect_tracked(module).0,
+        ];
+        for variant in &variants {
+            let (prog, stats) = compile_with_stats(variant, OptLevel::O1)
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            digest.bytes(ferrum_asm::printer::print_program(&prog).as_bytes());
+            digest.bytes(format!("{stats:?}").as_bytes());
+        }
+    }
+    assert_eq!(
+        digest.0, O1_DIGEST,
+        "-O1 listings or pass statistics changed: digest {:#018x}, pinned {O1_DIGEST:#018x}",
+        digest.0
+    );
+}
