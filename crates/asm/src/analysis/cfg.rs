@@ -35,18 +35,14 @@ impl Cfg {
             let mut falls_through = true;
             for ai in &b.insts {
                 match &ai.inst {
-                    crate::inst::Inst::Jmp { target } => {
-                        if let Some(&t) = label_to_idx.get(target.as_str()) {
-                            succs[bi].push(t);
-                        }
-                        falls_through = false;
-                    }
-                    crate::inst::Inst::Jcc { target, .. } => {
+                    crate::inst::Inst::Jmp { target } | crate::inst::Inst::Jcc { target, .. } => {
                         if let Some(&t) = label_to_idx.get(target.as_str()) {
                             if !succs[bi].contains(&t) {
                                 succs[bi].push(t);
                             }
                         }
+                        // Only a conditional jump lets the block go on.
+                        falls_through = matches!(ai.inst, crate::inst::Inst::Jcc { .. });
                     }
                     crate::inst::Inst::Ret => {
                         falls_through = false;
@@ -267,6 +263,27 @@ mod tests {
         // join (3) returns
         assert!(cfg.succs[3].is_empty());
         assert_eq!(cfg.preds[3], vec![1, 2]);
+    }
+
+    #[test]
+    fn jcc_and_jmp_to_one_target_make_one_edge() {
+        // a: jne c; jmp c   b: ret   c: ret
+        let mut f = AsmFunction::new("main");
+        f.blocks.push(block(
+            "a",
+            vec![
+                Inst::Jcc {
+                    cc: Cc::Ne,
+                    target: "c".into(),
+                },
+                Inst::Jmp { target: "c".into() },
+            ],
+        ));
+        f.blocks.push(block("b", vec![Inst::Ret]));
+        f.blocks.push(block("c", vec![Inst::Ret]));
+        let cfg = Cfg::build(&f);
+        assert_eq!(cfg.succs, vec![vec![2], vec![], vec![]]);
+        assert_eq!(cfg.preds[2], vec![0]);
     }
 
     #[test]

@@ -66,7 +66,7 @@ use crate::analysis::liveness::{
     byte_bit, inst_kills, inst_reads, read_bytes, reg_bytes, ByteSet, Liveness,
 };
 use crate::flags::Cc;
-use crate::inst::{AluOp, DestClass, Inst};
+use crate::inst::{AluOp, DestClass, Inst, SimdBytes};
 use crate::operand::Operand;
 use crate::program::{AsmFunction, AsmInst, AsmProgram};
 use crate::provenance::{Mechanism, Provenance};
@@ -389,47 +389,6 @@ pub(crate) fn unit_seed(dest: DestClass, k: usize) -> Option<Taint> {
     Some(t)
 }
 
-/// A byte-exact SIMD access as `(register index, byte mask)`; mask 0
-/// when there is none.
-type SimdAccess = (u8, u64);
-
-/// Byte-exact SIMD reads of `inst`: at most two registers.
-fn simd_reads(inst: &Inst) -> [SimdAccess; 2] {
-    const X: u64 = 0xffff; // 16 bytes
-    const Y: u64 = 0xffff_ffff; // 32 bytes
-    match inst {
-        Inst::MovqFromXmm { src, .. } => [(src.0, 0xff), (0, 0)],
-        Inst::Pextrq { lane, src, .. } => [(src.0, 0xffu64 << (8 * lane)), (0, 0)],
-        Inst::Vinserti128 { src, src2, .. } => [(src.0, X), (src2.0, Y)],
-        Inst::Vpxor { a, b, .. } | Inst::Vptest { a, b } => [(a.0, Y), (b.0, Y)],
-        Inst::Vpxor128 { a, b, .. } | Inst::Vptest128 { a, b } => [(a.0, X), (b.0, X)],
-        Inst::Vinserti64x4 { src, src2, .. } => [(src.0, Y), (src2.0, u64::MAX)],
-        Inst::Vpxor512 { a, b, .. } | Inst::Vptest512 { a, b } => {
-            [(a.0, u64::MAX), (b.0, u64::MAX)]
-        }
-        _ => [(0, 0); 2],
-    }
-}
-
-/// Byte-exact SIMD write masks of `inst`, matching the machine's
-/// write-back semantics (`movq` zeroes lane 1 and preserves the upper
-/// lanes; the VEX 128-bit form zeroes *all* upper bytes; `pinsrq`
-/// writes only its lane).  When the instruction's inputs are
-/// untainted the written bytes become golden, so these masks are also
-/// the taint-kill masks.  An instruction writes at most one register.
-fn simd_write(inst: &Inst) -> SimdAccess {
-    const X: u64 = 0xffff;
-    const Y: u64 = 0xffff_ffff;
-    match inst {
-        Inst::MovqToXmm { dst, .. } => (dst.0, X),
-        Inst::Pinsrq { lane, dst, .. } => (dst.0, 0xffu64 << (8 * lane)),
-        Inst::Vinserti128 { dst, .. } | Inst::Vpxor { dst, .. } => (dst.0, Y),
-        Inst::Vpxor128 { dst, .. } => (dst.0, u64::MAX),
-        Inst::Vinserti64x4 { dst, .. } | Inst::Vpxor512 { dst, .. } => (dst.0, u64::MAX),
-        _ => (0, 0),
-    }
-}
-
 /// Where a jump goes, resolved once per function.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Target {
@@ -478,10 +437,15 @@ pub(crate) struct InstFacts {
     reads: ByteSet,
     /// GPR bytes overwritten ([`inst_kills`]).
     kills: ByteSet,
-    /// Byte-exact SIMD reads.
-    simd_reads: [SimdAccess; 2],
-    /// Byte-exact SIMD write.
-    simd_write: SimdAccess,
+    /// Address registers of memory operands
+    /// ([`Effects::addr`](crate::inst::Effects::addr)).
+    addr: ByteSet,
+    /// SIMD bytes read.
+    simd_reads: [SimdBytes; 2],
+    /// SIMD bytes written.  When the instruction's inputs are
+    /// untainted the written bytes become golden, so this is also its
+    /// SIMD taint kill.
+    simd_write: SimdBytes,
     /// Emitted by a protection pass.
     pub(crate) protection: bool,
     /// How the instruction moves control.
@@ -504,11 +468,13 @@ impl InstFacts {
             Inst::Call { .. } => Control::Call(Callee::Other),
             _ => Control::Plain,
         };
+        let effects = ai.inst.effects();
         InstFacts {
             reads: inst_reads(&ai.inst),
             kills: inst_kills(&ai.inst),
-            simd_reads: simd_reads(&ai.inst),
-            simd_write: simd_write(&ai.inst),
+            addr: effects.addr,
+            simd_reads: effects.simd_read,
+            simd_write: effects.simd_write,
             protection,
             control,
         }
@@ -573,43 +539,6 @@ impl FunctionFacts {
     }
 }
 
-/// True when any memory operand of `inst` computes its address from a
-/// tainted register (the access would diverge — exactness is lost).
-fn mem_address_tainted(inst: &Inst, taint: &Taint) -> bool {
-    let mem_regs = |op: &Operand, set: &mut ByteSet| {
-        if let Operand::Mem(m) = op {
-            for g in m.regs_read() {
-                *set |= reg_bytes(g);
-            }
-        }
-    };
-    let mut set: ByteSet = 0;
-    match inst {
-        Inst::Mov { src, dst, .. }
-        | Inst::Alu { src, dst, .. }
-        | Inst::Cmp { src, dst, .. }
-        | Inst::Test { src, dst, .. } => {
-            mem_regs(src, &mut set);
-            mem_regs(dst, &mut set);
-        }
-        Inst::Movsx { src, .. } | Inst::Movzx { src, .. } => mem_regs(src, &mut set),
-        Inst::Unary { dst, .. } | Inst::Shift { dst, .. } | Inst::Setcc { dst, .. } => {
-            mem_regs(dst, &mut set);
-        }
-        Inst::Imul { src, .. } | Inst::Idiv { src, .. } => mem_regs(src, &mut set),
-        Inst::Lea { mem, .. } => {
-            for g in mem.regs_read() {
-                set |= reg_bytes(g);
-            }
-        }
-        Inst::Push { src } => mem_regs(src, &mut set),
-        Inst::Pop { dst } => mem_regs(dst, &mut set),
-        Inst::MovqToXmm { src, .. } | Inst::Pinsrq { src, .. } => mem_regs(src, &mut set),
-        _ => {}
-    }
-    set & taint.gpr != 0
-}
-
 /// True when the *value* of operand `op` (read at width `w`) carries
 /// taint.  Memory values are never tainted: the scan bails at any
 /// tainted store, so memory in the scanned region is golden.
@@ -649,7 +578,9 @@ pub(crate) fn protection_step(
     taint: &mut Taint,
 ) -> Step {
     let inst = &block[i].inst;
-    if mem_address_tainted(inst, taint) {
+    // A memory operand addressed through a tainted register accesses a
+    // diverging location: exactness is lost.
+    if facts[i].addr & taint.gpr != 0 {
         return Step::Bail;
     }
     let checked = |fires: bool| {

@@ -51,14 +51,14 @@ use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 
 use crate::analysis::cfg::Cfg;
-use crate::analysis::liveness::Liveness;
+use crate::analysis::liveness::{gprs_in, inst_kills, inst_reads, reg_bytes, Liveness};
 use crate::flags::Cc;
 use crate::inst::{AluOp, DestClass, Inst};
 use crate::operand::Operand;
 use crate::printer::print_inst;
 use crate::program::{AsmFunction, AsmProgram};
 use crate::provenance::{GlueKind, Provenance, TechniqueTag};
-use crate::reg::{Gpr, ARG_GPRS};
+use crate::reg::Gpr;
 
 /// The four FERRUM protection contracts (see module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -671,58 +671,49 @@ fn scan_block(
 
         // ------------- non-protection instruction ------------------------
 
-        // Reads of dirty registers: the unverified value is consumed.
-        let mut reads: Vec<Gpr> = inst.gprs_read();
-        if matches!(inst, Inst::Call { .. }) {
-            reads.extend(ARG_GPRS);
-        }
-        if matches!(inst, Inst::Ret) {
-            reads.push(Gpr::Rax);
-        }
-        for g in &reads {
-            if let Some(site) = fact.dirty.remove(g) {
-                push_finding(
-                    &mut findings,
-                    LintContract::CheckedSync,
-                    i,
-                    prov,
-                    format!(
-                        "`{}` consumes unverified result in {g:?} \
-                         (site at block {} inst {}, no checker in between)",
-                        print_inst(inst),
-                        site.0,
-                        site.1
-                    ),
-                );
+        // Reads of dirty registers, physical or by the ABI (a call's
+        // arguments, the returned `%rax`): the unverified value is
+        // consumed.
+        let effects = inst.effects();
+        let reads = effects.gpr_read | inst_reads(inst);
+        fact.dirty.retain(|&g, &mut site| {
+            if reads & reg_bytes(g) == 0 {
+                return true;
             }
-        }
+            push_finding(
+                &mut findings,
+                LintContract::CheckedSync,
+                i,
+                prov,
+                format!(
+                    "`{}` consumes unverified result in {g:?} \
+                     (site at block {} inst {}, no checker in between)",
+                    print_inst(inst),
+                    site.0,
+                    site.1
+                ),
+            );
+            false
+        });
 
         // Reads/writes of requisitioned registers while they are saved.
-        let req_regs: Vec<Gpr> = fact
-            .stack
-            .iter()
-            .filter_map(|e| match e {
-                StackEntry::Req(g) => Some(*g),
-                _ => None,
-            })
-            .collect();
-        if !req_regs.is_empty() {
-            for g in inst.gprs_read().iter().chain(inst.gprs_written().iter()) {
-                if req_regs.contains(g) {
-                    push_finding(
-                        &mut findings,
-                        LintContract::Requisition,
-                        i,
-                        prov,
-                        format!(
-                            "`{}` touches requisitioned register {g:?} while it is \
-                             on the requisition stack",
-                            print_inst(inst)
-                        ),
-                    );
-                    break;
-                }
-            }
+        let requisitioned = fact.stack.iter().fold(0, |set, e| match e {
+            StackEntry::Req(g) => set | reg_bytes(*g),
+            _ => set,
+        });
+        let touched = (effects.gpr_read | effects.gpr_write) & requisitioned;
+        if let Some(g) = gprs_in(touched).next() {
+            push_finding(
+                &mut findings,
+                LintContract::Requisition,
+                i,
+                prov,
+                format!(
+                    "`{}` touches requisitioned register {g:?} while it is \
+                     on the requisition stack",
+                    print_inst(inst)
+                ),
+            );
         }
 
         // Manifest-declared reservations: original code must never write
@@ -730,7 +721,7 @@ fn scan_block(
         // Calls are exempt: the pass re-establishes protection state
         // around them (and callee clobbers are modelled above).
         if !ctx.reserved.is_empty() && !matches!(inst, Inst::Call { .. }) {
-            for g in inst.gprs_written() {
+            for g in gprs_in(effects.gpr_write) {
                 if ctx.reserved.contains(&g) {
                     push_finding(
                         &mut findings,
@@ -821,19 +812,8 @@ fn scan_block(
                 }
                 // The callee clobbers caller-saved registers: dirt there
                 // is destroyed, i.e. masked.
-                for g in [
-                    Gpr::Rax,
-                    Gpr::Rcx,
-                    Gpr::Rdx,
-                    Gpr::Rsi,
-                    Gpr::Rdi,
-                    Gpr::R8,
-                    Gpr::R9,
-                    Gpr::R10,
-                    Gpr::R11,
-                ] {
-                    fact.dirty.remove(&g);
-                }
+                let kills = inst_kills(inst);
+                fact.dirty.retain(|&g, _| kills & reg_bytes(g) == 0);
             }
             Inst::Ret => {
                 if let Some(p) = fact.pair {
@@ -909,9 +889,8 @@ fn scan_block(
                 }
             } else {
                 // Non-site writes overwrite (mask) any dirt there.
-                for g in inst.gprs_written() {
-                    fact.dirty.remove(&g);
-                }
+                let writes = effects.gpr_write;
+                fact.dirty.retain(|&g, _| writes & reg_bytes(g) == 0);
             }
         }
 
@@ -975,7 +954,7 @@ fn protection_writes(
             return;
         }
     }
-    for g in inst.gprs_written() {
+    for g in gprs_in(inst.effects().gpr_write) {
         if let Some(site) = fact.dirty.get(&g).copied() {
             let copies_elsewhere = fact
                 .dirty
@@ -1021,7 +1000,7 @@ fn check_pair_clobber(
         return;
     };
     // The resolving `cmpb p0, p1` reads, not writes, the pair.
-    for g in inst.gprs_written() {
+    for g in gprs_in(inst.effects().gpr_write) {
         if g == p.p0 || g == p.p1 {
             if collect {
                 findings.push(LintFinding {

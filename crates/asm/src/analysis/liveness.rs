@@ -19,10 +19,9 @@
 //! losing soundness for partial defs like `sete %al` or `movslq`.
 
 use crate::analysis::cfg::Cfg;
-use crate::inst::{Inst, ShiftAmount};
-use crate::operand::Operand;
+use crate::inst::Inst;
 use crate::program::AsmFunction;
-use crate::reg::{Gpr, Width, ARG_GPRS};
+use crate::reg::{Gpr, Width, ALL_GPRS, ARG_GPRS};
 
 /// Byte-level register set: bit `g.index() * 8 + byte` is byte `byte`
 /// of register `g` (byte 0 is the least significant).
@@ -62,8 +61,31 @@ pub fn kill_bytes(g: Gpr, w: Width) -> ByteSet {
     m << (g.index() * 8)
 }
 
-/// Caller-saved registers clobbered by a `call` under System-V.
-const CALLER_SAVED: [Gpr; 9] = [
+/// The registers with at least one byte in `set`, in index order.
+pub fn gprs_in(set: ByteSet) -> impl Iterator<Item = Gpr> {
+    ALL_GPRS
+        .into_iter()
+        .filter(move |&g| set & reg_bytes(g) != 0)
+}
+
+/// All bytes of every register in `gprs`.
+const fn all_bytes(gprs: &[Gpr]) -> ByteSet {
+    let mut set = 0;
+    let mut i = 0;
+    while i < gprs.len() {
+        set |= 0xff << (gprs[i] as usize * 8);
+        i += 1;
+    }
+    set
+}
+
+/// The bytes a `call` may read under System-V: every argument
+/// register, in full.
+const CALL_READS: ByteSet = all_bytes(&ARG_GPRS);
+
+/// The bytes a `call` overwrites under System-V: every caller-saved
+/// register, and `%rsp`.
+const CALL_KILLS: ByteSet = all_bytes(&[
     Gpr::Rax,
     Gpr::Rcx,
     Gpr::Rdx,
@@ -73,142 +95,29 @@ const CALLER_SAVED: [Gpr; 9] = [
     Gpr::R9,
     Gpr::R10,
     Gpr::R11,
-];
+    Gpr::Rsp,
+]);
 
-fn operand_reads(op: &Operand, w: Width, set: &mut ByteSet) {
-    match op {
-        Operand::Reg(r) => *set |= read_bytes(r.gpr, w),
-        Operand::Mem(m) => {
-            // Address arithmetic consumes the full 64-bit register.
-            for g in m.regs_read() {
-                *set |= reg_bytes(g);
-            }
-        }
-        Operand::Imm(_) => {}
-    }
-}
-
-/// The register bytes read by one instruction, including implicit
-/// operands and ABI effects (`call` reads the argument registers in
-/// full, `ret` reads `%rax`).  Reads are at access width; address
-/// registers are always read in full.
+/// The register bytes one instruction reads under the System-V ABI:
+/// its [`Inst::effects`] reads, except that `call` reads the argument
+/// registers in full (the callee may consume any of them at any width)
+/// and `ret` reads the return value in `%rax`.
 pub fn inst_reads(inst: &Inst) -> ByteSet {
-    let mut set: ByteSet = 0;
     match inst {
-        Inst::Mov { w, src, dst } => {
-            operand_reads(src, *w, &mut set);
-            if let Operand::Mem(m) = dst {
-                for g in m.regs_read() {
-                    set |= reg_bytes(g);
-                }
-            }
-        }
-        Inst::Movsx { src_w, src, .. } | Inst::Movzx { src_w, src, .. } => {
-            operand_reads(src, *src_w, &mut set);
-        }
-        Inst::Lea { mem, .. } => {
-            for g in mem.regs_read() {
-                set |= reg_bytes(g);
-            }
-        }
-        Inst::Alu { w, src, dst, .. } => {
-            operand_reads(src, *w, &mut set);
-            operand_reads(dst, *w, &mut set); // read-modify-write
-        }
-        Inst::Imul { w, src, dst } => {
-            operand_reads(src, *w, &mut set);
-            set |= read_bytes(dst.gpr, *w);
-        }
-        Inst::Unary { w, dst, .. } => operand_reads(dst, *w, &mut set),
-        Inst::Shift { w, amount, dst, .. } => {
-            if matches!(amount, ShiftAmount::Cl) {
-                set |= read_bytes(Gpr::Rcx, Width::W8);
-            }
-            operand_reads(dst, *w, &mut set);
-        }
-        Inst::Cqo { w } => set |= read_bytes(Gpr::Rax, *w),
-        Inst::Idiv { w, src } => {
-            set |= read_bytes(Gpr::Rax, *w);
-            set |= read_bytes(Gpr::Rdx, *w);
-            operand_reads(src, *w, &mut set);
-        }
-        Inst::Cmp { w, src, dst } | Inst::Test { w, src, dst } => {
-            operand_reads(src, *w, &mut set);
-            operand_reads(dst, *w, &mut set);
-        }
-        Inst::Setcc { dst, .. } => {
-            if let Operand::Mem(m) = dst {
-                for g in m.regs_read() {
-                    set |= reg_bytes(g);
-                }
-            }
-        }
-        Inst::Push { src } => {
-            operand_reads(src, Width::W64, &mut set);
-            set |= reg_bytes(Gpr::Rsp);
-        }
-        Inst::Pop { dst } => {
-            if let Operand::Mem(m) = dst {
-                for g in m.regs_read() {
-                    set |= reg_bytes(g);
-                }
-            }
-            set |= reg_bytes(Gpr::Rsp);
-        }
-        Inst::MovqToXmm { src, .. } | Inst::Pinsrq { src, .. } => {
-            operand_reads(src, Width::W64, &mut set);
-        }
-        Inst::Call { .. } => {
-            // Conservative: the callee may consume any argument register
-            // at any width.
-            for g in ARG_GPRS {
-                set |= reg_bytes(g);
-            }
-        }
-        Inst::Ret => set |= reg_bytes(Gpr::Rax),
-        Inst::Jmp { .. }
-        | Inst::Jcc { .. }
-        | Inst::MovqFromXmm { .. }
-        | Inst::Pextrq { .. }
-        | Inst::Vinserti128 { .. }
-        | Inst::Vpxor { .. }
-        | Inst::Vptest { .. }
-        | Inst::Vpxor128 { .. }
-        | Inst::Vptest128 { .. }
-        | Inst::Vinserti64x4 { .. }
-        | Inst::Vpxor512 { .. }
-        | Inst::Vptest512 { .. }
-        | Inst::Nop => {}
+        Inst::Call { .. } => CALL_READS,
+        Inst::Ret => reg_bytes(Gpr::Rax),
+        _ => inst.effects().gpr_read,
     }
-    set
 }
 
-/// The register bytes fully overwritten by one instruction (the kill
-/// set), per [`merge_write`](crate::reg::merge_write) semantics,
-/// including implicit `%rsp` updates and `call` clobbering every
-/// caller-saved register.
+/// The register bytes one instruction overwrites under the System-V
+/// ABI (the kill set): its [`Inst::effects`] writes, except that
+/// `call` clobbers every caller-saved register and `%rsp`.
 pub fn inst_kills(inst: &Inst) -> ByteSet {
-    let mut set: ByteSet = 0;
-    match inst.dest_class() {
-        crate::inst::DestClass::Gpr(r) => set |= kill_bytes(r.gpr, r.width),
-        crate::inst::DestClass::RaxRdxPair(w) => {
-            set |= kill_bytes(Gpr::Rax, w);
-            set |= kill_bytes(Gpr::Rdx, w);
-        }
-        _ => {}
-    }
     match inst {
-        Inst::Push { .. } | Inst::Pop { .. } | Inst::Call { .. } | Inst::Ret => {
-            set |= reg_bytes(Gpr::Rsp);
-        }
-        _ => {}
+        Inst::Call { .. } => CALL_KILLS,
+        _ => inst.effects().gpr_write,
     }
-    if matches!(inst, Inst::Call { .. }) {
-        for g in CALLER_SAVED {
-            set |= reg_bytes(g);
-        }
-    }
-    set
 }
 
 /// Byte-granular liveness facts for one function.
@@ -461,6 +370,56 @@ mod tests {
         let lv = Liveness::compute(&f, &cfg);
         assert!(lv.live_in_contains(1, Gpr::Rax));
         assert!(lv.live_out_contains(0, Gpr::Rax));
+    }
+
+    #[test]
+    fn call_overlay_reads_arguments_and_kills_caller_saved() {
+        // The ABI view replaces a call's physical `%rsp` (and `%rdi`)
+        // read with every argument register, and adds the caller-saved
+        // clobber to its `%rsp` write.
+        let args = reg_bytes(Gpr::Rdi)
+            | reg_bytes(Gpr::Rsi)
+            | reg_bytes(Gpr::Rdx)
+            | reg_bytes(Gpr::Rcx)
+            | reg_bytes(Gpr::R8)
+            | reg_bytes(Gpr::R9);
+        let clobbers = args | reg_bytes(Gpr::Rax) | reg_bytes(Gpr::R10) | reg_bytes(Gpr::R11);
+        for target in ["helper", crate::PRINT_I64] {
+            let call = Inst::Call {
+                target: target.into(),
+            };
+            assert_eq!(inst_reads(&call), args, "{target}");
+            assert_eq!(
+                inst_kills(&call),
+                clobbers | reg_bytes(Gpr::Rsp),
+                "{target}"
+            );
+        }
+    }
+
+    #[test]
+    fn ret_overlay_reads_the_return_value() {
+        assert_eq!(inst_reads(&Inst::Ret), reg_bytes(Gpr::Rax));
+        assert_eq!(inst_kills(&Inst::Ret), Inst::Ret.effects().gpr_write);
+        assert_eq!(inst_kills(&Inst::Ret), reg_bytes(Gpr::Rsp));
+    }
+
+    #[test]
+    fn every_other_instruction_is_the_table() {
+        let push = Inst::Push {
+            src: Operand::Reg(Reg::q(Gpr::R10)),
+        };
+        let setl = Inst::Setcc {
+            cc: Cc::L,
+            dst: Operand::Reg(Reg::b(Gpr::Rbx)),
+        };
+        for inst in [mov_imm(Gpr::Rbx, 1), add_rr(Gpr::Rax, Gpr::Rcx), push, setl] {
+            let e = inst.effects();
+            assert_eq!(
+                (inst_reads(&inst), inst_kills(&inst)),
+                (e.gpr_read, e.gpr_write)
+            );
+        }
     }
 
     #[test]

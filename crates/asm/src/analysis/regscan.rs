@@ -6,6 +6,7 @@
 //! comparison protection) and four spare XMM registers (two original +
 //! two duplicate accumulators that are widened into two YMM registers).
 
+use crate::analysis::liveness::gprs_in;
 use crate::program::AsmFunction;
 use crate::reg::{Gpr, ALL_GPRS};
 
@@ -49,15 +50,18 @@ impl RegUsage {
         self.simd_bits |= other.simd_bits;
     }
 
-    /// Scans a single instruction.  Delegates to [`Inst::reg_masks`] so
-    /// the scanner, the decoded engine and the summary builder share one
-    /// source of truth for register touch sets.
-    ///
-    /// [`Inst::reg_masks`]: crate::inst::Inst::reg_masks
+    /// Scans a single instruction: every register its
+    /// [`Inst::effects`](crate::inst::Inst::effects) read or write.
     pub fn scan_inst(&mut self, inst: &crate::inst::Inst) {
-        let m = inst.reg_masks();
-        self.gpr_bits |= m.touched_gpr();
-        self.simd_bits |= m.touched_simd();
+        let e = inst.effects();
+        for g in gprs_in(e.gpr_read | e.gpr_write) {
+            self.touch_gpr(g);
+        }
+        for (r, bytes) in e.simd_read.into_iter().chain([e.simd_write]) {
+            if bytes != 0 {
+                self.touch_simd(r);
+            }
+        }
     }
 
     /// GPRs *not* used, excluding `%rsp`/`%rbp` (reserved for the frame).
@@ -265,9 +269,9 @@ mod tests {
     }
 
     #[test]
-    fn scan_matches_reg_masks_union() {
-        // Audit: the block-level rollup must equal the union of the
-        // per-instruction reg_masks — one source of truth.
+    fn scan_matches_effects_union() {
+        // Audit: the function-level rollup must equal the union of the
+        // registers each instruction's effects read or write.
         let insts = vec![
             Inst::Mov {
                 w: Width::W64,
@@ -281,28 +285,42 @@ mod tests {
                 src: Operand::Reg(Reg::q(Gpr::Rax)),
                 dst: Xmm::new(3),
             },
+            Inst::Pinsrq {
+                lane: 1,
+                src: Operand::Reg(Reg::q(Gpr::R9)),
+                dst: Xmm::new(5),
+            },
+            Inst::Vinserti128 {
+                lane: 1,
+                src: Xmm::new(6),
+                src2: crate::reg::Ymm::new(7),
+                dst: crate::reg::Ymm::new(8),
+            },
             Inst::Ret,
         ];
         let f = func_with(insts.clone());
         let rep = SpareReport::scan(&f);
-        let union = insts
-            .iter()
-            .fold(crate::inst::RegMasks::default(), |acc, i| {
-                acc.union(i.reg_masks())
-            });
-        for g in crate::reg::ALL_GPRS {
-            assert_eq!(
-                rep.function.uses_gpr(g),
-                union.touched_gpr() & (1 << g.index()) != 0,
-                "{g:?}"
+        let mut gpr_bytes = 0;
+        let mut simd = Vec::new();
+        for e in insts.iter().map(Inst::effects) {
+            gpr_bytes |= e.gpr_read | e.gpr_write;
+            let [(r0, m0), (r1, m1)] = e.simd_read;
+            let (r2, m2) = e.simd_write;
+            simd.extend(
+                [(r0, m0), (r1, m1), (r2, m2)]
+                    .into_iter()
+                    .filter(|&(_, m)| m != 0)
+                    .map(|(r, _)| r),
             );
+        }
+        for g in crate::reg::ALL_GPRS {
+            let touched = gpr_bytes & crate::analysis::liveness::reg_bytes(g) != 0;
+            assert_eq!(rep.function.uses_gpr(g), touched, "{g:?}");
         }
         for i in 0u8..16 {
-            assert_eq!(
-                rep.function.uses_simd(i),
-                union.touched_simd() & (1 << i) != 0
-            );
+            assert_eq!(rep.function.uses_simd(i), simd.contains(&i), "simd {i}");
         }
+        assert_eq!(rep.function.spare_simd().len(), 11);
     }
 
     #[test]

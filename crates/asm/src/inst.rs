@@ -5,6 +5,7 @@
 //! dynamic instructions have an injectable destination) and the protection
 //! passes (where checkers may be inserted without clobbering live flags).
 
+use crate::analysis::liveness::{kill_bytes, read_bytes, reg_bytes, ByteSet};
 use crate::flags::Cc;
 use crate::operand::{MemRef, Operand};
 use crate::program::Label;
@@ -204,51 +205,75 @@ pub enum Inst {
     Nop,
 }
 
-/// Compact per-instruction register touch sets: source (read) and
-/// output (written) masks over the sixteen GPRs and the sixteen SIMD
-/// registers.  Bit *i* of a GPR mask corresponds to `Gpr::index() == i`;
-/// bit *i* of a SIMD mask is the XMM/YMM/ZMM register index.
-///
-/// These masks are the single source of truth for register touch sets:
-/// the spare-register scanner (`analysis::regscan`), the decoded
-/// engine's per-instruction src/out summaries, and the
-/// fault-propagation summary builder all consume them.  They describe
-/// what *executing this one instruction* architecturally reads and
-/// writes — callee effects of a `call` belong to the callee's own
-/// instructions, not to the call site (interprocedural conventions such
-/// as argument registers and caller-saved clobbers are layered on top
-/// by `analysis::liveness`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub struct RegMasks {
-    /// GPRs read (bit per [`Gpr::index`]).
-    pub src_gpr: u16,
-    /// GPRs written.
-    pub out_gpr: u16,
-    /// SIMD registers read (bit per register index).
-    pub src_simd: u16,
-    /// SIMD registers written.
-    pub out_simd: u16,
+/// A byte-exact SIMD access: the register index and a mask of its
+/// bytes (bit *i* is byte *i* of the 64-byte ZMM view).  A zero mask
+/// is no access.
+pub type SimdBytes = (u8, u64);
+
+/// The architectural register effects of one instruction, byte-exact:
+/// the one description of which register bytes an instruction reads
+/// and writes.  Spare-register scanning (§III-B1) takes the registers
+/// it touches, liveness and the coverage taint scan take its bytes,
+/// and the decoded engine's convergence compare takes the registers it
+/// writes.  It covers what *executing this one instruction* does:
+/// callee effects of a `call` belong to the callee's instructions, and
+/// the calling convention (argument reads, caller-saved clobbers) is
+/// [`analysis::liveness`](crate::analysis::liveness)'s ABI overlay.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Effects {
+    /// GPR bytes read: operands at their access width, address
+    /// registers in full, and the implicit operands (`%rsp` of
+    /// `push`/`pop`/`call`/`ret`, `%cl` of a variable shift,
+    /// `%rax`/`%rdx` of `cqo`/`idiv`, `%rdi` of `call print_i64`).
+    pub gpr_read: ByteSet,
+    /// GPR bytes written, per [`merge_write`](crate::reg::merge_write):
+    /// a 32-bit write zero-extends and so writes all eight bytes.
+    pub gpr_write: ByteSet,
+    /// The address registers of memory operands, in full (a subset of
+    /// `gpr_read`).
+    pub addr: ByteSet,
+    /// SIMD bytes read, from at most two registers.
+    pub simd_read: [SimdBytes; 2],
+    /// SIMD bytes written, in at most one register.
+    pub simd_write: SimdBytes,
 }
 
-impl RegMasks {
-    /// Union of source and output GPR bits.
-    pub fn touched_gpr(&self) -> u16 {
-        self.src_gpr | self.out_gpr
-    }
-
-    /// Union of source and output SIMD bits.
-    pub fn touched_simd(&self) -> u16 {
-        self.src_simd | self.out_simd
-    }
-
-    /// Union with another mask set.
-    pub fn union(&self, other: RegMasks) -> RegMasks {
-        RegMasks {
-            src_gpr: self.src_gpr | other.src_gpr,
-            out_gpr: self.out_gpr | other.out_gpr,
-            src_simd: self.src_simd | other.src_simd,
-            out_simd: self.out_simd | other.out_simd,
+impl Effects {
+    /// Records a read of `op` at width `w`.
+    #[inline]
+    fn read(&mut self, op: &Operand, w: Width) {
+        match op {
+            Operand::Reg(r) => self.gpr_read |= read_bytes(r.gpr, w),
+            Operand::Mem(m) => self.mem(m),
+            Operand::Imm(_) => {}
         }
+    }
+
+    /// Records a write of `op` at width `w`: a register's bytes per
+    /// `merge_write`, a memory operand's address registers.
+    #[inline]
+    fn write(&mut self, op: &Operand, w: Width) {
+        match op {
+            Operand::Reg(r) => self.gpr_write |= kill_bytes(r.gpr, w),
+            Operand::Mem(m) => self.mem(m),
+            Operand::Imm(_) => {}
+        }
+    }
+
+    /// Records the address registers of `m`, read in full.
+    #[inline]
+    fn mem(&mut self, m: &MemRef) {
+        for g in m.regs_read() {
+            self.addr |= reg_bytes(g);
+        }
+        self.gpr_read |= self.addr;
+    }
+
+    /// Records the implicit `%rsp` update of a stack instruction.
+    #[inline]
+    fn stack(&mut self) {
+        self.gpr_read |= reg_bytes(Gpr::Rsp);
+        self.gpr_write |= reg_bytes(Gpr::Rsp);
     }
 }
 
@@ -401,197 +426,177 @@ impl Inst {
         }
     }
 
-    /// All general-purpose registers *read* by the instruction (including
-    /// address registers of memory operands and implicit operands).
-    pub fn gprs_read(&self) -> Vec<Gpr> {
-        fn op_read_into(out: &mut Vec<Gpr>, op: &Operand) {
-            match op {
-                Operand::Reg(r) => out.push(r.gpr),
-                Operand::Mem(m) => out.extend(m.regs_read()),
-                Operand::Imm(_) => {}
-            }
-        }
-        let mut out = Vec::new();
+    /// What executing this instruction architecturally reads and
+    /// writes, byte-exact (see [`Effects`]).
+    // Always inlined, so that a caller reading one field — liveness's
+    // `inst_reads`/`inst_kills` on the `-O1` hot path — computes only
+    // that field.
+    #[inline(always)]
+    pub fn effects(&self) -> Effects {
+        const X: u64 = 0xffff; // 16 bytes
+        const Y: u64 = 0xffff_ffff; // 32 bytes
+        const Z: u64 = u64::MAX; // 64 bytes
+        let mut e = Effects::default();
         match self {
-            Inst::Mov { src, dst, .. } => {
-                op_read_into(&mut out, src);
-                if let Operand::Mem(m) = dst {
-                    out.extend(m.regs_read());
-                }
+            Inst::Mov { w, src, dst } => {
+                e.read(src, *w);
+                e.write(dst, *w);
             }
-            Inst::Movsx { src, .. } | Inst::Movzx { src, .. } => op_read_into(&mut out, src),
-            Inst::Lea { mem, .. } => out.extend(mem.regs_read()),
-            Inst::Alu { src, dst, .. } => {
-                op_read_into(&mut out, src);
-                op_read_into(&mut out, dst); // read-modify-write
+            Inst::Movsx {
+                src_w,
+                dst_w,
+                src,
+                dst,
             }
-            Inst::Imul { src, dst, .. } => {
-                op_read_into(&mut out, src);
-                out.push(dst.gpr);
+            | Inst::Movzx {
+                src_w,
+                dst_w,
+                src,
+                dst,
+            } => {
+                e.read(src, *src_w);
+                e.gpr_write |= kill_bytes(dst.gpr, *dst_w);
             }
-            Inst::Unary { dst, .. } => op_read_into(&mut out, dst),
-            Inst::Shift { amount, dst, .. } => {
+            Inst::Lea { mem, dst } => {
+                e.mem(mem);
+                e.gpr_write |= kill_bytes(dst.gpr, Width::W64);
+            }
+            Inst::Alu { w, src, dst, .. } => {
+                e.read(src, *w);
+                e.read(dst, *w);
+                e.write(dst, *w);
+            }
+            Inst::Cmp { w, src, dst } | Inst::Test { w, src, dst } => {
+                e.read(src, *w);
+                e.read(dst, *w);
+            }
+            Inst::Imul { w, src, dst } => {
+                e.read(src, *w);
+                e.gpr_read |= read_bytes(dst.gpr, *w);
+                e.gpr_write |= kill_bytes(dst.gpr, *w);
+            }
+            Inst::Unary { w, dst, .. } => {
+                e.read(dst, *w);
+                e.write(dst, *w);
+            }
+            Inst::Shift { w, amount, dst, .. } => {
                 if matches!(amount, ShiftAmount::Cl) {
-                    out.push(Gpr::Rcx);
+                    e.gpr_read |= read_bytes(Gpr::Rcx, Width::W8);
                 }
-                op_read_into(&mut out, dst);
+                e.read(dst, *w);
+                e.write(dst, *w);
             }
-            Inst::Cqo { .. } => out.push(Gpr::Rax),
-            Inst::Idiv { src, .. } => {
-                out.push(Gpr::Rax);
-                out.push(Gpr::Rdx);
-                op_read_into(&mut out, src);
+            Inst::Cqo { w } => {
+                e.gpr_read |= read_bytes(Gpr::Rax, *w);
+                e.gpr_write |= kill_bytes(Gpr::Rdx, *w);
             }
-            Inst::Cmp { src, dst, .. } | Inst::Test { src, dst, .. } => {
-                op_read_into(&mut out, src);
-                op_read_into(&mut out, dst);
+            Inst::Idiv { w, src } => {
+                e.gpr_read |= read_bytes(Gpr::Rax, *w) | read_bytes(Gpr::Rdx, *w);
+                e.read(src, *w);
+                e.gpr_write |= kill_bytes(Gpr::Rax, *w) | kill_bytes(Gpr::Rdx, *w);
             }
-            Inst::Setcc { dst, .. } => {
-                if let Operand::Mem(m) = dst {
-                    out.extend(m.regs_read());
-                }
-            }
+            Inst::Setcc { dst, .. } => e.write(dst, Width::W8),
             Inst::Push { src } => {
-                op_read_into(&mut out, src);
-                out.push(Gpr::Rsp);
+                e.read(src, Width::W64);
+                e.stack();
             }
             Inst::Pop { dst } => {
-                if let Operand::Mem(m) = dst {
-                    out.extend(m.regs_read());
-                }
-                out.push(Gpr::Rsp);
+                e.write(dst, Width::W64);
+                e.stack();
             }
-            Inst::MovqToXmm { src, .. } | Inst::Pinsrq { src, .. } => op_read_into(&mut out, src),
+            // A real call pushes the return address through `%rsp`; the
+            // print intrinsic reads its argument from `%rdi`.
             Inst::Call { target } => {
-                // The print intrinsic reads its argument from `%rdi`; a
-                // real call pushes the return address through `%rsp`.
                 if target == crate::PRINT_I64 {
-                    out.push(Gpr::Rdi);
+                    e.gpr_read |= reg_bytes(Gpr::Rdi);
                 }
-                out.push(Gpr::Rsp);
+                e.stack();
             }
-            Inst::Ret => out.push(Gpr::Rsp),
-            Inst::Jmp { .. }
-            | Inst::Jcc { .. }
-            | Inst::MovqFromXmm { .. }
-            | Inst::Pextrq { .. }
-            | Inst::Vinserti128 { .. }
-            | Inst::Vpxor { .. }
-            | Inst::Vptest { .. }
-            | Inst::Vpxor128 { .. }
-            | Inst::Vptest128 { .. }
-            | Inst::Vinserti64x4 { .. }
-            | Inst::Vpxor512 { .. }
-            | Inst::Vptest512 { .. }
-            | Inst::Nop => {}
-        }
-        out
-    }
-
-    /// All general-purpose registers *written* by the instruction,
-    /// including implicit ones (`%rsp` for push/pop, `%rax`/`%rdx` for
-    /// division).  Used by the spare-register scanner (§III-B1).
-    pub fn gprs_written(&self) -> Vec<Gpr> {
-        let mut out = Vec::new();
-        match self.dest_class() {
-            DestClass::Gpr(r) => out.push(r.gpr),
-            DestClass::RaxRdxPair(_) => {
-                out.push(Gpr::Rax);
-                out.push(Gpr::Rdx);
+            Inst::Ret => e.stack(),
+            // `movq` writes lane 0 and zeroes lane 1; the upper lanes
+            // keep their value.
+            Inst::MovqToXmm { src, dst } => {
+                e.read(src, Width::W64);
+                e.simd_write = (dst.0, X);
             }
-            _ => {}
-        }
-        match self {
-            Inst::Push { .. } | Inst::Pop { .. } | Inst::Call { .. } | Inst::Ret => {
-                out.push(Gpr::Rsp);
+            Inst::MovqFromXmm { src, dst } => {
+                e.simd_read[0] = (src.0, 0xff);
+                e.gpr_write |= kill_bytes(dst.gpr, Width::W64);
             }
-            _ => {}
-        }
-        out
-    }
-
-    /// XMM/YMM registers read (by index; a YMM read covers its XMM alias).
-    pub fn simd_read(&self) -> Vec<u8> {
-        match self {
-            Inst::MovqFromXmm { src, .. } | Inst::Pextrq { src, .. } => vec![src.0],
-            Inst::Pinsrq { dst, .. } => vec![dst.0], // read-modify-write
-            Inst::Vinserti128 { src, src2, .. } => vec![src.0, src2.0],
-            Inst::Vpxor { a, b, .. } => vec![a.0, b.0],
-            Inst::Vptest { a, b } => vec![a.0, b.0],
-            Inst::Vpxor128 { a, b, .. } => vec![a.0, b.0],
-            Inst::Vptest128 { a, b } => vec![a.0, b.0],
-            Inst::Vinserti64x4 { src, src2, .. } => vec![src.0, src2.0],
-            Inst::Vpxor512 { a, b, .. } => vec![a.0, b.0],
-            Inst::Vptest512 { a, b } => vec![a.0, b.0],
-            _ => Vec::new(),
-        }
-    }
-
-    /// XMM/YMM registers written (by index).
-    pub fn simd_written(&self) -> Vec<u8> {
-        match self {
-            Inst::MovqToXmm { dst, .. } | Inst::Pinsrq { dst, .. } => vec![dst.0],
-            Inst::Vinserti128 { dst, .. } | Inst::Vpxor { dst, .. } => vec![dst.0],
-            Inst::Vpxor128 { dst, .. } => vec![dst.0],
-            Inst::Vinserti64x4 { dst, .. } | Inst::Vpxor512 { dst, .. } => vec![dst.0],
-            _ => Vec::new(),
-        }
-    }
-
-    /// True if the instruction touches memory (data access, not stack
-    /// bookkeeping by push/pop).
-    pub fn touches_memory(&self) -> bool {
-        let op_mem = |op: &Operand| op.is_mem();
-        match self {
-            Inst::Mov { src, dst, .. }
-            | Inst::Alu { src, dst, .. }
-            | Inst::Cmp { src, dst, .. }
-            | Inst::Test { src, dst, .. } => op_mem(src) || op_mem(dst),
-            Inst::Movsx { src, .. } | Inst::Movzx { src, .. } | Inst::Idiv { src, .. } => {
-                op_mem(src)
+            // `pinsrq` writes only its lane, so it reads nothing of its
+            // destination: the other lanes pass through unchanged.
+            Inst::Pinsrq { lane, src, dst } => {
+                e.read(src, Width::W64);
+                e.simd_write = (dst.0, 0xff << (8 * lane));
             }
-            Inst::Unary { dst, .. } | Inst::Shift { dst, .. } | Inst::Setcc { dst, .. } => {
-                op_mem(dst)
+            Inst::Pextrq { lane, src, dst } => {
+                e.simd_read[0] = (src.0, 0xff << (8 * lane));
+                e.gpr_write |= kill_bytes(dst.gpr, Width::W64);
             }
-            Inst::Imul { src, .. } => op_mem(src),
-            Inst::Push { .. } | Inst::Pop { .. } => true,
-            Inst::MovqToXmm { src, .. } | Inst::Pinsrq { src, .. } => op_mem(src),
-            _ => false,
+            // A VEX-encoded write zeroes every byte above its width.
+            Inst::Vinserti128 { src, src2, dst, .. } => {
+                e.simd_read = [(src.0, X), (src2.0, Y)];
+                e.simd_write = (dst.0, Z);
+            }
+            Inst::Vpxor { a, b, dst } => {
+                e.simd_read = [(a.0, Y), (b.0, Y)];
+                e.simd_write = (dst.0, Z);
+            }
+            Inst::Vptest { a, b } => e.simd_read = [(a.0, Y), (b.0, Y)],
+            Inst::Vpxor128 { a, b, dst } => {
+                e.simd_read = [(a.0, X), (b.0, X)];
+                e.simd_write = (dst.0, Z);
+            }
+            Inst::Vptest128 { a, b } => e.simd_read = [(a.0, X), (b.0, X)],
+            Inst::Vinserti64x4 { src, src2, dst, .. } => {
+                e.simd_read = [(src.0, Y), (src2.0, Z)];
+                e.simd_write = (dst.0, Z);
+            }
+            Inst::Vpxor512 { a, b, dst } => {
+                e.simd_read = [(a.0, Z), (b.0, Z)];
+                e.simd_write = (dst.0, Z);
+            }
+            Inst::Vptest512 { a, b } => e.simd_read = [(a.0, Z), (b.0, Z)],
+            Inst::Jmp { .. } | Inst::Jcc { .. } | Inst::Nop => {}
         }
-    }
-
-    /// Compact src/out register masks for this instruction (see
-    /// [`RegMasks`]).  Derived from [`Inst::gprs_read`],
-    /// [`Inst::gprs_written`], [`Inst::simd_read`] and
-    /// [`Inst::simd_written`] so all consumers agree bit-for-bit.
-    pub fn reg_masks(&self) -> RegMasks {
-        let mut m = RegMasks::default();
-        for g in self.gprs_read() {
-            m.src_gpr |= 1 << g.index();
-        }
-        for g in self.gprs_written() {
-            m.out_gpr |= 1 << g.index();
-        }
-        for s in self.simd_read() {
-            m.src_simd |= 1 << s;
-        }
-        for s in self.simd_written() {
-            m.out_simd |= 1 << s;
-        }
-        m
+        e
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::operand::MemRef;
+    use crate::analysis::liveness::byte_bit;
+    use crate::operand::{MemRef, Scale};
 
     fn mov_rr(src: Gpr, dst: Gpr) -> Inst {
         Inst::Mov {
             w: Width::W64,
             src: Operand::Reg(Reg::q(src)),
             dst: Operand::Reg(Reg::q(dst)),
+        }
+    }
+
+    const X: u64 = 0xffff;
+    const Y: u64 = 0xffff_ffff;
+    const NO_SIMD: [SimdBytes; 2] = [(0, 0); 2];
+
+    /// GPR-only effects.
+    fn gpr(gpr_read: ByteSet, gpr_write: ByteSet, addr: ByteSet) -> Effects {
+        Effects {
+            gpr_read,
+            gpr_write,
+            addr,
+            ..Effects::default()
+        }
+    }
+
+    /// SIMD-only effects.
+    fn simd(simd_read: [SimdBytes; 2], simd_write: SimdBytes) -> Effects {
+        Effects {
+            simd_read,
+            simd_write,
+            ..Effects::default()
         }
     }
 
@@ -611,7 +616,9 @@ mod tests {
             dst: Operand::Mem(MemRef::base_disp(Gpr::Rbp, -8)),
         };
         assert_eq!(store.dest_class(), DestClass::None);
-        assert!(store.touches_memory());
+        let rbp = reg_bytes(Gpr::Rbp);
+        let eax = read_bytes(Gpr::Rax, Width::W32);
+        assert_eq!(store.effects(), gpr(eax | rbp, 0, rbp));
     }
 
     #[test]
@@ -633,10 +640,10 @@ mod tests {
             src: Operand::Reg(Reg::l(Gpr::Rcx)),
         };
         assert_eq!(idiv.dest_class(), DestClass::RaxRdxPair(Width::W32));
-        let written = idiv.gprs_written();
-        assert!(written.contains(&Gpr::Rax) && written.contains(&Gpr::Rdx));
-        let read = idiv.gprs_read();
-        assert!(read.contains(&Gpr::Rax) && read.contains(&Gpr::Rdx) && read.contains(&Gpr::Rcx));
+        let reads = [Gpr::Rax, Gpr::Rdx, Gpr::Rcx].map(|g| read_bytes(g, Width::W32));
+        // A 32-bit write zero-extends: all eight bytes of each half.
+        let writes = reg_bytes(Gpr::Rax) | reg_bytes(Gpr::Rdx);
+        assert_eq!(idiv.effects(), gpr(reads.into_iter().sum(), writes, 0));
     }
 
     #[test]
@@ -647,38 +654,47 @@ mod tests {
         };
         assert!(s.reads_flags());
         assert_eq!(s.dest_class(), DestClass::Gpr(Reg::b(Gpr::R11)));
+        assert_eq!(s.effects(), gpr(0, byte_bit(Gpr::R11, 0), 0));
     }
 
     #[test]
     fn push_pop_track_rsp() {
+        let rsp = reg_bytes(Gpr::Rsp);
+        let r10 = reg_bytes(Gpr::R10);
         let push = Inst::Push {
             src: Operand::Reg(Reg::q(Gpr::R10)),
         };
-        assert!(push.gprs_written().contains(&Gpr::Rsp));
-        assert!(push.gprs_read().contains(&Gpr::R10));
         assert_eq!(push.dest_class(), DestClass::None);
+        assert_eq!(push.effects(), gpr(r10 | rsp, rsp, 0));
         let pop = Inst::Pop {
             dst: Operand::Reg(Reg::q(Gpr::R10)),
         };
         assert_eq!(pop.dest_class(), DestClass::Gpr(Reg::q(Gpr::R10)));
-        assert!(pop.gprs_written().contains(&Gpr::Rsp));
+        assert_eq!(pop.effects(), gpr(rsp, r10 | rsp, 0));
+        // A stack slot's address is no memory operand.
+        let pop_mem = Inst::Pop {
+            dst: Operand::Mem(MemRef::base_disp(Gpr::Rbp, -8)),
+        };
+        let rbp = reg_bytes(Gpr::Rbp);
+        assert_eq!(pop_mem.effects(), gpr(rbp | rsp, rsp, rbp));
     }
 
     #[test]
     fn memory_operand_address_registers_are_read() {
         let load = Inst::Mov {
             w: Width::W64,
-            src: Operand::Mem(MemRef::indexed(
-                Gpr::Rax,
-                Gpr::Rcx,
-                crate::operand::Scale::S8,
-                8,
-            )),
+            src: Operand::Mem(MemRef::indexed(Gpr::Rax, Gpr::Rcx, Scale::S8, 8)),
             dst: Operand::Reg(Reg::q(Gpr::Rdx)),
         };
-        let read = load.gprs_read();
-        assert!(read.contains(&Gpr::Rax) && read.contains(&Gpr::Rcx));
-        assert!(!read.contains(&Gpr::Rdx));
+        let addr = reg_bytes(Gpr::Rax) | reg_bytes(Gpr::Rcx);
+        assert_eq!(load.effects(), gpr(addr, reg_bytes(Gpr::Rdx), addr));
+        // `lea` computes an address without accessing memory; its
+        // registers still count as address registers.
+        let lea = Inst::Lea {
+            mem: MemRef::indexed(Gpr::Rax, Gpr::Rcx, Scale::S8, 8),
+            dst: Reg::q(Gpr::Rdx),
+        };
+        assert_eq!(lea.effects(), load.effects());
     }
 
     #[test]
@@ -689,9 +705,36 @@ mod tests {
             src: Operand::Reg(Reg::q(Gpr::Rbx)),
             dst: Operand::Reg(Reg::q(Gpr::Rax)),
         };
-        let read = add.gprs_read();
-        assert!(read.contains(&Gpr::Rax) && read.contains(&Gpr::Rbx));
+        let rax = reg_bytes(Gpr::Rax);
+        assert_eq!(add.effects(), gpr(rax | reg_bytes(Gpr::Rbx), rax, 0));
         assert!(add.writes_flags());
+    }
+
+    #[test]
+    fn reads_are_at_access_width_and_writes_per_merge_write() {
+        // movslq %ecx, %rax: four bytes read, eight written.
+        let movslq = Inst::Movsx {
+            src_w: Width::W32,
+            dst_w: Width::W64,
+            src: Operand::Reg(Reg::l(Gpr::Rcx)),
+            dst: Reg::q(Gpr::Rax),
+        };
+        let ecx = read_bytes(Gpr::Rcx, Width::W32);
+        assert_eq!(movslq.effects(), gpr(ecx, reg_bytes(Gpr::Rax), 0));
+        // movw $5, %bx merges into the low two bytes.
+        let movw = Inst::Mov {
+            w: Width::W16,
+            src: Operand::Imm(5),
+            dst: Operand::Reg(Reg::gpr(Gpr::Rbx, Width::W16)),
+        };
+        assert_eq!(movw.effects(), gpr(0, read_bytes(Gpr::Rbx, Width::W16), 0));
+        // movl $5, %ebx zero-extends into all eight.
+        let movl = Inst::Mov {
+            w: Width::W32,
+            src: Operand::Imm(5),
+            dst: Operand::Reg(Reg::l(Gpr::Rbx)),
+        };
+        assert_eq!(movl.effects(), gpr(0, reg_bytes(Gpr::Rbx), 0));
     }
 
     #[test]
@@ -702,27 +745,63 @@ mod tests {
             src2: Ymm::new(0),
             dst: Ymm::new(0),
         };
-        assert_eq!(ins.simd_read(), vec![2, 0]);
-        assert_eq!(ins.simd_written(), vec![0]);
+        // VEX.256 zeroes the upper half of the ZMM register.
+        assert_eq!(ins.effects(), simd([(2, X), (0, Y)], (0, u64::MAX)));
         let x = Inst::Vpxor {
             a: Ymm::new(1),
             b: Ymm::new(0),
             dst: Ymm::new(0),
         };
-        assert_eq!(x.simd_read(), vec![1, 0]);
+        assert_eq!(x.effects(), simd([(1, Y), (0, Y)], (0, u64::MAX)));
         let t = Inst::Vptest {
             a: Ymm::new(0),
             b: Ymm::new(0),
         };
         assert!(t.writes_flags());
         assert_eq!(t.dest_class(), DestClass::Rflags);
+        assert_eq!(t.effects(), simd([(0, Y), (0, Y)], (0, 0)));
+        // `pinsrq` writes its lane and reads nothing of its destination.
         let pinsr = Inst::Pinsrq {
             lane: 1,
             src: Operand::Reg(Reg::q(Gpr::Rdi)),
             dst: Xmm::new(1),
         };
-        assert_eq!(pinsr.simd_read(), vec![1]);
-        assert_eq!(pinsr.simd_written(), vec![1]);
+        let rdi = Effects {
+            gpr_read: reg_bytes(Gpr::Rdi),
+            ..simd(NO_SIMD, (1, 0xff00))
+        };
+        assert_eq!(pinsr.effects(), rdi);
+        // `movq` zeroes lane 1 and keeps the upper lanes.
+        let movq = Inst::MovqToXmm {
+            src: Operand::Reg(Reg::q(Gpr::Rdi)),
+            dst: Xmm::new(1),
+        };
+        assert_eq!(
+            movq.effects(),
+            Effects {
+                simd_write: (1, X),
+                ..rdi
+            }
+        );
+        let pextr = Inst::Pextrq {
+            lane: 1,
+            src: Xmm::new(3),
+            dst: Reg::q(Gpr::Rax),
+        };
+        let rax = gpr(0, reg_bytes(Gpr::Rax), 0);
+        assert_eq!(
+            pextr.effects(),
+            Effects {
+                simd_read: [(3, 0xff00), (0, 0)],
+                ..rax
+            }
+        );
+        let z = Inst::Vpxor128 {
+            a: Xmm::new(1),
+            b: Xmm::new(2),
+            dst: Xmm::new(3),
+        };
+        assert_eq!(z.effects(), simd([(1, X), (2, X)], (3, u64::MAX)));
     }
 
     #[test]
@@ -732,6 +811,7 @@ mod tests {
         };
         assert!(jmp.is_terminator() && jmp.is_control());
         assert_eq!(jmp.target().map(String::as_str), Some("bb1"));
+        assert_eq!(jmp.effects(), Effects::default());
         let jcc = Inst::Jcc {
             cc: Cc::Ne,
             target: "exit".into(),
@@ -744,113 +824,107 @@ mod tests {
 
     #[test]
     fn call_print_reads_rdi_and_rsp() {
+        let rsp = reg_bytes(Gpr::Rsp);
         let print = Inst::Call {
             target: crate::PRINT_I64.into(),
         };
-        let read = print.gprs_read();
-        assert!(read.contains(&Gpr::Rdi));
-        assert!(read.contains(&Gpr::Rsp));
-        // A plain function call only touches the stack pointer.
+        assert_eq!(print.effects(), gpr(reg_bytes(Gpr::Rdi) | rsp, rsp, 0));
+        // A plain function call only touches the stack pointer; the
+        // calling convention is liveness's overlay.
         let call = Inst::Call {
             target: "helper".into(),
         };
-        let read = call.gprs_read();
-        assert!(!read.contains(&Gpr::Rdi));
-        assert!(read.contains(&Gpr::Rsp));
-        assert!(call.gprs_written().contains(&Gpr::Rsp));
+        assert_eq!(call.effects(), gpr(rsp, rsp, 0));
         // `ret` pops through the stack pointer.
-        assert!(Inst::Ret.gprs_read().contains(&Gpr::Rsp));
-        assert!(Inst::Ret.gprs_written().contains(&Gpr::Rsp));
+        assert_eq!(Inst::Ret.effects(), gpr(rsp, rsp, 0));
     }
 
     #[test]
-    fn reg_masks_agree_with_register_lists() {
-        // The compact masks must agree bit-for-bit with the Vec-returning
-        // register lists for a representative instruction zoo.
-        let zoo: Vec<Inst> = vec![
-            mov_rr(Gpr::Rax, Gpr::Rcx),
+    fn address_registers_are_read_in_full() {
+        // Every memory operand's registers are in `addr`, and `addr`
+        // is part of the reads, for every operand position.
+        let m = Operand::Mem(MemRef::indexed(Gpr::R8, Gpr::R9, Scale::S4, 0));
+        let r = Operand::Reg(Reg::l(Gpr::Rax));
+        let zoo = [
+            Inst::Mov {
+                w: Width::W32,
+                src: m.clone(),
+                dst: r.clone(),
+            },
+            Inst::Mov {
+                w: Width::W32,
+                src: r.clone(),
+                dst: m.clone(),
+            },
             Inst::Alu {
                 op: AluOp::Add,
-                w: Width::W64,
-                src: Operand::Mem(MemRef::base_disp(Gpr::Rbp, -8)),
-                dst: Operand::Reg(Reg::q(Gpr::Rax)),
+                w: Width::W32,
+                src: r.clone(),
+                dst: m.clone(),
+            },
+            Inst::Cmp {
+                w: Width::W32,
+                src: m.clone(),
+                dst: r.clone(),
+            },
+            Inst::Test {
+                w: Width::W32,
+                src: r.clone(),
+                dst: m.clone(),
+            },
+            Inst::Imul {
+                w: Width::W32,
+                src: m.clone(),
+                dst: Reg::l(Gpr::Rax),
             },
             Inst::Idiv {
                 w: Width::W32,
-                src: Operand::Reg(Reg::l(Gpr::Rcx)),
+                src: m.clone(),
+            },
+            Inst::Unary {
+                op: UnaryOp::Neg,
+                w: Width::W32,
+                dst: m.clone(),
             },
             Inst::Shift {
-                op: ShiftOp::Shl,
-                w: Width::W64,
-                amount: ShiftAmount::Cl,
-                dst: Operand::Reg(Reg::q(Gpr::Rax)),
+                op: ShiftOp::Sar,
+                w: Width::W32,
+                amount: ShiftAmount::Imm(3),
+                dst: m.clone(),
             },
-            Inst::Push {
-                src: Operand::Reg(Reg::q(Gpr::R10)),
+            Inst::Setcc {
+                cc: Cc::E,
+                dst: m.clone(),
             },
-            Inst::Pop {
-                dst: Operand::Reg(Reg::q(Gpr::R10)),
-            },
-            Inst::Call {
-                target: crate::PRINT_I64.into(),
-            },
-            Inst::Ret,
+            Inst::Push { src: m.clone() },
+            Inst::Pop { dst: m.clone() },
             Inst::MovqToXmm {
-                src: Operand::Reg(Reg::q(Gpr::Rax)),
-                dst: Xmm::new(3),
+                src: m.clone(),
+                dst: Xmm::new(0),
             },
             Inst::Pinsrq {
-                lane: 1,
-                src: Operand::Reg(Reg::q(Gpr::Rdi)),
-                dst: Xmm::new(1),
+                lane: 0,
+                src: m.clone(),
+                dst: Xmm::new(0),
             },
-            Inst::Vinserti128 {
-                lane: 1,
-                src: Xmm::new(2),
-                src2: Ymm::new(4),
-                dst: Ymm::new(4),
-            },
-            Inst::Vptest {
-                a: Ymm::new(0),
-                b: Ymm::new(1),
-            },
-            Inst::Nop,
         ];
+        let addr = reg_bytes(Gpr::R8) | reg_bytes(Gpr::R9);
         for inst in &zoo {
-            let m = inst.reg_masks();
-            let mut src_gpr = 0u16;
-            for g in inst.gprs_read() {
-                src_gpr |= 1 << g.index();
-            }
-            let mut out_gpr = 0u16;
-            for g in inst.gprs_written() {
-                out_gpr |= 1 << g.index();
-            }
-            let mut src_simd = 0u16;
-            for s in inst.simd_read() {
-                src_simd |= 1 << s;
-            }
-            let mut out_simd = 0u16;
-            for s in inst.simd_written() {
-                out_simd |= 1 << s;
-            }
-            assert_eq!(m.src_gpr, src_gpr, "{inst:?}");
-            assert_eq!(m.out_gpr, out_gpr, "{inst:?}");
-            assert_eq!(m.src_simd, src_simd, "{inst:?}");
-            assert_eq!(m.out_simd, out_simd, "{inst:?}");
-            assert_eq!(m.touched_gpr(), src_gpr | out_gpr);
-            assert_eq!(m.touched_simd(), src_simd | out_simd);
+            let e = inst.effects();
+            assert_eq!(e.addr, addr, "{inst:?}");
+            assert_eq!(e.gpr_read & addr, addr, "{inst:?}");
         }
     }
 
     #[test]
-    fn shift_by_cl_reads_rcx() {
+    fn shift_by_cl_reads_cl() {
         let s = Inst::Shift {
             op: ShiftOp::Shl,
             w: Width::W64,
             amount: ShiftAmount::Cl,
             dst: Operand::Reg(Reg::q(Gpr::Rax)),
         };
-        assert!(s.gprs_read().contains(&Gpr::Rcx));
+        let rax = reg_bytes(Gpr::Rax);
+        assert_eq!(s.effects(), gpr(byte_bit(Gpr::Rcx, 0) | rax, rax, 0));
     }
 }

@@ -52,7 +52,7 @@ pub mod provenance;
 pub mod reg;
 
 pub use flags::{Cc, Flags};
-pub use inst::{AluOp, Inst, RegMasks, ShiftAmount, ShiftOp, UnaryOp};
+pub use inst::{AluOp, Inst, ShiftAmount, ShiftOp, UnaryOp};
 pub use operand::{MemRef, Operand, Scale};
 pub use program::{AsmBlock, AsmFunction, AsmInst, AsmProgram, Label};
 pub use provenance::{GlueKind, Mechanism, Provenance, TechniqueTag};

@@ -9,7 +9,7 @@
 //! `printer_parser_round_trip` keeps an index-only `lea`.
 
 use ferrum_asm::analysis::coverage::{CoverageMap, StaticVerdict, VerdictCounts};
-use ferrum_asm::analysis::liveness::{byte_bit, Liveness};
+use ferrum_asm::analysis::liveness::{byte_bit, read_bytes, Liveness};
 use ferrum_asm::analysis::{Cfg, RegUsage, SpareReport};
 use ferrum_asm::flags::Cc;
 use ferrum_asm::inst::{AluOp, DestClass, Inst, ShiftAmount, ShiftOp, UnaryOp};
@@ -17,7 +17,7 @@ use ferrum_asm::operand::{MemRef, Operand, Scale};
 use ferrum_asm::parser::{parse_inst, parse_program};
 use ferrum_asm::printer::{print_inst, print_program};
 use ferrum_asm::program::{single_block_main, AsmBlock, AsmFunction, AsmInst, DataObject};
-use ferrum_asm::reg::{Gpr, Reg, Width, Xmm, Ymm, ALL_GPRS};
+use ferrum_asm::reg::{Gpr, Reg, Width, Xmm, Ymm, Zmm, ALL_GPRS};
 use ferrum_rng::Rng64;
 
 /// Seeds per property.
@@ -277,18 +277,29 @@ fn function_usage_is_union_of_block_usages() {
 }
 
 #[test]
-fn gprs_written_is_consistent_with_injectability() {
-    // An instruction with an injectable GPR destination must report
-    // that register as written.
+fn effects_write_every_injectable_destination() {
+    // Every byte of an injectable GPR destination is written, an
+    // injectable SIMD destination is the register written (`pinsrq`
+    // writes one lane of its XMM destination), and every address
+    // register is read.
     for seed in 0..20 * CASES {
         let rng = &mut Rng64::seed_from_u64(seed);
         let inst = inst(rng);
-        if let Some(r) = inst.dest_gpr() {
-            assert!(
-                inst.gprs_written().contains(&r.gpr),
-                "seed {seed}: {inst:?}"
-            );
+        let e = inst.effects();
+        let (gprs, simd) = match inst.dest_class() {
+            DestClass::Gpr(r) => (read_bytes(r.gpr, r.width), None),
+            DestClass::RaxRdxPair(w) => (read_bytes(Gpr::Rax, w) | read_bytes(Gpr::Rdx, w), None),
+            DestClass::Xmm(Xmm(r)) | DestClass::Ymm(Ymm(r)) | DestClass::Zmm(Zmm(r)) => {
+                (0, Some(r))
+            }
+            DestClass::Rflags | DestClass::None => (0, None),
+        };
+        assert_eq!(e.gpr_write & gprs, gprs, "seed {seed}: {inst:?}");
+        if let Some(r) = simd {
+            let (written, bytes) = e.simd_write;
+            assert!(written == r && bytes != 0, "seed {seed}: {inst:?}");
         }
+        assert_eq!(e.gpr_read & e.addr, e.addr, "seed {seed}: {inst:?}");
     }
 }
 

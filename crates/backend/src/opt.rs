@@ -40,7 +40,7 @@
 //! of every round shares one CFG per function: no pass adds, removes
 //! or retargets a branch (fusion rewrites only a `jcc`'s condition,
 //! and the fall-through pass drops only a block-final `jmp` to the
-//! next block, keeping the CFG equal to a rebuild).
+//! next block, an edge the CFG keeps as the fall-through).
 //!
 //! # Soundness preconditions
 //!
@@ -55,7 +55,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use ferrum_asm::analysis::cfg::Cfg;
-use ferrum_asm::analysis::liveness::{inst_kills, inst_reads, reg_bytes, Liveness};
+use ferrum_asm::analysis::liveness::{gprs_in, inst_kills, inst_reads, reg_bytes, Liveness};
 use ferrum_asm::flags::Cc;
 use ferrum_asm::inst::Inst;
 use ferrum_asm::operand::{MemRef, Operand};
@@ -230,7 +230,7 @@ pub fn optimize(p: &mut AsmProgram, meta: &ProgramMeta) -> PassStats {
         let Some(fm) = meta.funcs.get(&f.name) else {
             continue;
         };
-        let mut cfg = Cfg::build(f);
+        let cfg = Cfg::build(f);
         // Each pass is monotone (memory traffic and instruction count
         // never increase), so the bundle reaches a fixpoint; 64 rounds
         // is far beyond any real chain of enablements.
@@ -252,7 +252,7 @@ pub fn optimize(p: &mut AsmProgram, meta: &ProgramMeta) -> PassStats {
             round.fused_insts_removed = fused_rm;
             round.stores_removed = eliminate_dead_stores(f, fm, &cfg);
             round.dead_removed = sweep_dead_code(f, &cfg);
-            round.jumps_removed = crate::peephole::eliminate_fallthrough_jumps(f, Some(&mut cfg));
+            round.jumps_removed = crate::peephole::eliminate_fallthrough_jumps(f);
             let done = round.bundle_is_noop();
             stats.absorb(&round);
             if done {
@@ -587,8 +587,7 @@ fn step(st: &mut Facts, inst: &Inst, words: &FrameWords) -> Action {
             Action::Keep
         }
         other => {
-            let kills = inst_kills(other);
-            for g in ALL_GPRS.into_iter().filter(|&g| kills & reg_bytes(g) != 0) {
+            for g in gprs_in(inst_kills(other)) {
                 st.kill_reg(g.index());
             }
             // The only remaining memory writers (no SIMD instruction
@@ -873,10 +872,6 @@ impl Lvn {
         self.reg64[g.index()] = v;
         self.reg8[g.index()] = 0;
     }
-}
-
-fn reads_flags(inst: &Inst) -> bool {
-    matches!(inst, Inst::Jcc { .. } | Inst::Setcc { .. })
 }
 
 fn alu_commutes(op: ferrum_asm::inst::AluOp) -> bool {
@@ -1210,8 +1205,7 @@ fn cse_step(s: &mut Lvn, inst: &Inst, fm: &FuncMeta, flags_dead: bool) -> Action
                     s.slot.remove(&off);
                 }
             }
-            let kills = inst_kills(other);
-            for g in ALL_GPRS.into_iter().filter(|&g| kills & reg_bytes(g) != 0) {
+            for g in gprs_in(inst_kills(other)) {
                 s.kill(g);
             }
             Action::Keep
@@ -1238,7 +1232,7 @@ fn cse_local(
         .iter()
         .map(|b| {
             for ai in &b.insts {
-                if reads_flags(&ai.inst) {
+                if ai.inst.reads_flags() {
                     return true;
                 }
                 if ai.inst.writes_flags() {
@@ -1279,7 +1273,7 @@ fn cse_local(
             flags_dead[i] = dead;
             if ai.inst.writes_flags() {
                 dead = true;
-            } else if reads_flags(&ai.inst) {
+            } else if ai.inst.reads_flags() {
                 dead = false;
             }
         }

@@ -19,7 +19,7 @@
 
 use std::collections::HashMap;
 
-use ferrum_asm::analysis::cfg::Cfg;
+use ferrum_asm::analysis::liveness::reg_bytes;
 use ferrum_asm::inst::Inst;
 use ferrum_asm::operand::{MemRef, Operand};
 use ferrum_asm::program::{AsmFunction, AsmInst, AsmProgram};
@@ -44,7 +44,7 @@ pub fn run(p: &mut AsmProgram) -> PeepholeStats {
         let (removed, forwarded) = eliminate_redundant_reloads(f);
         stats.reloads_removed += removed;
         stats.reloads_forwarded += forwarded;
-        stats.jumps_removed += eliminate_fallthrough_jumps(f, None);
+        stats.jumps_removed += eliminate_fallthrough_jumps(f);
     }
     stats
 }
@@ -107,9 +107,8 @@ fn eliminate_redundant_reloads(f: &mut AsmFunction) -> (usize, usize) {
                     reg_holds.clear();
                 }
                 other => {
-                    for g in other.gprs_written() {
-                        reg_holds.remove(&g);
-                    }
+                    let written = other.effects().gpr_write;
+                    reg_holds.retain(|g, _| written & reg_bytes(*g) == 0);
                 }
             }
             if let Some((holder, dst, slot)) = forward_to {
@@ -133,35 +132,18 @@ fn eliminate_redundant_reloads(f: &mut AsmFunction) -> (usize, usize) {
 }
 
 /// Drops every block-final `jmp` to the next block in layout order.
-/// Given the function's `cfg`, keeps it equal to a rebuild: the jump's
-/// edge becomes the fall-through edge, which [`Cfg::build`] records
-/// once, so the only edge that goes is a second copy of it (a `jcc` to
-/// the same next block), and only when the dropped jump was the
-/// block's first unconditional terminator.  Assumes unique labels.
-pub(crate) fn eliminate_fallthrough_jumps(f: &mut AsmFunction, mut cfg: Option<&mut Cfg>) -> usize {
+/// The jump's edge becomes the fall-through edge, which [`Cfg::build`]
+/// records once either way, so the function's CFG does not change.
+///
+/// [`Cfg::build`]: ferrum_asm::analysis::cfg::Cfg::build
+pub(crate) fn eliminate_fallthrough_jumps(f: &mut AsmFunction) -> usize {
     let mut removed = 0;
     for (from, to) in (1..f.blocks.len()).map(|to| (to - 1, to)) {
         let next = &f.blocks[to].label;
-        if !matches!(f.blocks[from].insts.last(), Some(ai) if matches!(&ai.inst, Inst::Jmp { target } if target == next))
+        if matches!(f.blocks[from].insts.last(), Some(ai) if matches!(&ai.inst, Inst::Jmp { target } if target == next))
         {
-            continue;
-        }
-        let b = &mut f.blocks[from];
-        b.insts.pop();
-        removed += 1;
-        let Some(cfg) = cfg.as_deref_mut() else {
-            continue;
-        };
-        let terminated = b
-            .insts
-            .iter()
-            .any(|ai| matches!(ai.inst, Inst::Jmp { .. } | Inst::Ret));
-        if !terminated && cfg.succs[from].iter().filter(|&&s| s == to).count() > 1 {
-            // The jump's edge was pushed last; its twin stays.
-            cfg.succs[from].pop();
-            if let Some(k) = cfg.preds[to].iter().position(|&p| p == from) {
-                cfg.preds[to].remove(k);
-            }
+            f.blocks[from].insts.pop();
+            removed += 1;
         }
     }
     removed
@@ -170,6 +152,7 @@ pub(crate) fn eliminate_fallthrough_jumps(f: &mut AsmFunction, mut cfg: Option<&
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ferrum_asm::analysis::cfg::Cfg;
     use ferrum_asm::program::{AsmBlock, AsmInst};
 
     use ferrum_asm::reg::Reg;
@@ -339,7 +322,7 @@ mod tests {
         }));
         f.blocks.push(b0);
         f.blocks.push(b1);
-        assert_eq!(eliminate_fallthrough_jumps(&mut f, None), 1);
+        assert_eq!(eliminate_fallthrough_jumps(&mut f), 1);
         assert!(f.blocks[0].insts.is_empty());
         assert_eq!(f.blocks[1].insts.len(), 1);
     }
@@ -355,9 +338,9 @@ mod tests {
         };
         let mut f = AsmFunction::new("main");
         for (label, insts) in [
-            // The jump duplicates the `jcc`'s edge: one copy goes.
+            // The jump repeats the `jcc`'s edge.
             ("b0", vec![jcc("b1"), jmp("b1")]),
-            // An earlier jump still terminates the block: no edge goes.
+            // An earlier jump already terminates the block.
             ("b1", vec![jcc("b2"), jmp("b2"), Inst::Nop, jmp("b2")]),
             ("b2", vec![jmp("b3")]),
             ("b3", vec![Inst::Ret]),
@@ -366,12 +349,12 @@ mod tests {
             b.insts.extend(insts.into_iter().map(AsmInst::synthetic));
             f.blocks.push(b);
         }
-        let mut cfg = Cfg::build(&f);
-        assert_eq!(eliminate_fallthrough_jumps(&mut f, Some(&mut cfg)), 3);
+        let cfg = Cfg::build(&f);
+        assert_eq!(eliminate_fallthrough_jumps(&mut f), 3);
         let rebuilt = Cfg::build(&f);
         assert_eq!(cfg.succs, rebuilt.succs);
         assert_eq!(cfg.preds, rebuilt.preds);
-        assert_eq!(cfg.succs, vec![vec![1], vec![2, 2], vec![3], vec![]]);
+        assert_eq!(cfg.succs, vec![vec![1], vec![2], vec![3], vec![]]);
     }
 
     #[test]

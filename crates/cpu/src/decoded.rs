@@ -36,8 +36,9 @@
 //! fits below the next fault/timeout boundary.  `tests/` and the
 //! `ferrum selfcheck cpu` catalog sweep pin the contract.
 
+use ferrum_asm::analysis::liveness::gprs_in;
 use ferrum_asm::flags::{Cc, FlagBit, Flags};
-use ferrum_asm::inst::{AluOp, DestClass, Inst, RegMasks, ShiftAmount, ShiftOp, UnaryOp};
+use ferrum_asm::inst::{AluOp, DestClass, Inst, ShiftAmount, ShiftOp, UnaryOp};
 use ferrum_asm::operand::{MemRef, Operand};
 use ferrum_asm::provenance::Provenance;
 use ferrum_asm::reg::{Gpr, Reg, Width, Xmm, Ymm, Zmm};
@@ -273,10 +274,6 @@ struct DInst {
     /// True when the injectable destination is RFLAGS.
     is_flags: bool,
     fault: DFault,
-    /// Compact src/out register touch sets ([`Inst::reg_masks`]),
-    /// decoded once — consumed by the fault-propagation summary builder
-    /// and by the masked golden-trace convergence compare.
-    masks: RegMasks,
     /// Index into the fused-group table when this instruction leads a
     /// superinstruction; `u32::MAX` otherwise.
     fuse: u32,
@@ -345,9 +342,15 @@ impl DecodedCpu {
         let (code, fused) = lower(cpu);
         let mut touched_gpr = 0u16;
         let mut touched_simd = 0u16;
-        for d in &code {
-            touched_gpr |= d.masks.out_gpr;
-            touched_simd |= d.masks.out_simd;
+        for (d, li) in code.iter().zip(&cpu.image().insts) {
+            let effects = li.inst.effects();
+            for g in gprs_in(effects.gpr_write) {
+                touched_gpr |= 1 << g.index();
+            }
+            let (r, bytes) = effects.simd_write;
+            if bytes != 0 {
+                touched_simd |= 1 << r;
+            }
             match d.fault {
                 DFault::Gpr(r) => touched_gpr |= 1 << r.gpr.index(),
                 DFault::Pair(_) => {
@@ -373,14 +376,10 @@ impl DecodedCpu {
         self.decode_nanos
     }
 
-    /// The decoded src/out register masks of the instruction at `pc`.
-    pub fn masks_at(&self, pc: usize) -> RegMasks {
-        self.code[pc].masks
-    }
-
-    /// Program-level `(gpr, simd)` union of every instruction's output
-    /// mask and every fault destination — the registers a run of this
-    /// program can ever modify.
+    /// Program-level `(gpr, simd)` union of the registers every
+    /// instruction writes ([`Inst::effects`]) and every fault
+    /// destination — the registers a run of this program can ever
+    /// modify.
     pub fn touched_registers(&self) -> (u16, u16) {
         (self.touched_gpr, self.touched_simd)
     }
@@ -711,7 +710,6 @@ fn lower_inst(li: &LoadedInst, cost: &CostModel) -> DInst {
         eligible: eligible_dest_bits(inst).unwrap_or(0) as u16,
         is_flags: matches!(inst.dest_class(), DestClass::Rflags),
         fault,
-        masks: inst.reg_masks(),
         fuse: NO_FUSE,
     }
 }
@@ -1655,6 +1653,49 @@ mod tests {
         Cpu::load(&p).unwrap()
     }
 
+    /// SIMD and implicit-operand forms the compiled programs above do
+    /// not reach: YMM and XMM writes over a ZMM register whose upper
+    /// half is set, lane extracts, and the implicit `%rax`/`%rdx`/`%cl`
+    /// operands.
+    fn zmm_cpu() -> Cpu {
+        let listing = "
+            .globl main
+            main:
+                movq $-7, %rax
+                movq %rax, %xmm2
+                pinsrq $1, %rax, %xmm2
+                vinserti128 $1, %xmm2, %ymm2, %ymm2
+                vinserti64x4 $1, %ymm2, %zmm3, %zmm3
+                vinserti64x4 $1, %ymm2, %zmm4, %zmm4
+                vinserti64x4 $1, %ymm2, %zmm5, %zmm5
+                vpxorq %zmm3, %zmm2, %zmm6
+                vptestq %zmm6, %zmm6
+                vpxor %ymm2, %ymm2, %ymm3
+                vinserti128 $0, %xmm2, %ymm2, %ymm4
+                vpxor %xmm2, %xmm2, %xmm5
+                vptest %xmm2, %xmm2
+                movq %rax, %xmm6
+                pinsrq $1, %rax, %xmm6
+                movq %xmm6, %rbx
+                pextrq $1, %xmm6, %rcx
+                cqto
+                movq $3, %rsi
+                idivl %esi
+                sarq %cl, %rbx
+                imulw %cx, %bx
+                notb %dl
+                subl %ecx, %ebx
+                setl %dil
+                movzbl %dil, %r8d
+                pushq %r8
+                popq %r9
+                call print_i64
+                ret
+        ";
+        let p = ferrum_asm::parser::parse_program(listing).unwrap();
+        Cpu::load(&p).unwrap()
+    }
+
     /// Restores `snap` on a fresh interpreter machine and runs it out.
     fn interp_resume(cpu: &Cpu, snap: &Snapshot, faults: &[FaultSpec]) -> RunResult {
         let mut m = Machine::new(cpu);
@@ -1945,51 +1986,69 @@ mod tests {
         }
     }
 
+    /// The GPR bytes and, per SIMD register, the bytes in which two
+    /// register files differ.
+    fn changed_bytes(a: &RegFile, b: &RegFile) -> (u128, [u64; 16]) {
+        let bytes = |d: u64| (0..8).filter(move |k| (d >> (8 * k)) & 0xff != 0);
+        let mut gpr = 0u128;
+        for g in ferrum_asm::reg::ALL_GPRS {
+            for k in bytes(a.read64(g) ^ b.read64(g)) {
+                gpr |= 1 << (g.index() * 8 + k);
+            }
+        }
+        let mut simd = [0u64; 16];
+        for (i, m) in simd.iter_mut().enumerate() {
+            let z = Zmm::new(i as u8);
+            for (lane, (x, y)) in a.read_zmm(z).into_iter().zip(b.read_zmm(z)).enumerate() {
+                for k in bytes(x ^ y) {
+                    *m |= 1 << (8 * lane + k);
+                }
+            }
+        }
+        (gpr, simd)
+    }
+
     #[test]
-    fn register_writes_stay_within_decoded_out_masks() {
+    fn register_writes_stay_within_the_effects_table() {
         // The masked convergence compare is sound only if executing one
-        // instruction never changes a register outside its decoded out
-        // mask (flags aside).  Walk every dynamic instruction of
-        // programs covering most DOp arms and check exactly that.
-        for cpu in [loopy_cpu(), check_idiom_cpu(true), check_idiom_cpu(false)] {
+        // instruction never changes a register outside the table's
+        // writes (flags aside), and the coverage map's taint kills are
+        // exact only if it never changes a byte outside them.  Walk
+        // every dynamic instruction of programs covering most DOp arms
+        // and check exactly that, byte by byte.
+        let cpus = [loopy_cpu(), check_idiom_cpu(true), check_idiom_cpu(false)];
+        for cpu in cpus.into_iter().chain([zmm_cpu()]) {
             let dc = DecodedCpu::new(&cpu);
             let (tg, ts) = dc.touched_registers();
             let mut m = DecodedMachine::new(&dc);
             loop {
                 let pc = m.state().pc;
-                let masks = dc.masks_at(pc);
+                let e = cpu.image().insts[pc].inst.effects();
                 let before = m.state().regs.clone();
                 let ev = m.step();
-                let after = &m.state().regs;
-                for g in ferrum_asm::reg::ALL_GPRS {
-                    if masks.out_gpr & (1 << g.index()) == 0 {
-                        assert_eq!(
-                            before.read64(g),
-                            after.read64(g),
-                            "pc {pc} wrote {g:?} outside its out mask"
-                        );
-                    }
-                }
-                for i in 0u8..16 {
-                    if masks.out_simd & (1 << i) == 0 {
-                        assert_eq!(
-                            before.read_zmm(Zmm::new(i)),
-                            after.read_zmm(Zmm::new(i)),
-                            "pc {pc} wrote zmm{i} outside its out mask"
-                        );
-                    }
+                let (gpr, simd) = changed_bytes(&before, &m.state().regs);
+                assert_eq!(gpr & !e.gpr_write, 0, "pc {pc} wrote GPR bytes outside it");
+                for (i, &bytes) in simd.iter().enumerate() {
+                    let (r, declared) = e.simd_write;
+                    let declared = if usize::from(r) == i { declared } else { 0 };
+                    assert_eq!(bytes & !declared, 0, "pc {pc} wrote zmm{i} outside it");
                 }
                 if let StepEvent::Stop(_) = ev {
                     break;
                 }
             }
-            // Program-level union covers every out mask and every fault
-            // destination, so the masked compare never skips a register
-            // a run could have modified.
-            for pc in 0..cpu.image().insts.len() {
-                let mk = dc.masks_at(pc);
-                assert_eq!(mk.out_gpr & !tg, 0, "pc {pc} out-gpr outside union");
-                assert_eq!(mk.out_simd & !ts, 0, "pc {pc} out-simd outside union");
+            // The program-level union covers every written register, so
+            // the masked compare never skips a register a run could have
+            // modified.
+            for li in &cpu.image().insts {
+                let e = li.inst.effects();
+                for g in gprs_in(e.gpr_write) {
+                    assert_ne!(tg & 1 << g.index(), 0, "{:?}", li.inst);
+                }
+                let (r, bytes) = e.simd_write;
+                if bytes != 0 {
+                    assert_ne!(ts & 1 << r, 0, "{:?}", li.inst);
+                }
             }
         }
     }

@@ -20,6 +20,7 @@
 //! output and the fault injector can attribute faults hitting checker
 //! code.
 
+use ferrum_asm::analysis::liveness::reg_bytes;
 use ferrum_asm::flags::Cc;
 use ferrum_asm::inst::{AluOp, Inst};
 use ferrum_asm::operand::{MemRef, Operand};
@@ -203,7 +204,7 @@ pub fn protect_general_batched(
             Ok(Some((scratch, dest.gpr)))
         }
         _ => {
-            if inst.gprs_read().contains(&scratch) {
+            if inst.effects().gpr_read & reg_bytes(scratch) != 0 {
                 return Err(err("instruction aliases the scratch register"));
             }
             let dup_inst = match with_dest_gpr(inst, scratch) {
@@ -383,7 +384,7 @@ pub fn protect_general(
             let dest = inst
                 .dest_gpr()
                 .ok_or_else(|| err("no register destination to protect"))?;
-            if dest.gpr == scratch || inst.gprs_read().contains(&scratch) {
+            if dest.gpr == scratch || inst.effects().gpr_read & reg_bytes(scratch) != 0 {
                 return Err(err("instruction aliases the scratch register"));
             }
             let dup_inst = with_dest_gpr(inst, scratch)

@@ -39,6 +39,7 @@ use std::collections::BTreeSet;
 use std::fmt;
 
 use ferrum_asm::analysis::coverage::{CoverageMap, StaticVerdict};
+use ferrum_asm::analysis::liveness::reg_bytes;
 use ferrum_asm::provenance::{Mechanism, Provenance};
 use ferrum_cpu::differential::{
     diff_regs, first_divergence, load_ranges, store_ranges, DiffLoc, MemDivergence, RegDiff,
@@ -512,16 +513,12 @@ fn checker_inputs_tainted(
     mem: &MemDivergence,
 ) -> bool {
     let li = &image.insts[faulty.state().pc];
-    if li
-        .inst
-        .gprs_read()
-        .iter()
-        .any(|g| live.gprs.contains(g))
-    {
+    let effects = li.inst.effects();
+    if live.gprs.iter().any(|&g| effects.gpr_read & reg_bytes(g) != 0) {
         return true;
     }
-    let simd = li.inst.simd_read();
-    if live.simd_lanes.iter().any(|(reg, _)| simd.contains(reg)) {
+    let simd_read = |reg: u8| effects.simd_read.iter().any(|&(r, m)| r == reg && m != 0);
+    if live.simd_lanes.iter().any(|&(reg, _)| simd_read(reg)) {
         return true;
     }
     if li.inst.reads_flags() && live.flags {

@@ -21,9 +21,12 @@ use ferrum::{OptLevel, Pipeline, Technique};
 use ferrum_asm::analysis::coverage::{CoverageMap, StaticVerdict};
 use ferrum_asm::analysis::summary::SummaryMap;
 use ferrum_asm::program::AsmProgram;
+use ferrum_cpu::exec::StepEvent;
+use ferrum_cpu::fault::FaultSpec;
+use ferrum_cpu::machine::RegFile;
 use ferrum_cpu::outcome::StopReason;
 use ferrum_cpu::run::{Cpu, Profile};
-use ferrum_cpu::fault::FaultSpec;
+use ferrum_cpu::Machine;
 use ferrum_eddi::ferrum::{Ferrum, FerrumConfig};
 use ferrum_eddi::hybrid::HybridAsmEddi;
 use ferrum_faultsim::campaign::{CampaignConfig, Outcome};
@@ -313,4 +316,79 @@ fn per_unit_verdicts_and_footprints_match_the_pinned_digest() {
         (0xa365_9e28_6d46_cd52, 0x8a06_fe8d_64ae_9c10),
         "per-unit digest, function-hash digest"
     );
+}
+
+/// The GPR bytes and, per SIMD register, the bytes in which two
+/// register files differ.
+fn changed_bytes(a: &RegFile, b: &RegFile) -> (u128, [u64; 16]) {
+    let bytes = |d: u64| (0..8).filter(move |k| (d >> (8 * k)) & 0xff != 0);
+    let mut gpr = 0u128;
+    for g in ferrum_asm::reg::ALL_GPRS {
+        for k in bytes(a.read64(g) ^ b.read64(g)) {
+            gpr |= 1 << (g.index() * 8 + k);
+        }
+    }
+    let mut simd = [0u64; 16];
+    for (i, m) in simd.iter_mut().enumerate() {
+        let z = ferrum_asm::reg::Zmm::new(i as u8);
+        for (lane, (x, y)) in a.read_zmm(z).into_iter().zip(b.read_zmm(z)).enumerate() {
+            for k in bytes(x ^ y) {
+                *m |= 1 << (8 * lane + k);
+            }
+        }
+    }
+    (gpr, simd)
+}
+
+/// The coverage map books `Masked` on the bytes liveness kills and the
+/// SIMD bytes an instruction writes, both taken from `Inst::effects`.
+/// On every catalog build, each static instruction at its first
+/// execution within the first 100,000 steps of the reference
+/// interpreter changes no GPR or SIMD byte outside the table's writes.
+#[test]
+fn the_machine_writes_no_byte_outside_the_effects_table() {
+    const STEPS: u64 = 100_000;
+    let mut checks = 0usize;
+    for w in all_workloads() {
+        let m = w.build(Scale::Test);
+        for opt in [OptLevel::O0, OptLevel::O1] {
+            let pipeline = Pipeline::new().with_opt_level(opt);
+            for technique in [
+                Technique::None,
+                Technique::IrEddi,
+                Technique::HybridAsmEddi,
+                Technique::Ferrum,
+            ] {
+                let build = pipeline.build(&m, technique).expect("builds");
+                let insts = &build.cpu().image().insts;
+                let mut seen = vec![false; insts.len()];
+                let mut machine = Machine::new(build.cpu());
+                for _ in 0..STEPS {
+                    let pc = machine.state().pc;
+                    let first = !std::mem::replace(&mut seen[pc], true);
+                    let before = first.then(|| machine.state().regs.clone());
+                    let stopped = matches!(machine.step(), StepEvent::Stop(_));
+                    if let Some(before) = before {
+                        let e = insts[pc].inst.effects();
+                        let (gpr, simd) = changed_bytes(&before, &machine.state().regs);
+                        let (r, declared) = e.simd_write;
+                        let simd_ok = simd.iter().enumerate().all(|(i, &b)| {
+                            b & !if i == usize::from(r) { declared } else { 0 } == 0
+                        });
+                        assert!(
+                            gpr & !e.gpr_write == 0 && simd_ok,
+                            "{} {opt:?} {technique}: pc {pc} `{}` writes outside its effects",
+                            w.name,
+                            ferrum_asm::printer::print_inst(&insts[pc].inst)
+                        );
+                        checks += 1;
+                    }
+                    if stopped {
+                        break;
+                    }
+                }
+            }
+        }
+    }
+    assert!(checks > 10_000, "only {checks} instructions checked");
 }

@@ -323,3 +323,79 @@ fn skipped_edge_recheck_is_caught_statically_and_dynamically() {
         false,
     );
 }
+
+// ---------------------------------------------------------------------
+// Identity pin: kernel listings and mutant lint reports.
+// ---------------------------------------------------------------------
+
+/// FNV-1a over bytes.
+struct Fnv(u64);
+
+impl Fnv {
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+/// FNV-1a of every listing and lint report below, taken when the pin
+/// was set.
+const KERNEL_DIGEST: u64 = 0x1020_ef36_6d22_c7bf;
+
+/// The protected listings of the test-scale catalog under FERRUM,
+/// FERRUM with forced requisition, and hybrid, at `-O0` and `-O1`,
+/// and the full manifest-driven `LintReport` of every mutant
+/// `apply_mutation` makes of each, digested and compared with the
+/// value taken when the pin was set.  This pins the spare-register and
+/// requisition choices, the scalar idioms and every lint finding's
+/// contract, place and text, in order.
+#[test]
+fn kernel_listings_and_mutant_lint_reports_match_the_pinned_digest() {
+    use ferrum::{OptLevel, Pipeline, Technique};
+    let requisition = FerrumConfig {
+        force_requisition: true,
+        ..FerrumConfig::default()
+    };
+    let mut digest = Fnv(0xcbf2_9ce4_8422_2325);
+    let mut reports = 0usize;
+    for w in all_workloads() {
+        let m = w.build(Scale::Test);
+        for opt in [OptLevel::O0, OptLevel::O1] {
+            let pipeline = Pipeline::new().with_opt_level(opt);
+            let configs = [
+                (pipeline.clone(), Technique::Ferrum),
+                (pipeline.clone().with_ferrum_config(requisition), Technique::Ferrum),
+                (pipeline, Technique::HybridAsmEddi),
+            ];
+            for (pipeline, technique) in configs {
+                let build = pipeline.build(&m, technique).expect("builds");
+                let prog = build.program();
+                digest.bytes(ferrum_asm::printer::print_program(prog).as_bytes());
+                for kind in [
+                    MutationKind::DropChecker,
+                    MutationKind::ReuseBatchSlot,
+                    MutationKind::SkipEdgeRecheck,
+                ] {
+                    for k in 0..count_mutation_sites(prog, kind) {
+                        let (mutant, _) = apply_mutation(prog, kind, k).expect("site in range");
+                        let rep = lint_program_with(&mutant, build.manifests());
+                        digest.bytes(format!("{} {}", rep.functions_scanned, rep.insts_scanned).as_bytes());
+                        for f in &rep.findings {
+                            digest.bytes(format!("{f:?}").as_bytes());
+                        }
+                        reports += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert!(reports > 0, "no mutation site in the catalog");
+    assert_eq!(
+        digest.0, KERNEL_DIGEST,
+        "kernel listings or mutant lint reports changed over {reports} reports: \
+         digest {:#018x}, pinned {KERNEL_DIGEST:#018x}",
+        digest.0
+    );
+}
