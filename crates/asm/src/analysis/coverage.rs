@@ -62,9 +62,7 @@ use std::collections::{BTreeMap, HashMap};
 
 use crate::analysis::cfg::Cfg;
 use crate::analysis::lint::ProtectionManifest;
-use crate::analysis::liveness::{
-    byte_bit, inst_kills, inst_reads, read_bytes, reg_bytes, ByteSet, Liveness,
-};
+use crate::analysis::liveness::{inst_kills, inst_reads, read_bytes, reg_bytes, ByteSet, Liveness};
 use crate::flags::Cc;
 use crate::inst::{AluOp, DestClass, Inst, SimdBytes};
 use crate::operand::Operand;
@@ -337,8 +335,48 @@ impl CoverageMap {
     }
 }
 
+/// A set of byte lanes: bit `j` stands for every register byte at an
+/// offset `≡ j (mod 8)` within its register.  Every transfer the scan
+/// models keeps a byte at its offset mod 8, and every read, kill and
+/// liveness test is per byte, so up to eight single-byte taints that
+/// start in distinct lanes evolve independently inside one [`Taint`].
+pub(crate) type Lanes = u8;
+
+/// Every lane.
+pub(crate) const ALL_LANES: Lanes = Lanes::MAX;
+
+/// Lane 0 of every GPR byte; lane `j` is this shifted left by `j`.
+const GPR_LANE0: ByteSet = ByteSet::MAX / 0xff;
+
+/// Lane 0 of every byte of one SIMD register.
+const SIMD_LANE0: u64 = u64::MAX / 0xff;
+
+/// The lanes in which `x`, a per-byte mask of 8-byte words, has a set
+/// bit.
+fn fold_lanes(x: u64) -> Lanes {
+    let x = x | x >> 32;
+    let x = x | x >> 16;
+    (x | x >> 8) as Lanes
+}
+
+/// The lanes of the GPR bytes in `set`.
+fn gpr_lanes(set: ByteSet) -> Lanes {
+    fold_lanes((set | set >> 64) as u64)
+}
+
+/// Every GPR byte in `lanes`.
+fn gpr_bytes_in(lanes: Lanes) -> ByteSet {
+    ByteSet::from(lanes) * GPR_LANE0
+}
+
+/// Every byte of one SIMD register in `lanes`.
+fn simd_bytes_in(lanes: Lanes) -> u64 {
+    u64::from(lanes) * SIMD_LANE0
+}
+
 /// Exact taint: the set of bytes currently differing from the golden
-/// run, each by a non-zero delta.
+/// run, each by a non-zero delta.  A lane scan holds one corrupted
+/// byte's taint per lane ([`Lanes`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct Taint {
     /// GPR bytes (same packing as [`ByteSet`]).
@@ -349,11 +387,26 @@ pub(crate) struct Taint {
 
 impl Taint {
     pub(crate) fn is_clear(&self) -> bool {
-        self.gpr == 0 && self.simd_clear()
+        self.gpr == 0 && self.simd.iter().all(|&m| m == 0)
     }
 
-    pub(crate) fn simd_clear(&self) -> bool {
-        self.simd.iter().all(|&m| m == 0)
+    /// The lanes holding SIMD taint.
+    fn simd_lanes(&self) -> Lanes {
+        fold_lanes(self.simd.iter().fold(0, |acc, &m| acc | m))
+    }
+
+    /// The lanes holding any taint.
+    fn lanes(&self) -> Lanes {
+        gpr_lanes(self.gpr) | self.simd_lanes()
+    }
+
+    /// Drops the taint of every lane outside `lanes`.
+    pub(crate) fn retain(&mut self, lanes: Lanes) {
+        self.gpr &= gpr_bytes_in(lanes);
+        let keep = simd_bytes_in(lanes);
+        for m in &mut self.simd {
+            *m &= keep;
+        }
     }
 
     fn gpr_view(&self, g: Gpr) -> u128 {
@@ -365,28 +418,44 @@ impl Taint {
     }
 }
 
-/// The taint a flip in verdict unit `k` of a destination introduces:
-/// byte `k` of the register (for `rdx:rax` pairs the rax bytes come
-/// first), or `None` for an RFLAGS unit — a flipped condition bit can
+/// The lanes of `taint` that may still be read where the GPR bytes
+/// `live` are live: each lane with a live GPR byte, and each lane with
+/// SIMD taint, since SIMD registers have no liveness.
+fn live_lanes(taint: &Taint, live: ByteSet) -> Lanes {
+    gpr_lanes(taint.gpr & live) | taint.simd_lanes()
+}
+
+/// The verdict units of `dest`, grouped for the lane scan: unit `k` is
+/// lane `k % n` of group `k / n`, where `n` is the returned group size.
+/// A GPR destination is one group of its bytes, an `rdx:rax` pair two
+/// (the rax bytes, then the rdx bytes), and a SIMD destination one per
+/// eight bytes.  RFLAGS has no group: a flipped condition bit can
 /// redirect any dependent branch, and no taint models that.
-pub(crate) fn unit_seed(dest: DestClass, k: usize) -> Option<Taint> {
-    let mut t = Taint::default();
+pub(crate) fn group_size(dest: DestClass) -> Option<usize> {
     match dest {
-        DestClass::Gpr(r) => t.gpr = byte_bit(r.gpr, k as u8),
-        DestClass::RaxRdxPair(w) => {
-            let nb = w.bytes() as usize;
-            t.gpr = if k < nb {
-                byte_bit(Gpr::Rax, k as u8)
-            } else {
-                byte_bit(Gpr::Rdx, (k - nb) as u8)
-            };
-        }
-        DestClass::Xmm(x) => t.simd[x.0 as usize] = 1 << k,
-        DestClass::Ymm(y) => t.simd[y.0 as usize] = 1 << k,
-        DestClass::Zmm(z) => t.simd[z.0 as usize] = 1 << k,
-        DestClass::Rflags | DestClass::None => return None,
+        DestClass::Gpr(r) => Some(r.width.bytes() as usize),
+        DestClass::RaxRdxPair(w) => Some(w.bytes() as usize),
+        DestClass::Xmm(_) | DestClass::Ymm(_) | DestClass::Zmm(_) => Some(8),
+        DestClass::Rflags | DestClass::None => None,
     }
-    Some(t)
+}
+
+/// The taint flips in the units of group `g` of `dest` introduce, each
+/// unit's byte in its own lane (see [`group_size`]).
+pub(crate) fn group_seed(dest: DestClass, g: usize) -> Taint {
+    let mut t = Taint::default();
+    let simd = 0xffu64 << (8 * g);
+    match dest {
+        DestClass::Gpr(r) => t.gpr = read_bytes(r.gpr, r.width),
+        DestClass::RaxRdxPair(w) => {
+            t.gpr = read_bytes(if g == 0 { Gpr::Rax } else { Gpr::Rdx }, w);
+        }
+        DestClass::Xmm(x) => t.simd[x.index()] = simd,
+        DestClass::Ymm(y) => t.simd[y.index()] = simd,
+        DestClass::Zmm(z) => t.simd[z.index()] = simd,
+        DestClass::Rflags | DestClass::None => {}
+    }
+    t
 }
 
 /// Where a jump goes, resolved once per function.
@@ -480,22 +549,21 @@ impl InstFacts {
         }
     }
 
-    /// True when the instruction reads a tainted GPR or SIMD byte.
-    pub(crate) fn reads_taint(&self, taint: &Taint) -> bool {
-        self.reads & taint.gpr != 0
-            || self
-                .simd_reads
-                .iter()
-                .any(|&(r, m)| taint.simd[r as usize] & m != 0)
+    /// The lanes in which the instruction reads a tainted GPR or SIMD
+    /// byte.
+    pub(crate) fn read_lanes(&self, taint: &Taint) -> Lanes {
+        let [(a, am), (b, bm)] = self.simd_reads;
+        gpr_lanes(self.reads & taint.gpr)
+            | fold_lanes(taint.simd[a as usize] & am | taint.simd[b as usize] & bm)
     }
 
-    /// Applies the writes of an instruction whose operands are
-    /// untainted: it computes exactly the golden values, so its writes
-    /// are exact taint kills.
-    pub(crate) fn kill(&self, taint: &mut Taint) {
+    /// Applies, in `lanes`, the writes of an instruction that reads no
+    /// taint there: it computes exactly the golden values, so its
+    /// writes are exact taint kills.
+    pub(crate) fn kill(&self, taint: &mut Taint, lanes: Lanes) {
         let (r, m) = self.simd_write;
-        taint.gpr &= !self.kills;
-        taint.simd[r as usize] &= !m;
+        taint.gpr &= !(self.kills & gpr_bytes_in(lanes));
+        taint.simd[r as usize] &= !(m & simd_bytes_in(lanes));
     }
 }
 
@@ -539,13 +607,13 @@ impl FunctionFacts {
     }
 }
 
-/// True when the *value* of operand `op` (read at width `w`) carries
-/// taint.  Memory values are never tainted: the scan bails at any
-/// tainted store, so memory in the scanned region is golden.
-fn value_taint(op: &Operand, w: Width, taint: &Taint) -> bool {
+/// The lanes in which the *value* of operand `op` (read at width `w`)
+/// carries taint.  Memory values are never tainted: the scan bails at
+/// any tainted store, so memory in the scanned region is golden.
+fn value_lanes(op: &Operand, w: Width, taint: &Taint) -> Lanes {
     match op {
-        Operand::Reg(r) => taint.gpr & read_bytes(r.gpr, w) != 0,
-        Operand::Imm(_) | Operand::Mem(_) => false,
+        Operand::Reg(r) => gpr_lanes(taint.gpr & read_bytes(r.gpr, w)),
+        Operand::Imm(_) | Operand::Mem(_) => 0,
     }
 }
 
@@ -557,37 +625,53 @@ fn next_is_exit_check(facts: &[InstFacts], i: usize) -> bool {
         .is_some_and(|f| f.control == Control::ExitCheck)
 }
 
-/// One step of the scan at a protection instruction that reads taint.
-pub(crate) enum Step {
-    /// A checker is guaranteed to fire: the site is detected.
-    Detected,
-    /// Exact propagation succeeded; the taint was updated in place.
-    Keep,
-    /// Exactness lost.
-    Bail,
+/// What one step of a scan at a protection instruction did in the
+/// lanes where the instruction reads taint.  A lane in neither set
+/// propagated exactly: its taint was updated in place.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Step {
+    /// A checker is guaranteed to fire: these lanes are detected.
+    pub(crate) detected: Lanes,
+    /// These lanes lost exactness.
+    pub(crate) bailed: Lanes,
 }
 
-/// Handles a protection instruction consuming tainted data: recognise
-/// the checker idioms (→ [`Step::Detected`]), propagate through
-/// exactness-preserving data movement, or bail.  `facts` are the
-/// block's, one per instruction of `block`.
+/// Handles a protection instruction consuming tainted data in the
+/// lanes `reading`: recognise the checker idioms (→ [`Step::detected`]),
+/// propagate through exactness-preserving data movement, or bail.
+/// `facts` are the block's, one per instruction of `block`.
+///
+/// This is the one transfer function of both taint scans: the coverage
+/// scan calls it with every lane of a site that reads taint here, the
+/// escape scan with its single lane.  A transfer updates all lanes at
+/// once, so it must keep every byte at its offset mod 8, and it must
+/// write exactly the bytes [`Inst::effects`] lists: in a lane that
+/// reads no taint it then stores golden values, which is the kill the
+/// caller applies there.
 pub(crate) fn protection_step(
     block: &[AsmInst],
     facts: &[InstFacts],
     i: usize,
     taint: &mut Taint,
+    reading: Lanes,
 ) -> Step {
     let inst = &block[i].inst;
     // A memory operand addressed through a tainted register accesses a
     // diverging location: exactness is lost.
-    if facts[i].addr & taint.gpr != 0 {
-        return Step::Bail;
-    }
-    let checked = |fires: bool| {
-        if fires && next_is_exit_check(facts, i) {
-            Step::Detected
+    let lost = gpr_lanes(facts[i].addr & taint.gpr) & reading;
+    let reading = reading & !lost;
+    let bail = |bailed: Lanes| Step {
+        detected: 0,
+        bailed: lost | bailed,
+    };
+    let checked = |fires: Lanes| {
+        if next_is_exit_check(facts, i) {
+            Step {
+                detected: reading & fires,
+                bailed: lost | reading & !fires,
+            }
         } else {
-            Step::Bail
+            bail(reading)
         }
     };
     match inst {
@@ -602,14 +686,14 @@ pub(crate) fn protection_step(
             w,
             src,
             dst,
-        } => checked(value_taint(src, *w, taint) != value_taint(dst, *w, taint)),
+        } => checked(value_lanes(src, *w, taint) ^ value_lanes(dst, *w, taint)),
         // Batch flush test: `vptest r, r` + `jne exit_function`.
         // Golden ZF was always set, so the golden accumulator is zero;
         // the tainted byte makes it non-zero and the branch fires.
         // Distinct operands give no such guarantee.
-        Inst::Vptest { a, b } if a == b => checked(true),
-        Inst::Vptest128 { a, b } if a == b => checked(true),
-        Inst::Vptest512 { a, b } if a == b => checked(true),
+        Inst::Vptest { a, b } if a == b => checked(ALL_LANES),
+        Inst::Vptest128 { a, b } if a == b => checked(ALL_LANES),
+        Inst::Vptest512 { a, b } if a == b => checked(ALL_LANES),
         // Register-to-register move: exact byte-wise taint transfer
         // (W64 replaces, W32 zero-extends — both kill all eight
         // destination bytes; W16/W8 merge into the low bytes).
@@ -627,7 +711,7 @@ pub(crate) fn protection_step(
             let moved = taint.gpr_view(s.gpr) & low;
             taint.gpr &= !crate::analysis::liveness::kill_bytes(d.gpr, *w);
             taint.gpr |= moved << (d.gpr.index() * 8);
-            Step::Keep
+            bail(0)
         }
         // GPR → XMM lane 0 (`movq`): lane 0 takes the source bytes,
         // lane 1 is zeroed (golden), upper lanes are preserved.
@@ -638,7 +722,7 @@ pub(crate) fn protection_step(
             let moved = (taint.gpr_view(s.gpr) & 0xff) as u64;
             let d = &mut taint.simd[dst.0 as usize];
             *d = (*d & !0xffffu64) | moved;
-            Step::Keep
+            bail(0)
         }
         // GPR → XMM lane insert: writes exactly the 8-byte lane.
         Inst::Pinsrq {
@@ -650,21 +734,22 @@ pub(crate) fn protection_step(
             let m = 0xffu64 << (8 * lane);
             let d = &mut taint.simd[dst.0 as usize];
             *d = (*d & !m) | (moved << (8 * lane));
-            Step::Keep
+            bail(0)
         }
         // XMM lane → GPR (W64 destination kills all eight bytes).
         Inst::MovqFromXmm { src, dst } => {
             let moved = (taint.simd[src.0 as usize] & 0xff) as u128;
             taint.set_gpr_view(dst.gpr, moved);
-            Step::Keep
+            bail(0)
         }
         Inst::Pextrq { lane, src, dst } => {
             let moved = ((taint.simd[src.0 as usize] >> (8 * lane)) & 0xff) as u128;
             taint.set_gpr_view(dst.gpr, moved);
-            Step::Keep
+            bail(0)
         }
-        // 128-bit lane merge into a YMM: exact byte shuffle; the top
-        // 32 bytes of the destination register are preserved.
+        // 128-bit lane merge into a YMM: exact byte shuffle.  The
+        // VEX.256 write zeroes the top 32 bytes of the destination
+        // register, so they become golden.
         Inst::Vinserti128 {
             lane,
             src,
@@ -673,10 +758,8 @@ pub(crate) fn protection_step(
         } => {
             let xs = taint.simd[src.0 as usize] & 0xffff;
             let ys = taint.simd[src2.0 as usize] & 0xffff_ffff;
-            let merged = (ys & !(0xffffu64 << (16 * lane))) | (xs << (16 * lane));
-            let d = &mut taint.simd[dst.0 as usize];
-            *d = (*d & !0xffff_ffffu64) | merged;
-            Step::Keep
+            taint.simd[dst.0 as usize] = (ys & !(0xffffu64 << (16 * lane))) | (xs << (16 * lane));
+            bail(0)
         }
         // 256-bit lane merge into a ZMM: writes all 64 bytes.
         Inst::Vinserti64x4 {
@@ -689,132 +772,155 @@ pub(crate) fn protection_step(
             let zs = taint.simd[src2.0 as usize];
             taint.simd[dst.0 as usize] =
                 (zs & !(0xffff_ffffu64 << (32 * lane))) | (ys << (32 * lane));
-            Step::Keep
+            bail(0)
         }
         // One-side-per-byte tainted XOR: each tainted result byte
         // differs by exactly the one operand's delta (non-zero).  A
-        // byte tainted on *both* sides could cancel — bail.
+        // byte tainted on *both* sides could cancel — its lane bails.
+        // VEX semantics zero every byte of the destination above the
+        // operand width.
         Inst::Vpxor { a, b, dst } => {
             let at = taint.simd[a.0 as usize] & 0xffff_ffff;
             let bt = taint.simd[b.0 as usize] & 0xffff_ffff;
-            if at & bt != 0 {
-                return Step::Bail;
-            }
-            let d = &mut taint.simd[dst.0 as usize];
-            *d = (*d & !0xffff_ffffu64) | at | bt;
-            Step::Keep
+            taint.simd[dst.0 as usize] = at | bt;
+            bail(fold_lanes(at & bt))
         }
         Inst::Vpxor128 { a, b, dst } => {
             let at = taint.simd[a.0 as usize] & 0xffff;
             let bt = taint.simd[b.0 as usize] & 0xffff;
-            if at & bt != 0 {
-                return Step::Bail;
-            }
-            // VEX semantics zero every upper byte of the destination.
             taint.simd[dst.0 as usize] = at | bt;
-            Step::Keep
+            bail(fold_lanes(at & bt))
         }
         Inst::Vpxor512 { a, b, dst } => {
             let at = taint.simd[a.0 as usize];
             let bt = taint.simd[b.0 as usize];
-            if at & bt != 0 {
-                return Step::Bail;
-            }
             taint.simd[dst.0 as usize] = at | bt;
-            Step::Keep
+            bail(fold_lanes(at & bt))
         }
-        _ => Step::Bail,
+        _ => bail(reading),
     }
 }
 
-/// Verdict when the scan stops at position `i` with taint still held:
-/// `Masked` iff every tainted byte is provably dead from here on (no
-/// SIMD taint — SIMD registers have no liveness — and no GPR taint
-/// byte in the live-after set).
-fn bail_verdict(taint: &Taint, live_after: ByteSet) -> StaticVerdict {
-    if taint.simd_clear() && taint.gpr & live_after == 0 {
-        StaticVerdict::Masked
-    } else {
-        StaticVerdict::Unknown
+/// The verdicts of a lane scan, one per lane, filled in as lanes close.
+#[derive(Debug, Clone, Copy)]
+struct LaneVerdicts {
+    /// The lanes still undecided.
+    open: Lanes,
+    /// The verdict of each closed lane.
+    verdicts: [StaticVerdict; 8],
+}
+
+impl LaneVerdicts {
+    /// Gives every open lane of `lanes` the verdict `v` and closes it.
+    fn close(&mut self, lanes: Lanes, v: StaticVerdict) {
+        let mut l = lanes & self.open;
+        self.open &= !l;
+        while l != 0 {
+            self.verdicts[l.trailing_zeros() as usize] = v;
+            l &= l - 1;
+        }
+    }
+
+    /// Closes `lanes` where the scan stops with taint still held and
+    /// the GPR bytes `live` live after: a lane is `Masked` iff its
+    /// tainted bytes are provably dead from here on, else `Unknown`.
+    fn close_at_stop(&mut self, lanes: Lanes, taint: &Taint, live: ByteSet) {
+        self.close(lanes & live_lanes(taint, live), StaticVerdict::Unknown);
+        self.close(lanes, StaticVerdict::Masked);
     }
 }
 
-/// Scans forward from `start` within one block, tracking the exact
-/// tainted-byte set seeded at the fault site.
-fn scan(
+/// Classifies the lanes `open` of a destination that `block[i]` writes
+/// back with the corruption `taint` ([`group_seed`]): one forward scan
+/// within the block tracks every lane's exact tainted-byte set at
+/// once.  Returns one verdict per lane; lanes outside `open` read
+/// `Unknown`.
+fn scan_lanes(
     block: &[AsmInst],
     facts: &[InstFacts],
     after: &[ByteSet],
-    start: usize,
+    i: usize,
     mut taint: Taint,
-) -> StaticVerdict {
-    for (i, fact) in facts.iter().enumerate().skip(start) {
-        if taint.is_clear() {
-            // Every corrupted byte was overwritten with its golden
-            // value: the runs have converged.
-            return StaticVerdict::Masked;
+    open: Lanes,
+) -> [StaticVerdict; 8] {
+    let mut lanes = LaneVerdicts {
+        open,
+        verdicts: [StaticVerdict::Unknown; 8],
+    };
+    taint.retain(open);
+    // Dead at write-back: the corrupted byte is overwritten on every
+    // path before any read.  SIMD registers have no liveness, so SIMD
+    // masking is only discovered by the scan's exact overwrite
+    // tracking.
+    lanes.close(!live_lanes(&taint, after[i]), StaticVerdict::Masked);
+    taint.retain(lanes.open);
+    for (i, fact) in facts.iter().enumerate().skip(i + 1) {
+        // A lane whose every corrupted byte was overwritten with its
+        // golden value has converged with the golden run.
+        lanes.close(!taint.lanes(), StaticVerdict::Masked);
+        if lanes.open == 0 {
+            return lanes.verdicts;
         }
-        if fact.reads_taint(&taint) {
-            if !fact.protection {
-                return StaticVerdict::Vulnerable;
-            }
-            match protection_step(block, facts, i, &mut taint) {
-                Step::Detected => return StaticVerdict::Detected,
-                Step::Keep => {}
+        let was_open = lanes.open;
+        let reading = fact.read_lanes(&taint);
+        if reading != 0 {
+            if fact.protection {
+                let step = protection_step(block, facts, i, &mut taint, reading);
+                lanes.close(step.detected, StaticVerdict::Detected);
                 // The instruction consumed tainted data in a way the
                 // propagation rules don't model (a store, arithmetic,
                 // a cancelling combine): the corruption may now live
                 // in memory or flags, so deadness of the *registers*
                 // proves nothing — never claim Masked here.
-                Step::Bail => return StaticVerdict::Unknown,
-            }
-        } else {
-            match fact.control {
-                Control::Plain => fact.kill(&mut taint),
-                // Flags are untainted (any tainted flag-writer would
-                // have detected or bailed above), so this checker
-                // branch falls through exactly as in the golden run.
-                Control::ExitCheck => {}
-                // Control leaves the straight-line region on the
-                // golden path; the liveness bail rule covers every
-                // successor path.  A callee may also spill
-                // callee-saved registers or merge SIMD accumulator
-                // lanes we cannot see from here: only a fully-converged
-                // state may cross a call.
-                Control::Branch(_) | Control::Jump(_) | Control::Ret | Control::Call(_) => {
-                    return bail_verdict(&taint, after[i]);
-                }
+                lanes.close(step.bailed, StaticVerdict::Unknown);
+            } else {
+                lanes.close(reading, StaticVerdict::Vulnerable);
             }
         }
+        let rest = lanes.open & !reading;
+        match fact.control {
+            Control::Plain => fact.kill(&mut taint, rest),
+            // Flags are untainted (any tainted flag-writer would have
+            // detected or bailed above), so this checker branch falls
+            // through exactly as in the golden run.
+            Control::ExitCheck => {}
+            // Control leaves the straight-line region on the golden
+            // path; the liveness stop rule covers every successor
+            // path.  A callee may also spill callee-saved registers or
+            // merge SIMD accumulator lanes we cannot see from here:
+            // only a fully-converged lane may cross a call.
+            Control::Branch(_) | Control::Jump(_) | Control::Ret | Control::Call(_) => {
+                lanes.close_at_stop(rest, &taint, after[i]);
+            }
+        }
+        if lanes.open != was_open {
+            taint.retain(lanes.open);
+        }
     }
-    if taint.is_clear() {
-        StaticVerdict::Masked
-    } else {
-        bail_verdict(&taint, after[block.len() - 1])
-    }
+    lanes.close(!taint.lanes(), StaticVerdict::Masked);
+    lanes.close_at_stop(ALL_LANES, &taint, after[block.len() - 1]);
+    lanes.verdicts
 }
 
-/// Classifies verdict unit `k` of the site `block[i]`, whose
-/// destination is `dest`.
-fn classify_unit(
+/// The verdicts of every unit of the site `block[i]`, whose
+/// destination is `dest`: one lane scan per group of units
+/// ([`group_size`]).  An RFLAGS unit stays `Unknown`.
+fn classify_site(
     block: &[AsmInst],
     facts: &[InstFacts],
     after: &[ByteSet],
     i: usize,
     dest: DestClass,
-    k: usize,
-) -> StaticVerdict {
-    let Some(seed) = unit_seed(dest, k) else {
-        return StaticVerdict::Unknown;
+    verdicts: &mut [StaticVerdict],
+) {
+    let Some(n) = group_size(dest) else {
+        return;
     };
-    // SIMD registers have no liveness, so SIMD masking is only
-    // discovered by the scan's exact overwrite tracking.
-    if seed.simd_clear() && seed.gpr & after[i] == 0 {
-        // Dead at write-back: the corrupted byte is overwritten on
-        // every path before any read.
-        return StaticVerdict::Masked;
+    for (g, units) in verdicts.chunks_mut(n).enumerate() {
+        let open = ((1u16 << units.len()) - 1) as Lanes;
+        let v = scan_lanes(block, facts, after, i, group_seed(dest, g), open);
+        units.copy_from_slice(&v[..units.len()]);
     }
-    scan(block, facts, after, i + 1, seed)
 }
 
 /// True when a `Detected` claim at `block[i]` is consistent with the
@@ -881,16 +987,14 @@ fn analyze_function(
             let Some(bits) = ai.inst.injectable_bits() else {
                 continue;
             };
-            let dest = ai.inst.dest_class();
             // One unit per destination byte; RFLAGS (4 bits) is one.
-            let verdicts: Vec<StaticVerdict> = (0..bits.div_ceil(8) as usize)
-                .map(|k| match classify_unit(&b.insts, bf, &after, i, dest, k) {
-                    StaticVerdict::Detected if !vouched => StaticVerdict::Unknown,
-                    v => v,
-                })
-                .collect();
-            for &v in &verdicts {
-                rollup.add(v);
+            let mut verdicts = vec![StaticVerdict::Unknown; bits.div_ceil(8) as usize];
+            classify_site(&b.insts, bf, &after, i, ai.inst.dest_class(), &mut verdicts);
+            for v in &mut verdicts {
+                if *v == StaticVerdict::Detected && !vouched {
+                    *v = StaticVerdict::Unknown;
+                }
+                rollup.add(*v);
             }
             sites.push(SiteCoverage {
                 pc: this_pc,
@@ -1210,11 +1314,7 @@ mod tests {
             .map(SiteCoverage::units)
             .sum();
         assert_eq!(map.rollup().total(), total);
-        let mech_total: usize = map
-            .mechanism_rollup()
-            .iter()
-            .map(|(_, c)| c.total())
-            .sum();
+        let mech_total: usize = map.mechanism_rollup().iter().map(|(_, c)| c.total()).sum();
         assert_eq!(mech_total, total);
     }
 
@@ -1297,5 +1397,402 @@ mod tests {
         let map = CoverageMap::analyze(&p);
         let pop = map.site(1).expect("pop site");
         assert_eq!(pop.verdicts, vec![StaticVerdict::Detected; 8]);
+    }
+
+    /// Parses a listing of `main` alone; `# prot:ferrum` marks a
+    /// protection instruction.
+    fn listing(body: &str) -> AsmProgram {
+        crate::parser::parse_program(&format!(".globl main\nmain:\n{body}")).expect("parses")
+    }
+
+    /// The verdicts of the site at flat pc `pc` of `main`.
+    fn verdicts_at(body: &str, pc: usize) -> Vec<StaticVerdict> {
+        CoverageMap::analyze(&listing(body))
+            .site(pc)
+            .expect("site")
+            .verdicts
+            .clone()
+    }
+
+    /// A verdict vector written one letter per unit: `M`asked,
+    /// `D`etected, `V`ulnerable, `U`nknown.
+    fn units(letters: &str) -> Vec<StaticVerdict> {
+        letters
+            .chars()
+            .map(|c| match c {
+                'M' => StaticVerdict::Masked,
+                'D' => StaticVerdict::Detected,
+                'V' => StaticVerdict::Vulnerable,
+                'U' => StaticVerdict::Unknown,
+                _ => panic!("verdict letter {c}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn narrow_reads_of_a_quadword_part_the_lanes() {
+        // A W8 checker detects byte 0, a W16 application read consumes
+        // byte 1, a W32 protection add loses bytes 2–3, and the
+        // overwrite masks bytes 4–7.
+        let body = "\
+  movq $7, %rax
+  cmpb %al, %r11b # prot:ferrum
+  jne exit_function # prot:ferrum
+  addw %ax, %cx
+  addl %eax, %r11d # prot:ferrum
+  movq $0, %rax
+  ret
+";
+        assert_eq!(verdicts_at(body, 0), units("DVUUMMMM"));
+    }
+
+    #[test]
+    fn byte_and_doubleword_copies_carry_their_own_lanes() {
+        // `movb` copies byte 0 into %r10, `movl` bytes 0–3 into %r11;
+        // the W32 check then sees byte 0 on both sides (no claim) and
+        // bytes 1–3 on one side only.  Bytes 4–7 lived only in %rax.
+        let body = "\
+  movq $7, %rax
+  movb %al, %r10b # prot:ferrum
+  movl %eax, %r11d # prot:ferrum
+  movq $0, %rax
+  cmpl %r11d, %r10d # prot:ferrum
+  jne exit_function # prot:ferrum
+  ret
+";
+        assert_eq!(verdicts_at(body, 0), units("UDDDMMMM"));
+    }
+
+    #[test]
+    fn pextrq_moves_one_group_of_an_xmm_site() {
+        // Bytes 8–15 reach %rdx; a W32 check detects 8–11, and 12–15
+        // die in %rdx.  Bytes 0–7 are overwritten in %xmm0.
+        let body = "\
+  movq %rcx, %xmm0
+  pextrq $1, %xmm0, %rdx # prot:ferrum
+  cmpl %edx, %r11d # prot:ferrum
+  jne exit_function # prot:ferrum
+  movq %r8, %xmm0
+  ret
+";
+        assert_eq!(verdicts_at(body, 0), units("MMMMMMMMDDDDMMMM"));
+    }
+
+    #[test]
+    fn vpxor_tainted_on_both_sides_in_one_lane_bails_that_lane_only() {
+        // Byte 0 reaches both `vpxor` operands and could cancel; bytes
+        // 1–7 reach one operand and the flush test detects them.
+        let body = "\
+  movq $7, %rax
+  movq %rax, %xmm0 # prot:ferrum
+  movb %al, %r10b # prot:ferrum
+  movq %r10, %xmm1 # prot:ferrum
+  vpxor %xmm0, %xmm1, %xmm2 # prot:ferrum
+  vptest %xmm2, %xmm2 # prot:ferrum
+  jne exit_function # prot:ferrum
+  ret
+";
+        assert_eq!(verdicts_at(body, 0), units("UDDDDDDD"));
+    }
+
+    #[test]
+    fn xor_checker_kills_the_lanes_it_does_not_read() {
+        // The W32 `xor` checker reads bytes 0–3 of the duplicate and
+        // zero-extends its write over bytes 4–7.  For the original in
+        // %rax bytes 0–3 sit on both sides (no claim) and bytes 4–7
+        // reach `ret`.
+        let body = "\
+  movq $7, %rax
+  movq %rax, %r10 # prot:ferrum
+  xorl %eax, %r10d # prot:ferrum
+  jne exit_function # prot:ferrum
+  ret
+";
+        assert_eq!(verdicts_at(body, 1), units("DDDDMMMM"));
+        assert_eq!(verdicts_at(body, 0), units("UUUUVVVV"));
+    }
+
+    #[test]
+    fn call_stops_the_scan_with_dead_and_live_lanes() {
+        // %rbx survives the call; bytes 0–1 are overwritten before the
+        // `push` reads the rest.
+        let body = "\
+  movq $7, %rbx
+  call helper
+  movw $0, %bx
+  pushq %rbx
+  ret
+";
+        assert_eq!(verdicts_at(body, 0), units("MMUUUUUU"));
+    }
+
+    /// A `vpxorq` result copied into the top half of %zmm3, then every
+    /// copy cleared: the `vinserti128` reads the corrupted %ymm2 but
+    /// writes golden bytes 0–15 and, as a VEX.256 write, zeroes bytes
+    /// 32–63 of %zmm3; the `vpxor` overwrites %zmm2.
+    const ZMM_CLEARED: &str = "\
+  vpxorq %zmm0, %zmm1, %zmm2
+  vinserti64x4 $1, %ymm2, %zmm3, %zmm3 # prot:ferrum
+  vinserti128 $0, %xmm4, %ymm2, %ymm3 # prot:ferrum
+  vpxor %ymm4, %ymm4, %ymm2 # prot:ferrum
+";
+
+    #[test]
+    fn vex256_writes_clear_the_upper_zmm_half() {
+        // Bytes 0–15 are masked with or without a flush test after the
+        // block: no copy survives.  Bytes 16–31 stay in %zmm3, where
+        // the test detects them; bytes 32–63 never leave %zmm2.
+        let checked = format!(
+            "{ZMM_CLEARED}  vptestq %zmm3, %zmm3 # prot:ferrum\n  jne exit_function # prot:ferrum\n  ret\n"
+        );
+        let expect = |mid: &str| units(&format!("{}{}{}", "M".repeat(16), mid, "M".repeat(32)));
+        assert_eq!(verdicts_at(&checked, 0), expect(&"D".repeat(16)));
+        assert_eq!(
+            verdicts_at(&format!("{ZMM_CLEARED}  ret\n"), 0),
+            expect(&"U".repeat(16))
+        );
+        // The `vpxor` arm: a tainted %ymm2 read into %zmm3 also zeroes
+        // the stale copy in its top half, and `movq` then overwrites
+        // bytes 0–15.
+        let vpxor = "\
+  vpxorq %zmm0, %zmm1, %zmm2
+  vinserti64x4 $1, %ymm2, %zmm3, %zmm3 # prot:ferrum
+  vpxor %ymm2, %ymm4, %ymm3 # prot:ferrum
+  vpxor %ymm4, %ymm4, %ymm2 # prot:ferrum
+  movq %r8, %xmm3
+  vptestq %zmm3, %zmm3 # prot:ferrum
+  jne exit_function # prot:ferrum
+  ret
+";
+        assert_eq!(verdicts_at(vpxor, 0), expect(&"D".repeat(16)));
+    }
+
+    /// One random instruction over four GPRs and four SIMD registers,
+    /// weighted toward the transfers, checkers and stops the scan
+    /// models; three in four are protection instructions.
+    fn random_inst(rng: &mut ferrum_rng::Rng64) -> AsmInst {
+        let form = rng.gen_below(18);
+        random_inst_of(rng, form)
+    }
+
+    /// The forms of [`random_inst_of`] that [`protection_step`] models
+    /// as a transfer.
+    const TRANSFERS: [u64; 9] = [0, 1, 4, 5, 6, 7, 8, 9, 10];
+
+    /// A random instruction of the given form.
+    fn random_inst_of(rng: &mut ferrum_rng::Rng64, form: u64) -> AsmInst {
+        use crate::reg::{Xmm, Ymm, Zmm};
+        const GPRS: [Gpr; 4] = [Gpr::Rax, Gpr::Rcx, Gpr::R10, Gpr::R11];
+        let g = |rng: &mut ferrum_rng::Rng64| GPRS[rng.gen_range(0..4usize)];
+        let w = |rng: &mut ferrum_rng::Rng64| Width::ALL[rng.gen_range(0..4usize)];
+        let r = |rng: &mut ferrum_rng::Rng64| Operand::Reg(Reg::gpr(g(rng), w(rng)));
+        let v = |rng: &mut ferrum_rng::Rng64| rng.gen_range(0..4usize) as u8;
+        let lane = |rng: &mut ferrum_rng::Rng64| rng.gen_range(0..2usize) as u8;
+        let inst = match form {
+            0 | 1 => {
+                let w = w(rng);
+                Inst::Mov {
+                    w,
+                    src: Operand::Reg(Reg::gpr(g(rng), w)),
+                    dst: Operand::Reg(Reg::gpr(g(rng), w)),
+                }
+            }
+            2 => Inst::Mov {
+                w: Width::W64,
+                src: Operand::Imm(0),
+                dst: Operand::Reg(Reg::q(g(rng))),
+            },
+            3 => Inst::Mov {
+                w: Width::W64,
+                src: Operand::Mem(MemRef::base_disp(g(rng), 8)),
+                dst: Operand::Reg(Reg::q(g(rng))),
+            },
+            4 => Inst::MovqToXmm {
+                src: Operand::Reg(Reg::q(g(rng))),
+                dst: Xmm::new(v(rng)),
+            },
+            5 => Inst::Pinsrq {
+                lane: lane(rng),
+                src: Operand::Reg(Reg::q(g(rng))),
+                dst: Xmm::new(v(rng)),
+            },
+            6 => Inst::MovqFromXmm {
+                src: Xmm::new(v(rng)),
+                dst: Reg::q(g(rng)),
+            },
+            7 => Inst::Pextrq {
+                lane: lane(rng),
+                src: Xmm::new(v(rng)),
+                dst: Reg::q(g(rng)),
+            },
+            8 => Inst::Vinserti128 {
+                lane: lane(rng),
+                src: Xmm::new(v(rng)),
+                src2: Ymm::new(v(rng)),
+                dst: Ymm::new(v(rng)),
+            },
+            9 => Inst::Vinserti64x4 {
+                lane: lane(rng),
+                src: Ymm::new(v(rng)),
+                src2: Zmm::new(v(rng)),
+                dst: Zmm::new(v(rng)),
+            },
+            10 => match rng.gen_below(3) {
+                0 => Inst::Vpxor128 {
+                    a: Xmm::new(v(rng)),
+                    b: Xmm::new(v(rng)),
+                    dst: Xmm::new(v(rng)),
+                },
+                1 => Inst::Vpxor {
+                    a: Ymm::new(v(rng)),
+                    b: Ymm::new(v(rng)),
+                    dst: Ymm::new(v(rng)),
+                },
+                _ => Inst::Vpxor512 {
+                    a: Zmm::new(v(rng)),
+                    b: Zmm::new(v(rng)),
+                    dst: Zmm::new(v(rng)),
+                },
+            },
+            11 => Inst::Cmp {
+                w: w(rng),
+                src: r(rng),
+                dst: r(rng),
+            },
+            12 => Inst::Alu {
+                op: if rng.gen_below(2) == 0 {
+                    AluOp::Xor
+                } else {
+                    AluOp::Add
+                },
+                w: w(rng),
+                src: r(rng),
+                dst: r(rng),
+            },
+            13 => {
+                let x = v(rng);
+                match rng.gen_below(3) {
+                    0 => Inst::Vptest128 {
+                        a: Xmm::new(x),
+                        b: Xmm::new(x),
+                    },
+                    1 => Inst::Vptest {
+                        a: Ymm::new(x),
+                        b: Ymm::new(x),
+                    },
+                    _ => Inst::Vptest512 {
+                        a: Zmm::new(x),
+                        b: Zmm::new(x),
+                    },
+                }
+            }
+            14 => Inst::Jcc {
+                cc: Cc::Ne,
+                target: EXIT_FUNCTION.into(),
+            },
+            15 => Inst::Push { src: r(rng) },
+            16 => Inst::Call {
+                target: "helper".into(),
+            },
+            _ => Inst::Nop,
+        };
+        if rng.gen_below(4) == 0 {
+            app(inst)
+        } else {
+            prot(inst)
+        }
+    }
+
+    #[test]
+    fn scanning_lanes_together_matches_scanning_each_alone() {
+        // Random blocks: every group of every site is scanned with all
+        // of its lanes open, then once per lane with that lane alone.
+        // A seed that fails regenerates its block.
+        let mut parted = 0usize;
+        for seed in 0..3000u64 {
+            let rng = &mut ferrum_rng::Rng64::seed_from_u64(seed);
+            let mut insts = Vec::new();
+            for _ in 0..rng.gen_range(2..16usize) {
+                let inst = random_inst(rng);
+                // Most checkers come with their `jne exit_function`.
+                let checker = inst.inst.writes_flags() && rng.gen_below(4) != 0;
+                insts.push(inst);
+                if checker {
+                    insts.push(prot(Inst::Jcc {
+                        cc: Cc::Ne,
+                        target: EXIT_FUNCTION.into(),
+                    }));
+                }
+            }
+            insts.push(app(Inst::Ret));
+            let p = program(insts);
+            let f = &p.functions[0];
+            let lv = Liveness::compute(f, &Cfg::build(f));
+            let after = lv.live_after_each(f, 0);
+            let facts = FunctionFacts::build(f);
+            let (block, facts) = (&f.blocks[0].insts, facts.block(0));
+            for (i, ai) in block.iter().enumerate() {
+                let (Some(bits), Some(n)) =
+                    (ai.inst.injectable_bits(), group_size(ai.inst.dest_class()))
+                else {
+                    continue;
+                };
+                for g in 0..bits as usize / 8 / n {
+                    let seed_taint = group_seed(ai.inst.dest_class(), g);
+                    let open = ((1u16 << n) - 1) as Lanes;
+                    let all = scan_lanes(block, facts, &after, i, seed_taint.clone(), open);
+                    for j in 0..n {
+                        let alone = scan_lanes(block, facts, &after, i, seed_taint.clone(), 1 << j);
+                        assert_eq!(
+                            all[j],
+                            alone[j],
+                            "seed {seed}: site {i} `{}` group {g} lane {j}",
+                            crate::printer::print_inst(&ai.inst)
+                        );
+                    }
+                    parted += usize::from(all[..n].iter().any(|&v| v != all[0]));
+                }
+            }
+        }
+        // About 900 groups part lanes; the loop must keep doing so to
+        // show anything.
+        assert!(parted > 500, "only {parted} groups parted lanes");
+    }
+
+    #[test]
+    fn transfers_write_exactly_the_effects_table() {
+        // In the lanes where a modelled transfer reads no taint it
+        // stores golden values over exactly the bytes `Inst::effects`
+        // writes, which is the kill the scans apply there.
+        for seed in 0..3000u64 {
+            let rng = &mut ferrum_rng::Rng64::seed_from_u64(seed);
+            let form = TRANSFERS[rng.gen_range(0..TRANSFERS.len())];
+            let p = program(vec![prot(random_inst_of(rng, form).inst)]);
+            let f = &p.functions[0];
+            let facts = FunctionFacts::build(f);
+            let (block, facts) = (&f.blocks[0].insts, facts.block(0));
+            // About one byte in eight tainted.
+            let mut sparse = || rng.next_u64() & rng.next_u64() & rng.next_u64();
+            let mut taint = Taint {
+                gpr: ByteSet::from(sparse()) << 64 | ByteSet::from(sparse()),
+                simd: [(); 16].map(|()| sparse()),
+            };
+            taint.retain(!facts[0].read_lanes(&taint));
+            let mut killed = taint.clone();
+            facts[0].kill(&mut killed, ALL_LANES);
+            let step = protection_step(block, facts, 0, &mut taint, 0);
+            assert_eq!(
+                (step, taint),
+                (
+                    Step {
+                        detected: 0,
+                        bailed: 0
+                    },
+                    killed
+                ),
+                "seed {seed}: `{}`",
+                crate::printer::print_inst(&block[0].inst)
+            );
+        }
     }
 }

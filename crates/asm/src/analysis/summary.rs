@@ -32,8 +32,8 @@
 use std::fmt::Write as _;
 
 use crate::analysis::coverage::{
-    protection_step, unit_seed, Callee, Control, CoverageMap, FunctionFacts, SiteCoverage,
-    StaticVerdict, Step, Taint, Target,
+    group_seed, group_size, protection_step, Callee, Control, CoverageMap, FunctionFacts,
+    SiteCoverage, StaticVerdict, Taint, Target, ALL_LANES,
 };
 use crate::analysis::liveness::{reg_bytes, ByteSet};
 use crate::printer::write_inst;
@@ -152,18 +152,15 @@ pub struct EscapeRollup {
     pub may_detect: usize,
 }
 
-/// The fault-propagation interface summary of one function.
+/// The fault-propagation interface summary of one function.  The
+/// function's version is named by [`function_hash`], which the
+/// consumers that key on it (`ferrum_faultsim::compose::partition_sites`,
+/// `ferrum_faultsim::flight::program_signature`) compute from the
+/// function itself.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FunctionSummary {
     /// Function name.
     pub name: String,
-    /// Content hash of the function body (name, labels, instructions,
-    /// provenance) — the incremental-campaign cache key.
-    pub hash: u64,
-    /// Flat pc of the function's first instruction.
-    pub pc_start: usize,
-    /// One past the flat pc of the function's last instruction.
-    pub pc_end: usize,
     /// Per-site summaries, in program order.
     pub sites: Vec<SiteSummary>,
 }
@@ -301,7 +298,6 @@ pub fn function_hash(f: &AsmFunction) -> u64 {
 /// Builds the summary for one function, advancing the flat `pc`
 /// exactly like `coverage::analyze_function` does.
 fn summarize_function(f: &AsmFunction, sites: &[SiteCoverage], pc: &mut usize) -> FunctionSummary {
-    let pc_start = *pc;
     // Built at the function's first unit that needs an escape scan.
     let mut scan: Option<EscapeScan> = None;
     let mut out_sites = Vec::with_capacity(sites.len());
@@ -324,11 +320,14 @@ fn summarize_function(f: &AsmFunction, sites: &[SiteCoverage], pc: &mut usize) -
                     StaticVerdict::Detected => (EscapeFootprint::empty(), true),
                     StaticVerdict::Vulnerable => (EscapeFootprint::full(), false),
                     // The seed is built only here: decided units need
-                    // none.  An RFLAGS unit has no seed and stays
-                    // fully widened.
-                    StaticVerdict::Unknown => match unit_seed(dest, k) {
+                    // none.  It is the unit's lane of its group's seed.
+                    // An RFLAGS unit has no seed and stays fully
+                    // widened.
+                    StaticVerdict::Unknown => match group_size(dest) {
                         None => (EscapeFootprint::full(), false),
-                        Some(seed) => {
+                        Some(n) => {
+                            let mut seed = group_seed(dest, k / n);
+                            seed.retain(1 << (k % n));
                             scan.get_or_insert_with(|| EscapeScan::new(f))
                                 .run(bi, i + 1, seed)
                         }
@@ -351,9 +350,6 @@ fn summarize_function(f: &AsmFunction, sites: &[SiteCoverage], pc: &mut usize) -
     debug_assert_eq!(next_site, sites.len());
     FunctionSummary {
         name: f.name.clone(),
-        hash: function_hash(f),
-        pc_start,
-        pc_end: *pc,
         sites: out_sites,
     }
 }
@@ -529,23 +525,24 @@ impl<'f> EscapeScan<'f> {
                         return (EscapeFootprint::full(), may_detect);
                     }
                 }
-                if fact.reads_taint(&taint) {
+                let reading = fact.read_lanes(&taint);
+                if reading != 0 {
                     if !fact.protection {
                         // Application computation consumed the
                         // corrupted value: from here anything may be
                         // corrupted.
                         return (EscapeFootprint::full(), may_detect);
                     }
-                    match protection_step(block, facts, i, &mut taint) {
-                        Step::Detected => {
-                            may_detect = true;
-                            continue 'work;
-                        }
-                        Step::Keep => {}
-                        Step::Bail => return (EscapeFootprint::full(), may_detect),
+                    let step = protection_step(block, facts, i, &mut taint, reading);
+                    if step.bailed != 0 {
+                        return (EscapeFootprint::full(), may_detect);
+                    }
+                    if step.detected != 0 {
+                        may_detect = true;
+                        continue 'work;
                     }
                 } else {
-                    fact.kill(&mut taint);
+                    fact.kill(&mut taint, ALL_LANES);
                 }
                 i += 1;
             }

@@ -4,10 +4,10 @@
 //! Three halves, mirroring the acceptance criteria (DESIGN.md §5d):
 //!
 //! 1. **Sound verdicts are never wrong**: across every catalog
-//!    workload × {ferrum, requisition, hybrid, ir-eddi}, injection
-//!    must agree with every `Masked` (→ `Benign`) and `Detected`
-//!    (→ `Detected`) claim — in particular, no SDC may ever land on a
-//!    statically-decided site.
+//!    workload × {ferrum, ferrum-zmm, requisition, hybrid, ir-eddi},
+//!    injection must agree with every `Masked` (→ `Benign`) and
+//!    `Detected` (→ `Detected`) claim — in particular, no SDC may ever
+//!    land on a statically-decided site.
 //! 2. **Pruning changes nothing**: a plan pruned by the map is
 //!    outcome-identical to the serial engine per seed, fault for
 //!    fault.
@@ -19,7 +19,7 @@
 
 use ferrum::{OptLevel, Pipeline, Technique};
 use ferrum_asm::analysis::coverage::{CoverageMap, StaticVerdict};
-use ferrum_asm::analysis::summary::SummaryMap;
+use ferrum_asm::analysis::summary::{function_hash, SummaryMap};
 use ferrum_asm::program::AsmProgram;
 use ferrum_cpu::exec::StepEvent;
 use ferrum_cpu::fault::FaultSpec;
@@ -38,22 +38,31 @@ fn threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// All four protection configurations under test.
+/// All five protection configurations under test: FERRUM with XMM/YMM
+/// batches, with ZMM batches and with forced requisition, hybrid, and
+/// IR-EDDI.
 fn protect_all(m: &Module) -> Vec<(&'static str, AsmProgram)> {
-    let requisition = {
-        let asm = ferrum_backend::compile(m).expect("compiles");
-        let cfg = FerrumConfig {
-            force_requisition: true,
-            ..FerrumConfig::default()
-        };
-        Ferrum::with_config(cfg).protect(&asm).expect("protects")
-    };
+    let asm = ferrum_backend::compile(m).expect("compiles");
+    let with = |cfg| Ferrum::with_config(cfg).protect(&asm).expect("protects");
     vec![
         (
             "ferrum",
             Ferrum::new().protect_module(m).expect("ferrum protects"),
         ),
-        ("requisition", requisition),
+        (
+            "ferrum-zmm",
+            with(FerrumConfig {
+                zmm: true,
+                ..FerrumConfig::default()
+            }),
+        ),
+        (
+            "requisition",
+            with(FerrumConfig {
+                force_requisition: true,
+                ..FerrumConfig::default()
+            }),
+        ),
         (
             "hybrid",
             HybridAsmEddi::new().protect(m).expect("hybrid protects"),
@@ -302,8 +311,8 @@ fn per_unit_verdicts_and_footprints_match_the_pinned_digest() {
                 let map = CoverageMap::analyze(&prog);
                 let summary = SummaryMap::build(&prog, &map);
                 units.units(&map, Some(&summary));
-                for f in &summary.functions {
-                    hashes.word(f.hash);
+                for f in &prog.functions {
+                    hashes.word(function_hash(f));
                 }
             }
             let asm = ferrum_backend::compile_opt(&module, opt).expect("compiles");
@@ -391,4 +400,49 @@ fn the_machine_writes_no_byte_outside_the_effects_table() {
         }
     }
     assert!(checks > 10_000, "only {checks} instructions checked");
+}
+
+/// A `vpxorq` result copied into the top half of `%zmm3`, after which a
+/// `vinserti128` and a `vpxor` (VEX.256 writes, which zero bytes 32–63)
+/// clear every copy of bytes 0–15.  The map books those bytes `Masked`
+/// although a flush test of `%zmm3` follows, and the machine agrees:
+/// every flip in them is benign, while a flip in bytes 16–31, which
+/// stay in `%zmm3`, is detected.
+#[test]
+fn vex256_cleared_zmm_copies_are_masked_and_benign() {
+    let asm = ferrum_asm::parser::parse_program(
+        "\
+.globl main
+main:
+  vpxorq %zmm0, %zmm1, %zmm2
+  vinserti64x4 $1, %ymm2, %zmm3, %zmm3 # prot:ferrum
+  vinserti128 $0, %xmm4, %ymm2, %ymm3 # prot:ferrum
+  vpxor %ymm4, %ymm4, %ymm2 # prot:ferrum
+  vptestq %zmm3, %zmm3 # prot:ferrum
+  jne exit_function # prot:ferrum
+  ret
+",
+    )
+    .expect("parses");
+    let site = CoverageMap::analyze(&asm)
+        .site(0)
+        .expect("vpxorq site")
+        .clone();
+    let cpu = Cpu::load(&asm).expect("loads");
+    let golden = cpu.run(None);
+    assert_eq!(golden.stop, StopReason::MainReturned);
+    for raw_bit in 0..256u16 {
+        let run = cpu.run(Some(FaultSpec {
+            dyn_index: 0,
+            raw_bit,
+        }));
+        let outcome = ferrum_faultsim::campaign::classify(run.stop, &run.output, &golden.output);
+        let (verdict, expect) = if raw_bit < 128 {
+            (StaticVerdict::Masked, Outcome::Benign)
+        } else {
+            (StaticVerdict::Detected, Outcome::Detected)
+        };
+        assert_eq!(site.verdict_for(raw_bit), verdict, "bit {raw_bit}");
+        assert_eq!(outcome, expect, "bit {raw_bit}");
+    }
 }
