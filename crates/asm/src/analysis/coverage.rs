@@ -221,17 +221,21 @@ pub struct SiteCoverage {
 }
 
 impl SiteCoverage {
-    /// The verdict governing an injector bit choice, mirroring
+    /// The verdict governing an injector bit choice: its unit's.
+    pub fn verdict_for(&self, raw_bit: u16) -> StaticVerdict {
+        self.verdicts[self.unit_for(raw_bit)]
+    }
+
+    /// The verdict unit an injector bit choice lands in, mirroring
     /// `apply_fault`: the flipped bit is `raw_bit % bits` and the
     /// verdict unit is its byte.  For `rdx:rax` pair destinations the
     /// selector runs across both halves, so `sel / 8` indexes the
     /// concatenated rax-then-rdx byte units directly.
-    pub fn verdict_for(&self, raw_bit: u16) -> StaticVerdict {
+    pub(crate) fn unit_for(&self, raw_bit: u16) -> usize {
         if self.verdicts.len() == 1 {
-            return self.verdicts[0];
+            return 0;
         }
-        let bit = u32::from(raw_bit) % self.bits;
-        self.verdicts[(bit / 8) as usize]
+        (u32::from(raw_bit) % self.bits / 8) as usize
     }
 
     /// Number of verdict units at this site.

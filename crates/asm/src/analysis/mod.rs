@@ -19,7 +19,4 @@ pub use lint::{
 };
 pub use liveness::Liveness;
 pub use regscan::{RegUsage, SpareReport};
-pub use summary::{
-    function_hash, EscapeFootprint, EscapeRollup, FunctionSummary, SiteSummary, SummaryMap,
-    UnitSummary,
-};
+pub use summary::{function_hash, EscapeFootprint, EscapeRollup, SummaryMap, UnitSummary};

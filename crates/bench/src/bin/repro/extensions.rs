@@ -8,7 +8,7 @@ use std::time::Instant;
 
 use ferrum::{
     all_workloads, forensic_report, Campaign, CampaignConfig, CostModel, CoverageMap, EngineKind,
-    Error, EscapeReason, EscapeRollup, ForensicConfig, OptLevel, Pipeline, SummaryMap, Technique,
+    Error, EscapeReason, ForensicConfig, OptLevel, Pipeline, SummaryMap, Technique,
 };
 use ferrum_arm::exec::{profile, run, ArmFault, ArmOutcome};
 use ferrum_arm::kernels::{scale_add, sum_gt};
@@ -396,15 +396,8 @@ pub fn coverage(_: &mut Ctx, o: &Opts) -> Result<String, Error> {
             for technique in Technique::PROTECTED {
                 let prog = pipeline.protect(module, technique)?;
                 let map = CoverageMap::analyze(&prog);
-                let summary = SummaryMap::build(&prog, &map);
+                let e = SummaryMap::build(&prog, &map).escape_rollup(&map);
                 let v = map.rollup();
-                let mut e = EscapeRollup::default();
-                for r in summary.functions.iter().map(|f| f.escape_rollup()) {
-                    e.clean += r.clean;
-                    e.register += r.register;
-                    e.wide += r.wide;
-                    e.may_detect += r.may_detect;
-                }
                 let cells = [v.masked, v.detected, v.vulnerable, v.unknown]
                     .into_iter()
                     .chain([e.clean, e.register, e.wide, e.may_detect]);

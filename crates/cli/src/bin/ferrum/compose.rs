@@ -18,15 +18,15 @@ use std::process::ExitCode;
 use ferrum::json::{Json, ToJson};
 use ferrum::report::{composition_to_json, render_composition};
 use ferrum::{
-    compose, Build, Campaign, CampaignCache, CampaignConfig, ComposedMap, CoverageMap, EngineKind,
-    Reuse, StaticVerdict, SummaryMap, Technique,
+    compose, static_outcome, Build, Campaign, CampaignCache, CampaignConfig, CoverageMap,
+    EngineKind, Reuse, SummaryMap, Technique,
 };
 use ferrum_cli::args::{
     parse_args, technique_label, ArgError, ArgHelp, ArgSpec, UsageSpec, OPT_ARG, SCALE_ARG,
     TECHNIQUE_ARG,
 };
 use ferrum_cpu::run::Profile;
-use ferrum_faultsim::campaign::{CampaignResult, Outcome};
+use ferrum_faultsim::campaign::CampaignResult;
 
 use crate::selfcheck::{Record, Setup};
 use crate::Case;
@@ -53,34 +53,25 @@ pub const USAGE: UsageSpec = UsageSpec {
     },
 };
 
-/// Checks every monolithic campaign outcome against the composed map:
-/// a composed `Masked` must be `Benign`, a composed `Detected` must be
-/// `Detected`.  Returns the number of contradicted records.
-fn contradictions(composed: &ComposedMap, profile: &Profile, serial: &CampaignResult) -> usize {
+/// Checks every monolithic campaign outcome against the composed map
+/// ([`static_outcome`]).  Returns the number of contradicted records.
+fn contradictions(composed: &CoverageMap, profile: &Profile, serial: &CampaignResult) -> usize {
     serial
         .records
         .iter()
         .filter(|&&(fault, outcome)| {
-            let verdict = profile
-                .site_at(fault.dyn_index)
-                .and_then(|s| composed.verdict_at(s.pc, fault.raw_bit));
-            match verdict {
-                Some(StaticVerdict::Masked) => outcome != Outcome::Benign,
-                Some(StaticVerdict::Detected) => outcome != Outcome::Detected,
-                _ => false,
-            }
+            static_outcome(composed, profile, fault).is_some_and(|o| o != outcome)
         })
         .count()
 }
 
-/// The composed verdicts of a protected program, with the coverage map
-/// they refine.
-fn composition(build: &Build) -> (CoverageMap, ComposedMap) {
+/// The coverage map of a protected program, its composition and the
+/// call-site count of each function.
+fn composition(build: &Build) -> (CoverageMap, CoverageMap, Vec<usize>) {
     let prog = build.program();
     let coverage = CoverageMap::analyze(prog);
-    let summary = SummaryMap::build(prog, &coverage);
-    let composed = compose(prog, &coverage, &summary);
-    (coverage, composed)
+    let (composed, call_sites) = compose(prog, &coverage, &SummaryMap::build(prog, &coverage));
+    (coverage, composed, call_sites)
 }
 
 /// The stratified campaign on the default engine, then an incremental
@@ -113,14 +104,17 @@ pub fn run(args: &[String]) -> Result<ExitCode, ArgError> {
     let context = format!("compose: {name}");
     Ok(crate::exit_on_error::<ferrum::Error>(&context, || {
         let build = Case::open(name, scale, opt)?.build(technique)?;
-        let (_, composed) = composition(&build);
+        let (local, composed, call_sites) = composition(&build);
         let (stratified, incremental) = stratified_then_incremental(&build, cfg)?;
 
         if json {
             let doc = Json::obj(vec![
                 ("workload", name.to_json()),
                 ("technique", technique_label(technique).to_json()),
-                ("composition", composition_to_json(&composed)),
+                (
+                    "composition",
+                    composition_to_json(&local, &composed, &call_sites),
+                ),
                 ("campaign_stats", stratified.stats.to_json()),
                 ("detected", stratified.detected.to_json()),
                 ("benign", stratified.benign.to_json()),
@@ -134,7 +128,10 @@ pub fn run(args: &[String]) -> Result<ExitCode, ArgError> {
             println!("{}", doc.to_string_pretty());
         } else {
             let label = format!("{name} ({})", technique_label(technique));
-            print!("{}", render_composition(&label, &composed));
+            print!(
+                "{}",
+                render_composition(&label, &local, &composed, &call_sites)
+            );
             println!();
             println!(
                 "stratified campaign: {} injections, SDC {}  detected {}  benign {}",
@@ -166,8 +163,9 @@ pub fn run(args: &[String]) -> Result<ExitCode, ArgError> {
 pub fn check(s: &Setup) -> Vec<Record> {
     vec![s.item(&[], || {
         let b = s.build(Technique::Ferrum)?;
-        let (coverage, composed) = composition(b);
+        let (coverage, composed, _) = composition(b);
         let contradicted = contradictions(&composed, b.profile(), s.serial(Technique::Ferrum)?);
+        let lifted = composed.rollup().masked - coverage.rollup().masked;
 
         let (stratified, incremental) = stratified_then_incremental(b, s.cfg)?;
         let identical = incremental == stratified;
@@ -177,7 +175,7 @@ pub fn check(s: &Setup) -> Vec<Record> {
             ok: contradicted == 0 && identical && full_reuse,
             json: Json::obj(vec![
                 ("total_sites", coverage.total_sites().to_json()),
-                ("lifted", composed.lifted().to_json()),
+                ("lifted", lifted.to_json()),
                 ("contradicted", contradicted.to_json()),
                 ("incremental_identical", Json::Bool(identical)),
                 ("reuse_rate", incremental.stats.reuse_rate().to_json()),
@@ -185,7 +183,7 @@ pub fn check(s: &Setup) -> Vec<Record> {
             text: format!(
                 "{} sites, {} lifted; composed verdicts {}; incremental {} (reuse {:.1}%)",
                 coverage.total_sites(),
-                composed.lifted(),
+                lifted,
                 if contradicted == 0 {
                     "sound".to_owned()
                 } else {

@@ -17,12 +17,11 @@ use ferrum::report::{
     coverage_to_json, predicted_vs_measured_to_json, render_predicted_vs_measured,
     render_static_coverage,
 };
-use ferrum::{Campaign, CampaignConfig, CoverageMap, EngineKind, StaticVerdict, Technique};
+use ferrum::{static_outcome, Campaign, CampaignConfig, CoverageMap, EngineKind, Technique};
 use ferrum_cli::args::{
     parse_args, technique_label, ArgError, ArgHelp, ArgSpec, UsageSpec, OPT_ARG, SCALE_ARG,
     TECHNIQUE_ARG,
 };
-use ferrum_faultsim::campaign::Outcome;
 
 use crate::selfcheck::{Record, Setup};
 use crate::Case;
@@ -132,14 +131,7 @@ pub fn check(s: &Setup) -> Vec<Record> {
         // Soundness: the serial (all-injected) outcomes must agree with
         // every decided verdict the map claims for the sampled faults.
         let sound = serial.records.iter().all(|&(fault, outcome)| {
-            let verdict = profile
-                .site_at(fault.dyn_index)
-                .and_then(|s| map.verdict_at(s.pc, fault.raw_bit));
-            match verdict {
-                Some(StaticVerdict::Masked) => outcome == Outcome::Benign,
-                Some(StaticVerdict::Detected) => outcome == Outcome::Detected,
-                _ => true,
-            }
+            static_outcome(&map, profile, fault).is_none_or(|o| o == outcome)
         });
 
         let rollup = map.rollup();

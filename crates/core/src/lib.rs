@@ -56,8 +56,7 @@ pub use ferrum_asm::analysis::coverage::{
     CoverageMap, FunctionCoverage, SiteCoverage, StaticVerdict, VerdictCounts,
 };
 pub use ferrum_asm::analysis::summary::{
-    function_hash, EscapeFootprint, EscapeRollup, FunctionSummary, SiteSummary, SummaryMap,
-    UnitSummary,
+    function_hash, EscapeFootprint, EscapeRollup, SummaryMap, UnitSummary,
 };
 pub use ferrum_asm::provenance::Mechanism;
 pub use ferrum_backend::{OptLevel, PassStats};
@@ -70,9 +69,7 @@ pub use ferrum_eddi::Technique;
 pub use ferrum_faultsim::campaign::{
     CampaignConfig, CampaignResult, CampaignStats, DetectionLatency, Outcome, WorkerStats,
 };
-pub use ferrum_faultsim::compose::{
-    compose, CampaignCache, ComposedFunction, ComposedMap, ComposedSite, FunctionShard, ShardDraw,
-};
+pub use ferrum_faultsim::compose::{compose, CampaignCache, FunctionShard, ShardDraw};
 pub use ferrum_faultsim::engine::{Engine, EngineKind, EngineMachine};
 pub use ferrum_faultsim::flight::{
     program_signature, CampaignEvent, CampaignFingerprint, FlightEvent, FlightRecorder,
@@ -84,5 +81,5 @@ pub use ferrum_faultsim::forensics::{
     EscapeReason, FaultPastRun, ForensicConfig, ForensicRecord, ForensicsReport, KillWindow,
     TaintTimeline, UnknownSiteExplanation,
 };
-pub use ferrum_faultsim::plan::{Campaign, CampaignError, FaultList, Reuse};
+pub use ferrum_faultsim::plan::{static_outcome, Campaign, CampaignError, FaultList, Reuse};
 pub use ferrum_workloads::{all_workloads, workload, Scale, Workload};

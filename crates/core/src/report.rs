@@ -12,7 +12,6 @@ use ferrum_eddi::Technique;
 use ferrum_faultsim::campaign::{
     CampaignResult, CampaignStats, DetectionLatency, Outcome, WorkerStats,
 };
-use ferrum_faultsim::compose::ComposedMap;
 use ferrum_faultsim::flight::{CampaignFingerprint, ProgressSnapshot};
 use ferrum_faultsim::forensics::{
     CheckerEscape, Divergence, EscapeReason, ForensicRecord, ForensicsReport, KillWindow,
@@ -214,31 +213,6 @@ pub fn render_latency_histogram(lat: &DetectionLatency) -> String {
             "█".repeat(filled),
             " ".repeat(WIDTH - filled)
         ));
-    }
-    out
-}
-
-/// Renders per-benchmark detection-latency percentiles and worker
-/// balance from the campaign telemetry.
-pub fn render_telemetry_table(reports: &[WorkloadReport]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:<44}{:>10}{:>8}{:>8}{:>8}{:>9}\n",
-        "benchmark", "detected", "p50", "p95", "max", "balance"
-    ));
-    for r in reports {
-        for t in &r.techniques {
-            let s = &t.campaign.stats;
-            out.push_str(&format!(
-                "{:<44}{:>10}{:>8}{:>8}{:>8}{:>8.2}\n",
-                format!("{}/{}", r.name, t.technique),
-                s.latency.count(),
-                s.latency.p50().map_or_else(|| "-".into(), |v| v.to_string()),
-                s.latency.p95().map_or_else(|| "-".into(), |v| v.to_string()),
-                s.latency.max().map_or_else(|| "-".into(), |v| v.to_string()),
-                s.worker_balance(),
-            ));
-        }
     }
     out
 }
@@ -677,56 +651,75 @@ pub fn predicted_vs_measured_to_json(map: &CoverageMap, campaign: &CampaignResul
     ])
 }
 
-/// Serialises a [`ComposedMap`] (see docs/compose-schema.md): the
+/// Serialises a composition (see docs/compose-schema.md): the
 /// whole-program composed verdicts next to the local rollups, with the
-/// per-function lift counts.
-pub fn composition_to_json(map: &ComposedMap) -> Json {
-    let functions = map
+/// per-function lift counts.  `local` is the coverage map `composed`
+/// was composed from, `call_sites` the per-function counts `compose`
+/// returned with it.
+pub fn composition_to_json(
+    local: &CoverageMap,
+    composed: &CoverageMap,
+    call_sites: &[usize],
+) -> Json {
+    let functions = local
         .functions
         .iter()
-        .map(|f| {
+        .zip(&composed.functions)
+        .zip(call_sites)
+        .map(|((l, c), &calls)| {
             Json::obj(vec![
-                ("name", f.name.to_json()),
-                ("sites", f.sites.len().to_json()),
-                ("call_sites", f.call_sites.to_json()),
-                ("local", f.local.to_json()),
-                ("composed", f.composed.to_json()),
-                ("lifted", f.lifted.to_json()),
+                ("name", c.name.to_json()),
+                ("sites", c.sites.len().to_json()),
+                ("call_sites", calls.to_json()),
+                ("local", l.rollup.to_json()),
+                ("composed", c.rollup.to_json()),
+                ("lifted", (c.rollup.masked - l.rollup.masked).to_json()),
             ])
         })
         .collect();
+    let (l, c) = (local.rollup(), composed.rollup());
     Json::obj(vec![
-        ("local", map.local_rollup().to_json()),
-        ("composed", map.composed_rollup().to_json()),
-        ("lifted", map.lifted().to_json()),
+        ("local", l.to_json()),
+        ("composed", c.to_json()),
+        ("lifted", (c.masked - l.masked).to_json()),
         ("functions", Json::Arr(functions)),
     ])
 }
 
-/// Renders the composed verdict map: per-function local vs composed
-/// unknown counts and the units the caller-side lift decided.
-pub fn render_composition(name: &str, map: &ComposedMap) -> String {
+/// Renders a composition: per-function local vs composed unknown
+/// counts and the units the caller-side lift decided.
+pub fn render_composition(
+    name: &str,
+    local: &CoverageMap,
+    composed: &CoverageMap,
+    call_sites: &[usize],
+) -> String {
     let mut out = String::new();
     out.push_str(&format!("composed coverage: {name}\n"));
     out.push_str(&format!(
         "{:<24}{:>7}{:>10}{:>15}{:>18}{:>8}\n",
         "function", "sites", "callers", "local unknown", "composed unknown", "lifted"
     ));
-    for f in &map.functions {
+    let functions = local
+        .functions
+        .iter()
+        .zip(&composed.functions)
+        .zip(call_sites);
+    for ((l, c), calls) in functions {
         out.push_str(&format!(
             "{:<24}{:>7}{:>10}{:>15}{:>18}{:>8}\n",
-            f.name,
-            f.sites.len(),
-            f.call_sites,
-            f.local.unknown,
-            f.composed.unknown,
-            f.lifted,
+            c.name,
+            c.sites.len(),
+            calls,
+            l.rollup.unknown,
+            c.rollup.unknown,
+            c.rollup.masked - l.rollup.masked,
         ));
     }
-    let (l, c) = (map.local_rollup(), map.composed_rollup());
+    let (l, c) = (local.rollup(), composed.rollup());
     out.push_str(&format!(
         "composition lifted {} of {} locally-unknown units ({:.1}% -> {:.1}% decided)\n",
-        map.lifted(),
+        c.masked - l.masked,
         l.unknown,
         l.decided_fraction() * 100.0,
         c.decided_fraction() * 100.0,
@@ -1538,10 +1531,6 @@ mod tests {
         assert!(
             render_latency_histogram(&DetectionLatency::default()).contains("no detections")
         );
-        let table = render_telemetry_table(std::slice::from_ref(&report));
-        assert!(table.contains("p50"), "{table}");
-        assert!(table.contains("knn/FERRUM"), "{table}");
-        assert_eq!(table.lines().count(), 4, "{table}");
         // And the machine-readable artifact carries the same telemetry.
         let v = crate::json::parse(&ferrum.campaign.stats.to_json().to_string_pretty())
             .expect("valid json");

@@ -924,7 +924,11 @@ fn exec_dop(op: &DOp, st: &mut State) -> StepEvent {
                 ShiftAmount::Cl => (st.regs.read(Reg::b(Gpr::Rcx)) as u32) & amt_mask,
             };
             let v = crash!(read_dst(st, dst, *w));
-            if amt != 0 {
+            // A zero count leaves the flags untouched but still writes
+            // the destination, so a 32-bit shift clears bits 32-63.
+            let r = if amt == 0 {
+                v
+            } else {
                 let bits = w.bits();
                 let (r, cf) = match op {
                     ShiftOp::Shl => {
@@ -947,8 +951,9 @@ fn exec_dop(op: &DOp, st: &mut State) -> StepEvent {
                 let mut flags = Flags::from_logic(r, *w);
                 flags.cf = cf;
                 st.regs.flags = flags;
-                crash!(write_dst(st, dst, *w, r));
-            }
+                r
+            };
+            crash!(write_dst(st, dst, *w, r));
         }
         DOp::Cqo { w } => match w {
             Width::W64 => {
@@ -2050,6 +2055,45 @@ mod tests {
                     assert_ne!(ts & 1 << r, 0, "{:?}", li.inst);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn zero_count_32_bit_shift_still_clears_the_upper_half() {
+        // `movq %rax, %r10; shrl %cl, %r10d` with %cl = 0: the write
+        // zero-extends, as on the machine, on both engines.
+        let q = |g| Operand::Reg(Reg::q(g));
+        for op in [ShiftOp::Shl, ShiftOp::Shr, ShiftOp::Sar] {
+            let p = single_block_main(vec![
+                Inst::Mov {
+                    w: Width::W64,
+                    src: Operand::Imm(0xdead_beef_0000_0011_u64 as i64),
+                    dst: q(Gpr::R10),
+                },
+                Inst::Mov {
+                    w: Width::W64,
+                    src: Operand::Imm(0),
+                    dst: q(Gpr::Rcx),
+                },
+                Inst::Shift {
+                    op,
+                    w: Width::W32,
+                    amount: ShiftAmount::Cl,
+                    dst: Operand::Reg(Reg::l(Gpr::R10)),
+                },
+                Inst::Mov {
+                    w: Width::W64,
+                    src: q(Gpr::R10),
+                    dst: q(Gpr::Rdi),
+                },
+                Inst::Call {
+                    target: "print_i64".into(),
+                },
+            ]);
+            let cpu = Cpu::load(&p).unwrap();
+            let run = DecodedCpu::new(&cpu).run(None);
+            assert_eq!(run.output, vec![0x11], "{op:?}");
+            assert_eq!(run, cpu.run(None), "{op:?}");
         }
     }
 

@@ -196,7 +196,11 @@ pub fn step(image: &Image, st: &mut State) -> StepEvent {
                 ShiftAmount::Cl => (st.regs.read(Reg::b(Gpr::Rcx)) as u32) & amt_mask,
             };
             let v = crash!(st.read_op(dst, *w));
-            if amt != 0 {
+            // A zero count leaves the flags untouched but still writes
+            // the destination, so a 32-bit shift clears bits 32-63.
+            let r = if amt == 0 {
+                v
+            } else {
                 let bits = w.bits();
                 let (r, cf) = match op {
                     ShiftOp::Shl => {
@@ -219,8 +223,9 @@ pub fn step(image: &Image, st: &mut State) -> StepEvent {
                 let mut flags = Flags::from_logic(r, *w);
                 flags.cf = cf;
                 st.regs.flags = flags;
-                crash!(st.write_op(dst, *w, r));
-            }
+                r
+            };
+            crash!(st.write_op(dst, *w, r));
         }
         Inst::Cqo { w } => match w {
             Width::W64 => {
@@ -1007,5 +1012,26 @@ mod tests {
             },
         ]);
         assert!(st.regs.flags.zf, "zero-count shift must not clobber flags");
+    }
+
+    #[test]
+    fn zero_count_32_bit_shift_still_clears_the_upper_half() {
+        // The count is masked to 5 bits, so %cl = 32 is a zero count,
+        // yet the 32-bit destination is written and zero-extended.
+        for op in [ShiftOp::Shl, ShiftOp::Shr, ShiftOp::Sar] {
+            for amount in [ShiftAmount::Imm(0), ShiftAmount::Cl] {
+                let (st, _) = run_insts(vec![
+                    mov_imm(Gpr::Rax, 0xdead_beef_0000_0011_u64 as i64),
+                    mov_imm(Gpr::Rcx, 32),
+                    Inst::Shift {
+                        op,
+                        w: Width::W32,
+                        amount,
+                        dst: Operand::Reg(Reg::l(Gpr::Rax)),
+                    },
+                ]);
+                assert_eq!(st.regs.read64(Gpr::Rax), 0x11, "{op:?} {amount:?}");
+            }
+        }
     }
 }

@@ -102,10 +102,9 @@ fn check_shift_case(v: u64, amt: u8, w: Width) {
     let got = Cpu::load(&p).unwrap().run(None).output[0] as u64;
     let masked_v = v & w.mask();
     let expect = if masked == 0 {
-        // zero-count shift leaves the register untouched (still the
-        // full 64-bit value for W64, zero-extended original for W32
-        // ... the register keeps its full value since no write).
-        v
+        // A zero-count shift still writes its destination: the value
+        // is unchanged, but a 32-bit write zero-extends.
+        masked_v
     } else {
         masked_v.wrapping_shl(masked) & w.mask()
     };

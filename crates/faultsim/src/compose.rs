@@ -45,7 +45,7 @@
 use std::collections::BTreeMap;
 
 use ferrum_asm::analysis::cfg::Cfg;
-use ferrum_asm::analysis::coverage::{CoverageMap, StaticVerdict, VerdictCounts};
+use ferrum_asm::analysis::coverage::{CoverageMap, StaticVerdict};
 use ferrum_asm::analysis::liveness::{ByteSet, Liveness};
 use ferrum_asm::analysis::summary::{function_hash, SummaryMap};
 use ferrum_asm::{AsmProgram, Inst, EXIT_FUNCTION, PRINT_I64};
@@ -59,92 +59,6 @@ use crate::campaign::{CampaignConfig, CampaignResult, Outcome};
 /// architecturally unobservable (the harness compares only the output
 /// stream), so register-only escapes out of it are always dead.
 const ENTRY: &str = "main";
-
-/// Composed (whole-program) verdicts for one site.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ComposedSite {
-    /// Flat program counter of the instruction.
-    pub pc: usize,
-    /// Injectable destination width in bits.
-    pub bits: u32,
-    /// One composed verdict per destination byte, indexed like
-    /// `SiteCoverage::verdicts`.
-    pub verdicts: Vec<StaticVerdict>,
-}
-
-impl ComposedSite {
-    /// The composed verdict governing a fault at `raw_bit`, mirroring
-    /// `SiteCoverage::verdict_for`.
-    pub fn verdict_for(&self, raw_bit: u16) -> StaticVerdict {
-        if self.verdicts.len() == 1 {
-            return self.verdicts[0];
-        }
-        let bit = u32::from(raw_bit) % self.bits;
-        self.verdicts[(bit / 8) as usize]
-    }
-}
-
-/// Composition result for one function.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ComposedFunction {
-    /// Function name.
-    pub name: String,
-    /// Local (intra-function) verdict rollup, from the coverage map.
-    pub local: VerdictCounts,
-    /// Composed verdict rollup after the caller-side lift.
-    pub composed: VerdictCounts,
-    /// Units lifted `Unknown` → `Masked` by composition.
-    pub lifted: usize,
-    /// Call sites of this function found across the program.
-    pub call_sites: usize,
-    /// Per-site composed verdicts, in program order.
-    pub sites: Vec<ComposedSite>,
-}
-
-/// The whole-program composed verdict map.
-#[derive(Debug, Clone, Default)]
-pub struct ComposedMap {
-    /// Per-function composition results, in program order.
-    pub functions: Vec<ComposedFunction>,
-    /// Flat pc → (function index, site index).
-    index: BTreeMap<usize, (u32, u32)>,
-}
-
-impl ComposedMap {
-    /// The composed site at flat pc `pc`, if injectable.
-    pub fn site(&self, pc: usize) -> Option<&ComposedSite> {
-        let &(fi, si) = self.index.get(&pc)?;
-        Some(&self.functions[fi as usize].sites[si as usize])
-    }
-
-    /// The composed verdict governing a fault at `(pc, raw_bit)`.
-    pub fn verdict_at(&self, pc: usize, raw_bit: u16) -> Option<StaticVerdict> {
-        self.site(pc).map(|s| s.verdict_for(raw_bit))
-    }
-
-    /// Local verdict rollup over the whole program.
-    pub fn local_rollup(&self) -> VerdictCounts {
-        let mut c = VerdictCounts::default();
-        for f in &self.functions {
-            c.merge(&f.local);
-        }
-        c
-    }
-
-    /// Composed verdict rollup over the whole program.
-    pub fn composed_rollup(&self) -> VerdictCounts {
-        let mut c = VerdictCounts::default();
-        for f in &self.functions {
-            c.merge(&f.composed);
-        }
-        c
-    }
-
-    /// Total units lifted by composition.
-    pub fn lifted(&self) -> usize {
-        self.functions.iter().map(|f| f.lifted).sum()
-    }
-}
 
 /// Byte liveness after each call site of every function, keyed by
 /// callee name.  The entry function gets no implicit context: its
@@ -185,66 +99,48 @@ fn call_site_contexts(p: &AsmProgram) -> BTreeMap<&str, Vec<ByteSet>> {
 ///   dead at *every* call site of the function (and implicitly at the
 ///   entry function's final return, which nothing observes);
 /// * everything else stays `Unknown`.
-pub fn compose(p: &AsmProgram, coverage: &CoverageMap, summary: &SummaryMap) -> ComposedMap {
+///
+/// Returns the composed map — `coverage` with every lifted unit set to
+/// `Masked` and the rollups recounted, so the lifted units number
+/// `composed.masked - local.masked` — and the number of call sites of
+/// each function, in program order.
+pub fn compose(
+    p: &AsmProgram,
+    coverage: &CoverageMap,
+    summary: &SummaryMap,
+) -> (CoverageMap, Vec<usize>) {
     let contexts = call_site_contexts(p);
-    let mut map = ComposedMap::default();
-    for (fc, fs) in coverage.functions.iter().zip(&summary.functions) {
-        debug_assert_eq!(fc.name, fs.name);
-        let empty = Vec::new();
-        let callers = contexts.get(fs.name.as_str()).unwrap_or(&empty);
+    let mut composed = coverage.clone();
+    let mut call_sites = Vec::with_capacity(composed.functions.len());
+    for f in &mut composed.functions {
+        let callers = contexts.get(f.name.as_str()).map_or(&[][..], Vec::as_slice);
         // A register escape out of the entry function is unobservable;
         // out of any other function it must be dead in every caller.
         // (An uncalled non-entry function never executes, so the lift
         // is vacuous there.)
+        let entry = f.name == ENTRY;
         let dead_everywhere = |gpr: ByteSet| {
-            (fs.name != ENTRY || callers.is_empty())
-                && callers.iter().all(|&la| la & gpr == 0)
+            (!entry || callers.is_empty()) && callers.iter().all(|&la| la & gpr == 0)
         };
-        let mut composed = VerdictCounts::default();
-        let mut lifted = 0usize;
-        let mut sites = Vec::with_capacity(fs.sites.len());
-        for (sc, ss) in fc.sites.iter().zip(&fs.sites) {
-            debug_assert_eq!(sc.pc, ss.pc);
-            let verdicts: Vec<StaticVerdict> = sc
-                .verdicts
-                .iter()
-                .zip(&ss.units)
-                .map(|(&v, u)| {
-                    let liftable = v == StaticVerdict::Unknown
-                        && !u.may_detect
-                        && (u.escape.is_empty()
-                            || (u.escape.register_only() && dead_everywhere(u.escape.gpr)));
-                    if liftable {
-                        lifted += 1;
-                        StaticVerdict::Masked
-                    } else {
-                        v
-                    }
-                })
-                .collect();
-            for &v in &verdicts {
-                composed.add(v);
+        for s in &mut f.sites {
+            for (k, v) in s.verdicts.iter_mut().enumerate() {
+                if *v != StaticVerdict::Unknown {
+                    continue;
+                }
+                let u = summary.unit(s.pc, k, *v);
+                if !u.may_detect
+                    && (u.escape.is_empty()
+                        || (u.escape.register_only() && dead_everywhere(u.escape.gpr)))
+                {
+                    *v = StaticVerdict::Masked;
+                    f.rollup.unknown -= 1;
+                    f.rollup.masked += 1;
+                }
             }
-            sites.push(ComposedSite {
-                pc: sc.pc,
-                bits: sc.bits,
-                verdicts,
-            });
         }
-        let fi = map.functions.len() as u32;
-        for (si, s) in sites.iter().enumerate() {
-            map.index.insert(s.pc, (fi, si as u32));
-        }
-        map.functions.push(ComposedFunction {
-            name: fs.name.clone(),
-            local: fc.rollup,
-            composed,
-            lifted,
-            call_sites: callers.len(),
-            sites,
-        });
+        call_sites.push(callers.len());
     }
-    map
+    (composed, call_sites)
 }
 
 // ---------------------------------------------------------------------------
@@ -473,7 +369,7 @@ impl CampaignCache {
 mod tests {
     use super::*;
     use crate::engine::Engine;
-    use crate::plan::{Campaign, Reuse};
+    use crate::plan::{static_outcome, Campaign, Reuse};
     use ferrum_cpu::run::Cpu;
     use ferrum_mir::builder::FunctionBuilder;
     use ferrum_mir::module::{Global, Module};
@@ -551,12 +447,18 @@ mod tests {
         (result, rebuilt)
     }
 
+    /// The local coverage map of `asm`, its composition and the
+    /// call-site counts.
+    fn composition(asm: &AsmProgram) -> (CoverageMap, CoverageMap, Vec<usize>) {
+        let coverage = CoverageMap::analyze(asm);
+        let (composed, call_sites) = compose(asm, &coverage, &SummaryMap::build(asm, &coverage));
+        (coverage, composed, call_sites)
+    }
+
     #[test]
     fn composed_map_never_weakens_local_verdicts() {
         let (asm, _) = protected();
-        let coverage = CoverageMap::analyze(&asm);
-        let summary = SummaryMap::build(&asm, &coverage);
-        let composed = compose(&asm, &coverage, &summary);
+        let (coverage, composed, _) = composition(&asm);
         for (cf, lf) in composed.functions.iter().zip(&coverage.functions) {
             for (cs, ls) in cf.sites.iter().zip(&lf.sites) {
                 for (&cv, &lv) in cs.verdicts.iter().zip(&ls.verdicts) {
@@ -570,11 +472,15 @@ mod tests {
                     }
                 }
             }
+            // The recounted rollup is the count of the composed verdicts.
+            let mut counted = ferrum_asm::analysis::VerdictCounts::default();
+            cf.sites
+                .iter()
+                .flat_map(|s| &s.verdicts)
+                .for_each(|&v| counted.add(v));
+            assert_eq!(cf.rollup, counted);
         }
-        assert_eq!(
-            composed.local_rollup().total(),
-            composed.composed_rollup().total()
-        );
+        assert_eq!(coverage.rollup().total(), composed.rollup().total());
     }
 
     #[test]
@@ -613,25 +519,28 @@ main_end:
     ret
 ";
         let asm = ferrum_asm::parser::parse_program(text).unwrap();
-        let composed = compose(&asm, &CoverageMap::analyze(&asm), &SummaryMap::analyze(&asm));
-        let by_name = |n: &str| composed.functions.iter().find(|f| f.name == n).unwrap();
+        let (local, composed, call_sites) = composition(&asm);
+        let by_name = |n: &str| {
+            let fi = asm.functions.iter().position(|f| f.name == n).unwrap();
+            let (l, c) = (local.functions[fi].rollup, composed.functions[fi].rollup);
+            (l, c, c.masked - l.masked, call_sites[fi])
+        };
 
-        let discarded = by_name("discarded");
-        assert_eq!(discarded.local.unknown, 8, "locally undecidable");
-        assert_eq!(discarded.lifted, 8, "dead-at-caller escape lifts");
-        assert_eq!(discarded.composed.unknown, 0);
+        let (l, c, lifted, callers) = by_name("discarded");
+        assert_eq!(l.unknown, 8, "locally undecidable");
+        assert_eq!(lifted, 8, "dead-at-caller escape lifts");
+        assert_eq!(c.unknown, 0);
+        assert_eq!(callers, 1);
 
-        let used = by_name("used");
-        assert_eq!(used.local.unknown, 8);
-        assert_eq!(used.lifted, 0, "escape read by the caller must not lift");
-        assert_eq!(used.composed.unknown, 8);
+        let (l, c, lifted, _) = by_name("used");
+        assert_eq!(l.unknown, 8);
+        assert_eq!(lifted, 0, "escape read by the caller must not lift");
+        assert_eq!(c.unknown, 8);
 
-        let main = by_name("main");
-        assert_eq!(main.lifted, 8, "entry-function register escape lifts");
-        assert_eq!(composed.lifted(), 16);
-        let whole = composed.composed_rollup();
-        let local = composed.local_rollup();
-        assert_eq!(whole.masked, local.masked + 16);
+        let (_, _, lifted, callers) = by_name("main");
+        assert_eq!(lifted, 8, "entry-function register escape lifts");
+        assert_eq!(callers, 0);
+        assert_eq!(composed.rollup().masked, local.rollup().masked + 16);
     }
 
     #[test]
@@ -659,9 +568,12 @@ main_end:
         f.blocks.push(b1);
         let mut p = AsmProgram::new();
         p.functions.push(f);
-        let composed = compose(&p, &CoverageMap::analyze(&p), &SummaryMap::analyze(&p));
+        let (local, composed, _) = composition(&p);
         let site = composed.site(0).expect("xmm site");
-        assert!(composed.lifted() >= 16, "all 16 lane bytes lift");
+        assert!(
+            composed.rollup().masked >= local.rollup().masked + 16,
+            "all 16 lane bytes lift"
+        );
         assert!(site.verdicts.iter().all(|&v| v == StaticVerdict::Masked));
     }
 
@@ -781,33 +693,16 @@ main_end:
         // verdict (Masked → Benign, Detected → Detected).
         let (asm, cpu) = protected();
         let profile = cpu.profile();
-        let composed = compose(
-            &asm,
-            &CoverageMap::analyze(&asm),
-            &SummaryMap::analyze(&asm),
-        );
+        let (_, composed, _) = composition(&asm);
         let res = Campaign::sampled(cfg(400, 77))
             .run(Engine::Interpreter(&cpu), &profile)
             .unwrap();
         for &(fault, outcome) in &res.records {
-            let pc = profile.site_at(fault.dyn_index).unwrap().pc;
-            let Some(v) = composed.verdict_at(pc, fault.raw_bit) else {
-                continue;
-            };
-            match v {
-                StaticVerdict::Masked => assert_eq!(
-                    outcome,
-                    Outcome::Benign,
-                    "composed Masked contradicted at pc {pc} bit {}",
-                    fault.raw_bit
-                ),
-                StaticVerdict::Detected => assert_eq!(
-                    outcome,
-                    Outcome::Detected,
-                    "composed Detected contradicted at pc {pc} bit {}",
-                    fault.raw_bit
-                ),
-                _ => {}
+            if let Some(expected) = static_outcome(&composed, &profile, fault) {
+                assert_eq!(
+                    outcome, expected,
+                    "composed verdict contradicted at {fault:?}"
+                );
             }
         }
     }

@@ -38,9 +38,7 @@ pub mod rootcause;
 pub mod stats;
 
 pub use campaign::{CampaignConfig, CampaignResult, CampaignStats, Outcome};
-pub use compose::{
-    compose, CampaignCache, ComposedFunction, ComposedMap, ComposedSite, FunctionShard, ShardDraw,
-};
+pub use compose::{compose, CampaignCache, FunctionShard, ShardDraw};
 pub use engine::{Engine, EngineKind, EngineMachine};
 pub use flight::{
     program_signature, CampaignEvent, CampaignFingerprint, FlightEvent, FlightRecorder,
@@ -52,6 +50,6 @@ pub use forensics::{
     EscapeReason, FaultPastRun, ForensicConfig, ForensicRecord, ForensicsReport, KillWindow,
     TaintSample, TaintTimeline, UnknownSiteExplanation,
 };
-pub use plan::{Campaign, CampaignError, FaultList, Reuse};
+pub use plan::{static_outcome, Campaign, CampaignError, FaultList, Reuse};
 pub use rootcause::{attribute_sdcs, breakdown_by_kind, KindBreakdown, RootCauseReport};
 pub use stats::{min_median_max, percentile_nearest_rank, sdc_coverage, wilson_interval};

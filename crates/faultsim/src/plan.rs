@@ -499,8 +499,12 @@ impl<'a> Campaign<'a> {
     }
 }
 
-/// The outcome a static verdict proves for `fault`, if any.
-fn static_outcome(map: &CoverageMap, profile: &Profile, fault: FaultSpec) -> Option<Outcome> {
+/// The outcome `map`'s verdict proves for `fault`, if any: a `Masked`
+/// unit is `Benign` and a `Detected` one `Detected`.  This is the one
+/// soundness oracle: a pruned plan books the outcome without
+/// executing, and every check of a static map against injection
+/// compares an injected outcome with it.
+pub fn static_outcome(map: &CoverageMap, profile: &Profile, fault: FaultSpec) -> Option<Outcome> {
     let site = profile.site_at(fault.dyn_index)?;
     match map.verdict_at(site.pc, fault.raw_bit)? {
         StaticVerdict::Masked => Some(Outcome::Benign),

@@ -16,6 +16,7 @@
 //!       lint(ferrum|hybrid) clean      (protection contracts)
 //!       parse(print(ferrum|hybrid)) == itself  (listing round trip)
 //!       pruned campaign ≡ serial       (coverage soundness)
+//!       composed verdicts ⊆ serial outcomes  (composition soundness)
 //!       campaign(ferrum|hybrid) books no SDC  (the zero-SDC invariant)
 //! ```
 //!
@@ -24,8 +25,8 @@
 //! others in the same run.
 
 use ferrum::{
-    Build, CampaignConfig, CampaignResult, CoverageMap, EngineKind, Outcome, Pipeline,
-    StaticVerdict, StopReason, Technique,
+    compose, static_outcome, Build, CampaignConfig, CampaignResult, CoverageMap, EngineKind,
+    Pipeline, StopReason, SummaryMap, Technique,
 };
 use ferrum_asm::analysis::lint::{lint_program, lint_program_with};
 use ferrum_asm::parser::parse_program;
@@ -302,9 +303,10 @@ pub fn check_program(seed: u64, campaign_samples: usize) -> (u64, u64, Vec<Diver
 
 /// Coverage soundness on a FERRUM build: the pruned campaign on the
 /// default engine must be outcome-identical to the serial campaign on
-/// the reference interpreter, and no decided static verdict may be
-/// contradicted by injection.  Returns the serial campaign, or `None`
-/// when a campaign could not run.
+/// the reference interpreter, and no decided verdict of the coverage
+/// map or of its composition may be contradicted by injection.
+/// Returns the serial campaign, or `None` when a campaign could not
+/// run.
 fn coverage_soundness(
     c: &mut Checker,
     opt: OptLevel,
@@ -327,22 +329,30 @@ fn coverage_soundness(
     c.check("pruned-identity", serial == pruned, || {
         format!("[{}] pruned campaign diverged from the serial interpreter campaign", opt.label())
     });
-    let contradicted = serial
-        .records
-        .iter()
-        .filter(|&&(fault, outcome)| {
-            let verdict = profile
-                .site_at(fault.dyn_index)
-                .and_then(|s| map.verdict_at(s.pc, fault.raw_bit));
-            match verdict {
-                Some(StaticVerdict::Masked) => outcome != Outcome::Benign,
-                Some(StaticVerdict::Detected) => outcome != Outcome::Detected,
-                _ => false,
-            }
-        })
-        .count();
-    c.check("verdict-soundness", contradicted == 0, || {
-        format!("[{}] {contradicted} static verdicts contradicted by injection", opt.label())
+    let contradicted = |map: &CoverageMap| {
+        serial
+            .records
+            .iter()
+            .filter(|&&(fault, outcome)| {
+                static_outcome(map, profile, fault).is_some_and(|o| o != outcome)
+            })
+            .count()
+    };
+    let local = contradicted(&map);
+    c.check("verdict-soundness", local == 0, || {
+        format!(
+            "[{}] {local} static verdicts contradicted by injection",
+            opt.label()
+        )
+    });
+    let prog = build.program();
+    let (composed, _) = compose(prog, &map, &SummaryMap::build(prog, &map));
+    let whole = contradicted(&composed);
+    c.check("composed-soundness", whole == 0, || {
+        format!(
+            "[{}] {whole} composed verdicts contradicted by injection",
+            opt.label()
+        )
     });
     Some(serial)
 }

@@ -25,6 +25,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 echo "== tier1: ferrum selfcheck (every catalog self-check + the pinned 200-program fuzz window, one process)"
 cargo run --release --offline -q -p ferrum-cli --bin ferrum -- selfcheck
 
+echo "== tier1: ferrum fuzz deep-campaign window (100 programs from seed 5000, 400-fault campaigns)"
+cargo run --release --offline -q -p ferrum-cli --bin ferrum -- fuzz --programs 100 --seed 5000 --samples 400
+
 echo "== tier1: repro check (every deterministic artifact under results/ regenerates from the code)"
 cargo run --release --offline -q -p ferrum-bench --bin repro -- check
 

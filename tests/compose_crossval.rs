@@ -19,12 +19,11 @@
 //!    can only ever be `Benign`.
 
 use ferrum::{
-    compose, Campaign, CampaignCache, CampaignResult, ComposedMap, CoverageMap, Pipeline, Reuse,
-    StaticVerdict, SummaryMap, Technique,
+    compose, static_outcome, Campaign, CampaignCache, CampaignResult, CoverageMap, Pipeline, Reuse,
+    SummaryMap, Technique,
 };
 use ferrum_asm::inst::Inst;
 use ferrum_asm::program::{AsmInst, AsmProgram};
-use ferrum_cpu::fault::FaultSpec;
 use ferrum_cpu::outcome::StopReason;
 use ferrum_cpu::run::{Cpu, Profile};
 use ferrum_eddi::ferrum::{Ferrum, FerrumConfig};
@@ -88,21 +87,11 @@ fn protect_all(m: &Module) -> Vec<(&'static str, AsmProgram)> {
     ]
 }
 
-/// The composed verdict governing one sampled fault, via the profile's
-/// dyn-index → pc mapping.
-fn verdict_of(profile: &Profile, map: &ComposedMap, fault: FaultSpec) -> Option<StaticVerdict> {
-    let site = profile
-        .site_at(fault.dyn_index)
-        .expect("sampled fault must come from a profiled site");
-    map.verdict_at(site.pc, fault.raw_bit)
-}
-
 /// Injects `samples` faults into `asm` and asserts every record agrees
 /// with the composed map's decided verdicts.
 fn assert_composed_sound(what: &str, asm: &AsmProgram, samples: usize) {
     let coverage = CoverageMap::analyze(asm);
-    let summary = SummaryMap::build(asm, &coverage);
-    let composed = compose(asm, &coverage, &summary);
+    let (composed, _) = compose(asm, &coverage, &SummaryMap::build(asm, &coverage));
     let cpu = Cpu::load(asm).expect("loads");
     let profile = cpu.profile();
     assert_eq!(
@@ -119,23 +108,16 @@ fn assert_composed_sound(what: &str, asm: &AsmProgram, samples: usize) {
         .run(Engine::Interpreter(&cpu), &profile)
         .unwrap();
     for &(fault, outcome) in &res.records {
-        match verdict_of(&profile, &composed, fault) {
-            Some(StaticVerdict::Masked) => assert_eq!(
-                outcome,
-                Outcome::Benign,
-                "{what}: composed-Masked site {fault:?} produced {outcome:?}"
-            ),
-            Some(StaticVerdict::Detected) => assert_eq!(
-                outcome,
-                Outcome::Detected,
-                "{what}: composed-Detected site {fault:?} produced {outcome:?}"
-            ),
-            _ => {}
+        if let Some(expected) = static_outcome(&composed, &profile, fault) {
+            assert_eq!(
+                outcome, expected,
+                "{what}: composed-decided site {fault:?} produced {outcome:?}"
+            );
         }
     }
     // Composition is monotone: it may only decide more than the local
-    // map, never less.
-    let (local, whole) = (composed.local_rollup(), composed.composed_rollup());
+    // map, never less, and every lift lands in Masked.
+    let (local, whole) = (coverage.rollup(), composed.rollup());
     assert!(
         whole.unknown <= local.unknown,
         "{what}: composition increased unknowns ({} -> {})",
@@ -143,8 +125,8 @@ fn assert_composed_sound(what: &str, asm: &AsmProgram, samples: usize) {
         whole.unknown
     );
     assert_eq!(
-        whole.masked,
-        local.masked + composed.lifted(),
+        whole.masked - local.masked,
+        local.unknown - whole.unknown,
         "{what}: every lift must land in Masked"
     );
 }
@@ -312,7 +294,8 @@ fn empty_static_footprint_implies_benign() {
     let seeds: Vec<u64> = (0..16).map(|_| rng.next_u64()).collect();
     let mut checked = 0usize;
     for (name, asm) in protect_all(&module) {
-        let summary = SummaryMap::analyze(&asm);
+        let coverage = CoverageMap::analyze(&asm);
+        let summary = SummaryMap::build(&asm, &coverage);
         let cpu = Cpu::load(&asm).expect("loads");
         let profile = cpu.profile();
         for &seed in &seeds {
@@ -320,7 +303,7 @@ fn empty_static_footprint_implies_benign() {
             let res = Campaign::sampled(cfg).run(Engine::Interpreter(&cpu), &profile).unwrap();
             for &(fault, outcome) in &res.records {
                 let pc = profile.site_at(fault.dyn_index).expect("profiled site").pc;
-                let Some(unit) = summary.unit_at(pc, fault.raw_bit) else {
+                let Some(unit) = summary.unit_at(&coverage, pc, fault.raw_bit) else {
                     continue;
                 };
                 if unit.escape.is_empty() && !unit.may_detect {

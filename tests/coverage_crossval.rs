@@ -25,12 +25,12 @@ use ferrum_cpu::exec::StepEvent;
 use ferrum_cpu::fault::FaultSpec;
 use ferrum_cpu::machine::RegFile;
 use ferrum_cpu::outcome::StopReason;
-use ferrum_cpu::run::{Cpu, Profile};
+use ferrum_cpu::run::Cpu;
 use ferrum_cpu::Machine;
 use ferrum_eddi::ferrum::{Ferrum, FerrumConfig};
 use ferrum_eddi::hybrid::HybridAsmEddi;
 use ferrum_faultsim::campaign::{CampaignConfig, Outcome};
-use ferrum_faultsim::{Campaign, Engine};
+use ferrum_faultsim::{static_outcome, Campaign, Engine};
 use ferrum_mir::module::Module;
 use ferrum_workloads::catalog::{all_workloads, Scale};
 
@@ -76,15 +76,6 @@ fn protect_all(m: &Module) -> Vec<(&'static str, AsmProgram)> {
     ]
 }
 
-/// The static verdict governing one sampled fault, via the profile's
-/// dyn-index → pc mapping.
-fn verdict_of(profile: &Profile, map: &CoverageMap, fault: FaultSpec) -> Option<StaticVerdict> {
-    let site = profile
-        .site_at(fault.dyn_index)
-        .expect("sampled fault must come from a profiled site");
-    map.verdict_at(site.pc, fault.raw_bit)
-}
-
 /// Injects `samples` faults into `asm` and asserts every record agrees
 /// with the map's sound verdicts.  `expect_decided` additionally
 /// requires that some sampled fault actually hit a decided site (true
@@ -110,24 +101,12 @@ fn assert_sound(what: &str, asm: &AsmProgram, samples: usize, expect_decided: bo
         .unwrap();
     let mut decided = 0usize;
     for &(fault, outcome) in &res.records {
-        match verdict_of(&profile, &map, fault) {
-            Some(StaticVerdict::Masked) => {
-                decided += 1;
-                assert_eq!(
-                    outcome,
-                    Outcome::Benign,
-                    "{what}: Masked site {fault:?} produced {outcome:?}"
-                );
-            }
-            Some(StaticVerdict::Detected) => {
-                decided += 1;
-                assert_eq!(
-                    outcome,
-                    Outcome::Detected,
-                    "{what}: Detected site {fault:?} produced {outcome:?}"
-                );
-            }
-            _ => {}
+        if let Some(expected) = static_outcome(&map, &profile, fault) {
+            decided += 1;
+            assert_eq!(
+                outcome, expected,
+                "{what}: decided site {fault:?} produced {outcome:?}"
+            );
         }
     }
     // Sanity: the check must actually exercise sound verdicts on
@@ -262,16 +241,14 @@ impl Digest {
     /// Every site of `map` with its verdicts, and every unit of
     /// `summary` with each field of its escape footprint.
     fn units(&mut self, map: &CoverageMap, summary: Option<&SummaryMap>) {
-        for (fi, fc) in map.functions.iter().enumerate() {
-            let fs = summary.map(|s| &s.functions[fi]);
-            for (si, site) in fc.sites.iter().enumerate() {
+        for fc in &map.functions {
+            for site in &fc.sites {
                 self.word(site.pc as u64);
                 self.word(u64::from(site.bits));
                 for (k, &v) in site.verdicts.iter().enumerate() {
                     self.word(v as u64);
-                    let Some(fs) = fs else { continue };
-                    let u = &fs.sites[si].units[k];
-                    assert_eq!(u.verdict, v, "{} pc {} unit {k}", fc.name, site.pc);
+                    let Some(summary) = summary else { continue };
+                    let u = summary.unit(site.pc, k, v);
                     let e = u.escape;
                     self.word(e.gpr as u64);
                     self.word((e.gpr >> 64) as u64);
@@ -292,7 +269,7 @@ impl Digest {
 /// First seed and length of the pinned fuzz window.
 const WINDOW: (u64, u64) = (42, 8);
 
-/// Every verdict and every `UnitSummary` field on a pinned window of
+/// Every verdict and every unit's summary field on a pinned window of
 /// fuzz programs, compiled at `-O0` and `-O1` and protected three ways
 /// (FERRUM also with its manifests), digested and compared with the
 /// values the analyses produced when the pins were taken.  The fuzz

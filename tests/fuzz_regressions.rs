@@ -59,3 +59,21 @@ fn heaviest_cfg_seeds_run_clean() {
         assert!(divergences.is_empty(), "seed {seed}: {divergences:#?}");
     }
 }
+
+/// Regression: a shift by a zero count still writes its destination.
+/// Both engines skipped the write, so `shrl %cl, %r10d` with `%cl` = 0
+/// kept bits 32–63 of `%r10`, where the machine (and `Inst::effects`,
+/// and so the coverage map) clears them.  Seed 5088 at `-O0` copies a
+/// value into `%r10` with FERRUM's duplicate `movq %rax, %r10` and
+/// then shifts `%r10d` by `%cl` = 0: the map booked bytes 4–7 of the
+/// copy `Masked`, injection said `Detected`.  Both seeds failed
+/// `pruned-identity` and `verdict-soundness` at `-O0` in 400-fault
+/// campaigns, and both pass with the write restored.
+#[test]
+fn zero_count_shift_seeds_are_sound_under_deep_campaigns() {
+    for seed in [5088, 5234] {
+        let (_, checks, divergences) = check_program(seed, 400);
+        assert!(divergences.is_empty(), "seed {seed}: {divergences:#?}");
+        assert_eq!(checks, 40, "seed {seed}: every stage ran");
+    }
+}
