@@ -20,15 +20,24 @@ pub struct Cfg {
     pub preds: Vec<Vec<usize>>,
 }
 
+/// The index of each block label of `f`; a duplicate label resolves to
+/// its last block.
+pub(crate) fn block_labels(f: &AsmFunction) -> HashMap<&str, usize> {
+    f.blocks
+        .iter()
+        .enumerate()
+        .map(|(i, b)| (b.label.as_str(), i))
+        .collect()
+}
+
 impl Cfg {
     /// Builds the CFG of `f`.
     pub fn build(f: &AsmFunction) -> Cfg {
-        let label_to_idx: HashMap<&str, usize> = f
-            .blocks
-            .iter()
-            .enumerate()
-            .map(|(i, b)| (b.label.as_str(), i))
-            .collect();
+        Cfg::with_labels(f, &block_labels(f))
+    }
+
+    /// Builds the CFG of `f`, whose [`block_labels`] are `labels`.
+    pub(crate) fn with_labels(f: &AsmFunction, labels: &HashMap<&str, usize>) -> Cfg {
         let n = f.blocks.len();
         let mut succs = vec![Vec::new(); n];
         for (bi, b) in f.blocks.iter().enumerate() {
@@ -36,7 +45,7 @@ impl Cfg {
             for ai in &b.insts {
                 match &ai.inst {
                     crate::inst::Inst::Jmp { target } | crate::inst::Inst::Jcc { target, .. } => {
-                        if let Some(&t) = label_to_idx.get(target.as_str()) {
+                        if let Some(&t) = labels.get(target.as_str()) {
                             if !succs[bi].contains(&t) {
                                 succs[bi].push(t);
                             }
@@ -343,7 +352,10 @@ mod tests {
             vec![
                 Inst::Jmp { target: "c".into() },
                 // Dead tail: a conditional jump and plain instructions.
-                Inst::Jcc { cc: Cc::E, target: "b".into() },
+                Inst::Jcc {
+                    cc: Cc::E,
+                    target: "b".into(),
+                },
                 Inst::Nop,
             ],
         ));
@@ -367,7 +379,8 @@ mod tests {
     #[test]
     fn orphan_block_reported_by_unreachable_blocks() {
         let mut f = AsmFunction::new("main");
-        f.blocks.push(block("a", vec![Inst::Jmp { target: "c".into() }]));
+        f.blocks
+            .push(block("a", vec![Inst::Jmp { target: "c".into() }]));
         f.blocks.push(block("orphan", vec![Inst::Ret]));
         f.blocks.push(block("c", vec![Inst::Ret]));
         let cfg = Cfg::build(&f);
@@ -411,7 +424,13 @@ mod tests {
         f.blocks.push(block("b", vec![Inst::Nop]));
         f.blocks.push(block(
             "c",
-            vec![Inst::Jcc { cc: Cc::Ne, target: "b".into() }, Inst::Ret],
+            vec![
+                Inst::Jcc {
+                    cc: Cc::Ne,
+                    target: "b".into(),
+                },
+                Inst::Ret,
+            ],
         ));
         let cfg = Cfg::build(&f);
         let dom = cfg.dominators();

@@ -60,9 +60,11 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use crate::analysis::cfg::Cfg;
+use crate::analysis::cfg::{block_labels, Cfg};
 use crate::analysis::lint::ProtectionManifest;
-use crate::analysis::liveness::{inst_kills, inst_reads, read_bytes, reg_bytes, ByteSet, Liveness};
+use crate::analysis::liveness::{
+    abi_reads_kills, live_after, read_bytes, reg_bytes, use_def, ByteSet, Liveness,
+};
 use crate::flags::Cc;
 use crate::inst::{AluOp, DestClass, Inst, SimdBytes};
 use crate::operand::Operand;
@@ -216,14 +218,101 @@ pub struct SiteCoverage {
     /// Provenance of the instruction (mechanism rollups key off this).
     pub prov: Provenance,
     /// One verdict per destination byte, indexed `flipped_bit / 8`
-    /// (RFLAGS sites carry a single unit).
-    pub verdicts: Vec<StaticVerdict>,
+    /// (RFLAGS sites carry a single unit), two bits each: unit `k`'s
+    /// verdict is `StaticVerdict::ALL[b0 | b1 << 1]`, where `b0` is bit
+    /// `k` and `b1` bit `64 + k`.  A ZMM destination's 64 units are the
+    /// most a site has.
+    verdicts: u128,
+    /// The `Unknown` units whose escape footprint is full without an
+    /// escape scan, one bit per unit: an RFLAGS unit, which has no
+    /// taint seed, and every unit the lane scan closed at a bail of a
+    /// protection instruction that falls through.  Such a scan walks
+    /// the same straight-line prefix through the same
+    /// [`protection_step`] to the same bail, before any detection.
+    pub(crate) widened: u64,
 }
 
 impl SiteCoverage {
+    /// A site whose units are all `Unknown`.
+    fn unknown(pc: usize, bits: u32, prov: Provenance) -> SiteCoverage {
+        let mut site = SiteCoverage {
+            pc,
+            bits,
+            prov,
+            verdicts: 0,
+            widened: 0,
+        };
+        let all = u128::from(site.unit_mask());
+        site.verdicts = all << 64 | all;
+        site
+    }
+
+    /// The verdict of unit `k`.
+    ///
+    /// # Panics
+    ///
+    /// When the site has no unit `k`.
+    pub fn verdict(&self, k: usize) -> StaticVerdict {
+        assert!(k < self.units(), "unit {k} of a {}-unit site", self.units());
+        let b0 = self.verdicts >> k & 1;
+        let b1 = self.verdicts >> (64 + k) & 1;
+        StaticVerdict::ALL[(b0 | b1 << 1) as usize]
+    }
+
+    /// Every unit's verdict, in unit order.
+    pub fn verdicts(&self) -> impl ExactSizeIterator<Item = StaticVerdict> + '_ {
+        (0..self.units()).map(|k| self.verdict(k))
+    }
+
+    /// Sets the verdict of unit `k`.
+    ///
+    /// # Panics
+    ///
+    /// When the site has no unit `k`.
+    pub fn set_verdict(&mut self, k: usize, v: StaticVerdict) {
+        assert!(k < self.units(), "unit {k} of a {}-unit site", self.units());
+        let v = v as u128;
+        let (b0, b1) = (1u128 << k, 1u128 << (64 + k));
+        self.verdicts = self.verdicts & !(b0 | b1) | (v & 1) << k | (v >> 1) << (64 + k);
+    }
+
+    /// The units whose verdict is `v`, one bit per unit.
+    pub fn units_with(&self, v: StaticVerdict) -> u64 {
+        let plane = |bit: u8, shift: u32| {
+            let p = (self.verdicts >> shift) as u64;
+            if v as u8 & bit != 0 {
+                p
+            } else {
+                !p
+            }
+        };
+        plane(1, 0) & plane(2, 64) & self.unit_mask()
+    }
+
+    /// The unit count of each verdict at this site.
+    pub fn counts(&self) -> VerdictCounts {
+        let n = |v| self.units_with(v).count_ones() as usize;
+        VerdictCounts {
+            masked: n(StaticVerdict::Masked),
+            detected: n(StaticVerdict::Detected),
+            vulnerable: n(StaticVerdict::Vulnerable),
+            unknown: n(StaticVerdict::Unknown),
+        }
+    }
+
+    /// Gives unit `first + j` the verdict, and the widening, of lane `j`
+    /// of `scan`, for each lane `j` of `lanes`.
+    fn set_lanes(&mut self, first: usize, lanes: Lanes, scan: &LaneVerdicts) {
+        let plane = |bits: Lanes| u128::from(bits & lanes) << first;
+        let both = plane(ALL_LANES);
+        self.verdicts =
+            self.verdicts & !(both | both << 64) | plane(scan.b0) | plane(scan.b1) << 64;
+        self.widened |= u64::from(scan.widened & lanes) << first;
+    }
+
     /// The verdict governing an injector bit choice: its unit's.
     pub fn verdict_for(&self, raw_bit: u16) -> StaticVerdict {
-        self.verdicts[self.unit_for(raw_bit)]
+        self.verdict(self.unit_for(raw_bit))
     }
 
     /// The verdict unit an injector bit choice lands in, mirroring
@@ -232,15 +321,21 @@ impl SiteCoverage {
     /// selector runs across both halves, so `sel / 8` indexes the
     /// concatenated rax-then-rdx byte units directly.
     pub(crate) fn unit_for(&self, raw_bit: u16) -> usize {
-        if self.verdicts.len() == 1 {
+        if self.units() == 1 {
             return 0;
         }
         (u32::from(raw_bit) % self.bits / 8) as usize
     }
 
-    /// Number of verdict units at this site.
+    /// Number of verdict units at this site: one per destination byte,
+    /// one for RFLAGS' four bits.
     pub fn units(&self) -> usize {
-        self.verdicts.len()
+        self.bits.div_ceil(8) as usize
+    }
+
+    /// One bit per unit.
+    fn unit_mask(&self) -> u64 {
+        u64::MAX >> (64 - self.units())
     }
 }
 
@@ -325,9 +420,7 @@ impl CoverageMap {
         for f in &self.functions {
             for s in &f.sites {
                 let b = buckets.entry(s.prov.mechanism()).or_default();
-                for &v in &s.verdicts {
-                    b.add(v);
-                }
+                b.merge(&s.counts());
             }
         }
         buckets.into_iter().collect()
@@ -542,9 +635,10 @@ impl InstFacts {
             _ => Control::Plain,
         };
         let effects = ai.inst.effects();
+        let (reads, kills) = abi_reads_kills(&ai.inst, &effects);
         InstFacts {
-            reads: inst_reads(&ai.inst),
-            kills: inst_kills(&ai.inst),
+            reads,
+            kills,
             addr: effects.addr,
             simd_reads: effects.simd_read,
             simd_write: effects.simd_write,
@@ -572,7 +666,9 @@ impl InstFacts {
 }
 
 /// The [`InstFacts`] of every instruction of one function, block after
-/// block, with jump targets resolved to block indices.
+/// block, with jump targets resolved to block indices: each
+/// instruction's effects are decoded once, and the function's liveness
+/// is derived from this table.
 pub(crate) struct FunctionFacts {
     insts: Vec<InstFacts>,
     /// Block `b`'s facts are `insts[starts[b]..starts[b + 1]]`.
@@ -580,19 +676,15 @@ pub(crate) struct FunctionFacts {
 }
 
 impl FunctionFacts {
-    pub(crate) fn build(f: &AsmFunction) -> FunctionFacts {
-        // A duplicate label resolves to its last block, as in the CFG.
-        let mut labels = HashMap::with_capacity(f.blocks.len());
-        for (bi, b) in f.blocks.iter().enumerate() {
-            labels.insert(b.label.as_str(), bi as u32);
-        }
+    /// Decodes `f`, whose [`block_labels`] are `labels`.
+    pub(crate) fn build(f: &AsmFunction, labels: &HashMap<&str, usize>) -> FunctionFacts {
         let target = |t: &str| {
             if t == EXIT_FUNCTION {
                 Target::Exit
             } else {
                 labels
                     .get(t)
-                    .map_or(Target::Unresolved, |&bi| Target::Block(bi))
+                    .map_or(Target::Unresolved, |&bi| Target::Block(bi as u32))
             }
         };
         let mut starts = Vec::with_capacity(f.blocks.len() + 1);
@@ -608,6 +700,22 @@ impl FunctionFacts {
     /// The facts of block `bi`, one per instruction.
     pub(crate) fn block(&self, bi: usize) -> &[InstFacts] {
         &self.insts[self.starts[bi]..self.starts[bi + 1]]
+    }
+
+    /// The `(reads, kills)` of every instruction of block `bi`.
+    fn reads_kills(
+        &self,
+        bi: usize,
+    ) -> impl DoubleEndedIterator<Item = (ByteSet, ByteSet)> + ExactSizeIterator + '_ {
+        self.block(bi).iter().map(|f| (f.reads, f.kills))
+    }
+
+    /// The byte liveness of the function, whose CFG is `cfg`.
+    fn liveness(&self, cfg: &Cfg) -> Liveness {
+        let blocks: Vec<(ByteSet, ByteSet)> = (0..self.starts.len() - 1)
+            .map(|bi| use_def(self.reads_kills(bi)))
+            .collect();
+        Liveness::solve(cfg, &blocks)
     }
 }
 
@@ -805,23 +913,43 @@ pub(crate) fn protection_step(
     }
 }
 
-/// The verdicts of a lane scan, one per lane, filled in as lanes close.
+/// The verdicts of a lane scan, filled in as lanes close and packed
+/// like [`SiteCoverage`]'s: lane `j`'s verdict is
+/// `StaticVerdict::ALL[b0_j | b1_j << 1]`.  A lane never opened reads
+/// `Unknown`.
 #[derive(Debug, Clone, Copy)]
 struct LaneVerdicts {
     /// The lanes still undecided.
     open: Lanes,
-    /// The verdict of each closed lane.
-    verdicts: [StaticVerdict; 8],
+    /// Bit 0 of each closed lane's verdict.
+    b0: Lanes,
+    /// Bit 1 of each closed lane's verdict.
+    b1: Lanes,
+    /// The lanes closed `Unknown` at a bail of a protection instruction
+    /// that falls through ([`SiteCoverage::widened`]).
+    widened: Lanes,
 }
 
 impl LaneVerdicts {
+    /// Opens `lanes`.
+    fn new(open: Lanes) -> LaneVerdicts {
+        LaneVerdicts {
+            open,
+            b0: !open,
+            b1: !open,
+            widened: 0,
+        }
+    }
+
     /// Gives every open lane of `lanes` the verdict `v` and closes it.
     fn close(&mut self, lanes: Lanes, v: StaticVerdict) {
-        let mut l = lanes & self.open;
+        let l = lanes & self.open;
         self.open &= !l;
-        while l != 0 {
-            self.verdicts[l.trailing_zeros() as usize] = v;
-            l &= l - 1;
+        if v as u8 & 1 != 0 {
+            self.b0 |= l;
+        }
+        if v as u8 & 2 != 0 {
+            self.b1 |= l;
         }
     }
 
@@ -837,8 +965,8 @@ impl LaneVerdicts {
 /// Classifies the lanes `open` of a destination that `block[i]` writes
 /// back with the corruption `taint` ([`group_seed`]): one forward scan
 /// within the block tracks every lane's exact tainted-byte set at
-/// once.  Returns one verdict per lane; lanes outside `open` read
-/// `Unknown`.
+/// once.  Returns one verdict per lane, lanes outside `open` reading
+/// `Unknown`, and the widened lanes.
 fn scan_lanes(
     block: &[AsmInst],
     facts: &[InstFacts],
@@ -846,11 +974,8 @@ fn scan_lanes(
     i: usize,
     mut taint: Taint,
     open: Lanes,
-) -> [StaticVerdict; 8] {
-    let mut lanes = LaneVerdicts {
-        open,
-        verdicts: [StaticVerdict::Unknown; 8],
-    };
+) -> LaneVerdicts {
+    let mut lanes = LaneVerdicts::new(open);
     taint.retain(open);
     // Dead at write-back: the corrupted byte is overwritten on every
     // path before any read.  SIMD registers have no liveness, so SIMD
@@ -863,7 +988,7 @@ fn scan_lanes(
         // golden value has converged with the golden run.
         lanes.close(!taint.lanes(), StaticVerdict::Masked);
         if lanes.open == 0 {
-            return lanes.verdicts;
+            return lanes;
         }
         let was_open = lanes.open;
         let reading = fact.read_lanes(&taint);
@@ -871,6 +996,11 @@ fn scan_lanes(
             if fact.protection {
                 let step = protection_step(block, facts, i, &mut taint, reading);
                 lanes.close(step.detected, StaticVerdict::Detected);
+                // Every open lane has walked straight-line code to
+                // here, so an escape scan would bail here too.
+                if fact.control == Control::Plain {
+                    lanes.widened |= step.bailed & lanes.open;
+                }
                 // The instruction consumed tainted data in a way the
                 // propagation rules don't model (a store, arithmetic,
                 // a cancelling combine): the corruption may now live
@@ -903,27 +1033,29 @@ fn scan_lanes(
     }
     lanes.close(!taint.lanes(), StaticVerdict::Masked);
     lanes.close_at_stop(ALL_LANES, &taint, after[block.len() - 1]);
-    lanes.verdicts
+    lanes
 }
 
-/// The verdicts of every unit of the site `block[i]`, whose
-/// destination is `dest`: one lane scan per group of units
-/// ([`group_size`]).  An RFLAGS unit stays `Unknown`.
+/// Classifies every unit of `site`, the instruction `block[i]` with
+/// destination `dest`: one lane scan per group of units
+/// ([`group_size`]).  An RFLAGS unit stays `Unknown`, widened.
 fn classify_site(
     block: &[AsmInst],
     facts: &[InstFacts],
     after: &[ByteSet],
     i: usize,
     dest: DestClass,
-    verdicts: &mut [StaticVerdict],
+    site: &mut SiteCoverage,
 ) {
     let Some(n) = group_size(dest) else {
+        site.widened = 1;
         return;
     };
-    for (g, units) in verdicts.chunks_mut(n).enumerate() {
-        let open = ((1u16 << units.len()) - 1) as Lanes;
-        let v = scan_lanes(block, facts, after, i, group_seed(dest, g), open);
-        units.copy_from_slice(&v[..units.len()]);
+    let units = site.units();
+    for g in 0..units.div_ceil(n) {
+        let open = ALL_LANES >> (8 - n.min(units - g * n));
+        let scan = scan_lanes(block, facts, after, i, group_seed(dest, g), open);
+        site.set_lanes(g * n, open, &scan);
     }
 }
 
@@ -976,36 +1108,34 @@ fn analyze_function(
     pc: &mut usize,
     manifest: Option<&ProtectionManifest>,
 ) -> FunctionCoverage {
-    let cfg = Cfg::build(f);
-    let lv = Liveness::compute(f, &cfg);
-    let facts = FunctionFacts::build(f);
+    let labels = block_labels(f);
+    let facts = FunctionFacts::build(f, &labels);
+    let lv = facts.liveness(&Cfg::with_labels(f, &labels));
+    let mut after = Vec::new();
     let mut sites = Vec::new();
     let mut rollup = VerdictCounts::default();
     for (bi, b) in f.blocks.iter().enumerate() {
         let bf = facts.block(bi);
-        let after = lv.live_after_each(f, bi);
+        live_after(facts.reads_kills(bi), lv.live_out[bi], &mut after);
         let vouched = block_vouched(&b.insts, bf, manifest);
         for (i, ai) in b.insts.iter().enumerate() {
             let this_pc = *pc;
             *pc += 1;
-            let Some(bits) = ai.inst.injectable_bits() else {
+            let dest = ai.inst.dest_class();
+            let Some(bits) = dest.injectable_bits() else {
                 continue;
             };
-            // One unit per destination byte; RFLAGS (4 bits) is one.
-            let mut verdicts = vec![StaticVerdict::Unknown; bits.div_ceil(8) as usize];
-            classify_site(&b.insts, bf, &after, i, ai.inst.dest_class(), &mut verdicts);
-            for v in &mut verdicts {
-                if *v == StaticVerdict::Detected && !vouched {
-                    *v = StaticVerdict::Unknown;
+            let mut site = SiteCoverage::unknown(this_pc, bits, ai.prov);
+            classify_site(&b.insts, bf, &after, i, dest, &mut site);
+            if !vouched {
+                for k in 0..site.units() {
+                    if site.verdict(k) == StaticVerdict::Detected {
+                        site.set_verdict(k, StaticVerdict::Unknown);
+                    }
                 }
-                rollup.add(*v);
             }
-            sites.push(SiteCoverage {
-                pc: this_pc,
-                bits,
-                prov: ai.prov,
-                verdicts,
-            });
+            rollup.merge(&site.counts());
+            sites.push(site);
         }
     }
     FunctionCoverage {
@@ -1016,7 +1146,7 @@ fn analyze_function(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::inst::Inst;
     use crate::operand::MemRef;
@@ -1072,7 +1202,10 @@ mod tests {
         ]);
         let map = CoverageMap::analyze(&p);
         let site = map.site(0).expect("site at pc 0");
-        assert_eq!(site.verdicts, vec![StaticVerdict::Masked; 8]);
+        assert_eq!(
+            site.verdicts().collect::<Vec<_>>(),
+            vec![StaticVerdict::Masked; 8]
+        );
     }
 
     #[test]
@@ -1100,7 +1233,10 @@ mod tests {
         ]);
         let map = CoverageMap::analyze(&p);
         let dup = map.site(1).expect("dup site");
-        assert_eq!(dup.verdicts, vec![StaticVerdict::Detected; 8]);
+        assert_eq!(
+            dup.verdicts().collect::<Vec<_>>(),
+            vec![StaticVerdict::Detected; 8]
+        );
     }
 
     #[test]
@@ -1125,7 +1261,10 @@ mod tests {
         ]);
         let map = CoverageMap::analyze(&p);
         let site = map.site(0).expect("site");
-        assert_eq!(site.verdicts, vec![StaticVerdict::Vulnerable; 8]);
+        assert_eq!(
+            site.verdicts().collect::<Vec<_>>(),
+            vec![StaticVerdict::Vulnerable; 8]
+        );
     }
 
     #[test]
@@ -1145,7 +1284,10 @@ mod tests {
         ]);
         let map = CoverageMap::analyze(&p);
         let site = map.site(0).expect("site");
-        assert_eq!(site.verdicts, vec![StaticVerdict::Unknown; 8]);
+        assert_eq!(
+            site.verdicts().collect::<Vec<_>>(),
+            vec![StaticVerdict::Unknown; 8]
+        );
     }
 
     #[test]
@@ -1183,10 +1325,16 @@ mod tests {
         let map = CoverageMap::analyze(&p);
         let orig = map.site(0).expect("w32 producer site");
         assert_eq!(orig.bits, 32);
-        assert_eq!(orig.verdicts, vec![StaticVerdict::Unknown; 4]);
+        assert_eq!(
+            orig.verdicts().collect::<Vec<_>>(),
+            vec![StaticVerdict::Unknown; 4]
+        );
         let dup = map.site(1).expect("w32 shadow-copy site");
         assert_eq!(dup.bits, 32);
-        assert_eq!(dup.verdicts, vec![StaticVerdict::Detected; 4]);
+        assert_eq!(
+            dup.verdicts().collect::<Vec<_>>(),
+            vec![StaticVerdict::Detected; 4]
+        );
     }
 
     #[test]
@@ -1231,7 +1379,7 @@ mod tests {
         assert_eq!(cap.bits, 128);
         for byte in 0..16 {
             assert_eq!(
-                cap.verdicts[byte],
+                cap.verdict(byte),
                 StaticVerdict::Detected,
                 "xmm byte {byte}"
             );
@@ -1242,9 +1390,9 @@ mod tests {
         // read it.  (Site 0 is the r10 write.)
         let r10 = map.site(0).expect("r10 site");
         assert!(
-            r10.verdicts.iter().all(|&v| v != StaticVerdict::Detected),
+            r10.verdicts().all(|v| v != StaticVerdict::Detected),
             "cancelling xor must not be credited: {:?}",
-            r10.verdicts
+            r10.verdicts().collect::<Vec<_>>()
         );
     }
 
@@ -1281,7 +1429,7 @@ mod tests {
         assert_eq!(idiv.bits, 128);
         assert_eq!(idiv.units(), 16);
         // raw_bit 64 selects rdx byte 0 == unit 8.
-        assert_eq!(idiv.verdict_for(64), idiv.verdicts[8]);
+        assert_eq!(idiv.verdict_for(64), idiv.verdict(8));
         let cmp = map.site(5).expect("flags site");
         assert_eq!(cmp.units(), 1);
         assert_eq!(cmp.verdict_for(200), StaticVerdict::Unknown);
@@ -1355,7 +1503,7 @@ mod tests {
         );
         let demoted = CoverageMap::analyze_with(&p, Some(&manifests));
         assert_eq!(
-            demoted.site(1).unwrap().verdicts,
+            demoted.site(1).unwrap().verdicts().collect::<Vec<_>>(),
             vec![StaticVerdict::Unknown; 8]
         );
         // With a truthful manifest the claim stands.
@@ -1368,7 +1516,7 @@ mod tests {
         );
         let kept = CoverageMap::analyze_with(&p, Some(&manifests));
         assert_eq!(
-            kept.site(1).unwrap().verdicts,
+            kept.site(1).unwrap().verdicts().collect::<Vec<_>>(),
             vec![StaticVerdict::Detected; 8]
         );
     }
@@ -1400,7 +1548,10 @@ mod tests {
         ]);
         let map = CoverageMap::analyze(&p);
         let pop = map.site(1).expect("pop site");
-        assert_eq!(pop.verdicts, vec![StaticVerdict::Detected; 8]);
+        assert_eq!(
+            pop.verdicts().collect::<Vec<_>>(),
+            vec![StaticVerdict::Detected; 8]
+        );
     }
 
     /// Parses a listing of `main` alone; `# prot:ferrum` marks a
@@ -1414,8 +1565,8 @@ mod tests {
         CoverageMap::analyze(&listing(body))
             .site(pc)
             .expect("site")
-            .verdicts
-            .clone()
+            .verdicts()
+            .collect()
     }
 
     /// A verdict vector written one letter per unit: `M`asked,
@@ -1707,6 +1858,27 @@ mod tests {
         }
     }
 
+    /// `main` of one random block of 2–15 [`random_inst`]s and a
+    /// `ret`, drawn from `seed`.
+    pub(crate) fn random_program(seed: u64) -> AsmProgram {
+        let rng = &mut ferrum_rng::Rng64::seed_from_u64(seed);
+        let mut insts = Vec::new();
+        for _ in 0..rng.gen_range(2..16usize) {
+            let inst = random_inst(rng);
+            // Most checkers come with their `jne exit_function`.
+            let checker = inst.inst.writes_flags() && rng.gen_below(4) != 0;
+            insts.push(inst);
+            if checker {
+                insts.push(prot(Inst::Jcc {
+                    cc: Cc::Ne,
+                    target: EXIT_FUNCTION.into(),
+                }));
+            }
+        }
+        insts.push(app(Inst::Ret));
+        program(insts)
+    }
+
     #[test]
     fn scanning_lanes_together_matches_scanning_each_alone() {
         // Random blocks: every group of every site is scanned with all
@@ -1714,26 +1886,16 @@ mod tests {
         // A seed that fails regenerates its block.
         let mut parted = 0usize;
         for seed in 0..3000u64 {
-            let rng = &mut ferrum_rng::Rng64::seed_from_u64(seed);
-            let mut insts = Vec::new();
-            for _ in 0..rng.gen_range(2..16usize) {
-                let inst = random_inst(rng);
-                // Most checkers come with their `jne exit_function`.
-                let checker = inst.inst.writes_flags() && rng.gen_below(4) != 0;
-                insts.push(inst);
-                if checker {
-                    insts.push(prot(Inst::Jcc {
-                        cc: Cc::Ne,
-                        target: EXIT_FUNCTION.into(),
-                    }));
-                }
-            }
-            insts.push(app(Inst::Ret));
-            let p = program(insts);
+            let p = random_program(seed);
             let f = &p.functions[0];
-            let lv = Liveness::compute(f, &Cfg::build(f));
-            let after = lv.live_after_each(f, 0);
-            let facts = FunctionFacts::build(f);
+            let labels = block_labels(f);
+            let facts = FunctionFacts::build(f, &labels);
+            let cfg = Cfg::with_labels(f, &labels);
+            // The fact table's liveness is `Liveness`'s own.
+            let lv = facts.liveness(&cfg);
+            let mut after = Vec::new();
+            live_after(facts.reads_kills(0), lv.live_out[0], &mut after);
+            assert_eq!(after, Liveness::compute(f, &cfg).live_after_each(f, 0));
             let (block, facts) = (&f.blocks[0].insts, facts.block(0));
             for (i, ai) in block.iter().enumerate() {
                 let (Some(bits), Some(n)) =
@@ -1747,14 +1909,17 @@ mod tests {
                     let all = scan_lanes(block, facts, &after, i, seed_taint.clone(), open);
                     for j in 0..n {
                         let alone = scan_lanes(block, facts, &after, i, seed_taint.clone(), 1 << j);
+                        let lane =
+                            |l: &LaneVerdicts| (l.b0 >> j & 1, l.b1 >> j & 1, l.widened >> j & 1);
                         assert_eq!(
-                            all[j],
-                            alone[j],
+                            lane(&all),
+                            lane(&alone),
                             "seed {seed}: site {i} `{}` group {g} lane {j}",
                             crate::printer::print_inst(&ai.inst)
                         );
                     }
-                    parted += usize::from(all[..n].iter().any(|&v| v != all[0]));
+                    let (b0, b1) = (all.b0 & open, all.b1 & open);
+                    parted += usize::from((b0 != 0 && b0 != open) || (b1 != 0 && b1 != open));
                 }
             }
         }
@@ -1773,7 +1938,7 @@ mod tests {
             let form = TRANSFERS[rng.gen_range(0..TRANSFERS.len())];
             let p = program(vec![prot(random_inst_of(rng, form).inst)]);
             let f = &p.functions[0];
-            let facts = FunctionFacts::build(f);
+            let facts = FunctionFacts::build(f, &block_labels(f));
             let (block, facts) = (&f.blocks[0].insts, facts.block(0));
             // About one byte in eight tainted.
             let mut sparse = || rng.next_u64() & rng.next_u64() & rng.next_u64();

@@ -956,10 +956,7 @@ fn protection_writes(
     }
     for g in gprs_in(inst.effects().gpr_write) {
         if let Some(site) = fact.dirty.get(&g).copied() {
-            let copies_elsewhere = fact
-                .dirty
-                .iter()
-                .any(|(og, os)| *og != g && *os == site)
+            let copies_elsewhere = fact.dirty.iter().any(|(og, os)| *og != g && *os == site)
                 || fact
                     .stack
                     .iter()
@@ -1107,10 +1104,7 @@ fn dedupe_by_dominance(cfg: &Cfg, f: &AsmFunction, findings: &mut Vec<LintFindin
                 continue;
             }
             let (a, b) = (&findings[i], &findings[j]);
-            if a.contract == b.contract
-                && a.explanation == b.explanation
-                && a.block != b.block
-            {
+            if a.contract == b.contract && a.explanation == b.explanation && a.block != b.block {
                 if let (Some(ab), Some(bb)) = (index_of(&a.block), index_of(&b.block)) {
                     if dom.dominates(ab, bb) {
                         keep[j] = false;
@@ -1187,7 +1181,11 @@ mod tests {
 
     #[test]
     fn unprotected_function_is_skipped() {
-        let f = func(vec![(load(Gpr::Rcx), O), (store(Gpr::Rcx), O), (Inst::Ret, O)]);
+        let f = func(vec![
+            (load(Gpr::Rcx), O),
+            (store(Gpr::Rcx), O),
+            (Inst::Ret, O),
+        ]);
         assert!(lint_function(&f).is_empty());
     }
 

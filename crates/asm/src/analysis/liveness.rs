@@ -19,7 +19,7 @@
 //! losing soundness for partial defs like `sete %al` or `movslq`.
 
 use crate::analysis::cfg::Cfg;
-use crate::inst::Inst;
+use crate::inst::{Effects, Inst};
 use crate::program::AsmFunction;
 use crate::reg::{Gpr, Width, ALL_GPRS, ARG_GPRS};
 
@@ -103,20 +103,60 @@ const CALL_KILLS: ByteSet = all_bytes(&[
 /// registers in full (the callee may consume any of them at any width)
 /// and `ret` reads the return value in `%rax`.
 pub fn inst_reads(inst: &Inst) -> ByteSet {
-    match inst {
-        Inst::Call { .. } => CALL_READS,
-        Inst::Ret => reg_bytes(Gpr::Rax),
-        _ => inst.effects().gpr_read,
-    }
+    abi_reads_kills(inst, &inst.effects()).0
 }
 
 /// The register bytes one instruction overwrites under the System-V
 /// ABI (the kill set): its [`Inst::effects`] writes, except that
 /// `call` clobbers every caller-saved register and `%rsp`.
 pub fn inst_kills(inst: &Inst) -> ByteSet {
+    abi_reads_kills(inst, &inst.effects()).1
+}
+
+/// [`inst_reads`] and [`inst_kills`] of `inst`, whose effects `e` the
+/// caller already holds.
+#[inline]
+pub(crate) fn abi_reads_kills(inst: &Inst, e: &Effects) -> (ByteSet, ByteSet) {
     match inst {
-        Inst::Call { .. } => CALL_KILLS,
-        _ => inst.effects().gpr_write,
+        Inst::Call { .. } => (CALL_READS, CALL_KILLS),
+        Inst::Ret => (reg_bytes(Gpr::Rax), e.gpr_write),
+        _ => (e.gpr_read, e.gpr_write),
+    }
+}
+
+/// The `(reads, kills)` of every instruction of block `bi` of `f`.
+fn block_reads_kills(
+    f: &AsmFunction,
+    bi: usize,
+) -> impl DoubleEndedIterator<Item = (ByteSet, ByteSet)> + ExactSizeIterator + '_ {
+    f.blocks[bi]
+        .insts
+        .iter()
+        .map(|ai| abi_reads_kills(&ai.inst, &ai.inst.effects()))
+}
+
+/// A block's upward-exposed reads and its kills, from the
+/// `(reads, kills)` of its instructions in order.
+pub(crate) fn use_def(insts: impl Iterator<Item = (ByteSet, ByteSet)>) -> (ByteSet, ByteSet) {
+    insts.fold((0, 0), |(uses, defs), (reads, kills)| {
+        (uses | reads & !defs, defs | kills)
+    })
+}
+
+/// Overwrites `after` with the register bytes live immediately after
+/// each instruction of a block, from the `(reads, kills)` of its
+/// instructions and the block's live-out set: one backward sweep.
+pub(crate) fn live_after(
+    insts: impl DoubleEndedIterator<Item = (ByteSet, ByteSet)> + ExactSizeIterator,
+    live_out: ByteSet,
+    after: &mut Vec<ByteSet>,
+) {
+    after.clear();
+    after.resize(insts.len(), 0);
+    let mut live = live_out;
+    for (i, (reads, kills)) in insts.enumerate().rev() {
+        after[i] = live;
+        live = reads | (live & !kills);
     }
 }
 
@@ -136,20 +176,16 @@ impl Liveness {
     /// clobbering the caller-saved set, and `ret` as reading `%rax`
     /// (the return value) — both conservative.
     pub fn compute(f: &AsmFunction, cfg: &Cfg) -> Liveness {
-        let n = f.blocks.len();
-        let mut use_set = vec![0 as ByteSet; n];
-        let mut def_set = vec![0 as ByteSet; n];
-        for (bi, b) in f.blocks.iter().enumerate() {
-            let mut defs: ByteSet = 0;
-            let mut uses: ByteSet = 0;
-            for ai in &b.insts {
-                uses |= inst_reads(&ai.inst) & !defs;
-                defs |= inst_kills(&ai.inst);
-            }
-            use_set[bi] = uses;
-            def_set[bi] = defs;
-        }
+        let blocks: Vec<(ByteSet, ByteSet)> = (0..f.blocks.len())
+            .map(|bi| use_def(block_reads_kills(f, bi)))
+            .collect();
+        Liveness::solve(cfg, &blocks)
+    }
 
+    /// The liveness fixpoint over `cfg`, from each block's [`use_def`]
+    /// pair.
+    pub(crate) fn solve(cfg: &Cfg, blocks: &[(ByteSet, ByteSet)]) -> Liveness {
+        let n = blocks.len();
         let mut live_in = vec![0 as ByteSet; n];
         let mut live_out = vec![0 as ByteSet; n];
         let order = cfg.reverse_post_order();
@@ -161,7 +197,8 @@ impl Liveness {
                 for &s in &cfg.succs[bi] {
                     out |= live_in[s];
                 }
-                let inp = use_set[bi] | (out & !def_set[bi]);
+                let (uses, defs) = blocks[bi];
+                let inp = uses | (out & !defs);
                 if out != live_out[bi] || inp != live_in[bi] {
                     live_out[bi] = out;
                     live_in[bi] = inp;
@@ -199,13 +236,8 @@ impl Liveness {
     /// injector's write-back point of instruction `i`.  Computed by one
     /// backward sweep from the block's `live_out`.
     pub fn live_after_each(&self, f: &AsmFunction, bi: usize) -> Vec<ByteSet> {
-        let insts = &f.blocks[bi].insts;
-        let mut after = vec![0 as ByteSet; insts.len()];
-        let mut live = self.live_out[bi];
-        for (i, ai) in insts.iter().enumerate().rev() {
-            after[i] = live;
-            live = inst_reads(&ai.inst) | (live & !inst_kills(&ai.inst));
-        }
+        let mut after = Vec::new();
+        live_after(block_reads_kills(f, bi), self.live_out[bi], &mut after);
         after
     }
 }

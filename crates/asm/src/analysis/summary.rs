@@ -12,9 +12,10 @@
 //! liveness at each call site to lift per-function verdicts to
 //! whole-program ones — FastFlip's "compose per-section injection
 //! results" idea applied to FERRUM's byte-exact site model.  Only a
-//! unit the coverage analysis left `Unknown` needs an escape scan:
-//! every other unit's footprint follows from its verdict, so a
-//! [`SummaryMap`] stores the scans alone.
+//! unit the coverage analysis left `Unknown` needs an escape scan, and
+//! only if that analysis did not already widen it: every other unit's
+//! footprint follows from its verdict, so a [`SummaryMap`] stores the
+//! scans alone.
 //!
 //! # Soundness doctrine
 //!
@@ -34,6 +35,7 @@
 
 use std::fmt::Write as _;
 
+use crate::analysis::cfg::block_labels;
 use crate::analysis::coverage::{
     group_seed, group_size, protection_step, Callee, Control, CoverageMap, FunctionFacts,
     SiteCoverage, StaticVerdict, Taint, Target, ALL_LANES,
@@ -117,8 +119,9 @@ pub struct UnitSummary {
 impl UnitSummary {
     /// The summary a unit's coverage verdict implies: a `Masked` unit
     /// escapes nothing, a `Detected` one escapes nothing and detects,
-    /// and a `Vulnerable` one, or an `Unknown` one no escape scan
-    /// refined (an RFLAGS unit), may corrupt anything.
+    /// and a `Vulnerable` one, or an `Unknown` one the coverage map
+    /// widened ([`SiteCoverage`]'s RFLAGS units and straight-line
+    /// bails), may corrupt anything.
     fn of_verdict(v: StaticVerdict) -> UnitSummary {
         let (escape, may_detect) = match v {
             StaticVerdict::Masked => (EscapeFootprint::empty(), false),
@@ -143,15 +146,15 @@ pub struct EscapeRollup {
 }
 
 /// The whole-program summary map: the escape scans of the coverage
-/// map's `Unknown` units.  Every other unit's summary follows from its
-/// verdict, so the map stores none, and it keeps no site table of its
-/// own: callers look units up through the [`CoverageMap`] it was built
-/// on.
+/// map's `Unknown` units that it did not widen.  Every other unit's
+/// summary follows from its verdict, so the map stores none, and it
+/// keeps no site table of its own: callers look units up through the
+/// [`CoverageMap`] it was built on.
 #[derive(Debug, Clone)]
 pub struct SummaryMap {
-    /// `((pc, unit), summary)` of every scanned `Unknown` unit, sorted
-    /// by pc, then unit.
-    unknown: Vec<((usize, usize), UnitSummary)>,
+    /// `((pc, unit), summary)` of every scanned unit, sorted by pc,
+    /// then unit.
+    scanned: Vec<((usize, usize), UnitSummary)>,
     /// Injectable sites of the coverage map.
     sites: usize,
 }
@@ -161,13 +164,14 @@ impl SummaryMap {
     /// must have been computed for the same program).
     pub fn build(p: &AsmProgram, coverage: &CoverageMap) -> SummaryMap {
         let mut map = SummaryMap {
-            unknown: Vec::new(),
+            scanned: Vec::new(),
             sites: coverage.total_sites(),
         };
         let mut pc = 0usize;
         for (f, fc) in p.functions.iter().zip(&coverage.functions) {
             debug_assert_eq!(f.name, fc.name);
-            summarize_function(f, &fc.sites, &mut pc, &mut map.unknown);
+            summarize_function(f, &fc.sites, pc, &mut map.scanned);
+            pc += f.blocks.iter().map(|b| b.insts.len()).sum::<usize>();
         }
         map
     }
@@ -177,10 +181,10 @@ impl SummaryMap {
     pub fn unit(&self, pc: usize, unit: usize, verdict: StaticVerdict) -> UnitSummary {
         if verdict == StaticVerdict::Unknown {
             if let Ok(i) = self
-                .unknown
+                .scanned
                 .binary_search_by_key(&(pc, unit), |&(at, _)| at)
             {
-                return self.unknown[i].1;
+                return self.scanned[i].1;
             }
         }
         UnitSummary::of_verdict(verdict)
@@ -191,14 +195,14 @@ impl SummaryMap {
     pub fn unit_at(&self, coverage: &CoverageMap, pc: usize, raw_bit: u16) -> Option<UnitSummary> {
         let site = coverage.site(pc)?;
         let k = site.unit_for(raw_bit);
-        Some(self.unit(pc, k, site.verdicts[k]))
+        Some(self.unit(pc, k, site.verdict(k)))
     }
 
     /// Escape-class rollup over every unit of `coverage`.
     pub fn escape_rollup(&self, coverage: &CoverageMap) -> EscapeRollup {
         let mut r = EscapeRollup::default();
         for s in coverage.functions.iter().flat_map(|f| &f.sites) {
-            for (k, &v) in s.verdicts.iter().enumerate() {
+            for (k, v) in s.verdicts().enumerate() {
                 let u = self.unit(s.pc, k, v);
                 if u.escape.is_empty() {
                     r.clean += 1;
@@ -270,46 +274,43 @@ pub fn function_hash(f: &AsmFunction) -> u64 {
     h.0
 }
 
-/// Runs the escape scan of every `Unknown` unit of `f` that has a
-/// seed, appending the summaries to `out` in pc order and advancing
-/// the flat `pc` exactly like `coverage::analyze_function` does.
+/// Runs the escape scan of every `Unknown` unit of `f` that its
+/// coverage `sites` did not widen, appending the summaries to `out` in
+/// pc order; `f` starts at flat pc `first_pc`.
 fn summarize_function(
     f: &AsmFunction,
     sites: &[SiteCoverage],
-    pc: &mut usize,
+    first_pc: usize,
     out: &mut Vec<((usize, usize), UnitSummary)>,
 ) {
     // Built at the function's first unit that needs an escape scan.
     let mut scan: Option<EscapeScan> = None;
-    let mut next_site = 0usize;
-    for (bi, b) in f.blocks.iter().enumerate() {
-        for (i, ai) in b.insts.iter().enumerate() {
-            let this_pc = *pc;
-            *pc += 1;
-            if ai.inst.injectable_bits().is_none() {
-                continue;
-            }
-            let site = &sites[next_site];
-            next_site += 1;
-            debug_assert_eq!(site.pc, this_pc);
-            // An RFLAGS unit has no seed and stays fully widened.
-            let dest = ai.inst.dest_class();
-            let Some(n) = group_size(dest) else { continue };
-            for (k, &verdict) in site.verdicts.iter().enumerate() {
-                if verdict != StaticVerdict::Unknown {
-                    continue;
-                }
-                // The unit's lane of its group's seed.
-                let mut seed = group_seed(dest, k / n);
-                seed.retain(1 << (k % n));
-                let (escape, may_detect) =
-                    scan.get_or_insert_with(|| EscapeScan::new(f))
-                        .run(bi, i + 1, seed);
-                out.push(((this_pc, k), UnitSummary { escape, may_detect }));
-            }
+    // The block holding the site, and the flat pc of its first
+    // instruction.
+    let (mut bi, mut block_pc) = (0, first_pc);
+    for site in sites {
+        let mut units = site.units_with(StaticVerdict::Unknown) & !site.widened;
+        if units == 0 {
+            continue;
+        }
+        while site.pc >= block_pc + f.blocks[bi].insts.len() {
+            block_pc += f.blocks[bi].insts.len();
+            bi += 1;
+        }
+        let i = site.pc - block_pc;
+        let dest = f.blocks[bi].insts[i].inst.dest_class();
+        let Some(n) = group_size(dest) else { continue };
+        let scan = scan.get_or_insert_with(|| EscapeScan::new(f));
+        while units != 0 {
+            let k = units.trailing_zeros() as usize;
+            units &= units - 1;
+            // The unit's lane of its group's seed.
+            let mut seed = group_seed(dest, k / n);
+            seed.retain(1 << (k % n));
+            let (escape, may_detect) = scan.run(bi, i + 1, seed);
+            out.push(((site.pc, k), UnitSummary { escape, may_detect }));
         }
     }
-    debug_assert_eq!(next_site, sites.len());
 }
 
 /// True when `a` taints every byte `b` taints.  Exploring a subset
@@ -318,11 +319,7 @@ fn summarize_function(
 /// that fires on the subset either fires on the superset too or the
 /// superset bails to the full footprint).
 fn subsumes(a: &Taint, b: &Taint) -> bool {
-    a.gpr | b.gpr == a.gpr
-        && a.simd
-            .iter()
-            .zip(&b.simd)
-            .all(|(&am, &bm)| am | bm == am)
+    a.gpr | b.gpr == a.gpr && a.simd.iter().zip(&b.simd).all(|(&am, &bm)| am | bm == am)
 }
 
 /// Every tainted register escapes into the caller.
@@ -357,7 +354,7 @@ impl<'f> EscapeScan<'f> {
     fn new(f: &'f AsmFunction) -> EscapeScan<'f> {
         EscapeScan {
             f,
-            facts: FunctionFacts::build(f),
+            facts: FunctionFacts::build(f, &block_labels(f)),
             visited: vec![Vec::new(); f.blocks.len()],
             touched: Vec::new(),
             work: Vec::new(),
@@ -512,6 +509,7 @@ impl<'f> EscapeScan<'f> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::lint::ProtectionManifest;
     use crate::analysis::liveness::byte_bit;
     use crate::flags::Cc;
     use crate::inst::{AluOp, Inst};
@@ -554,42 +552,192 @@ mod tests {
     /// `pc`.
     fn unit0(p: &AsmProgram, pc: usize) -> (StaticVerdict, UnitSummary) {
         let cov = CoverageMap::analyze(p);
-        let v = cov.site(pc).expect("site").verdicts[0];
+        let v = cov.site(pc).expect("site").verdict(0);
         (v, SummaryMap::build(p, &cov).unit(pc, 0, v))
     }
 
-    /// Decided units at pc 0 and 3, a scanned `Unknown` one at pc 1.
+    /// Decided units at pc 0 and 5, a scanned `Unknown` one at pc 1,
+    /// and a widened one at pc 2: the protection `push` bails it.
     const MIXED: &str = "\
 .globl main
 main:
   movq %rdi, %r10
   movq %rdi, %rax
+  movq %rdi, %rcx
+  pushq %rcx # prot:ferrum
   jmp tail
 tail:
   addq $0, %rcx
   ret
 ";
 
+    /// A checker the manifest of [`pinned_manifest`] does not vouch
+    /// for: the duplicate at pc 1 is `Unknown`, not `Detected`.
+    const UNVOUCHED: &str = "\
+.globl main
+main:
+  movq $7, %rax
+  movq %rax, %r10 # prot:ferrum:check
+  cmpq %r10, %rax # prot:ferrum:check
+  jne exit_function # prot:ferrum:check
+  ret
+";
+
+    /// The protection `call exit_function` reads the corrupted `%rdi`.
+    const CALLS_EXIT: &str = "\
+.globl main
+main:
+  movq $1, %rdi
+  call exit_function # prot:ferrum:check
+  ret
+";
+
+    /// A protection `call f` reads the corrupted `%rdi`.
+    const CALLS_F: &str = "\
+.globl main
+main:
+  movq $1, %rdi
+  call f # prot:ferrum:check
+  ret
+";
+
+    /// Manifests for `main` that reserve `%r12` alone.
+    fn pinned_manifest() -> std::collections::BTreeMap<String, ProtectionManifest> {
+        let manifest = ProtectionManifest {
+            reserved_gprs: vec![Gpr::R12],
+            accumulators: vec![],
+        };
+        [("main".to_owned(), manifest)].into()
+    }
+
     #[test]
-    fn summary_stores_only_the_unknown_units() {
+    fn summary_stores_only_the_scanned_units() {
         let p = crate::parser::parse_program(MIXED).expect("parse");
         let cov = CoverageMap::analyze(&p);
         let map = SummaryMap::build(&p, &cov);
         assert_eq!(map.total_sites(), cov.total_sites());
-        let unknown: Vec<(usize, usize)> = cov
-            .functions
-            .iter()
-            .flat_map(|f| &f.sites)
-            .flat_map(|s| {
-                let units = s.verdicts.iter().enumerate();
-                units
-                    .filter(|&(_, &v)| v == StaticVerdict::Unknown)
-                    .map(|(k, _)| (s.pc, k))
-            })
-            .collect();
-        let stored: Vec<(usize, usize)> = map.unknown.iter().map(|&(at, _)| at).collect();
-        assert_eq!(stored, unknown);
-        assert!(!stored.is_empty() && stored.len() < cov.rollup().total());
+        let (mut scanned, mut widened) = (Vec::new(), Vec::new());
+        for s in cov.functions.iter().flat_map(|f| &f.sites) {
+            for k in 0..s.units() {
+                if s.verdict(k) == StaticVerdict::Unknown {
+                    let list = if s.widened >> k & 1 == 0 {
+                        &mut scanned
+                    } else {
+                        &mut widened
+                    };
+                    list.push((s.pc, k));
+                }
+            }
+        }
+        let stored: Vec<(usize, usize)> = map.scanned.iter().map(|&(at, _)| at).collect();
+        assert_eq!(stored, scanned);
+        assert_eq!(stored, (0..8).map(|k| (1, k)).collect::<Vec<_>>());
+        assert_eq!(widened, (0..8).map(|k| (2, k)).collect::<Vec<_>>());
+        for (pc, k) in widened {
+            let u = map.unit(pc, k, StaticVerdict::Unknown);
+            assert_eq!((u.escape, u.may_detect), (EscapeFootprint::full(), false));
+        }
+    }
+
+    /// The escape scan of every `Unknown` unit of `cov` that has a
+    /// seed, widened or not, in pc order: the summaries
+    /// [`SummaryMap::build`] computed before the coverage map recorded
+    /// its widened units.
+    fn every_unknown_unit_scanned(
+        p: &AsmProgram,
+        cov: &CoverageMap,
+    ) -> Vec<((usize, usize), UnitSummary)> {
+        let mut out = Vec::new();
+        let mut pc = 0;
+        for f in &p.functions {
+            let mut scan = EscapeScan::new(f);
+            for (bi, b) in f.blocks.iter().enumerate() {
+                for (i, ai) in b.insts.iter().enumerate() {
+                    let this_pc = pc;
+                    pc += 1;
+                    let dest = ai.inst.dest_class();
+                    let (Some(site), Some(n)) = (cov.site(this_pc), group_size(dest)) else {
+                        continue;
+                    };
+                    for (k, v) in site.verdicts().enumerate() {
+                        if v != StaticVerdict::Unknown {
+                            continue;
+                        }
+                        let mut seed = group_seed(dest, k / n);
+                        seed.retain(1 << (k % n));
+                        let (escape, may_detect) = scan.run(bi, i + 1, seed);
+                        out.push(((this_pc, k), UnitSummary { escape, may_detect }));
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// Checks every unit of `cov` that has a seed against its escape
+    /// scan, and returns how many units the summary skipped and how
+    /// many it scanned.
+    fn check_the_skip(p: &AsmProgram, cov: &CoverageMap, what: &str) -> (usize, usize) {
+        let map = SummaryMap::build(p, cov);
+        let every = every_unknown_unit_scanned(p, cov);
+        for &((pc, k), scanned) in &every {
+            assert_eq!(
+                map.unit(pc, k, StaticVerdict::Unknown),
+                scanned,
+                "{what}: pc {pc} unit {k}"
+            );
+        }
+        (every.len() - map.scanned.len(), map.scanned.len())
+    }
+
+    #[test]
+    fn skipping_widened_units_matches_scanning_every_unknown_unit() {
+        let (mut skipped, mut scanned) = (0, 0);
+        for seed in 0..3000u64 {
+            let p = crate::analysis::coverage::tests::random_program(seed);
+            let (s, n) = check_the_skip(&p, &CoverageMap::analyze(&p), &format!("seed {seed}"));
+            (skipped, scanned) = (skipped + s, scanned + n);
+        }
+        // About 8,600 units are skipped and 191,000 scanned; both kinds
+        // must keep occurring to show anything.
+        assert!(
+            skipped > 4000 && scanned > 100_000,
+            "{skipped} skipped, {scanned} scanned"
+        );
+        for listing in [MIXED, UNVOUCHED, CALLS_EXIT, CALLS_F] {
+            let p = crate::parser::parse_program(listing).expect("parse");
+            check_the_skip(&p, &CoverageMap::analyze(&p), listing);
+            let cov = CoverageMap::analyze_with(&p, Some(&pinned_manifest()));
+            check_the_skip(&p, &cov, listing);
+        }
+    }
+
+    #[test]
+    fn detections_demoted_and_bails_at_calls_are_still_scanned() {
+        let summary = |listing: &str, cov: fn(&AsmProgram) -> CoverageMap, pc: usize| {
+            let p = crate::parser::parse_program(listing).expect("parse");
+            let cov = cov(&p);
+            assert_eq!(
+                cov.site(pc).expect("site").verdict(0),
+                StaticVerdict::Unknown
+            );
+            let u = SummaryMap::build(&p, &cov).unit(pc, 0, StaticVerdict::Unknown);
+            (u.escape, u.may_detect)
+        };
+        // The checker fires, but the manifest does not vouch for it.
+        let demoted = |p: &AsmProgram| CoverageMap::analyze_with(p, Some(&pinned_manifest()));
+        assert_eq!(
+            summary(UNVOUCHED, demoted, 1),
+            (EscapeFootprint::empty(), true)
+        );
+        // The escape scan matches a call before it reads taint.
+        assert_eq!(
+            summary(CALLS_EXIT, CoverageMap::analyze, 0),
+            (EscapeFootprint::empty(), true)
+        );
+        let mut into_f = EscapeFootprint::full();
+        into_f.callee = true;
+        assert_eq!(summary(CALLS_F, CoverageMap::analyze, 0), (into_f, false));
     }
 
     #[test]
@@ -927,7 +1075,7 @@ tail:
         let p = crate::parser::parse_program(MIXED).expect("parse");
         let map = SummaryMap::build(&p, &CoverageMap::analyze(&p));
         let refined = map
-            .unknown
+            .scanned
             .iter()
             .filter(|(_, u)| u.escape.is_empty() || u.escape.register_only())
             .count();
@@ -946,7 +1094,7 @@ tail:
         let cov = CoverageMap::analyze(&p);
         let map = SummaryMap::build(&p, &cov);
         for s in cov.functions.iter().flat_map(|f| &f.sites) {
-            for (k, &v) in s.verdicts.iter().enumerate() {
+            for (k, v) in s.verdicts().enumerate() {
                 let u = map.unit(s.pc, k, v);
                 match v {
                     StaticVerdict::Masked | StaticVerdict::Detected => {

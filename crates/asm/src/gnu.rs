@@ -137,7 +137,10 @@ fn emit_body(p: &AsmProgram, quiet_print: bool) -> String {
     let _ = writeln!(out, "\tret");
     let _ = writeln!(out, "\t.section .rodata");
     let _ = writeln!(out, ".Lferrum_fmt:\t.string \"%ld\\n\"");
-    let _ = writeln!(out, ".Lferrum_detected:\t.string \"ferrum: fault detected\\n\"");
+    let _ = writeln!(
+        out,
+        ".Lferrum_detected:\t.string \"ferrum: fault detected\\n\""
+    );
     if !p.data.is_empty() {
         let _ = writeln!(out, "\t.data");
         for d in &p.data {

@@ -297,6 +297,24 @@ pub enum DestClass {
     None,
 }
 
+impl DestClass {
+    /// [`Inst::injectable_bits`] of an instruction with this
+    /// destination.
+    #[inline]
+    pub fn injectable_bits(self) -> Option<u32> {
+        match self {
+            DestClass::Gpr(r) if !r.gpr.is_frame() => Some(r.width.bits()),
+            DestClass::Gpr(_) => None,
+            DestClass::RaxRdxPair(w) => Some(2 * w.bits()),
+            DestClass::Rflags => Some(4),
+            DestClass::Xmm(_) => Some(128),
+            DestClass::Ymm(_) => Some(256),
+            DestClass::Zmm(_) => Some(512),
+            DestClass::None => None,
+        }
+    }
+}
+
 impl Inst {
     /// The destination the fault injector may corrupt after this
     /// instruction writes back.
@@ -363,16 +381,7 @@ impl Inst {
     /// this single definition, which is what makes the 100%-coverage
     /// claim checkable.
     pub fn injectable_bits(&self) -> Option<u32> {
-        match self.dest_class() {
-            DestClass::Gpr(r) if !r.gpr.is_frame() => Some(r.width.bits()),
-            DestClass::Gpr(_) => None,
-            DestClass::RaxRdxPair(w) => Some(2 * w.bits()),
-            DestClass::Rflags => Some(4),
-            DestClass::Xmm(_) => Some(128),
-            DestClass::Ymm(_) => Some(256),
-            DestClass::Zmm(_) => Some(512),
-            DestClass::None => None,
-        }
+        self.dest_class().injectable_bits()
     }
 
     /// The general-purpose register written, if any (convenience over

@@ -250,7 +250,10 @@ fn parser_and_validator_never_panic_on_edited_listings() {
                 let _ = p.validate();
             }
         });
-        assert!(checked.is_ok(), "seed {seed}: panicked on the edited listing\n{text}");
+        assert!(
+            checked.is_ok(),
+            "seed {seed}: panicked on the edited listing\n{text}"
+        );
     }
 }
 
@@ -392,7 +395,7 @@ fn dead_destination_bytes_are_always_masked() {
             for byte in 0..site.units() {
                 if after[pc] & byte_bit(r.gpr, byte as u8) == 0 {
                     assert_eq!(
-                        site.verdicts[byte],
+                        site.verdict(byte),
                         StaticVerdict::Masked,
                         "seed {seed}: pc {pc} byte {byte} is dead but not Masked"
                     );

@@ -73,7 +73,10 @@ pub fn compile_opt(m: &Module, opt: OptLevel) -> Result<AsmProgram, CompileError
 /// # Errors
 ///
 /// Same conditions as [`compile`].
-pub fn compile_with_stats(m: &Module, opt: OptLevel) -> Result<(AsmProgram, PassStats), CompileError> {
+pub fn compile_with_stats(
+    m: &Module,
+    opt: OptLevel,
+) -> Result<(AsmProgram, PassStats), CompileError> {
     if let Err(errs) = ferrum_mir::verify::verify_module(m) {
         return Err(CompileError::InvalidModule(
             errs.first().map(ToString::to_string).unwrap_or_default(),

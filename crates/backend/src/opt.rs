@@ -368,7 +368,9 @@ impl Facts {
     /// The frame-word bits register `g` holds, ascending.
     fn bits(&self, g: usize) -> impl Iterator<Item = usize> + '_ {
         self.row(g).iter().enumerate().flat_map(|(k, &w)| {
-            (0..64).filter(move |b| w >> b & 1 != 0).map(move |b| k * 64 + b)
+            (0..64)
+                .filter(move |b| w >> b & 1 != 0)
+                .map(move |b| k * 64 + b)
         })
     }
 
@@ -688,18 +690,20 @@ fn forward_available_loads(
         let Some(mut st) = entry.clone() else {
             continue;
         };
-        block.insts.retain_mut(|ai| match step(&mut st, &ai.inst, words) {
-            Action::Keep => true,
-            Action::Delete => {
-                removed += 1;
-                false
-            }
-            Action::Replace(inst) => {
-                ai.inst = inst;
-                forwarded += 1;
-                true
-            }
-        });
+        block
+            .insts
+            .retain_mut(|ai| match step(&mut st, &ai.inst, words) {
+                Action::Keep => true,
+                Action::Delete => {
+                    removed += 1;
+                    false
+                }
+                Action::Replace(inst) => {
+                    ai.inst = inst;
+                    forwarded += 1;
+                    true
+                }
+            });
     }
     (forwarded, removed)
 }
@@ -793,15 +797,15 @@ impl Lvn {
 
     /// The lowest-indexed register whose full 64 bits hold `v`.
     fn holder64(&self, v: u64) -> Option<Gpr> {
-        self.reg64.iter().position(|&x| x == v).map(|gi| ALL_GPRS[gi])
+        self.reg64
+            .iter()
+            .position(|&x| x == v)
+            .map(|gi| ALL_GPRS[gi])
     }
 
     /// The lowest-offset tracked slot whose word holds `v`.
     fn slot_holder(&self, v: u64) -> Option<i64> {
-        self.slot
-            .iter()
-            .find(|(_, &x)| x == v)
-            .map(|(&off, _)| off)
+        self.slot.iter().find(|(_, &x)| x == v).map(|(&off, _)| off)
     }
 
     fn kill(&mut self, g: Gpr) {
@@ -1037,7 +1041,11 @@ fn cse_step(s: &mut Lvn, inst: &Inst, fm: &FuncMeta, flags_dead: bool) -> Action
                 s.kill(r.gpr);
                 return Action::Keep;
             };
-            let (x, y) = if alu_commutes(*op) && b < a { (b, a) } else { (a, b) };
+            let (x, y) = if alu_commutes(*op) && b < a {
+                (b, a)
+            } else {
+                (a, b)
+            };
             let (v, known) = s.intern((TAG_ALU, *op as u64, x, y));
             let holder = s.holder64(v);
             s.def64(r.gpr, v);
@@ -1509,9 +1517,10 @@ fn slot_access(inst: &Inst) -> SlotAccess {
         | Inst::Idiv { src, .. }
         | Inst::Push { src, .. } => [slot(src), None],
         Inst::Lea { mem, .. } => [direct_slot(mem), None],
-        Inst::Shift { dst, .. } | Inst::Unary { dst, .. } | Inst::Setcc { dst, .. } | Inst::Pop { dst } => {
-            [slot(dst), None]
-        }
+        Inst::Shift { dst, .. }
+        | Inst::Unary { dst, .. }
+        | Inst::Setcc { dst, .. }
+        | Inst::Pop { dst } => [slot(dst), None],
         // SIMD loads/stores and control flow: SIMD memory operands
         // address batch buffers through registers, never direct slots;
         // if one ever did, the operand patterns above would need
@@ -1771,7 +1780,11 @@ mod tests {
     }
 
     fn insts(f: &AsmFunction, block: usize) -> Vec<Inst> {
-        f.blocks[block].insts.iter().map(|ai| ai.inst.clone()).collect()
+        f.blocks[block]
+            .insts
+            .iter()
+            .map(|ai| ai.inst.clone())
+            .collect()
     }
 
     #[test]

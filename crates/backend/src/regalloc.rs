@@ -244,10 +244,7 @@ mod tests {
         b.ret(None);
         let f = b.finish();
         let a = allocate(&f);
-        let regs: Vec<Option<Gpr>> = vals
-            .iter()
-            .map(|v| a.reg(v.as_inst().unwrap()))
-            .collect();
+        let regs: Vec<Option<Gpr>> = vals.iter().map(|v| a.reg(v.as_inst().unwrap())).collect();
         let assigned: Vec<Gpr> = regs.iter().flatten().copied().collect();
         let mut dedup = assigned.clone();
         dedup.sort();

@@ -28,7 +28,10 @@ use crate::{campaign, pct, Columns, Ctx, Opts};
 /// protection discount, so the FERRUM sweeps measure them once.
 fn raw_baselines(o: &Opts) -> Result<Vec<(Module, u64, f64)>, Error> {
     let pipeline = Pipeline::new();
-    let plan = Campaign::sampled(CampaignConfig { samples: o.cfg.samples, seed: o.cfg.seed });
+    let plan = Campaign::sampled(CampaignConfig {
+        samples: o.cfg.samples,
+        seed: o.cfg.seed,
+    });
     all_workloads()
         .iter()
         .map(|w| {
@@ -74,13 +77,24 @@ pub fn ablation(_: &mut Ctx, o: &Opts) -> Result<String, Error> {
         cfg
     };
     let cost = CostModel::default();
-    let serial = CostModel { protection_percent: 100, ..cost };
+    let serial = CostModel {
+        protection_percent: 100,
+        ..cost
+    };
     let variants = [
         ("full FERRUM", full, cost),
         ("no SIMD", with(|c| c.simd = false), cost),
-        ("no deferred flags", with(|c| c.deferred_flags = false), cost),
+        (
+            "no deferred flags",
+            with(|c| c.deferred_flags = false),
+            cost,
+        ),
         ("no peephole", with(|c| c.peephole = false), cost),
-        ("forced requisition", with(|c| c.force_requisition = true), cost),
+        (
+            "forced requisition",
+            with(|c| c.force_requisition = true),
+            cost,
+        ),
         ("ZMM (AVX-512) batches", with(|c| c.zmm = true), cost),
         ("serial machine", full, serial),
     ];
@@ -90,7 +104,9 @@ pub fn ablation(_: &mut Ctx, o: &Opts) -> Result<String, Error> {
     let mut out = format!("FERRUM ablations — {samples} faults/config, {scale:?} scale\n");
     out += &cols.line("variant", ["overhead", "coverage"]);
     for (name, fcfg, cost) in variants {
-        let pipeline = Pipeline::new().with_ferrum_config(fcfg).with_cost_model(cost);
+        let pipeline = Pipeline::new()
+            .with_ferrum_config(fcfg)
+            .with_cost_model(cost);
         out += &cols.line(name, ferrum_averages(&pipeline, &raw, o)?);
     }
     Ok(out)
@@ -124,7 +140,10 @@ pub fn selective(_: &mut Ctx, o: &Opts) -> Result<String, Error> {
 /// how much.
 pub fn multibit(_: &mut Ctx, o: &Opts) -> Result<String, Error> {
     let pipeline = Pipeline::new();
-    let c = CampaignConfig { samples: o.cfg.samples, seed: o.cfg.seed };
+    let c = CampaignConfig {
+        samples: o.cfg.samples,
+        seed: o.cfg.seed,
+    };
     let cols = Columns(&[16, 12, 14, 14, 16]);
     let (samples, scale) = (o.cfg.samples, o.cfg.scale);
     let mut out =
@@ -144,7 +163,12 @@ pub fn multibit(_: &mut Ctx, o: &Opts) -> Result<String, Error> {
         let cov2 = sdc_coverage(raw2.sdc_prob(), prot2.sdc_prob());
         let cov1 = sdc_coverage(raw1.sdc_prob(), prot1.sdc_prob());
         cov2_sum += cov2;
-        let cells = [pct(raw2.sdc_prob()), pct(cov2), pct(cov1), prot2.sdc.to_string()];
+        let cells = [
+            pct(raw2.sdc_prob()),
+            pct(cov2),
+            pct(cov1),
+            prot2.sdc.to_string(),
+        ];
         out += &cols.line(w.name, cells);
     }
     out += &format!(
@@ -180,12 +204,24 @@ fn arm_sweep(p: &ArmProgram) -> [u64; 4] {
 /// A64 kernels raw and FERRUM-NEON-protected, swept exhaustively.
 pub fn arm(_: &mut Ctx, _: &Opts) -> Result<String, Error> {
     let cols = Columns(&[22, 8, 10, 8, 8, 12, 12]);
-    let mut out =
-        format!("AArch64/NEON port — exhaustive single-bit sweep ({} bits/site)\n", ARM_BITS.len());
-    let header = ["SDC", "detected", "crash", "benign", "raw cycles", "prot cycles"];
+    let mut out = format!(
+        "AArch64/NEON port — exhaustive single-bit sweep ({} bits/site)\n",
+        ARM_BITS.len()
+    );
+    let header = [
+        "SDC",
+        "detected",
+        "crash",
+        "benign",
+        "raw cycles",
+        "prot cycles",
+    ];
     out += &cols.line("kernel", header);
     let data = vec![12, -5, 33, 7, -19, 4, 28, 1];
-    for (name, p) in [("sum_gt", sum_gt(data.clone(), 5)), ("scale_add", scale_add(data, 3))] {
+    for (name, p) in [
+        ("sum_gt", sum_gt(data.clone(), 5)),
+        ("scale_add", scale_add(data, 3)),
+    ] {
         let prot = protect_neon(&p).map_err(|e| Error::msg(format!("{name}: {e}")))?;
         let counts = arm_sweep(&prot);
         let cycles = [run(&p, None).cycles, run(&prot, None).cycles];
@@ -214,8 +250,13 @@ fn native_seconds(prog: &AsmProgram, path: &Path) -> Result<f64, Error> {
     let io = |e: std::io::Error| Error::msg(format!("{}: {e}", path.display()));
     let asm = ferrum_asm::gnu::emit_gnu_timing(prog, NATIVE_ITERS);
     std::fs::write(&s_path, asm).map_err(io)?;
-    let gcc =
-        Command::new("gcc").arg("-no-pie").arg("-o").arg(path).arg(&s_path).output().map_err(io)?;
+    let gcc = Command::new("gcc")
+        .arg("-no-pie")
+        .arg("-o")
+        .arg(path)
+        .arg(&s_path)
+        .output()
+        .map_err(io)?;
     if !gcc.status.success() {
         return Err(Error::msg(String::from_utf8_lossy(&gcc.stderr)));
     }
@@ -238,7 +279,9 @@ fn native_seconds(prog: &AsmProgram, path: &Path) -> Result<f64, Error> {
 pub fn native(ctx: &mut Ctx, o: &Opts) -> Result<String, Error> {
     let available = cfg!(all(target_arch = "x86_64", target_os = "linux"))
         && Command::new("gcc").arg("--version").output().is_ok()
-        && std::fs::read_to_string("/proc/cpuinfo").unwrap_or_default().contains("avx2");
+        && std::fs::read_to_string("/proc/cpuinfo")
+            .unwrap_or_default()
+            .contains("avx2");
     if !available {
         return Err(Error::msg("native timing needs x86-64 Linux, gcc and AVX2"));
     }
@@ -257,15 +300,23 @@ fn native_table(o: &Opts, dir: &Path) -> Result<String, Error> {
     let pipeline = Pipeline::new();
     // FERRUM with SIMD batching disabled isolates the cost of the
     // GPR→vector capture traffic.
-    let no_simd =
-        Pipeline::new().with_ferrum_config(FerrumConfig { simd: false, ..FerrumConfig::default() });
+    let no_simd = Pipeline::new().with_ferrum_config(FerrumConfig {
+        simd: false,
+        ..FerrumConfig::default()
+    });
     let cols = Columns(&[16, 12, 14, 14, 14, 14]);
     let mut out = format!(
         "Fig. 11 on real hardware — {NATIVE_ITERS} kernel iterations, best of {NATIVE_REPS} \
          runs, {:?} scale\n",
         o.cfg.scale
     );
-    let header = ["raw (ms)", "IR-EDDI", "HYBRID-ASM", "FERRUM", "FERRUM-noSIMD"];
+    let header = [
+        "raw (ms)",
+        "IR-EDDI",
+        "HYBRID-ASM",
+        "FERRUM",
+        "FERRUM-noSIMD",
+    ];
     out += &cols.line("benchmark", header);
     let mut sums = [0.0f64; 4];
     let workloads = all_workloads();
@@ -316,8 +367,14 @@ const ESCAPES: [(&str, &[EscapeReason]); 6] = [
 /// the per-incident companion to the root-cause table.
 pub fn forensics(_: &mut Ctx, o: &Opts) -> Result<String, Error> {
     let pipeline = Pipeline::new();
-    let fcfg = ForensicConfig { max_records: usize::MAX, ..ForensicConfig::default() };
-    let plan = Campaign::sampled(CampaignConfig { samples: o.cfg.samples, seed: o.cfg.seed });
+    let fcfg = ForensicConfig {
+        max_records: usize::MAX,
+        ..ForensicConfig::default()
+    };
+    let plan = Campaign::sampled(CampaignConfig {
+        samples: o.cfg.samples,
+        seed: o.cfg.seed,
+    });
     let cols = Columns(&[40, 6, 10, 10, 10, 10, 10, 10]);
     let mut out = String::from("escape-reason forensics of residual SDCs (per technique)\n");
     let header = ["SDCs"].into_iter().chain(ESCAPES.map(|(h, _)| h));
@@ -342,7 +399,10 @@ pub fn forensics(_: &mut Ctx, o: &Opts) -> Result<String, Error> {
             let mut row = [result.sdc; 7];
             for (cell, (_, reasons)) in row[1..].iter_mut().zip(ESCAPES) {
                 let hist = report.reason_histogram.iter();
-                *cell = hist.filter(|(r, _)| reasons.contains(r)).map(|&(_, n)| n).sum();
+                *cell = hist
+                    .filter(|(r, _)| reasons.contains(r))
+                    .map(|&(_, n)| n)
+                    .sum();
             }
             out += &cols.line(&name, row);
             for (t, x) in totals.iter_mut().zip(row) {
@@ -380,14 +440,32 @@ pub fn coverage(_: &mut Ctx, o: &Opts) -> Result<String, Error> {
         let ferrum = o0.build(module, Technique::Ferrum)?;
         let map = CoverageMap::analyze(ferrum.program());
         let r = campaign(&ferrum, plan.prune(&map))?;
-        let (prune, detected) = (r.stats.prune_rate(), r.detected as f64 / r.total().max(1) as f64);
+        let (prune, detected) = (
+            r.stats.prune_rate(),
+            r.detected as f64 / r.total().max(1) as f64,
+        );
         let decided = pct(map.rollup().decided_fraction());
-        out += &cols.line(w.name, [map.total_sites().to_string(), decided, pct(prune), pct(detected)]);
+        out += &cols.line(
+            w.name,
+            [
+                map.total_sites().to_string(),
+                decided,
+                pct(prune),
+                pct(detected),
+            ],
+        );
     }
     let cols = Columns(&[46, 8, 10, 12, 9, 8, 10, 8, 12]);
     out += "\nverdict units (CoverageMap) and escape classes (SummaryMap)\n";
     let header = [
-        "masked", "detected", "vulnerable", "unknown", "clean", "register", "wide", "may_detect",
+        "masked",
+        "detected",
+        "vulnerable",
+        "unknown",
+        "clean",
+        "register",
+        "wide",
+        "may_detect",
     ];
     out += &cols.line("benchmark/technique/opt", header);
     for opt in [OptLevel::O0, OptLevel::O1] {

@@ -46,10 +46,16 @@ pub fn fig11(ctx: &mut Ctx, o: &Opts) -> Result<String, Error> {
     let reports = ctx.sweep(o.cfg)?;
     let cols = Columns(&[16, 12, 14, 14, 14]);
     let mut out = String::from("Fig. 11 — runtime performance overhead (lower is better)\n");
-    out += &cols.line("benchmark", ["raw cycles", "IR-EDDI", "HYBRID-ASM", "FERRUM"]);
+    out += &cols.line(
+        "benchmark",
+        ["raw cycles", "IR-EDDI", "HYBRID-ASM", "FERRUM"],
+    );
     for r in reports.iter() {
         let overheads = r.techniques.iter().map(|t| pct(t.overhead));
-        out += &cols.line(&r.name, [r.raw_cycles.to_string()].into_iter().chain(overheads));
+        out += &cols.line(
+            &r.name,
+            [r.raw_cycles.to_string()].into_iter().chain(overheads),
+        );
     }
     let averages = average_overheads(&reports).map(pct);
     out += &cols.line("average", [String::new()].into_iter().chain(averages));
@@ -60,7 +66,13 @@ pub fn fig11(ctx: &mut Ctx, o: &Opts) -> Result<String, Error> {
 /// in [`Technique::PROTECTED`] order: Fig. 11's average row.
 pub fn average_overheads(reports: &[WorkloadReport]) -> [f64; 3] {
     let n = reports.len() as f64;
-    [0, 1, 2].map(|i| reports.iter().map(|r| r.techniques[i].overhead).sum::<f64>() / n)
+    [0, 1, 2].map(|i| {
+        reports
+            .iter()
+            .map(|r| r.techniques[i].overhead)
+            .sum::<f64>()
+            / n
+    })
 }
 
 /// Table I: which instruction classes each technique protects, and at
@@ -82,10 +94,16 @@ pub fn table2(_: &mut Ctx, o: &Opts) -> Result<String, Error> {
     let cols = Columns(&[48, 14, 14]);
     let name = |name, suite, domain| format!("{name:<16}{suite:<10}{domain}");
     let mut out = format!("Table II — benchmark details ({:?} scale)\n", o.cfg.scale);
-    out += &cols.line(&name("Benchmark", "Suite", "Domain"), ["static insts", "dyn insts"]);
+    out += &cols.line(
+        &name("Benchmark", "Suite", "Domain"),
+        ["static insts", "dyn insts"],
+    );
     for w in all_workloads() {
         let raw = pipeline.build(&w.build(o.cfg.scale), Technique::None)?;
-        let sizes = [raw.program().static_inst_count() as u64, raw.profile().result.dyn_insts];
+        let sizes = [
+            raw.program().static_inst_count() as u64,
+            raw.profile().result.dyn_insts,
+        ];
         out += &cols.line(&name(w.name, w.suite, w.domain), sizes);
     }
     Ok(out)
@@ -99,7 +117,10 @@ pub fn table2(_: &mut Ctx, o: &Opts) -> Result<String, Error> {
 /// growing linearly with static size.
 pub fn exectime(_: &mut Ctx, o: &Opts) -> Result<String, Error> {
     let cols = Columns(&[16, 14, 16, 14]);
-    let mut out = format!("§IV-B3 — FERRUM transformation time ({:?} scale)\n", o.cfg.scale);
+    let mut out = format!(
+        "§IV-B3 — FERRUM transformation time ({:?} scale)\n",
+        o.cfg.scale
+    );
     out += &cols.line("benchmark", ["static insts", "pass time (µs)", "µs / inst"]);
     let mut rows = Vec::new();
     for w in all_workloads() {
@@ -113,7 +134,11 @@ pub fn exectime(_: &mut Ctx, o: &Opts) -> Result<String, Error> {
         }
         times.sort_by(f64::total_cmp);
         let us = times[times.len() / 2];
-        let cells = [statics.to_string(), format!("{us:.1}"), format!("{:.3}", us / statics)];
+        let cells = [
+            statics.to_string(),
+            format!("{us:.1}"),
+            format!("{:.3}", us / statics),
+        ];
         out += &cols.line(w.name, cells);
         rows.push((w.name, statics, us));
     }
@@ -146,8 +171,15 @@ pub fn rootcause(ctx: &mut Ctx, o: &Opts) -> Result<String, Error> {
         "§IV-B1 — provenance of residual SDCs under IR-LEVEL-EDDI ({})\n",
         o.cfg.opt.label()
     );
-    let header =
-        ["SDCs", "from-IR", "branch-mat.", "store-stg", "call", "other-glue", "protection"];
+    let header = [
+        "SDCs",
+        "from-IR",
+        "branch-mat.",
+        "store-stg",
+        "call",
+        "other-glue",
+        "protection",
+    ];
     out += &cols.line("benchmark", header);
     let mut totals = [0usize; 7];
     for r in reports.iter() {
@@ -159,7 +191,15 @@ pub fn rootcause(ctx: &mut Ctx, o: &Opts) -> Result<String, Error> {
         let (branch, store) = (g("branch-materialize"), g("store-staging"));
         let call = g("call-glue") + g("ret-glue");
         let other = rc.glue_total() - branch - store - call;
-        let v = [rc.total_sdc, rc.from_ir, branch, store, call, other, rc.protection];
+        let v = [
+            rc.total_sdc,
+            rc.from_ir,
+            branch,
+            store,
+            call,
+            other,
+            rc.protection,
+        ];
         out += &cols.line(&r.name, v);
         for (t, x) in totals.iter_mut().zip(v) {
             *t += x;
@@ -191,8 +231,10 @@ pub fn rootcause(ctx: &mut Ctx, o: &Opts) -> Result<String, Error> {
 pub fn footprint(_: &mut Ctx, o: &Opts) -> Result<String, Error> {
     let pipeline = Pipeline::new();
     let cols = Columns(&[16, 12, 12, 12, 12, 12]);
-    let mut out =
-        format!("§IV-B2 — cross-layer footprint and dynamic expansion ({:?} scale)\n", o.cfg.scale);
+    let mut out = format!(
+        "§IV-B2 — cross-layer footprint and dynamic expansion ({:?} scale)\n",
+        o.cfg.scale
+    );
     let header = ["raw dyn", "glue share", "IR-EDDI x", "HYBRID x", "FERRUM x"];
     out += &cols.line("benchmark", header);
     for w in all_workloads() {

@@ -56,9 +56,10 @@ impl Timing {
     fn start(self, lines: &[&str]) -> usize {
         match self {
             Timing::None => usize::MAX,
-            Timing::After(marker) => {
-                lines.iter().position(|l| l.starts_with(marker)).map_or(usize::MAX, |i| i + 1)
-            }
+            Timing::After(marker) => lines
+                .iter()
+                .position(|l| l.starts_with(marker))
+                .map_or(usize::MAX, |i| i + 1),
             Timing::All => 0,
         }
     }
@@ -100,7 +101,14 @@ const fn entry(
     timing: Timing,
     render: fn(&mut Ctx, &Opts) -> Result<String, Error>,
 ) -> Artifact {
-    Artifact { name, file, args, flags, timing, render }
+    Artifact {
+        name,
+        file,
+        args,
+        flags,
+        timing,
+        render,
+    }
 }
 
 /// Every artifact, in `repro all` order.
@@ -276,9 +284,17 @@ fn usage_error(msg: &str) -> ExitCode {
     eprintln!("       repro check             compare every checked artifact with {RESULTS}/");
     eprintln!("entries (host-timed ones are not checked):");
     for a in ARTIFACTS {
-        let timed = if a.timing == Timing::All { "host-timed" } else { "" };
-        let line =
-            format!("  {:<10} {RESULTS}/{:<17} {:<16} {timed}", a.name, a.file, a.args.join(" "));
+        let timed = if a.timing == Timing::All {
+            "host-timed"
+        } else {
+            ""
+        };
+        let line = format!(
+            "  {:<10} {RESULTS}/{:<17} {:<16} {timed}",
+            a.name,
+            a.file,
+            a.args.join(" ")
+        );
         eprintln!("{}", line.trim_end());
     }
     ExitCode::from(2)
@@ -311,8 +327,10 @@ fn print_entry(a: &Artifact, flags: &[String]) -> ExitCode {
 /// exit 1.
 fn run_table(write: bool) -> ExitCode {
     let mode = if write { "all" } else { "check" };
-    let entries: Vec<&Artifact> =
-        ARTIFACTS.iter().filter(|a| write || a.timing != Timing::All).collect();
+    let entries: Vec<&Artifact> = ARTIFACTS
+        .iter()
+        .filter(|a| write || a.timing != Timing::All)
+        .collect();
     let mut ctx = Ctx::default();
     let mut failed = 0;
     let t0 = Instant::now();
@@ -346,7 +364,10 @@ fn run_table(write: bool) -> ExitCode {
     }
     let secs = t0.elapsed().as_secs_f64();
     let ok = entries.len() - failed;
-    eprintln!("repro {mode}: {ok} of {} artifacts ok in {secs:.1} s", entries.len());
+    eprintln!(
+        "repro {mode}: {ok} of {} artifacts ok in {secs:.1} s",
+        entries.len()
+    );
     if failed == 0 {
         ExitCode::SUCCESS
     } else {
@@ -376,7 +397,9 @@ mod tests {
 
     #[test]
     fn every_result_file_has_exactly_one_entry() {
-        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join(RESULTS);
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../..")
+            .join(RESULTS);
         let mut files: Vec<String> = std::fs::read_dir(&dir)
             .expect("results/ exists")
             .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
@@ -407,8 +430,10 @@ mod tests {
         assert_eq!(cfg.scale, Scale::Paper);
         assert_eq!(parse(&["--opt", "1"]).unwrap().opt, OptLevel::O1);
         // A switch the caller reads itself passes where it is accepted.
-        let json =
-            parse_eval_config(&strings(&["--json", "--samples", "9"]), &["--samples", "--json"]);
+        let json = parse_eval_config(
+            &strings(&["--json", "--samples", "9"]),
+            &["--samples", "--json"],
+        );
         assert_eq!(json.unwrap().samples, 9);
     }
 
@@ -431,28 +456,43 @@ mod tests {
 
     #[test]
     fn bad_samples_are_an_error() {
-        assert_eq!(parse(&["--samples"]).unwrap_err(), "`--samples` needs a value");
-        assert_eq!(parse(&["--samples", "lots"]).unwrap_err(), "`--samples` cannot parse `lots`");
+        assert_eq!(
+            parse(&["--samples"]).unwrap_err(),
+            "`--samples` needs a value"
+        );
+        assert_eq!(
+            parse(&["--samples", "lots"]).unwrap_err(),
+            "`--samples` cannot parse `lots`"
+        );
         assert!(parse(&["--samples", "-3"]).is_err());
     }
 
     #[test]
     fn bad_seed_is_an_error() {
-        assert_eq!(parse(&["--seed", "--scale", "test"]).unwrap_err(), "`--seed` needs a value");
+        assert_eq!(
+            parse(&["--seed", "--scale", "test"]).unwrap_err(),
+            "`--seed` needs a value"
+        );
         assert!(parse(&["--seed", "0xFE44"]).is_err());
     }
 
     #[test]
     fn bad_scale_is_an_error() {
         assert_eq!(parse(&["--scale", "paper"]).unwrap().scale, Scale::Paper);
-        assert_eq!(parse(&["--scale", "tset"]).unwrap_err(), "`--scale` cannot parse `tset`");
+        assert_eq!(
+            parse(&["--scale", "tset"]).unwrap_err(),
+            "`--scale` cannot parse `tset`"
+        );
         assert!(parse(&["--scale"]).is_err());
     }
 
     #[test]
     fn bad_opt_is_an_error() {
         assert_eq!(parse(&["--opt", "O1"]).unwrap().opt, OptLevel::O1);
-        assert_eq!(parse(&["--opt", "O2"]).unwrap_err(), "`--opt` cannot parse `O2`");
+        assert_eq!(
+            parse(&["--opt", "O2"]).unwrap_err(),
+            "`--opt` cannot parse `O2`"
+        );
         assert!(parse(&["--opt"]).is_err());
     }
 
@@ -485,12 +525,18 @@ mod tests {
         let marker = COMMITTED.replace("(see", "(cf.");
         assert_eq!(diff(&marker).map(|d| d.0), Some(4));
         let timing = COMMITTED.replace("3520", "9999");
-        assert_eq!(first_difference(Timing::None, COMMITTED, &timing).map(|d| d.0), Some(6));
+        assert_eq!(
+            first_difference(Timing::None, COMMITTED, &timing).map(|d| d.0),
+            Some(6)
+        );
         // A truncated file misses its last line.
         let cut = COMMITTED.replace("bfs/FERRUM  3520\n", "");
         assert_eq!(
             diff(&cut),
-            Some((6, "committed `bfs/FERRUM  3520`, missing from the regenerated output".into()))
+            Some((
+                6,
+                "committed `bfs/FERRUM  3520`, missing from the regenerated output".into()
+            ))
         );
     }
 

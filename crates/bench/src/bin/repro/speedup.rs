@@ -72,7 +72,10 @@ impl Out {
 /// Speedup tables at `o`'s campaign configuration (`--samples`,
 /// `--seed`, `--scale`).
 pub fn speedup(_: &mut crate::Ctx, o: &Opts) -> Result<String, Error> {
-    let c = CampaignConfig { samples: o.cfg.samples, seed: o.cfg.seed };
+    let c = CampaignConfig {
+        samples: o.cfg.samples,
+        seed: o.cfg.seed,
+    };
     let pipeline = Pipeline::new();
     let suite = all_workloads()
         .iter()
@@ -80,7 +83,11 @@ pub fn speedup(_: &mut crate::Ctx, o: &Opts) -> Result<String, Error> {
             let module = w.build(o.cfg.scale);
             let raw = pipeline.build(&module, Technique::None)?;
             let ferrum = pipeline.build(&module, Technique::Ferrum)?;
-            Ok(Built { name: w.name, raw, ferrum })
+            Ok(Built {
+                name: w.name,
+                raw,
+                ferrum,
+            })
         })
         .collect::<Result<Vec<_>, Error>>()?;
     let mut out = Out::default();
@@ -202,7 +209,12 @@ fn latency(out: &mut Out, suite: &[Built], c: CampaignConfig) -> Result<(), Erro
         let snap = plan.run(b.ferrum.engine(EngineKind::Interpreter), b.ferrum.profile())?;
         let lat = &snap.stats.latency;
         let cell = |v: Option<u64>| v.map_or_else(|| "-".into(), |v| v.to_string());
-        let cells = [lat.count().to_string(), cell(lat.p50()), cell(lat.p95()), cell(lat.max())];
+        let cells = [
+            lat.count().to_string(),
+            cell(lat.p50()),
+            cell(lat.p95()),
+            cell(lat.max()),
+        ];
         out.checked += &checked.line(b.name, cells);
         out.timings += &timed.line(b.name, [format!("{:.2}", snap.stats.worker_balance())]);
     }
@@ -217,7 +229,10 @@ fn pruned(out: &mut Out, suite: &[Built], c: CampaignConfig) -> Result<(), Error
     let timed = Columns(&[16, 12, 12, 10]);
     out.table(
         "coverage-pruned executor vs serial (FERRUM, interpreter, 1 thread)",
-        Some(checked.line("benchmark", ["pruned", "sampled", "serial steps", "pruned steps"])),
+        Some(checked.line(
+            "benchmark",
+            ["pruned", "sampled", "serial steps", "pruned steps"],
+        )),
         timed.line("benchmark", ["serial i/s", "pruned i/s", "speedup"]),
     );
     for b in suite {
@@ -229,11 +244,19 @@ fn pruned(out: &mut Out, suite: &[Built], c: CampaignConfig) -> Result<(), Error
             || Ok(plan.prune(&map).run(engine, profile)?),
         )?;
         if serial != pruned {
-            return Err(diverged("pruned", b.name, "pruned and serial executors disagree"));
+            return Err(diverged(
+                "pruned",
+                b.name,
+                "pruned and serial executors disagree",
+            ));
         }
         let (s, p) = (&serial.stats, &pruned.stats);
-        let counts =
-            [p.pruned_sites as u64, p.injections as u64, s.steps_executed, p.steps_executed];
+        let counts = [
+            p.pruned_sites as u64,
+            p.injections as u64,
+            s.steps_executed,
+            p.steps_executed,
+        ];
         out.checked += &checked.line(b.name, counts);
         let speedup = pruned_ips / serial_ips;
         let cells = [
@@ -263,7 +286,11 @@ fn decoded(out: &mut Out, suite: &[Built], c: CampaignConfig) -> Result<(), Erro
         let interp = plan.run(b.ferrum.engine(EngineKind::Interpreter), b.ferrum.profile())?;
         let fast = plan.run(b.ferrum.engine(EngineKind::Decoded), b.ferrum.profile())?;
         if interp != fast || interp.stats.latency != fast.stats.latency {
-            return Err(diverged("decoded", b.name, "decoded engine and interpreter disagree"));
+            return Err(diverged(
+                "decoded",
+                b.name,
+                "decoded engine and interpreter disagree",
+            ));
         }
         out.checked += &checked.line(b.name, [b.ferrum.decoded().superinstructions()]);
         let speedup = fast.stats.injections_per_sec / interp.stats.injections_per_sec;
@@ -300,13 +327,19 @@ fn recorder(out: &mut Out, suite: &[Built], c: CampaignConfig) -> Result<(), Err
         };
         let ((off, off_ips), (on, on_ips)) = best_of_reps(|| run(false), || run(true))?;
         if off != on {
-            return Err(diverged("recorder", b.name, "recording changed the records"));
+            return Err(diverged(
+                "recorder",
+                b.name,
+                "recording changed the records",
+            ));
         }
         let ratio = on_ips / off_ips;
         log_sum += ratio.ln();
         let overhead = format!("{:.2}%", (1.0 - ratio) * 100.0);
-        out.timings +=
-            &timed.line(b.name, [format!("{off_ips:.0}"), format!("{on_ips:.0}"), overhead]);
+        out.timings += &timed.line(
+            b.name,
+            [format!("{off_ips:.0}"), format!("{on_ips:.0}"), overhead],
+        );
     }
     let geomean = 1.0 - (log_sum / suite.len().max(1) as f64).exp();
     out.timings += &format!("geomean overhead: {:.2}%\n", geomean * 100.0);
@@ -341,7 +374,9 @@ fn multi_function_module(helpers: usize, chain: usize) -> Module {
         let p = b.gep(base, idx);
         let v = b.load(Ty::I64, p);
         for h in 0..helpers {
-            let d = b.call(format!("helper{h}"), vec![v], Some(Ty::I64)).expect("returns a value");
+            let d = b
+                .call(format!("helper{h}"), vec![v], Some(Ty::I64))
+                .expect("returns a value");
             acc = b.add(Ty::I64, acc, d);
         }
     }
@@ -369,7 +404,9 @@ fn incremental(out: &mut Out, pipeline: &Pipeline, c: CampaignConfig) -> Result<
     let cache = CampaignCache::from_result(base, base_profile, c, &base_result);
     for (i, f) in base.functions.iter().enumerate() {
         let mut edited = base.clone();
-        edited.functions[i].blocks[0].insts.insert(0, AsmInst::synthetic(Inst::Nop));
+        edited.functions[i].blocks[0]
+            .insts
+            .insert(0, AsmInst::synthetic(Inst::Nop));
         let cpu = Cpu::load(&edited)?;
         let profile = cpu.profile();
         let plan = Campaign::stratified(c, &edited);
@@ -377,10 +414,16 @@ fn incremental(out: &mut Out, pipeline: &Pipeline, c: CampaignConfig) -> Result<
         let full = plan.run(Engine::Interpreter(&cpu), &profile)?;
         let t_full = t0.elapsed().as_secs_f64();
         let t1 = Instant::now();
-        let inc = plan.reuse(Reuse::Cache(&cache)).run(Engine::Interpreter(&cpu), &profile)?;
+        let inc = plan
+            .reuse(Reuse::Cache(&cache))
+            .run(Engine::Interpreter(&cpu), &profile)?;
         let t_inc = t1.elapsed().as_secs_f64();
         if full != inc {
-            return Err(diverged("incremental", &f.name, "incremental and full runs disagree"));
+            return Err(diverged(
+                "incremental",
+                &f.name,
+                "incremental and full runs disagree",
+            ));
         }
         let reused = inc.stats.reused_sites;
         out.checked += &checked.line(&f.name, [inc.total() - reused, reused]);

@@ -351,7 +351,12 @@ pub fn assert_usage_consistent(u: &UsageSpec) {
     assert!(text.starts_with("usage: "), "{}: bad header", u.tool);
     assert!(text.contains(u.tool), "{}: tool name missing", u.tool);
     for a in u.args {
-        assert!(text.contains(a.name), "{}: `{}` not rendered", u.tool, a.name);
+        assert!(
+            text.contains(a.name),
+            "{}: `{}` not rendered",
+            u.tool,
+            a.name
+        );
     }
     assert_spec_rejects_misuse(&u.spec);
 }
@@ -477,10 +482,7 @@ mod tests {
         // Regression: `--json --json` used to silently collapse into
         // one flag; repeated arguments are always a user mistake.
         let err = parse_args(&v(&["bfs", "--json", "--json"]), &SPEC).unwrap_err();
-        assert_eq!(
-            err,
-            ArgError::Message("duplicate flag `--json`".to_owned())
-        );
+        assert_eq!(err, ArgError::Message("duplicate flag `--json`".to_owned()));
     }
 
     #[test]
@@ -511,7 +513,10 @@ mod tests {
             let err = parse_args(&v(&args), &SPEC).unwrap_err();
             assert_eq!(
                 err,
-                ArgError::Message(format!("`{}` needs a value, found option `{}`", tail[0], tail[1])),
+                ArgError::Message(format!(
+                    "`{}` needs a value, found option `{}`",
+                    tail[0], tail[1]
+                )),
                 "{tail:?}"
             );
         }

@@ -97,7 +97,9 @@ mod tests {
         let module = workload(name).expect("exists").build(Scale::Test);
         let baseline = pipeline.baseline(&module).expect("builds");
         let ferrum = pipeline.build(&module, Technique::Ferrum).expect("builds");
-        diff_profile(&baseline, &ferrum).expect("attributes").attribution
+        diff_profile(&baseline, &ferrum)
+            .expect("attributes")
+            .attribution
     }
 
     #[test]
@@ -115,11 +117,11 @@ mod tests {
             att.protected_cycles,
         );
         assert!(att.cycle_overhead() > 0.0);
-        let share_sum: f64 = Mechanism::ALL
-            .into_iter()
-            .map(|m| att.cycle_share(m))
-            .sum();
-        assert!((share_sum - 1.0).abs() < 1e-9, "shares sum to 1: {share_sum}");
+        let share_sum: f64 = Mechanism::ALL.into_iter().map(|m| att.cycle_share(m)).sum();
+        assert!(
+            (share_sum - 1.0).abs() < 1e-9,
+            "shares sum to 1: {share_sum}"
+        );
     }
 
     #[test]

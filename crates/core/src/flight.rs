@@ -18,13 +18,13 @@
 use std::io::Write as _;
 use std::sync::Mutex;
 
+use ferrum_cpu::fault::FaultSpec;
 use ferrum_faultsim::campaign::Outcome;
 use ferrum_faultsim::flight::{
     CampaignEvent, CampaignFingerprint, FlightEvent, FlightSink, JournalSnapshot, OutcomeTallies,
     ProgressSnapshot, ShardRecord, Stage,
 };
 use ferrum_faultsim::EngineKind;
-use ferrum_cpu::fault::FaultSpec;
 
 use crate::json::{id_to_json, Json, ToJson};
 
@@ -100,10 +100,7 @@ fn snapshot_to_json(p: &ProgressSnapshot) -> Json {
             "worker_rates",
             Json::Arr(p.worker_rates.iter().map(|r| r.to_json()).collect()),
         ),
-        (
-            "eta_nanos",
-            p.eta_nanos.map_or(Json::Null, |e| e.to_json()),
-        ),
+        ("eta_nanos", p.eta_nanos.map_or(Json::Null, |e| e.to_json())),
         ("pruned", p.pruned.to_json()),
         ("reused", p.reused.to_json()),
         ("elapsed_nanos", p.elapsed_nanos.to_json()),
@@ -376,7 +373,11 @@ fn put_fingerprint(out: &mut String, f: &CampaignFingerprint) {
 }
 
 fn put_snapshot(out: &mut String, p: &ProgressSnapshot) {
-    let _ = write!(out, "{{\"done\":{},\"total\":{},\"tallies\":", p.done, p.total);
+    let _ = write!(
+        out,
+        "{{\"done\":{},\"total\":{},\"tallies\":",
+        p.done, p.total
+    );
     put_tallies(out, &p.tallies);
     out.push_str(",\"sdc_ci\":[");
     crate::json::write_f64(out, p.sdc_ci.0);
@@ -689,8 +690,7 @@ impl StallTracker {
             .filter_map(|(w, beat)| {
                 let beat = (*beat)?;
                 let cadence = beat.cadence_nanos?;
-                (now_nanos.saturating_sub(beat.last_nanos) > cadence.saturating_mul(2))
-                    .then_some(w)
+                (now_nanos.saturating_sub(beat.last_nanos) > cadence.saturating_mul(2)).then_some(w)
             })
             .collect()
     }
@@ -860,10 +860,7 @@ mod tests {
     #[test]
     fn ndjson_round_trip_is_lossless() {
         let events = sample_events();
-        let text: String = events
-            .iter()
-            .map(|e| event_to_ndjson(e) + "\n")
-            .collect();
+        let text: String = events.iter().map(|e| event_to_ndjson(e) + "\n").collect();
         for line in text.lines() {
             assert!(!line.contains('\n'));
         }
@@ -874,10 +871,7 @@ mod tests {
     #[test]
     fn torn_final_line_is_dropped_not_fatal() {
         let events = sample_events();
-        let mut text: String = events
-            .iter()
-            .map(|e| event_to_ndjson(e) + "\n")
-            .collect();
+        let mut text: String = events.iter().map(|e| event_to_ndjson(e) + "\n").collect();
         // Simulate a kill mid-write: keep half of the last line.
         let keep = text.len() - 25;
         text.truncate(keep);
@@ -885,17 +879,18 @@ mod tests {
         assert_eq!(parsed.len(), events.len() - 1);
         assert_eq!(parsed, events[..events.len() - 1]);
         // A malformed line in the middle IS fatal.
-        let bad = format!("{}\ngarbage\n{}\n", event_to_ndjson(&events[0]), event_to_ndjson(&events[1]));
+        let bad = format!(
+            "{}\ngarbage\n{}\n",
+            event_to_ndjson(&events[0]),
+            event_to_ndjson(&events[1])
+        );
         assert!(parse_events(&bad).is_err());
     }
 
     #[test]
     fn journal_reconstructs_from_ndjson() {
         let events = sample_events();
-        let text: String = events
-            .iter()
-            .map(|e| event_to_ndjson(e) + "\n")
-            .collect();
+        let text: String = events.iter().map(|e| event_to_ndjson(e) + "\n").collect();
         let j = journal_from_ndjson(&text).unwrap();
         assert_eq!(j.fingerprint.workload, "bfs");
         assert_eq!(j.total, 4);
@@ -926,7 +921,7 @@ mod tests {
         t.observe(&beat(1, 500, 0));
         assert_eq!(t.stalled(1_300), Vec::<usize>::new()); // exactly 2x: not yet
         assert_eq!(t.stalled(1_301), vec![0]); // past 2x: stalled
-        // Worker 1 beats at a slower cadence and stays live longer.
+                                               // Worker 1 beats at a slower cadence and stays live longer.
         t.observe(&beat(2, 200, 1));
         t.observe(&beat(3, 1_200, 1));
         assert_eq!(t.stalled(1_301), vec![0]);

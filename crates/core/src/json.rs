@@ -563,7 +563,10 @@ mod tests {
         let v = Json::obj(vec![
             ("s", Json::Str("a\"b\n".into())),
             ("n", Json::Num(0.5)),
-            ("a", Json::Arr(vec![Json::Int(1), Json::Null, Json::Bool(true)])),
+            (
+                "a",
+                Json::Arr(vec![Json::Int(1), Json::Null, Json::Bool(true)]),
+            ),
             ("e", Json::Arr(Vec::new())),
             ("o", Json::obj(Vec::new())),
         ]);

@@ -72,9 +72,8 @@ pub use ferrum_faultsim::campaign::{
 pub use ferrum_faultsim::compose::{compose, CampaignCache, FunctionShard, ShardDraw};
 pub use ferrum_faultsim::engine::{Engine, EngineKind, EngineMachine};
 pub use ferrum_faultsim::flight::{
-    program_signature, CampaignEvent, CampaignFingerprint, FlightEvent, FlightRecorder,
-    FlightSink, JournalSnapshot, MemorySink, OutcomeTallies, ProgressSnapshot, ShardRecord, Stage,
-    TeeSink,
+    program_signature, CampaignEvent, CampaignFingerprint, FlightEvent, FlightRecorder, FlightSink,
+    JournalSnapshot, MemorySink, OutcomeTallies, ProgressSnapshot, ShardRecord, Stage, TeeSink,
 };
 pub use ferrum_faultsim::forensics::{
     explain_unknown_sites, forensic_replay, forensic_report, CheckerEscape, Divergence,

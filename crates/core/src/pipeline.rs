@@ -310,11 +310,7 @@ mod tests {
                 let b = pipeline.build(&module, t).unwrap();
                 assert_eq!(b.technique(), t, "{ctx}");
                 assert!(b.program().validate().is_ok(), "{ctx}");
-                assert_eq!(
-                    *b.program(),
-                    pipeline.protect(&module, t).unwrap(),
-                    "{ctx}"
-                );
+                assert_eq!(*b.program(), pipeline.protect(&module, t).unwrap(), "{ctx}");
                 if matches!(t, Technique::None | Technique::Ferrum) {
                     assert_eq!(b.pass_stats(), raw_stats, "{ctx}");
                 }
@@ -349,12 +345,21 @@ mod tests {
                     .collect();
                 assert!(std::ptr::eq(decodes[0], decodes[1]), "{ctx}");
                 assert!(std::ptr::eq(decodes[0], b.decoded()), "{ctx}");
-                assert_eq!(decodes[0].decode_nanos(), decodes[1].decode_nanos(), "{ctx}");
+                assert_eq!(
+                    decodes[0].decode_nanos(),
+                    decodes[1].decode_nanos(),
+                    "{ctx}"
+                );
             }
             let baseline = pipeline.baseline(&module).unwrap();
             let ferrum = pipeline.build(&module, Technique::Ferrum).unwrap();
             let d = crate::diff_profile(&baseline, &ferrum).unwrap();
-            assert!(d.attribution.reconciles(), "{}: {:?}", opt.label(), d.attribution);
+            assert!(
+                d.attribution.reconciles(),
+                "{}: {:?}",
+                opt.label(),
+                d.attribution
+            );
         }
     }
 }

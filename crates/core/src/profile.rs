@@ -291,7 +291,9 @@ mod tests {
         // Enough steps for the raw kernel, too few for any protected
         // build of it: the protected run times out before it prints.
         let module = workload("kmeans").expect("exists").build(Scale::Test);
-        let raw = Pipeline::new().build(&module, Technique::None).expect("builds");
+        let raw = Pipeline::new()
+            .build(&module, Technique::None)
+            .expect("builds");
         let raw_dyn = raw.profile().result.dyn_insts;
         let pipeline = Pipeline::new().with_step_limit(raw_dyn + 10);
         let err = diff(&pipeline, "kmeans", Technique::Ferrum).expect_err("outputs differ");

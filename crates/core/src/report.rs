@@ -173,14 +173,22 @@ pub fn render_attribution_table(name: &str, att: &OverheadAttribution) -> String
         "total",
         att.protection_insts(),
         att.protection_cycles(),
-        if att.protection_cycles() == 0 { 0.0 } else { 100.0 }
+        if att.protection_cycles() == 0 {
+            0.0
+        } else {
+            100.0
+        }
     ));
     out.push_str(&format!(
         "protected: {} insts / {} cycles (+{:.1}% cycles); mechanism sum {}\n",
         att.protected_dyn_insts,
         att.protected_cycles,
         att.cycle_overhead() * 100.0,
-        if att.reconciles() { "exact" } else { "DOES NOT RECONCILE" }
+        if att.reconciles() {
+            "exact"
+        } else {
+            "DOES NOT RECONCILE"
+        }
     ));
     out
 }
@@ -277,8 +285,16 @@ pub fn render_flight_summary(fp: &CampaignFingerprint, result: &CampaignResult) 
     let mut out = String::new();
     out.push_str(&format!(
         "campaign {}/{} [{}:{}] seed {:#x}: {} injections in {:.1} ms ({:.0} inj/s, {} threads)\n",
-        if fp.workload.is_empty() { "?" } else { &fp.workload },
-        if fp.technique.is_empty() { "?" } else { &fp.technique },
+        if fp.workload.is_empty() {
+            "?"
+        } else {
+            &fp.workload
+        },
+        if fp.technique.is_empty() {
+            "?"
+        } else {
+            &fp.technique
+        },
         fp.executor,
         fp.engine.label(),
         fp.seed,
@@ -289,7 +305,11 @@ pub fn render_flight_summary(fp: &CampaignFingerprint, result: &CampaignResult) 
     ));
     out.push_str(&format!(
         "outcomes: {} sdc / {} detected / {} crash / {} timeout / {} benign (sdc p = {:.4})\n",
-        result.sdc, result.detected, result.crash, result.timeout, result.benign,
+        result.sdc,
+        result.detected,
+        result.crash,
+        result.timeout,
+        result.benign,
         result.sdc_prob()
     ));
     if s.pruned_sites > 0 || s.reused_sites > 0 {
@@ -486,8 +506,14 @@ impl ToJson for VerdictCounts {
             ("vulnerable", self.vulnerable.to_json()),
             ("unknown", self.unknown.to_json()),
             ("total", self.total().to_json()),
-            ("detection_lower_bound", self.detection_lower_bound().to_json()),
-            ("detection_upper_bound", self.detection_upper_bound().to_json()),
+            (
+                "detection_lower_bound",
+                self.detection_lower_bound().to_json(),
+            ),
+            (
+                "detection_upper_bound",
+                self.detection_upper_bound().to_json(),
+            ),
             ("decided_fraction", self.decided_fraction().to_json()),
         ])
     }
@@ -522,9 +548,7 @@ pub fn coverage_to_json(map: &CoverageMap, include_sites: bool) -> Json {
                             ),
                             (
                                 "verdicts",
-                                Json::Arr(
-                                    s.verdicts.iter().map(|v| v.label().to_json()).collect(),
-                                ),
+                                Json::Arr(s.verdicts().map(|v| v.label().to_json()).collect()),
                             ),
                         ])
                     })
@@ -989,7 +1013,9 @@ impl ToJson for ForensicRecord {
             ),
             (
                 "kill_window",
-                self.kill_window.as_ref().map_or(Json::Null, ToJson::to_json),
+                self.kill_window
+                    .as_ref()
+                    .map_or(Json::Null, ToJson::to_json),
             ),
         ])
     }
@@ -1315,7 +1341,8 @@ impl ToJson for SiteOverhead {
             ("overhead_cycles", self.overhead_cycles().to_json()),
             (
                 "dominant",
-                self.dominant_mechanism().map_or(Json::Null, |m| m.to_json()),
+                self.dominant_mechanism()
+                    .map_or(Json::Null, |m| m.to_json()),
             ),
             ("mechanisms", Json::Obj(mechs)),
         ])
@@ -1353,9 +1380,7 @@ mod tests {
         use crate::profile::diff_profile;
         let pipeline = Pipeline::new();
         let module = workload("needle").expect("exists").build(Scale::Test);
-        let protected = pipeline
-            .build(&module, crate::Technique::Ferrum)
-            .unwrap();
+        let protected = pipeline.build(&module, crate::Technique::Ferrum).unwrap();
         let baseline = pipeline.baseline(&module).unwrap();
         let d = diff_profile(&baseline, &protected).expect("diffs");
         let table = render_diff_sites("needle", &d, 10);
@@ -1393,7 +1418,10 @@ mod tests {
             reused: 0,
             elapsed_nanos: 10,
         };
-        assert_eq!(render_progress_row_flagged(&p, &[]), render_progress_row(&p));
+        assert_eq!(
+            render_progress_row_flagged(&p, &[]),
+            render_progress_row(&p)
+        );
         let flagged = render_progress_row_flagged(&p, &[1, 3]);
         assert!(flagged.ends_with("!! stalled: w1,w3\n"), "{flagged}");
         assert!(flagged.starts_with(render_progress_row(&p).trim_end_matches('\n')));
@@ -1463,10 +1491,7 @@ mod tests {
         let techniques = first.get("techniques").unwrap().as_array().unwrap();
         assert_eq!(techniques.len(), 3);
         let ferrum = &techniques[2];
-        assert_eq!(
-            ferrum.get("technique").unwrap().as_str(),
-            Some("Ferrum")
-        );
+        assert_eq!(ferrum.get("technique").unwrap().as_str(), Some("Ferrum"));
         assert!(ferrum.get("coverage").unwrap().as_f64().unwrap() >= 0.99);
         // The throughput stats ride along in the artifact.
         let stats = ferrum.get("campaign").unwrap().get("stats").unwrap();
@@ -1528,16 +1553,19 @@ mod tests {
         let hist = render_latency_histogram(lat);
         assert!(hist.contains("detections:"), "{hist}");
         assert!(hist.contains('█'), "{hist}");
-        assert!(
-            render_latency_histogram(&DetectionLatency::default()).contains("no detections")
-        );
+        assert!(render_latency_histogram(&DetectionLatency::default()).contains("no detections"));
         // And the machine-readable artifact carries the same telemetry.
         let v = crate::json::parse(&ferrum.campaign.stats.to_json().to_string_pretty())
             .expect("valid json");
         let dl = v.get("detection_latency").unwrap();
         assert_eq!(dl.get("count").unwrap().as_u64(), Some(lat.count() as u64));
         assert!(dl.get("p50").unwrap().as_u64().is_some());
-        assert!(!dl.get("histogram_log2").unwrap().as_array().unwrap().is_empty());
+        assert!(!dl
+            .get("histogram_log2")
+            .unwrap()
+            .as_array()
+            .unwrap()
+            .is_empty());
         let workers = v.get("per_worker").unwrap().as_array().unwrap();
         let inj: u64 = workers
             .iter()
@@ -1608,10 +1636,9 @@ mod tests {
         let text = render_predicted_vs_measured("knn", &map, &campaign);
         assert!(text.contains("95% CI"), "{text}");
         assert!(text.contains("measured detection rate"), "{text}");
-        let v = crate::json::parse(
-            &predicted_vs_measured_to_json(&map, &campaign).to_string_pretty(),
-        )
-        .expect("valid json");
+        let v =
+            crate::json::parse(&predicted_vs_measured_to_json(&map, &campaign).to_string_pretty())
+                .expect("valid json");
         assert_eq!(v.get("injections").unwrap().as_u64(), Some(120));
         let rate = v.get("measured_detection_rate").unwrap().as_f64().unwrap();
         let lo = v.get("detection_ci95_lo").unwrap().as_f64().unwrap();
@@ -1676,7 +1703,13 @@ mod tests {
             rec.get("fault").unwrap().get("dyn_index").unwrap().as_u64(),
             "divergence sits at the injected site"
         );
-        assert!(div.get("loc").unwrap().get("kind").unwrap().as_str().is_some());
+        assert!(div
+            .get("loc")
+            .unwrap()
+            .get("kind")
+            .unwrap()
+            .as_str()
+            .is_some());
         let taint = rec.get("taint").unwrap();
         assert!(taint.get("propagation_depth").unwrap().as_u64().unwrap() >= 1);
         assert!(!taint.get("samples").unwrap().as_array().unwrap().is_empty());
@@ -1699,6 +1732,9 @@ mod tests {
         let v = crate::json::parse(&expl.to_json().to_string_pretty()).expect("valid json");
         let e = v.idx(0).unwrap();
         assert_eq!(e.get("mechanism").unwrap().as_str(), Some("dup"));
-        assert_eq!(e.get("reason").unwrap().as_str(), Some("dup-also-corrupted"));
+        assert_eq!(
+            e.get("reason").unwrap().as_str(),
+            Some("dup-also-corrupted")
+        );
     }
 }

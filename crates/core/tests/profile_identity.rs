@@ -36,9 +36,18 @@ fn per_pc_profiles_are_byte_identical_across_engines() {
                 let decoded = build.profile();
                 assert_eq!(interp.result, decoded.result, "{ctx}: golden result");
                 assert_eq!(interp.pcs.pcs, decoded.pcs.pcs, "{ctx}: per-pc counts");
-                assert_eq!(interp.pcs.funcs, decoded.pcs.funcs, "{ctx}: per-function counts");
-                assert_eq!(interp.pcs.stacks, decoded.pcs.stacks, "{ctx}: folded stacks");
-                assert_eq!(interp.mech_counts, decoded.mech_counts, "{ctx}: mechanism rollup");
+                assert_eq!(
+                    interp.pcs.funcs, decoded.pcs.funcs,
+                    "{ctx}: per-function counts"
+                );
+                assert_eq!(
+                    interp.pcs.stacks, decoded.pcs.stacks,
+                    "{ctx}: folded stacks"
+                );
+                assert_eq!(
+                    interp.mech_counts, decoded.mech_counts,
+                    "{ctx}: mechanism rollup"
+                );
                 // The profile reconciles with itself: pc totals equal
                 // the golden run, and folded stacks partition it.
                 let total = interp.pcs.total();

@@ -362,13 +362,24 @@ mod tests {
             dst: Operand::Reg(Reg::q(Gpr::R10)),
         };
         let full = m.cost_tagged(&load, Provenance::FromIr(0));
-        let disc = m.cost_tagged(&load, Provenance::Protection(TechniqueTag::Ferrum, ferrum_asm::provenance::Mechanism::Dup));
+        let disc = m.cost_tagged(
+            &load,
+            Provenance::Protection(TechniqueTag::Ferrum, ferrum_asm::provenance::Mechanism::Dup),
+        );
         assert_eq!(full, m.mem_load);
         assert_eq!(disc, (m.mem_load * m.protection_percent / 100).max(1));
         assert!(disc < full);
         // Discounted cost never reaches zero.
         let nop = Inst::Nop;
-        assert!(m.cost_tagged(&nop, Provenance::Protection(TechniqueTag::Ferrum, ferrum_asm::provenance::Mechanism::Dup)) >= 1);
+        assert!(
+            m.cost_tagged(
+                &nop,
+                Provenance::Protection(
+                    TechniqueTag::Ferrum,
+                    ferrum_asm::provenance::Mechanism::Dup
+                )
+            ) >= 1
+        );
     }
 
     #[test]

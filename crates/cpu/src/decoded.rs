@@ -187,41 +187,148 @@ fn write_dst(st: &mut State, d: &DDst, w: Width, v: u64) -> Result<(), CrashKind
 #[derive(Debug, Clone, Copy)]
 enum DOp {
     Nop,
-    Mov { w: Width, src: DSrc, dst: DDst },
-    Movsx { src_w: Width, src: DSrc, dst: Reg },
-    Movzx { src_w: Width, src: DSrc, dst: Reg },
-    Lea { mem: DMem, dst: Reg },
-    Alu { op: AluOp, w: Width, src: DSrc, dst: DDst },
-    Imul { w: Width, src: DSrc, dst: Reg },
-    Unary { op: UnaryOp, w: Width, dst: DDst },
-    Shift { op: ShiftOp, w: Width, amount: ShiftAmount, dst: DDst },
-    Cqo { w: Width },
-    Idiv { w: Width, src: DSrc },
-    Cmp { w: Width, src: DSrc, dst: DSrc },
-    Test { w: Width, src: DSrc, dst: DSrc },
-    Setcc { cc: Cc, dst: DDst },
-    Jmp { t: usize },
+    Mov {
+        w: Width,
+        src: DSrc,
+        dst: DDst,
+    },
+    Movsx {
+        src_w: Width,
+        src: DSrc,
+        dst: Reg,
+    },
+    Movzx {
+        src_w: Width,
+        src: DSrc,
+        dst: Reg,
+    },
+    Lea {
+        mem: DMem,
+        dst: Reg,
+    },
+    Alu {
+        op: AluOp,
+        w: Width,
+        src: DSrc,
+        dst: DDst,
+    },
+    Imul {
+        w: Width,
+        src: DSrc,
+        dst: Reg,
+    },
+    Unary {
+        op: UnaryOp,
+        w: Width,
+        dst: DDst,
+    },
+    Shift {
+        op: ShiftOp,
+        w: Width,
+        amount: ShiftAmount,
+        dst: DDst,
+    },
+    Cqo {
+        w: Width,
+    },
+    Idiv {
+        w: Width,
+        src: DSrc,
+    },
+    Cmp {
+        w: Width,
+        src: DSrc,
+        dst: DSrc,
+    },
+    Test {
+        w: Width,
+        src: DSrc,
+        dst: DSrc,
+    },
+    Setcc {
+        cc: Cc,
+        dst: DDst,
+    },
+    Jmp {
+        t: usize,
+    },
     JmpExit,
-    Jcc { cc: Cc, t: usize },
-    JccExit { cc: Cc },
-    Call { t: usize },
+    Jcc {
+        cc: Cc,
+        t: usize,
+    },
+    JccExit {
+        cc: Cc,
+    },
+    Call {
+        t: usize,
+    },
     CallPrint,
     CallExit,
     Ret,
-    Push { src: DSrc },
-    Pop { dst: DDst },
-    MovqToXmm { src: DSrc, dst: Xmm },
-    MovqFromXmm { src: Xmm, dst: Reg },
-    Pinsrq { lane: u8, src: DSrc, dst: Xmm },
-    Pextrq { lane: u8, src: Xmm, dst: Reg },
-    Vinserti128 { lane: u8, src: Xmm, src2: Ymm, dst: Ymm },
-    VpxorY { a: Ymm, b: Ymm, dst: Ymm },
-    VptestY { a: Ymm, b: Ymm },
-    VpxorX { a: Xmm, b: Xmm, dst: Xmm },
-    VptestX { a: Xmm, b: Xmm },
-    Vinserti64x4 { lane: u8, src: Ymm, src2: Zmm, dst: Zmm },
-    VpxorZ { a: Zmm, b: Zmm, dst: Zmm },
-    VptestZ { a: Zmm, b: Zmm },
+    Push {
+        src: DSrc,
+    },
+    Pop {
+        dst: DDst,
+    },
+    MovqToXmm {
+        src: DSrc,
+        dst: Xmm,
+    },
+    MovqFromXmm {
+        src: Xmm,
+        dst: Reg,
+    },
+    Pinsrq {
+        lane: u8,
+        src: DSrc,
+        dst: Xmm,
+    },
+    Pextrq {
+        lane: u8,
+        src: Xmm,
+        dst: Reg,
+    },
+    Vinserti128 {
+        lane: u8,
+        src: Xmm,
+        src2: Ymm,
+        dst: Ymm,
+    },
+    VpxorY {
+        a: Ymm,
+        b: Ymm,
+        dst: Ymm,
+    },
+    VptestY {
+        a: Ymm,
+        b: Ymm,
+    },
+    VpxorX {
+        a: Xmm,
+        b: Xmm,
+        dst: Xmm,
+    },
+    VptestX {
+        a: Xmm,
+        b: Xmm,
+    },
+    Vinserti64x4 {
+        lane: u8,
+        src: Ymm,
+        src2: Zmm,
+        dst: Zmm,
+    },
+    VpxorZ {
+        a: Zmm,
+        b: Zmm,
+        dst: Zmm,
+    },
+    VptestZ {
+        a: Zmm,
+        b: Zmm,
+    },
 }
 
 /// Pre-classified fault destination — `exec::apply_fault` without the
@@ -293,15 +400,51 @@ enum FTarget {
 enum FOp {
     /// Two consecutive `movq`-to-XMM duplications with crash-free
     /// sources.
-    Dup2 { s1: DVal, d1: Xmm, s2: DVal, d2: Xmm },
+    Dup2 {
+        s1: DVal,
+        d1: Xmm,
+        s2: DVal,
+        d2: Xmm,
+    },
     /// Two consecutive `pinsrq` lane captures with crash-free sources.
-    Pinsr2 { l1: u8, s1: DVal, d1: Xmm, l2: u8, s2: DVal, d2: Xmm },
+    Pinsr2 {
+        l1: u8,
+        s1: DVal,
+        d1: Xmm,
+        l2: u8,
+        s2: DVal,
+        d2: Xmm,
+    },
     /// `vpxor` + `vptest` + `jcc`: the 128-bit checker tail.
-    CheckX { a: Xmm, b: Xmm, dst: Xmm, ta: Xmm, tb: Xmm, cc: Cc, t: FTarget },
+    CheckX {
+        a: Xmm,
+        b: Xmm,
+        dst: Xmm,
+        ta: Xmm,
+        tb: Xmm,
+        cc: Cc,
+        t: FTarget,
+    },
     /// The 256-bit checker tail (Fig. 6's batch check).
-    CheckY { a: Ymm, b: Ymm, dst: Ymm, ta: Ymm, tb: Ymm, cc: Cc, t: FTarget },
+    CheckY {
+        a: Ymm,
+        b: Ymm,
+        dst: Ymm,
+        ta: Ymm,
+        tb: Ymm,
+        cc: Cc,
+        t: FTarget,
+    },
     /// The 512-bit checker tail.
-    CheckZ { a: Zmm, b: Zmm, dst: Zmm, ta: Zmm, tb: Zmm, cc: Cc, t: FTarget },
+    CheckZ {
+        a: Zmm,
+        b: Zmm,
+        dst: Zmm,
+        ta: Zmm,
+        tb: Zmm,
+        cc: Cc,
+        t: FTarget,
+    },
 }
 
 /// A fused group: its operation, constituent count, and summed cost.
@@ -497,11 +640,7 @@ impl DecodedCpu {
 fn lower(cpu: &Cpu) -> (Vec<DInst>, Vec<DFused>) {
     let image = cpu.image();
     let cost = cpu.cost_model();
-    let mut code: Vec<DInst> = image
-        .insts
-        .iter()
-        .map(|li| lower_inst(li, cost))
-        .collect();
+    let mut code: Vec<DInst> = image.insts.iter().map(|li| lower_inst(li, cost)).collect();
 
     // Leaders: indices control flow can land on.  A fused group must
     // not span one — a jump into its interior would observe a state the
@@ -698,9 +837,18 @@ fn lower_inst(li: &LoadedInst, cost: &CostModel) -> DInst {
         DestClass::Gpr(r) => DFault::Gpr(r),
         DestClass::RaxRdxPair(w) => DFault::Pair(w),
         DestClass::Rflags => DFault::Flags,
-        DestClass::Xmm(x) => DFault::Simd { idx: x.0, bits: 128 },
-        DestClass::Ymm(y) => DFault::Simd { idx: y.0, bits: 256 },
-        DestClass::Zmm(z) => DFault::Simd { idx: z.0, bits: 512 },
+        DestClass::Xmm(x) => DFault::Simd {
+            idx: x.0,
+            bits: 128,
+        },
+        DestClass::Ymm(y) => DFault::Simd {
+            idx: y.0,
+            bits: 256,
+        },
+        DestClass::Zmm(z) => DFault::Simd {
+            idx: z.0,
+            bits: 512,
+        },
         DestClass::None => DFault::None,
     };
     DInst {
@@ -1574,9 +1722,9 @@ mod tests {
     use crate::snapshot::Machine;
     use ferrum_asm::program::single_block_main;
     use ferrum_mir::builder::FunctionBuilder;
+    use ferrum_mir::inst::ICmpPred;
     use ferrum_mir::module::{Global, Module};
     use ferrum_mir::types::Ty;
-    use ferrum_mir::inst::ICmpPred;
 
     /// A workload with a loop, a call, division, and memory traffic —
     /// one dynamic instance of most DOp arms.
@@ -1643,17 +1791,48 @@ mod tests {
                 dst: q(Gpr::Rcx),
             },
             // dup pair → Dup2 candidate
-            Inst::MovqToXmm { src: q(Gpr::Rax), dst: x(0) },
-            Inst::MovqToXmm { src: q(Gpr::Rax), dst: x(1) },
+            Inst::MovqToXmm {
+                src: q(Gpr::Rax),
+                dst: x(0),
+            },
+            Inst::MovqToXmm {
+                src: q(Gpr::Rax),
+                dst: x(1),
+            },
             // capture pair → Pinsr2 candidate
-            Inst::Pinsrq { lane: 1, src: q(Gpr::Rcx), dst: x(0) },
-            Inst::Pinsrq { lane: 1, src: lane1_src, dst: x(1) },
-            Inst::Vinserti128 { lane: 1, src: x(0), src2: y(0), dst: y(0) },
-            Inst::Vinserti128 { lane: 1, src: x(1), src2: y(1), dst: y(1) },
+            Inst::Pinsrq {
+                lane: 1,
+                src: q(Gpr::Rcx),
+                dst: x(0),
+            },
+            Inst::Pinsrq {
+                lane: 1,
+                src: lane1_src,
+                dst: x(1),
+            },
+            Inst::Vinserti128 {
+                lane: 1,
+                src: x(0),
+                src2: y(0),
+                dst: y(0),
+            },
+            Inst::Vinserti128 {
+                lane: 1,
+                src: x(1),
+                src2: y(1),
+                dst: y(1),
+            },
             // checker triple → CheckY candidate
-            Inst::Vpxor { a: y(1), b: y(0), dst: y(0) },
+            Inst::Vpxor {
+                a: y(1),
+                b: y(0),
+                dst: y(0),
+            },
             Inst::Vptest { a: y(0), b: y(0) },
-            Inst::Jcc { cc: Cc::Ne, target: "exit_function".into() },
+            Inst::Jcc {
+                cc: Cc::Ne,
+                target: "exit_function".into(),
+            },
         ]);
         Cpu::load(&p).unwrap()
     }

@@ -337,11 +337,11 @@ mod tests {
         // push writes 8 bytes below rsp
         assert_eq!(store_ranges(cpu.image(), m.state()), vec![(rsp - 8, 8)]);
         m.step(); // push
-        // add $1, (%rsp): RMW — reads and writes the slot
+                  // add $1, (%rsp): RMW — reads and writes the slot
         assert_eq!(store_ranges(cpu.image(), m.state()), vec![(rsp - 8, 8)]);
         assert!(load_ranges(cpu.image(), m.state()).contains(&(rsp - 8, 8)));
         m.step(); // add
-        // pop reads the slot back
+                  // pop reads the slot back
         assert_eq!(load_ranges(cpu.image(), m.state()), vec![(rsp - 8, 8)]);
     }
 

@@ -128,8 +128,8 @@ fn alu_matches_native_semantics_sweep() {
     for _ in 0..200 {
         let a = rng.next_u64();
         let b = rng.next_u64();
-        let op = [AluOp::Add, AluOp::Sub, AluOp::And, AluOp::Or, AluOp::Xor]
-            [rng.gen_range(0..5usize)];
+        let op =
+            [AluOp::Add, AluOp::Sub, AluOp::And, AluOp::Or, AluOp::Xor][rng.gen_range(0..5usize)];
         let w = Width::ALL[rng.gen_range(0..4usize)];
         check_alu_case(a, b, op, w);
     }

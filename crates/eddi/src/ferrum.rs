@@ -224,7 +224,11 @@ impl Ferrum {
 }
 
 /// The pass output: the program, the statistics, and the manifests.
-type PassOutput = (AsmProgram, FerrumStats, BTreeMap<String, ProtectionManifest>);
+type PassOutput = (
+    AsmProgram,
+    FerrumStats,
+    BTreeMap<String, ProtectionManifest>,
+);
 
 /// Spare registers FERRUM reserves in normal (non-requisition) mode:
 /// one scalar scratch plus the two comparison-pair registers (§III-B1;
@@ -290,7 +294,10 @@ impl Batch {
                 dst: dup_x,
             }
         };
-        out.push(AsmInst::new(dup, Provenance::Protection(TAG, Mechanism::Dup)));
+        out.push(AsmInst::new(
+            dup,
+            Provenance::Protection(TAG, Mechanism::Dup),
+        ));
         out.push(ai.clone());
         let cap_src = Operand::Reg(Reg::q(dst));
         let cap = if lane == 0 {
@@ -305,7 +312,10 @@ impl Batch {
                 dst: orig_x,
             }
         };
-        out.push(AsmInst::new(cap, Provenance::Protection(TAG, Mechanism::BatchCapture)));
+        out.push(AsmInst::new(
+            cap,
+            Provenance::Protection(TAG, Mechanism::BatchCapture),
+        ));
         self.count += 1;
         if self.count == self.capacity() {
             self.flush(out);
@@ -327,7 +337,10 @@ impl Batch {
             } else {
                 Inst::Pinsrq { lane, src, dst: x }
             };
-            out.push(AsmInst::new(cap, Provenance::Protection(TAG, Mechanism::BatchCapture)));
+            out.push(AsmInst::new(
+                cap,
+                Provenance::Protection(TAG, Mechanism::BatchCapture),
+            ));
         }
         self.count += 1;
         if self.count == self.capacity() {
@@ -980,7 +993,8 @@ fn protect_requisition(
                                 for g in req.iter().rev() {
                                     red_zone_pop(*g, &mut sb.insts);
                                 }
-                                sb.insts.push(prot(Mechanism::Requisition, Inst::Jmp { target }));
+                                sb.insts
+                                    .push(prot(Mechanism::Requisition, Inst::Jmp { target }));
                                 stubs.push(sb);
                                 out[ei].inst = Inst::Jcc {
                                     cc,

@@ -38,7 +38,8 @@ impl HybridAsmEddi {
     /// Propagates backend failures as [`PassError::Invalid`] and
     /// assembly-shape problems as [`PassError::Unsupported`].
     pub fn protect(&self, m: &Module) -> Result<AsmProgram, PassError> {
-        self.protect_opt(m, ferrum_backend::OptLevel::O0).map(|(p, _)| p)
+        self.protect_opt(m, ferrum_backend::OptLevel::O0)
+            .map(|(p, _)| p)
     }
 
     /// [`HybridAsmEddi::protect`] compiling at the given optimization

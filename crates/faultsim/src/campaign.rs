@@ -239,8 +239,18 @@ impl CampaignStats {
     /// Ratio of the least- to the most-loaded worker's injections:
     /// 1.0 is perfect balance, 0.0 when no work ran.
     pub fn worker_balance(&self) -> f64 {
-        let max = self.per_worker.iter().map(|w| w.injections).max().unwrap_or(0);
-        let min = self.per_worker.iter().map(|w| w.injections).min().unwrap_or(0);
+        let max = self
+            .per_worker
+            .iter()
+            .map(|w| w.injections)
+            .max()
+            .unwrap_or(0);
+        let min = self
+            .per_worker
+            .iter()
+            .map(|w| w.injections)
+            .min()
+            .unwrap_or(0);
         if max == 0 {
             0.0
         } else {
@@ -527,7 +537,9 @@ pub(crate) mod tests {
     fn exhaustive_bit_stride_spreads_positions() {
         // The first n raw values must be distinct and genuinely spread
         // over 0..256, not the lowest n bit positions.
-        let raws: Vec<u16> = (0..8u16).map(|k| (u32::from(k) * BIT_STRIDE % 256) as u16).collect();
+        let raws: Vec<u16> = (0..8u16)
+            .map(|k| (u32::from(k) * BIT_STRIDE % 256) as u16)
+            .collect();
         let mut sorted = raws.clone();
         sorted.sort_unstable();
         sorted.dedup();
@@ -581,8 +593,18 @@ pub(crate) mod tests {
         for p in [0.0, 1.0, 50.0, 95.0, 100.0] {
             assert_eq!(single.percentile(p), Some(42), "p={p}");
         }
-        assert_eq!((single.p50(), single.p95(), single.max()), (Some(42), Some(42), Some(42)));
-        assert_eq!(single.histogram_log2().iter().map(|&(_, _, c)| c).sum::<u64>(), 1);
+        assert_eq!(
+            (single.p50(), single.p95(), single.max()),
+            (Some(42), Some(42), Some(42))
+        );
+        assert_eq!(
+            single
+                .histogram_log2()
+                .iter()
+                .map(|&(_, _, c)| c)
+                .sum::<u64>(),
+            1
+        );
 
         let equal = DetectionLatency::from_samples(vec![7; 9]);
         assert_eq!(equal.count(), 9);
@@ -675,6 +697,9 @@ pub(crate) mod tests {
                 d * d / expected
             })
             .sum();
-        assert!(chi2 < 24.32, "non-uniform bit sampling: chi2={chi2} {buckets:?}");
+        assert!(
+            chi2 < 24.32,
+            "non-uniform bit sampling: chi2={chi2} {buckets:?}"
+        );
     }
 }

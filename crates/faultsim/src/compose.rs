@@ -123,16 +123,16 @@ pub fn compose(
             (!entry || callers.is_empty()) && callers.iter().all(|&la| la & gpr == 0)
         };
         for s in &mut f.sites {
-            for (k, v) in s.verdicts.iter_mut().enumerate() {
-                if *v != StaticVerdict::Unknown {
-                    continue;
-                }
-                let u = summary.unit(s.pc, k, *v);
+            let mut unknown = s.units_with(StaticVerdict::Unknown);
+            while unknown != 0 {
+                let k = unknown.trailing_zeros() as usize;
+                unknown &= unknown - 1;
+                let u = summary.unit(s.pc, k, StaticVerdict::Unknown);
                 if !u.may_detect
                     && (u.escape.is_empty()
                         || (u.escape.register_only() && dead_everywhere(u.escape.gpr)))
                 {
-                    *v = StaticVerdict::Masked;
+                    s.set_verdict(k, StaticVerdict::Masked);
                     f.rollup.unknown -= 1;
                     f.rollup.masked += 1;
                 }
@@ -461,7 +461,7 @@ mod tests {
         let (coverage, composed, _) = composition(&asm);
         for (cf, lf) in composed.functions.iter().zip(&coverage.functions) {
             for (cs, ls) in cf.sites.iter().zip(&lf.sites) {
-                for (&cv, &lv) in cs.verdicts.iter().zip(&ls.verdicts) {
+                for (cv, lv) in cs.verdicts().zip(ls.verdicts()) {
                     if lv != StaticVerdict::Unknown {
                         assert_eq!(cv, lv, "composition must adopt decided verdicts");
                     } else {
@@ -476,8 +476,8 @@ mod tests {
             let mut counted = ferrum_asm::analysis::VerdictCounts::default();
             cf.sites
                 .iter()
-                .flat_map(|s| &s.verdicts)
-                .for_each(|&v| counted.add(v));
+                .flat_map(|s| s.verdicts())
+                .for_each(|v| counted.add(v));
             assert_eq!(cf.rollup, counted);
         }
         assert_eq!(coverage.rollup().total(), composed.rollup().total());
@@ -574,7 +574,7 @@ main_end:
             composed.rollup().masked >= local.rollup().masked + 16,
             "all 16 lane bytes lift"
         );
-        assert!(site.verdicts.iter().all(|&v| v == StaticVerdict::Masked));
+        assert!(site.verdicts().all(|v| v == StaticVerdict::Masked));
     }
 
     #[test]
@@ -597,7 +597,10 @@ main_end:
         let slack = cache_a.shards.len();
         assert!(a.total() + slack >= 200 && a.total() <= 200 + slack);
         // Every function with sites drew samples.
-        assert!(cache_a.shards.iter().all(|s| s.sites == 0 || !s.draws.is_empty()));
+        assert!(cache_a
+            .shards
+            .iter()
+            .all(|s| s.sites == 0 || !s.draws.is_empty()));
         assert_eq!(cache_a.shards.len(), 3);
         assert!(a.sdc > 0, "unprotected program shows SDCs");
     }
@@ -654,7 +657,12 @@ main_end:
         let helper_shard = cache2.shards.iter().find(|s| s.name == "helper").unwrap();
         assert_ne!(
             helper_shard.hash,
-            cache.shards.iter().find(|s| s.name == "helper").unwrap().hash
+            cache
+                .shards
+                .iter()
+                .find(|s| s.name == "helper")
+                .unwrap()
+                .hash
         );
     }
 

@@ -461,8 +461,7 @@ impl RateWindow {
     }
 
     fn rate(&self) -> f64 {
-        let (Some(&(c0, t0)), Some(&(c1, t1))) = (self.samples.front(), self.samples.back())
-        else {
+        let (Some(&(c0, t0)), Some(&(c1, t1))) = (self.samples.front(), self.samples.back()) else {
             return 0.0;
         };
         if self.samples.len() < 2 || t1 <= t0 {
@@ -685,10 +684,9 @@ impl FlightRecorder {
         // no sampling stride and emits no event never reads it.
         let t0 = st.t0;
         let mut now_cache: Option<u64> = None;
-        let mut now =
-            move || *now_cache.get_or_insert_with(|| {
-                t0.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0)
-            });
+        let mut now = move || {
+            *now_cache.get_or_insert_with(|| t0.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0))
+        };
         st.done += 1;
         st.tallies.add(outcome);
         match booking {
@@ -1031,7 +1029,9 @@ impl JournalSnapshot {
 /// [`sample_faults`]: crate::campaign::sample_faults
 /// [`FaultList::Sampled`]: crate::plan::FaultList::Sampled
 /// [`CampaignCache`]: crate::compose::CampaignCache
-const RESUMABLE: &[&str] = &["serial", "parallel", "snapshot", "pruned", "forensic", "resume"];
+const RESUMABLE: &[&str] = &[
+    "serial", "parallel", "snapshot", "pruned", "forensic", "resume",
+];
 
 impl JournalSnapshot {
     /// The journaled outcome of each of `faults` — the re-drawn fault
@@ -1206,7 +1206,10 @@ mod tests {
         let sink = Arc::new(MemorySink::new());
         let rec = FlightRecorder::new(sink.clone());
         let profile = empty_profile();
-        let cfg = CampaignConfig { samples: 66, seed: 7 };
+        let cfg = CampaignConfig {
+            samples: 66,
+            seed: 7,
+        };
         rec.on_started("serial", EngineKind::Interpreter, cfg, &profile, 66);
         // Complete out of order, as a work-stealing executor would.
         for i in (0..66usize).map(|k| k * 7 % 66) {
@@ -1233,9 +1236,12 @@ mod tests {
         let started: Vec<_> = events
             .iter()
             .filter_map(|e| match &e.event {
-                CampaignEvent::Started { total, shards, shard_size, .. } => {
-                    Some((*total, *shards, *shard_size))
-                }
+                CampaignEvent::Started {
+                    total,
+                    shards,
+                    shard_size,
+                    ..
+                } => Some((*total, *shards, *shard_size)),
                 _ => None,
             })
             .collect();
@@ -1253,8 +1259,11 @@ mod tests {
             })
             .collect();
         assert_eq!(shards.len(), 17);
-        let short: Vec<(usize, usize)> =
-            shards.iter().filter(|s| s.len != 4).map(|s| (s.shard, s.len)).collect();
+        let short: Vec<(usize, usize)> = shards
+            .iter()
+            .filter(|s| s.len != 4)
+            .map(|s| (s.shard, s.len))
+            .collect();
         assert_eq!(short, vec![(16, 2)]);
         // Shard records are in sampling order regardless of completion
         // order, and tallies sum to the shard length.
@@ -1297,11 +1306,17 @@ mod tests {
         let sink = Arc::new(MemorySink::new());
         let rec = FlightRecorder::new(sink.clone());
         let profile = empty_profile();
-        let cfg = CampaignConfig { samples: 0, seed: 1 };
+        let cfg = CampaignConfig {
+            samples: 0,
+            seed: 1,
+        };
         rec.on_started("serial", EngineKind::Interpreter, cfg, &profile, 0);
         rec.on_finished(&CampaignResult::default());
         let events = sink.events();
-        assert!(matches!(events[0].event, CampaignEvent::Started { total: 0, .. }));
+        assert!(matches!(
+            events[0].event,
+            CampaignEvent::Started { total: 0, .. }
+        ));
         let snap = events
             .iter()
             .find_map(|e| match &e.event {
@@ -1313,7 +1328,10 @@ mod tests {
         assert_eq!(snap.rate, 0.0);
         assert_eq!(snap.eta_nanos, None);
         assert_eq!(snap.sdc_ci, (0.0, 1.0), "Wilson degenerate interval");
-        assert!(matches!(events.last().unwrap().event, CampaignEvent::Finished { .. }));
+        assert!(matches!(
+            events.last().unwrap().event,
+            CampaignEvent::Finished { .. }
+        ));
     }
 
     #[test]
@@ -1326,17 +1344,38 @@ mod tests {
         rec.on_started(
             "serial",
             EngineKind::Interpreter,
-            CampaignConfig { samples: 2, seed: 1 },
+            CampaignConfig {
+                samples: 2,
+                seed: 1,
+            },
             &profile,
             2,
         );
-        rec.on_injection(0, 99, FaultSpec::new(0, 0), Outcome::Benign, 0, Booking::Executed);
+        rec.on_injection(
+            0,
+            99,
+            FaultSpec::new(0, 0),
+            Outcome::Benign,
+            0,
+            Booking::Executed,
+        );
         // And before any campaign is bound, probes are inert.
         rec.on_finished(&CampaignResult::default());
-        rec.on_injection(0, 0, FaultSpec::new(0, 0), Outcome::Benign, 0, Booking::Executed);
+        rec.on_injection(
+            0,
+            0,
+            FaultSpec::new(0, 0),
+            Outcome::Benign,
+            0,
+            Booking::Executed,
+        );
         let baseline = sink.len();
         rec.on_finished(&CampaignResult::default());
-        assert_eq!(sink.len(), baseline, "finished without active campaign is inert");
+        assert_eq!(
+            sink.len(),
+            baseline,
+            "finished without active campaign is inert"
+        );
     }
 
     #[test]
@@ -1355,7 +1394,11 @@ mod tests {
                 ],
             })
         };
-        let wrap = |seq: u64, event: CampaignEvent| FlightEvent { seq, nanos: 0, event };
+        let wrap = |seq: u64, event: CampaignEvent| FlightEvent {
+            seq,
+            nanos: 0,
+            event,
+        };
         let events = vec![
             wrap(
                 0,
@@ -1372,10 +1415,16 @@ mod tests {
         ];
         let j = JournalSnapshot::from_events(&events).expect("journal");
         assert_eq!(j.total, 6);
-        assert_eq!(j.shards.iter().map(|s| s.shard).collect::<Vec<_>>(), vec![0, 2]);
+        assert_eq!(
+            j.shards.iter().map(|s| s.shard).collect::<Vec<_>>(),
+            vec![0, 2]
+        );
         assert_eq!(j.completed(), 4);
         assert!(!j.finished);
-        assert!(JournalSnapshot::from_events(&[wrap(0, shard(0))]).is_none(), "no started event");
+        assert!(
+            JournalSnapshot::from_events(&[wrap(0, shard(0))]).is_none(),
+            "no started event"
+        );
     }
 
     #[test]
@@ -1467,7 +1516,10 @@ mod tests {
         let rec = FlightRecorder::new(sink.clone());
         // A stage observed while no campaign is active is dropped.
         rec.on_stage(0, Stage::GoldenRun, 7);
-        let cfg = CampaignConfig { samples: 4, seed: 1 };
+        let cfg = CampaignConfig {
+            samples: 4,
+            seed: 1,
+        };
         rec.on_started("parallel", EngineKind::Decoded, cfg, &empty_profile(), 4);
         rec.on_stage(0, Stage::Decode, 500);
         rec.on_stage(0, Stage::GoldenRun, 1000);
@@ -1546,8 +1598,7 @@ main:
 ";
         let a = ferrum_asm::parser::parse_program(text).unwrap();
         let mut b = a.clone();
-        b.functions[0]
-            .blocks[0]
+        b.functions[0].blocks[0]
             .insts
             .insert(0, ferrum_asm::AsmInst::synthetic(ferrum_asm::Inst::Nop));
         assert_ne!(program_signature(&a), program_signature(&b));

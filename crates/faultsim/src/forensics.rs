@@ -45,8 +45,8 @@ use ferrum_cpu::differential::{
     diff_regs, first_divergence, load_ranges, store_ranges, DiffLoc, MemDivergence, RegDiff,
 };
 use ferrum_cpu::fault::FaultSpec;
-use ferrum_cpu::outcome::StopReason;
 use ferrum_cpu::image::Image;
+use ferrum_cpu::outcome::StopReason;
 use ferrum_cpu::run::Profile;
 use ferrum_cpu::snapshot::Snapshot;
 
@@ -323,7 +323,10 @@ impl ForensicsReport {
 
     /// Records whose first divergence was located.
     pub fn located(&self) -> usize {
-        self.records.iter().filter(|r| r.divergence.is_some()).count()
+        self.records
+            .iter()
+            .filter(|r| r.divergence.is_some())
+            .count()
     }
 
     /// Records with a classified primary escape reason.
@@ -514,7 +517,11 @@ fn checker_inputs_tainted(
 ) -> bool {
     let li = &image.insts[faulty.state().pc];
     let effects = li.inst.effects();
-    if live.gprs.iter().any(|&g| effects.gpr_read & reg_bytes(g) != 0) {
+    if live
+        .gprs
+        .iter()
+        .any(|&g| effects.gpr_read & reg_bytes(g) != 0)
+    {
         return true;
     }
     let simd_read = |reg: u8| effects.simd_read.iter().any(|&(r, m)| r == reg && m != 0);
@@ -546,10 +553,7 @@ fn classify_checker(mechanism: Mechanism, taint_live: bool, inputs_tainted: bool
 /// taint-carrying checker → `StoreEscapedWindow`; otherwise the *last*
 /// checker that ran while corruption was live names the failure; if
 /// every checker ran taint-free the fault was `MaskedBeforeCheck`.
-fn primary_reason(
-    checkers: &[CheckerEscape],
-    time_to_output: Option<u64>,
-) -> Option<EscapeReason> {
+fn primary_reason(checkers: &[CheckerEscape], time_to_output: Option<u64>) -> Option<EscapeReason> {
     if checkers.is_empty() {
         return Some(EscapeReason::CheckerNotReached);
     }
@@ -677,13 +681,12 @@ pub fn forensic_replay(
 
     let mut mem = MemDivergence::new();
     let mut live = diff_regs(golden.state(), faulty.state());
-    let divergence =
-        first_divergence(golden.state(), faulty.state(), &mem).map(|loc| Divergence {
-            dyn_index: fault.dyn_index,
-            pc: inject_pc,
-            prov: inject_prov,
-            loc,
-        });
+    let divergence = first_divergence(golden.state(), faulty.state(), &mem).map(|loc| Divergence {
+        dyn_index: fault.dyn_index,
+        pc: inject_pc,
+        prov: inject_prov,
+        loc,
+    });
 
     let mut ever = BTreeSet::new();
     let mut sampler = TimelineSampler::new(fcfg.max_taint_samples);
@@ -801,9 +804,9 @@ pub fn forensic_replay(
         }
     }
 
-    let kill_window = fcfg.bisect.then(|| {
-        bisect_kill_window(engine, fault, &inject_snap, &profile.result.output, steps)
-    });
+    let kill_window = fcfg
+        .bisect
+        .then(|| bisect_kill_window(engine, fault, &inject_snap, &profile.result.output, steps));
     let primary = primary_reason(&checkers, time_to_output);
 
     Ok(ForensicRecord {
@@ -873,7 +876,9 @@ mod tests {
             max_records: usize::MAX,
             ..ForensicConfig::default()
         };
-        let result = Campaign::sampled(cfg).run(Engine::Interpreter(cpu), &profile).unwrap();
+        let result = Campaign::sampled(cfg)
+            .run(Engine::Interpreter(cpu), &profile)
+            .unwrap();
         let report = forensic_report(Engine::Interpreter(cpu), &profile, &result, &fcfg).unwrap();
         (result, report)
     }
@@ -886,7 +891,9 @@ mod tests {
                 samples: 160,
                 seed: 41,
             };
-            let serial = Campaign::sampled(cfg).run(Engine::Interpreter(&cpu), &profile).unwrap();
+            let serial = Campaign::sampled(cfg)
+                .run(Engine::Interpreter(&cpu), &profile)
+                .unwrap();
             let fcfg = ForensicConfig::default();
             let report =
                 forensic_report(Engine::Interpreter(&cpu), &profile, &serial, &fcfg).unwrap();
@@ -1003,7 +1010,9 @@ mod tests {
             samples: 0,
             seed: 1,
         };
-        let result = Campaign::sampled(cfg).run(Engine::Interpreter(&cpu), &profile).unwrap();
+        let result = Campaign::sampled(cfg)
+            .run(Engine::Interpreter(&cpu), &profile)
+            .unwrap();
         let fcfg = ForensicConfig::default();
         let report = forensic_report(Engine::Interpreter(&cpu), &profile, &result, &fcfg).unwrap();
         assert_eq!(result.total(), 0);
@@ -1059,7 +1068,10 @@ mod tests {
             });
         }
         assert!(s.samples.len() <= 8);
-        assert!(s.samples.windows(2).all(|w| w[0].dyn_index < w[1].dyn_index));
+        assert!(s
+            .samples
+            .windows(2)
+            .all(|w| w[0].dyn_index < w[1].dyn_index));
         // Coverage spans the walk, not just its head.
         assert!(s.samples.last().unwrap().dyn_index >= 500);
     }

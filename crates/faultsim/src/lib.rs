@@ -41,9 +41,8 @@ pub use campaign::{CampaignConfig, CampaignResult, CampaignStats, Outcome};
 pub use compose::{compose, CampaignCache, FunctionShard, ShardDraw};
 pub use engine::{Engine, EngineKind, EngineMachine};
 pub use flight::{
-    program_signature, CampaignEvent, CampaignFingerprint, FlightEvent, FlightRecorder,
-    FlightSink, JournalSnapshot, MemorySink, OutcomeTallies, ProgressSnapshot, ShardRecord,
-    TeeSink,
+    program_signature, CampaignEvent, CampaignFingerprint, FlightEvent, FlightRecorder, FlightSink,
+    JournalSnapshot, MemorySink, OutcomeTallies, ProgressSnapshot, ShardRecord, TeeSink,
 };
 pub use forensics::{
     explain_unknown_sites, forensic_replay, forensic_report, CheckerEscape, Divergence,

@@ -591,7 +591,10 @@ mod tests {
         let (cpu, profile, coverage) = protected();
         let plan = Campaign::sampled(cfg(300, 11));
         let serial = plan.run(Engine::Interpreter(&cpu), &profile).unwrap();
-        let pruned = plan.prune(&coverage).run(Engine::Interpreter(&cpu), &profile).unwrap();
+        let pruned = plan
+            .prune(&coverage)
+            .run(Engine::Interpreter(&cpu), &profile)
+            .unwrap();
         assert_eq!(serial, pruned, "pruned plan must be outcome-identical");
         let s = &pruned.stats;
         assert!(s.pruned_sites > 0, "FERRUM has decided sites");
@@ -819,7 +822,9 @@ mod tests {
             Campaign::stratified(cfg(10, 7), &asm),
             Campaign::sampled(cfg(10, 7)).threads(3),
         ] {
-            let err = plan.run(Engine::Interpreter(&cpu), &profile).expect_err("no sites accepted");
+            let err = plan
+                .run(Engine::Interpreter(&cpu), &profile)
+                .expect_err("no sites accepted");
             assert_eq!(err, CampaignError::NoSites, "{}", plan.executor());
             assert!(err.to_string().contains("no injectable sites"), "{err}");
         }
@@ -832,7 +837,10 @@ mod tests {
             0
         );
         assert_eq!(
-            Campaign::exhaustive(8).run(Engine::Interpreter(&cpu), &profile).unwrap().total(),
+            Campaign::exhaustive(8)
+                .run(Engine::Interpreter(&cpu), &profile)
+                .unwrap()
+                .total(),
             0
         );
     }

@@ -238,7 +238,9 @@ mod tests {
         let asm = ferrum_backend::compile(&m).unwrap();
         let cpu = Cpu::load(&asm).unwrap();
         let profile = cpu.profile();
-        let res = Campaign::exhaustive(4).run(Engine::Interpreter(&cpu), &profile).unwrap();
+        let res = Campaign::exhaustive(4)
+            .run(Engine::Interpreter(&cpu), &profile)
+            .unwrap();
         let kinds = breakdown_by_kind(&profile, &res);
         assert!(kinds.flag_faults > 0, "cmp/test sites must exist");
         assert!(

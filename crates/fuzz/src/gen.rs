@@ -87,7 +87,11 @@ fn safe_bin(b: &mut FunctionBuilder, rng: &mut Rng64, ty: Ty, x: Value, y: Value
             let one = b.iconst(ty, 1);
             let m = b.bin(BinOp::And, ty, y, seven);
             let d = b.bin(BinOp::Add, ty, m, one);
-            let op = if rng.gen_below(2) == 0 { BinOp::SDiv } else { BinOp::SRem };
+            let op = if rng.gen_below(2) == 0 {
+                BinOp::SDiv
+            } else {
+                BinOp::SRem
+            };
             b.bin(op, ty, x, d)
         }
         _ => {
@@ -194,7 +198,9 @@ impl MainGen<'_> {
                     for _ in 1..arity {
                         args.push(y);
                     }
-                    self.b.call(name, args, Some(Ty::I64)).expect("helper returns")
+                    self.b
+                        .call(name, args, Some(Ty::I64))
+                        .expect("helper returns")
                 }
                 3 => {
                     let addr = self.elem_addr();
@@ -411,7 +417,12 @@ pub fn generate_module(seed: u64) -> (Module, GenStats) {
     let main = g.b.finish();
 
     let stats = GenStats {
-        mir_insts: main.inst_count() + module.functions.iter().map(Function::inst_count).sum::<usize>(),
+        mir_insts: main.inst_count()
+            + module
+                .functions
+                .iter()
+                .map(Function::inst_count)
+                .sum::<usize>(),
         blocks: main.blocks.len(),
         helpers: n_helpers,
     };
@@ -436,8 +447,7 @@ mod tests {
     fn generated_modules_verify_and_terminate() {
         for seed in 0..50 {
             let (m, stats) = generate_module(seed);
-            ferrum_mir::verify::verify_module(&m)
-                .unwrap_or_else(|e| panic!("seed {seed}: {e:?}"));
+            ferrum_mir::verify::verify_module(&m).unwrap_or_else(|e| panic!("seed {seed}: {e:?}"));
             let r = ferrum_mir::interp::Interp::new(&m)
                 .run()
                 .unwrap_or_else(|e| panic!("seed {seed}: {e}"));

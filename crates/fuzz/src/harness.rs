@@ -122,7 +122,9 @@ pub fn check_program(seed: u64, campaign_samples: usize) -> (u64, u64, Vec<Diver
     };
 
     let verified = ferrum_mir::verify::verify_module(&module);
-    c.check("verify", verified.is_ok(), || format!("{:?}", verified.unwrap_err()));
+    c.check("verify", verified.is_ok(), || {
+        format!("{:?}", verified.unwrap_err())
+    });
 
     // Golden oracle: the MIR interpreter.
     let oracle = match Interp::new(&module).run() {
@@ -132,7 +134,9 @@ pub fn check_program(seed: u64, campaign_samples: usize) -> (u64, u64, Vec<Diver
             return (stats.mir_insts as u64, c.checks, c.divergences);
         }
     };
-    c.check("interp-output", !oracle.is_empty(), || "program printed nothing".into());
+    c.check("interp-output", !oracle.is_empty(), || {
+        "program printed nothing".into()
+    });
 
     // Raw compilation at both levels, on both execution engines.
     let mut levels = Vec::new();
@@ -150,19 +154,30 @@ pub fn check_program(seed: u64, campaign_samples: usize) -> (u64, u64, Vec<Diver
             format!("[{}] {:?}", opt.label(), valid.unwrap_err())
         });
         let run = raw.engine(EngineKind::Interpreter).run(None);
-        c.check("semantics", run.stop == StopReason::MainReturned && run.output == oracle, || {
-            format!(
-                "[{}] stop {:?}, output {:?} vs oracle {:?}",
-                opt.label(),
-                run.stop,
-                run.output,
-                oracle
-            )
-        });
+        c.check(
+            "semantics",
+            run.stop == StopReason::MainReturned && run.output == oracle,
+            || {
+                format!(
+                    "[{}] stop {:?}, output {:?} vs oracle {:?}",
+                    opt.label(),
+                    run.stop,
+                    run.output,
+                    oracle
+                )
+            },
+        );
         let decoded = raw.engine(EngineKind::Decoded).run(None);
-        c.check("engine-identity", decoded.output == run.output && decoded.stop == run.stop, || {
-            format!("[{}] decoded engine disagrees with interpreter engine", opt.label())
-        });
+        c.check(
+            "engine-identity",
+            decoded.output == run.output && decoded.stop == run.stop,
+            || {
+                format!(
+                    "[{}] decoded engine disagrees with interpreter engine",
+                    opt.label()
+                )
+            },
+        );
         // Exact profiles are a stronger identity oracle than output
         // comparison: both engines must charge every dynamic
         // instruction to the same pc, function, and call stack.  The
@@ -196,17 +211,21 @@ pub fn check_program(seed: u64, campaign_samples: usize) -> (u64, u64, Vec<Diver
         let o1 = o1.program();
         let mut again = o1.clone();
         let stats2 = ferrum_backend::opt::optimize(&mut again, &meta);
-        c.check("idempotence", stats2.bundle_is_noop() && again == *o1, || {
-            format!("second bundle run changed code: {stats2:?}")
-        });
+        c.check(
+            "idempotence",
+            stats2.bundle_is_noop() && again == *o1,
+            || format!("second bundle run changed code: {stats2:?}"),
+        );
     }
     if let Ok(mut prog) = compile(&module) {
         let before = prog.static_inst_count() as u64;
         let pass_stats = ferrum_backend::opt::optimize(&mut prog, &meta);
         let after = prog.static_inst_count() as u64;
-        c.check("pass-stats", before - after == pass_stats.insts_removed(), || {
-            format!("size delta {before} -> {after}, stats claim {pass_stats:?}")
-        });
+        c.check(
+            "pass-stats",
+            before - after == pass_stats.insts_removed(),
+            || format!("size delta {before} -> {after}, stats claim {pass_stats:?}"),
+        );
     }
 
     // At both levels: protection transparency and lint cleanliness,
@@ -223,7 +242,9 @@ pub fn check_program(seed: u64, campaign_samples: usize) -> (u64, u64, Vec<Diver
             let build = match pipeline.build(&module, technique) {
                 Ok(b) => b,
                 Err(e) => {
-                    c.check("protect", false, || format!("[{}/{technique}] {e}", opt.label()));
+                    c.check("protect", false, || {
+                        format!("[{}/{technique}] {e}", opt.label())
+                    });
                     continue;
                 }
             };
@@ -249,8 +270,10 @@ pub fn check_program(seed: u64, campaign_samples: usize) -> (u64, u64, Vec<Diver
                     c.check("lint-ferrum", rep.is_clean(), || {
                         format!("[{}] {} findings", opt.label(), rep.findings.len())
                     });
-                    let mut reserved =
-                        build.manifests().values().flat_map(|m| m.reserved_gprs.iter());
+                    let mut reserved = build
+                        .manifests()
+                        .values()
+                        .flat_map(|m| m.reserved_gprs.iter());
                     let clash = reserved.find(|g| ferrum_backend::regalloc::POOL.contains(g));
                     c.check("manifest-pool", clash.is_none(), || {
                         let clash = clash.unwrap();
@@ -268,10 +291,17 @@ pub fn check_program(seed: u64, campaign_samples: usize) -> (u64, u64, Vec<Diver
             // The printed listing keeps every instruction's provenance
             // as a comment, so it must parse back to the same program.
             let back = parse_program(&print_program(build.program()));
-            c.check("round-trip", back.as_ref() == Ok(build.program()), || match back {
-                Err(e) => format!("[{}/{technique}] {e}", opt.label()),
-                Ok(_) => format!("[{}/{technique}] listing parses to another program", opt.label()),
-            });
+            c.check(
+                "round-trip",
+                back.as_ref() == Ok(build.program()),
+                || match back {
+                    Err(e) => format!("[{}/{technique}] {e}", opt.label()),
+                    Ok(_) => format!(
+                        "[{}/{technique}] listing parses to another program",
+                        opt.label()
+                    ),
+                },
+            );
             if campaign_samples == 0 {
                 continue;
             }
@@ -315,19 +345,28 @@ fn coverage_soundness(
 ) -> Option<CampaignResult> {
     let map = CoverageMap::analyze(build.program());
     let profile = build.profile();
-    let runs = plan.run(build.engine(EngineKind::Interpreter), profile).and_then(|serial| {
-        let pruned = plan.prune(&map).run(build.engine(EngineKind::default()), profile)?;
-        Ok((serial, pruned))
-    });
+    let runs = plan
+        .run(build.engine(EngineKind::Interpreter), profile)
+        .and_then(|serial| {
+            let pruned = plan
+                .prune(&map)
+                .run(build.engine(EngineKind::default()), profile)?;
+            Ok((serial, pruned))
+        });
     let (serial, pruned) = match runs {
         Ok(r) => r,
         Err(e) => {
-            c.check("campaign", false, || format!("[{}/ferrum] {e}", opt.label()));
+            c.check("campaign", false, || {
+                format!("[{}/ferrum] {e}", opt.label())
+            });
             return None;
         }
     };
     c.check("pruned-identity", serial == pruned, || {
-        format!("[{}] pruned campaign diverged from the serial interpreter campaign", opt.label())
+        format!(
+            "[{}] pruned campaign diverged from the serial interpreter campaign",
+            opt.label()
+        )
     });
     let contradicted = |map: &CoverageMap| {
         serial
@@ -395,10 +434,6 @@ mod tests {
             |_, _| {},
         );
         assert_eq!(report.programs, 25);
-        assert!(
-            report.is_clean(),
-            "divergences: {:#?}",
-            report.divergences
-        );
+        assert!(report.is_clean(), "divergences: {:#?}", report.divergences);
     }
 }

@@ -15,7 +15,6 @@ use crate::catalog::Scale;
 use crate::dsl::{for_loop, if_then, load_elem, store_elem, Var};
 use crate::kernels::rng_for;
 
-
 /// Problem size.
 #[derive(Debug, Clone, Copy)]
 pub struct Params {

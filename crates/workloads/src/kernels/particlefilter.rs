@@ -19,7 +19,6 @@ use crate::catalog::Scale;
 use crate::dsl::{abs_branch, for_loop, if_then, load_elem, store_elem, Var, FX_ONE};
 use crate::kernels::rng_for;
 
-
 /// Problem size.
 #[derive(Debug, Clone, Copy)]
 pub struct Params {

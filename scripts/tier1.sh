@@ -10,6 +10,9 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+echo "== tier1: cargo fmt --all --check (the workspace stays rustfmt-clean)"
+cargo fmt --all --check
+
 echo "== tier1: cargo build --release --offline"
 cargo build --release --offline --workspace
 

@@ -33,9 +33,7 @@ fn print_global_module() -> Module {
 fn aligned_double_fault_defeats_duplication() {
     let module = print_global_module();
     let pipeline = Pipeline::new();
-    let build = pipeline
-        .build(&module, Technique::Ferrum)
-        .expect("builds");
+    let build = pipeline.build(&module, Technique::Ferrum).expect("builds");
     let (engine, profile) = (build.engine(EngineKind::default()), build.profile());
     let golden = &profile.result.output;
 
@@ -75,9 +73,7 @@ fn each_half_of_the_adversarial_pair_alone_is_caught() {
     // escapes.
     let module = print_global_module();
     let pipeline = Pipeline::new();
-    let build = pipeline
-        .build(&module, Technique::Ferrum)
-        .expect("builds");
+    let build = pipeline.build(&module, Technique::Ferrum).expect("builds");
     let (engine, profile) = (build.engine(EngineKind::default()), build.profile());
     let golden = &profile.result.output;
     for site in &profile.sites {

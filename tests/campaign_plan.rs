@@ -125,7 +125,10 @@ impl Subject {
         let prunes = [None, Some(&self.map)];
         let prunes = &prunes[..1 + usize::from(prunable)];
         let mut plans = 0;
-        for engine in [Engine::Interpreter(&self.cpu), Engine::Decoded(&self.decoded)] {
+        for engine in [
+            Engine::Interpreter(&self.cpu),
+            Engine::Decoded(&self.decoded),
+        ] {
             for threads in [1, 3] {
                 for &prune in prunes {
                     for &reuse in reuses {
@@ -474,7 +477,9 @@ fn zero_sample_stats_keep_the_schema_without_dividing_by_zero() {
         Campaign::stratified(cfg, &s.prog),
         Campaign::double(cfg),
     ] {
-        let result = plan.run(Engine::Interpreter(&s.cpu), &s.profile).expect("runs");
+        let result = plan
+            .run(Engine::Interpreter(&s.cpu), &s.profile)
+            .expect("runs");
         assert_eq!(result.total(), 0);
         assert!(result.records.is_empty() && result.sdc_prob() == 0.0);
         assert!(result.stats.injections_per_sec.is_finite());

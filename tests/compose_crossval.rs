@@ -229,7 +229,7 @@ fn incremental_after_edit_matches_full_rerun_and_reuses_the_rest() {
 /// reuse drops to zero and the incremental run must still reproduce
 /// the full campaign exactly.
 #[test]
-fn incremental_catalog_edit_is_identical_with_zero_reuse()  {
+fn incremental_catalog_edit_is_identical_with_zero_reuse() {
     let w = ferrum_workloads::workload("bfs").expect("exists");
     let m = w.build(Scale::Test);
     let asm = Ferrum::new().protect_module(&m).expect("protects");
@@ -248,7 +248,10 @@ fn incremental_catalog_edit_is_identical_with_zero_reuse()  {
     let (full, _) = stratified(&cpu2, &profile2, cfg, &edited, None);
     let (inc, _) = stratified(&cpu2, &profile2, cfg, &edited, Some(&cache));
     assert_eq!(full, inc, "bfs: incremental diverged after editing main");
-    assert_eq!(inc.stats.reused_sites, 0, "bfs is single-function: no shard survives");
+    assert_eq!(
+        inc.stats.reused_sites, 0,
+        "bfs is single-function: no shard survives"
+    );
 }
 
 #[test]
@@ -300,7 +303,9 @@ fn empty_static_footprint_implies_benign() {
         let profile = cpu.profile();
         for &seed in &seeds {
             let cfg = CampaignConfig { samples: 64, seed };
-            let res = Campaign::sampled(cfg).run(Engine::Interpreter(&cpu), &profile).unwrap();
+            let res = Campaign::sampled(cfg)
+                .run(Engine::Interpreter(&cpu), &profile)
+                .unwrap();
             for &(fault, outcome) in &res.records {
                 let pc = profile.site_at(fault.dyn_index).expect("profiled site").pc;
                 let Some(unit) = summary.unit_at(&coverage, pc, fault.raw_bit) else {

@@ -123,7 +123,12 @@ fn sound_verdicts_match_injection_on_every_workload_and_config() {
         let m = w.build(Scale::Test);
         for (cfg_name, asm) in protect_all(&m) {
             let expect_decided = cfg_name != "ir-eddi";
-            assert_sound(&format!("{}/{}", cfg_name, w.name), &asm, 800, expect_decided);
+            assert_sound(
+                &format!("{}/{}", cfg_name, w.name),
+                &asm,
+                800,
+                expect_decided,
+            );
         }
     }
 }
@@ -142,7 +147,9 @@ fn pruned_engine_is_outcome_identical_across_configs() {
             samples: 400,
             seed: 0xFE44,
         };
-        let serial = Campaign::sampled(cfg).run(Engine::Interpreter(&cpu), &profile).unwrap();
+        let serial = Campaign::sampled(cfg)
+            .run(Engine::Interpreter(&cpu), &profile)
+            .unwrap();
         let pruned = Campaign::sampled(cfg)
             .prune(&map)
             .run(Engine::Interpreter(&cpu), &profile)
@@ -166,7 +173,9 @@ fn ferrum_prune_rate_clears_twenty_percent_on_all_workloads() {
             samples: 400,
             seed: 0xFE44,
         };
-        let serial = Campaign::sampled(cfg).run(Engine::Interpreter(&cpu), &profile).unwrap();
+        let serial = Campaign::sampled(cfg)
+            .run(Engine::Interpreter(&cpu), &profile)
+            .unwrap();
         let pruned = Campaign::sampled(cfg)
             .prune(&map)
             .run(Engine::Interpreter(&cpu), &profile)
@@ -210,7 +219,9 @@ fn manifest_validated_map_is_sound_and_still_prunes() {
         samples: 400,
         seed: 0xBEEF,
     };
-    let serial = Campaign::sampled(cfg).run(Engine::Interpreter(&cpu), &profile).unwrap();
+    let serial = Campaign::sampled(cfg)
+        .run(Engine::Interpreter(&cpu), &profile)
+        .unwrap();
     let pruned = Campaign::sampled(cfg)
         .prune(&validated)
         .run(Engine::Interpreter(&cpu), &profile)
@@ -245,7 +256,7 @@ impl Digest {
             for site in &fc.sites {
                 self.word(site.pc as u64);
                 self.word(u64::from(site.bits));
-                for (k, &v) in site.verdicts.iter().enumerate() {
+                for (k, v) in site.verdicts().enumerate() {
                     self.word(v as u64);
                     let Some(summary) = summary else { continue };
                     let u = summary.unit(site.pc, k, v);

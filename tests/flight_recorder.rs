@@ -41,15 +41,14 @@ fn load(name: &str, technique: Technique) -> Build {
 /// result with the captured stream, after checking that the stream's
 /// stage timings count every executed fault exactly once, under
 /// `replay` after a `snapshot-restore`.
-fn record(
-    s: &Build,
-    engine: EngineKind,
-    plan: Campaign<'_>,
-) -> (CampaignResult, Vec<FlightEvent>) {
+fn record(s: &Build, engine: EngineKind, plan: Campaign<'_>) -> (CampaignResult, Vec<FlightEvent>) {
     let sink = Arc::new(MemorySink::new());
     let recorder =
         FlightRecorder::new(sink.clone()).with_program_hash(program_signature(s.program()));
-    let result = plan.observe(&recorder).run(s.engine(engine), s.profile()).unwrap();
+    let result = plan
+        .observe(&recorder)
+        .run(s.engine(engine), s.profile())
+        .unwrap();
     let events = sink.events();
 
     let count = |stage: Stage| -> u64 {
@@ -86,7 +85,9 @@ fn recording_never_changes_outcomes() {
     let map = CoverageMap::analyze(s.program());
     let sampled = Campaign::sampled(CFG);
     let stratified = Campaign::stratified(CFG, s.program());
-    let cold = stratified.run(s.engine(EngineKind::Interpreter), s.profile()).unwrap();
+    let cold = stratified
+        .run(s.engine(EngineKind::Interpreter), s.profile())
+        .unwrap();
     let cache = CampaignCache::from_result(s.program(), s.profile(), CFG, &cold);
     let (_, events) = record(&s, EngineKind::Interpreter, sampled);
     let journal = JournalSnapshot::from_events(cut_after_shards(&events, 3)).expect("journal");
@@ -157,7 +158,10 @@ fn event_stream_is_internally_consistent() {
             })
             .collect();
         shards.sort_by_key(|s| s.start);
-        let reassembled: Vec<_> = shards.iter().flat_map(|s| s.records.iter().copied()).collect();
+        let reassembled: Vec<_> = shards
+            .iter()
+            .flat_map(|s| s.records.iter().copied())
+            .collect();
         assert_eq!(reassembled, result.records, "{name}: shard reassembly");
         let declared = match &events[0].event {
             CampaignEvent::Started { shards, .. } => *shards,
@@ -183,7 +187,10 @@ fn event_stream_is_internally_consistent() {
         }
         let fin = snapshots.last().expect("non-empty");
         assert_eq!(fin.done, result.total(), "{name}: final snapshot done");
-        assert!(fin.tallies.matches(&result), "{name}: final snapshot tallies");
+        assert!(
+            fin.tallies.matches(&result),
+            "{name}: final snapshot tallies"
+        );
 
         // The finished event repeats the final counts.
         if let CampaignEvent::Finished { tallies, .. } = &events.last().expect("last").event {
@@ -235,13 +242,17 @@ fn a_journal_with_a_retired_injection_stage_still_resumes() {
         events
             .iter()
             .map(|e| {
-                event_to_ndjson(e).replace("\"stage\":\"replay\"", &format!("\"stage\":\"{stage}\""))
+                event_to_ndjson(e)
+                    .replace("\"stage\":\"replay\"", &format!("\"stage\":\"{stage}\""))
                     + "\n"
             })
             .collect()
     };
     let old = journal_with("injection");
-    assert!(old.contains("\"stage\":\"injection\""), "no stage record relabelled");
+    assert!(
+        old.contains("\"stage\":\"injection\""),
+        "no stage record relabelled"
+    );
     let journal = journal_from_ndjson(&old).expect("a retired stage label parses");
     assert!(journal.finished);
     let resumed = Campaign::sampled(CFG)
@@ -286,7 +297,10 @@ fn resume_at_every_shard_boundary_is_byte_identical() {
     // The fixed seed, then three drawn from a fixed generator.
     let mut rng = Rng64::seed_from_u64(0x4E5E);
     let seeds = [CFG.seed, rng.next_u64(), rng.next_u64(), rng.next_u64()];
-    for (seed, engine) in seeds.into_iter().flat_map(|s| EngineKind::ALL.map(|e| (s, e))) {
+    for (seed, engine) in seeds
+        .into_iter()
+        .flat_map(|s| EngineKind::ALL.map(|e| (s, e)))
+    {
         let cfg = CampaignConfig { seed, ..CFG };
         let what = format!("seed {seed}, {}", engine.label());
         let (full, events) = record(&s, engine, Campaign::sampled(cfg));
@@ -305,7 +319,11 @@ fn resume_at_every_shard_boundary_is_byte_identical() {
                 .run(s.engine(engine), s.profile())
                 .unwrap_or_else(|e| panic!("{what}: resume at {k}: {e}"));
             assert_eq!(resumed, full, "{what}: kill after shard {k}");
-            assert_eq!(resumed.stats.reused_sites, journal.completed(), "{what}: reuse at {k}");
+            assert_eq!(
+                resumed.stats.reused_sites,
+                journal.completed(),
+                "{what}: reuse at {k}"
+            );
         }
     }
 }
@@ -351,7 +369,10 @@ fn resume_rejects_a_shard_whose_records_disagree_with_its_tallies() {
         .run(s.engine(EngineKind::Interpreter), s.profile())
         .expect_err("a shard that contradicts its tallies was accepted");
     assert!(matches!(err, CampaignError::Journal(_)), "{err:?}");
-    assert!(err.to_string().contains("tallies"), "unhelpful error: {err}");
+    assert!(
+        err.to_string().contains("tallies"),
+        "unhelpful error: {err}"
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -469,7 +490,9 @@ fn concurrent_campaigns_stream_into_their_own_recorders() {
                     let recorder = FlightRecorder::new(sink.clone()).with_labels(name, "");
                     let plan = Campaign::sampled(CFG).threads(2).observe(&recorder);
                     start.wait();
-                    let result = plan.run(s.engine(EngineKind::Interpreter), s.profile()).unwrap();
+                    let result = plan
+                        .run(s.engine(EngineKind::Interpreter), s.profile())
+                        .unwrap();
                     (result, sink.events())
                 })
             })

@@ -258,8 +258,12 @@ fn unknown_coverage_sites_cross_link_to_explanations() {
 /// the fixed campaign seed above.
 #[test]
 fn records_stay_consistent_over_seeds() {
-    let module = ferrum_workloads::workload("bfs").expect("exists").build(Scale::Test);
-    let build = Pipeline::new().build(&module, Technique::IrEddi).expect("builds");
+    let module = ferrum_workloads::workload("bfs")
+        .expect("exists")
+        .build(Scale::Test);
+    let build = Pipeline::new()
+        .build(&module, Technique::IrEddi)
+        .expect("builds");
     let (engine, profile) = (build.engine(EngineKind::Interpreter), build.profile());
     let fcfg = ForensicConfig {
         outcomes: vec![Outcome::Sdc],

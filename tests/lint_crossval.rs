@@ -120,15 +120,10 @@ fn manifest_driven_lint_is_clean_and_catches_reservation_violations() {
         assert!(rrep.is_clean(), "manifest-req/{}: not clean", w.name);
 
         // Seed a reservation violation in one normal-mode function.
-        let Some((fi, mf)) = prot
-            .functions
-            .iter()
-            .enumerate()
-            .find_map(|(fi, f)| {
-                let mf = manifests.get(&f.name)?;
-                (!mf.reserved_gprs.is_empty()).then_some((fi, mf))
-            })
-        else {
+        let Some((fi, mf)) = prot.functions.iter().enumerate().find_map(|(fi, f)| {
+            let mf = manifests.get(&f.name)?;
+            (!mf.reserved_gprs.is_empty()).then_some((fi, mf))
+        }) else {
             continue; // every function requisitions: nothing to violate
         };
         let mut bad = prot.clone();
@@ -231,7 +226,9 @@ fn sdc_count(asm: &AsmProgram) -> Option<usize> {
     if profile.result.stop != ferrum_cpu::outcome::StopReason::MainReturned {
         return None;
     }
-    let res = Campaign::exhaustive(4).run(Engine::Interpreter(&cpu), &profile).unwrap();
+    let res = Campaign::exhaustive(4)
+        .run(Engine::Interpreter(&cpu), &profile)
+        .unwrap();
     Some(res.sdc)
 }
 
@@ -366,7 +363,10 @@ fn kernel_listings_and_mutant_lint_reports_match_the_pinned_digest() {
             let pipeline = Pipeline::new().with_opt_level(opt);
             let configs = [
                 (pipeline.clone(), Technique::Ferrum),
-                (pipeline.clone().with_ferrum_config(requisition), Technique::Ferrum),
+                (
+                    pipeline.clone().with_ferrum_config(requisition),
+                    Technique::Ferrum,
+                ),
                 (pipeline, Technique::HybridAsmEddi),
             ];
             for (pipeline, technique) in configs {
@@ -381,7 +381,9 @@ fn kernel_listings_and_mutant_lint_reports_match_the_pinned_digest() {
                     for k in 0..count_mutation_sites(prog, kind) {
                         let (mutant, _) = apply_mutation(prog, kind, k).expect("site in range");
                         let rep = lint_program_with(&mutant, build.manifests());
-                        digest.bytes(format!("{} {}", rep.functions_scanned, rep.insts_scanned).as_bytes());
+                        digest.bytes(
+                            format!("{} {}", rep.functions_scanned, rep.insts_scanned).as_bytes(),
+                        );
                         for f in &rep.findings {
                             digest.bytes(format!("{f:?}").as_bytes());
                         }

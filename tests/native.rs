@@ -93,7 +93,9 @@ fn zmm_free_checkers_run_natively() {
     let w = ferrum_workloads::workload("particlefilter").expect("exists");
     let module = w.build(Scale::Test);
     let pipeline = Pipeline::new();
-    let prog = pipeline.protect(&module, Technique::Ferrum).expect("protects");
+    let prog = pipeline
+        .protect(&module, Technique::Ferrum)
+        .expect("protects");
     let text = ferrum_asm::gnu::emit_gnu(&prog);
     assert!(text.contains("vptest"), "SIMD checkers present");
     let got = assemble_and_run(&text, "pf_ferrum");
@@ -112,7 +114,9 @@ fn tampered_duplicate_is_detected_on_real_hardware() {
     let w = ferrum_workloads::workload("pathfinder").expect("exists");
     let module = w.build(Scale::Test);
     let pipeline = Pipeline::new();
-    let mut prog = pipeline.protect(&module, Technique::Ferrum).expect("protects");
+    let mut prog = pipeline
+        .protect(&module, Technique::Ferrum)
+        .expect("protects");
     // Find a protection-inserted immediate move (a duplicated constant)
     // and corrupt it.
     let mut tampered = false;
@@ -152,7 +156,11 @@ fn tampered_duplicate_is_detected_on_real_hardware() {
         .arg(&s_path)
         .output()
         .expect("run gcc");
-    assert!(gcc.status.success(), "{}", String::from_utf8_lossy(&gcc.stderr));
+    assert!(
+        gcc.status.success(),
+        "{}",
+        String::from_utf8_lossy(&gcc.stderr)
+    );
     let run = Command::new(&bin_path).output().expect("run binary");
     assert_eq!(
         run.status.code(),

@@ -23,8 +23,7 @@ fn o1_preserves_semantics_on_every_workload() {
     for w in all_workloads() {
         let module = w.build(Scale::Test);
         let oracle = w.oracle(Scale::Test);
-        let prog = compile_opt(&module, OptLevel::O1)
-            .unwrap_or_else(|e| panic!("{}: {e}", w.name));
+        let prog = compile_opt(&module, OptLevel::O1).unwrap_or_else(|e| panic!("{}: {e}", w.name));
         prog.validate()
             .unwrap_or_else(|e| panic!("{}: {e:?}", w.name));
         let run = pipeline.load(&prog).expect("loads").run(None);
@@ -46,7 +45,11 @@ fn o1_shrinks_every_workload() {
             o1.static_inst_count(),
             o0.static_inst_count()
         );
-        assert!(stats.regalloc_allocated > 0, "{}: nothing allocated", w.name);
+        assert!(
+            stats.regalloc_allocated > 0,
+            "{}: nothing allocated",
+            w.name
+        );
         assert!(
             stats.loads_forwarded + stats.loads_removed > 0,
             "{}: forwarding never fired",
@@ -105,7 +108,11 @@ fn optimized_output_still_runs_after_bundling_o0_code() {
             .unwrap_or_else(|e| panic!("{}: {e:?}", w.name));
         let run = pipeline.load(&prog).expect("loads").run(None);
         assert_eq!(run.stop, StopReason::MainReturned, "{}", w.name);
-        assert_eq!(run.output, oracle, "{}: bundled -O0 output vs oracle", w.name);
+        assert_eq!(
+            run.output, oracle,
+            "{}: bundled -O0 output vs oracle",
+            w.name
+        );
     }
 }
 
@@ -199,9 +206,18 @@ fn o1_listings_and_pass_stats_match_the_pinned_digest() {
     use ferrum_eddi::IrEddi;
     let mut modules: Vec<(String, ferrum_mir::module::Module)> = (O1_WINDOW.0
         ..O1_WINDOW.0 + O1_WINDOW.1)
-        .map(|seed| (format!("fuzz seed {seed}"), ferrum_fuzz::generate_module(seed).0))
+        .map(|seed| {
+            (
+                format!("fuzz seed {seed}"),
+                ferrum_fuzz::generate_module(seed).0,
+            )
+        })
         .collect();
-    modules.extend(all_workloads().into_iter().map(|w| (w.name.to_string(), w.build(Scale::Test))));
+    modules.extend(
+        all_workloads()
+            .into_iter()
+            .map(|w| (w.name.to_string(), w.build(Scale::Test))),
+    );
     let mut digest = Fnv::new();
     for (name, module) in &modules {
         let variants = [
@@ -210,8 +226,8 @@ fn o1_listings_and_pass_stats_match_the_pinned_digest() {
             SignaturePass::new().protect_tracked(module).0,
         ];
         for variant in &variants {
-            let (prog, stats) = compile_with_stats(variant, OptLevel::O1)
-                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            let (prog, stats) =
+                compile_with_stats(variant, OptLevel::O1).unwrap_or_else(|e| panic!("{name}: {e}"));
             digest.bytes(ferrum_asm::printer::print_program(&prog).as_bytes());
             digest.bytes(format!("{stats:?}").as_bytes());
         }

@@ -25,7 +25,11 @@ fn mechanism_counts_sum_exactly_on_every_catalog_workload() {
     for w in all_workloads() {
         let module = w.build(Scale::Test);
         let att = attribute(&pipeline, &module).expect(w.name);
-        assert!(att.protection_insts() > 0, "{}: no protection insts", w.name);
+        assert!(
+            att.protection_insts() > 0,
+            "{}: no protection insts",
+            w.name
+        );
         assert!(
             att.reconciles(),
             "{}: baseline {} insts + mechanism sum {} != protected {} \

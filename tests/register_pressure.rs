@@ -111,7 +111,9 @@ fn natural_requisition_keeps_full_coverage_exhaustively() {
     let prot = Ferrum::new().protect(&p).expect("protects");
     let cpu = Cpu::load(&prot).unwrap();
     let profile = cpu.profile();
-    let res = Campaign::exhaustive(6).run(Engine::Interpreter(&cpu), &profile).unwrap();
+    let res = Campaign::exhaustive(6)
+        .run(Engine::Interpreter(&cpu), &profile)
+        .unwrap();
     assert_eq!(res.sdc, 0, "{res:?}");
     assert!(res.detected > 0);
 }

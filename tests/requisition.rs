@@ -37,9 +37,7 @@ fn forced_requisition_keeps_full_coverage() {
     let pipeline = requisition_pipeline();
     for w in all_workloads() {
         let module = w.build(Scale::Test);
-        let build = pipeline
-            .build(&module, Technique::Ferrum)
-            .expect("builds");
+        let build = pipeline.build(&module, Technique::Ferrum).expect("builds");
         let res = Campaign::sampled(CampaignConfig {
             samples: 150,
             seed: 31,

@@ -54,8 +54,12 @@ fn decoded_engine_is_byte_identical_across_the_whole_catalog() {
                 seed: 0xFE44_0006,
             };
             assert_identical(
-                &Campaign::sampled(cfg).run(Engine::Decoded(&decoded), &profile).unwrap(),
-                &Campaign::sampled(cfg).run(Engine::Interpreter(&cpu), &profile).unwrap(),
+                &Campaign::sampled(cfg)
+                    .run(Engine::Decoded(&decoded), &profile)
+                    .unwrap(),
+                &Campaign::sampled(cfg)
+                    .run(Engine::Interpreter(&cpu), &profile)
+                    .unwrap(),
                 &format!("{}/{technique}", w.name),
             );
         }
@@ -78,9 +82,13 @@ fn engines_and_executors_agree_on_optimized_programs() {
             };
             let what = format!("{name}/{technique}@O1");
 
-            let serial = Campaign::sampled(cfg).run(Engine::Interpreter(&cpu), &profile).unwrap();
+            let serial = Campaign::sampled(cfg)
+                .run(Engine::Interpreter(&cpu), &profile)
+                .unwrap();
             assert_identical(
-                &Campaign::sampled(cfg).run(Engine::Decoded(&decoded), &profile).unwrap(),
+                &Campaign::sampled(cfg)
+                    .run(Engine::Decoded(&decoded), &profile)
+                    .unwrap(),
                 &serial,
                 &format!("{what} decoded"),
             );
@@ -110,7 +118,9 @@ fn checkpoint_replay_never_changes_outcomes() {
         samples: 200,
         seed: 7,
     };
-    let serial = Campaign::sampled(cfg).run(Engine::Interpreter(&cpu), &profile).unwrap();
+    let serial = Campaign::sampled(cfg)
+        .run(Engine::Interpreter(&cpu), &profile)
+        .unwrap();
     assert!(serial.stats.snapshot_hits > 0, "{:?}", serial.stats);
     for (k, &(fault, outcome)) in serial.records.iter().enumerate() {
         let whole = cpu.run(Some(fault));

@@ -70,7 +70,9 @@ fn assert_no_sdc(asm: &ferrum_asm::program::AsmProgram, what: &str) {
         ferrum_cpu::outcome::StopReason::MainReturned,
         "{what}: fault-free run must complete"
     );
-    let res = Campaign::exhaustive(4).run(Engine::Interpreter(&cpu), &profile).unwrap();
+    let res = Campaign::exhaustive(4)
+        .run(Engine::Interpreter(&cpu), &profile)
+        .unwrap();
     assert_eq!(
         res.sdc,
         0,
@@ -150,6 +152,8 @@ fn unprotected_program_is_vulnerable() {
     let asm = ferrum_backend::compile(&m).unwrap();
     let cpu = Cpu::load(&asm).unwrap();
     let profile = cpu.profile();
-    let res = Campaign::exhaustive(4).run(Engine::Interpreter(&cpu), &profile).unwrap();
+    let res = Campaign::exhaustive(4)
+        .run(Engine::Interpreter(&cpu), &profile)
+        .unwrap();
     assert!(res.sdc > 0, "raw program should show SDCs");
 }

@@ -62,12 +62,22 @@ fn tutorial_steps_3_to_5_protect_inject_measure() {
         samples: 500,
         seed: 1,
     });
-    let res = plan.run(ferrum_.engine(EngineKind::default()), profile).unwrap();
+    let res = plan
+        .run(ferrum_.engine(EngineKind::default()), profile)
+        .unwrap();
     assert_eq!(res.sdc, 0);
     assert!(res.detected > 0);
     let fast = plan.threads(4);
-    assert_eq!(fast.run(ferrum_.engine(EngineKind::default()), profile).unwrap(), res);
-    assert_eq!(plan.run(ferrum_.engine(EngineKind::Interpreter), profile).unwrap(), res);
+    assert_eq!(
+        fast.run(ferrum_.engine(EngineKind::default()), profile)
+            .unwrap(),
+        res
+    );
+    assert_eq!(
+        plan.run(ferrum_.engine(EngineKind::Interpreter), profile)
+            .unwrap(),
+        res
+    );
 
     let raw_cycles = raw.profile().result.cycles;
     let prot_cycles = ferrum_.profile().result.cycles;
