@@ -49,9 +49,10 @@
 
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
+use std::collections::HashMap;
 
-use crate::analysis::cfg::Cfg;
-use crate::analysis::liveness::{gprs_in, inst_kills, inst_reads, reg_bytes, Liveness};
+use crate::analysis::cfg::{block_labels, Cfg};
+use crate::analysis::liveness::{abi_reads_kills, gprs_in, reg_bytes, ByteSet, Liveness};
 use crate::flags::Cc;
 use crate::inst::{AluOp, DestClass, Inst};
 use crate::operand::Operand;
@@ -59,6 +60,7 @@ use crate::printer::print_inst;
 use crate::program::{AsmFunction, AsmProgram};
 use crate::provenance::{GlueKind, Provenance, TechniqueTag};
 use crate::reg::Gpr;
+use crate::EXIT_FUNCTION;
 
 /// The four FERRUM protection contracts (see module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -168,18 +170,27 @@ pub fn lint_function(f: &AsmFunction) -> Vec<LintFinding> {
 }
 
 /// Lints one function with optional pass-provided checker metadata.
+///
+/// The findings are those of the fixpoint's own block scans: a block
+/// is queued whenever its entry fact changes, so its last scan ran on
+/// its final entry fact.  Blocks report in reverse post-order, each
+/// with its scan's findings and then its unbalanced out-edges.
 pub fn lint_function_with(
     f: &AsmFunction,
     manifest: Option<&ProtectionManifest>,
 ) -> Vec<LintFinding> {
-    let enforce = Enforce::detect(f);
-    if !enforce.c1 {
+    let Tags {
+        ferrum,
+        asm,
+        mut accs,
+    } = Tags::of(f);
+    if !asm {
         // No assembly-level protection present: nothing to verify.
         return Vec::new();
     }
-    let cfg = Cfg::build(f);
+    let labels = block_labels(f);
+    let cfg = Cfg::with_labels(f, &labels);
     let lv = Liveness::compute(f, &cfg);
-    let mut accs = accumulator_set(f);
     let mut reserved: Vec<Gpr> = Vec::new();
     if let Some(m) = manifest {
         accs.extend(m.accumulators.iter().copied());
@@ -188,28 +199,36 @@ pub fn lint_function_with(
     let ctx = Ctx {
         f,
         lv: &lv,
+        labels: &labels,
         accs: &accs,
         reserved: &reserved,
-        enforce,
+        compares: ferrum,
     };
 
-    // Fixpoint over block entry facts (worklist seeded with the entry).
+    // Fixpoint over block entry facts (worklist seeded with the entry),
+    // keeping the findings of each block's last scan and the stack on
+    // each of its out-edges.  A loop that saves a requisitioned register
+    // and never restores it grows its entry stack on every trip, so past
+    // the round cap the queued blocks are scanned once more on their
+    // current facts and their edges no longer joined.
     let n = f.blocks.len();
     let mut entry: Vec<Option<Fact>> = vec![None; n];
-    if n == 0 {
-        return Vec::new();
-    }
+    let mut last: Vec<Option<(Findings, EdgeStacks)>> = (0..n).map(|_| None).collect();
     entry[0] = Some(Fact::default());
     let mut work = vec![0usize];
     let mut rounds = 0usize;
     while let Some(bi) = work.pop() {
         rounds += 1;
-        if rounds > n * 64 + 64 {
-            break; // defensive: facts are monotone, this should not hit
-        }
-        let fact = entry[bi].clone().expect("worklist blocks have facts");
-        let (edges, _) = scan_block(&ctx, bi, &fact, false);
+        let fact = entry[bi].as_ref().expect("worklist blocks have facts");
+        let Scan {
+            edges, findings, ..
+        } = Scan::block(&ctx, bi, fact);
+        let mut stacks = Vec::with_capacity(edges.len());
         for (t, ef) in edges {
+            stacks.push((t, ef.stack.clone()));
+            if rounds > n * 64 + 64 {
+                continue;
+            }
             let merged = match &entry[t] {
                 None => ef,
                 Some(old) => join(old, &ef),
@@ -221,88 +240,70 @@ pub fn lint_function_with(
                 }
             }
         }
+        last[bi] = Some((findings, stacks));
     }
 
-    // Final pass with stable entry facts: collect findings.
     let mut findings = Vec::new();
     for bi in cfg.reverse_post_order() {
-        let Some(fact) = entry[bi].clone() else {
+        let Some((mut out, stacks)) = last[bi].take() else {
             continue;
         };
-        let (edges, mut fs) = scan_block(&ctx, bi, &fact, true);
-        findings.append(&mut fs);
         // Requisition stacks must agree at join points: an edge whose
         // stack differs from the fixpoint entry of its target means some
         // other path into that target pushes or pops differently.
-        for (t, ef) in edges {
-            if let Some(te) = &entry[t] {
-                if ef.stack != te.stack {
-                    findings.push(LintFinding {
-                        contract: LintContract::Requisition,
-                        function: f.name.clone(),
-                        block: f.blocks[bi].label.clone(),
-                        inst_index: f.blocks[bi].insts.len().saturating_sub(1),
-                        provenance: Provenance::Synthetic,
-                        explanation: format!(
-                            "requisition stack unbalanced across paths into `{}`",
-                            f.blocks[t].label
-                        ),
-                    });
-                }
+        for (t, stack) in stacks {
+            if entry[t].as_ref().is_some_and(|te| te.stack != stack) {
+                out.report(
+                    LintContract::Requisition,
+                    f.blocks[bi].insts.len().saturating_sub(1),
+                    Provenance::Synthetic,
+                    format!(
+                        "requisition stack unbalanced across paths into `{}`",
+                        f.blocks[t].label
+                    ),
+                );
             }
         }
+        findings.append(&mut out.list);
     }
-    dedupe_by_dominance(&cfg, f, &mut findings);
+    dedupe_by_dominance(&cfg, &labels, &mut findings);
     findings
 }
 
-/// Which contracts apply, derived from the protection tags present.
-#[derive(Debug, Clone, Copy)]
-struct Enforce {
-    /// Assembly-level protection is present: track dirty results.
-    c1: bool,
+/// What a function's protection tags show, found in one walk.
+struct Tags {
     /// FERRUM-style flag protection expected: consumed compares must use
     /// the deferred idiom (hybrid covers compares at the IR level).
-    compares: bool,
+    ferrum: bool,
+    /// Assembly-level (FERRUM or hybrid) protection is present: track
+    /// dirty results.
+    asm: bool,
+    /// SIMD accumulator registers: every XMM index a protection capture
+    /// writes.  Input programs contain no SIMD (the passes reject it),
+    /// so any protection `movq`/`pinsrq` into an XMM register is a batch
+    /// slot.
+    accs: BTreeSet<u8>,
 }
 
-impl Enforce {
-    fn detect(f: &AsmFunction) -> Enforce {
-        let mut ferrum = false;
-        let mut hybrid = false;
+impl Tags {
+    fn of(f: &AsmFunction) -> Tags {
+        let mut tags = Tags {
+            ferrum: false,
+            asm: false,
+            accs: BTreeSet::new(),
+        };
         for ai in f.insts() {
-            if let Provenance::Protection(tag, _) = ai.prov {
-                match tag {
-                    TechniqueTag::Ferrum => ferrum = true,
-                    TechniqueTag::HybridAsmEddi => hybrid = true,
-                    TechniqueTag::IrEddi => {}
-                }
+            let Provenance::Protection(tag, _) = ai.prov else {
+                continue;
+            };
+            tags.ferrum |= tag == TechniqueTag::Ferrum;
+            tags.asm |= tag != TechniqueTag::IrEddi;
+            if let Inst::MovqToXmm { dst, .. } | Inst::Pinsrq { dst, .. } = &ai.inst {
+                tags.accs.insert(dst.0);
             }
         }
-        Enforce {
-            c1: ferrum || hybrid,
-            compares: ferrum,
-        }
+        tags
     }
-}
-
-/// SIMD accumulator registers: every XMM index a protection capture
-/// writes.  Input programs contain no SIMD (the passes reject it), so
-/// any protection `movq`/`pinsrq` into an XMM register is a batch slot.
-fn accumulator_set(f: &AsmFunction) -> BTreeSet<u8> {
-    let mut accs = BTreeSet::new();
-    for ai in f.insts() {
-        if !ai.prov.is_protection() {
-            continue;
-        }
-        match &ai.inst {
-            Inst::MovqToXmm { dst, .. } | Inst::Pinsrq { dst, .. } => {
-                accs.insert(dst.0);
-            }
-            _ => {}
-        }
-    }
-    accs
 }
 
 /// Identifies the original-site instruction a piece of dirt came from.
@@ -324,6 +325,9 @@ enum StackEntry {
     /// Anything else (frame saves, non-register pushes).
     Plain,
 }
+
+/// The requisition stack on each out-edge of a block, by target block.
+type EdgeStacks = Vec<(usize, Vec<StackEntry>)>;
 
 /// A protected compare whose pair check is still outstanding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -348,36 +352,33 @@ struct Fact {
 fn join(a: &Fact, b: &Fact) -> Fact {
     let mut dirty = a.dirty.clone();
     for (g, s) in &b.dirty {
-        dirty
-            .entry(*g)
-            .and_modify(|cur| {
-                if *s < *cur {
-                    *cur = *s;
-                }
-            })
-            .or_insert(*s);
+        let site = dirty.entry(*g).or_insert(*s);
+        *site = (*site).min(*s);
     }
     // Keep the longer stack: missing pops surface at the eventual `ret`.
     let stack = if b.stack.len() > a.stack.len() {
-        b.stack.clone()
+        &b.stack
     } else {
-        a.stack.clone()
+        &a.stack
     };
     Fact {
         dirty,
         pair: a.pair.or(b.pair),
-        stack,
+        stack: stack.clone(),
     }
 }
 
 struct Ctx<'a> {
     f: &'a AsmFunction,
     lv: &'a Liveness,
+    /// The block index of each label (see [`block_labels`]).
+    labels: &'a HashMap<&'a str, usize>,
     accs: &'a BTreeSet<u8>,
     /// Manifest-declared function-wide reserved GPRs (empty without a
     /// manifest, or in requisition mode).
     reserved: &'a [Gpr],
-    enforce: Enforce,
+    /// Consumed compares must use the deferred idiom ([`Tags::ferrum`]).
+    compares: bool,
 }
 
 /// What the immediately preceding protection instruction armed: the
@@ -390,127 +391,150 @@ enum Armed {
     Drain,
 }
 
-/// Scans one block from `entry`, returning the facts on each out-edge
-/// and (when `collect`) the findings.
-#[allow(clippy::too_many_lines)]
-fn scan_block(
-    ctx: &Ctx<'_>,
+/// The findings of one block: every [`LintFinding`] is made here.
+struct Findings<'a> {
+    function: &'a str,
+    block: &'a str,
+    list: Vec<LintFinding>,
+}
+
+impl Findings<'_> {
+    fn report(
+        &mut self,
+        contract: LintContract,
+        inst_index: usize,
+        provenance: Provenance,
+        explanation: String,
+    ) {
+        self.list.push(LintFinding {
+            contract,
+            function: self.function.to_owned(),
+            block: self.block.to_owned(),
+            inst_index,
+            provenance,
+            explanation,
+        });
+    }
+}
+
+/// One scan of a block from an entry fact: the fact as the scan runs,
+/// the out-edges with the fact each carries, and the findings.
+struct Scan<'a> {
+    ctx: &'a Ctx<'a>,
     bi: usize,
-    entry: &Fact,
-    collect: bool,
-) -> (Vec<(usize, Fact)>, Vec<LintFinding>) {
-    let f = ctx.f;
-    let b = &f.blocks[bi];
-    let label_of = |l: &str| f.blocks.iter().position(|bb| bb.label == l);
-    let mut fact = entry.clone();
-    let mut findings = Vec::new();
-    let mut edges: Vec<(usize, Fact)> = Vec::new();
-    // Batch slots are block-local: stock code drains before block end.
-    let mut slots: BTreeMap<(u8, u8), SiteId> = BTreeMap::new();
-    let mut armed: Option<Armed> = None;
-    // Fig. 5 idiom recognised but consumer branch not yet reached.
-    let mut armed_pair: Option<PairPending> = None;
+    fact: Fact,
+    edges: Vec<(usize, Fact)>,
+    findings: Findings<'a>,
+}
 
-    let push_finding =
-        |findings: &mut Vec<LintFinding>, c: LintContract, i: usize, p: Provenance, e: String| {
-            if collect {
-                findings.push(LintFinding {
-                    contract: c,
-                    function: f.name.clone(),
-                    block: b.label.clone(),
-                    inst_index: i,
-                    provenance: p,
-                    explanation: e,
-                });
-            }
+impl<'a> Scan<'a> {
+    /// Scans block `bi` from `entry`.
+    fn block(ctx: &'a Ctx<'a>, bi: usize, entry: &Fact) -> Scan<'a> {
+        let mut scan = Scan {
+            ctx,
+            bi,
+            fact: entry.clone(),
+            edges: Vec::new(),
+            findings: Findings {
+                function: &ctx.f.name,
+                block: &ctx.f.blocks[bi].label,
+                list: Vec::new(),
+            },
         };
+        scan.run();
+        scan
+    }
 
-    // Requisition pushes appear in the block "prologue": before the
-    // first instruction that is neither protection nor frame setup.
-    // Protection pushes later in the block are value saves (idiv).
-    let mut in_prologue = true;
+    fn run(&mut self) {
+        let ctx = self.ctx;
+        let bi = self.bi;
+        let b = &ctx.f.blocks[bi];
+        // Batch slots are block-local: stock code drains before block end.
+        let mut slots: BTreeMap<(u8, u8), SiteId> = BTreeMap::new();
+        let mut armed: Option<Armed> = None;
+        // Fig. 5 idiom recognised but consumer branch not yet reached.
+        let mut armed_pair: Option<PairPending> = None;
+        // Requisition pushes appear in the block "prologue": before the
+        // first instruction that is neither protection nor frame setup.
+        // Protection pushes later in the block are value saves (idiv).
+        let mut in_prologue = true;
 
-    let mut i = 0usize;
-    while i < b.insts.len() {
-        let ai = &b.insts[i];
-        let inst = &ai.inst;
-        let prov = ai.prov;
-        let this_armed = armed.take();
-        if !prov.is_protection() && prov != Provenance::Glue(GlueKind::FrameSetup) {
-            in_prologue = false;
-        }
+        for (i, ai) in b.insts.iter().enumerate() {
+            let (inst, prov) = (&ai.inst, ai.prov);
+            let effects = inst.effects();
+            let this_armed = armed.take();
+            if !prov.is_protection() && prov != Provenance::Glue(GlueKind::FrameSetup) {
+                in_prologue = false;
+            }
 
-        // -- Batch flush points: any control transfer except the checker
-        // branch itself must see an empty batch.
-        let is_checker_jcc = matches!(
-            inst,
-            Inst::Jcc { cc: Cc::Ne, target } if target == crate::EXIT_FUNCTION
-        ) && prov.is_protection();
-        if inst.is_control() && !is_checker_jcc && !slots.is_empty() {
-            push_finding(
-                &mut findings,
-                LintContract::BatchIntegrity,
-                i,
-                prov,
-                format!(
-                    "SIMD batch holds {} undrained capture(s) at `{}`",
-                    slots.len(),
-                    print_inst(inst)
-                ),
-            );
-            slots.clear();
-        }
+            // -- Batch flush points: any control transfer except the checker
+            // branch itself must see an empty batch.
+            let is_checker_jcc = matches!(
+                inst,
+                Inst::Jcc { cc: Cc::Ne, target } if target == EXIT_FUNCTION
+            ) && prov.is_protection();
+            if inst.is_control() && !is_checker_jcc && !slots.is_empty() {
+                self.findings.report(
+                    LintContract::BatchIntegrity,
+                    i,
+                    prov,
+                    format!(
+                        "SIMD batch holds {} undrained capture(s) at `{}`",
+                        slots.len(),
+                        print_inst(inst)
+                    ),
+                );
+                slots.clear();
+            }
 
-        if prov.is_protection() {
-            match inst {
-                // ---- batch captures -------------------------------------
-                Inst::MovqToXmm { src, dst } | Inst::Pinsrq { src, dst, .. } => {
-                    let lane = match inst {
-                        Inst::Pinsrq { lane, .. } => *lane,
-                        _ => 0,
-                    };
-                    let key = (dst.0, lane);
-                    if let Some(prev) = slots.get(&key) {
-                        push_finding(
-                            &mut findings,
-                            LintContract::BatchIntegrity,
-                            i,
-                            prov,
-                            format!(
-                                "batch slot %xmm{} lane {lane} reused before drain \
-                                 (pending capture from block {} inst {})",
-                                dst.0, prev.0, prev.1
-                            ),
-                        );
+            if prov.is_protection() {
+                match inst {
+                    // ---- batch captures -------------------------------------
+                    Inst::MovqToXmm { src, dst } | Inst::Pinsrq { src, dst, .. } => {
+                        let lane = match inst {
+                            Inst::Pinsrq { lane, .. } => *lane,
+                            _ => 0,
+                        };
+                        let key = (dst.0, lane);
+                        if let Some(prev) = slots.get(&key) {
+                            self.findings.report(
+                                LintContract::BatchIntegrity,
+                                i,
+                                prov,
+                                format!(
+                                    "batch slot %xmm{} lane {lane} reused before drain \
+                                     (pending capture from block {} inst {})",
+                                    dst.0, prev.0, prev.1
+                                ),
+                            );
+                        }
+                        let origin = match src {
+                            Operand::Reg(r) => self.fact.dirty.remove(&r.gpr).unwrap_or((bi, i)),
+                            _ => (bi, i),
+                        };
+                        slots.insert(key, origin);
                     }
-                    let origin = match src {
-                        Operand::Reg(r) => fact.dirty.remove(&r.gpr).unwrap_or((bi, i)),
-                        _ => (bi, i),
-                    };
-                    slots.insert(key, origin);
-                }
-                // ---- batch drain ----------------------------------------
-                Inst::Vptest { .. } | Inst::Vptest128 { .. } | Inst::Vptest512 { .. } => {
-                    armed = Some(Armed::Drain);
-                }
-                // Widening/xor steps of the drain protocol: allowed
-                // writes to the accumulators.
-                Inst::Vpxor { .. }
-                | Inst::Vpxor128 { .. }
-                | Inst::Vpxor512 { .. }
-                | Inst::Vinserti128 { .. }
-                | Inst::Vinserti64x4 { .. } => {}
-                // ---- the checker branch ---------------------------------
-                Inst::Jcc { cc: Cc::Ne, target } if target == crate::EXIT_FUNCTION => {
-                    match this_armed {
+                    // ---- batch drain ----------------------------------------
+                    Inst::Vptest { .. } | Inst::Vptest128 { .. } | Inst::Vptest512 { .. } => {
+                        armed = Some(Armed::Drain);
+                    }
+                    // Widening/xor steps of the drain protocol: allowed
+                    // writes to the accumulators.
+                    Inst::Vpxor { .. }
+                    | Inst::Vpxor128 { .. }
+                    | Inst::Vpxor512 { .. }
+                    | Inst::Vinserti128 { .. }
+                    | Inst::Vinserti64x4 { .. } => {}
+                    // ---- the checker branch ---------------------------------
+                    Inst::Jcc { .. } if is_checker_jcc => match this_armed {
                         Some(Armed::Drain) => slots.clear(),
                         Some(Armed::Scalar(regs)) => {
                             for g in &regs {
-                                fact.dirty.remove(g);
+                                self.fact.dirty.remove(g);
                             }
-                            if let Some(p) = fact.pair {
+                            if let Some(p) = self.fact.pair {
                                 if regs.contains(&p.p0) && regs.contains(&p.p1) {
-                                    fact.pair = None;
+                                    self.fact.pair = None;
                                 }
                             }
                         }
@@ -518,505 +542,410 @@ fn scan_block(
                             // A bare checker compares nothing: harmless
                             // for soundness, so not a finding.
                         }
+                    },
+                    // ---- scalar checks arm the next jne ---------------------
+                    Inst::Cmp { src, dst, .. } => {
+                        let regs = [src, dst].into_iter().filter_map(Operand::as_reg);
+                        armed = Some(Armed::Scalar(regs.map(|r| r.gpr).collect()));
                     }
-                }
-                // ---- scalar checks arm the next jne ---------------------
-                Inst::Cmp { src, dst, .. } => {
-                    let mut regs = Vec::new();
-                    if let Operand::Reg(r) = src {
-                        regs.push(r.gpr);
-                    }
-                    if let Operand::Reg(r) = dst {
-                        regs.push(r.gpr);
-                    }
-                    armed = Some(Armed::Scalar(regs));
-                }
-                Inst::Alu {
-                    op: AluOp::Xor,
-                    src,
-                    dst,
-                    ..
-                } if matches!((src, dst), (Operand::Reg(_), Operand::Reg(_))) => {
-                    let mut regs = Vec::new();
-                    if let (Operand::Reg(s), Operand::Reg(d)) = (src, dst) {
-                        regs.push(s.gpr);
+                    Inst::Alu {
+                        op: AluOp::Xor,
+                        src: Operand::Reg(s),
+                        dst: Operand::Reg(d),
+                        ..
+                    } => {
                         // The xor overwrites the duplicate: apply the
-                        // write rules below before arming with it.
-                        regs.push(d.gpr);
+                        // write rules before arming with it.
+                        self.protection_writes(i, inst, prov, effects.gpr_write);
+                        armed = Some(Armed::Scalar(vec![s.gpr, d.gpr]));
                     }
-                    protection_writes(ctx, &mut fact, inst, i, prov, &mut findings, collect, bi);
-                    armed = Some(Armed::Scalar(regs));
-                    check_pair_clobber(&mut fact, inst, i, prov, &mut findings, collect, f, b);
-                    i += 1;
-                    continue;
-                }
-                // ---- stack protocol -------------------------------------
-                Inst::Push { src } => {
-                    let entry = match src {
-                        Operand::Reg(r) => match fact.dirty.get(&r.gpr) {
-                            Some(site) => StackEntry::Capture(*site),
-                            None if in_prologue => StackEntry::Req(r.gpr),
-                            None => StackEntry::Save(r.gpr),
-                        },
-                        _ => StackEntry::Plain,
-                    };
-                    fact.stack.push(entry);
-                }
-                Inst::Pop { dst } => {
-                    let g = match dst {
-                        Operand::Reg(r) => Some(r.gpr),
-                        _ => None,
-                    };
-                    match fact.stack.pop() {
-                        None => push_finding(
-                            &mut findings,
-                            LintContract::Requisition,
-                            i,
-                            prov,
-                            "protection pop with no matching push on any path".into(),
-                        ),
-                        Some(StackEntry::Capture(site)) => {
-                            if let Some(g) = g {
-                                fact.dirty.insert(g, site);
-                            }
-                        }
-                        Some(StackEntry::Req(saved)) => {
-                            if g != Some(saved) {
-                                push_finding(
-                                    &mut findings,
+                    // ---- stack protocol -------------------------------------
+                    Inst::Push { src } => {
+                        let entry = match src {
+                            Operand::Reg(r) => match self.fact.dirty.get(&r.gpr) {
+                                Some(site) => StackEntry::Capture(*site),
+                                None if in_prologue => StackEntry::Req(r.gpr),
+                                None => StackEntry::Save(r.gpr),
+                            },
+                            _ => StackEntry::Plain,
+                        };
+                        self.fact.stack.push(entry);
+                    }
+                    Inst::Pop { dst } => self.protection_pop(i, prov, dst.as_reg().map(|r| r.gpr)),
+                    // Protection `add $8k, %rsp` discards stack slots (the
+                    // idiv scheme's saved input).
+                    Inst::Alu {
+                        op: AluOp::Add,
+                        src: Operand::Imm(k),
+                        dst: Operand::Reg(r),
+                        ..
+                    } if r.gpr == Gpr::Rsp => {
+                        for _ in 0..(*k / 8).max(0) {
+                            match self.fact.stack.pop() {
+                                Some(StackEntry::Req(g)) => self.findings.report(
                                     LintContract::Requisition,
                                     i,
                                     prov,
-                                    format!(
-                                        "requisition pop restores {:?}, but {:?} was saved",
-                                        g, saved
-                                    ),
-                                );
-                            }
-                            if let Some(g) = g {
-                                fact.dirty.remove(&g);
-                                if !red_zone_verified(b, i, g) {
-                                    push_finding(
-                                        &mut findings,
-                                        LintContract::Requisition,
-                                        i,
-                                        prov,
-                                        format!(
-                                            "requisition pop of {g:?} lacks the red-zone \
-                                             verification (`cmpq -8(%rsp)` + `jne`)"
-                                        ),
-                                    );
-                                }
-                            }
-                        }
-                        Some(StackEntry::Save(_)) | Some(StackEntry::Plain) => {
-                            if let Some(g) = g {
-                                fact.dirty.remove(&g);
+                                    format!("requisitioned {g:?} discarded without restore"),
+                                ),
+                                Some(_) => {}
+                                None => break,
                             }
                         }
                     }
-                }
-                // Protection `add $8k, %rsp` discards stack slots (the
-                // idiv scheme's saved input).
-                Inst::Alu {
-                    op: AluOp::Add,
-                    src: Operand::Imm(k),
-                    dst: Operand::Reg(r),
-                    ..
-                } if r.gpr == Gpr::Rsp => {
-                    let mut n = (*k / 8).max(0);
-                    while n > 0 {
-                        match fact.stack.pop() {
-                            Some(StackEntry::Req(g)) => push_finding(
-                                &mut findings,
-                                LintContract::Requisition,
-                                i,
-                                prov,
-                                format!("requisitioned {g:?} discarded without restore"),
-                            ),
-                            Some(_) => {}
-                            None => break,
-                        }
-                        n -= 1;
-                    }
-                }
-                _ => {
                     // Any other protection instruction: apply the
                     // register-write rules (copies propagate dirt,
                     // overwrites of a sole copy lose the check).
-                    protection_writes(ctx, &mut fact, inst, i, prov, &mut findings, collect, bi);
+                    _ => self.protection_writes(i, inst, prov, effects.gpr_write),
                 }
-            }
-            check_pair_clobber(&mut fact, inst, i, prov, &mut findings, collect, f, b);
-            // Protection jumps (stub tails) are edges too, as are the
-            // hybrid pass's retagged IR-level checker branches (their
-            // targets are ordinary detect blocks, not `exit_function`).
-            match inst {
-                Inst::Jmp { target } => {
-                    if let Some(t) = label_of(target) {
-                        edges.push((t, fact.clone()));
+                self.check_pair_clobber(i, inst, prov, effects.gpr_write);
+            } else {
+                // Reads of dirty registers, physical or by the ABI (a
+                // call's arguments, the returned `%rax`): the unverified
+                // value is consumed.
+                let (abi_reads, abi_kills) = abi_reads_kills(inst, &effects);
+                let reads = effects.gpr_read | abi_reads;
+                self.fact.dirty.retain(|&g, &mut site| {
+                    if reads & reg_bytes(g) == 0 {
+                        return true;
                     }
-                    return (edges, findings);
-                }
-                Inst::Jcc { target, .. } if target != crate::EXIT_FUNCTION => {
-                    if let Some(t) = label_of(target) {
-                        edges.push((t, fact.clone()));
-                    }
-                }
-                _ => {}
-            }
-            i += 1;
-            continue;
-        }
-
-        // ------------- non-protection instruction ------------------------
-
-        // Reads of dirty registers, physical or by the ABI (a call's
-        // arguments, the returned `%rax`): the unverified value is
-        // consumed.
-        let effects = inst.effects();
-        let reads = effects.gpr_read | inst_reads(inst);
-        fact.dirty.retain(|&g, &mut site| {
-            if reads & reg_bytes(g) == 0 {
-                return true;
-            }
-            push_finding(
-                &mut findings,
-                LintContract::CheckedSync,
-                i,
-                prov,
-                format!(
-                    "`{}` consumes unverified result in {g:?} \
-                     (site at block {} inst {}, no checker in between)",
-                    print_inst(inst),
-                    site.0,
-                    site.1
-                ),
-            );
-            false
-        });
-
-        // Reads/writes of requisitioned registers while they are saved.
-        let requisitioned = fact.stack.iter().fold(0, |set, e| match e {
-            StackEntry::Req(g) => set | reg_bytes(*g),
-            _ => set,
-        });
-        let touched = (effects.gpr_read | effects.gpr_write) & requisitioned;
-        if let Some(g) = gprs_in(touched).next() {
-            push_finding(
-                &mut findings,
-                LintContract::Requisition,
-                i,
-                prov,
-                format!(
-                    "`{}` touches requisitioned register {g:?} while it is \
-                     on the requisition stack",
-                    print_inst(inst)
-                ),
-            );
-        }
-
-        // Manifest-declared reservations: original code must never write
-        // a reserved protection register — the duplicates live there.
-        // Calls are exempt: the pass re-establishes protection state
-        // around them (and callee clobbers are modelled above).
-        if !ctx.reserved.is_empty() && !matches!(inst, Inst::Call { .. }) {
-            for g in gprs_in(effects.gpr_write) {
-                if ctx.reserved.contains(&g) {
-                    push_finding(
-                        &mut findings,
+                    self.findings.report(
                         LintContract::CheckedSync,
                         i,
                         prov,
                         format!(
-                            "`{}` writes {g:?}, which the protection pass \
-                             reserved function-wide (manifest violation)",
+                            "`{}` consumes unverified result in {g:?} \
+                             (site at block {} inst {}, no checker in between)",
+                            print_inst(inst),
+                            site.0,
+                            site.1
+                        ),
+                    );
+                    false
+                });
+
+                // Reads/writes of requisitioned registers while they are
+                // saved: the raw operands, not the ABI's view of a call.
+                let requisitioned = self.fact.stack.iter().fold(0, |set, e| match e {
+                    StackEntry::Req(g) => set | reg_bytes(*g),
+                    _ => set,
+                });
+                let touched = (effects.gpr_read | effects.gpr_write) & requisitioned;
+                if let Some(g) = gprs_in(touched).next() {
+                    self.findings.report(
+                        LintContract::Requisition,
+                        i,
+                        prov,
+                        format!(
+                            "`{}` touches requisitioned register {g:?} while it is \
+                             on the requisition stack",
                             print_inst(inst)
                         ),
                     );
                 }
-            }
-        }
 
-        // Batch accumulators may only be written by the protection
-        // capture/drain protocol, never by original code.
-        if let Inst::MovqToXmm { dst, .. } | Inst::Pinsrq { dst, .. } = inst {
-            if ctx.accs.contains(&dst.0) {
-                push_finding(
-                    &mut findings,
-                    LintContract::BatchIntegrity,
-                    i,
-                    prov,
-                    format!(
-                        "non-protection `{}` writes batch accumulator %xmm{}",
-                        print_inst(inst),
-                        dst.0
-                    ),
-                );
-            }
-        }
-
-        // Deferred-flags idiom recognition at an original compare.
-        if matches!(inst, Inst::Cmp { .. } | Inst::Test { .. }) {
-            if let Some(pp) = match_deferred_idiom(b, i) {
-                armed_pair = Some(PairPending {
-                    p0: pp.0,
-                    p1: pp.1,
-                    site: (bi, i),
-                });
-            } else if ctx.enforce.compares && consumed_flags(b, i) {
-                push_finding(
-                    &mut findings,
-                    LintContract::DeferredFlags,
-                    i,
-                    prov,
-                    format!(
-                        "`{}` feeds a branch/setcc but is not protected by the \
-                         deferred setcc-pair idiom",
-                        print_inst(inst)
-                    ),
-                );
-            }
-        }
-
-        match inst {
-            Inst::Jcc { target, .. } => {
-                // Consumer of a protected compare: the pair becomes
-                // pending on the fall-through and on the taken edge.
-                if let Some(pp) = armed_pair.take() {
-                    fact.pair = Some(pp);
-                }
-                if target != crate::EXIT_FUNCTION {
-                    if let Some(t) = label_of(target) {
-                        edges.push((t, fact.clone()));
+                // Manifest-declared reservations: original code must never
+                // write a reserved protection register — the duplicates
+                // live there.  Calls are exempt: the pass re-establishes
+                // protection state around them (and callee clobbers are
+                // modelled below).
+                if !ctx.reserved.is_empty() && !matches!(inst, Inst::Call { .. }) {
+                    for g in gprs_in(effects.gpr_write) {
+                        if ctx.reserved.contains(&g) {
+                            self.findings.report(
+                                LintContract::CheckedSync,
+                                i,
+                                prov,
+                                format!(
+                                    "`{}` writes {g:?}, which the protection pass \
+                                     reserved function-wide (manifest violation)",
+                                    print_inst(inst)
+                                ),
+                            );
+                        }
                     }
                 }
-            }
-            Inst::Setcc { .. } => {
-                if let Some(pp) = armed_pair.take() {
-                    fact.pair = Some(pp);
-                }
-            }
-            Inst::Call { .. } => {
-                if let Some(p) = fact.pair.take() {
-                    push_finding(
-                        &mut findings,
-                        LintContract::DeferredFlags,
-                        i,
-                        prov,
-                        format!(
-                            "call with unchecked flag pair from block {} inst {}",
-                            p.site.0, p.site.1
-                        ),
-                    );
-                }
-                // The callee clobbers caller-saved registers: dirt there
-                // is destroyed, i.e. masked.
-                let kills = inst_kills(inst);
-                fact.dirty.retain(|&g, _| kills & reg_bytes(g) == 0);
-            }
-            Inst::Ret => {
-                if let Some(p) = fact.pair {
-                    push_finding(
-                        &mut findings,
-                        LintContract::DeferredFlags,
-                        i,
-                        prov,
-                        format!(
-                            "function returns with unchecked flag pair from \
-                             block {} inst {}",
-                            p.site.0, p.site.1
-                        ),
-                    );
-                }
-                if fact.stack.iter().any(|e| matches!(e, StackEntry::Req(_))) {
-                    push_finding(
-                        &mut findings,
-                        LintContract::Requisition,
-                        i,
-                        prov,
-                        "function returns with requisitioned registers still saved".into(),
-                    );
-                }
-                return (edges, findings);
-            }
-            Inst::Jmp { target } => {
-                if let Some(t) = label_of(target) {
-                    edges.push((t, fact.clone()));
-                }
-                return (edges, findings);
-            }
-            Inst::Push { src } => {
-                // Original pushes (frame saves) participate in the LIFO.
-                let _ = src;
-                fact.stack.push(StackEntry::Plain);
-            }
-            Inst::Pop { dst } => match fact.stack.pop() {
-                Some(StackEntry::Req(g)) => {
-                    push_finding(
-                        &mut findings,
-                        LintContract::Requisition,
-                        i,
-                        prov,
-                        format!(
-                            "original pop unwinds past requisitioned {g:?} \
-                             (restore missing on this path)"
-                        ),
-                    );
-                }
-                Some(_) | None => {
-                    let _ = dst;
-                }
-            },
-            _ => {}
-        }
 
-        check_pair_clobber(&mut fact, inst, i, prov, &mut findings, collect, f, b);
+                // Batch accumulators may only be written by the protection
+                // capture/drain protocol, never by original code.
+                if let Inst::MovqToXmm { dst, .. } | Inst::Pinsrq { dst, .. } = inst {
+                    if ctx.accs.contains(&dst.0) {
+                        self.findings.report(
+                            LintContract::BatchIntegrity,
+                            i,
+                            prov,
+                            format!(
+                                "non-protection `{}` writes batch accumulator %xmm{}",
+                                print_inst(inst),
+                                dst.0
+                            ),
+                        );
+                    }
+                }
 
-        // Writes: a new injectable result makes its destination dirty.
-        if ctx.enforce.c1 {
-            if inst.injectable_bits().is_some() {
-                match inst.dest_class() {
-                    DestClass::Gpr(r) => {
-                        fact.dirty.insert(r.gpr, (bi, i));
+                // Deferred-flags idiom recognition at an original compare.
+                if matches!(inst, Inst::Cmp { .. } | Inst::Test { .. }) {
+                    if let Some((p0, p1)) = match_deferred_idiom(b, i) {
+                        armed_pair = Some(PairPending {
+                            p0,
+                            p1,
+                            site: (bi, i),
+                        });
+                    } else if ctx.compares && consumed_flags(b, i) {
+                        self.findings.report(
+                            LintContract::DeferredFlags,
+                            i,
+                            prov,
+                            format!(
+                                "`{}` feeds a branch/setcc but is not protected by the \
+                                 deferred setcc-pair idiom",
+                                print_inst(inst)
+                            ),
+                        );
                     }
-                    DestClass::RaxRdxPair(_) => {
-                        fact.dirty.insert(Gpr::Rax, (bi, i));
-                        fact.dirty.insert(Gpr::Rdx, (bi, i));
+                }
+
+                match inst {
+                    // Consumer of a protected compare: the pair becomes
+                    // pending on the fall-through and on the taken edge.
+                    Inst::Jcc { .. } | Inst::Setcc { .. } => {
+                        if let Some(pp) = armed_pair.take() {
+                            self.fact.pair = Some(pp);
+                        }
                     }
-                    // Flag results are handled by the compare logic.
+                    Inst::Call { .. } => {
+                        if let Some(p) = self.fact.pair.take() {
+                            self.findings.report(
+                                LintContract::DeferredFlags,
+                                i,
+                                prov,
+                                format!(
+                                    "call with unchecked flag pair from block {} inst {}",
+                                    p.site.0, p.site.1
+                                ),
+                            );
+                        }
+                        // The callee clobbers caller-saved registers: dirt
+                        // there is destroyed, i.e. masked.
+                        self.fact
+                            .dirty
+                            .retain(|&g, _| abi_kills & reg_bytes(g) == 0);
+                    }
+                    Inst::Ret => {
+                        if let Some(p) = self.fact.pair {
+                            self.findings.report(
+                                LintContract::DeferredFlags,
+                                i,
+                                prov,
+                                format!(
+                                    "function returns with unchecked flag pair from \
+                                     block {} inst {}",
+                                    p.site.0, p.site.1
+                                ),
+                            );
+                        }
+                        if self
+                            .fact
+                            .stack
+                            .iter()
+                            .any(|e| matches!(e, StackEntry::Req(_)))
+                        {
+                            self.findings.report(
+                                LintContract::Requisition,
+                                i,
+                                prov,
+                                "function returns with requisitioned registers still saved".into(),
+                            );
+                        }
+                        return;
+                    }
+                    // Original pushes (frame saves) participate in the LIFO.
+                    Inst::Push { .. } => self.fact.stack.push(StackEntry::Plain),
+                    Inst::Pop { .. } => {
+                        if let Some(StackEntry::Req(g)) = self.fact.stack.pop() {
+                            self.findings.report(
+                                LintContract::Requisition,
+                                i,
+                                prov,
+                                format!(
+                                    "original pop unwinds past requisitioned {g:?} \
+                                     (restore missing on this path)"
+                                ),
+                            );
+                        }
+                    }
                     _ => {}
                 }
-            } else {
-                // Non-site writes overwrite (mask) any dirt there.
-                let writes = effects.gpr_write;
-                fact.dirty.retain(|&g, _| writes & reg_bytes(g) == 0);
+
+                self.check_pair_clobber(i, inst, prov, effects.gpr_write);
+
+                // Writes: a new injectable result makes its destination
+                // dirty; other writes overwrite (mask) any dirt there.
+                if inst.injectable_bits().is_some() {
+                    match inst.dest_class() {
+                        DestClass::Gpr(r) => {
+                            self.fact.dirty.insert(r.gpr, (bi, i));
+                        }
+                        DestClass::RaxRdxPair(_) => {
+                            self.fact.dirty.insert(Gpr::Rax, (bi, i));
+                            self.fact.dirty.insert(Gpr::Rdx, (bi, i));
+                        }
+                        // Flag results are handled by the compare logic.
+                        _ => {}
+                    }
+                } else {
+                    let writes = effects.gpr_write;
+                    self.fact.dirty.retain(|&g, _| writes & reg_bytes(g) == 0);
+                }
+            }
+
+            // Jumps of either provenance are edges: protection stub tails,
+            // and the hybrid pass's retagged IR-level checker branches
+            // (their targets are ordinary detect blocks).  A checker
+            // branch to the detector is not.
+            if let Inst::Jmp { target } | Inst::Jcc { target, .. } = inst {
+                if target != EXIT_FUNCTION {
+                    if let Some(&t) = ctx.labels.get(target.as_str()) {
+                        self.edges.push((t, self.fact.clone()));
+                    }
+                }
+                if matches!(inst, Inst::Jmp { .. }) {
+                    return;
+                }
             }
         }
 
-        i += 1;
+        // Block end (fall-through).
+        if !slots.is_empty() {
+            self.findings.report(
+                LintContract::BatchIntegrity,
+                b.insts.len().saturating_sub(1),
+                Provenance::Synthetic,
+                format!(
+                    "SIMD batch holds {} undrained capture(s) at block end",
+                    slots.len()
+                ),
+            );
+        }
+        // Dirt in registers dead at the block boundary is masked.
+        self.fact
+            .dirty
+            .retain(|g, _| ctx.lv.live_out_contains(bi, *g));
+        if bi + 1 < ctx.f.blocks.len() {
+            self.edges.push((bi + 1, std::mem::take(&mut self.fact)));
+        }
     }
 
-    // Block end (fall-through).
-    if !slots.is_empty() {
-        push_finding(
-            &mut findings,
-            LintContract::BatchIntegrity,
-            b.insts.len().saturating_sub(1),
-            Provenance::Synthetic,
-            format!(
-                "SIMD batch holds {} undrained capture(s) at block end",
-                slots.len()
+    /// A protection `pop` into `g` (a register, or `None` for memory).
+    fn protection_pop(&mut self, i: usize, prov: Provenance, g: Option<Gpr>) {
+        match self.fact.stack.pop() {
+            None => self.findings.report(
+                LintContract::Requisition,
+                i,
+                prov,
+                "protection pop with no matching push on any path".into(),
             ),
-        );
-    }
-    // Dirt in registers dead at the block boundary is masked.
-    let live_gone: Vec<Gpr> = fact
-        .dirty
-        .keys()
-        .filter(|g| !ctx.lv.live_out_contains(bi, **g))
-        .copied()
-        .collect();
-    for g in live_gone {
-        fact.dirty.remove(&g);
-    }
-    if bi + 1 < f.blocks.len() {
-        edges.push((bi + 1, fact));
-    }
-    (edges, findings)
-}
-
-/// Applies the register-write rules for a protection instruction: a
-/// `mov` from a dirty register propagates the dirt to the copy; an
-/// overwrite of the *only* remaining copy of an unverified result
-/// destroys the check (a finding); any other overwrite just clears the
-/// local copy.
-#[allow(clippy::too_many_arguments)]
-fn protection_writes(
-    ctx: &Ctx<'_>,
-    fact: &mut Fact,
-    inst: &Inst,
-    i: usize,
-    prov: Provenance,
-    findings: &mut Vec<LintFinding>,
-    collect: bool,
-    bi: usize,
-) {
-    // Copy rule first: mov dirty-reg -> reg transfers the dirt.
-    if let Inst::Mov {
-        src: Operand::Reg(s),
-        dst: Operand::Reg(d),
-        ..
-    } = inst
-    {
-        if let Some(site) = fact.dirty.get(&s.gpr).copied() {
-            fact.dirty.insert(d.gpr, site);
-            return;
+            Some(StackEntry::Capture(site)) => {
+                if let Some(g) = g {
+                    self.fact.dirty.insert(g, site);
+                }
+            }
+            Some(StackEntry::Req(saved)) => {
+                if g != Some(saved) {
+                    self.findings.report(
+                        LintContract::Requisition,
+                        i,
+                        prov,
+                        format!("requisition pop restores {g:?}, but {saved:?} was saved"),
+                    );
+                }
+                if let Some(g) = g {
+                    self.fact.dirty.remove(&g);
+                    if !red_zone_verified(&self.ctx.f.blocks[self.bi], i, g) {
+                        self.findings.report(
+                            LintContract::Requisition,
+                            i,
+                            prov,
+                            format!(
+                                "requisition pop of {g:?} lacks the red-zone \
+                                 verification (`cmpq -8(%rsp)` + `jne`)"
+                            ),
+                        );
+                    }
+                }
+            }
+            Some(StackEntry::Save(_)) | Some(StackEntry::Plain) => {
+                if let Some(g) = g {
+                    self.fact.dirty.remove(&g);
+                }
+            }
         }
     }
-    for g in gprs_in(inst.effects().gpr_write) {
-        if let Some(site) = fact.dirty.get(&g).copied() {
-            let copies_elsewhere = fact.dirty.iter().any(|(og, os)| *og != g && *os == site)
-                || fact
-                    .stack
-                    .iter()
-                    .any(|e| matches!(e, StackEntry::Capture(s) if *s == site));
-            if !copies_elsewhere && collect {
-                findings.push(LintFinding {
-                    contract: LintContract::CheckedSync,
-                    function: ctx.f.name.clone(),
-                    block: ctx.f.blocks[bi].label.clone(),
-                    inst_index: i,
-                    provenance: prov,
-                    explanation: format!(
-                        "protection code overwrites the only unverified copy of \
-                         {g:?} (site at block {} inst {})",
-                        site.0, site.1
-                    ),
-                });
+
+    /// Applies the register-write rules for a protection instruction
+    /// writing `writes`: a `mov` from a dirty register propagates the
+    /// dirt to the copy; an overwrite of the *only* remaining copy of an
+    /// unverified result destroys the check (a finding); any other
+    /// overwrite just clears the local copy.
+    fn protection_writes(&mut self, i: usize, inst: &Inst, prov: Provenance, writes: ByteSet) {
+        // Copy rule first: mov dirty-reg -> reg transfers the dirt.
+        if let Inst::Mov {
+            src: Operand::Reg(s),
+            dst: Operand::Reg(d),
+            ..
+        } = inst
+        {
+            if let Some(site) = self.fact.dirty.get(&s.gpr).copied() {
+                self.fact.dirty.insert(d.gpr, site);
+                return;
             }
-            fact.dirty.remove(&g);
+        }
+        for g in gprs_in(writes) {
+            let fact = &self.fact;
+            if let Some(site) = fact.dirty.get(&g).copied() {
+                let copies_elsewhere = fact.dirty.iter().any(|(og, os)| *og != g && *os == site)
+                    || fact
+                        .stack
+                        .iter()
+                        .any(|e| matches!(e, StackEntry::Capture(s) if *s == site));
+                if !copies_elsewhere {
+                    self.findings.report(
+                        LintContract::CheckedSync,
+                        i,
+                        prov,
+                        format!(
+                            "protection code overwrites the only unverified copy of \
+                             {g:?} (site at block {} inst {})",
+                            site.0, site.1
+                        ),
+                    );
+                }
+                self.fact.dirty.remove(&g);
+            }
         }
     }
-}
 
-/// A write to an outstanding flag-pair register (other than the check
-/// itself) loses the deferred comparison.
-#[allow(clippy::too_many_arguments)]
-fn check_pair_clobber(
-    fact: &mut Fact,
-    inst: &Inst,
-    i: usize,
-    prov: Provenance,
-    findings: &mut Vec<LintFinding>,
-    collect: bool,
-    f: &AsmFunction,
-    b: &crate::program::AsmBlock,
-) {
-    let Some(p) = fact.pair else {
-        return;
-    };
-    // The resolving `cmpb p0, p1` reads, not writes, the pair.
-    for g in gprs_in(inst.effects().gpr_write) {
-        if g == p.p0 || g == p.p1 {
-            if collect {
-                findings.push(LintFinding {
-                    contract: LintContract::DeferredFlags,
-                    function: f.name.clone(),
-                    block: b.label.clone(),
-                    inst_index: i,
-                    provenance: prov,
-                    explanation: format!(
-                        "`{}` overwrites flag-pair register {g:?} before the \
-                         deferred check of the compare at block {} inst {}",
-                        print_inst(inst),
-                        p.site.0,
-                        p.site.1
-                    ),
-                });
-            }
-            fact.pair = None;
+    /// A write (`writes`) to an outstanding flag-pair register (other
+    /// than the check itself) loses the deferred comparison.
+    fn check_pair_clobber(&mut self, i: usize, inst: &Inst, prov: Provenance, writes: ByteSet) {
+        let Some(p) = self.fact.pair else {
             return;
+        };
+        // The resolving `cmpb p0, p1` reads, not writes, the pair.
+        if let Some(g) = gprs_in(writes).find(|&g| g == p.p0 || g == p.p1) {
+            self.findings.report(
+                LintContract::DeferredFlags,
+                i,
+                prov,
+                format!(
+                    "`{}` overwrites flag-pair register {g:?} before the \
+                     deferred check of the compare at block {} inst {}",
+                    print_inst(inst),
+                    p.site.0,
+                    p.site.1
+                ),
+            );
+            self.fact.pair = None;
         }
     }
 }
@@ -1091,12 +1020,11 @@ fn red_zone_verified(b: &crate::program::AsmBlock, i: usize, g: Gpr) -> bool {
 /// Drops findings that restate the same defect at a dominated program
 /// point: if the same contract+explanation-site pair fires in block `a`
 /// and in block `b` with `a` dominating `b`, only `a`'s finding is kept.
-fn dedupe_by_dominance(cfg: &Cfg, f: &AsmFunction, findings: &mut Vec<LintFinding>) {
+fn dedupe_by_dominance(cfg: &Cfg, labels: &HashMap<&str, usize>, findings: &mut Vec<LintFinding>) {
     if findings.len() < 2 {
         return;
     }
     let dom = cfg.dominators();
-    let index_of = |label: &str| f.blocks.iter().position(|b| b.label == label);
     let mut keep = vec![true; findings.len()];
     for i in 0..findings.len() {
         for j in 0..findings.len() {
@@ -1104,12 +1032,12 @@ fn dedupe_by_dominance(cfg: &Cfg, f: &AsmFunction, findings: &mut Vec<LintFindin
                 continue;
             }
             let (a, b) = (&findings[i], &findings[j]);
-            if a.contract == b.contract && a.explanation == b.explanation && a.block != b.block {
-                if let (Some(ab), Some(bb)) = (index_of(&a.block), index_of(&b.block)) {
-                    if dom.dominates(ab, bb) {
-                        keep[j] = false;
-                    }
-                }
+            if a.contract == b.contract
+                && a.explanation == b.explanation
+                && a.block != b.block
+                && dom.dominates(labels[a.block.as_str()], labels[b.block.as_str()])
+            {
+                keep[j] = false;
             }
         }
     }
@@ -1540,6 +1468,152 @@ mod tests {
         };
         let fs = lint_function_with(&f, Some(&m));
         assert_eq!(contracts(&fs), vec![LintContract::BatchIntegrity]);
+    }
+
+    /// Requisition push tag of the FERRUM pass.
+    const REQ: Provenance = Provenance::Protection(
+        TechniqueTag::Ferrum,
+        crate::provenance::Mechanism::Requisition,
+    );
+
+    fn blocks(bs: Vec<(&str, Vec<(Inst, Provenance)>)>) -> AsmFunction {
+        let mut f = AsmFunction::new("main");
+        for (label, insts) in bs {
+            let mut b = AsmBlock::new(label);
+            for (i, p) in insts {
+                b.push(i, p);
+            }
+            f.blocks.push(b);
+        }
+        f
+    }
+
+    fn jump(cc: Option<Cc>, target: &str) -> Inst {
+        let target = target.into();
+        match cc {
+            Some(cc) => Inst::Jcc { cc, target },
+            None => Inst::Jmp { target },
+        }
+    }
+
+    /// Each finding as (contract, block, instruction, explanation).
+    fn places(fs: &[LintFinding]) -> Vec<(LintContract, &str, usize, &str)> {
+        fs.iter()
+            .map(|f| {
+                (
+                    f.contract,
+                    f.block.as_str(),
+                    f.inst_index,
+                    f.explanation.as_str(),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn fixpoint_cap_still_reports_a_loop_that_never_pops() {
+        // Each trip round `head` pushes once more, so its entry stack
+        // grows without bound and only the round cap ends the fixpoint.
+        let add = Inst::Alu {
+            op: AluOp::Add,
+            w: Width::W64,
+            src: Operand::Imm(1),
+            dst: Operand::Reg(Reg::q(Gpr::Rax)),
+        };
+        let f = blocks(vec![
+            ("entry", vec![(load(Gpr::Rcx), P)]),
+            (
+                "head",
+                vec![
+                    (push_r(Gpr::R12), REQ),
+                    (add, O),
+                    (jump(Some(Cc::L), "head"), O),
+                ],
+            ),
+            ("out", vec![(Inst::Ret, O)]),
+        ]);
+        let consumes = |what: &str| {
+            format!(
+                "`{what}` consumes unverified result in Rax \
+                 (site at block 1 inst 1, no checker in between)"
+            )
+        };
+        let (add_consumes, ret_consumes) = (consumes("addq $1, %rax"), consumes("ret"));
+        assert_eq!(
+            places(&lint_function(&f)),
+            vec![
+                (
+                    LintContract::Requisition,
+                    "entry",
+                    0,
+                    "requisition stack unbalanced across paths into `head`"
+                ),
+                (LintContract::CheckedSync, "head", 1, add_consumes.as_str()),
+                (
+                    LintContract::Requisition,
+                    "head",
+                    2,
+                    "requisition stack unbalanced across paths into `out`"
+                ),
+                (LintContract::CheckedSync, "out", 0, ret_consumes.as_str()),
+                (
+                    LintContract::Requisition,
+                    "out",
+                    0,
+                    "function returns with requisitioned registers still saved"
+                ),
+            ]
+        );
+    }
+
+    #[test]
+    fn unbalanced_requisition_stacks_at_a_join_are_flagged() {
+        let f = blocks(vec![
+            (
+                "entry",
+                vec![
+                    (
+                        Inst::Cmp {
+                            w: Width::W64,
+                            src: Operand::Imm(0),
+                            dst: Operand::Reg(Reg::q(Gpr::Rdi)),
+                        },
+                        O,
+                    ),
+                    (jump(Some(Cc::E), "skip"), O),
+                ],
+            ),
+            (
+                "saves",
+                vec![(push_r(Gpr::R12), REQ), (jump(None, "join"), O)],
+            ),
+            ("skip", vec![(Inst::Nop, O)]),
+            ("join", vec![(Inst::Ret, O)]),
+        ]);
+        assert_eq!(
+            places(&lint_function(&f)),
+            vec![
+                (
+                    LintContract::DeferredFlags,
+                    "entry",
+                    0,
+                    "`cmpq $0, %rdi` feeds a branch/setcc but is not protected by the \
+                     deferred setcc-pair idiom"
+                ),
+                (
+                    LintContract::Requisition,
+                    "skip",
+                    0,
+                    "requisition stack unbalanced across paths into `join`"
+                ),
+                (
+                    LintContract::Requisition,
+                    "join",
+                    0,
+                    "function returns with requisitioned registers still saved"
+                ),
+            ]
+        );
     }
 
     #[test]

@@ -91,11 +91,6 @@ impl AsmFunction {
     pub fn insts(&self) -> impl Iterator<Item = &AsmInst> {
         self.blocks.iter().flat_map(|b| b.insts.iter())
     }
-
-    /// Finds a block index by label.
-    pub fn block_index(&self, label: &str) -> Option<usize> {
-        self.blocks.iter().position(|b| b.label == label)
-    }
 }
 
 /// A mutable global data object living in the simulated data segment.
@@ -497,7 +492,5 @@ mod tests {
         assert!(p.function("other").is_none());
         let f = p.function("main").unwrap();
         assert!(!f.is_empty());
-        assert_eq!(f.block_index("main_entry"), Some(0));
-        assert_eq!(f.block_index("zzz"), None);
     }
 }

@@ -7,12 +7,16 @@
 //!    FERRUM- (normal and forced-requisition) and hybrid-protected
 //!    output for every workload in the catalog.
 //! 2. **Mutations are caught twice**: for each seeded mutation class the
-//!    lint reports a finding at the mutated site *and* the snapshot
-//!    campaign engine observes an SDC (or a detection gap) that stock
-//!    protection does not have — tying the static verdict to dynamic
-//!    ground truth.
+//!    lint reports a finding at the mutated site *and* an exhaustive
+//!    campaign on the interpreter engine observes an SDC (or a
+//!    detection gap) that stock protection does not have — tying the
+//!    static verdict to dynamic ground truth.
+//!
+//! Two digests then pin every lint report, finding by finding: one over
+//! the catalog kernels and all their mutants, one over mutants of fuzz
+//! programs.
 
-use ferrum_asm::analysis::lint::{lint_program, lint_program_with, LintContract};
+use ferrum_asm::analysis::lint::{lint_program, lint_program_with, LintContract, LintReport};
 use ferrum_asm::program::AsmProgram;
 use ferrum_cpu::run::Cpu;
 use ferrum_eddi::ferrum::{Ferrum, FerrumConfig};
@@ -322,8 +326,10 @@ fn skipped_edge_recheck_is_caught_statically_and_dynamically() {
 }
 
 // ---------------------------------------------------------------------
-// Identity pin: kernel listings and mutant lint reports.
+// Identity pins: kernel listings and mutant lint reports.
 // ---------------------------------------------------------------------
+
+use ferrum::{OptLevel, Pipeline, Technique};
 
 /// FNV-1a over bytes.
 struct Fnv(u64);
@@ -335,6 +341,39 @@ impl Fnv {
             self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
+
+    /// Digests a report's counts and every finding's `Debug` form, in
+    /// order.
+    fn report(&mut self, rep: &LintReport) {
+        self.bytes(format!("{} {}", rep.functions_scanned, rep.insts_scanned).as_bytes());
+        for f in &rep.findings {
+            self.bytes(format!("{f:?}").as_bytes());
+        }
+    }
+}
+
+/// Every seeded mutation class.
+const MUTATION_KINDS: [MutationKind; 3] = [
+    MutationKind::DropChecker,
+    MutationKind::ReuseBatchSlot,
+    MutationKind::SkipEdgeRecheck,
+];
+
+/// FERRUM, FERRUM with forced requisition, and hybrid, at `opt`.
+fn pinned_configs(opt: OptLevel) -> [(Pipeline, Technique); 3] {
+    let pipeline = Pipeline::new().with_opt_level(opt);
+    let requisition = FerrumConfig {
+        force_requisition: true,
+        ..FerrumConfig::default()
+    };
+    [
+        (pipeline.clone(), Technique::Ferrum),
+        (
+            pipeline.clone().with_ferrum_config(requisition),
+            Technique::Ferrum,
+        ),
+        (pipeline, Technique::HybridAsmEddi),
+    ]
 }
 
 /// FNV-1a of every listing and lint report below, taken when the pin
@@ -350,43 +389,19 @@ const KERNEL_DIGEST: u64 = 0x1020_ef36_6d22_c7bf;
 /// contract, place and text, in order.
 #[test]
 fn kernel_listings_and_mutant_lint_reports_match_the_pinned_digest() {
-    use ferrum::{OptLevel, Pipeline, Technique};
-    let requisition = FerrumConfig {
-        force_requisition: true,
-        ..FerrumConfig::default()
-    };
     let mut digest = Fnv(0xcbf2_9ce4_8422_2325);
     let mut reports = 0usize;
     for w in all_workloads() {
         let m = w.build(Scale::Test);
         for opt in [OptLevel::O0, OptLevel::O1] {
-            let pipeline = Pipeline::new().with_opt_level(opt);
-            let configs = [
-                (pipeline.clone(), Technique::Ferrum),
-                (
-                    pipeline.clone().with_ferrum_config(requisition),
-                    Technique::Ferrum,
-                ),
-                (pipeline, Technique::HybridAsmEddi),
-            ];
-            for (pipeline, technique) in configs {
+            for (pipeline, technique) in pinned_configs(opt) {
                 let build = pipeline.build(&m, technique).expect("builds");
                 let prog = build.program();
                 digest.bytes(ferrum_asm::printer::print_program(prog).as_bytes());
-                for kind in [
-                    MutationKind::DropChecker,
-                    MutationKind::ReuseBatchSlot,
-                    MutationKind::SkipEdgeRecheck,
-                ] {
+                for kind in MUTATION_KINDS {
                     for k in 0..count_mutation_sites(prog, kind) {
                         let (mutant, _) = apply_mutation(prog, kind, k).expect("site in range");
-                        let rep = lint_program_with(&mutant, build.manifests());
-                        digest.bytes(
-                            format!("{} {}", rep.functions_scanned, rep.insts_scanned).as_bytes(),
-                        );
-                        for f in &rep.findings {
-                            digest.bytes(format!("{f:?}").as_bytes());
-                        }
+                        digest.report(&lint_program_with(&mutant, build.manifests()));
                         reports += 1;
                     }
                 }
@@ -398,6 +413,50 @@ fn kernel_listings_and_mutant_lint_reports_match_the_pinned_digest() {
         digest.0, KERNEL_DIGEST,
         "kernel listings or mutant lint reports changed over {reports} reports: \
          digest {:#018x}, pinned {KERNEL_DIGEST:#018x}",
+        digest.0
+    );
+}
+
+/// FNV-1a of every lint report below, taken when the pin was set.
+const FUZZ_MUTANT_DIGEST: u64 = 0x85ea_0bed_41b4_35da;
+
+/// The manifest-driven `LintReport` of mutants of fuzz programs —
+/// several functions, loops and `-O1` control flow, shapes the
+/// catalog kernels do not have — digested and compared with the value
+/// taken when the pin was set.  Seeds 0–15 are built at `-O0` and
+/// `-O1` in the three pinned configurations (a build that fails is
+/// skipped), and each mutation class is applied at every
+/// `max(n / 4, 1)`-th of its `n` sites.
+#[test]
+fn fuzz_mutant_lint_reports_match_the_pinned_digest() {
+    let mut digest = Fnv(0xcbf2_9ce4_8422_2325);
+    let (mut reports, mut findings) = (0usize, 0usize);
+    for seed in 0..16 {
+        let (m, _) = ferrum_fuzz::generate_module(seed);
+        for opt in [OptLevel::O0, OptLevel::O1] {
+            for (pipeline, technique) in pinned_configs(opt) {
+                let Ok(build) = pipeline.build(&m, technique) else {
+                    continue;
+                };
+                let prog = build.program();
+                for kind in MUTATION_KINDS {
+                    let n = count_mutation_sites(prog, kind);
+                    for k in (0..n).step_by((n / 4).max(1)) {
+                        let (mutant, _) = apply_mutation(prog, kind, k).expect("site in range");
+                        let rep = lint_program_with(&mutant, build.manifests());
+                        digest.report(&rep);
+                        findings += rep.findings.len();
+                        reports += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert!(findings > 0, "no fuzz mutant drew a finding");
+    assert_eq!(
+        digest.0, FUZZ_MUTANT_DIGEST,
+        "fuzz mutant lint reports changed over {reports} reports and {findings} findings: \
+         digest {:#018x}, pinned {FUZZ_MUTANT_DIGEST:#018x}",
         digest.0
     );
 }
