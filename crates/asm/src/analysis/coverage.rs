@@ -378,9 +378,11 @@ impl CoverageMap {
     ) -> CoverageMap {
         let mut map = CoverageMap::default();
         let mut pc = 0usize;
+        // One fact table and one live-after buffer serve every function.
+        let (mut facts, mut after) = (FunctionFacts::default(), Vec::new());
         for f in &p.functions {
             let manifest = manifests.and_then(|m| m.get(&f.name));
-            let fc = analyze_function(f, &mut pc, manifest);
+            let fc = analyze_function(f, &mut pc, manifest, &mut facts, &mut after);
             let fi = map.functions.len() as u32;
             // Sites come in pc order, so the index stays sorted.
             let sites = fc.sites.iter().enumerate();
@@ -442,11 +444,9 @@ pub(crate) type Lanes = u8;
 /// Every lane.
 pub(crate) const ALL_LANES: Lanes = Lanes::MAX;
 
-/// Lane 0 of every GPR byte; lane `j` is this shifted left by `j`.
-const GPR_LANE0: ByteSet = ByteSet::MAX / 0xff;
-
-/// Lane 0 of every byte of one SIMD register.
-const SIMD_LANE0: u64 = u64::MAX / 0xff;
+/// Lane 0 of every byte of one SIMD register, and of every GPR byte in
+/// either half of a [`ByteSet`].
+const LANE0: u64 = u64::MAX / 0xff;
 
 /// The lanes in which `x`, a per-byte mask of 8-byte words, has a set
 /// bit.
@@ -461,14 +461,25 @@ fn gpr_lanes(set: ByteSet) -> Lanes {
     fold_lanes((set | set >> 64) as u64)
 }
 
-/// Every GPR byte in `lanes`.
-fn gpr_bytes_in(lanes: Lanes) -> ByteSet {
-    ByteSet::from(lanes) * GPR_LANE0
-}
-
 /// Every byte of one SIMD register in `lanes`.
 fn simd_bytes_in(lanes: Lanes) -> u64 {
-    u64::from(lanes) * SIMD_LANE0
+    u64::from(lanes) * LANE0
+}
+
+/// Every GPR byte in `lanes`: the same eight-byte pattern in both
+/// halves of the set.
+fn gpr_bytes_in(lanes: Lanes) -> ByteSet {
+    let half = ByteSet::from(simd_bytes_in(lanes));
+    half << 64 | half
+}
+
+/// The registers in `set`, one bit each, in register order.
+fn regs_in(mut set: u16) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let r = (set != 0).then(|| set.trailing_zeros() as usize)?;
+        set &= set - 1;
+        Some(r)
+    })
 }
 
 /// Exact taint: the set of bytes currently differing from the golden
@@ -478,18 +489,47 @@ fn simd_bytes_in(lanes: Lanes) -> u64 {
 pub(crate) struct Taint {
     /// GPR bytes (same packing as [`ByteSet`]).
     pub(crate) gpr: ByteSet,
-    /// One byte-mask per SIMD register (64 bytes each).
-    pub(crate) simd: [u64; 16],
+    /// One byte-mask per SIMD register (64 bytes each), written only
+    /// through [`Taint::set_simd`].
+    simd: [u64; 16],
+    /// The SIMD registers whose mask is non-zero, one bit each, and no
+    /// others: a stale bit would make equal taints compare unequal,
+    /// and a missing one would hide a tainted register from
+    /// [`Taint::lanes`], so that a lane still holding taint closes
+    /// `Masked`.
+    occupied: u16,
 }
 
 impl Taint {
     pub(crate) fn is_clear(&self) -> bool {
-        self.gpr == 0 && self.simd.iter().all(|&m| m == 0)
+        self.gpr == 0 && self.occupied == 0
+    }
+
+    /// The taint mask of SIMD register `r`.
+    pub(crate) fn simd(&self, r: usize) -> u64 {
+        self.simd[r]
+    }
+
+    /// Sets the taint mask of SIMD register `r`, and its occupied bit.
+    fn set_simd(&mut self, r: usize, mask: u64) {
+        self.simd[r] = mask;
+        self.occupied = self.occupied & !(1 << r) | u16::from(mask != 0) << r;
+    }
+
+    /// The SIMD registers holding taint, one bit each.
+    pub(crate) fn occupied(&self) -> u16 {
+        self.occupied
+    }
+
+    /// Every SIMD register holding taint, with its mask, in register
+    /// order.
+    pub(crate) fn simd_masks(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+        regs_in(self.occupied).map(|r| (r, self.simd[r]))
     }
 
     /// The lanes holding SIMD taint.
     fn simd_lanes(&self) -> Lanes {
-        fold_lanes(self.simd.iter().fold(0, |acc, &m| acc | m))
+        fold_lanes(self.simd_masks().fold(0, |acc, (_, m)| acc | m))
     }
 
     /// The lanes holding any taint.
@@ -501,8 +541,8 @@ impl Taint {
     pub(crate) fn retain(&mut self, lanes: Lanes) {
         self.gpr &= gpr_bytes_in(lanes);
         let keep = simd_bytes_in(lanes);
-        for m in &mut self.simd {
-            *m &= keep;
+        for r in regs_in(self.occupied) {
+            self.set_simd(r, self.simd[r] & keep);
         }
     }
 
@@ -547,9 +587,9 @@ pub(crate) fn group_seed(dest: DestClass, g: usize) -> Taint {
         DestClass::RaxRdxPair(w) => {
             t.gpr = read_bytes(if g == 0 { Gpr::Rax } else { Gpr::Rdx }, w);
         }
-        DestClass::Xmm(x) => t.simd[x.index()] = simd,
-        DestClass::Ymm(y) => t.simd[y.index()] = simd,
-        DestClass::Zmm(z) => t.simd[z.index()] = simd,
+        DestClass::Xmm(x) => t.set_simd(x.index(), simd),
+        DestClass::Ymm(y) => t.set_simd(y.index(), simd),
+        DestClass::Zmm(z) => t.set_simd(z.index(), simd),
         DestClass::Rflags | DestClass::None => {}
     }
     t
@@ -652,16 +692,22 @@ impl InstFacts {
     pub(crate) fn read_lanes(&self, taint: &Taint) -> Lanes {
         let [(a, am), (b, bm)] = self.simd_reads;
         gpr_lanes(self.reads & taint.gpr)
-            | fold_lanes(taint.simd[a as usize] & am | taint.simd[b as usize] & bm)
+            | fold_lanes(taint.simd(a as usize) & am | taint.simd(b as usize) & bm)
     }
 
     /// Applies, in `lanes`, the writes of an instruction that reads no
     /// taint there: it computes exactly the golden values, so its
-    /// writes are exact taint kills.
-    pub(crate) fn kill(&self, taint: &mut Taint, lanes: Lanes) {
-        let (r, m) = self.simd_write;
-        taint.gpr &= !(self.kills & gpr_bytes_in(lanes));
-        taint.simd[r as usize] &= !(m & simd_bytes_in(lanes));
+    /// writes are exact taint kills.  Returns whether a tainted byte
+    /// was overwritten.
+    pub(crate) fn kill(&self, taint: &mut Taint, lanes: Lanes) -> bool {
+        let gpr = taint.gpr & self.kills & gpr_bytes_in(lanes);
+        taint.gpr ^= gpr;
+        let (r, m) = (self.simd_write.0 as usize, self.simd_write.1);
+        let simd = taint.simd(r) & m & simd_bytes_in(lanes);
+        if simd != 0 {
+            taint.set_simd(r, taint.simd(r) ^ simd);
+        }
+        gpr != 0 || simd != 0
     }
 }
 
@@ -669,6 +715,7 @@ impl InstFacts {
 /// block, with jump targets resolved to block indices: each
 /// instruction's effects are decoded once, and the function's liveness
 /// is derived from this table.
+#[derive(Default)]
 pub(crate) struct FunctionFacts {
     insts: Vec<InstFacts>,
     /// Block `b`'s facts are `insts[starts[b]..starts[b + 1]]`.
@@ -678,6 +725,14 @@ pub(crate) struct FunctionFacts {
 impl FunctionFacts {
     /// Decodes `f`, whose [`block_labels`] are `labels`.
     pub(crate) fn build(f: &AsmFunction, labels: &HashMap<&str, usize>) -> FunctionFacts {
+        let mut facts = FunctionFacts::default();
+        facts.decode(f, labels);
+        facts
+    }
+
+    /// Decodes `f`, whose [`block_labels`] are `labels`, into this
+    /// table's buffers.
+    fn decode(&mut self, f: &AsmFunction, labels: &HashMap<&str, usize>) {
         let target = |t: &str| {
             if t == EXIT_FUNCTION {
                 Target::Exit
@@ -687,14 +742,14 @@ impl FunctionFacts {
                     .map_or(Target::Unresolved, |&bi| Target::Block(bi as u32))
             }
         };
-        let mut starts = Vec::with_capacity(f.blocks.len() + 1);
-        let mut insts = Vec::with_capacity(f.blocks.iter().map(|b| b.insts.len()).sum());
+        self.starts.clear();
+        self.insts.clear();
         for b in &f.blocks {
-            starts.push(insts.len());
-            insts.extend(b.insts.iter().map(|ai| InstFacts::decode(ai, target)));
+            self.starts.push(self.insts.len());
+            let facts = b.insts.iter().map(|ai| InstFacts::decode(ai, target));
+            self.insts.extend(facts);
         }
-        starts.push(insts.len());
-        FunctionFacts { insts, starts }
+        self.starts.push(self.insts.len());
     }
 
     /// The facts of block `bi`, one per instruction.
@@ -832,8 +887,8 @@ pub(crate) fn protection_step(
             dst,
         } => {
             let moved = (taint.gpr_view(s.gpr) & 0xff) as u64;
-            let d = &mut taint.simd[dst.0 as usize];
-            *d = (*d & !0xffffu64) | moved;
+            let d = dst.0 as usize;
+            taint.set_simd(d, taint.simd(d) & !0xffff | moved);
             bail(0)
         }
         // GPR → XMM lane insert: writes exactly the 8-byte lane.
@@ -844,18 +899,18 @@ pub(crate) fn protection_step(
         } => {
             let moved = (taint.gpr_view(s.gpr) & 0xff) as u64;
             let m = 0xffu64 << (8 * lane);
-            let d = &mut taint.simd[dst.0 as usize];
-            *d = (*d & !m) | (moved << (8 * lane));
+            let d = dst.0 as usize;
+            taint.set_simd(d, taint.simd(d) & !m | moved << (8 * lane));
             bail(0)
         }
         // XMM lane → GPR (W64 destination kills all eight bytes).
         Inst::MovqFromXmm { src, dst } => {
-            let moved = (taint.simd[src.0 as usize] & 0xff) as u128;
+            let moved = (taint.simd(src.0 as usize) & 0xff) as u128;
             taint.set_gpr_view(dst.gpr, moved);
             bail(0)
         }
         Inst::Pextrq { lane, src, dst } => {
-            let moved = ((taint.simd[src.0 as usize] >> (8 * lane)) & 0xff) as u128;
+            let moved = ((taint.simd(src.0 as usize) >> (8 * lane)) & 0xff) as u128;
             taint.set_gpr_view(dst.gpr, moved);
             bail(0)
         }
@@ -868,9 +923,10 @@ pub(crate) fn protection_step(
             src2,
             dst,
         } => {
-            let xs = taint.simd[src.0 as usize] & 0xffff;
-            let ys = taint.simd[src2.0 as usize] & 0xffff_ffff;
-            taint.simd[dst.0 as usize] = (ys & !(0xffffu64 << (16 * lane))) | (xs << (16 * lane));
+            let xs = taint.simd(src.0 as usize) & 0xffff;
+            let ys = taint.simd(src2.0 as usize) & 0xffff_ffff;
+            let merged = (ys & !(0xffffu64 << (16 * lane))) | (xs << (16 * lane));
+            taint.set_simd(dst.0 as usize, merged);
             bail(0)
         }
         // 256-bit lane merge into a ZMM: writes all 64 bytes.
@@ -880,10 +936,10 @@ pub(crate) fn protection_step(
             src2,
             dst,
         } => {
-            let ys = taint.simd[src.0 as usize] & 0xffff_ffff;
-            let zs = taint.simd[src2.0 as usize];
-            taint.simd[dst.0 as usize] =
-                (zs & !(0xffff_ffffu64 << (32 * lane))) | (ys << (32 * lane));
+            let ys = taint.simd(src.0 as usize) & 0xffff_ffff;
+            let zs = taint.simd(src2.0 as usize);
+            let merged = (zs & !(0xffff_ffffu64 << (32 * lane))) | (ys << (32 * lane));
+            taint.set_simd(dst.0 as usize, merged);
             bail(0)
         }
         // One-side-per-byte tainted XOR: each tainted result byte
@@ -892,21 +948,21 @@ pub(crate) fn protection_step(
         // VEX semantics zero every byte of the destination above the
         // operand width.
         Inst::Vpxor { a, b, dst } => {
-            let at = taint.simd[a.0 as usize] & 0xffff_ffff;
-            let bt = taint.simd[b.0 as usize] & 0xffff_ffff;
-            taint.simd[dst.0 as usize] = at | bt;
+            let at = taint.simd(a.0 as usize) & 0xffff_ffff;
+            let bt = taint.simd(b.0 as usize) & 0xffff_ffff;
+            taint.set_simd(dst.0 as usize, at | bt);
             bail(fold_lanes(at & bt))
         }
         Inst::Vpxor128 { a, b, dst } => {
-            let at = taint.simd[a.0 as usize] & 0xffff;
-            let bt = taint.simd[b.0 as usize] & 0xffff;
-            taint.simd[dst.0 as usize] = at | bt;
+            let at = taint.simd(a.0 as usize) & 0xffff;
+            let bt = taint.simd(b.0 as usize) & 0xffff;
+            taint.set_simd(dst.0 as usize, at | bt);
             bail(fold_lanes(at & bt))
         }
         Inst::Vpxor512 { a, b, dst } => {
-            let at = taint.simd[a.0 as usize];
-            let bt = taint.simd[b.0 as usize];
-            taint.simd[dst.0 as usize] = at | bt;
+            let at = taint.simd(a.0 as usize);
+            let bt = taint.simd(b.0 as usize);
+            taint.set_simd(dst.0 as usize, at | bt);
             bail(fold_lanes(at & bt))
         }
         _ => bail(reading),
@@ -976,17 +1032,23 @@ fn scan_lanes(
     open: Lanes,
 ) -> LaneVerdicts {
     let mut lanes = LaneVerdicts::new(open);
-    taint.retain(open);
     // Dead at write-back: the corrupted byte is overwritten on every
     // path before any read.  SIMD registers have no liveness, so SIMD
     // masking is only discovered by the scan's exact overwrite
     // tracking.
     lanes.close(!live_lanes(&taint, after[i]), StaticVerdict::Masked);
-    taint.retain(lanes.open);
+    // The lanes still holding taint, recomputed only where the taint
+    // changed: after a kill that hit, a protection transfer, or a
+    // `retain`, which keeps the open ones.
+    let mut held = taint.lanes();
+    if held & !lanes.open != 0 {
+        taint.retain(lanes.open);
+        held &= lanes.open;
+    }
     for (i, fact) in facts.iter().enumerate().skip(i + 1) {
         // A lane whose every corrupted byte was overwritten with its
         // golden value has converged with the golden run.
-        lanes.close(!taint.lanes(), StaticVerdict::Masked);
+        lanes.close(!held, StaticVerdict::Masked);
         if lanes.open == 0 {
             return lanes;
         }
@@ -995,6 +1057,7 @@ fn scan_lanes(
         if reading != 0 {
             if fact.protection {
                 let step = protection_step(block, facts, i, &mut taint, reading);
+                held = taint.lanes();
                 lanes.close(step.detected, StaticVerdict::Detected);
                 // Every open lane has walked straight-line code to
                 // here, so an escape scan would bail here too.
@@ -1013,7 +1076,11 @@ fn scan_lanes(
         }
         let rest = lanes.open & !reading;
         match fact.control {
-            Control::Plain => fact.kill(&mut taint, rest),
+            Control::Plain => {
+                if fact.kill(&mut taint, rest) {
+                    held = taint.lanes();
+                }
+            }
             // Flags are untainted (any tainted flag-writer would have
             // detected or bailed above), so this checker branch falls
             // through exactly as in the golden run.
@@ -1029,9 +1096,10 @@ fn scan_lanes(
         }
         if lanes.open != was_open {
             taint.retain(lanes.open);
+            held &= lanes.open;
         }
     }
-    lanes.close(!taint.lanes(), StaticVerdict::Masked);
+    lanes.close(!held, StaticVerdict::Masked);
     lanes.close_at_stop(ALL_LANES, &taint, after[block.len() - 1]);
     lanes
 }
@@ -1103,20 +1171,22 @@ fn block_vouched(
 }
 
 /// Classifies every injectable site of `f`, advancing the flat `pc`.
+/// `facts` and `after` are work buffers.
 fn analyze_function(
     f: &AsmFunction,
     pc: &mut usize,
     manifest: Option<&ProtectionManifest>,
+    facts: &mut FunctionFacts,
+    after: &mut Vec<ByteSet>,
 ) -> FunctionCoverage {
     let labels = block_labels(f);
-    let facts = FunctionFacts::build(f, &labels);
+    facts.decode(f, &labels);
     let lv = facts.liveness(&Cfg::with_labels(f, &labels));
-    let mut after = Vec::new();
     let mut sites = Vec::new();
     let mut rollup = VerdictCounts::default();
     for (bi, b) in f.blocks.iter().enumerate() {
         let bf = facts.block(bi);
-        live_after(facts.reads_kills(bi), lv.live_out[bi], &mut after);
+        live_after(facts.reads_kills(bi), lv.live_out[bi], after);
         let vouched = block_vouched(&b.insts, bf, manifest);
         for (i, ai) in b.insts.iter().enumerate() {
             let this_pc = *pc;
@@ -1126,7 +1196,7 @@ fn analyze_function(
                 continue;
             };
             let mut site = SiteCoverage::unknown(this_pc, bits, ai.prov);
-            classify_site(&b.insts, bf, &after, i, dest, &mut site);
+            classify_site(&b.insts, bf, after, i, dest, &mut site);
             if !vouched {
                 for k in 0..site.units() {
                     if site.verdict(k) == StaticVerdict::Detected {
@@ -1928,6 +1998,78 @@ pub(crate) mod tests {
         assert!(parted > 500, "only {parted} groups parted lanes");
     }
 
+    /// Checks that the occupied-register set of `taint` is exact and
+    /// that `lanes()` matches a fold over all sixteen masks.
+    fn assert_exact(taint: &Taint, what: impl Fn() -> String) {
+        let dense = (0..16).filter(|&r| taint.simd[r] != 0);
+        let occupied = dense.fold(0u16, |set, r| set | 1 << r);
+        let simd = taint.simd.iter().fold(0, |acc, &m| acc | m);
+        assert_eq!(
+            (taint.occupied, taint.lanes()),
+            (occupied, gpr_lanes(taint.gpr) | fold_lanes(simd)),
+            "{}",
+            what()
+        );
+    }
+
+    #[test]
+    fn the_occupied_simd_set_is_exact_after_every_step() {
+        // Random sparse taints walked through random blocks: after
+        // every transfer, kill and `retain` the set names exactly the
+        // registers with a non-zero mask, and a kill reports whether
+        // it changed the taint (the lane scan recomputes its lanes on
+        // that report).  Masks are sparse enough that a `retain` or a
+        // kill often clears a register's last tainted byte.
+        let (mut cleared, mut steps) = (0usize, 0usize);
+        for seed in 0..3000u64 {
+            // A random block led by one modelled transfer.
+            let rng = &mut ferrum_rng::Rng64::seed_from_u64(seed);
+            let form = TRANSFERS[rng.gen_range(0..TRANSFERS.len())];
+            let mut p = random_program(seed);
+            let lead = prot(random_inst_of(rng, form).inst);
+            p.functions[0].blocks[0].insts.insert(0, lead);
+            let f = &p.functions[0];
+            let facts = FunctionFacts::build(f, &block_labels(f));
+            let (block, facts) = (&f.blocks[0].insts, facts.block(0));
+            let mut sparse =
+                || rng.next_u64() & rng.next_u64() & rng.next_u64() >> rng.gen_below(64);
+            let mut taint = Taint {
+                gpr: ByteSet::from(sparse()) << 64 | ByteSet::from(sparse()),
+                ..Taint::default()
+            };
+            for r in 0..16 {
+                taint.set_simd(r, sparse());
+            }
+            assert_exact(&taint, || format!("seed {seed}: seeded"));
+            for (i, fact) in facts.iter().enumerate() {
+                let what = |step: &'static str| {
+                    let inst = crate::printer::print_inst(&block[i].inst);
+                    move || format!("seed {seed}: {step} at {i} `{inst}`")
+                };
+                let before = taint.occupied;
+                let reading = fact.read_lanes(&taint);
+                if fact.protection {
+                    protection_step(block, facts, i, &mut taint, reading);
+                    assert_exact(&taint, what("transfer"));
+                    steps += 1;
+                }
+                let old = taint.clone();
+                let hit = fact.kill(&mut taint, !reading);
+                assert_exact(&taint, what("kill"));
+                assert_eq!(hit, taint != old, "seed {seed}: kill at {i} reports {hit}");
+                taint.retain(sparse() as Lanes);
+                assert_exact(&taint, what("retain"));
+                cleared += (before & !taint.occupied).count_ones() as usize;
+            }
+        }
+        // The walk clears about 43,000 registers and takes about 25,000
+        // protection steps; it must keep doing both to show anything.
+        assert!(
+            cleared > 20_000 && steps > 10_000,
+            "{cleared} registers cleared, {steps} protection steps"
+        );
+    }
+
     #[test]
     fn transfers_write_exactly_the_effects_table() {
         // In the lanes where a modelled transfer reads no taint it
@@ -1944,8 +2086,11 @@ pub(crate) mod tests {
             let mut sparse = || rng.next_u64() & rng.next_u64() & rng.next_u64();
             let mut taint = Taint {
                 gpr: ByteSet::from(sparse()) << 64 | ByteSet::from(sparse()),
-                simd: [(); 16].map(|()| sparse()),
+                ..Taint::default()
             };
+            for r in 0..16 {
+                taint.set_simd(r, sparse());
+            }
             taint.retain(!facts[0].read_lanes(&taint));
             let mut killed = taint.clone();
             facts[0].kill(&mut killed, ALL_LANES);

@@ -319,17 +319,13 @@ fn summarize_function(
 /// that fires on the subset either fires on the superset too or the
 /// superset bails to the full footprint).
 fn subsumes(a: &Taint, b: &Taint) -> bool {
-    a.gpr | b.gpr == a.gpr && a.simd.iter().zip(&b.simd).all(|(&am, &bm)| am | bm == am)
+    a.gpr | b.gpr == a.gpr && b.simd_masks().all(|(r, bm)| a.simd(r) | bm == a.simd(r))
 }
 
 /// Every tainted register escapes into the caller.
 fn escape_regs(fp: &mut EscapeFootprint, taint: &Taint) {
     fp.gpr |= taint.gpr;
-    for (r, &m) in taint.simd.iter().enumerate() {
-        if m != 0 {
-            fp.simd |= 1 << r;
-        }
-    }
+    fp.simd |= taint.occupied();
 }
 
 /// The escape scan of one function: its fact table and the work

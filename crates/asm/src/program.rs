@@ -1,7 +1,7 @@
 //! Program structure: functions, labelled basic blocks, and tagged
 //! instructions, plus program-level data (globals) and validation.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use crate::inst::Inst;
@@ -225,13 +225,13 @@ impl AsmProgram {
     /// destinations, missing `main`).
     pub fn validate(&self) -> Result<(), Vec<ValidateError>> {
         let mut errors = Vec::new();
-        let mut seen = HashMap::new();
+        let mut seen = HashSet::new();
         for f in &self.functions {
-            if seen.insert(f.name.clone(), ()).is_some() {
+            if !seen.insert(f.name.as_str()) {
                 errors.push(ValidateError::DuplicateLabel(f.name.clone()));
             }
             for b in &f.blocks {
-                if seen.insert(b.label.clone(), ()).is_some() {
+                if !seen.insert(b.label.as_str()) {
                     errors.push(ValidateError::DuplicateLabel(b.label.clone()));
                 }
             }
@@ -403,6 +403,26 @@ mod tests {
         let dup = p.functions[0].blocks[0].clone();
         p.functions[0].blocks.push(dup);
         assert!(p.validate().is_err());
+    }
+
+    #[test]
+    fn block_label_equal_to_a_function_name_is_a_duplicate_label() {
+        // Functions and blocks share one label namespace: a block of
+        // `main` named `helper` clashes with the function `helper`,
+        // and the error names the label that came second.
+        let mut p = single_block_main(vec![Inst::Nop]);
+        let mut helper = AsmFunction::new("helper");
+        let mut entry = AsmBlock::new("helper_entry");
+        entry.push(Inst::Ret, Provenance::Synthetic);
+        helper.blocks.push(entry);
+        p.functions.push(helper);
+        let mut clash = AsmBlock::new("helper");
+        clash.push(Inst::Ret, Provenance::Synthetic);
+        p.functions[0].blocks.push(clash);
+        assert_eq!(
+            p.validate().unwrap_err(),
+            [ValidateError::DuplicateLabel("helper".into())]
+        );
     }
 
     #[test]

@@ -137,7 +137,8 @@ impl Image {
                                 .ok_or_else(|| LoadError::Invalid(format!("label {t}")))?,
                         ),
                     };
-                    let inst = resolve_symbols(&ai.inst, &symbol_bases)?;
+                    let mut inst = ai.inst.clone();
+                    resolve_symbols(&mut inst, &symbol_bases)?;
                     insts.push(LoadedInst {
                         inst,
                         prov: ai.prov,
@@ -179,65 +180,41 @@ impl Image {
     }
 }
 
-fn resolve_mem(m: &MemRef, syms: &HashMap<String, u64>) -> Result<MemRef, LoadError> {
-    match &m.symbol {
-        None => Ok(m.clone()),
-        Some(s) => {
-            let base = syms
-                .get(s)
-                .copied()
-                .ok_or_else(|| LoadError::UnknownSymbol(s.clone()))?;
-            Ok(MemRef {
-                disp: m.disp + base as i64,
-                base: m.base,
-                index: m.index,
-                symbol: None,
-            })
+/// Resolves, in place, every memory operand of `inst` that names a
+/// global symbol into an absolute displacement.
+fn resolve_symbols(inst: &mut Inst, syms: &HashMap<String, u64>) -> Result<(), LoadError> {
+    fn mem(op: &mut Operand) -> Option<&mut MemRef> {
+        match op {
+            Operand::Mem(m) => Some(m),
+            Operand::Reg(_) | Operand::Imm(_) => None,
         }
     }
-}
-
-fn resolve_op(op: &Operand, syms: &HashMap<String, u64>) -> Result<Operand, LoadError> {
-    match op {
-        Operand::Mem(m) => Ok(Operand::Mem(resolve_mem(m, syms)?)),
-        other => Ok(other.clone()),
-    }
-}
-
-fn resolve_symbols(inst: &Inst, syms: &HashMap<String, u64>) -> Result<Inst, LoadError> {
-    let mut out = inst.clone();
-    match &mut out {
+    let mems = match inst {
         Inst::Mov { src, dst, .. }
         | Inst::Alu { src, dst, .. }
         | Inst::Cmp { src, dst, .. }
-        | Inst::Test { src, dst, .. } => {
-            *src = resolve_op(src, syms)?;
-            *dst = resolve_op(dst, syms)?;
+        | Inst::Test { src, dst, .. } => [mem(src), mem(dst)],
+        Inst::Movsx { src, .. }
+        | Inst::Movzx { src, .. }
+        | Inst::Idiv { src, .. }
+        | Inst::Imul { src, .. }
+        | Inst::Push { src }
+        | Inst::MovqToXmm { src, .. }
+        | Inst::Pinsrq { src, .. } => [mem(src), None],
+        Inst::Unary { dst, .. }
+        | Inst::Shift { dst, .. }
+        | Inst::Setcc { dst, .. }
+        | Inst::Pop { dst } => [mem(dst), None],
+        Inst::Lea { mem, .. } => [Some(mem), None],
+        _ => [None, None],
+    };
+    for m in mems.into_iter().flatten() {
+        if let Some(s) = m.symbol.take() {
+            let base = syms.get(&s).ok_or(LoadError::UnknownSymbol(s))?;
+            m.disp += *base as i64;
         }
-        Inst::Movsx { src, .. } | Inst::Movzx { src, .. } | Inst::Idiv { src, .. } => {
-            *src = resolve_op(src, syms)?;
-        }
-        Inst::Imul { src, .. } => {
-            *src = resolve_op(src, syms)?;
-        }
-        Inst::Lea { mem, .. } => {
-            *mem = resolve_mem(mem, syms)?;
-        }
-        Inst::Unary { dst, .. } | Inst::Shift { dst, .. } | Inst::Setcc { dst, .. } => {
-            *dst = resolve_op(dst, syms)?;
-        }
-        Inst::Push { src } => {
-            *src = resolve_op(src, syms)?;
-        }
-        Inst::Pop { dst } => {
-            *dst = resolve_op(dst, syms)?;
-        }
-        Inst::MovqToXmm { src, .. } | Inst::Pinsrq { src, .. } => {
-            *src = resolve_op(src, syms)?;
-        }
-        _ => {}
     }
-    Ok(out)
+    Ok(())
 }
 
 #[cfg(test)]

@@ -315,6 +315,51 @@ fn per_unit_verdicts_and_footprints_match_the_pinned_digest() {
     );
 }
 
+/// The same pin for the two FERRUM configurations the three-technique
+/// window never builds: ZMM batches, where each 64-unit site runs eight
+/// SIMD-seeded lane scans, and forced requisition.  Each program is
+/// analysed with and without its manifests, and every unit's summary
+/// is digested with its verdict.
+#[test]
+fn zmm_and_requisition_verdicts_and_footprints_match_the_pinned_digest() {
+    let configs = [
+        FerrumConfig {
+            zmm: true,
+            ..FerrumConfig::default()
+        },
+        FerrumConfig {
+            force_requisition: true,
+            ..FerrumConfig::default()
+        },
+    ];
+    let (mut units, mut zmm_sites) = (Digest::new(), 0);
+    for seed in WINDOW.0..WINDOW.0 + WINDOW.1 {
+        let (module, _) = ferrum_fuzz::generate_module(seed);
+        for opt in [OptLevel::O0, OptLevel::O1] {
+            let asm = ferrum_backend::compile_opt(&module, opt).expect("compiles");
+            for cfg in configs {
+                let (prot, manifests) = Ferrum::with_config(cfg)
+                    .protect_with_manifest(&asm)
+                    .expect("protects");
+                for map in [
+                    CoverageMap::analyze(&prot),
+                    CoverageMap::analyze_with(&prot, Some(&manifests)),
+                ] {
+                    units.units(&map, Some(&SummaryMap::build(&prot, &map)));
+                    let sites = map.functions.iter().flat_map(|f| &f.sites);
+                    zmm_sites += sites.filter(|s| s.bits == 512).count();
+                }
+            }
+        }
+    }
+    // The window must build ZMM batches to pin their scans.
+    assert!(zmm_sites > 0, "no ZMM site in the window");
+    assert_eq!(
+        units.0, 0xa4ed_5952_4be7_d2bd,
+        "zmm and requisition per-unit digest"
+    );
+}
+
 /// The GPR bytes and, per SIMD register, the bytes in which two
 /// register files differ.
 fn changed_bytes(a: &RegFile, b: &RegFile) -> (u128, [u64; 16]) {
